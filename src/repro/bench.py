@@ -76,7 +76,7 @@ def _run_case(name: str, scale: str, machine: str,
         wl.compiled.tagged
     else:
         wl.compiled.program
-    # Generated plan kernels compile once per process; keep that
+    # Generated plan kernels are built once per workload; keep that
     # one-time cost out of the timed region like the lowerings above.
     family = KERNEL_FAMILY.get(machine)
     if family is not None:

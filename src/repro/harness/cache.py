@@ -53,9 +53,9 @@ CACHE_VERSION = 5
 #: Version of the *compiled-plan* cache (:class:`CompileCache`). Bump
 #: when :func:`repro.compiler.elaborate.elaborate` /
 #: :func:`repro.compiler.flatten.flatten` change their output for the
-#: same input program, or when the generated plan kernels
-#: (:mod:`repro.sim.codegen`, stored as ``kernels-<family>`` kinds)
-#: change shape.
+#: same input program. Generated kernels are not stored here (they are
+#: rebuilt per process from shared shapes, :mod:`repro.sim.codegen`),
+#: so kernel changes need no bump.
 #: v2: generated kernel artifacts added alongside the lowered graphs.
 #: v3: queued kernels track the minimum due-cycle and skip memory
 #: response delivery entirely on cycles where no load matures.
@@ -63,6 +63,8 @@ CACHE_VERSION = 5
 #: bind time.
 #: v5: generated run loops carry the progress watchdog (consecutive
 #: zero-fire cycle counter raising a diagnosed DeadlockError).
+#: Kernel artifacts left the store after v5; stale ``kernels-<family>``
+#: entries are never read again and age out through ``cache gc``.
 PLAN_VERSION = 5
 
 DEFAULT_ROOT = ".repro-cache"

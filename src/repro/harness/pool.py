@@ -236,9 +236,9 @@ def precompile_specs(specs: Sequence[RunSpec],
             ensure(compiled, "tagged", "tagged")
         elif spec.machine == "ordered":
             ensure(compiled, "flat", "flat")
-        # Generated kernels: compile (or load from the store) in the
-        # parent so forked workers inherit the warm module through
-        # copy-on-write instead of each re-exec'ing the source.
+        # Generated kernels: build them (and compile their shapes) in
+        # the parent so forked workers inherit the bound tables and
+        # the warm shape memo through copy-on-write.
         if spec.codegen:
             family = KERNEL_FAMILY.get(spec.machine)
             if family is not None:

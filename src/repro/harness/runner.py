@@ -133,34 +133,22 @@ class CompiledWorkload:
         return self._fingerprint
 
     def kernels(self, family: str):
-        """The compiled generated-kernel module for one engine family
-        (memoized; consults ``plan_cache`` under ``kernels-<family>``).
+        """The generated-kernel module for one engine family
+        (memoized here; dropped with this workload).
 
-        Generated source is a pure function of the lowered plan, so
-        the artifact is shared exactly like the lowered graphs: cached
-        on disk once, inherited warm by forked sweep workers after
-        ``pool.precompile_specs``.
+        Kernel shapes are compiled once per process and shared by
+        every program, so building a module is mostly binding this
+        program's table; forked sweep workers inherit the modules
+        ``pool.precompile_specs`` built in the parent.
         """
         from repro.sim import codegen
 
         mod = self._kernels.get(family)
-        if mod is not None:
-            return mod
-        kind = "kernels-" + family
-        if self.plan_cache is not None:
-            artifact = self.plan_cache.get_plan(self.fingerprint, kind)
-            if artifact is not None:
-                mod = codegen.load_kernels(artifact, family,
-                                           self.fingerprint)
-                if mod is not None:
-                    self._kernels[family] = mod
-                    return mod
-        source = codegen.generate_source(family, self)
-        mod = codegen.compile_kernels(source, family, self.fingerprint)
-        if self.plan_cache is not None:
-            self.plan_cache.put_plan(self.fingerprint, kind,
-                                     mod.artifact())
-        self._kernels[family] = mod
+        if mod is None:
+            source = codegen.generate_source(family, self)
+            mod = codegen.compile_kernels(source, family,
+                                          self.fingerprint)
+            self._kernels[family] = mod
         return mod
 
     def entry_args(self, args: Sequence[object]) -> List[object]:

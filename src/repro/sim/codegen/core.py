@@ -1,98 +1,181 @@
 """Shared infrastructure for ahead-of-time plan kernels.
 
-The per-family generators (:mod:`~repro.sim.codegen.tagged`,
-``queued``, ``window``, ``vector``) emit one Python module per lowered
-plan: a flat function per static node's firing rule plus a specialized
-cycle loop. This module holds what they share:
+A node's kernel body depends only on its *shape*: opcode, which ports
+are tokens and which immediates, the unrolled fan-out and the timing
+rule. Everything else a node carries -- destination ids and ports,
+immediates, array names, result slots -- is *data*, the way a dataflow
+instruction carries its destinations. So each family generator
+(:mod:`~repro.sim.codegen.tagged`, ``queued``, ``window``, ``vector``)
+emits two things per program:
+
+* **shape source** -- one ``def kernel(...)`` per distinct shape, in
+  which every node-varying constant is a parameter ``c0, c1, ...``;
+* a **kernel table** (:class:`KernelTable`) -- one row per node of
+  (shape per timing rule, runtime-object refs, constants).
+
+Each shape text is compiled once per process into :data:`_SHAPES`,
+keyed by that text. Constants never enter the key (``1 == True`` and
+``0 == 0.0 == -0.0`` would collide as dict keys); they are bound at
+engine construction as default arguments through
+:class:`types.FunctionType`, so bodies still run on ``LOAD_FAST`` and
+rebuilding the kernels of a program whose shapes are all known calls
+``compile()`` zero times. Each family's cycle loop is a shape too, one
+per variant (which firing-rule kinds the plan contains).
+
+This module holds what the generators share:
 
 * :class:`Writer` -- tiny indentation-aware source emitter;
-* :func:`safe_literal` / :func:`lit` -- which immediate values may be
-  inlined into source as literals (everything else is bound from the
-  engine's tables at bind time);
+* :class:`Shape` -- one shape being emitted: its runtime refs, its
+  constants, and the ``def kernel(...)`` text;
 * :func:`pure_expr` -- inline expression templates for the pure
   opcodes whose :func:`~repro.ir.ops.OP_INFO` evaluators are simple
   operators (``DIV``/``MOD`` keep their checked evaluator calls);
-* :class:`KernelModule` + :func:`compile_kernels` /
-  :func:`load_kernels` -- compile generated source once per process,
-  pack it into a picklable cache artifact (source + marshalled code
-  object) and restore it, recompiling from source when the marshal
-  payload comes from a different interpreter version.
+* :func:`kernel_source` / :func:`compile_kernels` /
+  :class:`KernelModule` -- table plus not-yet-compiled shape source,
+  the once-per-shape compile, and the data-driven binder.
 
-Generated source is a *pure deterministic function of the lowered
-plan*: no runtime object ever leaks into it. Runtime state (wait
-stores, the pending buffer, memory, tag pools) is bound afterwards by
-calling the module's ``bind_*`` entry points with the live engine, so
-one cached artifact serves every run of the same program. Set
-``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each generated module to
-``<dir>/<family>-<fingerprint12>.py`` for inspection.
+Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each program's shape
+sources and node table to ``<dir>/<family>-<fingerprint12>.py``.
 """
 
 from __future__ import annotations
 
-import marshal
+import builtins
 import os
-import sys
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from sys import maxsize
+from types import FunctionType
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import SimulationError, TokenBoundExceeded
 from repro.ir.ops import Op
+from repro.sim.latency import load_delay
+from repro.sim.watchdog import watchdog_horizon
 
 #: Environment variable naming a directory to dump generated source to.
 DUMP_ENV = "TYR_REPRO_DUMP_KERNELS"
 
-#: Kernel families (also the ``CompileCache`` kind suffixes).
+#: Kernel families.
 FAMILIES = ("tagged", "flat", "window", "vector")
+
+#: Timing rules, in the order of every row's variants: cache-probe
+#: loads, idealized single-cycle loads, hash-based variable latency.
+CACHE, FAST, VAR = range(3)
+
+#: A runtime-object ref: an engine-environment name, or a name plus
+#: the keys that index into that object (``("pops", 3)`` is
+#: ``env["pops"][3]``).
+Ref = object
+
+#: Globals of every kernel function: what shape bodies name without
+#: binding (exception types, helpers of the cycle loops).
+GLOBALS: Dict[str, object] = {
+    "__builtins__": builtins,
+    "SimulationError": SimulationError,
+    "TokenBoundExceeded": TokenBoundExceeded,
+    "watchdog_horizon": watchdog_horizon,
+    "deque": deque,
+    "maxsize": maxsize,
+}
+
+#: Shape text -> compiled code object, once per process. Code objects
+#: hold no plan data, so the memo keeps no program alive.
+_SHAPES: Dict[str, object] = {}
 
 
 class Writer:
     """Indentation-aware source accumulator."""
 
-    def __init__(self) -> None:
+    def __init__(self, depth: int = 0) -> None:
         self._lines: List[str] = []
-        self._depth = 0
+        self._depth = depth
+        self._pad = "    " * depth
 
     def w(self, line: str = "") -> None:
-        if line:
-            self._lines.append("    " * self._depth + line)
-        else:
-            self._lines.append("")
+        self._lines.append(self._pad + line if line else "")
 
     #: Writers are callable: ``w("line")`` == ``w.w("line")``.
     __call__ = w
 
     def indent(self) -> None:
         self._depth += 1
+        self._pad = "    " * self._depth
 
     def dedent(self) -> None:
         self._depth -= 1
+        self._pad = "    " * self._depth
 
     def source(self) -> str:
         return "\n".join(self._lines) + "\n"
 
 
-_SAFE_SCALARS = (bool, int, float, str, bytes, type(None))
+class Consts:
+    """One row's constants, shared by its timing variants."""
+
+    __slots__ = ("values", "_names")
+
+    def __init__(self) -> None:
+        self.values: List[object] = []
+        self._names: Dict[object, str] = {}
+
+    def add(self, value: object) -> str:
+        """A fresh parameter bound to ``value``."""
+        self.values.append(value)
+        return f"c{len(self.values) - 1}"
+
+    def named(self, key: object, value: object) -> str:
+        """The parameter for ``key``, added with ``value`` on first use
+        (so every variant names one operand by one parameter)."""
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = self.add(value)
+        return name
 
 
-def safe_literal(value: object) -> bool:
-    """May ``value`` be inlined into generated source via ``repr``?
+class Shape(Writer):
+    """The body of one kernel plus the parameters it binds.
 
-    Only types whose repr round-trips exactly and cheaply qualify;
-    anything else (pools, route tables, arbitrary objects) is fetched
-    from the engine's tables at bind time instead.
+    ``args`` are the call arguments (``tag``, ``inst``, ``env``);
+    :meth:`ref` names a runtime object resolved from the engine at
+    bind time; :meth:`const` turns one node-varying value into a
+    parameter. The timing variants of one node share its
+    :class:`Consts`; close them with :meth:`variant` only once all are
+    emitted, since every variant takes every constant.
     """
-    if isinstance(value, _SAFE_SCALARS):
-        return True
-    if isinstance(value, tuple):
-        return all(safe_literal(v) for v in value)
-    if isinstance(value, dict):
-        return all(safe_literal(k) and safe_literal(v)
-                   for k, v in value.items())
-    return False
+
+    def __init__(self, args: Sequence[str] = (),
+                 consts: Optional[Consts] = None) -> None:
+        super().__init__(depth=1)
+        self.args = tuple(args)
+        self.refs: Dict[str, Ref] = {}
+        self.consts = Consts() if consts is None else consts
+
+    def ref(self, name: str, spec: Ref = None) -> str:
+        """Parameter ``name`` bound to env ref ``spec`` (default: the
+        env entry of the same name)."""
+        if name not in self.refs:
+            self.refs[name] = name if spec is None else spec
+        return name
+
+    def const(self, value: object) -> str:
+        """A fresh parameter bound to ``value``."""
+        return self.consts.add(value)
+
+    def variant(self) -> Tuple[str, Tuple[Ref, ...]]:
+        """The shape text and its refs, in parameter order (call
+        arguments, refs, then every constant of ``consts``)."""
+        params = (list(self.args) + list(self.refs)
+                  + [f"c{i}" for i in range(len(self.consts.values))])
+        lines = self._lines or ["    pass"]
+        text = (f"def kernel({', '.join(params)}):\n"
+                + "\n".join(lines) + "\n")
+        return text, tuple(self.refs.values())
 
 
-def lit(value: object) -> str:
-    """The source form of a safe literal."""
-    assert safe_literal(value), value
-    return repr(value)
+def loop_text(w: Writer) -> str:
+    """The text of a cycle-loop shape emitted (indented once) into
+    ``w``: one ``kernel(E)``."""
+    return "def kernel(E):\n" + "\n".join(w._lines) + "\n"
 
 
 #: Inline expression templates for pure opcodes. ``{0}``/``{1}``/``{2}``
@@ -134,111 +217,193 @@ def pure_expr(op: Op, args: List[str]) -> Optional[str]:
     return template.format(*args)
 
 
+#: One row variant: (shape text, refs) while generating, (code object,
+#: refs) once compiled.
+Variant = Tuple[object, Tuple[Ref, ...]]
+
+
+def one_rule(variant: Variant) -> Tuple[Variant, Variant, Variant]:
+    """The variants of a row whose kernel ignores the timing rule."""
+    return (variant, variant, variant)
+
+
+class KernelTable:
+    """What a family generator returns for one program.
+
+    ``rows`` holds one ``(variants, consts, label)`` per node: the
+    variants indexed by :data:`CACHE`/:data:`FAST`/:data:`VAR`, the
+    node's constants as a tuple, and a label for dumps. ``loop`` is
+    the cycle-loop shape text (None for the vector family); ``layout``
+    is family data the binder needs; ``bind(module, engine)`` is the
+    family's binder.
+    """
+
+    __slots__ = ("family", "rows", "loop", "layout", "bind")
+
+    def __init__(self, family: str, bind: Callable,
+                 loop: Optional[str] = None, layout=None) -> None:
+        self.family = family
+        self.rows: List[tuple] = []
+        self.loop = loop
+        self.layout = layout
+        self.bind = bind
+
+    def add(self, variants, consts: Consts, label: str) -> None:
+        self.rows.append((variants, tuple(consts.values), label))
+
+    def texts(self) -> List[str]:
+        """Every distinct shape text of the program, first use first."""
+        seen: Dict[str, None] = {}
+        for variants, _, _ in self.rows:
+            for text, _ in variants:
+                seen[text] = None
+        if self.loop is not None:
+            seen[self.loop] = None
+        return list(seen)
+
+
+class KernelSource(str):
+    """The source handed to ``compile()`` for one program: the shapes
+    it uses that this process has not compiled yet (often none), each
+    followed by a line collecting its function. ``table`` is the
+    program's :class:`KernelTable`, ``new`` the texts compiled."""
+
+    table: KernelTable
+    new: List[str]
+
+
+def kernel_source(table: KernelTable) -> KernelSource:
+    """Wrap ``table`` with the source of its not-yet-compiled shapes."""
+    new = [text for text in table.texts() if text not in _SHAPES]
+    source = KernelSource("".join(text + "new(kernel)\n" for text in new))
+    source.table = table
+    source.new = new
+    return source
+
+
 def module_name(family: str, fingerprint: str) -> str:
     return f"<kernels:{family}:{fingerprint[:12]}>"
 
 
-def dump_kernel_source(source: str, family: str,
+def dump_kernel_source(table: KernelTable,
                        fingerprint: str) -> Optional[str]:
-    """Write generated source to ``$TYR_REPRO_DUMP_KERNELS`` (if set).
+    """Write a program's shape sources and node table to
+    ``$TYR_REPRO_DUMP_KERNELS`` (if set).
 
     Returns the path written, or None when dumping is disabled.
     """
     directory = os.environ.get(DUMP_ENV)
     if not directory:
         return None
+    texts = table.texts()
+    index = {text: i for i, text in enumerate(texts)}
+    lines = [f'"""Kernels of one {table.family} program: every shape '
+             f'it uses, then its node table.\n\nEmitted by '
+             f'repro.sim.codegen; constants c0, c1, ... are bound per '
+             f'row."""', ""]
+    for i, text in enumerate(texts):
+        kind = "cycle loop" if text == table.loop else "shape"
+        lines += [f"# s{i}: {kind}", text]
+    lines.append("# node table: label, shape per timing rule "
+                 "(cache, fast, var), refs per shape, constants")
+    lines.append("TABLE = [")
+    for variants, consts, label in table.rows:
+        shapes = tuple(f"s{index[text]}" for text, _ in variants)
+        refs = {f"s{index[text]}": r for text, r in variants}
+        lines.append(f"    ({label!r}, {shapes!r}, {refs!r}, "
+                     f"{consts!r}),")
+    lines.append("]")
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory,
-                        f"{family}-{fingerprint[:12]}.py")
+                        f"{table.family}-{fingerprint[:12]}.py")
     with open(path, "w") as fh:
-        fh.write(source)
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
 class KernelModule:
-    """One compiled generated module, ready to bind to engines.
+    """One program's kernels, ready to bind to engines.
 
-    ``ns`` is the exec'd module namespace; engines call
-    ``ns["bind_fires"](engine)`` (or ``bind_steps`` for the vector
-    family) at construction and dispatch their cycle loop through
-    ``ns["run_loop"]``.
+    ``rows`` are the table's rows with shape texts replaced by code
+    objects; engines call :meth:`bind` at construction and dispatch
+    their cycle loop through :attr:`run_loop`.
     """
 
-    __slots__ = ("family", "fingerprint", "source", "code", "ns")
+    __slots__ = ("rows", "layout", "run_loop", "_bind", "__weakref__")
 
-    def __init__(self, family: str, fingerprint: str, source: str,
-                 code) -> None:
-        self.family = family
-        self.fingerprint = fingerprint
-        self.source = source
-        self.code = code
-        self.ns: Dict[str, object] = {
-            "__name__": module_name(family, fingerprint),
-        }
-        exec(code, self.ns)
+    def __init__(self, table: KernelTable) -> None:
+        shapes = _SHAPES
+        self.rows = [
+            (tuple((shapes[text], refs) for text, refs in variants),
+             consts)
+            for variants, consts, _ in table.rows
+        ]
+        self.layout = table.layout
+        self.run_loop = (None if table.loop is None else
+                         FunctionType(shapes[table.loop], GLOBALS,
+                                      "run_loop"))
+        self._bind = table.bind
 
-    def artifact(self) -> Dict[str, object]:
-        """The picklable ``CompileCache`` payload: source of record
-        plus a marshalled code object as a fast path for the same
-        interpreter version."""
-        return {
-            "family": self.family,
-            "source": self.source,
-            "marshal": marshal.dumps(self.code),
-            "python": tuple(sys.version_info[:2]),
-        }
+    def bind(self, engine):
+        """Per-node (or per-block) functions for one live engine."""
+        return self._bind(self, engine)
 
 
-#: Per-process memo: (family, fingerprint) -> KernelModule. Forked
-#: sweep workers inherit warm entries from ``pool.precompile_specs``.
-_MODULE_MEMO: Dict[Tuple[str, str], KernelModule] = {}
-
-
-def compile_kernels(source: str, family: str,
+def compile_kernels(source: KernelSource, family: str,
                     fingerprint: str) -> KernelModule:
-    """Compile generated ``source`` into a bindable module (memoized
-    per process)."""
-    key = (family, fingerprint)
-    mod = _MODULE_MEMO.get(key)
-    if mod is None:
-        dump_kernel_source(source, family, fingerprint)
-        code = compile(source, module_name(family, fingerprint),
-                       "exec")
-        mod = KernelModule(family, fingerprint, source, code)
-        _MODULE_MEMO[key] = mod
-    return mod
+    """Compile the shapes ``source`` adds (none when every shape is
+    already known) and resolve the program's table against them."""
+    table = source.table
+    dump_kernel_source(table, fingerprint)
+    if source:
+        code = compile(source, module_name(family, fingerprint), "exec")
+        fns: List[FunctionType] = []
+        exec(code, {"new": fns.append})
+        for text, fn in zip(source.new, fns):
+            _SHAPES[text] = fn.__code__
+    return KernelModule(table)
 
 
-def load_kernels(artifact: Dict[str, object], family: str,
-                 fingerprint: str) -> Optional[KernelModule]:
-    """Restore a cached artifact; None if it is not usable at all.
+def timing_rule(engine) -> int:
+    """The row variant an engine's load timing selects."""
+    if engine._cache is not None:
+        return CACHE
+    return FAST if engine.load_latency <= 1 else VAR
 
-    The marshalled code object is interpreter-version specific; on any
-    mismatch or corruption the source of record is recompiled instead,
-    so a cache directory can be shared across Python versions.
-    """
-    key = (family, fingerprint)
-    mod = _MODULE_MEMO.get(key)
-    if mod is not None:
-        return mod
-    if not isinstance(artifact, dict):
-        return None
-    source = artifact.get("source")
-    if not isinstance(source, str):
-        return None
-    code = None
-    if artifact.get("python") == tuple(sys.version_info[:2]):
-        try:
-            code = marshal.loads(artifact["marshal"])
-        except (KeyError, ValueError, TypeError, EOFError):
-            code = None
-    try:
-        dump_kernel_source(source, family, fingerprint)
-        if code is None:
-            code = compile(source, module_name(family, fingerprint),
-                           "exec")
-        mod = KernelModule(family, fingerprint, source, code)
-    except (SyntaxError, ValueError, TypeError):
-        return None
-    _MODULE_MEMO[key] = mod
-    return mod
+
+def memory_env(engine) -> Dict[str, object]:
+    """The env entries every family's memory rules bind."""
+    cache = engine._cache
+    return {
+        "mem_load": engine.memory.load,
+        "mem_store": engine.memory.store,
+        "metrics": engine.metrics,
+        "latency": engine.load_latency,
+        "load_delay": load_delay,
+        "cache_load": cache.access_load if cache is not None else None,
+        "cache_store": cache.access_store if cache is not None else None,
+    }
+
+
+def resolve(env: Dict[str, object], ref: Ref) -> object:
+    if ref.__class__ is str:
+        return env[ref]
+    obj = env[ref[0]]
+    for key in ref[1:]:
+        obj = obj[key]
+    return obj
+
+
+def bind_rows(rows, env: Dict[str, object], rule: int) -> list:
+    """One function per row: the row's code for ``rule`` with its
+    refs resolved in ``env`` and its constants appended as default
+    arguments."""
+    fns = []
+    append = fns.append
+    glb = GLOBALS
+    for variants, consts in rows:
+        code, refs = variants[rule]
+        append(FunctionType(
+            code, glb, None,
+            tuple([resolve(env, r) for r in refs]) + consts))
+    return fns

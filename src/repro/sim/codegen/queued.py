@@ -1,19 +1,19 @@
 """AOT kernel generator for flat (ordered-dataflow) graphs.
 
-Emits one module per :class:`~repro.compiler.flatten.FlatGraph` with
+Emits, per :class:`~repro.compiler.flatten.FlatGraph`, a kernel table
+with one try-fire row per static node -- the exact firing rule of
+:meth:`QueuedEngine._make_try_fire` with the per-port FIFO checks,
+fresh-map keys, back-pressure probes and destination pushes unrolled.
+Fresh keys, destination ids, immediates and array names are constants
+bound as default arguments; input and destination deques, producer
+sets and the engine's counters are runtime refs bound by :func:`bind`.
 
-* ``bind_fires(E)`` -- one flat try-fire function per static node,
-  the exact firing rule of :meth:`QueuedEngine._make_try_fire` with
-  the per-port FIFO checks, fresh-map keys, back-pressure probes and
-  destination pushes unrolled (fresh keys become integer literals,
-  destination deques become default arguments).
-* ``run_loop(E)`` -- the engine's cycle loop with the
-  ``MetricsRecorder.sample`` body inlined into frame locals that are
-  committed back in a ``finally`` (the idiom of the window engine's
-  interpreted loop). ``metrics.cycles`` is synchronized every cycle
-  when ``load_latency > 1`` because the load firing rules and
-  ``_deliver_memory_responses`` read it, and committed / reloaded
-  around ``_stall_for_memory`` (which mutates the recorder).
+The cycle loop (one shape) inlines the ``MetricsRecorder.sample`` body
+into frame locals that are committed back in a ``finally`` (the idiom
+of the window engine's interpreted loop). ``metrics.cycles`` is
+synchronized every cycle when ``load_latency > 1`` because the load
+firing rules and ``_deliver_memory_responses`` read it, and committed
+/ reloaded around ``_stall_for_memory`` (which mutates the recorder).
 
 Bit-identical to the closure interpreter by construction; the golden
 records and the differential fuzz suite pin it.
@@ -21,13 +21,22 @@ records and the differential fuzz suite pin it.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.compiler.flatten import FlatGraph
 from repro.ir.ops import OP_INFO, Op
-from repro.sim.codegen.core import Writer, lit, pure_expr, safe_literal
-
-Bind = Tuple[str, str]
+from repro.sim.codegen.core import (
+    Consts,
+    KernelTable,
+    Shape,
+    Writer,
+    bind_rows,
+    loop_text,
+    memory_env,
+    one_rule,
+    pure_expr,
+    timing_rule,
+)
 
 #: Above this fan-out a destination port's pushes stay a loop over the
 #: engine's descriptor list instead of being unrolled.
@@ -37,11 +46,10 @@ _UNROLL_CAP = 4
 class _Node:
     """Per-node emission state.
 
-    The firing-rule body is emitted into a sub-:class:`Writer` first;
-    referencing a FIFO, immediate, or destination registers the
-    corresponding default-argument bind, and :meth:`compose` then
-    writes the ``def`` line with the full bind list and splices the
-    body under it.
+    Constants are shared by a node's timing variants and named once
+    (the same fresh key or immediate is the same parameter in every
+    variant); runtime refs are collected by each variant's
+    :class:`Shape`.
     """
 
     def __init__(self, graph: FlatGraph, nid: int,
@@ -49,51 +57,48 @@ class _Node:
         self.nd = graph.nodes[nid]
         self.nid = nid
         self.stride = stride
-        self.binds: List[Bind] = []
-        self._seen: set = set()
+        self.consts = Consts()
 
-    def _bind(self, name: str, expr: str) -> str:
-        if name not in self._seen:
-            self._seen.add(name)
-            self.binds.append((name, expr))
-        return name
+    def shape(self) -> Shape:
+        return Shape((), self.consts)
 
     # -- input ports ---------------------------------------------------
     def is_imm(self, port: int) -> bool:
         return port in self.nd.imms
 
-    def fifo(self, port: int) -> str:
-        return self._bind(f"f{port}", f"fifos[{self.nid}][{port}]")
+    def fifo(self, b: Shape, port: int) -> str:
+        return b.ref(f"f{port}", ("fifos", self.nid, port))
 
-    def key(self, port: int) -> int:
-        return self.nid * self.stride + port
+    def key(self, port: int) -> str:
+        return self.consts.named(("key", port),
+                                 self.nid * self.stride + port)
 
     def imm(self, port: int) -> str:
-        value = self.nd.imms[port]
-        if safe_literal(value):
-            return lit(value)
-        return self._bind(f"i{port}", f"imms[{self.nid}][{port}]")
+        return self.consts.named(("imm", port), self.nd.imms[port])
 
-    def avail(self, w: Writer, port: int) -> None:
+    def node_id(self) -> str:
+        return self.consts.named("nid", self.nid)
+
+    def avail(self, b: Shape, port: int) -> None:
         """Head-of-FIFO availability check for a token port.
 
         Same-cycle pushes are subtracted via a dense dirty-tracked
         counter list instead of the interpreter's dict (same
         visibility semantics, cheaper indexing).
         """
-        w(f"if len({self.fifo(port)}) - fresh[{self.key(port)}]"
+        b(f"if len({self.fifo(b, port)}) - fresh[{self.key(port)}]"
           " <= 0:")
-        w.indent()
-        w("return False")
-        w.dedent()
+        b.indent()
+        b("return False")
+        b.dedent()
 
-    def operand(self, w: Writer, port: int, var: str) -> None:
+    def operand(self, b: Shape, port: int, var: str) -> None:
         """Availability check + head capture for one input port."""
         if self.is_imm(port):
-            w(f"{var} = {self.imm(port)}")
+            b(f"{var} = {self.imm(port)}")
         else:
-            self.avail(w, port)
-            w(f"{var} = {self.fifo(port)}[0]")
+            self.avail(b, port)
+            b(f"{var} = {self.fifo(b, port)}[0]")
 
     # -- output ports --------------------------------------------------
     def dests(self, port: int):
@@ -102,33 +107,32 @@ class _Node:
     def unrolled(self, port: int) -> bool:
         return len(self.dests(port)) <= _UNROLL_CAP
 
-    def dest_fifo(self, port: int, j: int) -> str:
+    def dest_fifo(self, b: Shape, port: int, j: int) -> str:
         dest_id, dest_port = self.dests(port)[j]
-        return self._bind(f"g{port}_{j}",
-                          f"fifos[{dest_id}][{dest_port}]")
+        return b.ref(f"g{port}_{j}", ("fifos", dest_id, dest_port))
 
-    def dest_list(self, port: int) -> str:
-        return self._bind(f"dd{port}", f"dests[{self.nid}][{port}]")
+    def dest_list(self, b: Shape, port: int) -> str:
+        return b.ref(f"dd{port}", ("dests", self.nid, port))
 
-    def backpressure(self, w: Writer, port: int) -> None:
+    def backpressure(self, b: Shape, port: int) -> None:
         if not self.dests(port):
             return
         if self.unrolled(port):
             for j in range(len(self.dests(port))):
-                w(f"if len({self.dest_fifo(port, j)}) >= depth:")
-                w.indent()
-                w("return False")
-                w.dedent()
+                b(f"if len({self.dest_fifo(b, port, j)}) >= depth:")
+                b.indent()
+                b("return False")
+                b.dedent()
         else:
-            w(f"for f, k, d in {self.dest_list(port)}:")
-            w.indent()
-            w("if len(f) >= depth:")
-            w.indent()
-            w("return False")
-            w.dedent()
-            w.dedent()
+            b(f"for f, k, d in {self.dest_list(b, port)}:")
+            b.indent()
+            b("if len(f) >= depth:")
+            b.indent()
+            b("return False")
+            b.dedent()
+            b.dedent()
 
-    def push(self, w: Writer, port: int, value: str) -> None:
+    def push(self, b: Shape, port: int, value: str) -> None:
         """Push ``value`` to every destination of ``port`` (appends,
         fresh-count bumps, next-candidate adds, livebox credit)."""
         dests = self.dests(port)
@@ -136,70 +140,69 @@ class _Node:
             return
         if self.unrolled(port):
             for j, (dest_id, dest_port) in enumerate(dests):
-                g = self.dest_fifo(port, j)
-                k = dest_id * self.stride + dest_port
-                w(f"{g}.append({value})")
-                w(f"fresh[{k}] += 1")
-                w(f"dirty_append({k})")
-                w(f"nc_add({dest_id})")
+                g = self.dest_fifo(b, port, j)
+                k = self.consts.named(("dkey", port, j),
+                               dest_id * self.stride + dest_port)
+                d = self.consts.named(("dest", port, j), dest_id)
+                b(f"{g}.append({value})")
+                b(f"fresh[{k}] += 1")
+                b(f"dirty_append({k})")
+                b(f"nc_add({d})")
         else:
-            w(f"for f, k, d in {self.dest_list(port)}:")
-            w.indent()
-            w(f"f.append({value})")
-            w("fresh[k] += 1")
-            w("dirty_append(k)")
-            w("nc_add(d)")
-            w.dedent()
-        w(f"livebox[0] += {len(dests)}")
+            b(f"for f, k, d in {self.dest_list(b, port)}:")
+            b.indent()
+            b(f"f.append({value})")
+            b("fresh[k] += 1")
+            b("dirty_append(k)")
+            b("nc_add(d)")
+            b.dedent()
+        b(f"livebox[0] += {len(dests)}")
 
-    def pops(self, w: Writer, ports: List[int]) -> None:
+    def pops(self, b: Shape, ports: List[int]) -> None:
         """Pop the token ports among ``ports`` and wake producers
         (the interpreter's ``popped`` flag resolved at generation
         time)."""
         token_ports = [p for p in ports if not self.is_imm(p)]
         for p in token_ports:
-            w(f"{self.fifo(p)}.popleft()")
+            b(f"{self.fifo(b, p)}.popleft()")
         if token_ports:
             # One coalesced livebox decrement: the intermediate values
             # are unobservable between pops.
-            w(f"livebox[0] -= {len(token_ports)}")
-            w("nc_update(prod)")
+            b(f"livebox[0] -= {len(token_ports)}")
+            b("nc_update(prod)")
 
-    def compose(self, w: Writer, body: Writer,
-                extra: List[Bind]) -> str:
-        """Write ``def t{nid}(binds...)`` + the emitted body."""
-        name = f"t{self.nid}"
-        parts = [f"{n}={e}" for n, e in self.binds + extra]
-        parts += ["fresh=fresh_list", "dirty_append=dirty_append",
-                  "nc_add=nc_add", "nc_update=nc_update",
-                  f"prod=producers[{self.nid}]",
-                  "livebox=livebox", "depth=depth"]
-        w(f"def {name}({', '.join(parts)}):")
-        w.indent()
-        for line in body._lines:
-            w(line)
-        w.dedent()
-        return name
+    def finish(self, b: Shape, *refs: str):
+        """The variant of ``b`` once the refs every try-fire binds are
+        added after the body's own."""
+        for name in refs + ("fresh", "dirty_append", "nc_add",
+                            "nc_update", "livebox", "depth"):
+            b.ref(name)
+        b.ref("prod", ("producers", self.nid))
+        return b.variant()
 
 
-def _emit_node(w: Writer, graph: FlatGraph, nid: int,
-               stride: int) -> None:
+def _node(table: KernelTable, graph: FlatGraph, nid: int,
+          stride: int) -> None:
     node = _Node(graph, nid, stride)
     nd = node.nd
     op = nd.op
     imms = nd.imms
     n_in = nd.n_inputs
-    w(f"# node {nid}: {op.value}")
+    label = f"node {nid}: {op.value}"
+
+    def add(b: Shape, *refs: str) -> None:
+        table.add(one_rule(node.finish(b, *refs)), node.consts, label)
 
     if op is Op.MU:
-        b = Writer()
-        b(f"if mu[{nid}] == 0:")
+        b = node.shape()
+        mid = node.node_id()
+        b(f"if mu[{mid}] == 0:")
         b.indent()
         node.operand(b, 0, "value")
         node.backpressure(b, 0)
         node.pops(b, [0])
         node.push(b, 0, "value")
-        b(f"mu[{nid}] = 1")
+        b(f"mu[{mid}] = 1")
         b("return True")
         b.dedent()
         node.operand(b, 2, "d2")
@@ -213,16 +216,14 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         b("else:")
         b.indent()
         node.pops(b, [2, 1])
-        b(f"mu[{nid}] = 0")
+        b(f"mu[{mid}] = 0")
         b.dedent()
         b("return True")
-        name = node.compose(w, b, [("mu", "mu_state")])
-        w(f"fns[{nid}] = {name}")
-        w()
+        add(b, "mu")
         return
 
     if op is Op.MERGE:
-        b = Writer()
+        b = node.shape()
         node.operand(b, 0, "d0")
         b("if d0:")
         b.indent()
@@ -236,17 +237,14 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
             if chosen == 1:
                 b("else:")
                 b.indent()
-        name = node.compose(w, b, [])
-        w(f"fns[{nid}] = {name}")
-        w()
+        add(b)
         return
 
     if op is Op.STEER:
-        sense = bool(nd.attrs["sense"])
-        b = Writer()
+        b = node.shape()
         node.operand(b, 0, "d0")
         node.operand(b, 1, "value")
-        b("if d0:" if sense else "if not d0:")
+        b("if d0:" if nd.attrs["sense"] else "if not d0:")
         b.indent()
         node.backpressure(b, 0)
         node.pops(b, [0, 1])
@@ -259,300 +257,191 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
             b("pass")
         b.dedent()
         b("return True")
-        name = node.compose(w, b, [])
-        w(f"fns[{nid}] = {name}")
-        w()
+        add(b)
         return
 
     if op is Op.LOAD:
-        array = nd.attrs["array"]
-        if safe_literal(array):
-            arr = lit(array)
-        else:
-            arr = node._bind("array", f"attrs[{nid}]['array']")
-        # Latency is a run parameter: emit both firing rules, pick at
-        # bind time. Under unit latency nothing ever enters the
+        arr = node.consts.named("array", nd.attrs["array"])
+
+        def issue(b: Shape) -> None:
+            for p in range(n_in):
+                node.operand(b, p, f"a{p}")
+            node.backpressure(b, 0)
+            node.backpressure(b, 1)
+            node.pops(b, list(range(n_in)))
+            b(f"value = mem_load({arr}, a0)")
+
+        # Latency is a run parameter: emit every firing rule, the
+        # binder picks one. Under unit latency nothing ever enters the
         # in-flight map, so the fast rule drops those checks.
-        fast = Writer()
-        for p in range(n_in):
-            node.operand(fast, p, f"a{p}")
-        node.backpressure(fast, 0)
-        node.backpressure(fast, 1)
-        node.pops(fast, list(range(n_in)))
-        fast(f"value = mem_load({arr}, a0)")
+        fast = node.shape()
+        issue(fast)
         node.push(fast, 0, "value")
         node.push(fast, 1, "0")
         fast("return True")
 
-        var = Writer()
-        for p in range(n_in):
-            node.operand(var, p, f"a{p}")
-        node.backpressure(var, 0)
-        node.backpressure(var, 1)
-        node.pops(var, list(range(n_in)))
-        var(f"value = mem_load({arr}, a0)")
-        var(f"delay = load_delay(latency, {arr}, a0)")
-        var(f"if delay <= 1 and {nid} not in inflight:")
-        var.indent()
-        node.push(var, 0, "value")
-        node.push(var, 1, "0")
-        if not (node.dests(0) or node.dests(1)):
-            var("pass")
-        var.dedent()
-        var("else:")
-        var.indent()
-        var("due = metrics.cycles + delay - 1")
-        var(f"queue = inflight.get({nid})")
-        var("if queue is None:")
-        var.indent()
-        var(f"inflight[{nid}] = queue = deque()")
-        # A new queue's head may mature before every other head; an
-        # append behind an existing head never can (head-of-line
-        # blocking), so only this arm can lower the delivery bound.
-        var("if due < due_box[0]:")
-        var.indent()
-        var("due_box[0] = due")
-        var.dedent()
-        var.dedent()
-        var("queue.append((due, value))")
-        var.dedent()
-        var("return True")
+        def delayed(b: Shape, delay: str) -> None:
+            issue(b)
+            lid = node.node_id()
+            b(f"delay = {delay}")
+            b(f"if delay <= 1 and {lid} not in inflight:")
+            b.indent()
+            node.push(b, 0, "value")
+            node.push(b, 1, "0")
+            if not (node.dests(0) or node.dests(1)):
+                b("pass")
+            b.dedent()
+            b("else:")
+            b.indent()
+            b("due = metrics.cycles + delay - 1")
+            b(f"queue = inflight.get({lid})")
+            b("if queue is None:")
+            b.indent()
+            b(f"inflight[{lid}] = queue = deque()")
+            # A new queue's head may mature before every other head;
+            # an append behind an existing head never can (head-of-
+            # line blocking), so only this arm can lower the delivery
+            # bound.
+            b("if due < due_box[0]:")
+            b.indent()
+            b("due_box[0] = due")
+            b.dedent()
+            b.dedent()
+            b("queue.append((due, value))")
+            b.dedent()
+            b("return True")
 
+        var = node.shape()
+        delayed(var, f"load_delay(latency, {arr}, a0)")
         # Cache mode: the probe decides the delay, the in-flight
         # plumbing is identical to the variable-latency rule.
-        cached = Writer()
-        for p in range(n_in):
-            node.operand(cached, p, f"a{p}")
-        node.backpressure(cached, 0)
-        node.backpressure(cached, 1)
-        node.pops(cached, list(range(n_in)))
-        cached(f"value = mem_load({arr}, a0)")
-        cached(f"delay = cache_load({arr}, a0)")
-        cached(f"if delay <= 1 and {nid} not in inflight:")
-        cached.indent()
-        node.push(cached, 0, "value")
-        node.push(cached, 1, "0")
-        if not (node.dests(0) or node.dests(1)):
-            cached("pass")
-        cached.dedent()
-        cached("else:")
-        cached.indent()
-        cached("due = metrics.cycles + delay - 1")
-        cached(f"queue = inflight.get({nid})")
-        cached("if queue is None:")
-        cached.indent()
-        cached(f"inflight[{nid}] = queue = deque()")
-        cached("if due < due_box[0]:")
-        cached.indent()
-        cached("due_box[0] = due")
-        cached.dedent()
-        cached.dedent()
-        cached("queue.append((due, value))")
-        cached.dedent()
-        cached("return True")
-
-        w("if cache_load is not None:")
-        w.indent()
-        node.compose(
-            w, cached,
-            [("mem_load", "mem_load"), ("inflight", "inflight"),
-             ("metrics", "metrics"), ("cache_load", "cache_load"),
-             ("deque", "deque"), ("due_box", "due_box")])
-        w.dedent()
-        w("elif latency <= 1:")
-        w.indent()
-        node.compose(w, fast, [("mem_load", "mem_load")])
-        w.dedent()
-        w("else:")
-        w.indent()
-        name = node.compose(
-            w, var,
-            [("mem_load", "mem_load"), ("inflight", "inflight"),
-             ("metrics", "metrics"), ("latency", "latency"),
-             ("load_delay", "load_delay"), ("deque", "deque"),
-             ("due_box", "due_box")])
-        w.dedent()
-        w(f"fns[{nid}] = {name}")
-        w()
+        cached = node.shape()
+        delayed(cached, f"cache_load({arr}, a0)")
+        table.add((node.finish(cached, "mem_load", "inflight", "metrics",
+                               "cache_load", "due_box"),
+                   node.finish(fast, "mem_load"),
+                   node.finish(var, "mem_load", "inflight", "metrics",
+                               "latency", "load_delay", "due_box")),
+                  node.consts, label)
         return
 
     if op is Op.STORE:
-        array = nd.attrs["array"]
-        if safe_literal(array):
-            arr = lit(array)
-        else:
-            arr = node._bind("array", f"attrs[{nid}]['array']")
-        b = Writer()
-        for p in range(n_in):
-            node.operand(b, p, f"a{p}")
-        node.backpressure(b, 0)
-        node.pops(b, list(range(n_in)))
-        b(f"mem_store({arr}, a0, a1)")
-        node.push(b, 0, "0")
-        b("return True")
+        arr = node.consts.named("array", nd.attrs["array"])
 
+        def store(b: Shape) -> None:
+            for p in range(n_in):
+                node.operand(b, p, f"a{p}")
+            node.backpressure(b, 0)
+            node.pops(b, list(range(n_in)))
+            b(f"mem_store({arr}, a0, a1)")
+
+        plain = node.shape()
+        store(plain)
+        node.push(plain, 0, "0")
+        plain("return True")
         # Stores probe the cache model too (write-allocate) but stay
-        # single-cycle; pick the body at bind time like LOAD.
-        cb = Writer()
-        for p in range(n_in):
-            node.operand(cb, p, f"a{p}")
-        node.backpressure(cb, 0)
-        node.pops(cb, list(range(n_in)))
-        cb(f"mem_store({arr}, a0, a1)")
-        cb(f"cache_store({arr}, a0)")
-        node.push(cb, 0, "0")
-        cb("return True")
-
-        w("if cache_store is not None:")
-        w.indent()
-        node.compose(w, cb, [("mem_store", "mem_store"),
-                             ("cache_store", "cache_store")])
-        w.dedent()
-        w("else:")
-        w.indent()
-        name = node.compose(w, b, [("mem_store", "mem_store")])
-        w.dedent()
-        w(f"fns[{nid}] = {name}")
-        w()
+        # single-cycle; the binder picks the body like LOAD's.
+        cached = node.shape()
+        store(cached)
+        cached(f"cache_store({arr}, a0)")
+        node.push(cached, 0, "0")
+        cached("return True")
+        plain_v = node.finish(plain, "mem_store")
+        table.add((node.finish(cached, "mem_store", "cache_store"),
+                   plain_v, plain_v), node.consts, label)
         return
 
     info = OP_INFO[op]
     if not info.pure:
-        w(f"def t{nid}():")
-        w.indent()
-        w("raise SimulationError("
-          f"{lit('cannot execute ' + op.value + ' (flat)')})")
-        w.dedent()
-        w(f"fns[{nid}] = t{nid}")
-        w()
+        b = node.shape()
+        b(f"raise SimulationError("
+          f"{'cannot execute ' + op.value + ' (flat)'!r})")
+        table.add(one_rule(b.variant()), node.consts, label)
         return
 
     # Pure arithmetic/logic; mirror the interpreter's shapes.
     result_idx = nd.attrs.get("result_index")
-    extra: List[Bind] = []
+    b = node.shape()
 
     def value_expr(args: List[str]) -> str:
         expr = pure_expr(op, args)
         if expr is None:
-            extra.append(("ev", f"OP_INFO[Op.{op.name}].evaluate"))
-            return f"ev({', '.join(args)})"
+            ev = node.consts.named("ev", info.evaluate)
+            return f"{ev}({', '.join(args)})"
         return expr
 
-    if result_idx is None and n_in == 2 and not imms:
-        expr = value_expr(["a", "b"])
-        b = Writer()
-        node.avail(b, 0)
-        node.avail(b, 1)
+    if result_idx is None and not imms and n_in in (1, 2):
+        names = ["a", "b"][:n_in]
+        for p in range(n_in):
+            node.avail(b, p)
         node.backpressure(b, 0)
-        b(f"a = {node.fifo(0)}.popleft()")
-        b(f"b = {node.fifo(1)}.popleft()")
-        b("livebox[0] -= 2")
+        for p, name in enumerate(names):
+            b(f"{name} = {node.fifo(b, p)}.popleft()")
+        b(f"livebox[0] -= {n_in}")
         b("nc_update(prod)")
-        b(f"value = {expr}")
+        b(f"value = {value_expr(names)}")
         node.push(b, 0, "value")
         b("return True")
-        name = node.compose(w, b, extra)
-        w(f"fns[{nid}] = {name}")
-        w()
+        add(b)
         return
 
-    if result_idx is None and n_in == 1 and not imms:
-        expr = value_expr(["a"])
-        b = Writer()
-        node.avail(b, 0)
-        node.backpressure(b, 0)
-        b(f"a = {node.fifo(0)}.popleft()")
-        b("livebox[0] -= 1")
-        b("nc_update(prod)")
-        b(f"value = {expr}")
-        node.push(b, 0, "value")
-        b("return True")
-        name = node.compose(w, b, extra)
-        w(f"fns[{nid}] = {name}")
-        w()
-        return
-
-    expr = value_expr([f"a{p}" for p in range(n_in)])
-    if result_idx is not None:
-        extra.append(("results", "results"))
-    b = Writer()
     for p in range(n_in):
         node.operand(b, p, f"a{p}")
     node.backpressure(b, 0)
     node.pops(b, list(range(n_in)))
-    b(f"value = {expr}")
+    b(f"value = {value_expr([f'a{p}' for p in range(n_in)])}")
     if result_idx is not None:
-        b(f"results[{result_idx}] = value")
+        b(f"results[{node.consts.named('slot', result_idx)}] = value")
     node.push(b, 0, "value")
     b("return True")
-    name = node.compose(w, b, extra)
-    w(f"fns[{nid}] = {name}")
-    w()
+    if result_idx is not None:
+        add(b, "results")
+    else:
+        add(b)
 
 
-def generate(graph: FlatGraph) -> str:
-    """Source of the generated kernel module for ``graph``."""
-    n = len(graph.nodes)
-    stride = max((nd.n_inputs for nd in graph.nodes),
-                 default=1) or 1
-    has_mu = any(nd.op is Op.MU for nd in graph.nodes)
-
-    w = Writer()
-    w('"""Generated flat-graph kernels '
-      f'({n} nodes, fresh-key stride {stride}).'
-      '\n\nEmitted by repro.sim.codegen.queued; regenerated from the'
-      '\nplan, never edited. The closure interpreter in'
-      '\nsim/queued/engine.py is the bit-identical reference."""')
-    w("from collections import deque")
-    w("from sys import maxsize")
-    w()
-    w("from repro.errors import SimulationError")
-    w("from repro.sim.watchdog import watchdog_horizon")
-    w("from repro.ir.ops import OP_INFO, Op")
-    w("from repro.sim.latency import load_delay")
-    w()
-    w()
-    w("def bind_fires(E):")
-    w.indent()
-    w('"""Bind per-node try-fire kernels to a live QueuedEngine."""')
-    w("fifos = E._fifos")
-    w("dests = E._dests")
-    w("producers = E._producers")
-    w("imms = E._imms")
-    w("attrs = E._attrs")
-    w("results = E._results")
+def bind(module, E) -> list:
+    """Per-node try-fire functions for a live QueuedEngine."""
     # Same-cycle token visibility: a dense counter list (indexed by
     # the engine's int fresh keys) with an explicit dirty list, reset
     # by the generated run_loop each cycle. Replaces E._fresh for the
     # generated path only.
-    w(f"fresh_list = [0] * {n * stride}")
-    w("dirty = []")
-    w("dirty_append = dirty.append")
-    w("E._codegen_fresh = (fresh_list, dirty)")
-    w("nc_add = E._next_candidates.add")
-    w("nc_update = E._next_candidates.update")
-    w("livebox = E._livebox")
-    w("depth = E.queue_depth")
-    w("mem_load = E.memory.load")
-    w("mem_store = E.memory.store")
-    w("metrics = E.metrics")
-    w("inflight = E._inflight")
-    w("due_box = E._due_box")
-    w("latency = E.load_latency")
-    w("cache = E._cache")
-    w("cache_load = cache.access_load if cache is not None else None")
-    w("cache_store = cache.access_store if cache is not None else None")
-    if has_mu:
-        w("mu_state = E._mu_state")
-    w(f"fns = [None] * {n}")
-    w()
-    for nid in range(n):
-        _emit_node(w, graph, nid, stride)
-    w("return fns")
-    w.dedent()
-    w()
-    w()
-    w("def run_loop(E):")
+    fresh_list = [0] * (len(E._fifos) * E._stride)
+    dirty: List[int] = []
+    E._codegen_fresh = (fresh_list, dirty)
+    nc = E._next_candidates
+    env = memory_env(E)
+    env.update({
+        "fifos": E._fifos,
+        "dests": E._dests,
+        "producers": E._producers,
+        "results": E._results,
+        "fresh": fresh_list,
+        "dirty_append": dirty.append,
+        "nc_add": nc.add,
+        "nc_update": nc.update,
+        "livebox": E._livebox,
+        "depth": E.queue_depth,
+        "inflight": E._inflight,
+        "due_box": E._due_box,
+        "mu": E._mu_state,
+    })
+    return bind_rows(module.rows, env, timing_rule(E))
+
+
+def generate(graph: FlatGraph) -> KernelTable:
+    """The kernel table of ``graph``."""
+    stride = max((nd.n_inputs for nd in graph.nodes),
+                 default=1) or 1
+    table = KernelTable("flat", bind, _RUN_LOOP)
+    for nid in range(len(graph.nodes)):
+        _node(table, graph, nid, stride)
+    return table
+
+
+def run_loop() -> str:
+    """The cycle-loop shape."""
+    w = Writer()
     w.indent()
     w('"""The engine cycle loop with MetricsRecorder.sample inlined')
     w('into frame locals (committed back in the finally)."""')
@@ -775,5 +664,7 @@ def generate(graph: FlatGraph) -> str:
     w("metrics.live_trace._length = cycles")
     w.dedent()
     w.dedent()
-    w.dedent()
-    return w.source()
+    return loop_text(w)
+
+
+_RUN_LOOP = run_loop()

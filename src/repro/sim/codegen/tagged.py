@@ -1,17 +1,18 @@
 """AOT kernel generator for elaborated tagged graphs.
 
-Emits one module per :class:`~repro.compiler.graph.TaggedGraph` with
+Emits, per :class:`~repro.compiler.graph.TaggedGraph`, a kernel table
+with one row per static node -- the exact firing rule of
+:meth:`TaggedEngine._make_fire` with the operand slots, immediates,
+output-edge appends and livebox deltas unrolled into straight-line
+code. Destination ids and ports, immediates, array names and result
+slots are constants ``c0, c1, ...`` bound as default arguments; the
+wait-store slot's ``pop``, the pending buffer's ``append``, memory and
+tag pools are runtime refs bound from the live engine by :func:`bind`.
 
-* ``bind_fires(E)`` -- one flat function per static node, the exact
-  firing rule of :meth:`TaggedEngine._make_fire` with the operand
-  slots, immediates, output-edge appends and livebox deltas unrolled
-  into straight-line code. Runtime objects (wait-store slots, the
-  pending buffer's ``append``, memory, tag pools) enter as default
-  arguments, so the function body runs on ``LOAD_FAST`` only.
-* ``run_loop(E)`` -- the engine's cycle loop with ``_run_cycle``,
-  ``_apply_pending`` and ``_drain_pending_fast`` fused into one frame,
-  specialized to the firing-rule kinds the graph actually contains
-  (graphs without allocate/free/merge nodes drop those branches).
+The cycle loop is ``_run_cycle``, ``_apply_pending`` and
+``_drain_pending_fast`` fused into one frame, specialized to the
+firing-rule kinds the graph contains (graphs without allocate/free/
+merge nodes drop those branches): one loop shape per variant.
 
 The generated code must stay *bit-identical* to the closure
 interpreter: every livebox delta, deposit ordering, and exception
@@ -21,328 +22,244 @@ and the differential fuzz suite pin this.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 from repro.compiler.graph import TaggedGraph
 from repro.ir.ops import OP_INFO, Op
-from repro.sim.codegen.core import Writer, lit, pure_expr, safe_literal
+from repro.sim.codegen.core import (
+    Consts,
+    KernelTable,
+    Shape,
+    Writer,
+    bind_rows,
+    loop_text,
+    memory_env,
+    one_rule,
+    pure_expr,
+    timing_rule,
+)
 
-Bind = Tuple[str, str]
+Dests = List[Tuple[str, str]]
 
 
-def _operand(nid: int, port: int, imms, binds: List[Bind]) -> str:
+def _operand(consts: Consts, port: int, imms) -> str:
     """Source for one input operand, mirroring
-    ``entry[p] if p in entry else imms[p]`` with the immediate inlined
-    (token-only ports collapse to ``entry[p]``)."""
+    ``entry[p] if p in entry else imms[p]`` with the immediate a
+    constant (token-only ports collapse to ``entry[p]``)."""
     if port in imms:
-        value = imms[port]
-        if safe_literal(value):
-            ref = lit(value)
-        else:
-            ref = f"i{port}"
-            binds.append((ref, f"imms[{nid}][{port}]"))
-        return f"(entry[{port}] if {port} in entry else {ref})"
+        imm = consts.add(imms[port])
+        return f"(entry[{port}] if {port} in entry else {imm})"
     return f"entry[{port}]"
 
 
-def _emit_edges(w: Writer, edges, tag: str, data: str) -> None:
-    for dest_id, dest_port in edges:
-        w(f"append(({dest_id}, {dest_port}, {tag}, {data}))")
+def _dests(consts: Consts, edges) -> Dests:
+    return [(consts.add(dest_id), consts.add(dest_port))
+            for dest_id, dest_port in edges]
 
 
-def _emit_node(w: Writer, graph: TaggedGraph, nid: int) -> None:
+def _emit_edges(w: Writer, dests: Dests, tag: str, data: str,
+                fn: str = "append") -> None:
+    for dest_id, dest_port in dests:
+        w(f"{fn}(({dest_id}, {dest_port}, {tag}, {data}))")
+
+
+def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
     nd = graph.nodes[nid]
     op = nd.op
     imms = nd.imms
     edges = nd.out_edges
     attrs = nd.attrs
     n_in = nd.n_inputs
-    name = f"f{nid}"
-    w(f"# node {nid}: {op.value} @{nd.block}")
+    consts = Consts()
+    label = f"node {nid}: {op.value} @{nd.block}"
 
-    def header(binds: List[Bind], *, pop: bool = True) -> None:
-        parts = ["tag"]
-        if pop:
-            parts.append(f"pop=wait[{nid}].pop")
-        parts += [f"{n}={expr}" for n, expr in binds]
-        w(f"def {name}({', '.join(parts)}):")
-        w.indent()
+    def shape(*refs: str) -> Shape:
+        s = Shape(("tag",), consts)
+        s.ref("pop", ("pops", nid))
+        for name in ("append", "livebox") + refs:
+            s.ref(name)
+        return s
 
-    def footer() -> None:
-        w.dedent()
-        w(f"fns[{nid}] = {name}")
-        w()
+    def add(s: Shape) -> None:
+        table.add(one_rule(s.variant()), consts, label)
+
+    def consume(s: Shape, n: str = "len(entry)") -> None:
+        s("entry = pop(tag)")
+        s(f"livebox[0] -= {n}")
+
+    def credit(s: Shape, n: int) -> None:
+        if n:
+            s(f"livebox[0] += {n}")
 
     if op is Op.MERGE:
-        edges0 = edges[0]
-        n0 = len(edges0)
-        binds: List[Bind] = [("append", "append"),
-                             ("livebox", "livebox")]
+        s = shape()
+        dests = _dests(consts, edges[0])
+        im = consts.add(imms) if imms else None
+        consume(s)
+        s("chosen = 1 if entry[0] else 2")
         if imms:
-            if safe_literal(imms):
-                im_ref = lit(imms)
-            else:
-                im_ref = f"imms[{nid}]"
-            binds.append(("im", im_ref))
-        header(binds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        w("chosen = 1 if entry[0] else 2")
-        if imms:
-            w("data = entry[chosen] if chosen in entry else im[chosen]")
+            s(f"data = entry[chosen] if chosen in entry else {im}[chosen]")
         else:
-            w("data = entry[chosen]")
-        _emit_edges(w, edges0, "tag", "data")
-        if n0:
-            w(f"livebox[0] += {n0}")
-        footer()
+            s("data = entry[chosen]")
+        _emit_edges(s, dests, "tag", "data")
+        credit(s, len(dests))
+        add(s)
         return
 
     if op is Op.STEER:
-        edges0, edges1 = edges[0], edges[1]
-        n0, n1 = len(edges0), len(edges1)
-        sense = bool(attrs["sense"])
-        binds = [("append", "append"), ("livebox", "livebox")]
-        dexpr = _operand(nid, 0, imms, binds)
-        vexpr = _operand(nid, 1, imms, binds)
-        header(binds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        if n0:
-            w(f"if {dexpr}:" if sense else f"if not {dexpr}:")
-            w.indent()
-            w(f"value = {vexpr}")
-            _emit_edges(w, edges0, "tag", "value")
-            w(f"livebox[0] += {n0}")
-            w.dedent()
-        _emit_edges(w, edges1, "tag", "0")
-        if n1:
-            w(f"livebox[0] += {n1}")
-        footer()
+        s = shape()
+        dexpr = _operand(consts, 0, imms)
+        vexpr = _operand(consts, 1, imms)
+        d0, d1 = _dests(consts, edges[0]), _dests(consts, edges[1])
+        consume(s)
+        if d0:
+            s(f"if {dexpr}:" if attrs["sense"] else f"if not {dexpr}:")
+            s.indent()
+            s(f"value = {vexpr}")
+            _emit_edges(s, d0, "tag", "value")
+            credit(s, len(d0))
+            s.dedent()
+        _emit_edges(s, d1, "tag", "0")
+        credit(s, len(d1))
+        add(s)
         return
 
     if op is Op.LOAD:
-        edges0, edges1 = edges[0], edges[1]
-        n0, n1 = len(edges0), len(edges1)
-        array = attrs["array"]
-        binds = [("append", "append"), ("livebox", "livebox"),
-                 ("mem_load", "mem_load")]
-        if safe_literal(array):
-            arr = lit(array)
-        else:
-            arr = "array"
-            binds.append(("array", f"attrs[{nid}]['array']"))
-        addr = _operand(nid, 0, imms, binds)
         # Timing is a run parameter, not part of the plan: emit all
         # three firing rules (cache probe, idealized single-cycle,
-        # hash-based variable latency) and pick at bind time.
-        w("if cache_load is not None:")
-        w.indent()
-        cbinds = binds + [("metrics", "metrics"),
-                          ("delayed", "delayed"),
-                          ("cache_load", "cache_load")]
-        header(cbinds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        w(f"addr = {addr}")
-        w(f"value = mem_load({arr}, addr)")
-        w(f"delay = cache_load({arr}, addr)")
-        w("if delay <= 1:")
-        w.indent()
-        _emit_edges(w, edges0, "tag", "value")
-        _emit_edges(w, edges1, "tag", "0")
-        if not (edges0 or edges1):
-            w("pass")
-        w.dedent()
-        w("else:")
-        w.indent()
-        w("due = metrics.cycles + delay - 1")
-        w("bucket = delayed.get(due)")
-        w("if bucket is None:")
-        w.indent()
-        w("delayed[due] = bucket = []")
-        w.dedent()
-        for dest_id, dest_port in edges0:
-            w(f"bucket.append(({dest_id}, {dest_port}, tag, value))")
-        for dest_id, dest_port in edges1:
-            w(f"bucket.append(({dest_id}, {dest_port}, tag, 0))")
-        w.dedent()
-        if n0 + n1:
-            w(f"livebox[0] += {n0 + n1}")
-        w.dedent()
-        w.dedent()
-        w("elif latency <= 1:")
-        w.indent()
-        header(binds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        w(f"value = mem_load({arr}, {addr})")
-        _emit_edges(w, edges0, "tag", "value")
-        _emit_edges(w, edges1, "tag", "0")
-        if n0 + n1:
-            w(f"livebox[0] += {n0 + n1}")
-        w.dedent()
-        w.dedent()
-        w("else:")
-        w.indent()
-        vbinds = binds + [("metrics", "metrics"),
-                          ("delayed", "delayed"),
-                          ("latency", "latency"),
-                          ("load_delay", "load_delay")]
-        header(vbinds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        w(f"addr = {addr}")
-        w(f"value = mem_load({arr}, addr)")
-        w(f"delay = load_delay(latency, {arr}, addr)")
-        w("if delay <= 1:")
-        w.indent()
-        _emit_edges(w, edges0, "tag", "value")
-        _emit_edges(w, edges1, "tag", "0")
-        if not (edges0 or edges1):
-            w("pass")
-        w.dedent()
-        w("else:")
-        w.indent()
-        w("due = metrics.cycles + delay - 1")
-        w("bucket = delayed.get(due)")
-        w("if bucket is None:")
-        w.indent()
-        w("delayed[due] = bucket = []")
-        w.dedent()
-        for dest_id, dest_port in edges0:
-            w(f"bucket.append(({dest_id}, {dest_port}, tag, value))")
-        for dest_id, dest_port in edges1:
-            w(f"bucket.append(({dest_id}, {dest_port}, tag, 0))")
-        w.dedent()
-        if n0 + n1:
-            w(f"livebox[0] += {n0 + n1}")
-        w.dedent()
-        w.dedent()
-        w(f"fns[{nid}] = {name}")
-        w()
+        # hash-based variable latency); the binder picks one.
+        arr = consts.add(attrs["array"])
+        addr = _operand(consts, 0, imms)
+        d0, d1 = _dests(consts, edges[0]), _dests(consts, edges[1])
+        n = len(d0) + len(d1)
+
+        def delayed(s: Shape, delay: str) -> None:
+            consume(s)
+            s(f"addr = {addr}")
+            s(f"value = mem_load({arr}, addr)")
+            s(f"delay = {delay}")
+            s("if delay <= 1:")
+            s.indent()
+            _emit_edges(s, d0, "tag", "value")
+            _emit_edges(s, d1, "tag", "0")
+            if not n:
+                s("pass")
+            s.dedent()
+            s("else:")
+            s.indent()
+            s("due = metrics.cycles + delay - 1")
+            s("bucket = delayed.get(due)")
+            s("if bucket is None:")
+            s.indent()
+            s("delayed[due] = bucket = []")
+            s.dedent()
+            _emit_edges(s, d0, "tag", "value", "bucket.append")
+            _emit_edges(s, d1, "tag", "0", "bucket.append")
+            s.dedent()
+            credit(s, n)
+
+        cached = shape("mem_load", "metrics", "delayed", "cache_load")
+        delayed(cached, f"cache_load({arr}, addr)")
+        fast = shape("mem_load")
+        consume(fast)
+        fast(f"value = mem_load({arr}, {addr})")
+        _emit_edges(fast, d0, "tag", "value")
+        _emit_edges(fast, d1, "tag", "0")
+        credit(fast, n)
+        var = shape("mem_load", "metrics", "delayed", "latency",
+                    "load_delay")
+        delayed(var, f"load_delay(latency, {arr}, addr)")
+        table.add((cached.variant(), fast.variant(), var.variant()),
+                  consts, label)
         return
 
     if op is Op.STORE:
-        edges0 = edges[0]
-        n0 = len(edges0)
-        array = attrs["array"]
-        binds = [("append", "append"), ("livebox", "livebox"),
-                 ("mem_store", "mem_store")]
-        if safe_literal(array):
-            arr = lit(array)
-        else:
-            arr = "array"
-            binds.append(("array", f"attrs[{nid}]['array']"))
-        addr = _operand(nid, 0, imms, binds)
-        value = _operand(nid, 1, imms, binds)
         # Stores probe the cache model too (write-allocate) but stay
-        # single-cycle; pick the body at bind time like LOAD.
-        w("if cache_store is not None:")
-        w.indent()
-        header(binds + [("cache_store", "cache_store")])
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        w(f"addr = {addr}")
-        w(f"mem_store({arr}, addr, {value})")
-        w(f"cache_store({arr}, addr)")
-        _emit_edges(w, edges0, "tag", "0")
-        if n0:
-            w(f"livebox[0] += {n0}")
-        w.dedent()
-        w.dedent()
-        w("else:")
-        w.indent()
-        header(binds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        w(f"mem_store({arr}, {addr}, {value})")
-        _emit_edges(w, edges0, "tag", "0")
-        if n0:
-            w(f"livebox[0] += {n0}")
-        w.dedent()
-        w.dedent()
-        w(f"fns[{nid}] = {name}")
-        w()
+        # single-cycle; the binder picks the body like LOAD's.
+        arr = consts.add(attrs["array"])
+        addr = _operand(consts, 0, imms)
+        value = _operand(consts, 1, imms)
+        d0 = _dests(consts, edges[0])
+        cached = shape("mem_store", "cache_store")
+        consume(cached)
+        cached(f"addr = {addr}")
+        cached(f"mem_store({arr}, addr, {value})")
+        cached(f"cache_store({arr}, addr)")
+        _emit_edges(cached, d0, "tag", "0")
+        credit(cached, len(d0))
+        plain = shape("mem_store")
+        consume(plain)
+        plain(f"mem_store({arr}, {addr}, {value})")
+        _emit_edges(plain, d0, "tag", "0")
+        credit(plain, len(d0))
+        plain_v = plain.variant()
+        table.add((cached.variant(), plain_v, plain_v), consts, label)
         return
 
     if op is Op.JOIN:
-        edges0 = edges[0]
-        n0 = len(edges0)
-        binds = [("append", "append"), ("livebox", "livebox")]
-        value = _operand(nid, 0, imms, binds)
-        header(binds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        if edges0:
-            w(f"value = {value}")
-            _emit_edges(w, edges0, "tag", "value")
-            w(f"livebox[0] += {n0}")
-        footer()
+        s = shape()
+        value = _operand(consts, 0, imms)
+        d0 = _dests(consts, edges[0])
+        consume(s)
+        if d0:
+            s(f"value = {value}")
+            _emit_edges(s, d0, "tag", "value")
+            credit(s, len(d0))
+        add(s)
         return
 
     if op is Op.CHANGE_TAG:
-        edges1 = edges[1]
-        n1 = len(edges1)
-        table = attrs.get("route_table")
-        binds = [("append", "append"), ("livebox", "livebox")]
-        new_tag = _operand(nid, 0, imms, binds)
-        data = _operand(nid, 1, imms, binds)
-        if table is None:
-            edges0 = edges[0]
-            n0 = len(edges0)
-            header(binds)
-            w("entry = pop(tag)")
-            w("livebox[0] -= len(entry)")
-            w(f"new_tag = {new_tag}")
-            w(f"data = {data}")
-            _emit_edges(w, edges0, "new_tag", "data")
-            if n0:
-                w(f"livebox[0] += {n0}")
+        s = shape()
+        route = attrs.get("route_table")
+        new_tag = _operand(consts, 0, imms)
+        data = _operand(consts, 1, imms)
+        if route is None:
+            d0 = _dests(consts, edges[0])
         else:
-            ret = _operand(nid, 2, imms, binds)
-            binds.append(
-                ("table_get", f"attrs[{nid}]['route_table'].get"))
-            header(binds)
-            w("entry = pop(tag)")
-            w("livebox[0] -= len(entry)")
-            w(f"new_tag = {new_tag}")
-            w(f"data = {data}")
-            w(f"dests = table_get({ret}, ())")
-            w("for e in dests:")
-            w.indent()
-            w("append((e[0], e[1], new_tag, data))")
-            w.dedent()
-            w("livebox[0] += len(dests)")
-        _emit_edges(w, edges1, "tag", "0")
-        if n1:
-            w(f"livebox[0] += {n1}")
-        footer()
+            ret = _operand(consts, 2, imms)
+            table_get = consts.add(route.get)
+        d1 = _dests(consts, edges[1])
+        consume(s)
+        s(f"new_tag = {new_tag}")
+        s(f"data = {data}")
+        if route is None:
+            _emit_edges(s, d0, "new_tag", "data")
+            credit(s, len(d0))
+        else:
+            s(f"dests = {table_get}({ret}, ())")
+            s("for e in dests:")
+            s.indent()
+            s("append((e[0], e[1], new_tag, data))")
+            s.dedent()
+            s("livebox[0] += len(dests)")
+        _emit_edges(s, d1, "tag", "0")
+        credit(s, len(d1))
+        add(s)
         return
 
     if op is Op.EXTRACT_TAG:
-        edges0 = edges[0]
-        n0 = len(edges0)
-        header([("append", "append"), ("livebox", "livebox")])
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        _emit_edges(w, edges0, "tag", "tag")
-        if n0:
-            w(f"livebox[0] += {n0}")
-        footer()
+        s = shape()
+        d0 = _dests(consts, edges[0])
+        consume(s)
+        _emit_edges(s, d0, "tag", "tag")
+        credit(s, len(d0))
+        add(s)
         return
 
     if op is Op.FREE:
-        header([("pool", f"E._free_pool[{nid}]"),
-                ("dirty", "dirty"), ("livebox", "livebox")])
-        w("entry = pop(tag)")
-        w("livebox[0] -= len(entry)")
-        w("pool.push(tag)")
-        w("if pool not in dirty:")
-        w.indent()
-        w("dirty.append(pool)")
-        w.dedent()
-        footer()
+        s = Shape(("tag",), consts)
+        s.ref("pop", ("pops", nid))
+        s.ref("pool", ("free_pool", nid))
+        s.ref("dirty")
+        s.ref("livebox")
+        consume(s)
+        s("pool.push(tag)")
+        s("if pool not in dirty:")
+        s.indent()
+        s("dirty.append(pool)")
+        s.dedent()
+        add(s)
         return
 
     info = OP_INFO[op]
@@ -350,131 +267,75 @@ def _emit_node(w: Writer, graph: TaggedGraph, nid: int) -> None:
         # ALLOCATE is dispatched through the engine's state machine,
         # never through fns[...]; anything else non-pure is illegal in
         # a tagged graph. Mirror the interpreter's guard closure.
-        header([], pop=False)
-        w(f"raise SimulationError({lit('cannot execute ' + op.value)})")
-        footer()
+        s = Shape(("tag",), consts)
+        s(f"raise SimulationError({'cannot execute ' + op.value!r})")
+        add(s)
         return
 
     # Pure arithmetic/logic. Mirror the interpreter's shape selection
     # exactly (the shapes differ in their livebox deltas).
-    edges0 = edges[0]
-    n0 = len(edges0)
     result_idx = attrs.get("result_index")
-    binds = [("append", "append"), ("livebox", "livebox")]
+    s = shape() if result_idx is None else shape("results")
 
     def value_expr(args: List[str]) -> str:
         expr = pure_expr(op, args)
         if expr is None:
-            binds.append(("ev", f"OP_INFO[Op.{op.name}].evaluate"))
-            return f"ev({', '.join(args)})"
+            return f"{consts.add(info.evaluate)}({', '.join(args)})"
         return expr
-
-    if result_idx is None and not imms and n_in == 2:
-        expr = value_expr(["entry[0]", "entry[1]"])
-        header(binds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= 2")
-        w(f"value = {expr}")
-        _emit_edges(w, edges0, "tag", "value")
-        if n0:
-            w(f"livebox[0] += {n0}")
-        footer()
-        return
-
-    if result_idx is None and not imms and n_in == 1:
-        expr = value_expr(["entry[0]"])
-        header(binds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= 1")
-        w(f"value = {expr}")
-        _emit_edges(w, edges0, "tag", "value")
-        if n0:
-            w(f"livebox[0] += {n0}")
-        footer()
-        return
 
     if result_idx is None and n_in == 2 and len(imms) == 1:
         port = 0 if 0 in imms else 1
-        if safe_literal(imms[port]):
-            imm = lit(imms[port])
-        else:
-            imm = f"i{port}"
-            binds.append((imm, f"imms[{nid}][{port}]"))
-        args = ([imm, "entry[1]"] if port == 0 else ["entry[0]", imm])
-        expr = value_expr(args)
-        header(binds)
-        w("entry = pop(tag)")
-        w("livebox[0] -= 1")
-        w(f"value = {expr}")
-        _emit_edges(w, edges0, "tag", "value")
-        if n0:
-            w(f"livebox[0] += {n0}")
-        footer()
-        return
-
-    args = [_operand(nid, p, imms, binds) for p in range(n_in)]
+        imm = consts.add(imms[port])
+        args = [imm, "entry[1]"] if port == 0 else ["entry[0]", imm]
+        delta = "1"
+    elif result_idx is None and not imms and n_in in (1, 2):
+        args = [f"entry[{p}]" for p in range(n_in)]
+        delta = str(n_in)
+    else:
+        args = [_operand(consts, p, imms) for p in range(n_in)]
+        delta = "len(entry)"
     expr = value_expr(args)
-    if result_idx is not None:
-        binds.append(("results", "results"))
-    header(binds)
-    w("entry = pop(tag)")
-    w("livebox[0] -= len(entry)")
-    w(f"value = {expr}")
-    if result_idx is not None:
-        w(f"results[{result_idx}] = value")
-    _emit_edges(w, edges0, "tag", "value")
-    if n0:
-        w(f"livebox[0] += {n0}")
-    footer()
+    slot = None if result_idx is None else consts.add(result_idx)
+    d0 = _dests(consts, edges[0])
+    consume(s, delta)
+    s(f"value = {expr}")
+    if slot is not None:
+        s(f"results[{slot}] = value")
+    _emit_edges(s, d0, "tag", "value")
+    credit(s, len(d0))
+    add(s)
 
 
-def generate(graph: TaggedGraph) -> str:
-    """Source of the generated kernel module for ``graph``."""
-    n = len(graph.nodes)
+def bind(module, E) -> list:
+    """Per-node firing functions for a live TaggedEngine."""
+    env = memory_env(E)
+    env.update({
+        "pops": [store.pop for store in E._wait],
+        "append": E._pending.append,
+        "livebox": E._livebox,
+        "results": E._results,
+        "delayed": E._delayed,
+        "dirty": E._dirty_pools,
+        "free_pool": E._free_pool,
+    })
+    return bind_rows(module.rows, env, timing_rule(E))
+
+
+def generate(graph: TaggedGraph) -> KernelTable:
+    """The kernel table of ``graph``."""
     ops = {nd.op for nd in graph.nodes}
-    has_alloc = Op.ALLOCATE in ops
-    has_merge = Op.MERGE in ops
-    has_free = Op.FREE in ops
+    table = KernelTable("tagged", bind,
+                        run_loop(Op.ALLOCATE in ops, Op.MERGE in ops,
+                                 Op.FREE in ops))
+    for nid in range(len(graph.nodes)):
+        _node(table, graph, nid)
+    return table
 
+
+@lru_cache(maxsize=None)  # at most eight variants
+def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
+    """The cycle-loop shape for one combination of firing-rule kinds."""
     w = Writer()
-    w('"""Generated tagged-graph kernels '
-      f'({n} nodes, {len(graph.blocks)} tag spaces).'
-      '\n\nEmitted by repro.sim.codegen.tagged; regenerated from the'
-      '\nplan, never edited. The closure interpreter in'
-      '\nsim/tagged/engine.py is the bit-identical reference."""')
-    w("from repro.errors import SimulationError, TokenBoundExceeded")
-    w("from repro.ir.ops import OP_INFO, Op")
-    w("from repro.sim.latency import load_delay")
-    w("from repro.sim.watchdog import watchdog_horizon")
-    w()
-    w()
-    w("def bind_fires(E):")
-    w.indent()
-    w('"""Bind per-node firing kernels to a live TaggedEngine."""')
-    w("wait = E._wait")
-    w("livebox = E._livebox")
-    w("append = E._pending.append")
-    w("imms = E._imms")
-    w("attrs = E._attrs")
-    w("results = E._results")
-    w("mem_load = E.memory.load")
-    w("mem_store = E.memory.store")
-    w("metrics = E.metrics")
-    w("delayed = E._delayed")
-    w("latency = E.load_latency")
-    w("cache = E._cache")
-    w("cache_load = cache.access_load if cache is not None else None")
-    w("cache_store = cache.access_store if cache is not None else None")
-    w("dirty = E._dirty_pools")
-    w(f"fns = [None] * {n}")
-    w()
-    for nid in range(n):
-        _emit_node(w, graph, nid)
-    w("return fns")
-    w.dedent()
-    w()
-    w()
-    w("def run_loop(E):")
     w.indent()
     w('"""The engine cycle loop with _run_cycle, _apply_pending and')
     w('_drain_pending_fast fused into one frame."""')
@@ -713,5 +574,4 @@ def generate(graph: TaggedGraph) -> str:
     w("metrics.live_trace._length = cycles")
     w.dedent()
     w.dedent()
-    w.dedent()
-    return w.source()
+    return loop_text(w)

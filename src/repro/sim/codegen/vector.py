@@ -1,18 +1,20 @@
 """AOT kernel generator for the data-parallel (vector) machine.
 
 The interpreter walks each block as a tuple of per-op step closures
-(:meth:`DataParallelEngine._make_step`).  The generated module instead
-emits **one straight-line function per block** -- region branches
-become real ``if`` statements, operand slots and array names become
-literals, and pure opcodes inline their expression templates -- so a
-block activation is a single call instead of a closure per op.
+(:meth:`DataParallelEngine._make_step`).  The generated kernels
+instead hold **one straight-line function per block** -- region
+branches become real ``if`` statements and pure opcodes inline their
+expression templates -- so a block activation is a single call instead
+of a closure per op.  Operand slots and array names are constants
+bound as default arguments, so blocks with the same op structure
+share one shape.
 
-``bind_steps(E)`` returns the ``(ticked, silent)`` table dicts the
-engine stores as ``_ticked``/``_silent``; each block maps to a
-1-tuple, which keeps :meth:`DataParallelEngine._exec_block` and
+:func:`bind` returns the ``(ticked, silent)`` table dicts the engine
+stores as ``_ticked``/``_silent``; each block maps to a 1-tuple, which
+keeps :meth:`DataParallelEngine._exec_block` and
 :meth:`~DataParallelEngine._exec_vector_loop` unchanged.  Blocks
-containing loads are emitted twice (idealized vs variable-latency
-timing) and selected by the engine's ``load_latency`` at bind time;
+containing loads have a shape per timing rule (cache probe, idealized,
+variable latency), selected by the engine at bind time;
 variable-latency loads fast-forward their stall through the
 ``_stall_scalar_load`` O(1) path.  Spawned loops are classified
 vector-vs-scalar at generation time (``classify_loop`` is a pure
@@ -24,33 +26,44 @@ per-op ticks), so generated ticks are always the plain recorder.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
-from repro.sim.codegen.core import Writer, lit, pure_expr, safe_literal
+from repro.sim.codegen.core import (
+    Consts,
+    KernelTable,
+    Shape,
+    bind_rows,
+    memory_env,
+    one_rule,
+    pure_expr,
+    timing_rule,
+)
 from repro.sim.vector.analysis import classify_loop
 from repro.sim.vector.plan import VecIf, VecOp, build_vec_plans
 
-Bind = Tuple[str, str]
+
+class _Block:
+    """One block's constants, shared by its timing variants: each
+    (item, role) is named once, whichever variant names it first, and
+    each env slot once (a block names a slot many times, and every
+    parameter costs a copy per call)."""
+
+    def __init__(self, program: ContextProgram, plans) -> None:
+        self.program = program
+        self.plans = plans
+        self.consts = Consts()
+
+    def const(self, item, role: object, value: object) -> str:
+        return self.consts.named((id(item), role), value)
+
+    def slot(self, slot: int) -> str:
+        return f"env[{self.consts.named(('slot', slot), slot)}]"
 
 
-class _Binder:
-    """Collects the default-argument binds of one block function."""
-
-    def __init__(self) -> None:
-        self.binds: List[Bind] = []
-        self._seen: set = set()
-
-    def need(self, name: str, expr: str) -> str:
-        if name not in self._seen:
-            self._seen.add(name)
-            self.binds.append((name, expr))
-        return name
-
-
-def _emit_items(w: Writer, b: _Binder, items, mode: str,
-                ctx) -> None:
+def _emit_items(b: Shape, blk: _Block, items, mode: str,
+                spawns: List[int]) -> None:
     """Emit the body for a tuple of region items.
 
     ``mode`` is ``ticked_fast`` (idealized loads), ``ticked_var``
@@ -61,264 +74,212 @@ def _emit_items(w: Writer, b: _Binder, items, mode: str,
     ticked = mode != "silent"
     for item in items:
         if isinstance(item, VecIf):
-            d = item.decider_slot
+            d = blk.slot(item.decider_slot)
             if item.then_items:
-                w(f"if env[{d}]:")
-                w.indent()
-                _emit_items(w, b, item.then_items, mode, ctx)
-                w.dedent()
+                b(f"if {d}:")
+                b.indent()
+                _emit_items(b, blk, item.then_items, mode, spawns)
+                b.dedent()
                 if item.else_items:
-                    w("else:")
-                    w.indent()
-                    _emit_items(w, b, item.else_items, mode, ctx)
-                    w.dedent()
+                    b("else:")
+                    b.indent()
+                    _emit_items(b, blk, item.else_items, mode, spawns)
+                    b.dedent()
             elif item.else_items:
-                w(f"if not env[{d}]:")
-                w.indent()
-                _emit_items(w, b, item.else_items, mode, ctx)
-                w.dedent()
+                b(f"if not {d}:")
+                b.indent()
+                _emit_items(b, blk, item.else_items, mode, spawns)
+                b.dedent()
             continue
 
         assert isinstance(item, VecOp)
         op = item.op
-        ins = item.in_slots
-        outs = item.out_slots
+
+        def ins(k: int) -> str:
+            return blk.slot(item.in_slots[k])
+
+        def outs(k: int) -> str:
+            return blk.slot(item.out_slots[k])
 
         if op is Op.SPAWN:
-            _emit_spawn(w, b, item, ticked, ctx)
+            _emit_spawn(b, blk, item, ticked, spawns)
             continue
 
         if ticked:
-            b.need("tick", "tick")
-            b.need("live", "live")
+            b.ref("tick")
+            b.ref("live")
 
         if op is Op.LOAD:
-            array = item.attrs["array"]
-            arr = lit(array) if safe_literal(array) else b.need(
-                "ld_array", "None")  # pragma: no cover - names are str
-            b.need("mem_load", "mem_load")
-            if mode == "ticked_var":
-                b.need("stall", "stall")
-                b.need("latency", "latency")
-                b.need("load_delay", "load_delay")
-                w("tick(1, live)")
-                w(f"index = env[{ins[0]}]")
-                w(f"env[{outs[0]}] = mem_load({arr}, index)")
-                w(f"env[{outs[1]}] = 0")
-                w(f"delay = load_delay(latency, {arr}, index)")
-                w("if delay > 1:")
-                w.indent()
-                w("stall(delay - 1, live)")
-                w.dedent()
-            elif mode == "ticked_cache":
-                b.need("stall", "stall")
-                b.need("cache_load", "cache_load")
-                b.need("miss_latency", "miss_latency")
-                w("tick(1, live)")
-                w(f"index = env[{ins[0]}]")
-                w(f"env[{outs[0]}] = mem_load({arr}, index)")
-                w(f"env[{outs[1]}] = 0")
-                w(f"delay = cache_load({arr}, index)")
-                w("if delay > 1:")
-                w.indent()
-                w("stall(delay - 1, live, delay >= miss_latency)")
-                w.dedent()
+            arr = blk.const(item, "array", item.attrs["array"])
+            b.ref("mem_load")
+            if mode in ("ticked_var", "ticked_cache"):
+                b.ref("stall")
+                b("tick(1, live)")
+                b(f"index = {ins(0)}")
+                b(f"{outs(0)} = mem_load({arr}, index)")
+                b(f"{outs(1)} = 0")
+                if mode == "ticked_var":
+                    b.ref("latency")
+                    b.ref("load_delay")
+                    b(f"delay = load_delay(latency, {arr}, index)")
+                    stall = "stall(delay - 1, live)"
+                else:
+                    b.ref("cache_load")
+                    b.ref("miss_latency")
+                    b(f"delay = cache_load({arr}, index)")
+                    stall = "stall(delay - 1, live, delay >= miss_latency)"
+                b("if delay > 1:")
+                b.indent()
+                b(stall)
+                b.dedent()
             else:
                 if ticked:
-                    w("tick(1, live)")
-                w(f"env[{outs[0]}] = mem_load({arr}, env[{ins[0]}])")
-                w(f"env[{outs[1]}] = 0")
+                    b("tick(1, live)")
+                b(f"{outs(0)} = mem_load({arr}, {ins(0)})")
+                b(f"{outs(1)} = 0")
             continue
 
         if op is Op.STORE:
-            array = item.attrs["array"]
-            arr = lit(array)
-            b.need("mem_store", "mem_store")
+            arr = blk.const(item, "array", item.attrs["array"])
+            b.ref("mem_store")
             if ticked:
-                w("tick(1, live)")
-            w(f"mem_store({arr}, env[{ins[0]}], env[{ins[1]}])")
+                b("tick(1, live)")
+            b(f"mem_store({arr}, {ins(0)}, {ins(1)})")
             if mode == "ticked_cache":
-                b.need("cache_store", "cache_store")
-                w(f"cache_store({arr}, env[{ins[0]}])")
-            w(f"env[{outs[0]}] = 0")
+                b.ref("cache_store")
+                b(f"cache_store({arr}, {ins(0)})")
+            b(f"{outs(0)} = 0")
             continue
 
         if op is Op.STEER:
             # Pass-through of the value operand (control is resolved
             # by the region tree).
             if ticked:
-                w("tick(1, live)")
-            w(f"env[{outs[0]}] = env[{ins[1]}]")
-            w(f"env[{outs[1]}] = 0")
+                b("tick(1, live)")
+            b(f"{outs(0)} = {ins(1)}")
+            b(f"{outs(1)} = 0")
             continue
 
         if op is Op.MERGE:
             if ticked:
-                w("tick(1, live)")
-            w(f"env[{outs[0]}] = (env[{ins[1]}] if env[{ins[0]}]"
-              f" else env[{ins[2]}])")
+                b("tick(1, live)")
+            b(f"{outs(0)} = ({ins(1)} if {ins(0)} else {ins(2)})")
             continue
 
         info = OP_INFO[op]
         if not info.pure:
             where = "" if ticked else " in a vector body"
-            w("raise SimulationError(")
-            w(f"    {lit('cannot execute ' + op.value + where)})")
+            b("raise SimulationError(")
+            b(f"    {'cannot execute ' + op.value + where!r})")
             continue
 
-        args = [f"env[{s}]" for s in ins]
+        args = [ins(k) for k in range(len(item.in_slots))]
         expr = pure_expr(op, args)
         if expr is None:
-            ev = b.need(f"ev_{op.name.lower()}",
-                        f"OP_INFO[Op.{op.name}].evaluate")
+            ev = blk.const(item, "ev", info.evaluate)
             expr = f"{ev}({', '.join(args)})"
         if ticked:
-            w("tick(1, live)")
-        w(f"env[{outs[0]}] = {expr}")
+            b("tick(1, live)")
+        b(f"{outs(0)} = {expr}")
 
 
-def _emit_spawn(w: Writer, b: _Binder, item: VecOp, ticked: bool,
-                ctx) -> None:
+def _emit_spawn(b: Shape, blk: _Block, item: VecOp, ticked: bool,
+                spawns: List[int]) -> None:
     if not ticked:
         # classify_loop rejects loops containing transfer points.
-        w("raise SimulationError(")
-        w("    'cannot execute spawn in a vector body')")
+        b("raise SimulationError(")
+        b("    'cannot execute spawn in a vector body')")
         return
-    program, plans, counters = ctx
+    program = blk.program
     callee = item.attrs["callee"]
     callee_kind = program.block(callee).kind
     is_vec = (callee_kind is BlockKind.LOOP
               and classify_loop(program.block(callee)) is not None)
-    j = counters[0]
-    counters[0] += 1
-    cp = b.need(f"cp{j}", f"plans[{lit(callee)}]")
-    arg_list = ", ".join(f"env[{s}]" for s in item.in_slots)
-    n_res = len(plans[callee].term_results)
+    j = spawns[0]
+    spawns[0] += 1
+    cp = b.ref(f"cp{j}", ("plans", callee))
+    arg_list = ", ".join(blk.slot(s) for s in item.in_slots)
+    n_res = len(blk.plans[callee].term_results)
     if is_vec:
-        vi = b.need(f"vi{j}", f"vector_info[{lit(callee)}]")
-        b.need("exec_vector", "exec_vector")
-        w(f"r = exec_vector({cp}, {vi}, [{arg_list}])")
+        vi = b.ref(f"vi{j}", ("vector_info", callee))
+        b.ref("exec_vector")
+        b(f"r = exec_vector({cp}, {vi}, [{arg_list}])")
     else:
         if callee_kind is BlockKind.LOOP:
-            b.need("E", "E")
-            w("E.scalar_trips += 1")
-        b.need("exec_block", "exec_block")
-        w(f"r = exec_block({cp}, [{arg_list}])")
+            b.ref("E")
+            b("E.scalar_trips += 1")
+        b.ref("exec_block")
+        b(f"r = exec_block({cp}, [{arg_list}])")
     for k, slot in enumerate(item.out_slots[:n_res]):
-        w(f"env[{slot}] = r[{k}]")
+        b(f"{blk.slot(slot)} = r[{k}]")
 
 
-def _has_load(items) -> bool:
+def _has_op(items, op: Op) -> bool:
     for item in items:
         if isinstance(item, VecIf):
-            if _has_load(item.then_items) or _has_load(item.else_items):
+            if _has_op(item.then_items, op) or _has_op(item.else_items, op):
                 return True
-        elif item.op is Op.LOAD:
+        elif item.op is op:
             return True
     return False
 
 
-def _has_store(items) -> bool:
-    for item in items:
-        if isinstance(item, VecIf):
-            if (_has_store(item.then_items)
-                    or _has_store(item.else_items)):
-                return True
-        elif item.op is Op.STORE:
-            return True
-    return False
+def _block_fn(blk: _Block, plan, mode: str) -> Shape:
+    b = Shape(("env",), blk.consts)
+    _emit_items(b, blk, plan.items, mode, [0])
+    return b
 
 
-def _emit_block_fn(w: Writer, name: str, plan, mode: str,
-                   ctx) -> None:
-    body = Writer()
-    b = _Binder()
-    _emit_items(body, b, plan.items, mode, ctx)
-    if not body._lines:
-        body("pass")
-    params = ["env"] + [f"{n}={e}" for n, e in b.binds]
-    w(f"def {name}({', '.join(params)}):")
-    w.indent()
-    for line in body._lines:
-        w(line)
-    w.dedent()
-    w()
+def bind(module, E) -> Tuple[dict, dict]:
+    """The ``(ticked, silent)`` block tables for a live engine."""
+    cache = E._cache
+    env = memory_env(E)
+    env.update({
+        "tick": E._tick,
+        "stall": E._stall_scalar_load,
+        "live": E._scalar_live,
+        "miss_latency": cache.miss_latency if cache is not None else 0,
+        "plans": E.plans,
+        "vector_info": E.vector_info,
+        "exec_block": E._exec_block,
+        "exec_vector": E._exec_vector_loop,
+        "E": E,
+    })
+    fns = iter(bind_rows(module.rows, env, timing_rule(E)))
+    ticked: Dict[str, tuple] = {}
+    silent: Dict[str, tuple] = {}
+    for name, has_silent in module.layout:
+        ticked[name] = (next(fns),)
+        if has_silent:
+            silent[name] = (next(fns),)
+    return ticked, silent
 
 
-def generate(program: ContextProgram) -> str:
-    """Source of the generated kernel module for ``program``."""
+def generate(program: ContextProgram) -> KernelTable:
+    """The kernel table of ``program``: a ticked row per block, then a
+    silent row for vectorizable loops; ``layout`` lists (block name,
+    has a silent row)."""
     plans = build_vec_plans(program)
-    ctx = (program, plans, [0])
-
-    w = Writer()
-    w('"""Generated data-parallel kernels '
-      f'({len(plans)} blocks).'
-      '\n\nEmitted by repro.sim.codegen.vector; regenerated from the'
-      '\nplan, never edited. The step-closure interpreter in'
-      '\nsim/vector/engine.py is the bit-identical reference."""')
-    w("from repro.errors import SimulationError")
-    w("from repro.ir.ops import OP_INFO, Op")
-    w("from repro.sim.latency import load_delay")
-    w()
-    w()
-    w("def bind_steps(E):")
-    w.indent()
-    w('"""Bind whole-block step tables to a live engine; returns')
-    w('the ``(ticked, silent)`` dicts for ``_ticked``/``_silent``."""')
-    w("tick = E._tick")
-    w("stall = E._stall_scalar_load")
-    w("live = E._scalar_live")
-    w("mem_load = E.memory.load")
-    w("mem_store = E.memory.store")
-    w("latency = E.load_latency")
-    w("cache = E._cache")
-    w("cache_load = cache.access_load if cache is not None else None")
-    w("cache_store = cache.access_store if cache is not None else None")
-    w("miss_latency = cache.miss_latency if cache is not None else 0")
-    w("plans = E.plans")
-    w("vector_info = E.vector_info")
-    w("exec_block = E._exec_block")
-    w("exec_vector = E._exec_vector_loop")
-    w("ticked = {}")
-    w("silent = {}")
-    w()
-    for bi, (bname, plan) in enumerate(plans.items()):
-        w(f"# block {bname!r}")
-        has_ld = _has_load(plan.items)
-        has_st = _has_store(plan.items)
-        if has_ld or has_st:
-            _emit_block_fn(w, f"tb{bi}_fast", plan, "ticked_fast",
-                           ctx)
-            if has_ld:
-                _emit_block_fn(w, f"tb{bi}_var", plan, "ticked_var",
-                               ctx)
-            _emit_block_fn(w, f"tb{bi}_cache", plan, "ticked_cache",
-                           ctx)
-            w("if cache_load is not None:")
-            w.indent()
-            w(f"ticked[{lit(bname)}] = (tb{bi}_cache,)")
-            w.dedent()
-            if has_ld:
-                w("elif latency <= 1:")
-                w.indent()
-                w(f"ticked[{lit(bname)}] = (tb{bi}_fast,)")
-                w.dedent()
-                w("else:")
-                w.indent()
-                w(f"ticked[{lit(bname)}] = (tb{bi}_var,)")
-                w.dedent()
-            else:
-                w("else:")
-                w.indent()
-                w(f"ticked[{lit(bname)}] = (tb{bi}_fast,)")
-                w.dedent()
+    table = KernelTable("vector", bind, layout=[])
+    for name, plan in plans.items():
+        blk = _Block(program, plans)
+        label = f"block {name!r}"
+        has_ld = _has_op(plan.items, Op.LOAD)
+        if has_ld or _has_op(plan.items, Op.STORE):
+            # Every variant is emitted before any is closed: a
+            # variant's parameters are all of the block's constants.
+            cached = _block_fn(blk, plan, "ticked_cache")
+            fast = _block_fn(blk, plan, "ticked_fast")
+            var = _block_fn(blk, plan, "ticked_var") if has_ld else fast
+            variants = (cached.variant(), fast.variant(), var.variant())
         else:
-            _emit_block_fn(w, f"tb{bi}", plan, "ticked_fast", ctx)
-            w(f"ticked[{lit(bname)}] = (tb{bi},)")
-        if classify_loop(program.block(bname)) is not None:
-            _emit_block_fn(w, f"sb{bi}", plan, "silent", ctx)
-            w(f"silent[{lit(bname)}] = (sb{bi},)")
-        w()
-    w("return ticked, silent")
-    w.dedent()
-    return w.source()
+            variants = one_rule(_block_fn(blk, plan,
+                                          "ticked_fast").variant())
+        table.add(variants, blk.consts, label)
+        has_silent = classify_loop(program.block(name)) is not None
+        if has_silent:
+            silent = _block_fn(_Block(program, plans), plan, "silent")
+            table.add(one_rule(silent.variant()), silent.consts,
+                      label + " (vector body)")
+        table.layout.append((name, has_silent))
+    return table

@@ -1,17 +1,18 @@
 """AOT kernel generator for block-window machines (vn/ooo/seqdf).
 
-Emits one module per :class:`~repro.ir.program.ContextProgram` with
+Emits, per :class:`~repro.ir.program.ContextProgram`, a kernel table
+with one row per op of every block plan -- the firing functions of
+:meth:`WindowEngine._make_fire`. Output keys, consumer descriptors and
+immediates are constants bound as default arguments; live-token deltas
+are part of the shape, and the ``X if port in entry else imm`` operand
+probes are resolved at generation time (a port is statically either an
+immediate or a token port, and every token port is present at fire
+time). :func:`bind` cuts the rows back into per-block tables.
 
-* ``bind_fires(E)`` -- the per-block firing tables of
-  :meth:`WindowEngine._make_fire` as flat functions: output keys,
-  consumer descriptors, immediates and live-token deltas become
-  literals, and the ``X if port in entry else imm`` operand probes are
-  resolved at generation time (a port is statically either a literal
-  or a token port, and every token port is present at fire time).
-* ``run_loop(E)`` -- the engine's already-inlined cycle loop with the
-  per-cycle ``RLETrace.append`` bodies additionally inlined (both
-  trace ``_length`` fields always equal the cycle count, so they are
-  committed in the ``finally``).
+The cycle loop (one shape) is the engine's already-inlined loop with
+the per-cycle ``RLETrace.append`` bodies additionally inlined (both
+trace ``_length`` fields always equal the cycle count, so they are
+committed in the ``finally``).
 
 Bit-identical to the closure interpreter by construction; the golden
 records and the differential fuzz suite pin it.
@@ -19,121 +20,112 @@ records and the differential fuzz suite pin it.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict
 
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import ContextProgram
-from repro.sim.codegen.core import Writer, lit, pure_expr, safe_literal
+from repro.sim.codegen.core import (
+    Consts,
+    KernelTable,
+    Shape,
+    Writer,
+    bind_rows,
+    loop_text,
+    memory_env,
+    one_rule,
+    pure_expr,
+    timing_rule,
+)
 from repro.sim.window.plan import BlockPlan, OpPlan, build_plans
-
-Bind = Tuple[str, str]
 
 #: Above this fan-out a port's consumer appends stay a loop over the
 #: bound descriptor tuple instead of being unrolled.
 _UNROLL_CAP = 6
 
+#: Default of ``inst.wait.pop`` for ops that fire without tokens; only
+#: ever read.
+_NO_ENTRY: Dict[int, object] = {}
+
 
 class _Fn:
-    """One firing function being emitted (body first, then the ``def``
-    line with the collected default-argument binds)."""
+    """One op's firing functions being emitted: constants shared by
+    its timing variants (each named once), refs per variant."""
 
-    def __init__(self, bplan: BlockPlan, p: OpPlan, prefix: str) -> None:
+    def __init__(self, bplan: BlockPlan, p: OpPlan) -> None:
         self.bplan = bplan
         self.p = p
-        self.name = f"{prefix}_{p.op_id}"
-        self.binds: List[Bind] = []
-        self._seen: set = set()
+        self.consts = Consts()
 
-    def bind(self, name: str, expr: str) -> str:
-        if name not in self._seen:
-            self._seen.add(name)
-            self.binds.append((name, expr))
-        return name
+    def shape(self) -> Shape:
+        return Shape(("inst",), self.consts)
 
-    def imm(self, port: int) -> str:
-        value = self.p.imms[port]
-        if safe_literal(value):
-            return lit(value)
-        return self.bind(f"im{port}",
-                         f"bops[{self.p.op_id}].imms[{port}]")
+    def oid(self) -> str:
+        return self.consts.named("oid", self.p.op_id)
+
+    def key(self, port: int) -> str:
+        return self.consts.named(("key", port), (self.p.op_id, port))
 
     def operand(self, port: int) -> str:
         """Statically resolved ``entry[port] if port in entry else
-        imms.get(port)`` (a port is literal xor token, and every token
-        port is deposited before a firing; a port that is neither --
-        e.g. an inputless term decider -- reads as None, exactly like
-        the interpreter's ``imms.get``)."""
+        imms.get(port)`` (a port is immediate xor token, and every
+        token port is deposited before a firing; a port that is
+        neither -- e.g. an inputless term decider -- reads as None,
+        exactly like the interpreter's ``imms.get``)."""
         if port in self.p.imms:
-            return self.imm(port)
+            return self.consts.named(("imm", port), self.p.imms[port])
         if port in self.p.token_ports:
             return f"entry[{port}]"
         return "None"
 
     def cons(self, port: int):
-        key = (self.p.op_id, port)
-        return tuple(self.bplan.consumers.get(key, ()))
+        return tuple(self.bplan.consumers.get((self.p.op_id, port), ()))
 
-    def out(self, w: Writer, port: int, value: str,
-            delta: int) -> None:
+    def take(self, b: Shape, pop_default: bool = True) -> None:
+        if pop_default:
+            b(f"entry = inst.wait.pop({self.oid()}, NO)")
+            b.ref("NO")
+        else:
+            b(f"entry = inst.wait.pop({self.oid()})")
+
+    def out(self, b: Shape, port: int, value: str, delta: int) -> None:
         """Inline publish: env write, consumer fan-out, live delta,
         subscription drain -- exactly :meth:`WindowEngine._publish`'s
         order, with the interpreter's per-op delta."""
-        key = (self.p.op_id, port)
+        key = self.key(port)
         cons = self.cons(port)
-        w(f"inst.env[{lit(key)}] = {value}")
-        if cons and all(safe_literal(c) for c in cons):
-            if len(cons) <= _UNROLL_CAP:
-                for c in cons:
-                    w(f"append((inst, {lit(c)}, {value}))")
-            else:
-                name = self.bind(
-                    f"cons{port}",
-                    f"tuple(plan.consumers.get({lit(key)}, ()))")
-                w(f"for d in {name}:")
-                w.indent()
-                w(f"append((inst, d, {value}))")
-                w.dedent()
-        elif cons:
-            name = self.bind(
-                f"cons{port}",
-                f"tuple(plan.consumers.get({lit(key)}, ()))")
-            w(f"for d in {name}:")
-            w.indent()
-            w(f"append((inst, d, {value}))")
-            w.dedent()
+        b(f"inst.env[{key}] = {value}")
+        if len(cons) <= _UNROLL_CAP:
+            for j, c in enumerate(cons):
+                b(f"append((inst, {self.consts.named(('c', port, j), c)}, "
+                  f"{value}))")
+        else:
+            b(f"for d in {self.consts.named(('cons', port), cons)}:")
+            b.indent()
+            b(f"append((inst, d, {value}))")
+            b.dedent()
         if delta:
-            w(f"livebox[0] += {delta}")
-        w("if inst.subs:")
-        w.indent()
-        w(f"subs = inst.subs.pop({lit(key)}, None)")
-        w("if subs:")
-        w.indent()
-        w("for target, target_key in subs:")
-        w.indent()
-        w(f"forward(target, target_key, {value})")
-        w.dedent()
-        w.dedent()
-        w.dedent()
+            b(f"livebox[0] += {delta}")
+        b("if inst.subs:")
+        b.indent()
+        b(f"subs = inst.subs.pop({key}, None)")
+        b("if subs:")
+        b.indent()
+        b("for target, target_key in subs:")
+        b.indent()
+        b(f"forward(target, target_key, {value})")
+        b.dedent()
+        b.dedent()
+        b.dedent()
 
-    def compose(self, w: Writer, body: Writer,
-                extra: List[Bind]) -> str:
-        parts = ["inst"]
-        parts += [f"{n}={e}" for n, e in self.binds + extra]
-        parts += ["append=append", "livebox=livebox",
-                  "forward=forward"]
-        w(f"def {self.name}({', '.join(parts)}):")
-        w.indent()
-        for line in body._lines:
-            w(line)
-        w.dedent()
-        return self.name
+    def finish(self, b: Shape, *refs: str):
+        for name in refs + ("append", "livebox", "forward"):
+            b.ref(name)
+        return b.variant()
 
 
-def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
-               prefix: str) -> str:
-    """Emit the firing function(s) for one op; returns the name bound
-    into the block's table."""
-    fn = _Fn(bplan, p, prefix)
+def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
+    """Add the row of one op."""
+    fn = _Fn(bplan, p)
     oid = p.op_id
     op = p.op
     n0 = len(fn.cons(0))
@@ -141,280 +133,193 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
     n_t = len(p.token_ports)
     d0 = n0 - n_t
     d1 = n1 - n_t
-    w(f"# {bplan.name} op {oid}: "
-      f"{'term' if oid == bplan.term_id else op.value}")
+    term = oid == bplan.term_id
+    label = f"{bplan.name} op {oid}: {'term' if term else op.value}"
 
-    if oid == bplan.term_id:
-        b = Writer()
-        b(f"entry = inst.wait.pop({oid}, NO)")
+    def add(b: Shape, *refs: str) -> None:
+        table.add(one_rule(fn.finish(b, *refs)), fn.consts, label)
+
+    if term:
+        b = fn.shape()
+        fn.take(b)
         if n_t:
             b(f"livebox[0] -= {n_t}")
-        b(f"inst.fired.add({oid})")
+        b(f"inst.fired.add({fn.oid()})")
         b("inst.term_fired = True")
         b(f"inst.term_decision = {fn.operand(0)}")
-        name = fn.compose(w, b, [("NO", "_NO_ENTRY")])
-        w()
-        return name
+        add(b)
+        return
 
-    if op is Op.SPAWN:
-        w(f"def {fn.name}(inst):")
-        w.indent()
-        w("raise SimulationError(")
-        w("    'spawn is a transfer point, not an instruction')")
-        w.dedent()
-        w()
-        return fn.name
+    if op is Op.SPAWN or not (OP_INFO[op].pure or op in (
+            Op.MERGE, Op.STEER, Op.LOAD, Op.STORE)):
+        what = ("spawn is a transfer point, not an instruction"
+                if op is Op.SPAWN else "cannot execute " + op.value)
+        b = fn.shape()
+        b(f"raise SimulationError({what!r})")
+        table.add(one_rule(b.variant()), fn.consts, label)
+        return
 
     if op is Op.MERGE:
-        b = Writer()
-        b(f"entry = inst.wait.pop({oid}, NO)")
+        b = fn.shape()
+        fn.take(b)
         b("livebox[0] -= len(entry)")
-        b(f"inst.fired.add({oid})")
+        b(f"inst.fired.add({fn.oid()})")
         b("chosen = 1 if entry[0] else 2")
         if p.imms:
-            im = fn.bind("im", f"bops[{oid}].imms")
-            b(f"value = entry[chosen] if chosen in entry "
-              f"else {im}[chosen]")
+            im = fn.consts.named("imms", p.imms)
+            b(f"value = entry[chosen] if chosen in entry else {im}[chosen]")
         else:
             b("value = entry[chosen]")
         fn.out(b, 0, "value", n0)
-        name = fn.compose(w, b, [("NO", "_NO_ENTRY")])
-        w()
-        return name
+        add(b)
+        return
 
     if op is Op.STEER:
-        sense = bool(p.attrs["sense"])
-        b = Writer()
-        b(f"entry = inst.wait.pop({oid}, NO)")
-        b(f"inst.fired.add({oid})")
+        b = fn.shape()
+        fn.take(b)
+        b(f"inst.fired.add({fn.oid()})")
         b(f"decider = {fn.operand(0)}")
         b(f"value = {fn.operand(1)}")
-        b("if decider:" if sense else "if not decider:")
+        b("if decider:" if p.attrs["sense"] else "if not decider:")
         b.indent()
         fn.out(b, 0, "value", n0)
         b.dedent()
         fn.out(b, 1, "0", d1)
-        name = fn.compose(w, b, [("NO", "_NO_ENTRY")])
-        w()
-        return name
+        add(b)
+        return
 
     if op is Op.LOAD:
-        array = p.attrs["array"]
-        arr = (lit(array) if safe_literal(array)
-               else fn.bind("array", f"bops[{oid}].attrs['array']"))
-        # Latency is a run parameter: emit both timing rules, pick at
-        # bind time (matching the interpreter's construction-time
-        # split).
-        fast = Writer()
-        fast(f"entry = inst.wait.pop({oid}, NO)")
-        fast(f"inst.fired.add({oid})")
+        arr = fn.consts.named("array", p.attrs["array"])
+        # Latency is a run parameter: emit every timing rule, the
+        # binder picks one (matching the interpreter's
+        # construction-time split).
+        fast = fn.shape()
+        fn.take(fast)
+        fast(f"inst.fired.add({fn.oid()})")
         fast(f"addr = {fn.operand(0)}")
         fast(f"value = mem_load({arr}, addr)")
         fn.out(fast, 0, "value", d0)
         fn.out(fast, 1, "0", n1)
 
-        # Cache mode: the probe decides the delay; the delayed-bucket
-        # plumbing is identical to the variable-latency rule.
-        cached = Writer()
-        cached(f"entry = inst.wait.pop({oid}, NO)")
-        if n_t:
-            cached(f"livebox[0] -= {n_t}")
-        cached(f"addr = {fn.operand(0)}")
-        cached(f"value = mem_load({arr}, addr)")
-        cached(f"delay = cache_load({arr}, addr)")
-        cached("if delay <= 1:")
-        cached.indent()
-        cached(f"publish(inst, {lit((oid, 0))}, value)")
-        cached(f"publish(inst, {lit((oid, 1))}, 0)")
-        cached.dedent()
-        cached("else:")
-        cached.indent()
-        cached("due = metrics.cycles + delay - 1")
-        cached("bucket = delayed.get(due)")
-        cached("if bucket is None:")
-        cached.indent()
-        cached("delayed[due] = bucket = []")
-        cached.dedent()
-        cached(f"bucket.append((inst, {lit((oid, 0))}, value))")
-        cached(f"bucket.append((inst, {lit((oid, 1))}, 0))")
-        cached.dedent()
+        def delayed(b: Shape, delay: str) -> None:
+            # The delayed-bucket plumbing is identical for cache
+            # probes and the variable-latency hash.
+            fn.take(b)
+            if n_t:
+                b(f"livebox[0] -= {n_t}")
+            b(f"addr = {fn.operand(0)}")
+            b(f"value = mem_load({arr}, addr)")
+            b(f"delay = {delay}")
+            b("if delay <= 1:")
+            b.indent()
+            b(f"publish(inst, {fn.key(0)}, value)")
+            b(f"publish(inst, {fn.key(1)}, 0)")
+            b.dedent()
+            b("else:")
+            b.indent()
+            b("due = metrics.cycles + delay - 1")
+            b("bucket = delayed.get(due)")
+            b("if bucket is None:")
+            b.indent()
+            b("delayed[due] = bucket = []")
+            b.dedent()
+            b(f"bucket.append((inst, {fn.key(0)}, value))")
+            b(f"bucket.append((inst, {fn.key(1)}, 0))")
+            b.dedent()
 
-        var = Writer()
-        var(f"entry = inst.wait.pop({oid}, NO)")
-        if n_t:
-            var(f"livebox[0] -= {n_t}")
-        var(f"addr = {fn.operand(0)}")
-        var(f"value = mem_load({arr}, addr)")
-        var(f"delay = load_delay(latency, {arr}, addr)")
-        var("if delay <= 1:")
-        var.indent()
-        var(f"publish(inst, {lit((oid, 0))}, value)")
-        var(f"publish(inst, {lit((oid, 1))}, 0)")
-        var.dedent()
-        var("else:")
-        var.indent()
-        var("due = metrics.cycles + delay - 1")
-        var("bucket = delayed.get(due)")
-        var("if bucket is None:")
-        var.indent()
-        var("delayed[due] = bucket = []")
-        var.dedent()
-        var(f"bucket.append((inst, {lit((oid, 0))}, value))")
-        var(f"bucket.append((inst, {lit((oid, 1))}, 0))")
-        var.dedent()
-
-        w("if cache_load is not None:")
-        w.indent()
-        fn.compose(
-            w, cached,
-            [("NO", "_NO_ENTRY"), ("mem_load", "mem_load"),
-             ("publish", "publish"), ("metrics", "metrics"),
-             ("delayed", "delayed"), ("cache_load", "cache_load")])
-        w.dedent()
-        w("elif latency <= 1:")
-        w.indent()
-        fn.compose(w, fast,
-                   [("NO", "_NO_ENTRY"), ("mem_load", "mem_load")])
-        w.dedent()
-        w("else:")
-        w.indent()
-        fn.compose(
-            w, var,
-            [("NO", "_NO_ENTRY"), ("mem_load", "mem_load"),
-             ("publish", "publish"), ("metrics", "metrics"),
-             ("delayed", "delayed"), ("latency", "latency"),
-             ("load_delay", "load_delay")])
-        w.dedent()
-        w()
-        return fn.name
+        cached = fn.shape()
+        delayed(cached, f"cache_load({arr}, addr)")
+        var = fn.shape()
+        delayed(var, f"load_delay(latency, {arr}, addr)")
+        table.add((fn.finish(cached, "mem_load", "publish", "metrics",
+                             "delayed", "cache_load"),
+                   fn.finish(fast, "mem_load"),
+                   fn.finish(var, "mem_load", "publish", "metrics",
+                             "delayed", "latency", "load_delay")),
+                  fn.consts, label)
+        return
 
     if op is Op.STORE:
-        array = p.attrs["array"]
-        arr = (lit(array) if safe_literal(array)
-               else fn.bind("array", f"bops[{oid}].attrs['array']"))
-        b = Writer()
-        b(f"entry = inst.wait.pop({oid}, NO)")
-        b(f"inst.fired.add({oid})")
-        b(f"addr = {fn.operand(0)}")
-        b(f"value = {fn.operand(1)}")
-        b(f"mem_store({arr}, addr, value)")
-        fn.out(b, 0, "0", d0)
+        arr = fn.consts.named("array", p.attrs["array"])
 
+        def store(b: Shape) -> None:
+            fn.take(b)
+            b(f"inst.fired.add({fn.oid()})")
+            b(f"addr = {fn.operand(0)}")
+            b(f"value = {fn.operand(1)}")
+            b(f"mem_store({arr}, addr, value)")
+
+        plain = fn.shape()
+        store(plain)
+        fn.out(plain, 0, "0", d0)
         # Stores probe the cache model too (write-allocate) but stay
-        # single-cycle; pick the body at bind time like LOAD.
-        cb = Writer()
-        cb(f"entry = inst.wait.pop({oid}, NO)")
-        cb(f"inst.fired.add({oid})")
-        cb(f"addr = {fn.operand(0)}")
-        cb(f"value = {fn.operand(1)}")
-        cb(f"mem_store({arr}, addr, value)")
-        cb(f"cache_store({arr}, addr)")
-        fn.out(cb, 0, "0", d0)
-
-        w("if cache_store is not None:")
-        w.indent()
-        fn.compose(
-            w, cb, [("NO", "_NO_ENTRY"), ("mem_store", "mem_store"),
-                    ("cache_store", "cache_store")])
-        w.dedent()
-        w("else:")
-        w.indent()
-        name = fn.compose(
-            w, b, [("NO", "_NO_ENTRY"), ("mem_store", "mem_store")])
-        w.dedent()
-        w()
-        return name
-
-    info = OP_INFO[op]
-    if not info.pure:
-        w(f"def {fn.name}(inst):")
-        w.indent()
-        w("raise SimulationError("
-          f"{lit('cannot execute ' + op.value)})")
-        w.dedent()
-        w()
-        return fn.name
+        # single-cycle; the binder picks the body like LOAD's.
+        cached = fn.shape()
+        store(cached)
+        cached(f"cache_store({arr}, addr)")
+        fn.out(cached, 0, "0", d0)
+        plain_v = fn.finish(plain, "mem_store")
+        table.add((fn.finish(cached, "mem_store", "cache_store"),
+                   plain_v, plain_v), fn.consts, label)
+        return
 
     # Pure arithmetic/logic. The interpreter's shape split
     # (pure2/pure1/imm variants/generic) only changes which operand
     # expressions appear; statically resolving the ports covers every
-    # shape. Ops without an entry default preserve the interpreter's
-    # KeyError on a spurious firing.
+    # shape.
     n_in = len(p.inputs)
+    b = fn.shape()
+    # The interpreter's specialized pure shapes pop without a
+    # default; preserve the KeyError on a spurious firing.
+    fn.take(b, pop_default=not ((not p.imms and n_in in (1, 2))
+                                or (n_in == 2 and len(p.imms) == 1)))
     args = [fn.operand(port) for port in range(n_in)]
     expr = pure_expr(op, args)
-    extra: List[Bind] = []
     if expr is None:
-        extra.append(("ev", f"OP_INFO[Op.{op.name}].evaluate"))
-        expr = f"ev({', '.join(args)})"
-    b = Writer()
-    if ((not p.imms and n_in in (1, 2))
-            or (n_in == 2 and len(p.imms) == 1)):
-        # The interpreter's specialized pure shapes pop without a
-        # default; preserve the KeyError on a spurious firing.
-        b(f"entry = inst.wait.pop({oid})")
-    else:
-        b(f"entry = inst.wait.pop({oid}, NO)")
-        extra.append(("NO", "_NO_ENTRY"))
-    b(f"inst.fired.add({oid})")
+        ev = fn.consts.named("ev", OP_INFO[op].evaluate)
+        expr = f"{ev}({', '.join(args)})"
+    b(f"inst.fired.add({fn.oid()})")
     b(f"value = {expr}")
     fn.out(b, 0, "value", d0)
-    name = fn.compose(w, b, extra)
-    w()
-    return name
+    add(b)
 
 
-def generate(program: ContextProgram) -> str:
-    """Source of the generated kernel module for ``program``."""
+def bind(module, E) -> Dict[str, list]:
+    """Per-block firing tables for a live WindowEngine."""
+    env = memory_env(E)
+    env.update({
+        "NO": _NO_ENTRY,
+        "livebox": E._livebox,
+        "append": E._pending.append,
+        "forward": E._forward,
+        "publish": E._publish,
+        "delayed": E._delayed,
+    })
+    fns = bind_rows(module.rows, env, timing_rule(E))
+    tables = {}
+    start = 0
+    for name, n_ops in module.layout:
+        tables[name] = fns[start:start + n_ops]
+        start += n_ops
+    return tables
+
+
+def generate(program: ContextProgram) -> KernelTable:
+    """The kernel table of ``program``: every block's ops in plan
+    order; ``layout`` lists (block name, op count)."""
     plans = build_plans(program)
-
-    w = Writer()
-    w('"""Generated block-window kernels '
-      f'({len(plans)} blocks).'
-      '\n\nEmitted by repro.sim.codegen.window; regenerated from the'
-      '\nplan, never edited. The closure interpreter in'
-      '\nsim/window/engine.py is the bit-identical reference."""')
-    w("from repro.errors import SimulationError")
-    w("from repro.sim.watchdog import watchdog_horizon")
-    w("from repro.ir.ops import OP_INFO, Op")
-    w("from repro.sim.latency import load_delay")
-    w()
-    w("_NO_ENTRY = {}")
-    w()
-    w()
-    w("def bind_fires(E):")
-    w.indent()
-    w('"""Bind per-block firing tables to a live WindowEngine."""')
-    w("livebox = E._livebox")
-    w("append = E._pending.append")
-    w("forward = E._forward")
-    w("mem_load = E.memory.load")
-    w("mem_store = E.memory.store")
-    w("metrics = E.metrics")
-    w("delayed = E._delayed")
-    w("publish = E._publish")
-    w("latency = E.load_latency")
-    w("cache = E._cache")
-    w("cache_load = cache.access_load if cache is not None else None")
-    w("cache_store = cache.access_store if cache is not None else None")
-    w("plans = E.plans")
-    w("tables = {}")
-    w()
-    for bi, (bname, bplan) in enumerate(plans.items()):
-        prefix = f"f{bi}"
-        w(f"# block {bname!r}")
-        w(f"plan = plans[{lit(bname)}]")
-        w("bops = plan.ops")
-        names = []
+    table = KernelTable("window", bind, _RUN_LOOP,
+                        [(name, len(plan.ops))
+                         for name, plan in plans.items()])
+    for bplan in plans.values():
         for p in bplan.ops:
-            names.append(_emit_fire(w, bplan, p, prefix))
-        w(f"tables[{lit(bname)}] = [{', '.join(names)}]")
-        w()
-    w("return tables")
-    w.dedent()
-    w()
-    w()
-    w("def run_loop(E):")
+            _fire(table, bplan, p)
+    return table
+
+
+def run_loop() -> str:
+    """The cycle-loop shape."""
+    w = Writer()
     w.indent()
     w('"""The engine cycle loop (already locals-accumulated in the')
     w('interpreter) with RLETrace.append inlined."""')
@@ -512,6 +417,10 @@ def generate(program: ContextProgram) -> str:
     w("matured = delayed.pop(cycles, None)")
     w("if matured:")
     w.indent()
+    # A matured load is progress: the head slice may retire its
+    # now-fired LOAD next cycle, so this cycle must not read as a
+    # quiesced machine.
+    w("progressed = True")
     w("for inst, key, value in matured:")
     w.indent()
     w("publish(inst, key, value)")
@@ -668,5 +577,7 @@ def generate(program: ContextProgram) -> str:
     w.dedent()
     w.dedent()
     w("return completed")
-    w.dedent()
-    return w.source()
+    return loop_text(w)
+
+
+_RUN_LOOP = run_loop()

@@ -135,9 +135,7 @@ class QueuedEngine:
         self._kernels = None
         if kernels is not None and self._profiler is None:
             self._kernels = kernels
-            self._try_fire_fns: List[Callable[[], bool]] = (
-                kernels.ns["bind_fires"](self)
-            )
+            self._try_fire_fns: List[Callable[[], bool]] = kernels.bind(self)
         else:
             self._try_fire_fns = [
                 self._make_try_fire(nid) for nid in range(n)
@@ -168,7 +166,7 @@ class QueuedEngine:
         if self._profiler is not None:
             completed = self._run_loop_profiled()
         elif self._kernels is not None:
-            completed = self._kernels.ns["run_loop"](self)
+            completed = self._kernels.run_loop(self)
         else:
             completed = self._run_loop()
 

@@ -214,7 +214,7 @@ class TaggedEngine:
             self._emit = self._emit_fast
             if kernels is not None and self._profiler is None:
                 self._kernels = kernels
-                self._fire_fns = kernels.ns["bind_fires"](self)
+                self._fire_fns = kernels.bind(self)
             else:
                 self._fire_fns = [
                     self._make_fire(nid) for nid in range(n)
@@ -265,7 +265,7 @@ class TaggedEngine:
         if self._profiler is not None:
             completed = self._run_loop_profiled()
         elif self._kernels is not None:
-            completed = self._kernels.ns["run_loop"](self)
+            completed = self._kernels.run_loop(self)
         else:
             completed = self._run_loop()
 

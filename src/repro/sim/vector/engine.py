@@ -110,9 +110,7 @@ class DataParallelEngine:
         # functions; profiled runs always interpret (the profiler
         # wraps the per-op ticks).
         if kernels is not None and self._profiler is None:
-            self._ticked, self._silent = (
-                kernels.ns["bind_steps"](self)
-            )
+            self._ticked, self._silent = kernels.bind(self)
         else:
             for name, plan in self.plans.items():
                 self._ticked[name] = self._compile_items(

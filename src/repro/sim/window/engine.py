@@ -168,9 +168,7 @@ class WindowEngine:
         self._kernels = None
         if kernels is not None and self._profiler is None:
             self._kernels = kernels
-            self._fire_tables: Dict[str, List[Callable]] = (
-                kernels.ns["bind_fires"](self)
-            )
+            self._fire_tables: Dict[str, List[Callable]] = kernels.bind(self)
         else:
             self._fire_tables = {
                 name: [self._make_fire(plan, p) for p in plan.ops]
@@ -206,7 +204,7 @@ class WindowEngine:
         if self._profiler is not None:
             completed = self._run_loop_profiled()
         elif self._kernels is not None:
-            completed = self._kernels.ns["run_loop"](self)
+            completed = self._kernels.run_loop(self)
         else:
             completed = self._run_loop()
 
@@ -325,6 +323,10 @@ class WindowEngine:
                 if delayed:
                     matured = delayed.pop(cycles, None)
                     if matured:
+                        # Progress: the head slice may retire its
+                        # now-fired LOAD next cycle, so this cycle is
+                        # not a quiesced machine.
+                        progressed = True
                         for inst, key, value in matured:
                             publish(inst, key, value)
                 if pending:
@@ -484,6 +486,7 @@ class WindowEngine:
             if delayed:
                 matured = delayed.pop(metrics.cycles, None)
                 if matured:
+                    progressed = True
                     for inst, key, value in matured:
                         publish(inst, key, value)
             if pending:
