@@ -73,13 +73,14 @@ def test_kernels_match_interpreter_variable_latency(seed, machine,
        machine=st.sampled_from(("tyr", "ordered", "seqdf", "datapar")))
 @_SETTINGS
 def test_profiled_runs_agree_and_conserve(seed, machine):
-    """``codegen=True`` falls back to the interpreter under profiling,
-    so the full stall taxonomy must match a ``codegen=False`` profiled
-    run exactly (and both validate conservation in ``finish``)."""
-    interp = _observe(seed, machine, codegen=False, profile=True,
-                      load_latency=4)
-    gen = _observe(seed, machine, codegen=True, profile=True,
-                   load_latency=4)
-    assert gen == interp
-    if "stalls" in gen:
-        assert sum(gen["stalls"].values()) == gen["cycles"]
+    """Profiling only observes: a profiled run (always interpreted)
+    matches an unprofiled kernel run on everything but the profile,
+    and its stall reasons sum exactly to its cycles."""
+    plain = _observe(seed, machine, codegen=True, load_latency=4)
+    prof = _observe(seed, machine, codegen=False, profile=True,
+                    load_latency=4)
+    stalls = prof.pop("stalls", None)
+    prof.pop("node_cycles", None)
+    assert prof == plain
+    if stalls is not None:
+        assert sum(stalls.values()) == prof["cycles"]

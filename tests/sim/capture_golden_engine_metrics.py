@@ -1,24 +1,31 @@
-"""Regenerate ``golden_engine_metrics.json`` (engine-equivalence oracle).
+"""Regenerate the engine-equivalence oracles.
 
-The golden file pins the exact metrics (cycles, instructions, peak and
-mean live state, declared results, tag-pool statistics) that the
-tagged and queued engines produced at the seed commit, for every
-workload in :mod:`repro.workloads.registry` under every tagged policy.
-The equivalence suite (``test_engine_equivalence.py``) replays the
-same runs and asserts bit-identical numbers, so hot-path rewrites of
-the engines cannot silently change simulated behavior.
+``golden_engine_metrics.json`` pins the exact metrics (cycles,
+instructions, peak and mean live state, declared results, tag-pool
+statistics) that the tagged and queued engines produced at the seed
+commit, for every workload in :mod:`repro.workloads.registry` under
+every tagged policy.  ``golden_profile_metrics.json`` pins the stall
+taxonomy of profiled runs: per-reason cycle counts, the hottest nodes
+and the cache-mode hit/miss split of every golden machine on every
+tiny workload, under idealized, variable and cache-model timing.  The
+equivalence suite (``test_engine_equivalence.py``) replays the same
+runs and asserts bit-identical numbers, so hot-path rewrites of the
+engines cannot silently change simulated behavior or its attribution.
 
-Only regenerate this file from an engine state known to be
-semantically correct (originally: seed commit b70ce7e), never to make
-a failing equivalence test pass::
+Only regenerate these files from an engine state known to be
+semantically correct (metrics originally: seed commit b70ce7e;
+profiles: the last commit with a separate profiled twin of every
+cycle loop), never to make a failing equivalence test pass::
 
     PYTHONPATH=src python tests/sim/capture_golden_engine_metrics.py
+    PYTHONPATH=src python tests/sim/capture_golden_engine_metrics.py --profiles
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 
 from repro.workloads.registry import (
     EXTRA_WORKLOADS,
@@ -74,8 +81,28 @@ GOLDEN_SEQDF_VARIANTS = (
     {"issue_width": 4},
 )
 
+#: Timing settings every profiled golden run is pinned under:
+#: idealized, hash-based variable latency, and the cache model (small
+#: enough that tiny workloads miss).
+PROFILE_SETTINGS = (
+    {},
+    {"load_latency": 6},
+    {"cache": "line=4,miss=60,l1=4x2x1"},
+)
+
+#: Extra tyr configurations whose profiles exercise the remaining
+#: stall reasons: two tags per pool starve allocates
+#: (``tag_starved``), a two-wide issue limits firing
+#: (``width_limited``).
+PROFILE_TYR_VARIANTS = (
+    {"tags": 2},
+    {"issue_width": 2},
+)
+
 OUT = os.path.join(os.path.dirname(__file__),
                    "golden_engine_metrics.json")
+PROFILE_OUT = os.path.join(os.path.dirname(__file__),
+                           "golden_profile_metrics.json")
 
 
 def run_key(name, scale, machine, variant):
@@ -111,6 +138,12 @@ def describe(result):
         rec["fetch_stall_window_cycles"] = (
             result.extra["fetch_stall_window_cycles"]
         )
+    prof = result.extra.get("profile")
+    if prof is not None:
+        rec["profile"] = prof.summary_fields()
+        rec["profile"]["memory_stall_split"] = dict(
+            sorted(prof.memory_stall_split.items())
+        )
     return rec
 
 
@@ -134,14 +167,17 @@ def capture_large():
     return golden
 
 
-def capture(include_large=True):
+def capture(include_large=True, codegen=True):
+    """Replay the golden runs; ``codegen=False`` forces every run
+    through the interpreter instead of the generated kernels (the
+    records are the same either way)."""
     golden = {}
     if include_large:
         golden.update(capture_large())
     for name, scale in GOLDEN_RUNS:
         wl = build_workload(name, scale)
         for machine in GOLDEN_MACHINES + GOLDEN_WINDOW_MACHINES:
-            res = wl.run_checked(machine)
+            res = wl.run_checked(machine, codegen=codegen)
             golden[run_key(name, scale, machine, {})] = describe(res)
     # Variant configurations on one representative workload each.
     wl = build_workload("dmv", "tiny")
@@ -149,27 +185,66 @@ def capture(include_large=True):
         for variant in GOLDEN_VARIANTS:
             if machine == "ordered" and "track_occupancy" in variant:
                 continue  # queued engine has no wait-match store
-            res, mem = wl.run(machine, **variant)
+            res, mem = wl.run(machine, codegen=codegen, **variant)
             golden[run_key("dmv", "tiny", machine, variant)] = (
                 describe(res)
             )
     for machine in GOLDEN_WINDOW_MACHINES:
         for variant in GOLDEN_WINDOW_VARIANTS:
-            res, mem = wl.run(machine, **variant)
+            res, mem = wl.run(machine, codegen=codegen, **variant)
             golden[run_key("dmv", "tiny", machine, variant)] = (
                 describe(res)
             )
     for variant in GOLDEN_SEQDF_VARIANTS:
-        res, mem = wl.run("seqdf", **variant)
+        res, mem = wl.run("seqdf", codegen=codegen, **variant)
         golden[run_key("dmv", "tiny", "seqdf", variant)] = (
             describe(res)
         )
     return golden
 
 
+def capture_profiles():
+    """Profiled runs of every golden machine on every tiny workload
+    under each of :data:`PROFILE_SETTINGS`, plus tyr under each of
+    :data:`PROFILE_TYR_VARIANTS`."""
+    configs = [
+        (machine, setting)
+        for machine in GOLDEN_MACHINES + GOLDEN_WINDOW_MACHINES
+        for setting in PROFILE_SETTINGS
+    ] + [
+        ("tyr", {**variant, **setting})
+        for variant in PROFILE_TYR_VARIANTS
+        for setting in PROFILE_SETTINGS
+    ]
+    golden = {}
+    for name, scale in GOLDEN_RUNS:
+        if scale != "tiny":
+            continue
+        wl = build_workload(name, scale)
+        for machine, setting in configs:
+            variant = {**setting, "profile": True}
+            res = wl.run_checked(machine, **variant)
+            golden[run_key(name, scale, machine, variant)] = describe(res)
+    return golden
+
+
+def write_profiles(golden, path=PROFILE_OUT):
+    """One record per line, so a diff names the runs that moved."""
+    with open(path, "w") as fh:
+        fh.write("{\n")
+        fh.write(",\n".join(
+            f"{json.dumps(key)}: {json.dumps(golden[key], sort_keys=True)}"
+            for key in sorted(golden)))
+        fh.write("\n}\n")
+
+
 if __name__ == "__main__":
-    golden = capture()
-    with open(OUT, "w") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(golden)} golden records to {OUT}")
+    if sys.argv[1:] == ["--profiles"]:
+        golden, out = capture_profiles(), PROFILE_OUT
+        write_profiles(golden)
+    else:
+        golden, out = capture(), OUT
+        with open(out, "w") as fh:
+            json.dump(golden, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    print(f"wrote {len(golden)} golden records to {out}")
