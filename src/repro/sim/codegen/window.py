@@ -321,8 +321,8 @@ def run_loop() -> str:
     """The cycle-loop shape."""
     w = Writer()
     w.indent()
-    w('"""The engine cycle loop (already locals-accumulated in the')
-    w('interpreter) with RLETrace.append inlined."""')
+    w('"""The engine cycle loop with metrics accumulated in locals and')
+    w('RLETrace.append inlined."""')
     w("completed = False")
     w("metrics = E.metrics")
     w("livebox = E._livebox")
@@ -342,6 +342,12 @@ def run_loop() -> str:
     w("max_cycles = E.max_cycles")
     w("wd_horizon = watchdog_horizon(max_cycles)")
     w("idle_streak = 0")
+    # Window machines fire about one instruction per cycle (vN exactly
+    # one), so per-cycle call and attribute overhead, not the firing
+    # functions, bounds host speed: metrics live in locals and are
+    # committed in the ``finally``.  Only load closures that schedule a
+    # maturity (variable latency, cache probes) read ``metrics.cycles``
+    # mid-run, so the counter is synced back each cycle in those modes.
     w("sync_cycles = E.load_latency > 1 or E._cache is not None")
     w("traces = metrics.sample_traces")
     w("ipc_vals = metrics.ipc_trace._values")

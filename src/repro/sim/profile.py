@@ -40,10 +40,14 @@ The taxonomy, in attribution priority order for zero-fired cycles:
 ``idle``
     Nothing fired and no tokens were live (drain/control-only cycles).
 
-Profiling is strictly opt-in: engines select a profiled cycle loop at
-``run()`` entry (tagged/queued/window) or bind profiled tick closures
-at construction (vector), so the default path carries no per-cycle
-profiling branches at all.
+Profiling is strictly opt-in and lives in the interpreters only. Each
+engine family has one interpreter cycle loop, which checks for a
+profiler once per cycle and calls a per-firing hook that is ``None``
+unless profiling (the vector engine binds a profiled tick into its
+step closures at construction instead). The generated kernels carry no
+hooks at all, so a profiled run always interprets; the default,
+kernel-driven path pays only the ``None`` test in the vector-loop
+timing that datapar kernels share with the interpreter.
 """
 
 from __future__ import annotations

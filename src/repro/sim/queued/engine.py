@@ -67,11 +67,12 @@ class QueuedEngine:
         #: load delays come from cache probes, stores probe it too.
         self._cache = cache
         #: First cycle index past the latest last-level miss (cache
-        #: mode); bounds the profiled loop's hit/miss stall split.
+        #: mode); bounds a profiled run's hit/miss stall split.
         self._miss_until: List[int] = [0]
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # run() selects the profiled cycle loop only when set, so the
-        # default path has no per-cycle profiling branches.
+        # Opt-in stall attribution, driven by the interpreter loop (one
+        # check per cycle, a firing hook only when set); the generated
+        # kernels carry no hooks, so a profiled run always interprets.
         self._profiler = EngineProfiler() if profile else None
 
         n = len(graph.nodes)
@@ -131,7 +132,7 @@ class QueuedEngine:
         ]
         # Generated plan kernels (repro.sim.codegen) replace both the
         # per-node closures and the cycle loop; profiled runs keep the
-        # interpreted twins because only those carry attribution hooks.
+        # interpreter because only it carries attribution hooks.
         self._kernels = None
         if kernels is not None and self._profiler is None:
             self._kernels = kernels
@@ -163,9 +164,7 @@ class QueuedEngine:
                 self._livebox[0] += 1
                 self._next_candidates.add(dest_id)
 
-        if self._profiler is not None:
-            completed = self._run_loop_profiled()
-        elif self._kernels is not None:
+        if self._kernels is not None:
             completed = self._kernels.run_loop(self)
         else:
             completed = self._run_loop()
@@ -185,64 +184,14 @@ class QueuedEngine:
         return self.metrics.result("ordered", completed, results, extra)
 
     def _run_loop(self) -> bool:
-        metrics = self.metrics
-        sample = metrics.sample
-        nc = self._next_candidates
-        nc_add = nc.add
-        fresh = self._fresh
-        livebox = self._livebox
-        try_fns = self._try_fire_fns
-        issue_width = self.issue_width
-        max_cycles = self.max_cycles
-        due_box = self._due_box
-        wd_horizon = watchdog_horizon(max_cycles)
-        idle_streak = 0
-        while True:
-            # Deterministic order: ascending node id.
-            candidates = sorted(nc)
-            nc.clear()
-            fresh.clear()
-            if self._inflight and metrics.cycles >= due_box[0]:
-                self._deliver_memory_responses()
-            fired = 0
-            budget = issue_width
-            for nid in candidates:
-                if budget == 0:
-                    nc_add(nid)
-                elif try_fns[nid]():
-                    fired += 1
-                    budget -= 1
-                    # It may be able to fire again next cycle.
-                    nc_add(nid)
-            if fired == 0 and not nc:
-                if self._inflight:
-                    self._stall_for_memory()
-                    continue
-                if livebox[0] == 0:
-                    return True
-                self._raise_deadlock()
-            sample(fired, livebox[0])
-            if fired:
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak >= wd_horizon and not self._inflight:
-                    self._raise_deadlock(watchdog=idle_streak)
-            if metrics.cycles >= max_cycles:
-                raise SimulationError(
-                    f"exceeded max_cycles={self.max_cycles}"
-                )
+        """The interpreter's cycle loop (the reference semantics).
 
-    def _run_loop_profiled(self) -> bool:
-        """:meth:`_run_loop` with stall attribution.
-
-        ``width_limited`` here is an approximation: a budget-skipped
-        candidate is only re-checked next cycle, so it may turn out
-        not to have been fireable.
+        Under profiling, ``width_limited`` is an approximation: a
+        budget-skipped candidate is only re-checked next cycle, so it
+        may turn out not to have been fireable.
         """
         prof = self._profiler
-        end_cycle = prof.end_cycle
-        fire_rec = prof.fire
+        prof_fire = None if prof is None else prof.fire
         metrics = self.metrics
         sample = metrics.sample
         nc = self._next_candidates
@@ -258,6 +207,7 @@ class QueuedEngine:
         miss_until = self._miss_until if self._cache is not None \
             else None
         while True:
+            # Deterministic order: ascending node id.
             candidates = sorted(nc)
             nc.clear()
             fresh.clear()
@@ -273,35 +223,38 @@ class QueuedEngine:
                 elif try_fns[nid]():
                     fired += 1
                     budget -= 1
+                    # It may be able to fire again next cycle.
                     nc_add(nid)
-                    fire_rec(nid)
+                    if prof_fire is not None:
+                        prof_fire(nid)
             if fired == 0 and not nc:
                 if self._inflight:
                     before = metrics.cycles
                     self._stall_for_memory()
-                    if miss_until is None:
-                        prof.idle("memory_stall",
-                                  metrics.cycles - before)
-                    else:
+                    if prof is not None:
                         n = metrics.cycles - before
-                        miss = min(metrics.cycles, miss_until[0]) \
-                            - before
-                        prof.idle_memory(n, max(0, min(n, miss)))
+                        if miss_until is None:
+                            prof.idle("memory_stall", n)
+                        else:
+                            miss = min(metrics.cycles, miss_until[0]) \
+                                - before
+                            prof.idle_memory(n, max(0, min(n, miss)))
                     continue
                 if livebox[0] == 0:
                     return True
                 self._raise_deadlock()
             sample(fired, livebox[0])
-            if fired:
-                end_cycle("width_limited" if width_limited else "fired")
-            elif self._inflight:
-                if miss_until is None:
-                    end_cycle("memory_stall")
+            if prof is not None:
+                if fired:
+                    prof.end_cycle("width_limited" if width_limited
+                                   else "fired")
+                elif not self._inflight:
+                    prof.end_cycle("waiting_operands")
+                elif miss_until is None:
+                    prof.end_cycle("memory_stall")
                 else:
                     prof.end_cycle_memory(
                         metrics.cycles <= miss_until[0])
-            else:
-                end_cycle("waiting_operands")
             if fired:
                 idle_streak = 0
             else:

@@ -96,13 +96,14 @@ class TaggedEngine:
         #: load_delay hash and stores probe it too.
         self._cache = cache
         #: First cycle index no longer stalled by the latest last-level
-        #: miss (cache mode only); the profiled loop splits its
+        #: miss (cache mode only); a profiled run splits its
         #: memory_stall attribution into hit/miss at this boundary.
         self._miss_until: List[int] = [0]
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        #: Opt-in stall/hotspot attribution; ``run`` selects a
-        #: profiled cycle loop iff this is set, so the default path
-        #: carries no profiling branches.
+        #: Opt-in stall/hotspot attribution, driven by the interpreter
+        #: loop (one check per cycle, a firing hook only when set);
+        #: the generated kernels carry no hooks, so a profiled run
+        #: always interprets.
         self._profiler = EngineProfiler() if profile else None
 
         self.pools: Dict[str, TagPool] = policy.build_pools(
@@ -262,9 +263,7 @@ class TaggedEngine:
                 self._livebox[0] += 1
         self._apply_pending()
 
-        if self._profiler is not None:
-            completed = self._run_loop_profiled()
-        elif self._kernels is not None:
+        if self._kernels is not None:
             completed = self._kernels.run_loop(self)
         else:
             completed = self._run_loop()
@@ -297,7 +296,14 @@ class TaggedEngine:
         return self.metrics.result("tagged", completed, results, extra)
 
     def _run_loop(self) -> bool:
-        """The default (unprofiled) cycle loop."""
+        """The interpreter's cycle loop (the reference semantics).
+
+        With a profiler attached, every ``sample`` pairs with exactly
+        one ``end_cycle`` and every ``sample_idle`` batch with one
+        ``idle``, which is what makes the reason counts sum to
+        ``cycles``; the profiler only observes.
+        """
+        prof = self._profiler
         metrics = self.metrics
         sample = metrics.sample
         ready = self._ready
@@ -307,84 +313,38 @@ class TaggedEngine:
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        while True:
-            if not ready:
-                if self._delayed:
-                    # Memory in flight: burn cycles until it returns.
-                    self._stall_for_memory()
-                    continue
-                if self._is_finished():
-                    return True
-                self._raise_deadlock()
-            fired = run_cycle()
-            sample(fired, livebox[0])
-            if fired:
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak >= wd_horizon and not self._delayed:
-                    self._raise_deadlock(watchdog=idle_streak)
-            if (token_bound is not None
-                    and livebox[0] > token_bound):
-                raise TokenBoundExceeded(
-                    f"live tokens {livebox[0]} exceed Theorem 2 bound "
-                    f"{token_bound}"
-                )
-            if metrics.cycles >= max_cycles:
-                raise SimulationError(
-                    f"exceeded max_cycles={self.max_cycles}"
-                )
-
-    def _run_loop_profiled(self) -> bool:
-        """The cycle loop with stall/hotspot attribution.
-
-        Identical timing and semantics to :meth:`_run_loop` (the
-        profiler only observes); every ``sample`` pairs with exactly
-        one ``end_cycle`` and every ``sample_idle`` batch with one
-        ``idle``, which is what makes the reason counts sum to
-        ``cycles``.
-        """
-        prof = self._profiler
-        end_cycle = prof.end_cycle
-        metrics = self.metrics
-        sample = metrics.sample
-        ready = self._ready
-        livebox = self._livebox
-        run_cycle = self._run_cycle_profiled
-        token_bound = self._token_bound
-        max_cycles = self.max_cycles
-        wd_horizon = watchdog_horizon(max_cycles)
-        idle_streak = 0
         miss_until = self._miss_until if self._cache is not None \
             else None
         while True:
             if not ready:
                 if self._delayed:
+                    # Memory in flight: burn cycles until it returns.
                     before = metrics.cycles
                     self._stall_for_memory()
-                    if miss_until is None:
-                        prof.idle("memory_stall",
-                                  metrics.cycles - before)
-                    else:
+                    if prof is not None:
                         n = metrics.cycles - before
-                        miss = min(metrics.cycles, miss_until[0]) \
-                            - before
-                        prof.idle_memory(n, max(0, min(n, miss)))
+                        if miss_until is None:
+                            prof.idle("memory_stall", n)
+                        else:
+                            miss = min(metrics.cycles, miss_until[0]) \
+                                - before
+                            prof.idle_memory(n, max(0, min(n, miss)))
                     continue
                 if self._is_finished():
                     return True
                 self._raise_deadlock()
             fired, width_limited, tag_blocked = run_cycle()
             sample(fired, livebox[0])
-            if fired:
-                end_cycle("width_limited" if width_limited
-                          else "fired")
-            elif tag_blocked:
-                end_cycle("tag_starved")
-            elif livebox[0] > 0 or self._pending or self._delayed:
-                end_cycle("waiting_operands")
-            else:
-                end_cycle("idle")
+            if prof is not None:
+                if fired:
+                    prof.end_cycle("width_limited" if width_limited
+                                   else "fired")
+                elif tag_blocked:
+                    prof.end_cycle("tag_starved")
+                elif livebox[0] > 0 or self._pending or self._delayed:
+                    prof.end_cycle("waiting_operands")
+                else:
+                    prof.end_cycle("idle")
             if fired:
                 idle_streak = 0
             else:
@@ -442,38 +402,16 @@ class TaggedEngine:
         raise DeadlockError(diagnosis.describe(), diagnosis)
 
     # ------------------------------------------------------------------
-    def _run_cycle(self) -> int:
-        fired = 0
-        budget = self.issue_width
-        ready = self._ready
-        popleft = ready.popleft
-        fire_fns = self._fire_fns
-        while ready and budget > 0:
-            nid, tag, action = popleft()
-            if action == _FIRE:
-                fire_fns[nid](tag)
-                fired += 1
-                budget -= 1
-            elif action == _ALLOC_POP:
-                if self._fire_alloc_pop(nid, tag):
-                    fired += 1
-                    budget -= 1
-            else:  # _ALLOC_CTL
-                self._fire_alloc_ctl(nid, tag)
-                fired += 1
-                budget -= 1
-        self._apply_pending()
-        return fired
-
-    def _run_cycle_profiled(self) -> Tuple[int, bool, bool]:
-        """:meth:`_run_cycle` plus attribution signals.
+    def _run_cycle(self) -> Tuple[int, bool, bool]:
+        """Issue up to ``issue_width`` ready events, then deposit.
 
         Returns ``(fired, width_limited, tag_blocked)``:
         ``width_limited`` when ready work remained after the issue
         budget ran out, ``tag_blocked`` when an allocate pop failed on
         an exhausted tag pool this cycle.
         """
-        prof_fire = self._profiler.fire
+        prof = self._profiler
+        prof_fire = None if prof is None else prof.fire
         fired = 0
         budget = self.issue_width
         ready = self._ready
@@ -484,20 +422,15 @@ class TaggedEngine:
             nid, tag, action = popleft()
             if action == _FIRE:
                 fire_fns[nid](tag)
-                fired += 1
-                budget -= 1
-                prof_fire(nid)
             elif action == _ALLOC_POP:
-                if self._fire_alloc_pop(nid, tag):
-                    fired += 1
-                    budget -= 1
-                    prof_fire(nid)
-                else:
+                if not self._fire_alloc_pop(nid, tag):
                     tag_blocked = True
+                    continue
             else:  # _ALLOC_CTL
                 self._fire_alloc_ctl(nid, tag)
-                fired += 1
-                budget -= 1
+            fired += 1
+            budget -= 1
+            if prof_fire is not None:
                 prof_fire(nid)
         width_limited = budget == 0 and bool(ready)
         self._apply_pending()

@@ -86,8 +86,7 @@ class DataParallelEngine:
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
         # Must be set before the closure compilation below: ticked
         # step closures bind either the plain or the profiled tick at
-        # construction, so the default path carries no profiling
-        # branches.
+        # construction, so scalar steps carry no profiling branches.
         self._profiler = EngineProfiler() if profile else None
         self.vector_info: Dict[str, Optional[VectorInfo]] = {
             name: classify_loop(block)
@@ -491,49 +490,37 @@ class DataParallelEngine:
             break
 
         # Timing model: each batch of `lanes` iterations issues the
-        # body one instruction per cycle across all active lanes.
+        # body one instruction per cycle across all active lanes.  A
+        # profiler attributes the body to one aggregate static node per
+        # loop (lanes co-issue the same op); a batch with iterations
+        # left over was limited by the lane count.
+        prof = self._profiler
+        tick = self._tick
+        lanes = self.lanes
         body = max(info.body_ops, 1)
         remaining = iterations
-        n_reductions = sum(1 for r in info.roles
-                           if r.kind == "reduction")
-        prof = self._profiler
-        if prof is None:
-            while remaining > 0:
-                active = min(remaining, self.lanes)
-                live = active * max(2, body // 2)
-                for _ in range(body):
-                    self._tick(active, live)
-                remaining -= active
-            # Reduction tree across lanes per reduction carry.
-            if n_reductions and iterations > 1:
-                depth = max(1, math.ceil(math.log2(min(iterations,
-                                                       self.lanes))))
-                for _ in range(depth * n_reductions):
-                    self._tick(min(iterations, self.lanes) // 2 or 1,
-                               min(iterations, self.lanes))
-            return results
-
-        # Profiled twin: the body is attributed to one aggregate
-        # static node per loop (lanes co-issue the same op).  A batch
-        # with iterations left over was limited by the lane count.
         key = f"<vector-body>@{plan.name}"
         while remaining > 0:
-            active = min(remaining, self.lanes)
+            active = min(remaining, lanes)
             live = active * max(2, body // 2)
-            reason = ("width_limited" if remaining > self.lanes
-                      else "fired")
+            reason = "width_limited" if remaining > lanes else "fired"
             for _ in range(body):
-                prof.fire_n(key, active)
-                self._tick(active, live)
-                prof.end_cycle(reason)
+                tick(active, live)
+                if prof is not None:
+                    prof.fire_n(key, active)
+                    prof.end_cycle(reason)
             remaining -= active
+        # Reduction tree across lanes per reduction carry.
+        n_reductions = sum(1 for r in info.roles
+                           if r.kind == "reduction")
         if n_reductions and iterations > 1:
-            rkey = f"<reduce>@{plan.name}"
-            depth = max(1, math.ceil(math.log2(min(iterations,
-                                                   self.lanes))))
-            f = min(iterations, self.lanes) // 2 or 1
+            width = min(iterations, lanes)
+            depth = max(1, math.ceil(math.log2(width)))
+            fired = width // 2 or 1
+            key = f"<reduce>@{plan.name}"
             for _ in range(depth * n_reductions):
-                prof.fire_n(rkey, f)
-                self._tick(f, min(iterations, self.lanes))
-                prof.end_cycle("fired")
+                tick(fired, width)
+                if prof is not None:
+                    prof.fire_n(key, fired)
+                    prof.end_cycle("fired")
         return results

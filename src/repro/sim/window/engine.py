@@ -127,14 +127,15 @@ class WindowEngine:
         #: load delays come from cache probes, stores probe it too.
         self._cache = cache
         #: First cycle index past the latest last-level miss (cache
-        #: mode); bounds the profiled loop's hit/miss stall split.
+        #: mode); bounds a profiled run's hit/miss stall split.
         self._miss_until: List[int] = [0]
         self.machine_name = machine_name or (
             "vn" if window == 1 and issue_width == 1 else "seqdf"
         )
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # run() selects the profiled cycle loop only when set, so the
-        # default path has no per-cycle profiling branches.
+        # Opt-in stall attribution, driven by the interpreter loop (one
+        # check per cycle, a firing hook only when set); the generated
+        # kernels carry no hooks, so a profiled run always interprets.
         self._profiler = EngineProfiler() if profile else None
         self.plans = build_plans(program)
 
@@ -163,8 +164,7 @@ class WindowEngine:
         #: block name -> list of firing closures, one per op (shared
         #: by every dynamic instance of the block).  With generated
         #: kernels the tables come from the kernel module instead;
-        #: profiled runs always interpret (the profiler wraps the
-        #: closure path).
+        #: profiled runs always interpret.
         self._kernels = None
         if kernels is not None and self._profiler is None:
             self._kernels = kernels
@@ -201,9 +201,7 @@ class WindowEngine:
         self._register_results(root)
         self._stack.append([root, 0])
 
-        if self._profiler is not None:
-            completed = self._run_loop_profiled()
-        elif self._kernels is not None:
+        if self._kernels is not None:
             completed = self._kernels.run_loop(self)
         else:
             completed = self._run_loop()
@@ -230,192 +228,14 @@ class WindowEngine:
         return f"{p.op.value}@{block}#{op_id}"
 
     def _run_loop(self) -> bool:
-        # The cycle loop is fully inlined (issue, retire, fetch,
-        # deposit, metrics sampling): window machines fire ~1
-        # instruction per cycle (vN literally so), which makes
-        # per-cycle call and attribute overhead -- not the firing
-        # closures -- the host bottleneck.
-        completed = False
-        metrics = self.metrics
-        livebox = self._livebox
-        ready = self._ready
-        popleft = ready.popleft
-        ready_append = ready.append
-        pending = self._pending
-        retire = self._retire
-        retire_popleft = retire.popleft
-        delayed = self._delayed
-        fetch = self._fetch
-        publish = self._publish
-        status = self._op_status
-        maybe_release = self._maybe_release
-        issue_width = self.issue_width
-        fetch_width = self.fetch_width
-        max_cycles = self.max_cycles
-        wd_horizon = watchdog_horizon(max_cycles)
-        idle_streak = 0
-        # Metrics are accumulated in locals and committed in the
-        # ``finally`` below.  Only variable-latency load closures read
-        # ``metrics.cycles`` mid-run (to schedule maturity), so the
-        # counter is synced back each cycle exactly in that mode --
-        # cache probes schedule maturities the same way.
-        sync_cycles = self.load_latency > 1 or self._cache is not None
-        traces = metrics.sample_traces
-        ipc_append = metrics.ipc_trace.append
-        live_append = metrics.live_trace.append
-        cycles = metrics.cycles
-        instructions = metrics.instructions
-        peak_live = metrics._peak_live
-        live_sum = metrics._live_sum
-        try:
-            while True:
-                # Issue: fire ready ops up to the shared width.
-                fired = 0
-                if ready:
-                    budget = issue_width
-                    while ready and budget > 0:
-                        inst, op_id = popleft()
-                        inst.fires[op_id](inst)
-                        fired += 1
-                        budget -= 1
-                # Retire completed head-of-window slices, in fetch
-                # order.  An op's "not pending" status is monotone
-                # (outputs are write-once and a false guard stays
-                # false), so each in-flight entry ``[inst, slice ops,
-                # scan pos]`` re-checks only from its scan position.
-                progressed = False
-                while retire:
-                    entry = retire[0]
-                    inst = entry[0]
-                    ops = entry[1]
-                    pos = entry[2]
-                    n = len(ops)
-                    fired_set = inst.fired
-                    while pos < n:
-                        oid = ops[pos]
-                        if oid in fired_set:
-                            pos += 1
-                            continue
-                        if (not inst.plan.guarded[oid]
-                                or status(inst, oid) == "pending"):
-                            break
-                        pos += 1  # guard resolved untaken
-                    if pos < n:
-                        entry[2] = pos
-                        break
-                    retire_popleft()
-                    inst.live_slices -= 1
-                    progressed = True
-                    maybe_release(inst)
-                # Fetch along the von Neumann block order.
-                fc = fetch_width
-                while fc:
-                    if not fetch():
-                        break
-                    progressed = True
-                    fc -= 1
-                # Deposit: matured loads, then this cycle's tokens.
-                # The one-cycle buffer is what keeps values fired at
-                # cycle N invisible until N+1.  Each token carries its
-                # consumer descriptor ``c = (op_id, port, kind,
-                # n_ports, slice_index, merge_lit)``
-                # (:attr:`repro.sim.window.plan.BlockPlan.consumers`).
-                if delayed:
-                    matured = delayed.pop(cycles, None)
-                    if matured:
-                        # Progress: the head slice may retire its
-                        # now-fired LOAD next cycle, so this cycle is
-                        # not a quiesced machine.
-                        progressed = True
-                        for inst, key, value in matured:
-                            publish(inst, key, value)
-                if pending:
-                    # Deposits never publish, so nothing appends to
-                    # ``pending`` while it drains; iterate in place
-                    # and clear.
-                    for inst, c, value in pending:
-                        op_id = c[0]
-                        wait = inst.wait
-                        entry = wait.get(op_id)
-                        if entry is None:
-                            wait[op_id] = entry = {c[1]: value}
-                            n_have = 1
-                        else:
-                            entry[c[1]] = value
-                            n_have = len(entry)
-                        if c[2]:  # DEP_MERGE
-                            if 0 not in entry:
-                                continue
-                            want = 1 if entry[0] else 2
-                            if want not in entry and not c[5][want - 1]:
-                                continue
-                        elif n_have != c[3]:
-                            continue
-                        if c[4] in inst.fetched:
-                            ready_append((inst, op_id))
-                        else:
-                            inst.armed.add(op_id)
-                    del pending[:]
-                if fired == 0 and not progressed and not ready:
-                    idle_streak += 1
-                    if idle_streak >= wd_horizon and (
-                            not delayed or min(delayed) < cycles):
-                        # Either quiesced-but-live for the whole
-                        # horizon, or waiting on a load whose due
-                        # cycle already passed (stale bookkeeping):
-                        # wedged either way.
-                        metrics.cycles = cycles
-                        self._raise_deadlock(watchdog=idle_streak)
-                    if delayed:
-                        # Idle cycle waiting on in-flight loads.
-                        cycles += 1
-                        metrics.cycles = cycles
-                        live = livebox[0]
-                        if live > peak_live:
-                            peak_live = live
-                        live_sum += live
-                        if traces:
-                            ipc_append(0)
-                            live_append(live)
-                        continue
-                    if self._is_finished():
-                        completed = True
-                        break
-                    self._raise_deadlock()
-                else:
-                    idle_streak = 0
-                cycles += 1
-                if sync_cycles:
-                    metrics.cycles = cycles
-                instructions += fired
-                live = livebox[0]
-                if live > peak_live:
-                    peak_live = live
-                live_sum += live
-                if traces:
-                    ipc_append(fired)
-                    live_append(live)
-                if cycles >= max_cycles:
-                    raise SimulationError(
-                        f"exceeded max_cycles={self.max_cycles}"
-                    )
-        finally:
-            metrics.cycles = cycles
-            metrics.instructions = instructions
-            metrics._peak_live = peak_live
-            metrics._live_sum = live_sum
-        return completed
+        """The interpreter's cycle loop (the reference semantics):
+        issue, retire, fetch, deposit, then one metrics sample.
 
-    def _run_loop_profiled(self) -> bool:
-        """:meth:`_run_loop` with stall attribution.
-
-        Samples through :class:`MetricsRecorder` directly instead of
-        the locals-accumulation fast path; cycle/instruction totals
-        are identical, only host speed differs.
+        Samples through :class:`MetricsRecorder`; the generated kernel
+        keeps its metrics in locals instead, with identical totals.
         """
         prof = self._profiler
-        end_cycle = prof.end_cycle
-        fire_rec = prof.fire
+        prof_fire = None if prof is None else prof.fire
         metrics = self.metrics
         sample = metrics.sample
         livebox = self._livebox
@@ -448,9 +268,14 @@ class WindowEngine:
                     inst.fires[op_id](inst)
                     fired += 1
                     budget -= 1
-                    fire_rec((inst.plan.name, op_id))
+                    if prof_fire is not None:
+                        prof_fire((inst.plan.name, op_id))
                 width_limited = budget == 0 and bool(ready)
             # Retire completed head-of-window slices, in fetch order.
+            # An op's "not pending" status is monotone (outputs are
+            # write-once and a false guard stays false), so each
+            # in-flight entry ``[inst, slice ops, scan pos]`` re-checks
+            # only from its scan position.
             progressed = False
             while retire:
                 entry = retire[0]
@@ -482,14 +307,25 @@ class WindowEngine:
                     break
                 progressed = True
                 fc -= 1
-            # Deposit: matured loads, then this cycle's tokens.
+            # Deposit: matured loads, then this cycle's tokens.  The
+            # one-cycle buffer is what keeps values fired at cycle N
+            # invisible until N+1.  Each token carries its consumer
+            # descriptor ``c = (op_id, port, kind, n_ports,
+            # slice_index, merge_lit)``
+            # (:attr:`repro.sim.window.plan.BlockPlan.consumers`).
             if delayed:
                 matured = delayed.pop(metrics.cycles, None)
                 if matured:
+                    # Progress: the head slice may retire its now-fired
+                    # LOAD next cycle, so this cycle is not a quiesced
+                    # machine.
                     progressed = True
                     for inst, key, value in matured:
                         publish(inst, key, value)
             if pending:
+                # Deposits never publish, so nothing appends to
+                # ``pending`` while it drains; iterate in place and
+                # clear.
                 for inst, c, value in pending:
                     op_id = c[0]
                     wait = inst.wait
@@ -518,16 +354,23 @@ class WindowEngine:
                 if idle_streak >= wd_horizon and (
                         not delayed
                         or min(delayed) < metrics.cycles):
+                    # Either quiesced-but-live for the whole horizon,
+                    # or waiting on a load whose due cycle already
+                    # passed (stale bookkeeping): wedged either way.
                     self._raise_deadlock(watchdog=idle_streak)
                 if delayed:
-                    # Idle cycle waiting on in-flight loads (the fast
-                    # loop skips the max_cycles check here; mirror it).
+                    # Idle cycle waiting on in-flight loads.  It skips
+                    # the max_cycles check, as the generated kernel
+                    # does, so both raise on the same cycle: the wait
+                    # is bounded by the load's delay and the next
+                    # productive cycle checks the budget.
                     sample(0, livebox[0])
-                    if miss_until is None:
-                        end_cycle("memory_stall")
-                    else:
-                        prof.end_cycle_memory(
-                            metrics.cycles <= miss_until[0])
+                    if prof is not None:
+                        if miss_until is None:
+                            prof.end_cycle("memory_stall")
+                        else:
+                            prof.end_cycle_memory(
+                                metrics.cycles <= miss_until[0])
                     continue
                 if self._is_finished():
                     return True
@@ -535,18 +378,20 @@ class WindowEngine:
             else:
                 idle_streak = 0
             sample(fired, livebox[0])
-            if fired:
-                end_cycle("width_limited" if width_limited else "fired")
-            elif delayed:
-                if miss_until is None:
-                    end_cycle("memory_stall")
+            if prof is not None:
+                if fired:
+                    prof.end_cycle("width_limited" if width_limited
+                                   else "fired")
+                elif delayed:
+                    if miss_until is None:
+                        prof.end_cycle("memory_stall")
+                    else:
+                        prof.end_cycle_memory(
+                            metrics.cycles <= miss_until[0])
+                elif livebox[0] > 0:
+                    prof.end_cycle("waiting_operands")
                 else:
-                    prof.end_cycle_memory(
-                        metrics.cycles <= miss_until[0])
-            elif livebox[0] > 0:
-                end_cycle("waiting_operands")
-            else:
-                end_cycle("idle")
+                    prof.end_cycle("idle")
             if metrics.cycles >= max_cycles:
                 raise SimulationError(
                     f"exceeded max_cycles={self.max_cycles}"
@@ -756,7 +601,7 @@ class WindowEngine:
 
             if self._cache is not None:
                 # Cache mode: the probe decides the delay; the miss
-                # box lets the profiled loop split memory stalls into
+                # box lets a profiled run split memory stalls into
                 # hit vs. last-level-miss cycles.
                 publish = self._publish
                 cache_load = self._cache.access_load
@@ -1004,7 +849,7 @@ class WindowEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Retirement (the retire loop itself is inlined in :meth:`run`)
+    # Retirement (the retire loop itself is inlined in :meth:`_run_loop`)
     # ------------------------------------------------------------------
     def _maybe_release(self, inst: _Instance) -> None:
         # Pending subscriptions keep the object alive through Python

@@ -51,7 +51,7 @@ def _wedged_engine(max_cycles):
     # shape a due-cycle bookkeeping bug produces).
     eng._ready.append((0, -1, 0))
     eng._livebox[0] = 1
-    eng._run_cycle = lambda: 0
+    eng._run_cycle = lambda: (0, False, False)
     return eng
 
 
