@@ -238,11 +238,14 @@ def precompile_specs(specs: Sequence[RunSpec],
             ensure(compiled, "flat", "flat")
         # Generated kernels: build them (and compile their shapes) in
         # the parent so forked workers inherit the bound tables and
-        # the warm shape memo through copy-on-write.
+        # the warm shape memo through copy-on-write; profiled specs
+        # also get the profiled variant.
         if spec.codegen:
             family = KERNEL_FAMILY.get(spec.machine)
             if family is not None:
-                compiled.kernels(family)
+                kernels = compiled.kernels(family)
+                if dict(spec.config).get("profile"):
+                    kernels.profiled()
 
 
 def run_one(spec: RunSpec) -> ExecutionResult:

@@ -197,10 +197,11 @@ class CompiledWorkload:
         ``result.extra["cache"]``.
 
         ``codegen=True`` (the default) dispatches through the
-        generated plan kernels (:mod:`repro.sim.codegen`); profiled,
-        traced, and occupancy-tracked runs always fall back to the
-        closure interpreters, which carry those hooks.  Metrics are
-        bit-identical either way.
+        generated plan kernels (:mod:`repro.sim.codegen`), profiled
+        runs through their profiled variant; traced and
+        occupancy-tracked runs always fall back to the closure
+        interpreters, which carry those hooks.  Metrics and profiles
+        are bit-identical either way.
 
         ``max_cycles`` bounds *simulated* cycles, which does not help
         against a slow host or an engine bug that stops the cycle
@@ -221,8 +222,7 @@ class CompiledWorkload:
                     "hash-based load-delay model"
                 )
             cache_model = CacheModel(CacheConfig.coerce(cache), memory)
-        use_codegen = codegen and not (profile or record_trace
-                                       or track_occupancy)
+        use_codegen = codegen and not (record_trace or track_occupancy)
         kernels = (self.kernels(KERNEL_FAMILY[machine])
                    if use_codegen and machine in KERNEL_FAMILY
                    else None)

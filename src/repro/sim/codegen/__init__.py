@@ -5,7 +5,14 @@ flat function per static node's firing rule plus a fused cycle loop
 per engine family -- and lets the engines dispatch through those
 kernels instead of the generic dispatch closures. The closure
 interpreters remain the bit-identical reference semantics (and the
-only path for traced/occupancy/profiled runs).
+only path for traced and occupancy-tracked runs).
+
+Profiled runs use the kernels too. Profiling is a generation-time
+flag: a program's profiled variant books the stall taxonomy in its
+cycle loop (tagged, flat, window; the node rows are the plain ones)
+or in its whole-block shapes (vector). It is generated and compiled
+on the first profiled bind (:meth:`KernelModule.profiled`), so an
+unprofiled run builds nothing for it.
 
 Families and their inputs:
 

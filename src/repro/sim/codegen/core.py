@@ -22,6 +22,13 @@ rebuilding the kernels of a program whose shapes are all known calls
 ``compile()`` zero times. Each family's cycle loop is a shape too, one
 per variant (which firing-rule kinds the plan contains).
 
+Profiling is a generation-time flag: every table can generate its
+program's *profiled* variant (a cycle loop that also books the stall
+taxonomy, or profiled whole-block shapes for the vector family). It is
+generated and compiled on the first profiled bind
+(:meth:`KernelModule.profiled`), so an unprofiled run never builds
+one.
+
 This module holds what the generators share:
 
 * :class:`Writer` -- tiny indentation-aware source emitter;
@@ -32,10 +39,13 @@ This module holds what the generators share:
   operators (``DIV``/``MOD`` keep their checked evaluator calls);
 * :func:`kernel_source` / :func:`compile_kernels` /
   :class:`KernelModule` -- table plus not-yet-compiled shape source,
-  the once-per-shape compile, and the data-driven binder.
+  the once-per-shape compile, and the data-driven binder;
+* :class:`ProfiledLoop` -- the stall-attribution lines a profiled
+  cycle loop adds (tagged, flat and window share them).
 
 Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each program's shape
-sources and node table to ``<dir>/<family>-<fingerprint12>.py``.
+sources and node table to ``<dir>/<family>-<fingerprint12>.py``
+(``...-profiled.py`` for the profiled variant).
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import SimulationError, TokenBoundExceeded
 from repro.ir.ops import Op
 from repro.sim.latency import load_delay
+from repro.sim.profile import STALL_REASONS
 from repro.sim.watchdog import watchdog_horizon
 
 #: Environment variable naming a directory to dump generated source to.
@@ -178,6 +189,121 @@ def loop_text(w: Writer) -> str:
     return "def kernel(E):\n" + "\n".join(w._lines) + "\n"
 
 
+class ProfiledLoop:
+    """The stall attribution a profiled cycle loop adds, emitted into
+    ``w``; every method emits nothing unless ``on``.
+
+    It books exactly what the interpreter loop books through
+    :class:`~repro.sim.profile.EngineProfiler` calls, with the reasons
+    in per-reason locals (added to ``stall_cycles`` in the loop's
+    ``finally``, so a raising run leaves the same counts) and each
+    busy cycle split over the keys the loop noted, in the profiler's
+    float order. Batched memory stalls still go through the profiler:
+    they are one call per stall, not per cycle.
+    """
+
+    def __init__(self, w: Writer, on: bool) -> None:
+        self.w = w
+        self.on = on
+
+    def setup(self) -> None:
+        """Bind the profiler's tables (before the loop's ``try``)."""
+        if not self.on:
+            return
+        w = self.w
+        w("prof = E._profiler")
+        w("prof_fired = prof.node_fired")
+        w("prof_fired_get = prof_fired.get")
+        w("prof_cycles = prof.node_cycles")
+        w("prof_cycles_get = prof_cycles.get")
+        w("prof_split = prof.memory_stall_split")
+        w("prof_nodes = []")
+        w("prof_note = prof_nodes.append")
+        w("miss_until = E._miss_until if E._cache is not None else None")
+        for reason in STALL_REASONS:
+            w(f"n_{reason} = 0")
+
+    def note(self, key: str) -> None:
+        """One firing of static node ``key`` this cycle."""
+        if self.on:
+            self.w(f"prof_note({key})")
+
+    def close(self, width_limited: str,
+              *zero_fire: Tuple[Optional[str], str]) -> None:
+        """Close a sampled cycle. One that fired is ``width_limited``
+        (an expression) or ``fired``, and its cycle is split evenly
+        over the noted keys; one that fired nothing takes the reason
+        of the first ``(condition, reason)`` whose condition holds
+        (None: always), in the interpreter's priority order."""
+        if not self.on:
+            return
+        w = self.w
+        w("if fired:")
+        w(f"    if {width_limited}:")
+        w("        n_width_limited += 1")
+        w("    else:")
+        w("        n_fired += 1")
+        w("    prof_share = 1.0 / len(prof_nodes)")
+        w("    for prof_key in prof_nodes:")
+        w("        prof_fired[prof_key] = prof_fired_get(prof_key, 0) + 1")
+        w("        prof_cycles[prof_key] = (prof_cycles_get(prof_key, 0.0)")
+        w("                                 + prof_share)")
+        w("    del prof_nodes[:]")
+        for condition, reason in zero_fire:
+            w("else:" if condition is None else f"elif {condition}:")
+            w.indent()
+            if reason == "memory_stall":
+                self.memory_cycle()
+            else:
+                w(f"n_{reason} += 1")
+            w.dedent()
+
+    def memory_cycle(self) -> None:
+        """Close a zero-fire cycle with loads in flight; in cache mode
+        it is a miss while the miss box covers it, else a hit."""
+        if not self.on:
+            return
+        w = self.w
+        w("n_memory_stall += 1")
+        w("if miss_until is not None:")
+        w("    prof_key = 'miss' if cycles <= miss_until[0] else 'hit'")
+        w("    prof_split[prof_key] = prof_split.get(prof_key, 0) + 1")
+
+    def stall_begin(self) -> None:
+        """Mark the cycle a batched memory stall starts at."""
+        if self.on:
+            self.w("prof_before = cycles")
+
+    def stall_end(self) -> None:
+        """Book the cycles the batched stall skipped, split at the
+        miss box in cache mode."""
+        if not self.on:
+            return
+        w = self.w
+        w("prof_n = cycles - prof_before")
+        w("if miss_until is None:")
+        w("    prof.idle('memory_stall', prof_n)")
+        w("else:")
+        w("    prof_miss = min(cycles, miss_until[0]) - prof_before")
+        w("    prof.idle_memory(prof_n, max(0, min(prof_n, prof_miss)))")
+
+    def commit(self) -> None:
+        """Add the per-reason counts (in the loop's ``finally``)."""
+        if not self.on:
+            return
+        self.w("prof_stalls = prof.stall_cycles")
+        for reason in STALL_REASONS:
+            self.w(f"prof_stalls[{reason!r}] += n_{reason}")
+
+
+def move_miss_box(w: Writer) -> None:
+    """A cache-probe load's miss-box update, as in every interpreter's
+    cached load: a full miss keeps the cycles up to its due cycle
+    booked as miss stalls (reads ``delay`` and ``due``)."""
+    w("if delay >= miss_latency and due + 1 > miss_until[0]:")
+    w("    miss_until[0] = due + 1")
+
+
 #: Inline expression templates for pure opcodes. ``{0}``/``{1}``/``{2}``
 #: are the operand expressions in port order. Each template is exactly
 #: equivalent to the evaluator in :data:`repro.ir.ops._PURE` (e.g.
@@ -235,18 +361,23 @@ class KernelTable:
     node's constants as a tuple, and a label for dumps. ``loop`` is
     the cycle-loop shape text (None for the vector family); ``layout``
     is family data the binder needs; ``bind(module, engine)`` is the
-    family's binder.
+    family's binder. ``profile`` generates the program's profiled
+    table; it is None on that table itself, which holds no rows when
+    only the cycle loop differs.
     """
 
-    __slots__ = ("family", "rows", "loop", "layout", "bind")
+    __slots__ = ("family", "rows", "loop", "layout", "bind", "profile")
 
     def __init__(self, family: str, bind: Callable,
-                 loop: Optional[str] = None, layout=None) -> None:
+                 loop: Optional[str] = None, layout=None,
+                 profile: Optional[Callable[[], "KernelTable"]] = None
+                 ) -> None:
         self.family = family
         self.rows: List[tuple] = []
         self.loop = loop
         self.layout = layout
         self.bind = bind
+        self.profile = profile
 
     def add(self, variants, consts: Consts, label: str) -> None:
         self.rows.append((variants, tuple(consts.values), label))
@@ -314,8 +445,9 @@ def dump_kernel_source(table: KernelTable,
                      f"{consts!r}),")
     lines.append("]")
     os.makedirs(directory, exist_ok=True)
+    suffix = "" if table.profile is not None else "-profiled"
     path = os.path.join(directory,
-                        f"{table.family}-{fingerprint[:12]}.py")
+                        f"{table.family}-{fingerprint[:12]}{suffix}.py")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -326,12 +458,14 @@ class KernelModule:
 
     ``rows`` are the table's rows with shape texts replaced by code
     objects; engines call :meth:`bind` at construction and dispatch
-    their cycle loop through :attr:`run_loop`.
+    their cycle loop through :attr:`run_loop`. A profiling engine
+    binds :meth:`profiled` instead.
     """
 
-    __slots__ = ("rows", "layout", "run_loop", "_bind", "__weakref__")
+    __slots__ = ("rows", "layout", "run_loop", "_bind", "_profile",
+                 "_profiled", "_fingerprint", "__weakref__")
 
-    def __init__(self, table: KernelTable) -> None:
+    def __init__(self, table: KernelTable, fingerprint: str) -> None:
         shapes = _SHAPES
         self.rows = [
             (tuple((shapes[text], refs) for text, refs in variants),
@@ -343,10 +477,28 @@ class KernelModule:
                          FunctionType(shapes[table.loop], GLOBALS,
                                       "run_loop"))
         self._bind = table.bind
+        self._profile = table.profile
+        self._profiled: Optional[KernelModule] = None
+        self._fingerprint = fingerprint
 
     def bind(self, engine):
         """Per-node (or per-block) functions for one live engine."""
         return self._bind(self, engine)
+
+    def profiled(self) -> "KernelModule":
+        """The profiled variant of these kernels (itself if it is
+        one), generated and compiled on first use and kept here."""
+        if self._profile is None:
+            return self
+        if self._profiled is None:
+            table = self._profile()
+            mod = compile_kernels(kernel_source(table), table.family,
+                                  self._fingerprint)
+            if not table.rows:
+                # Only the cycle loop differs: bind the same rows.
+                mod.rows, mod.layout = self.rows, self.layout
+            self._profiled = mod
+        return self._profiled
 
 
 def compile_kernels(source: KernelSource, family: str,
@@ -361,7 +513,7 @@ def compile_kernels(source: KernelSource, family: str,
         exec(code, {"new": fns.append})
         for text, fn in zip(source.new, fns):
             _SHAPES[text] = fn.__code__
-    return KernelModule(table)
+    return KernelModule(table, fingerprint)
 
 
 def timing_rule(engine) -> int:
@@ -382,6 +534,7 @@ def memory_env(engine) -> Dict[str, object]:
         "load_delay": load_delay,
         "cache_load": cache.access_load if cache is not None else None,
         "cache_store": cache.access_store if cache is not None else None,
+        "miss_latency": cache.miss_latency if cache is not None else 0,
     }
 
 

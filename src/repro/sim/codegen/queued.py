@@ -14,6 +14,9 @@ of the window engine's interpreted loop). ``metrics.cycles`` is
 synchronized every cycle when ``load_latency > 1`` because the load
 firing rules and ``_deliver_memory_responses`` read it, and committed
 / reloaded around ``_stall_for_memory`` (which mutates the recorder).
+Its profiled variant also notes each firing's node id and books every
+cycle to a stall reason, as the interpreter loop does; it binds the
+same node rows.
 
 Bit-identical to the closure interpreter by construction; the golden
 records and the differential fuzz suite pin it.
@@ -21,6 +24,7 @@ records and the differential fuzz suite pin it.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import List
 
 from repro.compiler.flatten import FlatGraph
@@ -28,11 +32,13 @@ from repro.ir.ops import OP_INFO, Op
 from repro.sim.codegen.core import (
     Consts,
     KernelTable,
+    ProfiledLoop,
     Shape,
     Writer,
     bind_rows,
     loop_text,
     memory_env,
+    move_miss_box,
     one_rule,
     pure_expr,
     timing_rule,
@@ -280,7 +286,7 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
         node.push(fast, 1, "0")
         fast("return True")
 
-        def delayed(b: Shape, delay: str) -> None:
+        def delayed(b: Shape, delay: str, miss_box: bool) -> None:
             issue(b)
             lid = node.node_id()
             b(f"delay = {delay}")
@@ -294,6 +300,8 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
             b("else:")
             b.indent()
             b("due = metrics.cycles + delay - 1")
+            if miss_box:
+                move_miss_box(b)
             b(f"queue = inflight.get({lid})")
             b("if queue is None:")
             b.indent()
@@ -312,13 +320,14 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
             b("return True")
 
         var = node.shape()
-        delayed(var, f"load_delay(latency, {arr}, a0)")
-        # Cache mode: the probe decides the delay, the in-flight
-        # plumbing is identical to the variable-latency rule.
+        delayed(var, f"load_delay(latency, {arr}, a0)", False)
+        # Cache mode: the probe decides the delay and moves the miss
+        # box; the in-flight plumbing is the variable-latency rule's.
         cached = node.shape()
-        delayed(cached, f"cache_load({arr}, a0)")
+        delayed(cached, f"cache_load({arr}, a0)", True)
         table.add((node.finish(cached, "mem_load", "inflight", "metrics",
-                               "cache_load", "due_box"),
+                               "cache_load", "due_box", "miss_latency",
+                               "miss_until"),
                    node.finish(fast, "mem_load"),
                    node.finish(var, "mem_load", "inflight", "metrics",
                                "latency", "load_delay", "due_box")),
@@ -425,23 +434,30 @@ def bind(module, E) -> list:
         "inflight": E._inflight,
         "due_box": E._due_box,
         "mu": E._mu_state,
+        "miss_until": E._miss_until,
     })
     return bind_rows(module.rows, env, timing_rule(E))
 
 
-def generate(graph: FlatGraph) -> KernelTable:
-    """The kernel table of ``graph``."""
+def generate(graph: FlatGraph, profiled: bool = False) -> KernelTable:
+    """The kernel table of ``graph``; ``profiled``, just the profiled
+    cycle loop (the node rows are the plain ones)."""
+    if profiled:
+        return KernelTable("flat", bind, run_loop(True))
     stride = max((nd.n_inputs for nd in graph.nodes),
                  default=1) or 1
-    table = KernelTable("flat", bind, _RUN_LOOP)
+    table = KernelTable("flat", bind, run_loop(),
+                        profile=partial(generate, graph, True))
     for nid in range(len(graph.nodes)):
         _node(table, graph, nid, stride)
     return table
 
 
-def run_loop() -> str:
-    """The cycle-loop shape."""
+@lru_cache(maxsize=None)  # two variants
+def run_loop(profiled: bool = False) -> str:
+    """The cycle-loop shape, profiled or not."""
     w = Writer()
+    p = ProfiledLoop(w, profiled)
     w.indent()
     w('"""The engine cycle loop with MetricsRecorder.sample inlined')
     w('into frame locals (committed back in the finally)."""')
@@ -473,6 +489,7 @@ def run_loop() -> str:
     w("instructions = metrics.instructions")
     w("peak_live = metrics._peak_live")
     w("live_sum = metrics._live_sum")
+    p.setup()
     w("try:")
     w.indent()
     w("while True:")
@@ -538,6 +555,8 @@ def run_loop() -> str:
     w("                 default=maxsize)")
     w.dedent()
     w("fired = 0")
+    if profiled:
+        w("width_limited = False")
     # When the issue width covers every candidate the budget can
     # never run out mid-scan (it only decrements on fires), so the
     # common wide-issue case skips the budget bookkeeping entirely.
@@ -549,6 +568,7 @@ def run_loop() -> str:
     w.indent()
     w("fired += 1")
     w("nc_add(nid)")
+    p.note("nid")
     w.dedent()
     w.dedent()
     w.dedent()
@@ -560,12 +580,15 @@ def run_loop() -> str:
     w("if budget == 0:")
     w.indent()
     w("nc_add(nid)")
+    if profiled:
+        w("width_limited = True")
     w.dedent()
     w("elif try_fns[nid]():")
     w.indent()
     w("fired += 1")
     w("budget -= 1")
     w("nc_add(nid)")
+    p.note("nid")
     w.dedent()
     w.dedent()
     w.dedent()
@@ -581,6 +604,7 @@ def run_loop() -> str:
     w("metrics.instructions = instructions")
     w("metrics._peak_live = peak_live")
     w("metrics._live_sum = live_sum")
+    p.stall_begin()
     w("try:")
     w.indent()
     w("stall()")
@@ -591,6 +615,7 @@ def run_loop() -> str:
     w("peak_live = metrics._peak_live")
     w("live_sum = metrics._live_sum")
     w.dedent()
+    p.stall_end()
     w("continue")
     w.dedent()
     w("if livebox[0] == 0:")
@@ -602,6 +627,8 @@ def run_loop() -> str:
     w("live = livebox[0]")
     w("cycles += 1")
     w("instructions += fired")
+    p.close("width_limited", ("not inflight", "waiting_operands"),
+            (None, "memory_stall"))
     w("if fired:")
     w.indent()
     w("idle_streak = 0")
@@ -663,8 +690,6 @@ def run_loop() -> str:
     w("metrics.ipc_trace._length = cycles")
     w("metrics.live_trace._length = cycles")
     w.dedent()
+    p.commit()
     w.dedent()
     return loop_text(w)
-
-
-_RUN_LOOP = run_loop()

@@ -12,7 +12,10 @@ tag pools are runtime refs bound from the live engine by :func:`bind`.
 The cycle loop is ``_run_cycle``, ``_apply_pending`` and
 ``_drain_pending_fast`` fused into one frame, specialized to the
 firing-rule kinds the graph contains (graphs without allocate/free/
-merge nodes drop those branches): one loop shape per variant.
+merge nodes drop those branches): one loop shape per variant. Its
+profiled variant also notes each firing's node id, books every cycle
+to a stall reason in the interpreter's priority order and attributes
+batched memory stalls; it binds the same node rows.
 
 The generated code must stay *bit-identical* to the closure
 interpreter: every livebox delta, deposit ordering, and exception
@@ -22,7 +25,7 @@ and the differential fuzz suite pin this.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import List, Tuple
 
 from repro.compiler.graph import TaggedGraph
@@ -30,11 +33,13 @@ from repro.ir.ops import OP_INFO, Op
 from repro.sim.codegen.core import (
     Consts,
     KernelTable,
+    ProfiledLoop,
     Shape,
     Writer,
     bind_rows,
     loop_text,
     memory_env,
+    move_miss_box,
     one_rule,
     pure_expr,
     timing_rule,
@@ -134,7 +139,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         d0, d1 = _dests(consts, edges[0]), _dests(consts, edges[1])
         n = len(d0) + len(d1)
 
-        def delayed(s: Shape, delay: str) -> None:
+        def delayed(s: Shape, delay: str, miss_box: bool) -> None:
             consume(s)
             s(f"addr = {addr}")
             s(f"value = mem_load({arr}, addr)")
@@ -149,6 +154,8 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
             s("else:")
             s.indent()
             s("due = metrics.cycles + delay - 1")
+            if miss_box:
+                move_miss_box(s)
             s("bucket = delayed.get(due)")
             s("if bucket is None:")
             s.indent()
@@ -159,8 +166,11 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
             s.dedent()
             credit(s, n)
 
-        cached = shape("mem_load", "metrics", "delayed", "cache_load")
-        delayed(cached, f"cache_load({arr}, addr)")
+        # A cache probe also moves the miss box, as the interpreter's
+        # cached load does.
+        cached = shape("mem_load", "metrics", "delayed", "cache_load",
+                       "miss_latency", "miss_until")
+        delayed(cached, f"cache_load({arr}, addr)", True)
         fast = shape("mem_load")
         consume(fast)
         fast(f"value = mem_load({arr}, {addr})")
@@ -169,7 +179,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         credit(fast, n)
         var = shape("mem_load", "metrics", "delayed", "latency",
                     "load_delay")
-        delayed(var, f"load_delay(latency, {arr}, addr)")
+        delayed(var, f"load_delay(latency, {arr}, addr)", False)
         table.add((cached.variant(), fast.variant(), var.variant()),
                   consts, label)
         return
@@ -317,25 +327,32 @@ def bind(module, E) -> list:
         "delayed": E._delayed,
         "dirty": E._dirty_pools,
         "free_pool": E._free_pool,
+        "miss_until": E._miss_until,
     })
     return bind_rows(module.rows, env, timing_rule(E))
 
 
-def generate(graph: TaggedGraph) -> KernelTable:
-    """The kernel table of ``graph``."""
+def generate(graph: TaggedGraph, profiled: bool = False) -> KernelTable:
+    """The kernel table of ``graph``; ``profiled``, just the profiled
+    cycle loop (the node rows are the plain ones)."""
     ops = {nd.op for nd in graph.nodes}
-    table = KernelTable("tagged", bind,
-                        run_loop(Op.ALLOCATE in ops, Op.MERGE in ops,
-                                 Op.FREE in ops))
+    kinds = (Op.ALLOCATE in ops, Op.MERGE in ops, Op.FREE in ops)
+    if profiled:
+        return KernelTable("tagged", bind, run_loop(*kinds, True))
+    table = KernelTable("tagged", bind, run_loop(*kinds),
+                        profile=partial(generate, graph, True))
     for nid in range(len(graph.nodes)):
         _node(table, graph, nid)
     return table
 
 
-@lru_cache(maxsize=None)  # at most eight variants
-def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
-    """The cycle-loop shape for one combination of firing-rule kinds."""
+@lru_cache(maxsize=None)  # at most sixteen variants
+def run_loop(has_alloc: bool, has_merge: bool, has_free: bool,
+             profiled: bool = False) -> str:
+    """The cycle-loop shape for one combination of firing-rule kinds,
+    profiled or not."""
     w = Writer()
+    p = ProfiledLoop(w, profiled)
     w.indent()
     w('"""The engine cycle loop with _run_cycle, _apply_pending and')
     w('_drain_pending_fast fused into one frame."""')
@@ -375,6 +392,7 @@ def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
     w("instructions = metrics.instructions")
     w("peak_live = metrics._peak_live")
     w("live_sum = metrics._live_sum")
+    p.setup()
     w("try:")
     w.indent()
     w("while True:")
@@ -387,6 +405,7 @@ def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
     w("metrics.instructions = instructions")
     w("metrics._peak_live = peak_live")
     w("metrics._live_sum = live_sum")
+    p.stall_begin()
     w("try:")
     w.indent()
     w("E._stall_for_memory()")
@@ -397,6 +416,7 @@ def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
     w("peak_live = metrics._peak_live")
     w("live_sum = metrics._live_sum")
     w.dedent()
+    p.stall_end()
     w("continue")
     w.dedent()
     w("if E._is_finished():")
@@ -409,6 +429,8 @@ def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
     w.dedent()
     w("fired = 0")
     w("budget = issue_width")
+    if profiled:
+        w("tag_blocked = False")
     w("while ready and budget > 0:")
     w.indent()
     w("nid, tag, action = popleft()")
@@ -418,6 +440,7 @@ def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
         w("fire_fns[nid](tag)")
         w("fired += 1")
         w("budget -= 1")
+        p.note("nid")
         w.dedent()
         w("elif action == 1:")
         w.indent()
@@ -425,19 +448,28 @@ def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
         w.indent()
         w("fired += 1")
         w("budget -= 1")
+        p.note("nid")
         w.dedent()
+        if profiled:
+            w("else:")
+            w("    tag_blocked = True")
         w.dedent()
         w("else:")
         w.indent()
         w("fire_alloc_ctl(nid, tag)")
         w("fired += 1")
         w("budget -= 1")
+        p.note("nid")
         w.dedent()
     else:
         w("fire_fns[nid](tag)")
         w("fired += 1")
         w("budget -= 1")
+        p.note("nid")
     w.dedent()
+    if profiled:
+        # Read before the deposits below refill the ready queue.
+        w("width_limited = budget == 0 and bool(ready)")
     w("matured = delayed.pop(cycles, None) if delayed else None")
     w("if matured:")
     w.indent()
@@ -506,6 +538,9 @@ def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
     w("live = livebox[0]")
     w("cycles += 1")
     w("instructions += fired")
+    p.close("width_limited", ("tag_blocked", "tag_starved"),
+            ("live > 0 or pending or delayed", "waiting_operands"),
+            (None, "idle"))
     w("if fired:")
     w.indent()
     w("idle_streak = 0")
@@ -573,5 +608,6 @@ def run_loop(has_alloc: bool, has_merge: bool, has_free: bool) -> str:
     w("metrics.ipc_trace._length = cycles")
     w("metrics.live_trace._length = cycles")
     w.dedent()
+    p.commit()
     w.dedent()
     return loop_text(w)

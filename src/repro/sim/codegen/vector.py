@@ -20,12 +20,17 @@ variable-latency loads fast-forward their stall through the
 vector-vs-scalar at generation time (``classify_loop`` is a pure
 function of the program).
 
-Profiled runs never bind kernels (the profiler wraps the interpreter's
-per-op ticks), so generated ticks are always the plain recorder.
+Profiling is a generation-time flag here too: the profiled variant's
+ticked shapes follow each op's tick by booking one ``fired`` cycle to
+that op under the interpreter's label ``op@block#id``, straight into
+the profiler's tables. Silent shapes are the same in both variants;
+vector-loop timing and the scalar-load stall are engine methods the
+kernels share with the interpreter, and both already profile.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
@@ -48,11 +53,15 @@ class _Block:
     """One block's constants, shared by its timing variants: each
     (item, role) is named once, whichever variant names it first, and
     each env slot once (a block names a slot many times, and every
-    parameter costs a copy per call)."""
+    parameter costs a copy per call). ``profiled`` blocks book each
+    ticked op to the profiler."""
 
-    def __init__(self, program: ContextProgram, plans) -> None:
+    def __init__(self, program: ContextProgram, plans, name: str,
+                 profiled: bool = False) -> None:
         self.program = program
         self.plans = plans
+        self.name = name
+        self.profiled = profiled
         self.consts = Consts()
 
     def const(self, item, role: object, value: object) -> str:
@@ -114,7 +123,7 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             b.ref("mem_load")
             if mode in ("ticked_var", "ticked_cache"):
                 b.ref("stall")
-                b("tick(1, live)")
+                _tick(b, blk, item)
                 b(f"index = {ins(0)}")
                 b(f"{outs(0)} = mem_load({arr}, index)")
                 b(f"{outs(1)} = 0")
@@ -134,7 +143,7 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
                 b.dedent()
             else:
                 if ticked:
-                    b("tick(1, live)")
+                    _tick(b, blk, item)
                 b(f"{outs(0)} = mem_load({arr}, {ins(0)})")
                 b(f"{outs(1)} = 0")
             continue
@@ -143,7 +152,7 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             arr = blk.const(item, "array", item.attrs["array"])
             b.ref("mem_store")
             if ticked:
-                b("tick(1, live)")
+                _tick(b, blk, item)
             b(f"mem_store({arr}, {ins(0)}, {ins(1)})")
             if mode == "ticked_cache":
                 b.ref("cache_store")
@@ -155,14 +164,14 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             # Pass-through of the value operand (control is resolved
             # by the region tree).
             if ticked:
-                b("tick(1, live)")
+                _tick(b, blk, item)
             b(f"{outs(0)} = {ins(1)}")
             b(f"{outs(1)} = 0")
             continue
 
         if op is Op.MERGE:
             if ticked:
-                b("tick(1, live)")
+                _tick(b, blk, item)
             b(f"{outs(0)} = ({ins(1)} if {ins(0)} else {ins(2)})")
             continue
 
@@ -179,8 +188,24 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             ev = blk.const(item, "ev", info.evaluate)
             expr = f"{ev}({', '.join(args)})"
         if ticked:
-            b("tick(1, live)")
+            _tick(b, blk, item)
         b(f"{outs(0)} = {expr}")
+
+
+def _tick(b: Shape, blk: _Block, item: VecOp) -> None:
+    """One ticked cycle of ``item``; in a profiled block also one
+    ``fired`` cycle booked to the op, as the interpreter's profiled
+    tick does."""
+    b("tick(1, live)")
+    if not blk.profiled:
+        return
+    key = blk.const(item, "key",
+                    f"{item.op.value}@{blk.name}#{item.op_id}")
+    for name in ("node_fired", "node_cycles", "stall_cycles"):
+        b.ref(name)
+    b(f"node_fired[{key}] = node_fired.get({key}, 0) + 1")
+    b(f"node_cycles[{key}] = node_cycles.get({key}, 0.0) + 1.0")
+    b("stall_cycles['fired'] += 1")
 
 
 def _emit_spawn(b: Shape, blk: _Block, item: VecOp, ticked: bool,
@@ -232,19 +257,24 @@ def _block_fn(blk: _Block, plan, mode: str) -> Shape:
 
 def bind(module, E) -> Tuple[dict, dict]:
     """The ``(ticked, silent)`` block tables for a live engine."""
-    cache = E._cache
     env = memory_env(E)
     env.update({
         "tick": E._tick,
         "stall": E._stall_scalar_load,
         "live": E._scalar_live,
-        "miss_latency": cache.miss_latency if cache is not None else 0,
         "plans": E.plans,
         "vector_info": E.vector_info,
         "exec_block": E._exec_block,
         "exec_vector": E._exec_vector_loop,
         "E": E,
     })
+    prof = E._profiler
+    if prof is not None:
+        env.update({
+            "node_fired": prof.node_fired,
+            "node_cycles": prof.node_cycles,
+            "stall_cycles": prof.stall_cycles,
+        })
     fns = iter(bind_rows(module.rows, env, timing_rule(E)))
     ticked: Dict[str, tuple] = {}
     silent: Dict[str, tuple] = {}
@@ -255,14 +285,18 @@ def bind(module, E) -> Tuple[dict, dict]:
     return ticked, silent
 
 
-def generate(program: ContextProgram) -> KernelTable:
-    """The kernel table of ``program``: a ticked row per block, then a
-    silent row for vectorizable loops; ``layout`` lists (block name,
-    has a silent row)."""
+def generate(program: ContextProgram,
+             profiled: bool = False) -> KernelTable:
+    """The kernel table of ``program`` (its profiled variant if
+    ``profiled``): a ticked row per block, then a silent row for
+    vectorizable loops; ``layout`` lists (block name, has a silent
+    row)."""
     plans = build_vec_plans(program)
-    table = KernelTable("vector", bind, layout=[])
+    table = KernelTable("vector", bind, layout=[],
+                        profile=(None if profiled
+                                 else partial(generate, program, True)))
     for name, plan in plans.items():
-        blk = _Block(program, plans)
+        blk = _Block(program, plans, name, profiled)
         label = f"block {name!r}"
         has_ld = _has_op(plan.items, Op.LOAD)
         if has_ld or _has_op(plan.items, Op.STORE):
@@ -278,7 +312,8 @@ def generate(program: ContextProgram) -> KernelTable:
         table.add(variants, blk.consts, label)
         has_silent = classify_loop(program.block(name)) is not None
         if has_silent:
-            silent = _block_fn(_Block(program, plans), plan, "silent")
+            silent = _block_fn(_Block(program, plans, name), plan,
+                               "silent")
             table.add(one_rule(silent.variant()), silent.consts,
                       label + " (vector body)")
         table.layout.append((name, has_silent))

@@ -12,7 +12,9 @@ time). :func:`bind` cuts the rows back into per-block tables.
 The cycle loop (one shape) is the engine's already-inlined loop with
 the per-cycle ``RLETrace.append`` bodies additionally inlined (both
 trace ``_length`` fields always equal the cycle count, so they are
-committed in the ``finally``).
+committed in the ``finally``). Its profiled variant also notes each
+firing's ``(block, op_id)`` and books every cycle to a stall reason,
+as the interpreter loop does; it binds the same op rows.
 
 Bit-identical to the closure interpreter by construction; the golden
 records and the differential fuzz suite pin it.
@@ -20,6 +22,7 @@ records and the differential fuzz suite pin it.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import Dict
 
 from repro.ir.ops import OP_INFO, Op
@@ -27,11 +30,13 @@ from repro.ir.program import ContextProgram
 from repro.sim.codegen.core import (
     Consts,
     KernelTable,
+    ProfiledLoop,
     Shape,
     Writer,
     bind_rows,
     loop_text,
     memory_env,
+    move_miss_box,
     one_rule,
     pure_expr,
     timing_rule,
@@ -201,9 +206,10 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
         fn.out(fast, 0, "value", d0)
         fn.out(fast, 1, "0", n1)
 
-        def delayed(b: Shape, delay: str) -> None:
+        def delayed(b: Shape, delay: str, miss_box: bool) -> None:
             # The delayed-bucket plumbing is identical for cache
-            # probes and the variable-latency hash.
+            # probes and the variable-latency hash; a probe also
+            # moves the miss box.
             fn.take(b)
             if n_t:
                 b(f"livebox[0] -= {n_t}")
@@ -218,6 +224,8 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
             b("else:")
             b.indent()
             b("due = metrics.cycles + delay - 1")
+            if miss_box:
+                move_miss_box(b)
             b("bucket = delayed.get(due)")
             b("if bucket is None:")
             b.indent()
@@ -228,11 +236,12 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
             b.dedent()
 
         cached = fn.shape()
-        delayed(cached, f"cache_load({arr}, addr)")
+        delayed(cached, f"cache_load({arr}, addr)", True)
         var = fn.shape()
-        delayed(var, f"load_delay(latency, {arr}, addr)")
+        delayed(var, f"load_delay(latency, {arr}, addr)", False)
         table.add((fn.finish(cached, "mem_load", "publish", "metrics",
-                             "delayed", "cache_load"),
+                             "delayed", "cache_load", "miss_latency",
+                             "miss_until"),
                    fn.finish(fast, "mem_load"),
                    fn.finish(var, "mem_load", "publish", "metrics",
                              "delayed", "latency", "load_delay")),
@@ -294,6 +303,7 @@ def bind(module, E) -> Dict[str, list]:
         "forward": E._forward,
         "publish": E._publish,
         "delayed": E._delayed,
+        "miss_until": E._miss_until,
     })
     fns = bind_rows(module.rows, env, timing_rule(E))
     tables = {}
@@ -304,22 +314,29 @@ def bind(module, E) -> Dict[str, list]:
     return tables
 
 
-def generate(program: ContextProgram) -> KernelTable:
+def generate(program: ContextProgram,
+             profiled: bool = False) -> KernelTable:
     """The kernel table of ``program``: every block's ops in plan
-    order; ``layout`` lists (block name, op count)."""
+    order; ``layout`` lists (block name, op count). ``profiled``, just
+    the profiled cycle loop (the op rows are the plain ones)."""
+    if profiled:
+        return KernelTable("window", bind, run_loop(True))
     plans = build_plans(program)
-    table = KernelTable("window", bind, _RUN_LOOP,
+    table = KernelTable("window", bind, run_loop(),
                         [(name, len(plan.ops))
-                         for name, plan in plans.items()])
+                         for name, plan in plans.items()],
+                        profile=partial(generate, program, True))
     for bplan in plans.values():
         for p in bplan.ops:
             _fire(table, bplan, p)
     return table
 
 
-def run_loop() -> str:
-    """The cycle-loop shape."""
+@lru_cache(maxsize=None)  # two variants
+def run_loop(profiled: bool = False) -> str:
+    """The cycle-loop shape, profiled or not."""
     w = Writer()
+    p = ProfiledLoop(w, profiled)
     w.indent()
     w('"""The engine cycle loop with metrics accumulated in locals and')
     w('RLETrace.append inlined."""')
@@ -358,11 +375,14 @@ def run_loop() -> str:
     w("instructions = metrics.instructions")
     w("peak_live = metrics._peak_live")
     w("live_sum = metrics._live_sum")
+    p.setup()
     w("try:")
     w.indent()
     w("while True:")
     w.indent()
     w("fired = 0")
+    if profiled:
+        w("width_limited = False")
     w("if ready:")
     w.indent()
     w("budget = issue_width")
@@ -372,7 +392,11 @@ def run_loop() -> str:
     w("inst.fires[op_id](inst)")
     w("fired += 1")
     w("budget -= 1")
+    p.note("(inst.plan.name, op_id)")
     w.dedent()
+    if profiled:
+        # Read before the deposits below refill the ready queue.
+        w("width_limited = budget == 0 and bool(ready)")
     w.dedent()
     w("progressed = False")
     w("while retire:")
@@ -491,6 +515,7 @@ def run_loop() -> str:
     w.indent()
     w("cycles += 1")
     w("metrics.cycles = cycles")
+    p.memory_cycle()
     w("live = livebox[0]")
     w("if live > peak_live:")
     w.indent()
@@ -538,6 +563,8 @@ def run_loop() -> str:
     w.dedent()
     w("instructions += fired")
     w("live = livebox[0]")
+    p.close("width_limited", ("delayed", "memory_stall"),
+            ("live > 0", "waiting_operands"), (None, "idle"))
     w("if live > peak_live:")
     w.indent()
     w("peak_live = live")
@@ -581,9 +608,7 @@ def run_loop() -> str:
     w("metrics.ipc_trace._length = cycles")
     w("metrics.live_trace._length = cycles")
     w.dedent()
+    p.commit()
     w.dedent()
     w("return completed")
     return loop_text(w)
-
-
-_RUN_LOOP = run_loop()

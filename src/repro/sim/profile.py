@@ -40,14 +40,17 @@ The taxonomy, in attribution priority order for zero-fired cycles:
 ``idle``
     Nothing fired and no tokens were live (drain/control-only cycles).
 
-Profiling is strictly opt-in and lives in the interpreters only. Each
-engine family has one interpreter cycle loop, which checks for a
-profiler once per cycle and calls a per-firing hook that is ``None``
-unless profiling (the vector engine binds a profiled tick into its
-step closures at construction instead). The generated kernels carry no
-hooks at all, so a profiled run always interprets; the default,
-kernel-driven path pays only the ``None`` test in the vector-loop
-timing that datapar kernels share with the interpreter.
+Profiling is strictly opt-in. A profiled run takes the profiled
+variant of the generated kernels (:mod:`repro.sim.codegen`), which
+books the same attribution into this profiler's tables with inline
+counters; profiling is a generation-time flag there, so unprofiled
+kernels carry no hooks at all. Each engine family's interpreter cycle
+loop stays the reference the profiled kernels are checked against: it
+checks for a profiler once per cycle and calls a per-firing hook that
+is ``None`` unless profiling (the vector engine binds a profiled tick
+into its step closures at construction instead). The default,
+unprofiled path pays only the ``None`` test in the vector-loop timing
+that datapar kernels share with the interpreter.
 """
 
 from __future__ import annotations

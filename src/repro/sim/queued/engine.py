@@ -70,9 +70,9 @@ class QueuedEngine:
         #: mode); bounds a profiled run's hit/miss stall split.
         self._miss_until: List[int] = [0]
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Opt-in stall attribution, driven by the interpreter loop (one
-        # check per cycle, a firing hook only when set); the generated
-        # kernels carry no hooks, so a profiled run always interprets.
+        # Opt-in stall attribution: booked by the profiled kernel
+        # variant, or by the interpreter loop (one check per cycle, a
+        # firing hook only when set) when it interprets.
         self._profiler = EngineProfiler() if profile else None
 
         n = len(graph.nodes)
@@ -131,10 +131,12 @@ class QueuedEngine:
             for nd in graph.nodes
         ]
         # Generated plan kernels (repro.sim.codegen) replace both the
-        # per-node closures and the cycle loop; profiled runs keep the
-        # interpreter because only it carries attribution hooks.
+        # per-node closures and the cycle loop; a profiled run binds
+        # their profiled variant.
         self._kernels = None
-        if kernels is not None and self._profiler is None:
+        if kernels is not None:
+            if self._profiler is not None:
+                kernels = kernels.profiled()
             self._kernels = kernels
             self._try_fire_fns: List[Callable[[], bool]] = kernels.bind(self)
         else:

@@ -100,10 +100,9 @@ class TaggedEngine:
         #: memory_stall attribution into hit/miss at this boundary.
         self._miss_until: List[int] = [0]
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        #: Opt-in stall/hotspot attribution, driven by the interpreter
-        #: loop (one check per cycle, a firing hook only when set);
-        #: the generated kernels carry no hooks, so a profiled run
-        #: always interprets.
+        #: Opt-in stall/hotspot attribution: booked by the profiled
+        #: kernel variant, or by the interpreter loop (one check per
+        #: cycle, a firing hook only when set) when it interprets.
         self._profiler = EngineProfiler() if profile else None
 
         self.pools: Dict[str, TagPool] = policy.build_pools(
@@ -198,10 +197,10 @@ class TaggedEngine:
         # at all; pending tokens are 4-tuples. The instrumented path
         # threads the producing event id through 5-tuples.
         self._instrumented = record_trace or track_occupancy
-        #: Generated plan kernels (repro.sim.codegen). Used only on
-        #: the uninstrumented, unprofiled fast path; every other
-        #: configuration falls back to the interpreted closures, which
-        #: remain the reference semantics.
+        #: Generated plan kernels (repro.sim.codegen), profiled when
+        #: profiling. Used on every uninstrumented run; traced and
+        #: occupancy-tracked runs fall back to the interpreted
+        #: closures, which remain the reference semantics.
         self._kernels = None
         if self._instrumented:
             self._drain = self._drain_pending_instr
@@ -213,7 +212,9 @@ class TaggedEngine:
         else:
             self._drain = self._drain_pending_fast
             self._emit = self._emit_fast
-            if kernels is not None and self._profiler is None:
+            if kernels is not None:
+                if self._profiler is not None:
+                    kernels = kernels.profiled()
                 self._kernels = kernels
                 self._fire_fns = kernels.bind(self)
             else:

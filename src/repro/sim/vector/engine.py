@@ -86,7 +86,8 @@ class DataParallelEngine:
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
         # Must be set before the closure compilation below: ticked
         # step closures bind either the plain or the profiled tick at
-        # construction, so scalar steps carry no profiling branches.
+        # construction, and a profiled run binds the profiled kernel
+        # variant, so scalar steps carry no profiling branches.
         self._profiler = EngineProfiler() if profile else None
         self.vector_info: Dict[str, Optional[VectorInfo]] = {
             name: classify_loop(block)
@@ -106,9 +107,10 @@ class DataParallelEngine:
         #: block name -> silent step closures (vector bodies only).
         self._silent: Dict[str, Tuple[Callable, ...]] = {}
         # Generated kernels replace both tables with whole-block
-        # functions; profiled runs always interpret (the profiler
-        # wraps the per-op ticks).
-        if kernels is not None and self._profiler is None:
+        # functions (profiled ones when profiling).
+        if kernels is not None:
+            if self._profiler is not None:
+                kernels = kernels.profiled()
             self._ticked, self._silent = kernels.bind(self)
         else:
             for name, plan in self.plans.items():

@@ -133,9 +133,9 @@ class WindowEngine:
             "vn" if window == 1 and issue_width == 1 else "seqdf"
         )
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Opt-in stall attribution, driven by the interpreter loop (one
-        # check per cycle, a firing hook only when set); the generated
-        # kernels carry no hooks, so a profiled run always interprets.
+        # Opt-in stall attribution: booked by the profiled kernel
+        # variant, or by the interpreter loop (one check per cycle, a
+        # firing hook only when set) when it interprets.
         self._profiler = EngineProfiler() if profile else None
         self.plans = build_plans(program)
 
@@ -163,10 +163,12 @@ class WindowEngine:
 
         #: block name -> list of firing closures, one per op (shared
         #: by every dynamic instance of the block).  With generated
-        #: kernels the tables come from the kernel module instead;
-        #: profiled runs always interpret.
+        #: kernels the tables come from the kernel module instead
+        #: (its profiled variant when profiling).
         self._kernels = None
-        if kernels is not None and self._profiler is None:
+        if kernels is not None:
+            if self._profiler is not None:
+                kernels = kernels.profiled()
             self._kernels = kernels
             self._fire_tables: Dict[str, List[Callable]] = kernels.bind(self)
         else:

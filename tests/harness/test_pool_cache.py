@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
+from repro.harness import pool
 from repro.harness.cache import CompileCache, ResultCache, plan_key
 from repro.harness.pool import (
     RunSpec,
@@ -16,6 +17,7 @@ from repro.harness.pool import (
     workload_for,
 )
 from repro.harness.sweep import sweep_tags
+from repro.sim.codegen import core
 from repro.sim.metrics import ExecutionResult
 from repro.workloads import build_workload
 
@@ -160,6 +162,24 @@ def test_precompile_materializes_machine_artifacts(tmp_path):
     assert compiled._flat is not None
     assert plans.get_plan(compiled.fingerprint, "tagged") is not None
     assert plans.get_plan(compiled.fingerprint, "flat") is not None
+
+
+def test_precompile_builds_profiled_kernels(monkeypatch):
+    """Profiled specs get their profiled kernels compiled in the sweep
+    parent too, so a forked worker's profiled run compiles nothing."""
+    monkeypatch.setattr(pool, "_WL_MEMO", {})
+    monkeypatch.setattr(core, "_SHAPES", {})
+    wl = build_workload("dmv", "tiny")
+    specs = [spec_for(wl, machine, {"profile": True})
+             for machine in ("tyr", "ordered", "seqdf", "datapar")]
+    precompile_specs(specs)
+    calls = []
+    monkeypatch.setattr(core, "compile",
+                        lambda *a: calls.append(a) or compile(*a),
+                        raising=False)
+    for spec in specs:
+        assert run_one(spec).extra["profile"].cycles > 0
+    assert calls == []
 
 
 def test_result_cache_root_hosts_plan_store(tmp_path):

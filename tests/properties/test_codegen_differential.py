@@ -5,7 +5,8 @@ hot loop; the closure interpreters remain the reference semantics.
 These properties pin bit-identity on random programs across all
 machine models: metrics, traces, memory, results -- and, on the
 machines that can fail, the failure itself (same exception type and
-message either way).
+message either way). Profiled runs take the kernels' profiled variant,
+and its profile must match the interpreter's table for table.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -45,8 +46,13 @@ def _observe(seed: int, machine: str, codegen: bool,
     }
     prof = res.extra.get("profile")
     if prof is not None:
-        out["stalls"] = dict(prof.stall_cycles)
-        out["node_cycles"] = dict(prof.node_cycles)
+        # Item lists, so key order and exact floats must match too.
+        out["profile"] = {
+            "stalls": list(prof.stall_cycles.items()),
+            "node_fired": list(prof.node_fired.items()),
+            "node_cycles": list(prof.node_cycles.items()),
+            "memory_stall_split": list(prof.memory_stall_split.items()),
+        }
     return out
 
 
@@ -69,18 +75,30 @@ def test_kernels_match_interpreter_variable_latency(seed, machine,
     assert gen == interp
 
 
+#: Timings the profiled comparison runs under: hash-based variable
+#: latency, and a cache model small enough that random programs miss.
+PROFILE_TIMINGS = ({"load_latency": 4},
+                   {"cache": "line=4,miss=60,l1=4x2x1"})
+
+
 @given(seed=SEEDS,
        machine=st.sampled_from(("tyr", "ordered", "seqdf", "datapar")))
 @_SETTINGS
 def test_profiled_runs_agree_and_conserve(seed, machine):
-    """Profiling only observes: a profiled run (always interpreted)
-    matches an unprofiled kernel run on everything but the profile,
-    and its stall reasons sum exactly to its cycles."""
-    plain = _observe(seed, machine, codegen=True, load_latency=4)
-    prof = _observe(seed, machine, codegen=False, profile=True,
-                    load_latency=4)
-    stalls = prof.pop("stalls", None)
-    prof.pop("node_cycles", None)
-    assert prof == plain
-    if stalls is not None:
-        assert sum(stalls.values()) == prof["cycles"]
+    """Profiling only observes: a profiled interpreter run matches an
+    unprofiled kernel run on everything but the profile, a profiled
+    kernel run matches it on everything (stall reasons, fired counts,
+    exact attributed cycles, the hit/miss split), and its stall
+    reasons sum exactly to its cycles."""
+    for timing in PROFILE_TIMINGS:
+        plain = _observe(seed, machine, codegen=True, **timing)
+        interp = _observe(seed, machine, codegen=False, profile=True,
+                          **timing)
+        gen = _observe(seed, machine, codegen=True, profile=True,
+                       **timing)
+        assert gen == interp, timing
+        profile = interp.pop("profile", None)
+        assert interp == plain, timing
+        if profile is not None:
+            assert (sum(n for _, n in profile["stalls"])
+                    == interp["cycles"])

@@ -203,10 +203,12 @@ def capture(include_large=True, codegen=True):
     return golden
 
 
-def capture_profiles():
+def capture_profiles(codegen=True):
     """Profiled runs of every golden machine on every tiny workload
     under each of :data:`PROFILE_SETTINGS`, plus tyr under each of
-    :data:`PROFILE_TYR_VARIANTS`."""
+    :data:`PROFILE_TYR_VARIANTS`; ``codegen=False`` forces them
+    through the interpreter instead of the profiled kernels (the
+    records are the same either way)."""
     configs = [
         (machine, setting)
         for machine in GOLDEN_MACHINES + GOLDEN_WINDOW_MACHINES
@@ -223,7 +225,7 @@ def capture_profiles():
         wl = build_workload(name, scale)
         for machine, setting in configs:
             variant = {**setting, "profile": True}
-            res = wl.run_checked(machine, **variant)
+            res = wl.run_checked(machine, codegen=codegen, **variant)
             golden[run_key(name, scale, machine, variant)] = describe(res)
     return golden
 

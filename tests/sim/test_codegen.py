@@ -3,7 +3,8 @@
 The differential fuzz suite (tests/properties) pins bit-identity on
 random programs; these tests cover the machinery around the generators:
 table determinism, the per-process shape memo (constants bound as
-data, never compiled twice, no program kept alive), the
+data, never compiled twice, no program kept alive, profiled variants
+built only when a profiled run needs them), the
 ``TYR_REPRO_DUMP_KERNELS`` hook, and the rules for when engines fall
 back to the closure interpreters.
 """
@@ -25,18 +26,24 @@ from repro.frontend import (
     lower_module,
     v,
 )
+from repro.errors import SimulationError
 from repro.harness.pool import cache_key, spec_for
 from repro.harness.runner import KERNEL_FAMILY, CompiledWorkload
+from repro.ir.ops import Op
 from repro.sim import codegen
 from repro.sim.codegen import core
 from repro.sim.codegen.core import DUMP_ENV, FAMILIES
 from repro.sim.memory import Memory
+from repro.sim.profile import STALL_REASONS
 from repro.sim.queued import QueuedEngine
-from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
+from repro.sim.tagged import TaggedEngine, TyrPolicy, UnboundedGlobalPolicy
+from repro.sim.tagged.engine import _ALLOC_POP, ROOT_TAG
 from repro.sim.vector import DataParallelEngine
 from repro.sim.window import WindowEngine
 from repro.workloads import build_workload
 from repro.workloads.randomprog import random_module
+
+from tests.conftest import dmv_memory, dmv_module
 
 #: One machine per kernel family.
 FAMILY_MACHINE = {"tagged": "tyr", "flat": "ordered", "window": "seqdf",
@@ -178,6 +185,48 @@ def test_distinct_shapes_stay_bounded():
         assert counts[family] <= bound, counts
 
 
+def _record(profile):
+    """A profile with the order of every table it holds."""
+    return (profile.machine, profile.cycles, profile.instructions,
+            *(list(table.items()) for table in (
+                profile.stall_cycles, profile.node_fired,
+                profile.node_cycles, profile.memory_stall_split)))
+
+
+def test_profiled_variants_are_built_lazily(wl, monkeypatch):
+    """A plain run generates and compiles no profiled shape. The first
+    profiled run compiles the program's profiled variant; a second
+    profiled run of the same program, from a fresh workload with
+    nothing memoized on it, calls ``compile()`` zero times."""
+    monkeypatch.setattr(core, "_SHAPES", {})
+    program = wl.compiled.program
+    plain = CompiledWorkload(program)
+    for machine in FAMILY_MACHINE.values():
+        assert plain.run(machine, wl.fresh_memory(), wl.args).completed
+    profiled_only = set()
+    for family in FAMILIES:
+        table = codegen.generate_source(family, plain).table
+        profiled_only |= set(table.profile().texts()) - set(table.texts())
+    assert len(profiled_only) >= len(FAMILIES)
+    assert not profiled_only & set(core._SHAPES)
+    for machine in FAMILY_MACHINE.values():
+        assert plain.run(machine, wl.fresh_memory(), wl.args,
+                         profile=True).completed
+    assert profiled_only <= set(core._SHAPES)
+    calls = []
+    monkeypatch.setattr(core, "compile",
+                        lambda *a: calls.append(a) or compile(*a),
+                        raising=False)
+    again = CompiledWorkload(program)
+    for machine in FAMILY_MACHINE.values():
+        res = again.run(machine, wl.fresh_memory(), wl.args, profile=True)
+        ref = again.run(machine, wl.fresh_memory(), wl.args, profile=True,
+                        codegen=False)
+        assert _record(res.extra["profile"]) == _record(
+            ref.extra["profile"]), machine
+    assert calls == []
+
+
 def test_dropped_workload_kernels_are_collected(wl):
     """Kernels live as long as their workload: the shape memo holds
     code objects only, so no compiled program outlives its owner."""
@@ -193,44 +242,92 @@ def test_dropped_workload_kernels_are_collected(wl):
 # -------------------------------------------------------------- fallback
 
 
-def test_traced_and_profiled_runs_never_touch_kernels(wl, monkeypatch):
-    """Profiled, traced, and occupancy-tracked runs carry hooks the
-    kernels omit; the runner must not even request kernels for them
-    (nor when codegen=False)."""
+def test_traced_runs_never_touch_kernels(wl, monkeypatch):
+    """Traced and occupancy-tracked runs carry hooks the kernels omit,
+    and ``codegen=False`` asks for the interpreter: the runner must not
+    even request kernels for them. A profiled run does."""
     cw = CompiledWorkload(wl.compiled.program)
+    requested = []
+    build = cw.kernels
     monkeypatch.setattr(
-        cw, "kernels",
-        lambda family: pytest.fail("kernels requested on a "
-                                   "fallback path"))
-    for kwargs in ({"profile": True}, {"record_trace": True},
-                   {"track_occupancy": True}, {"codegen": False}):
+        cw, "kernels", lambda family: requested.append(family)
+        or build(family))
+    for kwargs in ({"record_trace": True}, {"track_occupancy": True},
+                   {"codegen": False}):
         res = cw.run("tyr", wl.fresh_memory(), wl.args, **kwargs)
         assert res.completed
+    assert requested == []
+    res = cw.run("tyr", wl.fresh_memory(), wl.args, profile=True)
+    assert res.completed and requested == ["tagged"]
 
 
-def test_profiled_engines_keep_interpreter_tables(wl):
-    """Engines given kernels still interpret when profiling: the
-    profiler wraps per-op closures the generated code inlines away."""
+def test_profiled_engines_bind_kernels(wl):
+    """Engines given kernels bind their profiled variant when
+    profiling, and it books what the interpreter books."""
     cw = wl.compiled
     mem = wl.fresh_memory
-    tagged = TaggedEngine(cw.tagged, mem(), UnboundedGlobalPolicy(),
-                          profile=True, kernels=cw.kernels("tagged"))
-    assert tagged._kernels is None
-    queued = QueuedEngine(cw.flat, mem(), profile=True,
-                          kernels=cw.kernels("flat"))
-    assert queued._kernels is None
-    window = WindowEngine(cw.program, mem(), profile=True,
-                          kernels=cw.kernels("window"))
-    assert window._kernels is None
-    # The vector engine swaps its step tables rather than a loop:
-    # generated tables hold one whole-block function per block,
-    # interpreted tables one closure per op.
-    vec_gen = DataParallelEngine(cw.program, mem(),
-                                 kernels=cw.kernels("vector"))
-    assert all(len(t) == 1 for t in vec_gen._ticked.values())
-    vec_prof = DataParallelEngine(cw.program, mem(), profile=True,
-                                  kernels=cw.kernels("vector"))
-    assert any(len(t) > 1 for t in vec_prof._ticked.values())
+    engines = {
+        "tagged": lambda **kw: TaggedEngine(
+            cw.tagged, mem(), UnboundedGlobalPolicy(), profile=True, **kw),
+        "flat": lambda **kw: QueuedEngine(cw.flat, mem(), profile=True,
+                                          **kw),
+        "window": lambda **kw: WindowEngine(cw.program, mem(),
+                                            profile=True, **kw),
+        "vector": lambda **kw: DataParallelEngine(cw.program, mem(),
+                                                  profile=True, **kw),
+    }
+    for family, make in engines.items():
+        plain = cw.kernels(family)
+        assert plain.profiled() is not plain
+        assert plain.profiled().profiled() is plain.profiled()
+        gen = make(kernels=plain)
+        interp = make()
+        if family == "vector":
+            # The vector engine swaps its step tables rather than a
+            # loop: generated tables hold one whole-block function per
+            # block, interpreted tables one closure per op.
+            assert all(len(t) == 1 for t in gen._ticked.values())
+            assert any(len(t) > 1 for t in interp._ticked.values())
+        else:
+            assert gen._kernels is plain.profiled()
+            assert interp._kernels is None
+        assert _record(gen.run(wl.args).extra["profile"]) == _record(
+            interp.run(wl.args).extra["profile"]), family
+
+
+def test_kernel_books_tag_starved_cycles():
+    """No real run reaches ``tag_starved`` (a tagged cycle firing
+    nothing needs a ready queue of failed allocate pops), so build one:
+    the only ready event is an allocate whose stubbed pop fails and
+    marks its pool dirty, and whose stubbed wake re-queues it. The
+    profiled kernel and the interpreter both book all five cycles up
+    to ``max_cycles`` as ``tag_starved``."""
+    cw = CompiledWorkload(lower_module(dmv_module()))
+    alloc = next(nd.node_id for nd in cw.tagged.nodes
+                 if nd.op is Op.ALLOCATE)
+    stalls = {}
+    for kernels in (cw.kernels("tagged"), None):
+        eng = TaggedEngine(cw.tagged, Memory(dmv_memory(4)), TyrPolicy(4),
+                           max_cycles=5, profile=True, kernels=kernels)
+        event = (alloc, ROOT_TAG, _ALLOC_POP)
+        pool = eng._alloc_pool[alloc]
+
+        def pop_fails(nid, tag):
+            eng._dirty_pools.append(pool)
+            return False
+
+        eng._fire_alloc_pop = pop_fails
+        eng._wake_waiters = lambda pool: eng._ready.append(event)
+        eng._ready.append(event)
+        with pytest.raises(SimulationError, match="max_cycles=5"):
+            if kernels is None:
+                eng._run_loop()
+            else:
+                eng._kernels.run_loop(eng)
+        stalls[kernels is None] = dict(eng._profiler.stall_cycles)
+    expected = dict.fromkeys(STALL_REASONS, 0)
+    expected["tag_starved"] = 5
+    assert stalls[False] == stalls[True] == expected
 
 
 def test_codegen_flag_matches_interpreter(wl):

@@ -15,8 +15,9 @@ the kernels are checked against.
 ``golden_profile_metrics.json`` pins what profiled runs attribute:
 per-reason stall cycles, the hottest nodes and the cache-mode hit/miss
 split, for every golden machine on every tiny workload under three
-timing settings.  Profiled runs always interpret, so these records pin
-the values the interpreter's attribution hooks produce.
+timing settings.  The records were captured from the interpreter's
+attribution hooks; they replay through the profiled kernels (the
+default) and again through the interpreter.
 
 Also here: regression tests for the stall-loop bugs (both engines'
 memory-stall branches used to skip the ``max_cycles`` check, so a
@@ -76,6 +77,12 @@ def fresh_profiles():
 
 
 @pytest.fixture(scope="module")
+def interpreted_profiles():
+    """The same profiled runs, each forced through the interpreter."""
+    return capture_profiles(codegen=False)
+
+
+@pytest.fixture(scope="module")
 def fresh_large_metrics():
     """One replay of the ``large``-scale golden runs (slow tests)."""
     return capture_large()
@@ -120,6 +127,11 @@ def test_interpreter_matches_golden(key, interpreted_metrics):
 def test_profile_identical_to_golden(key, fresh_profiles):
     assert key in fresh_profiles, f"profiled run {key} no longer replayed"
     assert fresh_profiles[key] == GOLDEN_PROFILES[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_PROFILES))
+def test_interpreter_profile_matches_golden(key, interpreted_profiles):
+    assert interpreted_profiles[key] == GOLDEN_PROFILES[key]
 
 
 def test_no_unpinned_profiles(fresh_profiles):
