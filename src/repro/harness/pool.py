@@ -74,7 +74,7 @@ from repro.errors import (
 )
 from repro.harness.cache import CompileCache, ResultCache, result_key
 from repro.harness.runlog import ProgressLine, RunLog
-from repro.harness.runner import _TAGGED_MACHINES, KERNEL_FAMILY
+from repro.harness.runner import _TAGGED_MACHINES, kernel_family
 from repro.sim.metrics import ExecutionResult
 from repro.workloads.registry import WorkloadInstance, build_workload
 
@@ -206,13 +206,17 @@ def precompile_specs(specs: Sequence[RunSpec],
     spec, plus the machine-specific lowering -- the elaborated tagged
     graph for tagged machines, the flattened graph for ``ordered``.
     The window and data-parallel engines execute the context program
-    directly, so ``.program`` covers them.
+    directly, so ``.program`` covers them. Each spec's generated
+    kernels are built too, with the timing rule its engine will bind
+    compiled (see :func:`repro.sim.codegen.rule_for`).
 
     With a ``plan_cache``, each lowering is first looked up in (and on
     a miss written back to) the persistent store, so a *new* parent
     process skips recompilation entirely for programs any earlier run
     already lowered.
     """
+    from repro.sim.codegen import rule_for
+
     def ensure(compiled, kind: str, attr: str):
         artifact = getattr(compiled, attr)  # force the lazy lowering
         # Backfill the store for artifacts materialized before the
@@ -224,28 +228,31 @@ def precompile_specs(specs: Sequence[RunSpec],
 
     seen: set = set()
     for spec in specs:
-        key = (_memo_key(spec), spec.machine)
-        if key in seen:
-            continue
-        seen.add(key)
         compiled = workload_for(spec).compiled
-        if plan_cache is not None:
-            compiled.plan_cache = plan_cache
-        compiled.program  # noqa: B018 -- force the frontend lowering
-        if spec.machine in _TAGGED_MACHINES:
-            ensure(compiled, "tagged", "tagged")
-        elif spec.machine == "ordered":
-            ensure(compiled, "flat", "flat")
-        # Generated kernels: build them (and compile their shapes) in
-        # the parent so forked workers inherit the bound tables and
-        # the warm shape memo through copy-on-write; profiled specs
-        # also get the profiled variant.
-        if spec.codegen:
-            family = KERNEL_FAMILY.get(spec.machine)
-            if family is not None:
-                kernels = compiled.kernels(family)
-                if dict(spec.config).get("profile"):
-                    kernels.profiled()
+        key = (_memo_key(spec), spec.machine)
+        if key not in seen:
+            seen.add(key)
+            if plan_cache is not None:
+                compiled.plan_cache = plan_cache
+            compiled.program  # noqa: B018 -- force the frontend lowering
+            if spec.machine in _TAGGED_MACHINES:
+                ensure(compiled, "tagged", "tagged")
+            elif spec.machine == "ordered":
+                ensure(compiled, "flat", "flat")
+        # Generated kernels: build them and compile the timing rule the
+        # run binds (its profiled variant for profiled specs) in the
+        # parent, so forked workers inherit the bound tables and the
+        # warm shape memo through copy-on-write.
+        config = _config_kwargs(spec)
+        family = kernel_family(spec.machine, spec.codegen,
+                               config.get("record_trace", False),
+                               config.get("track_occupancy", False))
+        if family is not None:
+            kernels = compiled.kernels(family)
+            if config.get("profile"):
+                kernels = kernels.profiled()
+            kernels.compile(rule_for(config.get("cache"),
+                                     config.get("load_latency", 1)))
 
 
 def run_one(spec: RunSpec) -> ExecutionResult:

@@ -71,6 +71,17 @@ KERNEL_FAMILY = {
 }
 
 
+def kernel_family(machine: str, codegen: bool = True,
+                  record_trace: bool = False,
+                  track_occupancy: bool = False) -> Optional[str]:
+    """The kernel family a run of ``machine`` binds, or None when it
+    interprets: on ``codegen=False``, and for traced and
+    occupancy-tracked runs, whose hooks only the interpreters carry."""
+    if not codegen or record_trace or track_occupancy:
+        return None
+    return KERNEL_FAMILY.get(machine)
+
+
 class CompiledWorkload:
     """A context program plus lazily compiled machine artifacts.
 
@@ -136,18 +147,22 @@ class CompiledWorkload:
         """The generated-kernel module for one engine family
         (memoized here; dropped with this workload).
 
-        Kernel shapes are compiled once per process and shared by
-        every program, so building a module is mostly binding this
-        program's table; forked sweep workers inherit the modules
-        ``pool.precompile_specs`` built in the parent.
+        Node shapes are emitted once per process and shared by every
+        program, so building a module is mostly reading this program's
+        constants; each timing rule's shapes compile when an engine
+        first binds it. Forked sweep workers inherit the modules (and
+        the rules) ``pool.precompile_specs`` built in the parent. The
+        fingerprint is computed only to name a dump
+        (``TYR_REPRO_DUMP_KERNELS``).
         """
         from repro.sim import codegen
 
         mod = self._kernels.get(family)
         if mod is None:
             source = codegen.generate_source(family, self)
-            mod = codegen.compile_kernels(source, family,
-                                          self.fingerprint)
+            mod = codegen.compile_kernels(
+                source, family,
+                self.fingerprint if codegen.dumping() else None)
             self._kernels[family] = mod
         return mod
 
@@ -222,10 +237,9 @@ class CompiledWorkload:
                     "hash-based load-delay model"
                 )
             cache_model = CacheModel(CacheConfig.coerce(cache), memory)
-        use_codegen = codegen and not (record_trace or track_occupancy)
-        kernels = (self.kernels(KERNEL_FAMILY[machine])
-                   if use_codegen and machine in KERNEL_FAMILY
-                   else None)
+        family = kernel_family(machine, codegen, record_trace,
+                               track_occupancy)
+        kernels = None if family is None else self.kernels(family)
         if machine in _TAGGED_MACHINES:
             if machine == "unordered":
                 policy = UnboundedGlobalPolicy()

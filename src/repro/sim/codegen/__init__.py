@@ -29,13 +29,19 @@ vector    ``build_vec_plans(program)`` + loop analysis   datapar
 ========  =============================================  ==============
 
 Kernels are shared by *shape* (see :mod:`~repro.sim.codegen.core`):
-:func:`generate_source` returns a program's kernel table plus the
-source of the shapes this process has not compiled yet, and
-:func:`compile_kernels` compiles just those, so a program made of
-known shapes costs no ``compile()`` at all. Nothing is cached on disk;
-``pool.precompile_specs`` builds kernels in the sweep parent so forked
-workers inherit them. Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump
-each program's shape sources and node table.
+the tagged, flat and window generators emit each node shape once per
+process, memoized by the node's structure, so :func:`generate_source`
+mostly reads a program's constants into its kernel table (the vector
+generator, whose whole-block shapes rarely repeat, emits every block).
+:func:`compile_kernels` wraps the table into a :class:`KernelModule`,
+and each timing rule's shapes compile the first time an engine binds
+that rule: a program made of known shapes, or run only under rules
+already compiled, costs no ``compile()`` at all. Nothing is cached on
+disk; ``pool.precompile_specs`` builds kernels and compiles the rules
+each spec binds in the sweep parent so forked workers inherit them.
+Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each program's shape
+sources and node table; only then is the program's IR fingerprint
+computed, to name the dump.
 """
 
 from __future__ import annotations
@@ -47,7 +53,9 @@ from repro.sim.codegen.core import (
     KernelSource,
     compile_kernels,
     dump_kernel_source,
+    dumping,
     kernel_source,
+    rule_for,
 )
 
 __all__ = [
@@ -57,18 +65,20 @@ __all__ = [
     "KernelSource",
     "compile_kernels",
     "dump_kernel_source",
+    "dumping",
     "generate_source",
+    "rule_for",
 ]
 
 
 def generate_source(family: str, compiled) -> KernelSource:
     """The kernel table of one family of ``compiled`` (a
-    :class:`~repro.harness.runner.CompiledWorkload`), as the source of
-    its shapes not compiled in this process yet.
+    :class:`~repro.harness.runner.CompiledWorkload`), with the source
+    of its cycle loop if this process has not compiled it yet.
 
     The table is a deterministic function of the lowered plan; the
-    source text also depends on which shapes this process already
-    compiled (none left means an empty string).
+    source text also depends on which loops this process already
+    compiled (usually all: an empty string).
     """
     if family == "tagged":
         from repro.sim.codegen.tagged import generate

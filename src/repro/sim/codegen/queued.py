@@ -7,6 +7,9 @@ fresh-map keys, back-pressure probes and destination pushes unrolled.
 Fresh keys, destination ids, immediates and array names are constants
 bound as default arguments; input and destination deques, producer
 sets and the engine's counters are runtime refs bound by :func:`bind`.
+Each structural key (:func:`_key_fields`) is emitted once per process
+over a stand-in node; the FIFOs, producer set and descriptor lists a
+recipe names resolve against each row's own fields at bind time.
 
 The cycle loop (one shape) inlines the ``MetricsRecorder.sample`` body
 into frame locals that are committed back in a ``finally`` (the idiom
@@ -25,14 +28,17 @@ records and the differential fuzz suite pin it.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import List
+from itertools import chain, islice
+from typing import Dict, List, Tuple
 
-from repro.compiler.flatten import FlatGraph
+from repro.compiler.flatten import FlatGraph, FlatNode
 from repro.ir.ops import OP_INFO, Op
 from repro.sim.codegen.core import (
+    EVALUATORS,
     Consts,
     KernelTable,
     ProfiledLoop,
+    Recipe,
     Shape,
     Writer,
     bind_rows,
@@ -40,6 +46,7 @@ from repro.sim.codegen.core import (
     memory_env,
     move_miss_box,
     one_rule,
+    placeholders,
     pure_expr,
     timing_rule,
 )
@@ -49,8 +56,41 @@ from repro.sim.codegen.core import (
 _UNROLL_CAP = 4
 
 
+#: Structural key -> recipe, once per process (see :func:`_key_fields`).
+_MEMO: Dict[tuple, Recipe] = {}
+
+
+def _key_fields(nd: FlatNode, stride: int) -> Tuple[tuple, tuple]:
+    """A node's structural key and its fields.
+
+    The key is everything :func:`_emit` branches on: opcode, input
+    count, immediate ports (in the dict's order), fan-out per output
+    port (which also decides unrolling), steer sense, and whether the
+    node has a result slot. The fields are, in order: node id, array,
+    result slot, evaluator, the fresh key of each input port, each
+    immediate, each destination's (node id, port), then each
+    destination's fresh key.
+    """
+    imms = nd.imms
+    edges = nd.out_edges
+    attrs = nd.attrs
+    op = nd.op
+    n_in = nd.n_inputs
+    result = attrs.get("result_index")
+    base = nd.node_id * stride
+    dests = [*chain.from_iterable(edges)]
+    key = (op, n_in, tuple(imms), tuple(map(len, edges)),
+           attrs.get("sense"), result is None)
+    return key, (nd.node_id, attrs.get("array"), result, EVALUATORS[op],
+                 *range(base, base + n_in), *imms.values(),
+                 *chain.from_iterable(dests),
+                 *[dest_id * stride + dest_port
+                   for dest_id, dest_port in dests])
+
+
 class _Node:
-    """Per-node emission state.
+    """Per-node emission state over a stand-in: the node's structure
+    with every field a placeholder.
 
     Constants are shared by a node's timing variants and named once
     (the same fresh key or immediate is the same parameter in every
@@ -58,11 +98,21 @@ class _Node:
     :class:`Shape`.
     """
 
-    def __init__(self, graph: FlatGraph, nid: int,
-                 stride: int) -> None:
-        self.nd = graph.nodes[nid]
-        self.nid = nid
-        self.stride = stride
+    def __init__(self, nd: FlatNode) -> None:
+        attrs = nd.attrs
+        self.op = nd.op
+        self.n_in = nd.n_inputs
+        self.sense = attrs.get("sense")
+        edges = nd.out_edges
+        f = iter(placeholders(4 + self.n_in + len(nd.imms)
+                              + 3 * sum(map(len, edges))))
+        self.nid, self.array, result, self.evaluate = islice(f, 4)
+        self.keys = list(islice(f, self.n_in))
+        self.imms = {port: next(f) for port in nd.imms}
+        self.edges = [[(next(f), next(f)) for _ in port_edges]
+                      for port_edges in edges]
+        self.dkeys = [[next(f) for _ in port_edges] for port_edges in edges]
+        self.result = None if attrs.get("result_index") is None else result
         self.consts = Consts()
 
     def shape(self) -> Shape:
@@ -70,17 +120,16 @@ class _Node:
 
     # -- input ports ---------------------------------------------------
     def is_imm(self, port: int) -> bool:
-        return port in self.nd.imms
+        return port in self.imms
 
     def fifo(self, b: Shape, port: int) -> str:
         return b.ref(f"f{port}", ("fifos", self.nid, port))
 
     def key(self, port: int) -> str:
-        return self.consts.named(("key", port),
-                                 self.nid * self.stride + port)
+        return self.consts.named(("key", port), self.keys[port])
 
     def imm(self, port: int) -> str:
-        return self.consts.named(("imm", port), self.nd.imms[port])
+        return self.consts.named(("imm", port), self.imms[port])
 
     def node_id(self) -> str:
         return self.consts.named("nid", self.nid)
@@ -108,7 +157,7 @@ class _Node:
 
     # -- output ports --------------------------------------------------
     def dests(self, port: int):
-        return self.nd.out_edges[port]
+        return self.edges[port]
 
     def unrolled(self, port: int) -> bool:
         return len(self.dests(port)) <= _UNROLL_CAP
@@ -145,10 +194,10 @@ class _Node:
         if not dests:
             return
         if self.unrolled(port):
-            for j, (dest_id, dest_port) in enumerate(dests):
+            for j, (dest_id, _) in enumerate(dests):
                 g = self.dest_fifo(b, port, j)
                 k = self.consts.named(("dkey", port, j),
-                               dest_id * self.stride + dest_port)
+                                      self.dkeys[port][j])
                 d = self.consts.named(("dest", port, j), dest_id)
                 b(f"{g}.append({value})")
                 b(f"fresh[{k}] += 1")
@@ -187,17 +236,19 @@ class _Node:
         return b.variant()
 
 
-def _node(table: KernelTable, graph: FlatGraph, nid: int,
-          stride: int) -> None:
-    node = _Node(graph, nid, stride)
-    nd = node.nd
-    op = nd.op
-    imms = nd.imms
-    n_in = nd.n_inputs
-    label = f"node {nid}: {op.value}"
+def _emit(nd: FlatNode) -> Recipe:
+    """The recipe of ``nd``'s structural key, emitted over its
+    stand-in."""
+    node = _Node(nd)
+    op = node.op
+    imms = node.imms
+    n_in = node.n_in
 
-    def add(b: Shape, *refs: str) -> None:
-        table.add(one_rule(node.finish(b, *refs)), node.consts, label)
+    def done(*variants) -> Recipe:
+        return Recipe.emitted(variants, node.consts)
+
+    def add(b: Shape, *refs: str) -> Recipe:
+        return done(*one_rule(node.finish(b, *refs)))
 
     if op is Op.MU:
         b = node.shape()
@@ -225,8 +276,7 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
         b(f"mu[{mid}] = 0")
         b.dedent()
         b("return True")
-        add(b, "mu")
-        return
+        return add(b, "mu")
 
     if op is Op.MERGE:
         b = node.shape()
@@ -243,14 +293,13 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
             if chosen == 1:
                 b("else:")
                 b.indent()
-        add(b)
-        return
+        return add(b)
 
     if op is Op.STEER:
         b = node.shape()
         node.operand(b, 0, "d0")
         node.operand(b, 1, "value")
-        b("if d0:" if nd.attrs["sense"] else "if not d0:")
+        b("if d0:" if node.sense else "if not d0:")
         b.indent()
         node.backpressure(b, 0)
         node.pops(b, [0, 1])
@@ -263,11 +312,10 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
             b("pass")
         b.dedent()
         b("return True")
-        add(b)
-        return
+        return add(b)
 
     if op is Op.LOAD:
-        arr = node.consts.named("array", nd.attrs["array"])
+        arr = node.consts.named("array", node.array)
 
         def issue(b: Shape) -> None:
             for p in range(n_in):
@@ -325,17 +373,15 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
         # box; the in-flight plumbing is the variable-latency rule's.
         cached = node.shape()
         delayed(cached, f"cache_load({arr}, a0)", True)
-        table.add((node.finish(cached, "mem_load", "inflight", "metrics",
-                               "cache_load", "due_box", "miss_latency",
-                               "miss_until"),
-                   node.finish(fast, "mem_load"),
-                   node.finish(var, "mem_load", "inflight", "metrics",
-                               "latency", "load_delay", "due_box")),
-                  node.consts, label)
-        return
+        return done(node.finish(cached, "mem_load", "inflight", "metrics",
+                                "cache_load", "due_box", "miss_latency",
+                                "miss_until"),
+                    node.finish(fast, "mem_load"),
+                    node.finish(var, "mem_load", "inflight", "metrics",
+                                "latency", "load_delay", "due_box"))
 
     if op is Op.STORE:
-        arr = node.consts.named("array", nd.attrs["array"])
+        arr = node.consts.named("array", node.array)
 
         def store(b: Shape) -> None:
             for p in range(n_in):
@@ -356,26 +402,24 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
         node.push(cached, 0, "0")
         cached("return True")
         plain_v = node.finish(plain, "mem_store")
-        table.add((node.finish(cached, "mem_store", "cache_store"),
-                   plain_v, plain_v), node.consts, label)
-        return
+        return done(node.finish(cached, "mem_store", "cache_store"),
+                    plain_v, plain_v)
 
     info = OP_INFO[op]
     if not info.pure:
         b = node.shape()
         b(f"raise SimulationError("
           f"{'cannot execute ' + op.value + ' (flat)'!r})")
-        table.add(one_rule(b.variant()), node.consts, label)
-        return
+        return done(*one_rule(b.variant()))
 
     # Pure arithmetic/logic; mirror the interpreter's shapes.
-    result_idx = nd.attrs.get("result_index")
+    result_idx = node.result
     b = node.shape()
 
     def value_expr(args: List[str]) -> str:
         expr = pure_expr(op, args)
         if expr is None:
-            ev = node.consts.named("ev", info.evaluate)
+            ev = node.consts.named("ev", node.evaluate)
             return f"{ev}({', '.join(args)})"
         return expr
 
@@ -391,8 +435,7 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
         b(f"value = {value_expr(names)}")
         node.push(b, 0, "value")
         b("return True")
-        add(b)
-        return
+        return add(b)
 
     for p in range(n_in):
         node.operand(b, p, f"a{p}")
@@ -404,9 +447,8 @@ def _node(table: KernelTable, graph: FlatGraph, nid: int,
     node.push(b, 0, "value")
     b("return True")
     if result_idx is not None:
-        add(b, "results")
-    else:
-        add(b)
+        return add(b, "results")
+    return add(b)
 
 
 def bind(module, E) -> list:
@@ -436,7 +478,7 @@ def bind(module, E) -> list:
         "mu": E._mu_state,
         "miss_until": E._miss_until,
     })
-    return bind_rows(module.rows, env, timing_rule(E))
+    return bind_rows(module, env, timing_rule(E))
 
 
 def generate(graph: FlatGraph, profiled: bool = False) -> KernelTable:
@@ -447,10 +489,21 @@ def generate(graph: FlatGraph, profiled: bool = False) -> KernelTable:
     stride = max((nd.n_inputs for nd in graph.nodes),
                  default=1) or 1
     table = KernelTable("flat", bind, run_loop(),
-                        profile=partial(generate, graph, True))
-    for nid in range(len(graph.nodes)):
-        _node(table, graph, nid, stride)
+                        profile=partial(generate, graph, True),
+                        labels=partial(_labels, graph))
+    memo = _MEMO
+    append = table.rows.append
+    for nd in graph.nodes:
+        key, fields = _key_fields(nd, stride)
+        recipe = memo.get(key)
+        if recipe is None:
+            recipe = memo[key] = _emit(nd)
+        append((recipe, fields))
     return table
+
+
+def _labels(graph: FlatGraph) -> List[str]:
+    return [f"node {nd.node_id}: {nd.op.value}" for nd in graph.nodes]
 
 
 @lru_cache(maxsize=None)  # two variants

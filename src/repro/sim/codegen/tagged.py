@@ -8,6 +8,10 @@ code. Destination ids and ports, immediates, array names and result
 slots are constants ``c0, c1, ...`` bound as default arguments; the
 wait-store slot's ``pop``, the pending buffer's ``append``, memory and
 tag pools are runtime refs bound from the live engine by :func:`bind`.
+Each structural key (:func:`_key_fields`) is emitted once per process
+over a stand-in node; later nodes with the key reuse its recipe, and
+their ``("pops", nid)`` refs resolve against their own fields at bind
+time.
 
 The cycle loop is ``_run_cycle``, ``_apply_pending`` and
 ``_drain_pending_fast`` fused into one frame, specialized to the
@@ -26,14 +30,17 @@ and the differential fuzz suite pin this.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import List, Tuple
+from itertools import chain, islice
+from typing import Dict, List, Tuple
 
-from repro.compiler.graph import TaggedGraph
+from repro.compiler.graph import TaggedGraph, TaggedNode
 from repro.ir.ops import OP_INFO, Op
 from repro.sim.codegen.core import (
+    EVALUATORS,
     Consts,
     KernelTable,
     ProfiledLoop,
+    Recipe,
     Shape,
     Writer,
     bind_rows,
@@ -41,11 +48,59 @@ from repro.sim.codegen.core import (
     memory_env,
     move_miss_box,
     one_rule,
+    placeholders,
     pure_expr,
     timing_rule,
 )
 
 Dests = List[Tuple[str, str]]
+
+#: Structural key -> recipe, once per process (see :func:`_key_fields`).
+_MEMO: Dict[tuple, Recipe] = {}
+
+
+def _key_fields(nd: TaggedNode) -> Tuple[tuple, tuple]:
+    """A node's structural key and its fields.
+
+    The key is everything :func:`_emit` branches on: opcode, input
+    count, immediate ports (in the dict's order), fan-out per output
+    port, steer sense, and whether the node has a result slot and a
+    route table. The fields are, in order: node id, immediates dict,
+    array, result slot, route-table getter, evaluator, each immediate,
+    then each destination's (node id, port).
+    """
+    imms = nd.imms
+    edges = nd.out_edges
+    attrs = nd.attrs
+    op = nd.op
+    result = attrs.get("result_index")
+    route = attrs.get("route_table")
+    key = (op, nd.n_inputs, tuple(imms), tuple(map(len, edges)),
+           attrs.get("sense"), result is None, route is None)
+    return key, (nd.node_id, imms, attrs.get("array"), result,
+                 None if route is None else route.get, EVALUATORS[op],
+                 *imms.values(), *chain.from_iterable(chain.from_iterable(
+                     edges)))
+
+
+class _StandIn:
+    """A node's structure with every field a placeholder."""
+
+    def __init__(self, nd: TaggedNode) -> None:
+        attrs = nd.attrs
+        self.op = nd.op
+        self.n_in = nd.n_inputs
+        self.sense = attrs.get("sense")
+        f = iter(placeholders(6 + len(nd.imms)
+                              + 2 * sum(map(len, nd.out_edges))))
+        (self.nid, self.imms_dict, self.array, result, route_get,
+         self.evaluate) = islice(f, 6)
+        self.imms = {port: next(f) for port in nd.imms}
+        self.edges = [[(next(f), next(f)) for _ in port_edges]
+                      for port_edges in nd.out_edges]
+        self.result = None if attrs.get("result_index") is None else result
+        self.route_get = (None if attrs.get("route_table") is None
+                          else route_get)
 
 
 def _operand(consts: Consts, port: int, imms) -> str:
@@ -69,15 +124,16 @@ def _emit_edges(w: Writer, dests: Dests, tag: str, data: str,
         w(f"{fn}(({dest_id}, {dest_port}, {tag}, {data}))")
 
 
-def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
-    nd = graph.nodes[nid]
+def _emit(node: TaggedNode) -> Recipe:
+    """The recipe of ``node``'s structural key, emitted over its
+    stand-in."""
+    nd = _StandIn(node)
     op = nd.op
     imms = nd.imms
-    edges = nd.out_edges
-    attrs = nd.attrs
-    n_in = nd.n_inputs
+    edges = nd.edges
+    n_in = nd.n_in
+    nid = nd.nid
     consts = Consts()
-    label = f"node {nid}: {op.value} @{nd.block}"
 
     def shape(*refs: str) -> Shape:
         s = Shape(("tag",), consts)
@@ -86,8 +142,11 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
             s.ref(name)
         return s
 
-    def add(s: Shape) -> None:
-        table.add(one_rule(s.variant()), consts, label)
+    def done(*variants) -> Recipe:
+        return Recipe.emitted(variants, consts)
+
+    def add(s: Shape) -> Recipe:
+        return done(*one_rule(s.variant()))
 
     def consume(s: Shape, n: str = "len(entry)") -> None:
         s("entry = pop(tag)")
@@ -100,7 +159,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
     if op is Op.MERGE:
         s = shape()
         dests = _dests(consts, edges[0])
-        im = consts.add(imms) if imms else None
+        im = consts.add(nd.imms_dict) if imms else None
         consume(s)
         s("chosen = 1 if entry[0] else 2")
         if imms:
@@ -109,8 +168,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
             s("data = entry[chosen]")
         _emit_edges(s, dests, "tag", "data")
         credit(s, len(dests))
-        add(s)
-        return
+        return add(s)
 
     if op is Op.STEER:
         s = shape()
@@ -119,7 +177,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         d0, d1 = _dests(consts, edges[0]), _dests(consts, edges[1])
         consume(s)
         if d0:
-            s(f"if {dexpr}:" if attrs["sense"] else f"if not {dexpr}:")
+            s(f"if {dexpr}:" if nd.sense else f"if not {dexpr}:")
             s.indent()
             s(f"value = {vexpr}")
             _emit_edges(s, d0, "tag", "value")
@@ -127,14 +185,13 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
             s.dedent()
         _emit_edges(s, d1, "tag", "0")
         credit(s, len(d1))
-        add(s)
-        return
+        return add(s)
 
     if op is Op.LOAD:
         # Timing is a run parameter, not part of the plan: emit all
         # three firing rules (cache probe, idealized single-cycle,
         # hash-based variable latency); the binder picks one.
-        arr = consts.add(attrs["array"])
+        arr = consts.add(nd.array)
         addr = _operand(consts, 0, imms)
         d0, d1 = _dests(consts, edges[0]), _dests(consts, edges[1])
         n = len(d0) + len(d1)
@@ -180,14 +237,12 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         var = shape("mem_load", "metrics", "delayed", "latency",
                     "load_delay")
         delayed(var, f"load_delay(latency, {arr}, addr)", False)
-        table.add((cached.variant(), fast.variant(), var.variant()),
-                  consts, label)
-        return
+        return done(cached.variant(), fast.variant(), var.variant())
 
     if op is Op.STORE:
         # Stores probe the cache model too (write-allocate) but stay
         # single-cycle; the binder picks the body like LOAD's.
-        arr = consts.add(attrs["array"])
+        arr = consts.add(nd.array)
         addr = _operand(consts, 0, imms)
         value = _operand(consts, 1, imms)
         d0 = _dests(consts, edges[0])
@@ -204,8 +259,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         _emit_edges(plain, d0, "tag", "0")
         credit(plain, len(d0))
         plain_v = plain.variant()
-        table.add((cached.variant(), plain_v, plain_v), consts, label)
-        return
+        return done(cached.variant(), plain_v, plain_v)
 
     if op is Op.JOIN:
         s = shape()
@@ -216,19 +270,18 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
             s(f"value = {value}")
             _emit_edges(s, d0, "tag", "value")
             credit(s, len(d0))
-        add(s)
-        return
+        return add(s)
 
     if op is Op.CHANGE_TAG:
         s = shape()
-        route = attrs.get("route_table")
+        route = nd.route_get
         new_tag = _operand(consts, 0, imms)
         data = _operand(consts, 1, imms)
         if route is None:
             d0 = _dests(consts, edges[0])
         else:
             ret = _operand(consts, 2, imms)
-            table_get = consts.add(route.get)
+            table_get = consts.add(route)
         d1 = _dests(consts, edges[1])
         consume(s)
         s(f"new_tag = {new_tag}")
@@ -245,8 +298,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
             s("livebox[0] += len(dests)")
         _emit_edges(s, d1, "tag", "0")
         credit(s, len(d1))
-        add(s)
-        return
+        return add(s)
 
     if op is Op.EXTRACT_TAG:
         s = shape()
@@ -254,8 +306,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         consume(s)
         _emit_edges(s, d0, "tag", "tag")
         credit(s, len(d0))
-        add(s)
-        return
+        return add(s)
 
     if op is Op.FREE:
         s = Shape(("tag",), consts)
@@ -269,8 +320,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         s.indent()
         s("dirty.append(pool)")
         s.dedent()
-        add(s)
-        return
+        return add(s)
 
     info = OP_INFO[op]
     if not info.pure:
@@ -279,18 +329,17 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         # a tagged graph. Mirror the interpreter's guard closure.
         s = Shape(("tag",), consts)
         s(f"raise SimulationError({'cannot execute ' + op.value!r})")
-        add(s)
-        return
+        return add(s)
 
     # Pure arithmetic/logic. Mirror the interpreter's shape selection
     # exactly (the shapes differ in their livebox deltas).
-    result_idx = attrs.get("result_index")
+    result_idx = nd.result
     s = shape() if result_idx is None else shape("results")
 
     def value_expr(args: List[str]) -> str:
         expr = pure_expr(op, args)
         if expr is None:
-            return f"{consts.add(info.evaluate)}({', '.join(args)})"
+            return f"{consts.add(nd.evaluate)}({', '.join(args)})"
         return expr
 
     if result_idx is None and n_in == 2 and len(imms) == 1:
@@ -313,7 +362,7 @@ def _node(table: KernelTable, graph: TaggedGraph, nid: int) -> None:
         s(f"results[{slot}] = value")
     _emit_edges(s, d0, "tag", "value")
     credit(s, len(d0))
-    add(s)
+    return add(s)
 
 
 def bind(module, E) -> list:
@@ -329,7 +378,7 @@ def bind(module, E) -> list:
         "free_pool": E._free_pool,
         "miss_until": E._miss_until,
     })
-    return bind_rows(module.rows, env, timing_rule(E))
+    return bind_rows(module, env, timing_rule(E))
 
 
 def generate(graph: TaggedGraph, profiled: bool = False) -> KernelTable:
@@ -340,10 +389,22 @@ def generate(graph: TaggedGraph, profiled: bool = False) -> KernelTable:
     if profiled:
         return KernelTable("tagged", bind, run_loop(*kinds, True))
     table = KernelTable("tagged", bind, run_loop(*kinds),
-                        profile=partial(generate, graph, True))
-    for nid in range(len(graph.nodes)):
-        _node(table, graph, nid)
+                        profile=partial(generate, graph, True),
+                        labels=partial(_labels, graph))
+    memo = _MEMO
+    append = table.rows.append
+    for nd in graph.nodes:
+        key, fields = _key_fields(nd)
+        recipe = memo.get(key)
+        if recipe is None:
+            recipe = memo[key] = _emit(nd)
+        append((recipe, fields))
     return table
+
+
+def _labels(graph: TaggedGraph) -> List[str]:
+    return [f"node {nd.node_id}: {nd.op.value} @{nd.block}"
+            for nd in graph.nodes]
 
 
 @lru_cache(maxsize=None)  # at most sixteen variants

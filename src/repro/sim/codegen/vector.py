@@ -14,7 +14,10 @@ stores as ``_ticked``/``_silent``; each block maps to a 1-tuple, which
 keeps :meth:`DataParallelEngine._exec_block` and
 :meth:`~DataParallelEngine._exec_vector_loop` unchanged.  Blocks
 containing loads have a shape per timing rule (cache probe, idealized,
-variable latency), selected by the engine at bind time;
+variable latency), selected by the engine at bind time and compiled
+the first time an engine binds that rule. Unlike the per-node
+families, blocks are not memoized by structure: a whole-block shape
+rarely repeats between programs, so every row carries its constants;
 variable-latency loads fast-forward their stall through the
 ``_stall_scalar_load`` O(1) path.  Spawned loops are classified
 vector-vs-scalar at generation time (``classify_loop`` is a pure
@@ -275,7 +278,7 @@ def bind(module, E) -> Tuple[dict, dict]:
             "node_cycles": prof.node_cycles,
             "stall_cycles": prof.stall_cycles,
         })
-    fns = iter(bind_rows(module.rows, env, timing_rule(E)))
+    fns = iter(bind_rows(module, env, timing_rule(E)))
     ticked: Dict[str, tuple] = {}
     silent: Dict[str, tuple] = {}
     for name, has_silent in module.layout:

@@ -7,7 +7,9 @@ immediates are constants bound as default arguments; live-token deltas
 are part of the shape, and the ``X if port in entry else imm`` operand
 probes are resolved at generation time (a port is statically either an
 immediate or a token port, and every token port is present at fire
-time). :func:`bind` cuts the rows back into per-block tables.
+time). Each structural key (:func:`_key_fields`) is emitted once per
+process over a stand-in op. :func:`bind` cuts the rows back into
+per-block tables.
 
 The cycle loop (one shape) is the engine's already-inlined loop with
 the per-cycle ``RLETrace.append`` bodies additionally inlined (both
@@ -23,14 +25,17 @@ records and the differential fuzz suite pin it.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Dict
+from itertools import islice
+from typing import Dict, List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import ContextProgram
 from repro.sim.codegen.core import (
+    EVALUATORS,
     Consts,
     KernelTable,
     ProfiledLoop,
+    Recipe,
     Shape,
     Writer,
     bind_rows,
@@ -38,6 +43,7 @@ from repro.sim.codegen.core import (
     memory_env,
     move_miss_box,
     one_rule,
+    placeholders,
     pure_expr,
     timing_rule,
 )
@@ -52,23 +58,68 @@ _UNROLL_CAP = 6
 _NO_ENTRY: Dict[int, object] = {}
 
 
+#: Structural key -> recipe, once per process (see :func:`_key_fields`).
+_MEMO: Dict[tuple, Recipe] = {}
+
+
+def _key_fields(bplan: BlockPlan, p: OpPlan) -> Tuple[tuple, tuple]:
+    """An op's structural key and its fields.
+
+    The key is everything :func:`_emit` branches on: whether the op is
+    the loop term, opcode, input count, immediate ports (in the dict's
+    order), token ports, fan-out of output ports 0 and 1, and steer
+    sense. The fields are, in order: op id, the output keys of ports 0
+    and 1, immediates dict, array, evaluator, the consumer tuples of
+    ports 0 and 1, each immediate, then each consumer of port 0 and of
+    port 1.
+    """
+    oid = p.op_id
+    k0 = (oid, 0)
+    k1 = (oid, 1)
+    get = bplan.consumers.get
+    cons0 = tuple(get(k0, ()))
+    cons1 = tuple(get(k1, ()))
+    imms = p.imms
+    attrs = p.attrs
+    op = p.op
+    key = (oid == bplan.term_id, op, len(p.inputs), tuple(imms),
+           p.token_ports, len(cons0), len(cons1), attrs.get("sense"))
+    return key, (oid, k0, k1, imms, attrs.get("array"), EVALUATORS[op],
+                 cons0, cons1, *imms.values(), *cons0, *cons1)
+
+
 class _Fn:
-    """One op's firing functions being emitted: constants shared by
-    its timing variants (each named once), refs per variant."""
+    """One op's firing functions being emitted over a stand-in: the
+    op's structure with every field a placeholder. Constants are
+    shared by its timing variants (each named once), refs per
+    variant."""
 
     def __init__(self, bplan: BlockPlan, p: OpPlan) -> None:
-        self.bplan = bplan
-        self.p = p
+        self.term = p.op_id == bplan.term_id
+        self.op = p.op
+        self.n_in = len(p.inputs)
+        self.token_ports = p.token_ports
+        self.sense = p.attrs.get("sense")
+        get = bplan.consumers.get
+        n0 = len(get((p.op_id, 0), ()))
+        n1 = len(get((p.op_id, 1), ()))
+        f = iter(placeholders(8 + len(p.imms) + n0 + n1))
+        (self.op_id, k0, k1, self.imms_dict, self.array, self.evaluate,
+         whole0, whole1) = islice(f, 8)
+        self.keys = (k0, k1)
+        self.whole = (whole0, whole1)
+        self.imms = {port: next(f) for port in p.imms}
+        self.consumers = (tuple(islice(f, n0)), tuple(islice(f, n1)))
         self.consts = Consts()
 
     def shape(self) -> Shape:
         return Shape(("inst",), self.consts)
 
     def oid(self) -> str:
-        return self.consts.named("oid", self.p.op_id)
+        return self.consts.named("oid", self.op_id)
 
     def key(self, port: int) -> str:
-        return self.consts.named(("key", port), (self.p.op_id, port))
+        return self.consts.named(("key", port), self.keys[port])
 
     def operand(self, port: int) -> str:
         """Statically resolved ``entry[port] if port in entry else
@@ -76,14 +127,14 @@ class _Fn:
         token port is deposited before a firing; a port that is
         neither -- e.g. an inputless term decider -- reads as None,
         exactly like the interpreter's ``imms.get``)."""
-        if port in self.p.imms:
-            return self.consts.named(("imm", port), self.p.imms[port])
-        if port in self.p.token_ports:
+        if port in self.imms:
+            return self.consts.named(("imm", port), self.imms[port])
+        if port in self.token_ports:
             return f"entry[{port}]"
         return "None"
 
     def cons(self, port: int):
-        return tuple(self.bplan.consumers.get((self.p.op_id, port), ()))
+        return self.consumers[port]
 
     def take(self, b: Shape, pop_default: bool = True) -> None:
         if pop_default:
@@ -104,7 +155,8 @@ class _Fn:
                 b(f"append((inst, {self.consts.named(('c', port, j), c)}, "
                   f"{value}))")
         else:
-            b(f"for d in {self.consts.named(('cons', port), cons)}:")
+            whole = self.consts.named(("cons", port), self.whole[port])
+            b(f"for d in {whole}:")
             b.indent()
             b(f"append((inst, d, {value}))")
             b.dedent()
@@ -128,23 +180,24 @@ class _Fn:
         return b.variant()
 
 
-def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
-    """Add the row of one op."""
+def _emit(bplan: BlockPlan, p: OpPlan) -> Recipe:
+    """The recipe of ``p``'s structural key, emitted over its
+    stand-in."""
     fn = _Fn(bplan, p)
-    oid = p.op_id
-    op = p.op
+    op = fn.op
     n0 = len(fn.cons(0))
     n1 = len(fn.cons(1))
-    n_t = len(p.token_ports)
+    n_t = len(fn.token_ports)
     d0 = n0 - n_t
     d1 = n1 - n_t
-    term = oid == bplan.term_id
-    label = f"{bplan.name} op {oid}: {'term' if term else op.value}"
 
-    def add(b: Shape, *refs: str) -> None:
-        table.add(one_rule(fn.finish(b, *refs)), fn.consts, label)
+    def done(*variants) -> Recipe:
+        return Recipe.emitted(variants, fn.consts)
 
-    if term:
+    def add(b: Shape, *refs: str) -> Recipe:
+        return done(*one_rule(fn.finish(b, *refs)))
+
+    if fn.term:
         b = fn.shape()
         fn.take(b)
         if n_t:
@@ -152,8 +205,7 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
         b(f"inst.fired.add({fn.oid()})")
         b("inst.term_fired = True")
         b(f"inst.term_decision = {fn.operand(0)}")
-        add(b)
-        return
+        return add(b)
 
     if op is Op.SPAWN or not (OP_INFO[op].pure or op in (
             Op.MERGE, Op.STEER, Op.LOAD, Op.STORE)):
@@ -161,8 +213,7 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
                 if op is Op.SPAWN else "cannot execute " + op.value)
         b = fn.shape()
         b(f"raise SimulationError({what!r})")
-        table.add(one_rule(b.variant()), fn.consts, label)
-        return
+        return done(*one_rule(b.variant()))
 
     if op is Op.MERGE:
         b = fn.shape()
@@ -170,14 +221,13 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
         b("livebox[0] -= len(entry)")
         b(f"inst.fired.add({fn.oid()})")
         b("chosen = 1 if entry[0] else 2")
-        if p.imms:
-            im = fn.consts.named("imms", p.imms)
+        if fn.imms:
+            im = fn.consts.named("imms", fn.imms_dict)
             b(f"value = entry[chosen] if chosen in entry else {im}[chosen]")
         else:
             b("value = entry[chosen]")
         fn.out(b, 0, "value", n0)
-        add(b)
-        return
+        return add(b)
 
     if op is Op.STEER:
         b = fn.shape()
@@ -185,16 +235,15 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
         b(f"inst.fired.add({fn.oid()})")
         b(f"decider = {fn.operand(0)}")
         b(f"value = {fn.operand(1)}")
-        b("if decider:" if p.attrs["sense"] else "if not decider:")
+        b("if decider:" if fn.sense else "if not decider:")
         b.indent()
         fn.out(b, 0, "value", n0)
         b.dedent()
         fn.out(b, 1, "0", d1)
-        add(b)
-        return
+        return add(b)
 
     if op is Op.LOAD:
-        arr = fn.consts.named("array", p.attrs["array"])
+        arr = fn.consts.named("array", fn.array)
         # Latency is a run parameter: emit every timing rule, the
         # binder picks one (matching the interpreter's
         # construction-time split).
@@ -239,17 +288,15 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
         delayed(cached, f"cache_load({arr}, addr)", True)
         var = fn.shape()
         delayed(var, f"load_delay(latency, {arr}, addr)", False)
-        table.add((fn.finish(cached, "mem_load", "publish", "metrics",
-                             "delayed", "cache_load", "miss_latency",
-                             "miss_until"),
-                   fn.finish(fast, "mem_load"),
-                   fn.finish(var, "mem_load", "publish", "metrics",
-                             "delayed", "latency", "load_delay")),
-                  fn.consts, label)
-        return
+        return done(fn.finish(cached, "mem_load", "publish", "metrics",
+                              "delayed", "cache_load", "miss_latency",
+                              "miss_until"),
+                    fn.finish(fast, "mem_load"),
+                    fn.finish(var, "mem_load", "publish", "metrics",
+                              "delayed", "latency", "load_delay"))
 
     if op is Op.STORE:
-        arr = fn.consts.named("array", p.attrs["array"])
+        arr = fn.consts.named("array", fn.array)
 
         def store(b: Shape) -> None:
             fn.take(b)
@@ -268,29 +315,28 @@ def _fire(table: KernelTable, bplan: BlockPlan, p: OpPlan) -> None:
         cached(f"cache_store({arr}, addr)")
         fn.out(cached, 0, "0", d0)
         plain_v = fn.finish(plain, "mem_store")
-        table.add((fn.finish(cached, "mem_store", "cache_store"),
-                   plain_v, plain_v), fn.consts, label)
-        return
+        return done(fn.finish(cached, "mem_store", "cache_store"),
+                    plain_v, plain_v)
 
     # Pure arithmetic/logic. The interpreter's shape split
     # (pure2/pure1/imm variants/generic) only changes which operand
     # expressions appear; statically resolving the ports covers every
     # shape.
-    n_in = len(p.inputs)
+    n_in = fn.n_in
     b = fn.shape()
     # The interpreter's specialized pure shapes pop without a
     # default; preserve the KeyError on a spurious firing.
-    fn.take(b, pop_default=not ((not p.imms and n_in in (1, 2))
-                                or (n_in == 2 and len(p.imms) == 1)))
+    fn.take(b, pop_default=not ((not fn.imms and n_in in (1, 2))
+                                or (n_in == 2 and len(fn.imms) == 1)))
     args = [fn.operand(port) for port in range(n_in)]
     expr = pure_expr(op, args)
     if expr is None:
-        ev = fn.consts.named("ev", OP_INFO[op].evaluate)
+        ev = fn.consts.named("ev", fn.evaluate)
         expr = f"{ev}({', '.join(args)})"
     b(f"inst.fired.add({fn.oid()})")
     b(f"value = {expr}")
     fn.out(b, 0, "value", d0)
-    add(b)
+    return add(b)
 
 
 def bind(module, E) -> Dict[str, list]:
@@ -305,7 +351,7 @@ def bind(module, E) -> Dict[str, list]:
         "delayed": E._delayed,
         "miss_until": E._miss_until,
     })
-    fns = bind_rows(module.rows, env, timing_rule(E))
+    fns = bind_rows(module, env, timing_rule(E))
     tables = {}
     start = 0
     for name, n_ops in module.layout:
@@ -325,11 +371,24 @@ def generate(program: ContextProgram,
     table = KernelTable("window", bind, run_loop(),
                         [(name, len(plan.ops))
                          for name, plan in plans.items()],
-                        profile=partial(generate, program, True))
+                        profile=partial(generate, program, True),
+                        labels=partial(_labels, plans))
+    memo = _MEMO
+    append = table.rows.append
     for bplan in plans.values():
         for p in bplan.ops:
-            _fire(table, bplan, p)
+            key, fields = _key_fields(bplan, p)
+            recipe = memo.get(key)
+            if recipe is None:
+                recipe = memo[key] = _emit(bplan, p)
+            append((recipe, fields))
     return table
+
+
+def _labels(plans: Dict[str, BlockPlan]) -> List[str]:
+    return [f"{bplan.name} op {p.op_id}: "
+            f"{'term' if p.op_id == bplan.term_id else p.op.value}"
+            for bplan in plans.values() for p in bplan.ops]
 
 
 @lru_cache(maxsize=None)  # two variants

@@ -182,6 +182,27 @@ def test_precompile_builds_profiled_kernels(monkeypatch):
     assert calls == []
 
 
+def test_precompile_compiles_the_bound_rules(monkeypatch):
+    """precompile_specs compiles the timing rule each spec's engine
+    binds -- idealized, cache probe, variable latency -- so no forked
+    worker's run calls ``compile()``."""
+    monkeypatch.setattr(pool, "_WL_MEMO", {})
+    monkeypatch.setattr(core, "_SHAPES", {})
+    wl = build_workload("dmv", "tiny")
+    specs = [spec_for(wl, machine, config)
+             for machine in ("tyr", "ordered", "seqdf", "datapar")
+             for config in ({}, {"cache": "line=4,miss=60,l1=4x2x1"},
+                            {"load_latency": 4})]
+    precompile_specs(specs)
+    calls = []
+    monkeypatch.setattr(core, "compile",
+                        lambda *a: calls.append(a) or compile(*a),
+                        raising=False)
+    for spec in specs:
+        assert run_one(spec).completed
+    assert calls == []
+
+
 def test_result_cache_root_hosts_plan_store(tmp_path):
     """run_specs with a result cache persists lowerings under
     <root>/plans without being asked."""

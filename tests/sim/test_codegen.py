@@ -4,9 +4,10 @@ The differential fuzz suite (tests/properties) pins bit-identity on
 random programs; these tests cover the machinery around the generators:
 table determinism, the per-process shape memo (constants bound as
 data, never compiled twice, no program kept alive, profiled variants
-built only when a profiled run needs them), the
-``TYR_REPRO_DUMP_KERNELS`` hook, and the rules for when engines fall
-back to the closure interpreters.
+built only when a profiled run needs them), per-rule compile (a run
+compiles only the timing rule it binds), the ``TYR_REPRO_DUMP_KERNELS``
+hook (the only user of the program fingerprint on the kernel path),
+and the rules for when engines fall back to the closure interpreters.
 """
 
 import gc
@@ -29,10 +30,11 @@ from repro.frontend import (
 from repro.errors import SimulationError
 from repro.harness.pool import cache_key, spec_for
 from repro.harness.runner import KERNEL_FAMILY, CompiledWorkload
+from repro.ir import printer
 from repro.ir.ops import Op
 from repro.sim import codegen
 from repro.sim.codegen import core
-from repro.sim.codegen.core import DUMP_ENV, FAMILIES
+from repro.sim.codegen.core import CACHE, DUMP_ENV, FAMILIES, FAST, VAR
 from repro.sim.memory import Memory
 from repro.sim.profile import STALL_REASONS
 from repro.sim.queued import QueuedEngine
@@ -41,7 +43,7 @@ from repro.sim.tagged.engine import _ALLOC_POP, ROOT_TAG
 from repro.sim.vector import DataParallelEngine
 from repro.sim.window import WindowEngine
 from repro.workloads import build_workload
-from repro.workloads.randomprog import random_module
+from repro.workloads.randomprog import random_memory, random_module
 
 from tests.conftest import dmv_memory, dmv_module
 
@@ -55,9 +57,25 @@ def wl():
     return build_workload("dmv", "tiny")
 
 
+#: A cache spec small enough that random programs miss.
+CACHE_SPEC = "line=4,miss=60,l1=4x2x1"
+
+
 def _shape_rows(table):
-    return [(tuple(text for text, _ in variants), label)
-            for variants, _, label in table.rows]
+    return [(tuple(text for text, _ in recipe.variants), label)
+            for (recipe, _), label in zip(table.rows, table.labels())]
+
+
+def _compiled_sources(monkeypatch):
+    """Every source ``compile()`` gets from here on, in call order."""
+    sources = []
+
+    def spy(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(core, "compile", spy, raising=False)
+    return sources
 
 
 # ---------------------------------------------------------------- source
@@ -93,7 +111,9 @@ def test_source_has_bind_entry_points(wl):
 
 def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     """A dump holds every shape the program uses and its node table,
-    whether or not this process compiled those shapes already."""
+    whether or not this process compiled those shapes already. It is
+    named after the program's fingerprint, and each row shows its
+    concrete refs and constants, not the recipe's placeholders."""
     monkeypatch.setenv(DUMP_ENV, str(tmp_path))
     source = codegen.generate_source("window", wl.compiled)
     codegen.compile_kernels(source, "window", "dumptest0000")
@@ -102,6 +122,39 @@ def test_dump_kernels_env(wl, monkeypatch, tmp_path):
         assert text in dumped
     assert "TABLE = [" in dumped
     assert dumped.count("\n    (") == len(source.table.rows)
+    cw = CompiledWorkload(wl.compiled.program)
+    fingerprint = cw.fingerprint[:12]
+    for family in FAMILIES:
+        cw.kernels(family)
+        dumped = (tmp_path / f"{family}-{fingerprint}.py").read_text()
+        assert "Field(" not in dumped, family
+    tagged = (tmp_path / f"tagged-{fingerprint}.py").read_text()
+    for nd in cw.tagged.nodes:
+        # Allocates fire through the engine's state machine.
+        if nd.op is not Op.ALLOCATE:
+            assert f"('pops', {nd.node_id})" in tagged
+    flat = (tmp_path / f"flat-{fingerprint}.py").read_text()
+    dest_id, dest_port = next(edge for nd in cw.flat.nodes
+                              for edges in nd.out_edges for edge in edges)
+    assert f"('fifos', {dest_id}, {dest_port})" in flat
+
+
+def test_kernel_path_never_formats_the_program(monkeypatch):
+    """With dumping off, building and running a never-seen program's
+    kernels -- plain, profiled, under each timing rule -- never prints
+    its IR: the fingerprint only names dumps."""
+    monkeypatch.delenv(DUMP_ENV, raising=False)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("format_program on the kernel path")
+
+    monkeypatch.setattr(printer, "format_program", fail)
+    cw = CompiledWorkload(lower_module(random_module(-3)))
+    for machine in FAMILY_MACHINE.values():
+        for kwargs in ({}, {"profile": True}, {"load_latency": 4},
+                       {"cache": CACHE_SPEC}):
+            cw.run(machine, Memory(random_memory()), [3, 5], **kwargs)
+    assert cw._fingerprint is None
 
 
 # ------------------------------------------------------------ shape memo
@@ -146,22 +199,82 @@ def test_shared_shapes_bind_their_own_constants():
                     == _observe(cw, machine, False)), machine
 
 
-def test_rebuilding_known_shapes_compiles_nothing(wl, monkeypatch):
-    """Once a program's shapes are memoized, rebuilding its kernels is
-    binding only: empty source and zero ``compile()`` calls."""
-    for family in FAMILIES:
-        CompiledWorkload(wl.compiled.program).kernels(family)
-    calls = []
-    monkeypatch.setattr(core, "compile",
-                        lambda *a: calls.append(a) or compile(*a),
-                        raising=False)
+def test_rebinding_known_shapes_compiles_nothing(wl, monkeypatch):
+    """Once a run has compiled a program's shapes for its timing rule,
+    rebuilding the kernels from a fresh workload and running them again
+    is binding only: no loop source and zero ``compile()`` calls."""
+    for machine in FAMILY_MACHINE.values():
+        CompiledWorkload(wl.compiled.program).run(machine, wl.fresh_memory(),
+                                                  wl.args)
+    sources = _compiled_sources(monkeypatch)
     again = CompiledWorkload(wl.compiled.program)
     for family, machine in FAMILY_MACHINE.items():
         assert codegen.generate_source(family, again) == ""
         again.kernels(family)
         res = again.run(machine, wl.fresh_memory(), wl.args)
         assert res.completed
-    assert calls == []
+    assert sources == []
+
+
+def _rule_texts(cw, rules, profiled=False):
+    """The shape texts of ``cw``'s tables under ``rules``, loops
+    included, over every family."""
+    texts = set()
+    for family in FAMILIES:
+        table = codegen.generate_source(family, cw).table
+        if profiled:
+            table = table.profile()
+        texts.update(table.texts(rules))
+    return texts
+
+
+def test_runs_compile_only_their_timing_rule(monkeypatch):
+    """A plain run of a never-seen program compiles no cache-rule or
+    var-rule text. A later ``cache=`` run of the same program compiles
+    its cache-rule texts, in at most one ``compile()`` call per
+    family; a third run compiles nothing."""
+    monkeypatch.setattr(core, "_SHAPES", {})
+    cw = CompiledWorkload(lower_module(random_module(-3)))
+    fast = _rule_texts(cw, (FAST,))
+    cache_only = _rule_texts(cw, (CACHE,)) - fast
+    var_only = _rule_texts(cw, (VAR,)) - fast
+    assert cache_only and var_only
+    sources = _compiled_sources(monkeypatch)
+
+    def runs(**kwargs):
+        for machine in FAMILY_MACHINE.values():
+            cw.run(machine, Memory(random_memory()), [3, 5], **kwargs)
+
+    runs()
+    compiled = "".join(sources)
+    assert fast <= set(core._SHAPES)
+    assert not any(text in compiled for text in cache_only | var_only)
+    before = len(sources)
+    runs(cache=CACHE_SPEC)
+    assert 0 < len(sources) - before <= len(FAMILIES)
+    assert cache_only <= set(core._SHAPES)
+    assert not any(text in "".join(sources) for text in var_only)
+    before = len(sources)
+    runs(cache=CACHE_SPEC)
+    runs()
+    assert len(sources) == before
+
+
+def test_profiled_datapar_compiles_only_its_rule(monkeypatch):
+    """A profiled datapar run of a never-seen program compiles its
+    profiled whole-block shapes for the rule it binds, not the
+    other two."""
+    monkeypatch.setattr(core, "_SHAPES", {})
+    cw = CompiledWorkload(lower_module(random_module(-3)))
+    table = codegen.generate_source("vector", cw).table.profile()
+    own = set(table.texts((FAST,)))
+    others = set(table.texts((CACHE, VAR))) - own
+    assert others
+    sources = _compiled_sources(monkeypatch)
+    res = cw.run("datapar", Memory(random_memory()), [3, 5], profile=True)
+    assert res.extra["profile"].cycles == res.cycles
+    assert own <= set(core._SHAPES)
+    assert not any(text in "".join(sources) for text in others)
 
 
 #: Distinct shapes over randomprog seeds 0..199 (about 25k tagged,
@@ -195,9 +308,10 @@ def _record(profile):
 
 def test_profiled_variants_are_built_lazily(wl, monkeypatch):
     """A plain run generates and compiles no profiled shape. The first
-    profiled run compiles the program's profiled variant; a second
-    profiled run of the same program, from a fresh workload with
-    nothing memoized on it, calls ``compile()`` zero times."""
+    profiled run compiles the program's profiled variant for the timing
+    rule it binds; a second profiled run of the same program, from a
+    fresh workload with nothing memoized on it, calls ``compile()``
+    zero times."""
     monkeypatch.setattr(core, "_SHAPES", {})
     program = wl.compiled.program
     plain = CompiledWorkload(program)
@@ -206,17 +320,15 @@ def test_profiled_variants_are_built_lazily(wl, monkeypatch):
     profiled_only = set()
     for family in FAMILIES:
         table = codegen.generate_source(family, plain).table
-        profiled_only |= set(table.profile().texts()) - set(table.texts())
+        profiled_only |= (set(table.profile().texts((FAST,)))
+                          - set(table.texts()))
     assert len(profiled_only) >= len(FAMILIES)
     assert not profiled_only & set(core._SHAPES)
     for machine in FAMILY_MACHINE.values():
         assert plain.run(machine, wl.fresh_memory(), wl.args,
                          profile=True).completed
     assert profiled_only <= set(core._SHAPES)
-    calls = []
-    monkeypatch.setattr(core, "compile",
-                        lambda *a: calls.append(a) or compile(*a),
-                        raising=False)
+    sources = _compiled_sources(monkeypatch)
     again = CompiledWorkload(program)
     for machine in FAMILY_MACHINE.values():
         res = again.run(machine, wl.fresh_memory(), wl.args, profile=True)
@@ -224,7 +336,7 @@ def test_profiled_variants_are_built_lazily(wl, monkeypatch):
                         codegen=False)
         assert _record(res.extra["profile"]) == _record(
             ref.extra["profile"]), machine
-    assert calls == []
+    assert sources == []
 
 
 def test_dropped_workload_kernels_are_collected(wl):
