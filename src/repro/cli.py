@@ -5,15 +5,14 @@ Examples::
     tyr-repro list
     tyr-repro run dmv --machine tyr --scale default --tags 8
     tyr-repro experiment fig12 --scale default
-    tyr-repro experiment all --scale small
-    tyr-repro worker-serve --port 7341 --jobs 4
-    tyr-repro experiment fig05 --jobs 2 --hosts hostA:7341,hostB:7341
+    tyr-repro experiment all --scale small --jobs 2
     tyr-repro cache gc --max-size 2G --max-age 7d
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -88,13 +87,9 @@ def _cmd_experiment(args) -> int:
     else:
         names = [args.name]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    hosts = tuple(h.strip() for h in (args.hosts or "").split(",")
-                  if h.strip())
     options = RunOptions(timeout=args.timeout, retries=args.retries,
                          run_log=args.run_log, progress=args.progress,
-                         codegen=not args.no_codegen,
-                         hosts=hosts,
-                         cost_logs=tuple(args.cost_log or ()))
+                         codegen=not args.no_codegen)
     for name in names:
         start = time.time()
         report = get_experiment(name)(scale=args.scale,
@@ -203,13 +198,15 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_worker_serve(args) -> int:
-    from repro.harness.remote import serve
-
-    serve(port=args.port, jobs=args.jobs, bind=args.bind,
-          cache_dir=args.cache_dir, use_cache=not args.no_cache,
-          once=args.serve_once, fail_after=args.fail_after)
-    return 0
+def _amount(number: str, mult: float) -> Optional[float]:
+    """``number * mult``, or None unless that is finite and not
+    negative (a negative or infinite gc bound would wipe the cache or
+    overflow)."""
+    try:
+        value = float(number) * mult
+    except ValueError:
+        return None
+    return value if 0 <= value < math.inf else None
 
 
 def parse_size(text: str) -> int:
@@ -222,11 +219,12 @@ def parse_size(text: str) -> int:
         mult = {"k": 1 << 10, "m": 1 << 20,
                 "g": 1 << 30, "t": 1 << 40}[t[-1]]
         t = t[:-1]
-    try:
-        return int(float(t) * mult)
-    except ValueError:
+    value = _amount(t, mult)
+    if value is None:
         raise argparse.ArgumentTypeError(
-            f"bad size {text!r} (examples: 500M, 2G, 1048576)")
+            f"bad size {text!r}: want a finite size >= 0 "
+            f"(examples: 500M, 2G, 1048576)")
+    return int(value)
 
 
 def parse_age(text: str) -> float:
@@ -237,11 +235,12 @@ def parse_age(text: str) -> float:
         mult = {"s": 1.0, "m": 60.0, "h": 3600.0,
                 "d": 86400.0, "w": 604800.0}[t[-1]]
         t = t[:-1]
-    try:
-        return float(t) * mult
-    except ValueError:
+    value = _amount(t, mult)
+    if value is None:
         raise argparse.ArgumentTypeError(
-            f"bad age {text!r} (examples: 7d, 12h, 30m, 90)")
+            f"bad age {text!r}: want a finite age >= 0 "
+            f"(examples: 7d, 12h, 30m, 90)")
+    return value
 
 
 def _cmd_cache_gc(args) -> int:
@@ -326,43 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--progress", action="store_true",
                        help="live done/total, cache-hit rate, and ETA "
                             "line on stderr")
-    exp_p.add_argument("--hosts", default=None,
-                       metavar="HOST:PORT,...",
-                       help="comma-separated tyr-repro worker-serve "
-                            "agents to shard the sweep across "
-                            "(alongside --jobs local workers; "
-                            "--jobs 0 runs purely remote)")
-    exp_p.add_argument("--cost-log", action="append", default=None,
-                       metavar="FILE",
-                       help="extra JSONL run log(s) whose historical "
-                            "wall_s seed the longest-first scheduler "
-                            "(--run-log, if a path, is always "
-                            "consulted)")
-
-    ws_p = sub.add_parser(
-        "worker-serve",
-        help="serve this host's fork pool to remote sweeps over TCP",
-    )
-    ws_p.add_argument("--port", type=int, required=True,
-                      help="TCP port to listen on")
-    ws_p.add_argument("--bind", default="127.0.0.1",
-                      help="interface to bind (default 127.0.0.1; the "
-                           "protocol is unauthenticated pickle -- "
-                           "expose it to trusted networks only)")
-    ws_p.add_argument("--jobs", "-j", type=int, default=None,
-                      help="forked workers to run (default: cores-1)")
-    ws_p.add_argument("--cache-dir", default=None,
-                      help="result cache consulted before running "
-                           "anything (default $REPRO_CACHE_DIR or "
-                           ".repro-cache)")
-    ws_p.add_argument("--no-cache", action="store_true",
-                      help="run every spec, cache nothing")
-    ws_p.add_argument("--serve-once", action="store_true",
-                      help="exit after one client session (tests/CI)")
-    ws_p.add_argument("--fail-after", type=int, default=None,
-                      metavar="N",
-                      help="chaos hook: hard-exit after streaming N "
-                           "results (failover drills)")
 
     cache_p = sub.add_parser("cache",
                              help="manage the on-disk result cache")
@@ -370,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        required=True)
     gc_p = cache_sub.add_parser(
         "gc",
-        help="prune cached results/plans, least-recently-used first",
+        help="prune cached results, least-recently-used first",
     )
     gc_p.add_argument("--max-size", type=parse_size, default=None,
                       metavar="SIZE",
@@ -382,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "(e.g. 7d, 12h, 900s)")
     gc_p.add_argument("--cache-dir", default=None,
                       help="cache directory (default $REPRO_CACHE_DIR "
-                           "or .repro-cache); the nested plans/ "
-                           "compile cache is pruned too")
+                           "or .repro-cache); a plans/ tree left by "
+                           "older versions is pruned too")
 
     ins_p = sub.add_parser(
         "inspect", help="show a workload's concurrent blocks"
@@ -452,8 +414,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_trace(args)
         if args.command == "profile":
             return _cmd_profile(args)
-        if args.command == "worker-serve":
-            return _cmd_worker_serve(args)
         if args.command == "cache":
             return _cmd_cache_gc(args)
     except ReproError as err:

@@ -71,29 +71,6 @@ class WorkerCrashError(ReproError):
     """
 
 
-class RemoteProtocolError(ReproError):
-    """A remote worker handshake failed or the wire protocol was
-    violated.
-
-    Raised client-side when a ``worker-serve`` peer rejects the
-    version handshake (``PROTOCOL_VERSION`` / ``CACHE_VERSION`` /
-    ``PLAN_VERSION`` mismatch -- results or cached plans would not be
-    comparable across the fleet) or replies with a malformed frame.
-    A mismatched peer is a configuration error, so this aborts the
-    sweep loudly instead of silently failing over.
-    """
-
-
-class HostLostError(ReproError):
-    """Every remote worker host was lost and no local workers remain.
-
-    Individual host failures are *tolerated*: their outstanding specs
-    are redispatched to the surviving hosts and the local pool. This
-    error fires only when the fleet has no capacity left at all
-    (``--jobs 0`` with every ``--hosts`` peer unreachable or dead).
-    """
-
-
 class UnexpectedRunError(ReproError):
     """A non-:class:`ReproError` exception escaped a pooled run.
 

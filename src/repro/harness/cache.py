@@ -23,10 +23,8 @@ one overwrite winning.
 
 The default root is ``$REPRO_CACHE_DIR`` or ``.repro-cache`` in the
 working directory. A corrupt or unreadable entry is treated as a miss.
-
-:class:`CompileCache` reuses the same store layout for compiled
-machine artifacts (elaborated tagged graphs, flattened queued graphs),
-keyed by program fingerprint + artifact kind under ``<root>/plans``.
+Lowered programs are never stored: building them costs a few
+milliseconds per process, about what reading them back would.
 """
 
 from __future__ import annotations
@@ -49,23 +47,6 @@ from repro.sim.metrics import ExecutionResult
 #: v5: gated allocation leaves two free tags on speculative pops
 #: (multi-sibling starvation fix), shifting tyr schedules/metrics.
 CACHE_VERSION = 5
-
-#: Version of the *compiled-plan* cache (:class:`CompileCache`). Bump
-#: when :func:`repro.compiler.elaborate.elaborate` /
-#: :func:`repro.compiler.flatten.flatten` change their output for the
-#: same input program. Generated kernels are not stored here (they are
-#: rebuilt per process from shared shapes, :mod:`repro.sim.codegen`),
-#: so kernel changes need no bump.
-#: v2: generated kernel artifacts added alongside the lowered graphs.
-#: v3: queued kernels track the minimum due-cycle and skip memory
-#: response delivery entirely on cycles where no load matures.
-#: v4: kernels gain cache-probe load/store firing rules selected at
-#: bind time.
-#: v5: generated run loops carry the progress watchdog (consecutive
-#: zero-fire cycle counter raising a diagnosed DeadlockError).
-#: Kernel artifacts left the store after v5; stale ``kernels-<family>``
-#: entries are never read again and age out through ``cache gc``.
-PLAN_VERSION = 5
 
 DEFAULT_ROOT = ".repro-cache"
 
@@ -90,19 +71,21 @@ def result_key(fingerprint: str,
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-class _PickleStore:
-    """Sharded atomic pickle store -- base for both caches."""
+class ResultCache:
+    """Content-addressed store of pickled :class:`ExecutionResult`,
+    sharded by key prefix and written atomically."""
 
-    def __init__(self, root: str):
-        self.root = root
+    def __init__(self, root: Optional[str] = None):
+        self.root = (root or os.environ.get("REPRO_CACHE_DIR")
+                     or DEFAULT_ROOT)
         self.hits = 0
         self.misses = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".pkl")
 
-    def get(self, key: str):
-        """The cached object for ``key``, or None (counted as a miss)."""
+    def get(self, key: str) -> Optional[ExecutionResult]:
+        """The cached result for ``key``, or None (counted as a miss)."""
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
@@ -120,7 +103,7 @@ class _PickleStore:
             pass
         return obj
 
-    def put(self, key: str, obj) -> None:
+    def put(self, key: str, obj: ExecutionResult) -> None:
         """Store ``obj`` atomically (temp file + rename)."""
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -145,11 +128,11 @@ class _PickleStore:
         ``max_age`` (seconds) first removes every entry older than
         that; ``max_size`` (bytes) then deletes oldest-first until the
         surviving entries fit the budget. Walks every ``*.pkl`` under
-        the root recursively, so a :class:`ResultCache` gc also covers
-        the ``plans/`` compile cache nested inside it. Entries that
-        vanish mid-walk (a concurrent sweep or gc) are skipped, never
-        an error. Returns ``{"kept", "removed", "kept_bytes",
-        "removed_bytes"}``.
+        the root recursively, so the ``plans/`` tree that earlier
+        versions stored lowered programs in (nothing reads it now)
+        ages out by the same command. Entries that vanish mid-walk (a
+        concurrent sweep or gc) are skipped, never an error. Returns
+        ``{"kept", "removed", "kept_bytes", "removed_bytes"}``.
         """
         entries = []  # (mtime, size, path)
         for dirpath, _, filenames in os.walk(self.root):
@@ -198,46 +181,3 @@ class _PickleStore:
     def stats(self) -> str:
         return (f"cache: {self.hits} hit(s), {self.misses} miss(es) "
                 f"at {self.root}")
-
-
-class ResultCache(_PickleStore):
-    """Content-addressed store of pickled :class:`ExecutionResult`."""
-
-    def __init__(self, root: Optional[str] = None):
-        super().__init__(root or os.environ.get("REPRO_CACHE_DIR")
-                         or DEFAULT_ROOT)
-
-    def get(self, key: str) -> Optional[ExecutionResult]:
-        return super().get(key)
-
-
-def plan_key(fingerprint: str, kind: str) -> str:
-    """Key for one compiled artifact of one program.
-
-    ``kind`` names the lowering (``"tagged"`` for the elaborated
-    tagged graph, ``"flat"`` for the flattened queued graph); the
-    program is identified by its IR fingerprint, so the cache is
-    content-addressed exactly like :class:`ResultCache` and survives
-    workload renames / parameter re-spellings that lower to the same
-    program.
-    """
-    text = repr((PLAN_VERSION, fingerprint, kind))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-class CompileCache(_PickleStore):
-    """Persistent store of compiled machine artifacts.
-
-    Elaboration and flattening are deterministic functions of the
-    context program, so an artifact can be shared across processes and
-    sessions keyed only by ``(PLAN_VERSION, fingerprint, kind)``.
-    Lives under ``<result-cache-root>/plans`` by default (see
-    :func:`repro.harness.pool.run_specs`) so one ``--cache-dir`` flag
-    governs both.
-    """
-
-    def get_plan(self, fingerprint: str, kind: str):
-        return self.get(plan_key(fingerprint, kind))
-
-    def put_plan(self, fingerprint: str, kind: str, artifact) -> None:
-        self.put(plan_key(fingerprint, kind), artifact)

@@ -17,12 +17,9 @@ and experiment driver:
   written back; failures are never cached);
 * workers are forked, and the parent **precompiles** every artifact
   the pending specs need first (:func:`precompile_specs`) -- programs,
-  tagged/flat graphs -- so children inherit finished lowerings through
-  copy-on-write pages; a per-process memo (:data:`_WL_MEMO`) still
-  covers anything built after the fork. With a result cache, compiled
-  artifacts also persist across processes in a
-  :class:`~repro.harness.cache.CompileCache` under
-  ``<cache-root>/plans``;
+  tagged/flat graphs, generated kernels -- so children inherit them
+  through copy-on-write pages; a per-process memo (:data:`_WL_MEMO`)
+  still covers anything built after the fork;
 * :class:`~repro.errors.DeadlockError` / ``SimulationError`` raised by
   a run are re-raised with the failing workload, machine, and config
   appended to the message -- essential once failures surface from pool
@@ -40,14 +37,7 @@ and experiment driver:
   spec transition and a :class:`~repro.harness.runlog.ProgressLine`
   renders live done/total + cache-hit rate + ETA -- both opt-in via
   :class:`RunOptions` (CLI: ``experiment --timeout/--retries/
-  --run-log/--progress``);
-* with ``RunOptions.hosts`` (CLI: ``experiment --hosts host:port,...``)
-  the same dispatch loop also shards specs across remote
-  ``tyr-repro worker-serve`` agents -- longest-processing-time-first
-  ordering, per-host work-stealing windows, cache federation, and
-  host failover live in :mod:`repro.harness.remote`; a lost host's
-  outstanding specs re-enter this loop's todo deque and the
-  outstanding-set continues to guarantee exactly-once delivery.
+  --run-log/--progress``).
 """
 
 from __future__ import annotations
@@ -72,7 +62,7 @@ from repro.errors import (
     UnexpectedRunError,
     WorkerCrashError,
 )
-from repro.harness.cache import CompileCache, ResultCache, result_key
+from repro.harness.cache import ResultCache, result_key
 from repro.harness.runlog import ProgressLine, RunLog
 from repro.harness.runner import _TAGGED_MACHINES, kernel_family
 from repro.sim.metrics import ExecutionResult
@@ -194,9 +184,7 @@ def cache_key(spec: RunSpec) -> str:
     )
 
 
-def precompile_specs(specs: Sequence[RunSpec],
-                     plan_cache: Optional[CompileCache] = None
-                     ) -> None:
+def precompile_specs(specs: Sequence[RunSpec]) -> None:
     """Materialize every compiled artifact the specs need, in the
     parent, before any fork.
 
@@ -209,22 +197,8 @@ def precompile_specs(specs: Sequence[RunSpec],
     directly, so ``.program`` covers them. Each spec's generated
     kernels are built too, with the timing rule its engine will bind
     compiled (see :func:`repro.sim.codegen.rule_for`).
-
-    With a ``plan_cache``, each lowering is first looked up in (and on
-    a miss written back to) the persistent store, so a *new* parent
-    process skips recompilation entirely for programs any earlier run
-    already lowered.
     """
     from repro.sim.codegen import rule_for
-
-    def ensure(compiled, kind: str, attr: str):
-        artifact = getattr(compiled, attr)  # force the lazy lowering
-        # Backfill the store for artifacts materialized before the
-        # plan cache was attached (e.g. by an earlier serial run).
-        if (plan_cache is not None
-                and plan_cache.get_plan(compiled.fingerprint,
-                                        kind) is None):
-            plan_cache.put_plan(compiled.fingerprint, kind, artifact)
 
     seen: set = set()
     for spec in specs:
@@ -232,13 +206,11 @@ def precompile_specs(specs: Sequence[RunSpec],
         key = (_memo_key(spec), spec.machine)
         if key not in seen:
             seen.add(key)
-            if plan_cache is not None:
-                compiled.plan_cache = plan_cache
             compiled.program  # noqa: B018 -- force the frontend lowering
             if spec.machine in _TAGGED_MACHINES:
-                ensure(compiled, "tagged", "tagged")
+                compiled.tagged  # noqa: B018 -- force the elaboration
             elif spec.machine == "ordered":
-                ensure(compiled, "flat", "flat")
+                compiled.flat  # noqa: B018 -- force the flattening
         # Generated kernels: build them and compile the timing rule the
         # run binds (its profiled variant for profiled specs) in the
         # parent, so forked workers inherit the bound tables and the
@@ -319,16 +291,6 @@ class RunOptions:
         ``False`` forces every spec through the closure interpreters
         (``--no-codegen``); metrics are identical, only host speed
         differs, so cached results are shared across both settings.
-    ``hosts``
-        ``host:port`` addresses of ``tyr-repro worker-serve`` agents
-        to shard the sweep across, alongside the local pool (CLI:
-        ``experiment --hosts``). With hosts, pending specs are
-        dispatched longest-processing-time-first (see
-        :mod:`repro.harness.remote`); ``jobs=0`` runs purely remote.
-    ``cost_logs``
-        Extra JSONL run-log paths whose historical ``wall_s`` seed
-        the LPT cost model (``run_log``, when it is a path, is always
-        consulted too).
     """
 
     timeout: Optional[float] = None
@@ -336,8 +298,6 @@ class RunOptions:
     run_log: Optional[object] = None
     progress: bool = False
     codegen: bool = True
-    hosts: Tuple[str, ...] = ()
-    cost_logs: Tuple[str, ...] = ()
 
 
 def _pool_worker(specs: List[RunSpec], tasks, results) -> None:
@@ -390,9 +350,8 @@ def _decode_outcome(ok: bool, blob: bytes,
 def _run_pool(specs: List[RunSpec], pending: Sequence[int],
               n_workers: int, opts: RunOptions, log: Optional[RunLog],
               deliver: Callable[[int, bool, object, float, int], None],
-              progress: Optional[ProgressLine] = None,
               ) -> None:
-    """Async dispatch loop over forked workers (and remote hosts).
+    """Async dispatch loop over forked workers.
 
     The parent assigns one spec at a time to each worker over a
     private task pipe (so it always knows which worker owns which
@@ -414,28 +373,13 @@ def _run_pool(specs: List[RunSpec], pending: Sequence[int],
       tears every worker down, so a 1000-spec sweep does not grind on
       after spec 3 failed.
 
-    With ``opts.hosts``, a :class:`repro.harness.remote.Fleet` shares
-    this loop's todo deque / attempts map / outstanding set: pending
-    specs are ordered longest-processing-time-first, every live host
-    is kept topped up to its work-stealing window before local workers
-    claim specs, and a lost host's outstanding specs re-enter the
-    front of the deque for the survivors (local workers included).
-    ``n_workers`` may then be 0 for a purely remote sweep.
-
     Stale results (a retried spec whose first worker managed to push
     an outcome before dying) are dropped via the ``outstanding`` set,
     so no spec is ever delivered twice.
     """
-    fleet = None
-    order: Sequence[int] = pending
-    if opts.hosts:
-        from repro.harness import remote  # lazy: avoids import cycle
-
-        fleet = remote.Fleet(opts, log)
-        order = fleet.lpt_order(specs, pending)
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
-    todo = deque(order)
+    todo = deque(pending)
     outstanding = set(pending)
     attempts = dict.fromkeys(pending, 0)
     workers: Dict[int, Tuple[multiprocessing.Process, object]] = {}
@@ -443,11 +387,11 @@ def _run_pool(specs: List[RunSpec], pending: Sequence[int],
     delivered = 0
 
     def finish(index: int, ok: bool, payload: object, wall: float,
-               source) -> None:
+               pid: int) -> None:
         nonlocal delivered
         outstanding.discard(index)
         delivered += 1
-        deliver(index, ok, payload, wall, source)
+        deliver(index, ok, payload, wall, pid)
 
     def spawn() -> None:
         tasks = ctx.SimpleQueue()
@@ -479,20 +423,8 @@ def _run_pool(specs: List[RunSpec], pending: Sequence[int],
             proc.join()
         return proc
 
-    if fleet is not None:
-        fleet.bind(todo, attempts, outstanding)
-        fleet.connect()
-
     try:
         while delivered < len(pending):
-            # Remote hosts steal from the shared todo deque first:
-            # their dispatch has round-trip latency to hide, the local
-            # workers' does not.
-            if fleet is not None:
-                fleet.refill(specs)
-                fleet.require_capacity(n_workers,
-                                       len(pending) - delivered)
-
             # Keep the pool at strength and every worker busy.
             want = min(n_workers, len(todo) + len(running))
             while len(workers) < want:
@@ -504,48 +436,26 @@ def _run_pool(specs: List[RunSpec], pending: Sequence[int],
 
             # Wait for the next outcome, but wake early for the
             # nearest deadline (and periodically, for crash checks).
-            wait = 0.2 if fleet is None else 0.05
+            wait = 0.2
             if opts.timeout is not None and running:
                 now = time.monotonic()
                 deadline = (min(t0 for _, t0 in running.values())
                             + opts.timeout)
                 wait = min(wait, max(0.01, deadline - now))
             batch = []
-            if workers:
-                try:
-                    batch.append(results.get(timeout=wait))
-                    while True:
-                        batch.append(results.get_nowait())
-                except queue_mod.Empty:
-                    pass
+            try:
+                batch.append(results.get(timeout=wait))
+                while True:
+                    batch.append(results.get_nowait())
+            except queue_mod.Empty:
+                pass
             for index, pid, wall, ok, blob in batch:
                 if running.get(pid, (None,))[0] == index:
                     del running[pid]
                 if index not in outstanding:
                     continue  # stale result of a retried spec
                 ok, payload = _decode_outcome(ok, blob, specs[index])
-                if fleet is not None and progress is not None:
-                    progress.host_result("local")
                 finish(index, ok, payload, wall, pid)
-
-            # Remote results: block here only when there is no local
-            # pool to wait on (a purely remote sweep must not spin).
-            if fleet is not None:
-                block = wait if not workers else 0.0
-                for (host, index, ok, blob, wall,
-                     cached) in fleet.poll(block):
-                    if index not in outstanding:
-                        continue  # host failover raced a survivor
-                    ok, payload = _decode_outcome(ok, blob,
-                                                  specs[index])
-                    if cached and log:
-                        log.event("remote-cache-hit", index=index,
-                                  spec=specs[index].describe(),
-                                  host=host.name)
-                    if progress is not None:
-                        progress.host_result(host.name)
-                    finish(index, ok, payload, wall, host.name)
-                fleet.check_hung()
 
             # Crash detection -- after draining, so a worker that
             # completed its spec and then died is not misread as a
@@ -593,8 +503,6 @@ def _run_pool(specs: List[RunSpec], pending: Sequence[int],
                             f"wall-clock timeout: {spec.describe()}"),
                             now - t0, pid)
     finally:
-        if fleet is not None:
-            fleet.close()
         for pid in list(workers):
             retire(pid)
         results.close()
@@ -604,7 +512,6 @@ def _run_pool(specs: List[RunSpec], pending: Sequence[int],
 def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
               cache: Optional[ResultCache] = None,
               tolerate: Tuple[Type[BaseException], ...] = (),
-              plan_cache: Optional[CompileCache] = None,
               options: Optional[RunOptions] = None,
               ) -> List[object]:
     """Execute specs, in order, optionally cached and in parallel.
@@ -623,20 +530,16 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     per-run wall-clock timeout, bounded crash retry, a JSON-lines run
     log, and a live progress line; see :class:`RunOptions`.
 
-    When a result ``cache`` is given without an explicit
-    ``plan_cache``, compiled artifacts persist to
-    ``<cache.root>/plans`` (see :class:`CompileCache`). Before forking
-    workers, the parent precompiles every artifact the pending specs
-    need (:func:`precompile_specs`) so children inherit them
-    copy-on-write instead of recompiling per worker.
+    Before forking workers, the parent precompiles every artifact the
+    pending specs need (:func:`precompile_specs`) so children inherit
+    them copy-on-write instead of recompiling per worker. A serial run
+    builds each artifact on first use instead.
     """
     specs = list(specs)
     opts = options or RunOptions()
     if not opts.codegen:
         specs = [replace(spec, codegen=False) if spec.codegen else spec
                  for spec in specs]
-    if plan_cache is None and cache is not None:
-        plan_cache = CompileCache(os.path.join(cache.root, "plans"))
 
     log: Optional[RunLog] = None
     owns_log = False
@@ -694,8 +597,8 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
             if isinstance(payload, DeadlockError) \
                     and diag is not None \
                     and hasattr(diag, "culprits"):
-                # Structured diagnosis so distributed fleets report
-                # the analyzer's verdict, not just the failure.
+                # Structured diagnosis so the run log records the
+                # analyzer's verdict, not just the failure.
                 log.event(
                     "deadlock", index=index, spec=spec.describe(),
                     cycle=diag.cycle, live_tokens=diag.live_tokens,
@@ -731,21 +634,14 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
                 log.event("queued", index=i, spec=spec.describe())
             pending.append(i)
 
-        use_fleet = bool(pending) and bool(opts.hosts)
         use_pool = bool(pending) and (
-            use_fleet or (jobs > 1 and len(pending) > 1)
-            or opts.timeout is not None)
-        if pending and (use_pool or plan_cache is not None):
-            precompile_specs([specs[i] for i in pending], plan_cache)
+            (jobs > 1 and len(pending) > 1) or opts.timeout is not None)
         try:
             if use_pool:
-                # With a fleet, jobs=0 is legal: a purely remote
-                # sweep runs no local workers at all.
-                n_local = max(0, min(jobs, len(pending)))
-                if not use_fleet:
-                    n_local = max(1, n_local)
-                _run_pool(specs, pending, n_local, opts, log,
-                          deliver, progress)
+                precompile_specs([specs[i] for i in pending])
+                _run_pool(specs, pending,
+                          max(1, min(jobs, len(pending))), opts, log,
+                          deliver)
             else:
                 for i in pending:
                     if log:

@@ -43,24 +43,6 @@ Two small, dependency-free surfaces that
                   results were cached incrementally
   ==============  ====================================================
 
-  Distributed sweeps (``RunOptions.hosts``; see
-  :mod:`repro.harness.remote`) add four fleet events:
-
-  ====================  ==============================================
-  ``host-connected``    ``host``, ``jobs`` -- a ``worker-serve`` peer
-                        accepted the version handshake
-  ``host-lost``         ``host``, ``error``, ``requeued`` -- the peer
-                        was unreachable, dropped the connection, or
-                        went silent; ``requeued`` of its outstanding
-                        specs went back to the survivors
-  ``remote-dispatched``  ``index``, ``spec``, ``host``, ``attempt`` --
-                        a spec was sent to a remote host
-  ``remote-cache-hit``  ``index``, ``spec``, ``host`` -- the *remote*
-                        host answered from its own result cache
-                        (cache federation); the client re-caches it
-                        locally, so the fleet's caches converge
-  ====================  ==============================================
-
   The file is opened in append mode and flushed per event, so an
   interrupted sweep leaves a complete prefix and a resumed sweep
   appends to the same history.
@@ -75,7 +57,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import Dict, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
 
 class RunLog:
@@ -119,9 +101,7 @@ class ProgressLine:
     Shows ``done/total``, the cache-hit rate so far, and an ETA based
     on elapsed wall time per *simulated* (non-cache-hit) run -- cache
     hits are effectively free, so they are excluded from the rate the
-    ETA extrapolates. Distributed sweeps additionally report per-host
-    throughput: each remote result is tallied via :meth:`host_result`
-    and rendered as ``host:port=N`` (plus ``local=N``) counts.
+    ETA extrapolates.
     """
 
     def __init__(self, total: int, enabled: bool = True,
@@ -129,7 +109,6 @@ class ProgressLine:
         self.total = total
         self.done = 0
         self.hits = 0
-        self.host_counts: Dict[str, int] = {}
         self._stream = stream if stream is not None else sys.stderr
         self._enabled = enabled and total > 0
         self._t0 = time.monotonic()
@@ -144,12 +123,6 @@ class ProgressLine:
         self.done += 1
         self._render()
 
-    def host_result(self, host: str) -> None:
-        """Tally one result executed by ``host`` (``"local"`` for the
-        local pool). Called *before* the matching :meth:`finished`, so
-        the re-render it triggers shows the updated tally."""
-        self.host_counts[host] = self.host_counts.get(host, 0) + 1
-
     def _render(self) -> None:
         if not self._enabled:
             return
@@ -161,10 +134,6 @@ class ProgressLine:
         if ran and remaining:
             rate = (time.monotonic() - self._t0) / ran
             parts.append(f"eta {_fmt_eta(rate * remaining)}")
-        if self.host_counts:
-            parts.append(" ".join(
-                f"{host}={n}"
-                for host, n in sorted(self.host_counts.items())))
         line = " | ".join(parts)
         self._width = max(self._width, len(line))
         self._stream.write("\r" + line.ljust(self._width))

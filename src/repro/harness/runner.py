@@ -99,31 +99,17 @@ class CompiledWorkload:
         self._flat = None
         self._fingerprint: Optional[str] = None
         self._kernels: Dict[str, object] = {}
-        #: Optional :class:`~repro.harness.cache.CompileCache`; when
-        #: set, elaboration/flattening first consult the on-disk store
-        #: and write back on a miss.
-        self.plan_cache = None
-
-    def _lowered(self, kind: str, build):
-        if self.plan_cache is not None:
-            artifact = self.plan_cache.get_plan(self.fingerprint, kind)
-            if artifact is not None:
-                return artifact
-        artifact = build(self.program)
-        if self.plan_cache is not None:
-            self.plan_cache.put_plan(self.fingerprint, kind, artifact)
-        return artifact
 
     @property
     def tagged(self):
         if self._tagged is None:
-            self._tagged = self._lowered("tagged", elaborate)
+            self._tagged = elaborate(self.program)
         return self._tagged
 
     @property
     def flat(self):
         if self._flat is None:
-            self._flat = self._lowered("flat", flatten)
+            self._flat = flatten(self.program)
         return self._flat
 
     @property

@@ -7,13 +7,11 @@ Every helper routes through :func:`repro.harness.pool.run_batch`, so
 sweeps accept ``jobs`` (worker-pool fan-out), ``cache`` (a
 :class:`~repro.harness.cache.ResultCache`), and ``options`` (a
 :class:`~repro.harness.pool.RunOptions`: per-run wall-clock timeout,
-crash-retry budget, JSON-lines run log, live progress line, and
-``hosts`` -- remote ``worker-serve`` agents the sweep shards across,
-see :mod:`repro.harness.remote`) and report failures with the failing
-workload/machine/config attached to the exception message. Results
-are ordered identically for any ``jobs`` value or host fleet, and
-each finished run is cached the moment it lands, so an interrupted
-sweep resumes from partial progress.
+crash-retry budget, JSON-lines run log and live progress line) and
+report failures with the failing workload/machine/config attached to
+the exception message. Results are ordered identically for any
+``jobs`` value, and each finished run is cached the moment it lands,
+so an interrupted sweep resumes from partial progress.
 """
 
 from __future__ import annotations

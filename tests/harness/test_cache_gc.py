@@ -1,13 +1,16 @@
-"""Cache garbage collection: LRU-by-mtime pruning of the result and
-compile caches, plus the ``tyr-repro cache gc`` CLI."""
+"""Cache garbage collection: LRU-by-mtime pruning of the result
+cache, plus the ``tyr-repro cache gc`` CLI."""
 
 import os
+import pickle
 import time
 
 import pytest
 
 from repro.cli import main, parse_age, parse_size
-from repro.harness.cache import CompileCache, ResultCache, plan_key
+from repro.harness.cache import ResultCache
+from repro.harness.pool import run_specs, spec_for
+from repro.workloads import build_workload
 
 
 def _fill(cache, n, size=1000):
@@ -64,16 +67,33 @@ def test_get_bumps_mtime_so_hits_survive_lru(tmp_path):
     assert cache.get(keys[1]) is None
 
 
-def test_gc_covers_nested_plan_cache(tmp_path):
-    """A ResultCache gc walks recursively, so the ``plans/`` compile
-    cache nested under the same root is pruned by the same command."""
-    cache = ResultCache(str(tmp_path))
-    plans = CompileCache(os.path.join(str(tmp_path), "plans"))
-    plans.put_plan("f" * 64, "flat", {"big": "artifact"})
-    _backdate(plans, plan_key("f" * 64, "flat"), 3600)
-    stats = cache.gc(max_age=60)
-    assert stats["removed"] == 1
-    assert plans.get_plan("f" * 64, "flat") is None
+def test_gc_covers_legacy_plans_tree(tmp_path, capsys):
+    """Earlier versions stored lowered programs under ``<root>/plans``.
+    Nothing reads that tree any more: a warm sweep on such a root
+    still hits, and ``cache gc`` walks recursively, so the stale
+    plans age out by the same command."""
+    root = str(tmp_path)
+    cache = ResultCache(root)
+    wl = build_workload("dmv", "tiny")
+    specs = [spec_for(wl, "tyr", {"tags": 4})]
+    cold = run_specs(specs, cache=cache)
+    stale = os.path.join(root, "plans", "ab", "ab" + "0" * 62 + ".pkl")
+    os.makedirs(os.path.dirname(stale))
+    with open(stale, "wb") as fh:
+        pickle.dump({"big": "artifact"}, fh)
+    past = time.time() - 3600
+    os.utime(stale, (past, past))
+
+    warm_cache = ResultCache(root)
+    warm = run_specs(specs, cache=warm_cache)
+    assert (warm_cache.hits, warm_cache.misses) == (1, 0)
+    assert warm[0].cycles == cold[0].cycles
+
+    assert main(["cache", "gc", "--max-age", "1m",
+                 "--cache-dir", root]) == 0
+    assert "removed 1 entry" in capsys.readouterr().out
+    assert not os.path.exists(stale)
+    assert ResultCache(root).gc(max_age=60)["kept"] == 1
 
 
 def test_gc_empty_cache_is_harmless(tmp_path):
@@ -103,6 +123,18 @@ def test_cli_cache_gc_requires_a_bound(tmp_path, capsys):
     assert "--max-size" in capsys.readouterr().err
 
 
+def test_cli_cache_gc_rejects_negative_size(tmp_path, capsys):
+    """A negative budget is a usage error, not "evict everything"."""
+    root = str(tmp_path / "cache")
+    cache = ResultCache(root)
+    keys = _fill(cache, 3)
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "gc", "--max-size", "-1", "--cache-dir", root])
+    assert exc.value.code == 2
+    assert "bad size" in capsys.readouterr().err
+    assert all(cache.get(k) is not None for k in keys)
+
+
 @pytest.mark.parametrize("text,expected", [
     ("512", 512),
     ("10k", 10 * 1024),
@@ -128,7 +160,9 @@ def test_parse_age_units(text, expected):
 
 def test_parse_size_rejects_garbage():
     import argparse
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_size("lots")
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_age("soon")
+    for text in ("lots", "-1", "-5m", "inf", "nan", "1e400"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_size(text)
+    for text in ("soon", "-1d", "-90", "inf", "nan"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_age(text)

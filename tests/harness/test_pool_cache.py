@@ -1,10 +1,12 @@
 """Unit tests for the parallel job runner and the result cache."""
 
+import os
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.harness import pool
-from repro.harness.cache import CompileCache, ResultCache, plan_key
+from repro.harness.cache import ResultCache
 from repro.harness.pool import (
     RunSpec,
     cache_key,
@@ -120,48 +122,17 @@ def test_corrupt_entry_is_a_miss(tmp_path):
                         run_one(spec))
 
 
-def test_plan_key_sensitivity():
-    assert plan_key("abc", "tagged") == plan_key("abc", "tagged")
-    assert plan_key("abc", "tagged") != plan_key("abc", "flat")
-    assert plan_key("abc", "tagged") != plan_key("abd", "tagged")
-
-
-def test_compile_cache_round_trips_lowerings(tmp_path):
-    """A second workload with the same program reuses stored
-    lowerings, and runs on them bit-identically."""
-    plans = CompileCache(str(tmp_path))
-    first = build_workload("dmv", "tiny").compiled
-    first.plan_cache = plans
-    first.tagged, first.flat  # noqa: B018 -- populate the store
-    assert (plans.hits, plans.misses) == (0, 2)
-
-    second = build_workload("dmv", "tiny").compiled
-    second.plan_cache = plans
-    second.tagged, second.flat  # noqa: B018 -- now served from disk
-    assert (plans.hits, plans.misses) == (2, 2)
-
-    wl = build_workload("dmv", "tiny")
-    direct = wl.run_checked("tyr", tags=4)
-    wl_cached = build_workload("dmv", "tiny")
-    wl_cached.compiled.plan_cache = plans
-    cached = wl_cached.run_checked("tyr", tags=4)
-    assert _same_result(direct, cached)
-
-
-def test_precompile_materializes_machine_artifacts(tmp_path):
+def test_precompile_materializes_machine_artifacts():
     wl = build_workload("dmv", "tiny")
     specs = [spec_for(wl, "tyr", {"tags": 4}),
              spec_for(wl, "ordered", {}),
              spec_for(wl, "vn", {})]
-    plans = CompileCache(str(tmp_path))
-    precompile_specs(specs, plans)
+    precompile_specs(specs)
     # spec_for memoizes by identity key, so read artifacts off the
     # instance precompile actually touched.
     compiled = workload_for(specs[0]).compiled
     assert compiled._tagged is not None
     assert compiled._flat is not None
-    assert plans.get_plan(compiled.fingerprint, "tagged") is not None
-    assert plans.get_plan(compiled.fingerprint, "flat") is not None
 
 
 def test_precompile_builds_profiled_kernels(monkeypatch):
@@ -203,18 +174,22 @@ def test_precompile_compiles_the_bound_rules(monkeypatch):
     assert calls == []
 
 
-def test_result_cache_root_hosts_plan_store(tmp_path):
-    """run_specs with a result cache persists lowerings under
-    <root>/plans without being asked."""
-    import os
-
-    cache = ResultCache(str(tmp_path))
+def test_result_cache_holds_only_results(tmp_path):
+    """A cached sweep, serial or forked, writes one entry per result
+    and nothing else: lowered programs are never stored."""
     wl = build_workload("dmv", "tiny")
-    run_specs([spec_for(wl, "tyr", {"tags": 4})], cache=cache)
-    plans_root = os.path.join(cache.root, "plans")
-    assert os.path.isdir(plans_root)
-    assert CompileCache(plans_root).get_plan(
-        wl.compiled.fingerprint, "tagged") is not None
+    specs = [spec_for(wl, machine, {"tags": 4})
+             for machine in ("tyr", "ordered", "vn")]
+    expected = sorted(os.path.join(key[:2], key + ".pkl")
+                      for key in map(cache_key, specs))
+    for jobs in (1, 2):
+        cache = ResultCache(str(tmp_path / f"jobs{jobs}"))
+        run_specs(specs, jobs=jobs, cache=cache)
+        entries = sorted(
+            os.path.relpath(os.path.join(dirpath, name), cache.root)
+            for dirpath, _, names in os.walk(cache.root)
+            for name in names)
+        assert entries == expected
 
 
 def test_failures_carry_run_context():

@@ -247,7 +247,7 @@ def test_deadlock_diagnosis_survives_pool():
 
 def test_wait_graph_diagnosis_pickle_round_trip():
     """The analyzer's DeadlockDiagnosis (wait-graph fields included)
-    must cross the remote-worker boundary intact, like DeadlockError
+    must cross the pool-worker boundary intact, like DeadlockError
     itself (PR 4)."""
     wl = build_workload("dmv", "tiny")
     with pytest.raises(DeadlockError) as err:

@@ -90,7 +90,7 @@ def test_tutorial_profile_api():
 
 
 def test_tutorial_cache_snippet():
-    """The §10 locality comparison must keep its direction: bounded
+    """The §9 locality comparison must keep its direction: bounded
     TYR tags beat unbounded global tags on the same cache."""
     from repro import build_workload
 
