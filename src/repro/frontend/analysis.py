@@ -13,6 +13,14 @@ sides assign; a ``While`` must-defines nothing (it may run zero times).
 Free-use analysis shadows with must-defs, so values merged around
 conditional definitions are correctly demanded from the enclosing
 scope.
+
+Facts are computed once per statement per lowering: the
+:class:`AnalysisContext` of one ``lower_module`` call memoizes each
+statement's :class:`UseDef` by identity, so nested bodies are not
+re-analysed at every enclosing level, and :func:`needed_after` derives
+a list's liveness in one backward pass. Memoized facts are shared by
+every reader for the rest of that lowering and are never mutated;
+code that needs different facts builds a new :class:`UseDef`.
 """
 
 from __future__ import annotations
@@ -72,10 +80,15 @@ class FnSig:
 
 @dataclass
 class AnalysisContext:
-    """Module-level facts the per-statement analysis depends on."""
+    """Module-level facts the per-statement analysis depends on, and the
+    statement facts already computed under them (one lowering's memo)."""
 
     ordered_arrays: Set[str] = field(default_factory=set)
     signatures: Dict[str, FnSig] = field(default_factory=dict)
+    #: ``id(stmt) -> (stmt, facts)``. Statements are mutable and
+    #: unhashable, so they are keyed by identity; the entry keeps the
+    #: statement alive so its id is not reused while the memo lives.
+    facts: Dict[int, Tuple[Stmt, UseDef]] = field(default_factory=dict)
 
     def is_ordered(self, array: str) -> bool:
         return array in self.ordered_arrays
@@ -83,28 +96,42 @@ class AnalysisContext:
 
 @dataclass
 class UseDef:
-    """Ordered, duplicate-free use/def facts for a statement (list)."""
+    """Ordered, duplicate-free use/def facts for a statement (list).
+
+    Each list has a set of the same names beside it for O(1) membership
+    (``use_set``, ``must_set``, ``may_set``); read them, never mutate
+    them.
+    """
 
     uses: List[str] = field(default_factory=list)
     must_defs: List[str] = field(default_factory=list)
     may_defs: List[str] = field(default_factory=list)
+    use_set: Set[str] = field(init=False, repr=False, compare=False)
+    must_set: Set[str] = field(init=False, repr=False, compare=False)
+    may_set: Set[str] = field(init=False, repr=False, compare=False)
 
-    def _add(self, bucket: List[str], names: Iterable[str]) -> None:
-        seen = set(bucket)
+    def __post_init__(self) -> None:
+        self.use_set = set(self.uses)
+        self.must_set = set(self.must_defs)
+        self.may_set = set(self.may_defs)
+
+    @staticmethod
+    def _add(bucket: List[str], seen: Set[str],
+             names: Iterable[str]) -> None:
         for n in names:
             if n not in seen:
                 bucket.append(n)
                 seen.add(n)
 
     def add_uses(self, names: Iterable[str]) -> None:
-        self._add(self.uses, names)
+        self._add(self.uses, self.use_set, names)
 
     def add_must(self, names: Iterable[str]) -> None:
-        self._add(self.must_defs, names)
-        self._add(self.may_defs, names)
+        self._add(self.must_defs, self.must_set, names)
+        self._add(self.may_defs, self.may_set, names)
 
     def add_may(self, names: Iterable[str]) -> None:
-        self._add(self.may_defs, names)
+        self._add(self.may_defs, self.may_set, names)
 
 
 def expr_use_def(expr: Expr, ctx: AnalysisContext) -> UseDef:
@@ -147,7 +174,13 @@ def _expr_walk(expr: Expr, ctx: AnalysisContext, ud: UseDef,
 
 
 def stmt_use_def(stmt: Stmt, ctx: AnalysisContext) -> UseDef:
-    """Use/def facts of a single statement."""
+    """Use/def facts of a single statement, computed once per ``ctx``."""
+    # The memo lookup lives here rather than in a wrapper: a wrapper
+    # would add a frame per nesting level and lower the deepest
+    # nesting that fits under the recursion limit.
+    hit = ctx.facts.get(id(stmt))
+    if hit is not None:
+        return hit[1]
     ud = UseDef()
     if isinstance(stmt, Assign):
         e = expr_use_def(stmt.expr, ctx)
@@ -160,25 +193,23 @@ def stmt_use_def(stmt: Stmt, ctx: AnalysisContext) -> UseDef:
         ud.add_uses(e1.uses)
         ud.add_must(e1.must_defs)
         # Value uses shadowed by index-expr token defs.
-        shadowed = set(e1.must_defs)
-        ud.add_uses([u for u in e2.uses if u not in shadowed])
+        ud.add_uses([u for u in e2.uses if u not in e1.must_set])
         ud.add_must(e2.must_defs)
         if ctx.is_ordered(stmt.array):
             tok = ord_var(stmt.array)
-            if tok not in set(ud.must_defs):
+            if tok not in ud.must_set:
                 ud.add_uses([tok])
             ud.add_must([tok])
     elif isinstance(stmt, If):
         e = expr_use_def(stmt.cond, ctx)
         ud.add_uses(e.uses)
         ud.add_must(e.must_defs)
-        shadowed = set(ud.must_defs)
         then_ud = stmts_use_def(stmt.then, ctx)
         else_ud = stmts_use_def(stmt.orelse, ctx)
         ud.add_uses([u for u in then_ud.uses + else_ud.uses
-                     if u not in shadowed])
-        both = set(then_ud.must_defs) & set(else_ud.must_defs)
-        ud.add_must([d for d in then_ud.must_defs if d in both])
+                     if u not in e.must_set])
+        ud.add_must([d for d in then_ud.must_defs
+                     if d in else_ud.must_set])
         ud.add_may(then_ud.may_defs)
         ud.add_may(else_ud.may_defs)
     elif isinstance(stmt, (While, For)):
@@ -192,7 +223,7 @@ def stmt_use_def(stmt: Stmt, ctx: AnalysisContext) -> UseDef:
                 e = expr_use_def(bound, ctx)
                 ud.add_uses([u for u in e.uses if u not in init_defs])
                 ud.add_must(e.must_defs)
-                init_defs |= set(e.must_defs)
+                init_defs |= e.must_set
             ud.add_must([stmt.var])
             init_defs.add(stmt.var)
         else:
@@ -200,7 +231,7 @@ def stmt_use_def(stmt: Stmt, ctx: AnalysisContext) -> UseDef:
             ud.add_uses([u for u in cond_ud.uses if u not in excluded])
             ud.add_must([d for d in cond_ud.must_defs
                          if d not in excluded])
-            init_defs |= set(cond_ud.must_defs) - excluded
+            init_defs |= cond_ud.must_set - excluded
         ud.add_uses([u for u in cond_ud.uses + body_ud.uses
                      if u not in excluded and u not in init_defs])
         # The body may run zero times: its defs are only may-defs.
@@ -208,56 +239,71 @@ def stmt_use_def(stmt: Stmt, ctx: AnalysisContext) -> UseDef:
         ud.add_may([d for d in cond_ud.may_defs if d not in excluded])
     elif isinstance(stmt, Call):
         sig = _signature(stmt.fn, ctx)
-        shadowed: Set[str] = set()
         for arg in stmt.args:
             e = expr_use_def(arg, ctx)
-            ud.add_uses([u for u in e.uses if u not in shadowed])
+            # Earlier arguments' token defs shadow later uses.
+            ud.add_uses([u for u in e.uses if u not in ud.must_set])
             ud.add_must(e.must_defs)
-            shadowed |= set(e.must_defs)
         ud.add_uses([ord_var(a) for a in sig.chained_in
-                     if ord_var(a) not in shadowed])
+                     if ord_var(a) not in ud.must_set])
         ud.add_must(list(stmt.targets))
         ud.add_must([ord_var(a) for a in sig.chained_out])
     elif isinstance(stmt, Return):
-        shadowed = set()
         for e_ast in stmt.values:
             e = expr_use_def(e_ast, ctx)
-            ud.add_uses([u for u in e.uses if u not in shadowed])
+            ud.add_uses([u for u in e.uses if u not in ud.must_set])
             ud.add_must(e.must_defs)
-            shadowed |= set(e.must_defs)
     else:
         raise ProgramError(f"unknown statement node {stmt!r}")
+    ctx.facts[id(stmt)] = (stmt, ud)
     return ud
 
 
 def _loop_parts(stmt, ctx) -> Tuple[UseDef, UseDef, Tuple[str, ...]]:
     """(body use/def incl. For counter update, cond use/def, parallel)."""
-    if isinstance(stmt, While):
-        body_ud = stmts_use_def(stmt.body, ctx)
-        cond_ud = expr_use_def(stmt.cond, ctx)
-        return body_ud, cond_ud, stmt.parallel
-    assert isinstance(stmt, For)
     body_ud = stmts_use_def(stmt.body, ctx)
+    if isinstance(stmt, While):
+        return body_ud, expr_use_def(stmt.cond, ctx), stmt.parallel
+    assert isinstance(stmt, For)
     # The counter update uses/defs the counter after the body.
-    if stmt.var not in set(body_ud.must_defs):
-        body_ud.add_uses([stmt.var])
-    body_ud.add_must([stmt.var])
-    cond_ud = UseDef()
-    cond_ud.add_uses([stmt.var])
-    return body_ud, cond_ud, stmt.parallel
+    counted = UseDef(list(body_ud.uses), list(body_ud.must_defs),
+                     list(body_ud.may_defs))
+    if stmt.var not in body_ud.must_set:
+        counted.add_uses([stmt.var])
+    counted.add_must([stmt.var])
+    return counted, UseDef([stmt.var]), stmt.parallel
 
 
 def stmts_use_def(stmts: Sequence[Stmt], ctx: AnalysisContext) -> UseDef:
     """Combined facts for a statement list in program order."""
     ud = UseDef()
-    shadowed: Set[str] = set()
     for stmt in stmts:
         s = stmt_use_def(stmt, ctx)
-        ud.add_uses([u for u in s.uses if u not in shadowed])
+        # Uses of names an earlier statement must-defined are shadowed.
+        ud.add_uses([u for u in s.uses if u not in ud.must_set])
         ud.add_must(s.must_defs)
         ud.add_may(s.may_defs)
-        shadowed |= set(s.must_defs)
     return ud
+
+
+def needed_after(stmts: Sequence[Stmt], ctx: AnalysisContext,
+                 after: Set[str]) -> List[Set[str]]:
+    """For each statement of ``stmts``, the names needed once it has run.
+
+    Those are the free uses of the rest of the list (what
+    ``stmts_use_def(stmts[i + 1:]).uses`` holds, as a set) plus
+    ``after``, derived in one backward pass instead of one suffix
+    analysis per statement.
+    """
+    live: Set[str] = set()
+    out: List[Set[str]] = []
+    for stmt in reversed(stmts):
+        out.append(live | after)
+        s = stmt_use_def(stmt, ctx)
+        live -= s.must_set
+        live |= s.use_set
+    out.reverse()
+    return out
 
 
 def _signature(fn: str, ctx: AnalysisContext) -> FnSig:

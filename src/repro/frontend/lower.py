@@ -21,6 +21,7 @@ path, Sec. IV-C). It:
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProgramError
@@ -67,7 +68,15 @@ Env = Dict[str, object]  # name -> ValueRef | _COND_UNDEF
 def lower_module(module: Module) -> ContextProgram:
     """Compile a structured module into a validated context program."""
     from repro.frontend.desugar import expand_break_continue
-    return _ModuleLowerer(expand_break_continue(module)).lower()
+    try:
+        return _ModuleLowerer(expand_break_continue(module)).lower()
+    except RecursionError:
+        raise ProgramError(
+            "statements are nested too deeply to lower (Python's "
+            f"recursion limit of {sys.getrecursionlimit()} was reached); "
+            "flatten the nesting, e.g. by moving inner loops into "
+            "functions"
+        ) from None
 
 
 class _ModuleLowerer:
@@ -156,6 +165,7 @@ class _FunctionLowerer:
         self.ctx = ml.ctx
         self.poisoned: Set[str] = set()
         self._loop_counter = 0
+        self._loop_names: Set[str] = set()
         self._tmp_counter = 0
         # A zero-arg callable producing a token-valued ValueRef valid
         # in the current control region (used to materialize immediates
@@ -293,11 +303,9 @@ class _FunctionLowerer:
     # ------------------------------------------------------------------
     def lower_stmts(self, bb: BlockBuilder, env: Env, stmts: Sequence[Stmt],
                     needed_after: Set[str]) -> None:
-        stmts = list(stmts)
-        for i, stmt in enumerate(stmts):
-            rest_ud = an.stmts_use_def(stmts[i + 1:], self.ctx)
-            needed = set(rest_ud.uses) | needed_after
-            self.lower_stmt(bb, env, stmt, needed)
+        needed = an.needed_after(stmts, self.ctx, needed_after)
+        for stmt, needed_here in zip(stmts, needed):
+            self.lower_stmt(bb, env, stmt, needed_here)
 
     def lower_stmt(self, bb: BlockBuilder, env: Env, stmt: Stmt,
                    needed: Set[str]) -> None:
@@ -367,22 +375,22 @@ class _FunctionLowerer:
             self.lower_stmts(bb, env, branch, needed)
             return
 
-        ctx = self.ctx
-        then_ud = an.stmts_use_def(stmt.then, ctx)
-        else_ud = an.stmts_use_def(stmt.orelse, ctx)
-        then_defs = set(then_ud.may_defs)
-        else_defs = set(else_ud.may_defs)
+        then_ud = an.stmts_use_def(stmt.then, self.ctx)
+        else_ud = an.stmts_use_def(stmt.orelse, self.ctx)
+        then_defs = then_ud.may_set
+        else_defs = else_ud.may_set
         merge_vars = [x for x in dict.fromkeys(
-            list(then_ud.may_defs) + list(else_ud.may_defs)
+            then_ud.may_defs + else_ud.may_defs
         ) if x in needed]
+        merge_set = set(merge_vars)
 
-        def branch_inputs(uses: List[str], defs: Set[str],
-                          must: Set[str], sense: bool) -> Dict[str, ValueRef]:
+        def branch_inputs(ud: an.UseDef, sense: bool) -> Dict[str, ValueRef]:
             # Values the branch consumes, plus originals needed for
             # nested merging of conditionally assigned merge vars.
-            wanted = list(uses)
+            wanted = list(ud.uses)
             for x in merge_vars:
-                if x in defs and x not in must and x not in set(wanted):
+                if (x in ud.may_set and x not in ud.must_set
+                        and x not in ud.use_set):
                     if env.get(x) is not None and env[x] is not _COND_UNDEF:
                         wanted.append(x)
             out: Dict[str, ValueRef] = {}
@@ -394,10 +402,8 @@ class _FunctionLowerer:
                     out[name] = bb.steer(d, val, sense)[0]
             return out
 
-        then_in = branch_inputs(then_ud.uses, then_defs,
-                                set(then_ud.must_defs), True)
-        else_in = branch_inputs(else_ud.uses, else_defs,
-                                set(else_ud.must_defs), False)
+        then_in = branch_inputs(then_ud, True)
+        else_in = branch_inputs(else_ud, False)
 
         # Originals steered to the side that does not assign a merge var.
         other_src: Dict[str, ValueRef] = {}
@@ -451,18 +457,18 @@ class _FunctionLowerer:
                      if isinstance(val, Lit)}
         tenv.update(then_in)
         self._trigger = trig_then
-        self.lower_stmts(bb, tenv, stmt.then, set(merge_vars))
+        self.lower_stmts(bb, tenv, stmt.then, merge_set)
         bb.begin_else()
         eenv: Env = {k: val for k, val in env.items()
                      if isinstance(val, Lit)}
         eenv.update(else_in)
         self._trigger = trig_else
-        self.lower_stmts(bb, eenv, stmt.orelse, set(merge_vars))
+        self.lower_stmts(bb, eenv, stmt.orelse, merge_set)
         bb.end_if()
         self._trigger = saved_trigger
 
         for x in then_defs | else_defs:
-            if x not in merge_vars:
+            if x not in merge_set:
                 env[x] = _COND_UNDEF
         for x in merge_vars:
             if x in dropped:
@@ -514,23 +520,22 @@ class _FunctionLowerer:
     # ------------------------------------------------------------------
     def _lower_while(self, bb: BlockBuilder, env: Env, stmt: While,
                      needed: Set[str]) -> None:
-        ctx = self.ctx
-        body_ud = an.stmts_use_def(stmt.body, ctx)
-        cond_ud = an.expr_use_def(stmt.cond, ctx)
+        body_ud = an.stmts_use_def(stmt.body, self.ctx)
+        cond_ud = an.expr_use_def(stmt.cond, self.ctx)
         excluded = {an.ord_var(a) for a in stmt.parallel}
 
-        body_must = set(body_ud.must_defs)
-        all_defs = (set(body_ud.may_defs) | set(cond_ud.may_defs)) - excluded
-        p_cand = [p for p in dict.fromkeys(
-            list(body_ud.uses)
-            + [u for u in cond_ud.uses if u not in body_must]
-        ) if p not in excluded]
+        all_defs = (body_ud.may_set | cond_ud.may_set) - excluded
+        may_defs = dict.fromkeys(body_ud.may_defs + cond_ud.may_defs)
+        # Carried-value candidates, as an ordered set.
+        p_cand = dict.fromkeys(
+            p for p in body_ud.uses
+            + [u for u in cond_ud.uses if u not in body_ud.must_set]
+            if p not in excluded)
         # A variable the body only *may* assign but that is live after
         # the loop must also be carried: inner merges need its original
         # value on the not-assigned paths, and the exit must return its
         # latest value. Only externally defined variables qualify.
-        for x in dict.fromkeys(
-                list(body_ud.may_defs) + list(cond_ud.may_defs)):
+        for x in may_defs:
             if x in excluded or x in p_cand or x not in needed:
                 continue
             val = env.get(x)
@@ -538,14 +543,14 @@ class _FunctionLowerer:
                 val = Lit(0)
             if val is None or val is _COND_UNDEF:
                 continue
-            p_cand.append(x)
+            p_cand[x] = None
         # A loop result must have a definite value at the backedge:
         # either the body must-defines it every iteration, or an
         # original is carried in (the p_cand extension above). A var
         # that is only conditionally defined with no reaching original
         # cannot be returned; later reads correctly report it as
         # conditionally defined.
-        must = set(body_ud.must_defs) | set(cond_ud.must_defs)
+        must = body_ud.must_set | cond_ud.must_set
 
         def _definable(x: str) -> bool:
             if x in must or x in p_cand:
@@ -555,9 +560,9 @@ class _FunctionLowerer:
                 return True
             return val is not None and val is not _COND_UNDEF
 
-        results = [x for x in dict.fromkeys(
-            list(body_ud.may_defs) + list(cond_ud.may_defs)
-        ) if x not in excluded and x in needed and _definable(x)]
+        results = [x for x in may_defs
+                   if x not in excluded and x in needed and _definable(x)]
+        result_set = set(results)
 
         # Pre-check the condition first so order tokens it produces
         # flow into the loop's initial arguments.
@@ -596,7 +601,7 @@ class _FunctionLowerer:
                 for i, r in enumerate(results):
                     env[r] = sp.result(i)
                 for x in all_defs:
-                    if x not in results:
+                    if x not in result_set:
                         env[x] = _COND_UNDEF
             # Zero-trip constant-false loop: environment unchanged.
             self._poison_parallel(stmt, env)
@@ -645,7 +650,7 @@ class _FunctionLowerer:
         self._trigger = saved_trigger
 
         for x in all_defs:
-            if x not in results:
+            if x not in result_set:
                 env[x] = _COND_UNDEF
         for i, r in enumerate(results):
             if r in dropped:
@@ -660,9 +665,16 @@ class _FunctionLowerer:
             env.pop(an.ord_var(a), None)
 
     def _fresh_loop_name(self, stmt: While) -> str:
-        self._loop_counter += 1
+        # Label and counter are joined without a separator, so label
+        # ``x1`` at 1 and ``x`` at 11 would both give ``x11``: skip to
+        # the next free counter value instead.
         label = stmt.label or "loop"
-        return f"{self.fn.name}.{label}{self._loop_counter}"
+        while True:
+            self._loop_counter += 1
+            name = f"{self.fn.name}.{label}{self._loop_counter}"
+            if name not in self._loop_names:
+                self._loop_names.add(name)
+                return name
 
     def _build_loop_block(self, loop_name: str, stmt: While,
                           params: List[str], subst: Dict[str, ValueRef],
@@ -676,7 +688,7 @@ class _FunctionLowerer:
         saved_trigger = self._trigger
         self._trigger = lambda: Param(0)
         cond_ud = an.expr_use_def(stmt.cond, self.ctx)
-        needed_in_block = set(params) | set(results) | set(cond_ud.uses)
+        needed_in_block = set(params) | set(results) | cond_ud.use_set
         self.lower_stmts(lbb, lenv, stmt.body, needed_in_block)
         d = self.lower_expr(lbb, lenv, stmt.cond)
         self._trigger = saved_trigger

@@ -19,6 +19,8 @@ from repro.frontend.dsl import c, load, v
 from repro.frontend.lower import lower_module
 from repro.ir.program import BlockKind
 
+from tests.conftest import assert_machine_matches_reference
+
 
 def test_for_sums_range(run):
     mod = Module([
@@ -286,3 +288,41 @@ def test_triangular_data_dependent_inner_bound(run):
     data = [1, 2, 3, 4, 5]
     results, _, _ = run(mod, [3], {"ptr": ptr, "data": data})
     assert results == (15,)
+
+
+def test_labelled_loop_names_never_collide():
+    # Label and counter are joined without a separator: label "x1" at
+    # counter 1 and label "x" at counter 11 both spell "main.x11", so
+    # the later loop takes the next free counter value.
+    loops = [For("i", 0, v("n"), [Assign("acc", v("acc") + v("i"))],
+                 label="x1")]
+    loops += [For("i", 0, v("n"), [Assign("acc", v("acc") + v("i") * k)],
+                  label="x")
+              for k in range(1, 11)]
+    mod = Module([
+        Function("main", ["n"], [Assign("acc", c(0)), *loops,
+                                 Return([v("acc")])]),
+    ])
+    prog = lower_module(mod)
+    assert sorted(prog.blocks) == sorted(
+        ["main", "main.x11", "main.x12"]
+        + [f"main.x{k}" for k in range(2, 11)]
+    )
+    for machine in ("tyr", "ordered", "seqdf"):
+        res = assert_machine_matches_reference(mod, [5], {}, machine)
+        assert res.extra["declared_results"] == (10 + 55 * 10,)
+
+
+def test_loop_names_of_a_deep_for_nest_are_unique():
+    # The loop over i99 is named "main.for_i991" at counter 1, and so
+    # would the loop over i9 at counter 91.
+    body = [Assign("x", v("x") + 1)]
+    for k in range(100):
+        body = [For(f"i{k}", 0, v("n"), body)]
+    prog = lower_module(Module([
+        Function("main", ["n"], [Assign("x", c(0)), *body,
+                                 Return([v("x")])]),
+    ]))
+    loops = [b for b in prog.blocks.values() if b.kind is BlockKind.LOOP]
+    assert len(loops) == 100
+    assert "main.for_i991" in prog.blocks
