@@ -243,6 +243,30 @@ def parse_age(text: str) -> float:
     return value
 
 
+def parse_timeout(text: str) -> float:
+    """``--timeout`` seconds: finite and > 0. Zero or less would
+    fail every run; NaN or infinity would disable the bound yet
+    still force every run through a forked worker."""
+    value = _amount(text, 1.0)
+    if not value:
+        raise argparse.ArgumentTypeError(
+            f"bad timeout {text!r}: want a finite number of seconds > 0")
+    return value
+
+
+def parse_rows(text: str) -> int:
+    """``--top`` rows: an integer >= 1 (a negative count would
+    silently drop rows from the end, zero print an empty table)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad row count {text!r}: want an integer >= 1")
+    return value
+
+
 def _cmd_cache_gc(args) -> int:
     if args.max_size is None and args.max_age is None:
         print("error: cache gc needs --max-size and/or --max-age "
@@ -305,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--cache-dir", default=None,
                        help="cache directory (default $REPRO_CACHE_DIR "
                             "or .repro-cache)")
-    exp_p.add_argument("--timeout", type=float, default=None,
+    exp_p.add_argument("--timeout", type=parse_timeout, default=None,
                        metavar="SECONDS",
                        help="per-run wall-clock timeout; a run past it "
                             "fails with RunTimeoutError naming its "
@@ -319,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(queued/cache-hit/started/finished/"
                             "retried/timed-out) to FILE")
     exp_p.add_argument("--no-codegen", action="store_true",
-                       help="run the closure interpreters instead of "
-                            "the generated plan kernels (identical "
+                       help="run the reference interpreters instead "
+                            "of the generated plan kernels (identical "
                             "metrics; slower host speed)")
     exp_p.add_argument("--progress", action="store_true",
                        help="live done/total, cache-hit rate, and ETA "
@@ -389,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulate a cache hierarchy (splits "
                              "memory stalls into hit/miss components "
                              "and prints per-level hit rates)")
-    prof_p.add_argument("--top", type=int, default=10,
+    prof_p.add_argument("--top", type=parse_rows, default=10,
                         help="rows in the hotspot table (default 10)")
     prof_p.add_argument("--json", action="store_true",
                         help="emit the raw profile record as JSON")

@@ -288,8 +288,9 @@ class RunOptions:
         Render a live ``done/total | cache-hit rate | ETA`` line on
         stderr.
     ``codegen``
-        ``False`` forces every spec through the closure interpreters
-        (``--no-codegen``); metrics are identical, only host speed
+        ``False`` forces every spec through the engines' plain
+        reference interpreters (``--no-codegen``); metrics are
+        identical, only host speed
         differs, so cached results are shared across both settings.
     """
 

@@ -200,9 +200,9 @@ class CompiledWorkload:
         ``codegen=True`` (the default) dispatches through the
         generated plan kernels (:mod:`repro.sim.codegen`), profiled
         runs through their profiled variant; traced and
-        occupancy-tracked runs always fall back to the closure
-        interpreters, which carry those hooks.  Metrics and profiles
-        are bit-identical either way.
+        occupancy-tracked runs always fall back to the engines'
+        plain reference interpreters, which carry those hooks.
+        Metrics and profiles are bit-identical either way.
 
         ``max_cycles`` bounds *simulated* cycles, which does not help
         against a slow host or an engine bug that stops the cycle

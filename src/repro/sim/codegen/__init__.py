@@ -3,9 +3,10 @@
 For each lowered plan this package emits specialized Python -- one
 flat function per static node's firing rule plus a fused cycle loop
 per engine family -- and lets the engines dispatch through those
-kernels instead of the generic dispatch closures. The closure
-interpreters remain the bit-identical reference semantics (and the
-only path for traced and occupancy-tracked runs).
+kernels instead of interpreting. Specialization per node shape and
+timing rule lives only here: each engine's interpreter, one plain
+firing rule per opcode, remains the bit-identical reference semantics
+(and the only path for traced and occupancy-tracked runs).
 
 Profiled runs use the kernels too. Profiling is a generation-time
 flag: a program's profiled variant books the stall taxonomy in its

@@ -2,7 +2,7 @@
 
 Emits, per :class:`~repro.compiler.flatten.FlatGraph`, a kernel table
 with one try-fire row per static node -- the exact firing rule of
-:meth:`QueuedEngine._make_try_fire` with the per-port FIFO checks,
+:meth:`QueuedEngine._try_fire` with the per-port FIFO checks,
 fresh-map keys, back-pressure probes and destination pushes unrolled.
 Fresh keys, destination ids, immediates and array names are constants
 bound as default arguments; input and destination deques, producer
@@ -21,7 +21,7 @@ Its profiled variant also notes each firing's node id and books every
 cycle to a stall reason, as the interpreter loop does; it binds the
 same node rows.
 
-Bit-identical to the closure interpreter by construction; the golden
+Bit-identical to the plain interpreter by construction; the golden
 records and the differential fuzz suite pin it.
 """
 
@@ -412,7 +412,7 @@ def _emit(nd: FlatNode) -> Recipe:
           f"{'cannot execute ' + op.value + ' (flat)'!r})")
         return done(*one_rule(b.variant()))
 
-    # Pure arithmetic/logic; mirror the interpreter's shapes.
+    # Pure arithmetic/logic, one shape per operand layout.
     result_idx = node.result
     b = node.shape()
 

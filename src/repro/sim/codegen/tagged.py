@@ -2,7 +2,7 @@
 
 Emits, per :class:`~repro.compiler.graph.TaggedGraph`, a kernel table
 with one row per static node -- the exact firing rule of
-:meth:`TaggedEngine._make_fire` with the operand slots, immediates,
+:meth:`TaggedEngine._fire_instr` with the operand slots, immediates,
 output-edge appends and livebox deltas unrolled into straight-line
 code. Destination ids and ports, immediates, array names and result
 slots are constants ``c0, c1, ...`` bound as default arguments; the
@@ -21,7 +21,7 @@ profiled variant also notes each firing's node id, books every cycle
 to a stall reason in the interpreter's priority order and attributes
 batched memory stalls; it binds the same node rows.
 
-The generated code must stay *bit-identical* to the closure
+The generated code must stay *bit-identical* to the plain
 interpreter: every livebox delta, deposit ordering, and exception
 message mirrors ``sim/tagged/engine.py`` -- the golden engine records
 and the differential fuzz suite pin this.
@@ -326,13 +326,14 @@ def _emit(node: TaggedNode) -> Recipe:
     if not info.pure:
         # ALLOCATE is dispatched through the engine's state machine,
         # never through fns[...]; anything else non-pure is illegal in
-        # a tagged graph. Mirror the interpreter's guard closure.
+        # a tagged graph. Mirror the interpreter's error.
         s = Shape(("tag",), consts)
         s(f"raise SimulationError({'cannot execute ' + op.value!r})")
         return add(s)
 
-    # Pure arithmetic/logic. Mirror the interpreter's shape selection
-    # exactly (the shapes differ in their livebox deltas).
+    # Pure arithmetic/logic, one shape per operand layout (the shapes
+    # differ in their livebox deltas, which all equal the
+    # interpreter's ``-len(entry)``).
     result_idx = nd.result
     s = shape() if result_idx is None else shape("results")
 

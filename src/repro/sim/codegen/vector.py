@@ -1,13 +1,12 @@
 """AOT kernel generator for the data-parallel (vector) machine.
 
-The interpreter walks each block as a tuple of per-op step closures
-(:meth:`DataParallelEngine._make_step`).  The generated kernels
-instead hold **one straight-line function per block** -- region
-branches become real ``if`` statements and pure opcodes inline their
-expression templates -- so a block activation is a single call instead
-of a closure per op.  Operand slots and array names are constants
-bound as default arguments, so blocks with the same op structure
-share one shape.
+The interpreter walks each block's region items with one plain rule
+per opcode (:meth:`DataParallelEngine._run_items`).  The generated
+kernels instead hold **one straight-line function per block** --
+region branches become real ``if`` statements and pure opcodes inline
+their expression templates -- so a block activation runs no dispatch
+at all.  Operand slots and array names are constants bound as default
+arguments, so blocks with the same op structure share one shape.
 
 :func:`bind` returns the ``(ticked, silent)`` table dicts the engine
 stores as ``_ticked``/``_silent``; each block maps to a 1-tuple, which
@@ -81,7 +80,7 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
     ``mode`` is ``ticked_fast`` (idealized loads), ``ticked_var``
     (variable-latency loads), ``ticked_cache`` (cache-probe loads and
     stores) or ``silent`` (vector body, no ticks; vector-body memory
-    bypasses the cache model like the interpreter's silent steps).
+    bypasses the cache model like the interpreter's silent walk).
     """
     ticked = mode != "silent"
     for item in items:

@@ -1,8 +1,8 @@
 """AOT kernel generator for block-window machines (vn/ooo/seqdf).
 
 Emits, per :class:`~repro.ir.program.ContextProgram`, a kernel table
-with one row per op of every block plan -- the firing functions of
-:meth:`WindowEngine._make_fire`. Output keys, consumer descriptors and
+with one row per op of every block plan -- the firing rule of
+:meth:`WindowEngine._fire`. Output keys, consumer descriptors and
 immediates are constants bound as default arguments; live-token deltas
 are part of the shape, and the ``X if port in entry else imm`` operand
 probes are resolved at generation time (a port is statically either an
@@ -18,7 +18,7 @@ committed in the ``finally``). Its profiled variant also notes each
 firing's ``(block, op_id)`` and books every cycle to a stall reason,
 as the interpreter loop does; it binds the same op rows.
 
-Bit-identical to the closure interpreter by construction; the golden
+Bit-identical to the plain interpreter by construction; the golden
 records and the differential fuzz suite pin it.
 """
 
@@ -245,8 +245,7 @@ def _emit(bplan: BlockPlan, p: OpPlan) -> Recipe:
     if op is Op.LOAD:
         arr = fn.consts.named("array", fn.array)
         # Latency is a run parameter: emit every timing rule, the
-        # binder picks one (matching the interpreter's
-        # construction-time split).
+        # binder picks the one the run's timing selects.
         fast = fn.shape()
         fn.take(fast)
         fast(f"inst.fired.add({fn.oid()})")
@@ -318,14 +317,12 @@ def _emit(bplan: BlockPlan, p: OpPlan) -> Recipe:
         return done(fn.finish(cached, "mem_store", "cache_store"),
                     plain_v, plain_v)
 
-    # Pure arithmetic/logic. The interpreter's shape split
-    # (pure2/pure1/imm variants/generic) only changes which operand
-    # expressions appear; statically resolving the ports covers every
-    # shape.
+    # Pure arithmetic/logic: statically resolving the ports covers
+    # every operand layout.
     n_in = fn.n_in
     b = fn.shape()
-    # The interpreter's specialized pure shapes pop without a
-    # default; preserve the KeyError on a spurious firing.
+    # The common layouts pop without a default, so a spurious firing
+    # raises KeyError (no real firing lacks its entry).
     fn.take(b, pop_default=not ((not fn.imms and n_in in (1, 2))
                                 or (n_in == 2 and len(fn.imms) == 1)))
     args = [fn.operand(port) for port in range(n_in)]
@@ -421,7 +418,7 @@ def run_loop(profiled: bool = False) -> str:
     # Window machines fire about one instruction per cycle (vN exactly
     # one), so per-cycle call and attribute overhead, not the firing
     # functions, bounds host speed: metrics live in locals and are
-    # committed in the ``finally``.  Only load closures that schedule a
+    # committed in the ``finally``.  Only load rules that schedule a
     # maturity (variable latency, cache probes) read ``metrics.cycles``
     # mid-run, so the counter is synced back each cycle in those modes.
     w("sync_cycles = E.load_latency > 1 or E._cache is not None")

@@ -47,8 +47,8 @@ counters; profiling is a generation-time flag there, so unprofiled
 kernels carry no hooks at all. Each engine family's interpreter cycle
 loop stays the reference the profiled kernels are checked against: it
 checks for a profiler once per cycle and calls a per-firing hook that
-is ``None`` unless profiling (the vector engine binds a profiled tick
-into its step closures at construction instead). The default,
+is ``None`` unless profiling (the vector engine's item walk books
+each ticked op right after its tick instead). The default,
 unprofiled path pays only the ``None`` test in the vector-loop timing
 that datapar kernels share with the interpreter.
 """

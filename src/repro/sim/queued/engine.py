@@ -13,17 +13,19 @@ backedge value (true) or pop-and-discard it and re-arm for the next
 activation (false).
 
 Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
-firing goes through a per-node dispatch table of closures that bind
-the node's input deques, immediates, and destination deques at
-construction, so a firing attempt does no opcode dispatch and no
-``fifos[nid][port]`` indexing; same-cycle token visibility is tracked
-in an int-keyed counter map instead of ``(node, port)`` tuples.
+same-cycle token visibility is tracked in an int-keyed counter map
+instead of ``(node, port)`` tuples. By default the generated kernels
+of :mod:`repro.sim.codegen` fill the per-node firing table and run the
+cycle loop. Without them the engine interprets with one plain firing
+rule for every node (:meth:`QueuedEngine._try_fire`): the reference
+semantics the kernels are diffed against.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -39,12 +41,20 @@ from repro.sim.watchdog import watchdog_horizon
 _MU_INIT = 0  # waiting for an initial value
 _MU_LOOP = 1  # waiting for a decider (and possibly a backedge value)
 
+# Opcodes the engine tests per node or per firing, bound once: looking
+# a member up on the enum class costs about ten times a global load.
+_MU, _MERGE, _STEER, _LOAD, _STORE = (
+    Op.MU, Op.MERGE, Op.STEER, Op.LOAD, Op.STORE)
+
+#: ``_head``'s answer when no token is visible at a port.
+_EMPTY = object()
+
 
 class QueuedEngine:
     """Simulates one execution of a flat graph with FIFO channels.
 
-    The engine binds ``memory`` and the graph tables into per-node
-    closures at construction; neither may be swapped afterwards.
+    Kernels bind ``memory`` and the graph tables at construction;
+    neither may be swapped afterwards.
     """
 
     def __init__(self, graph: FlatGraph, memory: Memory,
@@ -57,6 +67,8 @@ class QueuedEngine:
                  cache=None):
         if queue_depth < 1:
             raise SimulationError("queue depth must be >= 1")
+        if issue_width < 1:
+            raise SimulationError("issue width must be >= 1")
         self.graph = graph
         self.memory = memory
         self.queue_depth = queue_depth
@@ -95,12 +107,12 @@ class QueuedEngine:
                 for dest_id, _ in port_edges:
                     self._producers[dest_id].add(nd.node_id)
         self._mu_state: Dict[int, int] = {
-            nd.node_id: _MU_INIT for nd in graph.nodes if nd.op is Op.MU
+            nd.node_id: _MU_INIT for nd in graph.nodes if nd.op is _MU
         }
         self._livebox: List[int] = [0]
         self._results: Dict[int, object] = dict(graph.const_results)
         # Candidate nodes for the NEXT cycle. The set object is
-        # captured by the per-node closures: mutate in place only.
+        # captured by the bound kernels: mutate in place only.
         self._next_candidates: Set[int] = set()
         #: Per-load-node in-flight response queues. Responses are
         #: delivered in issue order (head-of-line blocking), because a
@@ -131,8 +143,8 @@ class QueuedEngine:
             for nd in graph.nodes
         ]
         # Generated plan kernels (repro.sim.codegen) replace both the
-        # per-node closures and the cycle loop; a profiled run binds
-        # their profiled variant.
+        # interpreter's firing rule and its cycle loop; a profiled run
+        # binds their profiled variant.
         self._kernels = None
         if kernels is not None:
             if self._profiler is not None:
@@ -141,7 +153,7 @@ class QueuedEngine:
             self._try_fire_fns: List[Callable[[], bool]] = kernels.bind(self)
         else:
             self._try_fire_fns = [
-                self._make_try_fire(nid) for nid in range(n)
+                partial(self._try_fire, nid) for nid in range(n)
             ]
 
     # ------------------------------------------------------------------
@@ -318,8 +330,8 @@ class QueuedEngine:
 
     # ------------------------------------------------------------------
     def _emit(self, nid: int, port: int, value: object) -> None:
-        """Generic emission (memory-response delivery path only; the
-        per-node closures inline their own copy)."""
+        """Push ``value`` to every destination of ``nid``'s output
+        ``port``, invisible to them until next cycle."""
         fresh = self._fresh
         nc_add = self._next_candidates.add
         dests = self._dests[nid][port]
@@ -330,458 +342,127 @@ class QueuedEngine:
         self._livebox[0] += len(dests)
 
     # ------------------------------------------------------------------
-    # Per-node dispatch closures
+    # The interpreter's firing rule: one plain rule for every node
     # ------------------------------------------------------------------
-    def _make_try_fire(self, nid: int) -> Callable[[], bool]:
-        """Build the firing-attempt closure for node ``nid``.
+    def _head(self, nid: int, port: int) -> object:
+        """The operand at input ``port`` of ``nid``: its immediate, the
+        head of its FIFO, or ``_EMPTY`` when no token is visible yet.
+        Tokens pushed this cycle (counted in ``_fresh``) only become
+        visible next cycle, matching the tagged engine's timing."""
+        fifo = self._fifos[nid][port]
+        if fifo is None:
+            return self._imms[nid][port]
+        if len(fifo) - self._fresh.get(nid * self._stride + port, 0) <= 0:
+            return _EMPTY
+        return fifo[0]
 
-        Each input port is bound as either its deque plus fresh-map
-        key (token port) or its immediate value; each output port as
-        its destination descriptors. ``fresh.get(key, 0)`` subtracts
-        tokens pushed this cycle so they only become visible next
-        cycle, matching the tagged engine's timing.
-        """
+    def _try_fire(self, nid: int) -> bool:
+        """Fire ``nid`` once if the operands it consumes are visible
+        and every destination it pushes to has room (all-or-nothing
+        back pressure: nothing is popped unless all of it holds)."""
         op = self._op[nid]
-        depth = self.queue_depth
-        fresh = self._fresh
-        fresh_get = fresh.get
-        livebox = self._livebox
-        nc = self._next_candidates
-        nc_add = nc.add
-        nc_update = nc.update
-        producers = self._producers[nid]
-        imms = self._imms[nid]
-        n_in = self._n_inputs[nid]
-        stride = self._stride
-        fifos = self._fifos[nid]
-        #: Per input port: (deque or None, fresh key, immediate).
-        spec = [
-            (fifos[p], nid * stride + p, imms.get(p))
-            for p in range(n_in)
-        ]
+        info = None  # the OP_INFO of a pure op
+        mu_init = False
+        # The input ports this firing consumes.
+        if op is _MU:
+            mu_init = self._mu_state[nid] == _MU_INIT
+            ports = (0,) if mu_init else (2, 1)  # (decider, backedge)
+        elif op is _MERGE:
+            decider = self._head(nid, 0)
+            if decider is _EMPTY:
+                return False
+            ports = (0, 1 if decider else 2)
+        else:
+            if op is not _STEER and op is not _LOAD and op is not _STORE:
+                info = OP_INFO[op]
+                if not info.pure:
+                    raise SimulationError(
+                        f"cannot execute {op.value} (flat)")
+            ports = range(self._n_inputs[nid])
+        args = []
+        for port in ports:
+            value = self._head(nid, port)
+            if value is _EMPTY:
+                return False
+            args.append(value)
+        # The output ports it pushes to.
+        if op is _MU:
+            out_ports = (0,) if mu_init or args[0] else ()
+        elif op is _STEER:
+            taken = bool(args[0]) == bool(self._attrs[nid]["sense"])
+            out_ports = (0,) if taken else ()
+        elif op is _LOAD:
+            out_ports = (0, 1)
+        else:
+            out_ports = (0,)
         dests = self._dests[nid]
+        for port in out_ports:
+            for fifo, _, _ in dests[port]:
+                if len(fifo) >= self.queue_depth:
+                    return False
+        popped = False
+        for port in ports:
+            fifo = self._fifos[nid][port]
+            if fifo is not None:
+                fifo.popleft()
+                self._livebox[0] -= 1
+                popped = True
+        if popped:
+            self._next_candidates.update(self._producers[nid])
 
-        if op is Op.MU:
-            mu_state = self._mu_state
-            (f0, k0, i0), (f1, k1, i1), (f2, k2, i2) = spec
-            dests0 = dests[0]
-            n0 = len(dests0)
-
-            def try_fire_mu():
-                if mu_state[nid] == _MU_INIT:
-                    if f0 is None:
-                        value = i0
-                    else:
-                        if len(f0) - fresh_get(k0, 0) <= 0:
-                            return False
-                        value = f0[0]
-                    for f, k, d in dests0:
-                        if len(f) >= depth:
-                            return False
-                    if f0 is not None:
-                        f0.popleft()
-                        livebox[0] -= 1
-                        nc_update(producers)
-                    for f, k, d in dests0:
-                        f.append(value)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    livebox[0] += n0
-                    mu_state[nid] = _MU_LOOP
-                    return True
-                if f2 is None:
-                    d2 = i2
-                else:
-                    if len(f2) - fresh_get(k2, 0) <= 0:
-                        return False
-                    d2 = f2[0]
-                if f1 is None:
-                    back = i1
-                else:
-                    if len(f1) - fresh_get(k1, 0) <= 0:
-                        return False
-                    back = f1[0]
-                if d2:
-                    for f, k, d in dests0:
-                        if len(f) >= depth:
-                            return False
-                    popped = False
-                    if f2 is not None:
-                        f2.popleft()
-                        livebox[0] -= 1
-                        popped = True
-                    if f1 is not None:
-                        f1.popleft()
-                        livebox[0] -= 1
-                        popped = True
-                    if popped:
-                        nc_update(producers)
-                    for f, k, d in dests0:
-                        f.append(back)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    livebox[0] += n0
-                else:
-                    # Activation over: discard the final backedge value
-                    # and re-arm for the next initial value.
-                    popped = False
-                    if f2 is not None:
-                        f2.popleft()
-                        livebox[0] -= 1
-                        popped = True
-                    if f1 is not None:
-                        f1.popleft()
-                        livebox[0] -= 1
-                        popped = True
-                    if popped:
-                        nc_update(producers)
-                    mu_state[nid] = _MU_INIT
-                return True
-            return try_fire_mu
-
-        if op is Op.MERGE:
-            (f0, k0, i0) = spec[0]
-            (f1, k1, i1) = spec[1]
-            (f2, k2, i2) = spec[2]
-            dests0 = dests[0]
-            n0 = len(dests0)
-
-            def try_fire_merge():
-                if f0 is None:
-                    d0 = i0
-                else:
-                    if len(f0) - fresh_get(k0, 0) <= 0:
-                        return False
-                    d0 = f0[0]
-                fc, kc, ic = (f1, k1, i1) if d0 else (f2, k2, i2)
-                if fc is None:
-                    value = ic
-                else:
-                    if len(fc) - fresh_get(kc, 0) <= 0:
-                        return False
-                    value = fc[0]
-                for f, k, d in dests0:
-                    if len(f) >= depth:
-                        return False
-                popped = False
-                if f0 is not None:
-                    f0.popleft()
-                    livebox[0] -= 1
-                    popped = True
-                if fc is not None:
-                    fc.popleft()
-                    livebox[0] -= 1
-                    popped = True
-                if popped:
-                    nc_update(producers)
-                for f, k, d in dests0:
-                    f.append(value)
-                    fresh[k] = fresh_get(k, 0) + 1
-                    nc_add(d)
-                livebox[0] += n0
-                return True
-            return try_fire_merge
-
-        if op is Op.STEER:
-            (f0, k0, i0) = spec[0]
-            (f1, k1, i1) = spec[1]
-            dests0 = dests[0]
-            n0 = len(dests0)
-            sense = bool(self._attrs[nid]["sense"])
-
-            def try_fire_steer():
-                if f0 is None:
-                    d0 = i0
-                else:
-                    if len(f0) - fresh_get(k0, 0) <= 0:
-                        return False
-                    d0 = f0[0]
-                if f1 is None:
-                    value = i1
-                else:
-                    if len(f1) - fresh_get(k1, 0) <= 0:
-                        return False
-                    value = f1[0]
-                taken = bool(d0) == sense
-                if taken:
-                    for f, k, d in dests0:
-                        if len(f) >= depth:
-                            return False
-                popped = False
-                if f0 is not None:
-                    f0.popleft()
-                    livebox[0] -= 1
-                    popped = True
-                if f1 is not None:
-                    f1.popleft()
-                    livebox[0] -= 1
-                    popped = True
-                if popped:
-                    nc_update(producers)
-                if taken:
-                    for f, k, d in dests0:
-                        f.append(value)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    livebox[0] += n0
-                return True
-            return try_fire_steer
-
-        if op is Op.LOAD:
-            dests0, dests1 = dests[0], dests[1]
-            n0, n1 = len(dests0), len(dests1)
+        if info is not None:
+            value = info.evaluate(*args)
+            idx = self._attrs[nid].get("result_index")
+            if idx is not None:
+                self._results[idx] = value
+            self._emit(nid, 0, value)
+        elif op is _MU:
+            if mu_init:
+                self._emit(nid, 0, args[0])
+                self._mu_state[nid] = _MU_LOOP
+            elif args[0]:
+                self._emit(nid, 0, args[1])
+            else:
+                # Activation over: the final backedge value is
+                # discarded and the gate re-arms for the next one.
+                self._mu_state[nid] = _MU_INIT
+        elif op is _MERGE or op is _STEER:
+            if out_ports:
+                self._emit(nid, 0, args[1])
+        elif op is _LOAD:
+            self._issue_load(nid, args[0])
+        else:  # STORE
             array = self._attrs[nid]["array"]
-            mem_load = self.memory.load
-            latency = self.load_latency
-            inflight = self._inflight
-            due_box = self._due_box
-            metrics = self.metrics
-
+            self.memory.store(array, args[0], args[1])
             if self._cache is not None:
-                cache_load = self._cache.access_load
-                miss_latency = self._cache.miss_latency
-                miss_until = self._miss_until
+                self._cache.access_store(array, args[0])
+            self._emit(nid, 0, 0)
+        return True
 
-                def try_fire_load_cached():
-                    args = []
-                    for f, k, imm in spec:
-                        if f is None:
-                            args.append(imm)
-                        else:
-                            if len(f) - fresh_get(k, 0) <= 0:
-                                return False
-                            args.append(f[0])
-                    for f, k, d in dests0:
-                        if len(f) >= depth:
-                            return False
-                    for f, k, d in dests1:
-                        if len(f) >= depth:
-                            return False
-                    popped = False
-                    for f, k, imm in spec:
-                        if f is not None:
-                            f.popleft()
-                            livebox[0] -= 1
-                            popped = True
-                    if popped:
-                        nc_update(producers)
-                    value = mem_load(array, args[0])
-                    delay = cache_load(array, args[0])
-                    if delay <= 1 and nid not in inflight:
-                        for f, k, d in dests0:
-                            f.append(value)
-                            fresh[k] = fresh_get(k, 0) + 1
-                            nc_add(d)
-                        for f, k, d in dests1:
-                            f.append(0)
-                            fresh[k] = fresh_get(k, 0) + 1
-                            nc_add(d)
-                        livebox[0] += n0 + n1
-                    else:
-                        due = metrics.cycles + delay - 1
-                        if delay >= miss_latency \
-                                and due + 1 > miss_until[0]:
-                            miss_until[0] = due + 1
-                        queue = inflight.get(nid)
-                        if queue is None:
-                            inflight[nid] = queue = deque()
-                            if due < due_box[0]:
-                                due_box[0] = due
-                        queue.append((due, value))
-                    return True
-                return try_fire_load_cached
-
-            def try_fire_load():
-                args = []
-                for f, k, imm in spec:
-                    if f is None:
-                        args.append(imm)
-                    else:
-                        if len(f) - fresh_get(k, 0) <= 0:
-                            return False
-                        args.append(f[0])
-                for f, k, d in dests0:
-                    if len(f) >= depth:
-                        return False
-                for f, k, d in dests1:
-                    if len(f) >= depth:
-                        return False
-                popped = False
-                for f, k, imm in spec:
-                    if f is not None:
-                        f.popleft()
-                        livebox[0] -= 1
-                        popped = True
-                if popped:
-                    nc_update(producers)
-                value = mem_load(array, args[0])
-                if latency <= 1 and nid not in inflight:
-                    for f, k, d in dests0:
-                        f.append(value)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    for f, k, d in dests1:
-                        f.append(0)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    livebox[0] += n0 + n1
-                    return True
-                delay = load_delay(latency, array, args[0])
-                if delay <= 1 and nid not in inflight:
-                    for f, k, d in dests0:
-                        f.append(value)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    for f, k, d in dests1:
-                        f.append(0)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    livebox[0] += n0 + n1
-                else:
-                    # Keep responses in issue order behind any slower
-                    # predecessor from the same static load.
-                    due = metrics.cycles + delay - 1
-                    queue = inflight.get(nid)
-                    if queue is None:
-                        inflight[nid] = queue = deque()
-                        # A new head may mature before anything
-                        # currently tracked; an append behind an
-                        # existing head cannot (head-of-line order).
-                        if due < due_box[0]:
-                            due_box[0] = due
-                    queue.append((due, value))
-                return True
-            return try_fire_load
-
-        if op is Op.STORE:
-            dests0 = dests[0]
-            n0 = len(dests0)
-            array = self._attrs[nid]["array"]
-            mem_store = self.memory.store
-            cache_store = (self._cache.access_store
-                           if self._cache is not None else None)
-
-            def try_fire_store():
-                args = []
-                for f, k, imm in spec:
-                    if f is None:
-                        args.append(imm)
-                    else:
-                        if len(f) - fresh_get(k, 0) <= 0:
-                            return False
-                        args.append(f[0])
-                for f, k, d in dests0:
-                    if len(f) >= depth:
-                        return False
-                popped = False
-                for f, k, imm in spec:
-                    if f is not None:
-                        f.popleft()
-                        livebox[0] -= 1
-                        popped = True
-                if popped:
-                    nc_update(producers)
-                mem_store(array, args[0], args[1])
-                if cache_store is not None:
-                    cache_store(array, args[0])
-                for f, k, d in dests0:
-                    f.append(0)
-                    fresh[k] = fresh_get(k, 0) + 1
-                    nc_add(d)
-                livebox[0] += n0
-                return True
-            return try_fire_store
-
-        info = OP_INFO[op]
-        if not info.pure:
-            op_name = op.value
-
-            def try_fire_illegal():
-                raise SimulationError(
-                    f"cannot execute {op_name} (flat)"
-                )
-            return try_fire_illegal
-
-        # Pure arithmetic/logic: specialize the all-FIFO unary/binary
-        # shapes, keep a generic closure for the rest.
-        ev = info.evaluate
-        dests0 = dests[0]
-        n0 = len(dests0)
-        result_idx = self._attrs[nid].get("result_index")
-        results = self._results
-
-        if result_idx is None and n_in == 2 and not imms:
-            (f0, k0, _), (f1, k1, _) = spec
-
-            def try_fire_pure2():
-                if len(f0) - fresh_get(k0, 0) <= 0:
-                    return False
-                if len(f1) - fresh_get(k1, 0) <= 0:
-                    return False
-                for f, k, d in dests0:
-                    if len(f) >= depth:
-                        return False
-                a = f0.popleft()
-                b = f1.popleft()
-                livebox[0] -= 2
-                nc_update(producers)
-                value = ev(a, b)
-                for f, k, d in dests0:
-                    f.append(value)
-                    fresh[k] = fresh_get(k, 0) + 1
-                    nc_add(d)
-                livebox[0] += n0
-                return True
-            return try_fire_pure2
-
-        if result_idx is None and n_in == 1 and not imms:
-            (f0, k0, _) = spec[0]
-
-            def try_fire_pure1():
-                if len(f0) - fresh_get(k0, 0) <= 0:
-                    return False
-                for f, k, d in dests0:
-                    if len(f) >= depth:
-                        return False
-                a = f0.popleft()
-                livebox[0] -= 1
-                nc_update(producers)
-                value = ev(a)
-                for f, k, d in dests0:
-                    f.append(value)
-                    fresh[k] = fresh_get(k, 0) + 1
-                    nc_add(d)
-                livebox[0] += n0
-                return True
-            return try_fire_pure1
-
-        def try_fire_pure():
-            args = []
-            for f, k, imm in spec:
-                if f is None:
-                    args.append(imm)
-                else:
-                    if len(f) - fresh_get(k, 0) <= 0:
-                        return False
-                    args.append(f[0])
-            for f, k, d in dests0:
-                if len(f) >= depth:
-                    return False
-            popped = False
-            for f, k, imm in spec:
-                if f is not None:
-                    f.popleft()
-                    livebox[0] -= 1
-                    popped = True
-            if popped:
-                nc_update(producers)
-            value = ev(*args)
-            if result_idx is not None:
-                results[result_idx] = value
-            for f, k, d in dests0:
-                f.append(value)
-                fresh[k] = fresh_get(k, 0) + 1
-                nc_add(d)
-            livebox[0] += n0
-            return True
-        return try_fire_pure
+    def _issue_load(self, nid: int, addr: object) -> None:
+        array = self._attrs[nid]["array"]
+        value = self.memory.load(array, addr)
+        cache = self._cache
+        if cache is not None:
+            delay = cache.access_load(array, addr)
+        else:
+            delay = load_delay(self.load_latency, array, addr)
+        if delay <= 1 and nid not in self._inflight:
+            self._emit(nid, 0, value)
+            self._emit(nid, 1, 0)
+            return
+        # Keep responses in issue order behind any slower predecessor
+        # from the same static load.
+        due = self.metrics.cycles + delay - 1
+        if cache is not None and delay >= cache.miss_latency \
+                and due + 1 > self._miss_until[0]:
+            self._miss_until[0] = due + 1
+        queue = self._inflight.get(nid)
+        if queue is None:
+            self._inflight[nid] = queue = deque()
+            # A new head may mature before anything currently tracked;
+            # an append behind an existing head cannot (head-of-line
+            # order).
+            if due < self._due_box[0]:
+                self._due_box[0] = due
+        queue.append((due, value))

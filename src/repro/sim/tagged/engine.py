@@ -15,17 +15,19 @@ interaction with the tag pools is what differentiates the architectures
 Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
 the wait-match store is *slot-indexed* -- one store per static
 instruction, keyed by tag -- instead of one dict keyed by
-``(nid, tag)`` tuples; firing goes through a per-node dispatch table
-of closures specialized at construction (no per-firing branching on
-``Op``); emission appends into a persistent pending buffer whose
-``append`` is captured once per node; and trace/occupancy
-instrumentation is selected once at construction, so the default
-configuration pays nothing for it.
+``(nid, tag)`` tuples. By default the generated kernels of
+:mod:`repro.sim.codegen` fill the per-node firing table and run the
+cycle loop. Without them the engine interprets: one plain firing rule
+(:meth:`TaggedEngine._fire_instr`) serves every node, and each pending
+token carries the event id of its producer. The interpreter is the
+reference semantics the kernels are diffed against, and the only path
+that records traces and store occupancy.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError, TokenBoundExceeded
@@ -53,6 +55,12 @@ _DEP_PLAIN = 0
 _DEP_MERGE = 1
 _DEP_ALLOC = 2
 
+# Opcodes the engine tests per node or per firing, bound once: looking
+# a member up on the enum class costs about ten times a global load.
+_MERGE, _STEER, _LOAD, _STORE = Op.MERGE, Op.STEER, Op.LOAD, Op.STORE
+_JOIN, _CHANGE_TAG, _EXTRACT_TAG = Op.JOIN, Op.CHANGE_TAG, Op.EXTRACT_TAG
+_ALLOCATE, _FREE = Op.ALLOCATE, Op.FREE
+
 
 class _AllocState:
     __slots__ = ("request", "ready", "popped", "scheduled",
@@ -70,8 +78,8 @@ class _AllocState:
 class TaggedEngine:
     """Simulates one execution of an elaborated graph.
 
-    The engine binds ``memory`` and the graph tables into per-node
-    closures at construction; neither may be swapped afterwards.
+    Kernels bind ``memory`` and the graph tables at construction;
+    neither may be swapped afterwards.
     """
 
     def __init__(self, graph: TaggedGraph, memory: Memory,
@@ -85,6 +93,8 @@ class TaggedEngine:
                  profile: bool = False,
                  kernels=None,
                  cache=None):
+        if issue_width < 1:
+            raise SimulationError("issue width must be >= 1")
         self.graph = graph
         self.memory = memory
         self.policy = policy
@@ -134,18 +144,18 @@ class TaggedEngine:
         self._alloc_spare: Dict[int, bool] = {}
         self._free_pool: Dict[int, TagPool] = {}
         for nd in graph.nodes:
-            if nd.op is Op.ALLOCATE:
+            if nd.op is _ALLOCATE:
                 self._alloc_pool[nd.node_id] = self.pools[
                     nd.attrs["tagspace"]
                 ]
                 self._alloc_spare[nd.node_id] = bool(nd.attrs["spare"])
-            elif nd.op is Op.FREE:
+            elif nd.op is _FREE:
                 self._free_pool[nd.node_id] = self.pools[
                     nd.attrs["tagspace"]
                 ]
 
         # Dynamic state. The containers below are captured by the
-        # per-node closures and MUST stay the same objects for the
+        # bound kernels and MUST stay the same objects for the
         # engine's lifetime (mutate in place, never rebind).
         #: Slot-indexed wait-match store: node id -> tag -> {port: data}.
         self._wait: List[Dict[object, Dict[int, object]]] = [
@@ -192,53 +202,40 @@ class TaggedEngine:
                     graph.token_bound(t) + graph.max_inputs * n
                 )
 
-        # Instrumentation is selected exactly once, here: the fast
-        # path (the default) carries no trace/occupancy conditionals
-        # at all; pending tokens are 4-tuples. The instrumented path
-        # threads the producing event id through 5-tuples.
-        self._instrumented = record_trace or track_occupancy
         #: Generated plan kernels (repro.sim.codegen), profiled when
-        #: profiling. Used on every uninstrumented run; traced and
-        #: occupancy-tracked runs fall back to the interpreted
-        #: closures, which remain the reference semantics.
-        self._kernels = None
-        if self._instrumented:
+        #: profiling. Without them the engine interprets; traced and
+        #: occupancy-tracked runs always do, since only the
+        #: interpreter carries those hooks.
+        if record_trace or track_occupancy:
+            kernels = None
+        elif kernels is not None and self._profiler is not None:
+            kernels = kernels.profiled()
+        self._kernels = kernels
+        if kernels is None:
+            # Pending tokens are 5-tuples carrying the producing event
+            # id; the kernels' 4-tuples leave it out.
             self._drain = self._drain_pending_instr
             self._emit = self._emit_instr
             self._fire_fns: List[Callable] = [
-                (lambda tag, nid=nid: self._fire_instr(nid, tag))
-                for nid in range(n)
+                partial(self._fire_instr, nid) for nid in range(n)
             ]
         else:
             self._drain = self._drain_pending_fast
             self._emit = self._emit_fast
-            if kernels is not None:
-                if self._profiler is not None:
-                    kernels = kernels.profiled()
-                self._kernels = kernels
-                self._fire_fns = kernels.bind(self)
-            else:
-                self._fire_fns = [
-                    self._make_fire(nid) for nid in range(n)
-                ]
-        #: Firing-rule selector used by the deposit drain loop.
-        self._dkind: List[int] = [
-            _DEP_ALLOC if op is Op.ALLOCATE
-            else _DEP_MERGE if op is Op.MERGE
-            else _DEP_PLAIN
-            for op in self._op
-        ]
-        #: Per-node deposit table: (kind, wait store, #token ports,
-        #: imms) in one slot so the drain loop does one fetch per token.
+            self._fire_fns = kernels.bind(self)
+        #: Per-node deposit table: (firing rule kind, wait store,
+        #: #token ports, imms) in one slot, so a deposit does one
+        #: fetch per token.
         self._dep = [
-            (self._dkind[nid], self._wait[nid],
-             self._n_token_ports[nid], self._imms[nid])
-            for nid in range(n)
+            (_DEP_ALLOC if op is _ALLOCATE
+             else _DEP_MERGE if op is _MERGE else _DEP_PLAIN,
+             self._wait[nid], self._n_token_ports[nid], self._imms[nid])
+            for nid, op in enumerate(self._op)
         ]
 
     # ------------------------------------------------------------------
-    # ``_live`` stays addressable for diagnostics/tests while the hot
-    # closures mutate the underlying one-slot box directly.
+    # ``_live`` stays addressable for diagnostics/tests while the
+    # kernels mutate the underlying one-slot box directly.
     @property
     def _live(self) -> int:
         return self._livebox[0]
@@ -257,7 +254,7 @@ class TaggedEngine:
         pending = self._pending
         for value, dests in zip(args, self.graph.entry_sources):
             for dest_id, port in dests:
-                if self._instrumented:
+                if self._kernels is None:
                     pending.append((dest_id, port, ROOT_TAG, value, -1))
                 else:
                     pending.append((dest_id, port, ROOT_TAG, value))
@@ -450,7 +447,7 @@ class TaggedEngine:
                 self._wake_waiters(pool)
 
     def _drain_pending_fast(self) -> None:
-        """Deposit every buffered token (fast path, 4-tuples).
+        """Deposit every buffered token (kernels, 4-tuples).
 
         ``_dep`` packs each node's firing-rule selector, wait-store
         slot, token-port count, and immediates into one tuple so a
@@ -485,11 +482,12 @@ class TaggedEngine:
         del pending[:]
 
     def _drain_pending_instr(self) -> None:
-        """Deposit every buffered token (instrumented, 5-tuples)."""
+        """Deposit every buffered token (interpreter, 5-tuples)."""
         pending = self._pending[:]
         del self._pending[:]
+        deposit = self._deposit_instr
         for nid, port, tag, data, src in pending:
-            self._deposit_instr(nid, port, tag, data, src)
+            deposit(nid, port, tag, data, src)
 
     # ------------------------------------------------------------------
     def _emit_fast(self, nid: int, port: int, tag: object,
@@ -515,13 +513,12 @@ class TaggedEngine:
 
     def _deposit_instr(self, nid: int, port: int, tag: object,
                        data: object, src: int = -1) -> None:
-        op = self._op[nid]
         if self.trace is not None and src >= 0:
             self._wait_src.setdefault((nid, tag), {})[port] = src
-        if op is Op.ALLOCATE:
+        kind, store, n_ports, imms = self._dep[nid]
+        if kind == _DEP_ALLOC:
             self._deposit_alloc(nid, port, tag)
             return
-        store = self._wait[nid]
         entry = store.get(tag)
         if entry is None:
             entry = {}
@@ -533,12 +530,12 @@ class TaggedEngine:
             self._occupancy[block] = occ
             if occ > self._peak_occupancy[block]:
                 self._peak_occupancy[block] = occ
-        if op is Op.MERGE:
+        if kind == _DEP_MERGE:
             if 0 in entry:
                 want = 1 if entry[0] else 2
-                if want in entry or want in self._imms[nid]:
+                if want in entry or want in imms:
                     self._ready.append((nid, tag, _FIRE))
-        elif len(entry) == self._n_token_ports[nid]:
+        elif len(entry) == n_ports:
             self._ready.append((nid, tag, _FIRE))
 
     # ------------------------------------------------------------------
@@ -627,325 +624,14 @@ class TaggedEngine:
         self._waiters[id(pool)] = still_waiting
 
     # ------------------------------------------------------------------
-    # Ordinary instruction firing: per-node dispatch closures
-    # ------------------------------------------------------------------
-    def _make_fire(self, nid: int) -> Callable[[object], None]:
-        """Build the firing closure for node ``nid`` (fast path).
-
-        All per-node constants -- wait store slot, output edge lists,
-        immediates, attributes, the pending buffer's ``append`` -- are
-        bound here, once, so a firing does no table lookups and no
-        opcode dispatch.
-        """
-        op = self._op[nid]
-        store = self._wait[nid]
-        livebox = self._livebox
-        append = self._pending.append
-        edges = self._edges[nid]
-        imms = self._imms[nid]
-        attrs = self._attrs[nid]
-        n_in = self._n_inputs[nid]
-
-        if op is Op.MERGE:
-            edges0 = edges[0]
-            n0 = len(edges0)
-
-            def fire_merge(tag):
-                entry = store.pop(tag)
-                livebox[0] -= len(entry)
-                chosen = 1 if entry[0] else 2
-                data = entry[chosen] if chosen in entry else imms[chosen]
-                for d in edges0:
-                    append((d[0], d[1], tag, data))
-                livebox[0] += n0
-            return fire_merge
-
-        if op is Op.STEER:
-            edges0, edges1 = edges[0], edges[1]
-            n0, n1 = len(edges0), len(edges1)
-            sense = bool(attrs["sense"])
-            imm0, imm1 = imms.get(0), imms.get(1)
-
-            def fire_steer(tag):
-                entry = store.pop(tag)
-                livebox[0] -= len(entry)
-                d = entry[0] if 0 in entry else imm0
-                value = entry[1] if 1 in entry else imm1
-                if bool(d) == sense:
-                    for e in edges0:
-                        append((e[0], e[1], tag, value))
-                    livebox[0] += n0
-                for e in edges1:
-                    append((e[0], e[1], tag, 0))
-                livebox[0] += n1
-            return fire_steer
-
-        if op is Op.LOAD:
-            edges0, edges1 = edges[0], edges[1]
-            n0, n1 = len(edges0), len(edges1)
-            array = attrs["array"]
-            mem_load = self.memory.load
-            if self._cache is not None:
-                cache_load = self._cache.access_load
-                miss_latency = self._cache.miss_latency
-                miss_until = self._miss_until
-                metrics = self.metrics
-                delayed = self._delayed
-
-                def fire_load_cached(tag):
-                    entry = store.pop(tag)
-                    livebox[0] -= len(entry)
-                    addr = entry[0] if 0 in entry else imms[0]
-                    value = mem_load(array, addr)
-                    delay = cache_load(array, addr)
-                    if delay <= 1:
-                        for e in edges0:
-                            append((e[0], e[1], tag, value))
-                        for e in edges1:
-                            append((e[0], e[1], tag, 0))
-                    else:
-                        due = metrics.cycles + delay - 1
-                        if delay >= miss_latency \
-                                and due + 1 > miss_until[0]:
-                            miss_until[0] = due + 1
-                        bucket = delayed.get(due)
-                        if bucket is None:
-                            delayed[due] = bucket = []
-                        for e in edges0:
-                            bucket.append((e[0], e[1], tag, value))
-                        for e in edges1:
-                            bucket.append((e[0], e[1], tag, 0))
-                    livebox[0] += n0 + n1
-                return fire_load_cached
-
-            if self.load_latency <= 1:
-                def fire_load(tag):
-                    entry = store.pop(tag)
-                    livebox[0] -= len(entry)
-                    addr = entry[0] if 0 in entry else imms[0]
-                    value = mem_load(array, addr)
-                    for e in edges0:
-                        append((e[0], e[1], tag, value))
-                    for e in edges1:
-                        append((e[0], e[1], tag, 0))
-                    livebox[0] += n0 + n1
-                return fire_load
-
-            latency = self.load_latency
-            metrics = self.metrics
-            delayed = self._delayed
-
-            def fire_load_variable(tag):
-                entry = store.pop(tag)
-                livebox[0] -= len(entry)
-                addr = entry[0] if 0 in entry else imms[0]
-                value = mem_load(array, addr)
-                delay = load_delay(latency, array, addr)
-                if delay <= 1:
-                    for e in edges0:
-                        append((e[0], e[1], tag, value))
-                    for e in edges1:
-                        append((e[0], e[1], tag, 0))
-                else:
-                    due = metrics.cycles + delay - 1
-                    bucket = delayed.get(due)
-                    if bucket is None:
-                        delayed[due] = bucket = []
-                    for e in edges0:
-                        bucket.append((e[0], e[1], tag, value))
-                    for e in edges1:
-                        bucket.append((e[0], e[1], tag, 0))
-                livebox[0] += n0 + n1
-            return fire_load_variable
-
-        if op is Op.STORE:
-            edges0 = edges[0]
-            n0 = len(edges0)
-            array = attrs["array"]
-            mem_store = self.memory.store
-            if self._cache is not None:
-                cache_store = self._cache.access_store
-
-                def fire_store_cached(tag):
-                    entry = store.pop(tag)
-                    livebox[0] -= len(entry)
-                    addr = entry[0] if 0 in entry else imms[0]
-                    value = entry[1] if 1 in entry else imms[1]
-                    mem_store(array, addr, value)
-                    cache_store(array, addr)
-                    for e in edges0:
-                        append((e[0], e[1], tag, 0))
-                    livebox[0] += n0
-                return fire_store_cached
-
-            def fire_store(tag):
-                entry = store.pop(tag)
-                livebox[0] -= len(entry)
-                addr = entry[0] if 0 in entry else imms[0]
-                value = entry[1] if 1 in entry else imms[1]
-                mem_store(array, addr, value)
-                for e in edges0:
-                    append((e[0], e[1], tag, 0))
-                livebox[0] += n0
-            return fire_store
-
-        if op is Op.JOIN:
-            edges0 = edges[0]
-            n0 = len(edges0)
-
-            def fire_join(tag):
-                entry = store.pop(tag)
-                livebox[0] -= len(entry)
-                value = entry[0] if 0 in entry else imms[0]
-                for e in edges0:
-                    append((e[0], e[1], tag, value))
-                livebox[0] += n0
-            return fire_join
-
-        if op is Op.CHANGE_TAG:
-            edges1 = edges[1]
-            n1 = len(edges1)
-            table = attrs.get("route_table")
-            if table is None:
-                edges0 = edges[0]
-                n0 = len(edges0)
-
-                def fire_change_tag(tag):
-                    entry = store.pop(tag)
-                    livebox[0] -= len(entry)
-                    new_tag = entry[0] if 0 in entry else imms[0]
-                    data = entry[1] if 1 in entry else imms[1]
-                    for e in edges0:
-                        append((e[0], e[1], new_tag, data))
-                    livebox[0] += n0
-                    for e in edges1:
-                        append((e[0], e[1], tag, 0))
-                    livebox[0] += n1
-                return fire_change_tag
-
-            # Dynamic-destination changeTag (multi-caller returns).
-            table_get = table.get
-
-            def fire_change_tag_routed(tag):
-                entry = store.pop(tag)
-                livebox[0] -= len(entry)
-                new_tag = entry[0] if 0 in entry else imms[0]
-                data = entry[1] if 1 in entry else imms[1]
-                ret = entry[2] if 2 in entry else imms[2]
-                dests = table_get(ret, ())
-                for e in dests:
-                    append((e[0], e[1], new_tag, data))
-                livebox[0] += len(dests)
-                for e in edges1:
-                    append((e[0], e[1], tag, 0))
-                livebox[0] += n1
-            return fire_change_tag_routed
-
-        if op is Op.EXTRACT_TAG:
-            edges0 = edges[0]
-            n0 = len(edges0)
-
-            def fire_extract_tag(tag):
-                entry = store.pop(tag)
-                livebox[0] -= len(entry)
-                for e in edges0:
-                    append((e[0], e[1], tag, tag))
-                livebox[0] += n0
-            return fire_extract_tag
-
-        if op is Op.FREE:
-            pool = self._free_pool[nid]
-            dirty = self._dirty_pools
-
-            def fire_free(tag):
-                entry = store.pop(tag)
-                livebox[0] -= len(entry)
-                pool.push(tag)
-                if pool not in dirty:
-                    dirty.append(pool)
-            return fire_free
-
-        info = OP_INFO[op]
-        if not info.pure:
-            op_name = op.value
-
-            def fire_illegal(tag):
-                raise SimulationError(f"cannot execute {op_name}")
-            return fire_illegal
-
-        # Pure arithmetic/logic: specialize the common shapes, keep a
-        # generic closure for the rest (immediates, results, 3-ary).
-        ev = info.evaluate
-        edges0 = edges[0]
-        n0 = len(edges0)
-        result_idx = attrs.get("result_index")
-        results = self._results
-
-        if result_idx is None and not imms and n_in == 2:
-            def fire_pure2(tag):
-                entry = store.pop(tag)
-                livebox[0] -= 2
-                value = ev(entry[0], entry[1])
-                for d in edges0:
-                    append((d[0], d[1], tag, value))
-                livebox[0] += n0
-            return fire_pure2
-
-        if result_idx is None and not imms and n_in == 1:
-            def fire_pure1(tag):
-                entry = store.pop(tag)
-                livebox[0] -= 1
-                value = ev(entry[0])
-                for d in edges0:
-                    append((d[0], d[1], tag, value))
-                livebox[0] += n0
-            return fire_pure1
-
-        if result_idx is None and n_in == 2 and len(imms) == 1:
-            if 0 in imms:
-                imm0 = imms[0]
-
-                def fire_pure_imm0(tag):
-                    entry = store.pop(tag)
-                    livebox[0] -= 1
-                    value = ev(imm0, entry[1])
-                    for d in edges0:
-                        append((d[0], d[1], tag, value))
-                    livebox[0] += n0
-                return fire_pure_imm0
-            imm1 = imms[1]
-
-            def fire_pure_imm1(tag):
-                entry = store.pop(tag)
-                livebox[0] -= 1
-                value = ev(entry[0], imm1)
-                for d in edges0:
-                    append((d[0], d[1], tag, value))
-                livebox[0] += n0
-            return fire_pure_imm1
-
-        def fire_pure(tag):
-            entry = store.pop(tag)
-            livebox[0] -= len(entry)
-            value = ev(*[
-                entry[p] if p in entry else imms[p] for p in range(n_in)
-            ])
-            if result_idx is not None:
-                results[result_idx] = value
-            for d in edges0:
-                append((d[0], d[1], tag, value))
-            livebox[0] += n0
-        return fire_pure
-
-    # ------------------------------------------------------------------
-    # Instrumented firing (trace / occupancy builds only)
+    # The interpreter's firing rule: one plain rule for every node
     # ------------------------------------------------------------------
     def _fire_instr(self, nid: int, tag: object) -> None:
         op = self._op[nid]
         if self.trace is not None:
             self._cur_event = self.trace.record(
                 self.metrics.cycles, nid, self._block[nid],
-                self._op[nid].value, tag,
+                op.value, tag,
                 self._wait_src.pop((nid, tag), {}),
             )
         entry = self._wait[nid].pop(tag)
@@ -954,13 +640,13 @@ class TaggedEngine:
             self._occupancy[self._block[nid]] -= len(entry)
         imms = self._imms[nid]
 
-        if op is Op.MERGE:
+        if op is _MERGE:
             d = entry[0]
             chosen = 1 if d else 2
             data = entry[chosen] if chosen in entry else imms[chosen]
             self._emit(nid, 0, tag, data)
             return
-        if op is Op.STEER:
+        if op is _STEER:
             d = entry.get(0, imms.get(0))
             value = entry.get(1, imms.get(1))
             attrs = self._attrs[nid]
@@ -974,7 +660,7 @@ class TaggedEngine:
         inputs = [
             entry[p] if p in entry else imms[p] for p in range(n_in)
         ]
-        if op is Op.LOAD:
+        if op is _LOAD:
             attrs = self._attrs[nid]
             value = self.memory.load(attrs["array"], inputs[0])
             if self._cache is not None:
@@ -999,15 +685,15 @@ class TaggedEngine:
                         bucket.append((dest_id, dest_port, tag, data,
                                        src))
                         self._livebox[0] += 1
-        elif op is Op.STORE:
+        elif op is _STORE:
             attrs = self._attrs[nid]
             self.memory.store(attrs["array"], inputs[0], inputs[1])
             if self._cache is not None:
                 self._cache.access_store(attrs["array"], inputs[0])
             self._emit(nid, 0, tag, 0)
-        elif op is Op.JOIN:
+        elif op is _JOIN:
             self._emit(nid, 0, tag, inputs[0])
-        elif op is Op.CHANGE_TAG:
+        elif op is _CHANGE_TAG:
             table = self._attrs[nid].get("route_table")
             if table is None:
                 self._emit(nid, 0, inputs[0], inputs[1])
@@ -1022,9 +708,9 @@ class TaggedEngine:
                                 inputs[1], src))
                     self._livebox[0] += len(dests)
             self._emit(nid, 1, tag, 0)
-        elif op is Op.EXTRACT_TAG:
+        elif op is _EXTRACT_TAG:
             self._emit(nid, 0, tag, tag)
-        elif op is Op.FREE:
+        elif op is _FREE:
             pool = self._free_pool[nid]
             pool.push(tag)
             if pool not in self._dirty_pools:

@@ -16,23 +16,22 @@ footprint -- which is how data-parallel machines "choose as much
 parallelism as they want" while bounding state (paper Sec. II-C).
 
 Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
-the same per-op dispatch-closure design as the tagged/queued/window
-engines, adapted to depth-first execution.  Each block is compiled
-once (:mod:`repro.sim.vector.plan`) so every value lives in a dense
-slot of a flat environment list; at engine construction each op gets
-a firing closure with its opcode dispatch, operand slots, immediates
-and memory accessors bound once.  A block activation is a
-``list(template)`` copy plus an argument splice followed by a plain
-loop over closures -- no per-op lambda allocation, no ``OP_INFO``
-probes, no tuple-keyed dict lookups.  Each block carries two closure
-tables: *ticked* steps (scalar execution, one metrics sample per op)
-and *silent* steps (vector-body evaluation, timing accounted in
-lock-step batches by the caller).
+each block is compiled once (:mod:`repro.sim.vector.plan`) so every
+value lives in a dense slot of a flat environment list, and a block
+activation is a ``list(template)`` copy plus an argument splice
+followed by one call per block.  Each block has a *ticked* function
+(scalar execution, one metrics sample per op) and, if it is a
+vectorizable loop, a *silent* one (vector-body evaluation, timed in
+lock-step batches by the caller).  By default they are generated
+kernels (:mod:`repro.sim.codegen`); without them both are the one
+plain item walk :meth:`DataParallelEngine._run_items`, the reference
+semantics the kernels are diffed against.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -51,12 +50,17 @@ from repro.sim.vector.plan import (
     build_vec_plans,
 )
 
+# Opcodes the interpreter tests, bound once: looking a member up on
+# the enum class costs about ten times a global load.
+_LOAD, _STORE, _STEER, _MERGE, _SPAWN = (
+    Op.LOAD, Op.STORE, Op.STEER, Op.MERGE, Op.SPAWN)
+
 
 class DataParallelEngine:
     """Vector/SIMT-style executor over the context IR.
 
-    The engine binds ``memory`` and the compiled plans into per-op
-    closures at construction; neither may be swapped afterwards.
+    Kernels bind ``memory`` and the compiled plans at construction;
+    neither may be swapped afterwards.
     """
 
     def __init__(self, program: ContextProgram, memory: Memory,
@@ -84,10 +88,8 @@ class DataParallelEngine:
         self.load_latency = load_latency
         self.max_cycles = max_cycles
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Must be set before the closure compilation below: ticked
-        # step closures bind either the plain or the profiled tick at
-        # construction, and a profiled run binds the profiled kernel
-        # variant, so scalar steps carry no profiling branches.
+        # Set before the tables below: a profiled run binds the
+        # profiled kernel variant.
         self._profiler = EngineProfiler() if profile else None
         self.vector_info: Dict[str, Optional[VectorInfo]] = {
             name: classify_loop(block)
@@ -101,24 +103,25 @@ class DataParallelEngine:
         self.scalar_trips = 0
 
         self.plans: Dict[str, VecBlockPlan] = build_vec_plans(program)
-        #: block name -> flat tuple of ticked step closures (scalar
-        #: execution: one metrics sample per op).
+        #: block name -> (its ticked function,): scalar execution, one
+        #: metrics sample per op.
         self._ticked: Dict[str, Tuple[Callable, ...]] = {}
-        #: block name -> silent step closures (vector bodies only).
+        #: block name -> (its silent function,): vector bodies only.
         self._silent: Dict[str, Tuple[Callable, ...]] = {}
-        # Generated kernels replace both tables with whole-block
-        # functions (profiled ones when profiling).
+        # Generated kernels fill both tables with whole-block functions
+        # (profiled ones when profiling); else every block walks its
+        # items.
         if kernels is not None:
             if self._profiler is not None:
                 kernels = kernels.profiled()
             self._ticked, self._silent = kernels.bind(self)
         else:
             for name, plan in self.plans.items():
-                self._ticked[name] = self._compile_items(
-                    plan.items, ticked=True, block=name)
+                self._ticked[name] = (
+                    partial(self._run_items, plan.items, name),)
                 if self.vector_info.get(name) is not None:
-                    self._silent[name] = self._compile_items(
-                        plan.items, ticked=False, block=name)
+                    self._silent[name] = (
+                        partial(self._run_items, plan.items, None),)
 
     # ------------------------------------------------------------------
     def run(self, args: List[object]) -> ExecutionResult:
@@ -222,246 +225,97 @@ class DataParallelEngine:
             args = [env[s] for s in next_slots]
 
     # ------------------------------------------------------------------
-    # Per-op step closures
+    # The interpreter: one plain walk over a block's region items
     # ------------------------------------------------------------------
-    def _compile_items(self, items: Tuple, ticked: bool, block: str
-                       ) -> Tuple[Callable, ...]:
-        return tuple(self._make_step(item, ticked, block)
-                     for item in items)
+    def _run_items(self, items: Tuple, block: Optional[str],
+                   env: List[object]) -> None:
+        """Execute region ``items`` over the slot environment ``env``.
 
-    def _op_tick(self, op: Op, op_id: int, block: str) -> Callable:
-        """The metrics tick a ticked step closure binds: the plain
-        recorder, or a per-op profiled wrapper (fired samples are
-        ``fired`` cycles of this static op; zero-fired samples only
-        occur inside a load's latency spin, hence ``memory_stall``)."""
-        if self._profiler is None:
-            return self._tick
+        Ticked when ``block`` names the block: each op samples one
+        cycle (booked to ``op@block#id`` when profiling) and scalar
+        loads stall for their latency. Silent when ``block`` is
+        ``None``: a vector body, which the caller times in lock-step
+        batches and whose memory bypasses the cache model.
+        """
         prof = self._profiler
-        base = self._tick
-        key = f"{op.value}@{block}#{op_id}"
-
-        def tick_profiled(fired, live):
-            base(fired, live)
-            if fired:
-                prof.fire(key)
-                prof.end_cycle("fired")
-            else:
-                prof.end_cycle("memory_stall")
-        return tick_profiled
-
-    def _make_step(self, item, ticked: bool, block: str) -> Callable:
-        if isinstance(item, VecIf):
-            decider = item.decider_slot
-            then_steps = self._compile_items(item.then_items, ticked,
-                                             block)
-            else_steps = self._compile_items(item.else_items, ticked,
-                                             block)
-
-            def step_if(env):
-                for step in (then_steps if env[decider]
-                             else else_steps):
-                    step(env)
-            return step_if
-
-        assert isinstance(item, VecOp)
-        op = item.op
-        ins = item.in_slots
-        outs = item.out_slots
-
-        if op is Op.SPAWN:
-            return self._make_spawn_step(item, ticked)
-
-        tick = self._op_tick(op, item.op_id, block) if ticked \
-            else self._tick
         live = self._scalar_live
+        memory = self.memory
+        for item in items:
+            if isinstance(item, VecIf):
+                self._run_items(item.then_items if env[item.decider_slot]
+                                else item.else_items, block, env)
+                continue
+            op = item.op
+            ins = item.in_slots
+            outs = item.out_slots
+            if op is _SPAWN:
+                if block is None:
+                    # classify_loop rejects loops containing transfer
+                    # points, so a spawn never reaches a vector body.
+                    raise SimulationError(
+                        "cannot execute spawn in a vector body")
+                self._spawn(item, env)
+                continue
+            info = None  # the OP_INFO of a pure op
+            if not (op is _LOAD or op is _STORE or op is _STEER
+                    or op is _MERGE):
+                info = OP_INFO[op]
+                if not info.pure:
+                    where = "" if block is not None else " in a vector body"
+                    raise SimulationError(
+                        f"cannot execute {op.value}{where}")
+            if block is not None:
+                self._tick(1, live)
+                if prof is not None:
+                    prof.fire(f"{op.value}@{block}#{item.op_id}")
+                    prof.end_cycle("fired")
+            if info is not None:
+                env[outs[0]] = info.evaluate(*[env[s] for s in ins])
+            elif op is _LOAD:
+                array = item.attrs["array"]
+                index = env[ins[0]]
+                env[outs[0]] = memory.load(array, index)
+                env[outs[1]] = 0
+                if block is None:
+                    continue
+                cache = self._cache
+                if cache is not None:
+                    delay = cache.access_load(array, index)
+                    miss = delay >= cache.miss_latency
+                else:
+                    delay = load_delay(self.load_latency, array, index)
+                    miss = False
+                if delay > 1:
+                    self._stall_scalar_load(delay - 1, live, miss)
+            elif op is _STORE:
+                array = item.attrs["array"]
+                memory.store(array, env[ins[0]], env[ins[1]])
+                if block is not None and self._cache is not None:
+                    self._cache.access_store(array, env[ins[0]])
+                env[outs[0]] = 0
+            elif op is _STEER:
+                # Depth-first execution resolves control through the
+                # region tree: STEER passes its value operand through.
+                env[outs[0]] = env[ins[1]]
+                env[outs[1]] = 0
+            else:  # MERGE
+                env[outs[0]] = env[ins[1]] if env[ins[0]] else env[ins[2]]
 
-        if op is Op.LOAD:
-            array = item.attrs["array"]
-            mem_load = self.memory.load
-            a0 = ins[0]
-            o0, o1 = outs[0], outs[1]
-            if ticked:
-                latency = self.load_latency
-                if self._cache is not None:
-                    cache_load = self._cache.access_load
-                    miss_latency = self._cache.miss_latency
-                    stall = self._stall_scalar_load
-
-                    def step_load_cached(env):
-                        tick(1, live)
-                        index = env[a0]
-                        env[o0] = mem_load(array, index)
-                        env[o1] = 0
-                        delay = cache_load(array, index)
-                        if delay > 1:
-                            stall(delay - 1, live,
-                                  delay >= miss_latency)
-                    return step_load_cached
-
-                if latency <= 1:
-                    def step_load_fast(env):
-                        tick(1, live)
-                        env[o0] = mem_load(array, env[a0])
-                        env[o1] = 0
-                    return step_load_fast
-
-                stall = self._stall_scalar_load
-
-                def step_load(env):
-                    tick(1, live)
-                    index = env[a0]
-                    env[o0] = mem_load(array, index)
-                    env[o1] = 0
-                    delay = load_delay(latency, array, index)
-                    if delay > 1:
-                        stall(delay - 1, live)
-                return step_load
-
-            def step_load_silent(env):
-                env[o0] = mem_load(array, env[a0])
-                env[o1] = 0
-            return step_load_silent
-
-        if op is Op.STORE:
-            array = item.attrs["array"]
-            mem_store = self.memory.store
-            a0, a1 = ins[0], ins[1]
-            o0 = outs[0]
-            if ticked:
-                if self._cache is not None:
-                    cache_store = self._cache.access_store
-
-                    def step_store_cached(env):
-                        tick(1, live)
-                        mem_store(array, env[a0], env[a1])
-                        cache_store(array, env[a0])
-                        env[o0] = 0
-                    return step_store_cached
-
-                def step_store(env):
-                    tick(1, live)
-                    mem_store(array, env[a0], env[a1])
-                    env[o0] = 0
-                return step_store
-
-            def step_store_silent(env):
-                mem_store(array, env[a0], env[a1])
-                env[o0] = 0
-            return step_store_silent
-
-        if op is Op.STEER:
-            # Depth-first execution resolves control through the region
-            # tree, so STEER is a pass-through of its value operand.
-            a1 = ins[1]
-            o0, o1 = outs[0], outs[1]
-            if ticked:
-                def step_steer(env):
-                    tick(1, live)
-                    env[o0] = env[a1]
-                    env[o1] = 0
-                return step_steer
-
-            def step_steer_silent(env):
-                env[o0] = env[a1]
-                env[o1] = 0
-            return step_steer_silent
-
-        if op is Op.MERGE:
-            a0, a1, a2 = ins[0], ins[1], ins[2]
-            o0 = outs[0]
-            if ticked:
-                def step_merge(env):
-                    tick(1, live)
-                    env[o0] = env[a1] if env[a0] else env[a2]
-                return step_merge
-
-            def step_merge_silent(env):
-                env[o0] = env[a1] if env[a0] else env[a2]
-            return step_merge_silent
-
-        info = OP_INFO[op]
-        if not info.pure:
-            op_name = op.value
-            where = "" if ticked else " in a vector body"
-
-            def step_illegal(env):
-                raise SimulationError(
-                    f"cannot execute {op_name}{where}")
-            return step_illegal
-
-        # Pure arithmetic/logic: specialize the common arities.
-        ev = info.evaluate
-        o0 = outs[0]
-        if len(ins) == 2:
-            a0, a1 = ins[0], ins[1]
-            if ticked:
-                def step_pure2(env):
-                    tick(1, live)
-                    env[o0] = ev(env[a0], env[a1])
-                return step_pure2
-
-            def step_pure2_silent(env):
-                env[o0] = ev(env[a0], env[a1])
-            return step_pure2_silent
-        if len(ins) == 1:
-            a0 = ins[0]
-            if ticked:
-                def step_pure1(env):
-                    tick(1, live)
-                    env[o0] = ev(env[a0])
-                return step_pure1
-
-            def step_pure1_silent(env):
-                env[o0] = ev(env[a0])
-            return step_pure1_silent
-
-        if ticked:
-            def step_pure(env):
-                tick(1, live)
-                env[o0] = ev(*[env[s] for s in ins])
-            return step_pure
-
-        def step_pure_silent(env):
-            env[o0] = ev(*[env[s] for s in ins])
-        return step_pure_silent
-
-    def _make_spawn_step(self, item: VecOp, ticked: bool) -> Callable:
-        if not ticked:
-            # classify_loop rejects loops containing transfer points,
-            # so a spawn can never appear in a vector body.
-            def step_spawn_illegal(env):
-                raise SimulationError(
-                    "cannot execute spawn in a vector body")
-            return step_spawn_illegal
-
-        callee_name = item.attrs["callee"]
-        callee_plan = self.plans[callee_name]
-        callee_kind = self.program.block(callee_name).kind
-        info = (self.vector_info.get(callee_name)
-                if callee_kind is BlockKind.LOOP else None)
-        ins = item.in_slots
-        outs = item.out_slots
-
+    def _spawn(self, item: VecOp, env: List[object]) -> None:
+        """Run a callee to completion and bind its results: a
+        vectorizable loop in lanes, anything else depth-first."""
+        plan = self.plans[item.attrs["callee"]]
+        args = [env[s] for s in item.in_slots]
+        info = (self.vector_info.get(plan.name)
+                if plan.kind is BlockKind.LOOP else None)
         if info is not None:
-            exec_vector = self._exec_vector_loop
-
-            def step_spawn_vector(env):
-                results = exec_vector(callee_plan, info,
-                                      [env[s] for s in ins])
-                for slot, value in zip(outs, results):
-                    env[slot] = value
-            return step_spawn_vector
-
-        exec_block = self._exec_block
-        count_trip = callee_kind is BlockKind.LOOP
-
-        def step_spawn(env):
-            if count_trip:
+            results = self._exec_vector_loop(plan, info, args)
+        else:
+            if plan.kind is BlockKind.LOOP:
                 self.scalar_trips += 1
-            results = exec_block(callee_plan, [env[s] for s in ins])
-            for slot, value in zip(outs, results):
-                env[slot] = value
-        return step_spawn
+            results = self._exec_block(plan, args)
+        for slot, value in zip(item.out_slots, results):
+            env[slot] = value
 
     # ------------------------------------------------------------------
     # Vectorized loop execution

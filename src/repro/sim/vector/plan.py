@@ -15,9 +15,10 @@ value lives in a dense slot of a flat environment list**:
   ``list.copy()`` plus an argument splice, after which *every* operand
   read is a single ``env[slot]`` index.
 
-The engine (:mod:`repro.sim.vector.engine`) binds these plans into
-per-op firing closures at construction, mirroring the dispatch-closure
-design of the tagged/queued/window engines.
+The engine (:mod:`repro.sim.vector.engine`) interprets these plans
+with one plain walk over each block's items, and the generated
+kernels (:mod:`repro.sim.codegen.vector`) compile each block into one
+straight-line function over the same slots.
 """
 
 from __future__ import annotations

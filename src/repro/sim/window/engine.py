@@ -17,22 +17,21 @@ the paper describes for sequential dataflow (Fig. 5c).
 ``window=1, width=1`` degenerates to a sequential von Neumann machine.
 
 Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
-the same per-node dispatch-closure design as the tagged/queued
-engines.  Each static op gets a firing closure specialized at engine
-construction -- per-op constants (immediates, consumer lists, output
-keys, memory accessors, the pending buffer's ``append``) are bound
-once, so a firing does no opcode dispatch and no plan lookups.  The
-wait-match store is per-instance (``inst.wait[op_id]``) instead of a
-global dict keyed by ``(iid, op_id)`` tuples, and the deposit drain
+the wait-match store is per-instance (``inst.wait[op_id]``) instead of
+a global dict keyed by ``(iid, op_id)`` tuples, and the deposit drain
 reads one precomputed descriptor tuple per token
-(:attr:`repro.sim.window.plan.BlockPlan.dep`).  Closures are built
-once per *static block* and shared by every dynamic instance, so loop
-iterations pay nothing for specialization.
+(:attr:`repro.sim.window.plan.BlockPlan.dep`).  Each static block has
+one firing table, shared by every dynamic instance.  By default the
+generated kernels of :mod:`repro.sim.codegen` fill it and run the
+cycle loop.  Without them the engine interprets with one plain firing
+rule for every op (:meth:`WindowEngine._fire`): the reference
+semantics the kernels are diffed against.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -51,8 +50,13 @@ from repro.sim.window.plan import (
 )
 
 #: Shared empty wait entry for ops fired via the only-literal fetch
-#: path (never written to; firing closures only read it).
+#: path (never written to; firing rules only read it).
 _NO_ENTRY: Dict[int, object] = {}
+
+# Opcodes the interpreter's firing rule tests, bound once: looking a
+# member up on the enum class costs about ten times a global load.
+_MERGE, _STEER, _LOAD, _STORE, _SPAWN = (
+    Op.MERGE, Op.STEER, Op.LOAD, Op.STORE, Op.SPAWN)
 
 
 class _Instance:
@@ -85,7 +89,7 @@ class _Instance:
         #: Wait-match store: op id -> {port: value} (slot-indexed per
         #: instance; replaces the engine-global ``(iid, op_id)`` dict).
         self.wait: Dict[int, Dict[int, object]] = {}
-        #: The per-plan firing-closure table (shared across instances).
+        #: The per-plan firing table (shared across instances).
         self.fires = fires
         #: The per-plan deposit-descriptor table (hot alias).
         self.dep = plan.dep
@@ -100,8 +104,8 @@ class _Instance:
 class WindowEngine:
     """Simulates vN (window=1,width=1) or sequential dataflow.
 
-    The engine binds ``memory`` and the program's plans into per-node
-    closures at construction; neither may be swapped afterwards.
+    Kernels bind ``memory`` and the program's plans at construction;
+    neither may be swapped afterwards.
     """
 
     def __init__(self, program: ContextProgram, memory: Memory,
@@ -116,6 +120,8 @@ class WindowEngine:
                  cache=None):
         if window < 1:
             raise SimulationError("window must be >= 1")
+        if issue_width < 1:
+            raise SimulationError("issue width must be >= 1")
         self.program = program
         self.memory = memory
         self.window = window
@@ -142,7 +148,7 @@ class WindowEngine:
         self._next_iid = 0
         self._instances: Dict[int, _Instance] = {}
         self._ready: Deque[Tuple[_Instance, int]] = deque()
-        # The containers below are captured by the firing closures and
+        # The containers below are captured by the bound kernels and
         # MUST stay the same objects for the engine's lifetime (mutate
         # in place, never rebind).
         self._pending: List[Tuple[_Instance, int, int, object]] = []
@@ -161,10 +167,10 @@ class WindowEngine:
         self._stall_decider = 0
         self._stall_window = 0
 
-        #: block name -> list of firing closures, one per op (shared
-        #: by every dynamic instance of the block).  With generated
-        #: kernels the tables come from the kernel module instead
-        #: (its profiled variant when profiling).
+        #: block name -> firing function per op (shared by every
+        #: dynamic instance of the block).  With generated kernels the
+        #: tables come from the kernel module (its profiled variant
+        #: when profiling); else every entry is the plain rule.
         self._kernels = None
         if kernels is not None:
             if self._profiler is not None:
@@ -173,13 +179,13 @@ class WindowEngine:
             self._fire_tables: Dict[str, List[Callable]] = kernels.bind(self)
         else:
             self._fire_tables = {
-                name: [self._make_fire(plan, p) for p in plan.ops]
+                name: [partial(self._fire, p) for p in plan.ops]
                 for name, plan in self.plans.items()
             }
 
     # ------------------------------------------------------------------
-    # ``_live`` stays addressable for diagnostics/tests while the hot
-    # closures mutate the underlying one-slot box directly.
+    # ``_live`` stays addressable for diagnostics/tests while the
+    # kernels mutate the underlying one-slot box directly.
     @property
     def _live(self) -> int:
         return self._livebox[0]
@@ -427,12 +433,10 @@ class WindowEngine:
         return inst
 
     def _publish(self, inst: _Instance, key: Key, value: object) -> None:
-        """Record a value and forward it to consumers and subscribers.
-
-        Cold-path twin of the inlined publishes inside the firing
-        closures (used for entry args, matured loads, and bindings);
-        any semantic change here must be mirrored in
-        :meth:`_make_fire`.
+        """Record a value and forward it to consumers and subscribers
+        (env write, consumer fan-out, subscription drain: in that
+        order).  The generated kernels inline this; a semantic change
+        here must be mirrored in :mod:`repro.sim.codegen.window`.
         """
         inst.env[key] = value
         k0 = key[0]
@@ -490,341 +494,74 @@ class WindowEngine:
                 publish(parent, (spawn, j), payload)
 
     # ------------------------------------------------------------------
-    # Per-op dispatch closures
+    # The interpreter's firing rule: one plain rule for every op
     # ------------------------------------------------------------------
-    def _make_fire(self, bplan: BlockPlan,
-                   p: OpPlan) -> Callable[[_Instance], None]:
-        """Build the firing closure for one static op (shared by every
-        dynamic instance of the block).
-
-        All per-op constants -- immediates, consumer lists, output
-        keys, memory accessors, the pending buffer's ``append`` -- are
-        bound here, once, so a firing does no opcode dispatch and no
-        plan lookups.  Publish semantics (env write, consumer fan-out,
-        subscription drain -- in that order) mirror :meth:`_publish`
-        exactly.
-        """
+    def _fire(self, p: OpPlan, inst: _Instance) -> None:
+        """Fire op ``p`` in ``inst``: consume its operands, then
+        publish its outputs through :meth:`_publish`, port 0 first."""
         op_id = p.op_id
         op = p.op
+        term = op_id == inst.plan.term_id
+        info = None  # the OP_INFO of a pure op
+        if not (term or op is _MERGE or op is _STEER or op is _LOAD
+                or op is _STORE):
+            info = OP_INFO[op]
+            if op is _SPAWN:  # pragma: no cover - fetch item only
+                raise SimulationError(
+                    "spawn is a transfer point, not an instruction")
+            if not info.pure:
+                raise SimulationError(f"cannot execute {op.value}")
+        entry = inst.wait.pop(op_id, _NO_ENTRY)
+        # A MERGE may also hold its unchosen side; any other op holds
+        # exactly one token per token port (ports are write-once).
+        self._livebox[0] -= (len(entry) if op is _MERGE
+                             else len(p.token_ports))
         imms = p.imms
-        livebox = self._livebox
-        append = self._pending.append
-        forward = self._forward
+        args = [entry[port] if port in entry else imms.get(port)
+                for port in range(len(p.inputs))]
         key0 = (op_id, 0)
         key1 = (op_id, 1)
-        cons0 = tuple(bplan.consumers.get(key0, ()))
-        cons1 = tuple(bplan.consumers.get(key1, ()))
-        n0 = len(cons0)
-        n1 = len(cons1)
-        # At fire time a non-MERGE op holds exactly one token per
-        # token port (ports are write-once), so the live-token delta
-        # of a firing is a closure constant.
-        n_t = len(p.token_ports)
-        d0 = n0 - n_t
-        d1 = n1 - n_t
-
-        if op_id == bplan.term_id:
-            lit = imms.get(0)
-
-            def fire_term(inst):
-                entry = inst.wait.pop(op_id, _NO_ENTRY)
-                livebox[0] -= n_t
-                inst.fired.add(op_id)
-                inst.term_fired = True
-                inst.term_decision = (
-                    entry[0] if 0 in entry else lit
-                )
-            return fire_term
-
-        if op is Op.SPAWN:
-            def fire_spawn(inst):  # pragma: no cover - fetch item only
-                raise SimulationError(
-                    "spawn is a transfer point, not an instruction"
-                )
-            return fire_spawn
-
-        if op is Op.MERGE:
-            def fire_merge(inst):
-                entry = inst.wait.pop(op_id, _NO_ENTRY)
-                livebox[0] -= len(entry)
-                inst.fired.add(op_id)
-                chosen = 1 if entry[0] else 2
-                value = (entry[chosen] if chosen in entry
-                         else imms[chosen])
-                inst.env[key0] = value
-                for d in cons0:
-                    append((inst, d, value))
-                livebox[0] += n0
-                if inst.subs:
-                    subs = inst.subs.pop(key0, None)
-                    if subs:
-                        for target, target_key in subs:
-                            forward(target, target_key, value)
-            return fire_merge
-
-        if op is Op.STEER:
-            sense = bool(p.attrs["sense"])
-            imm0 = imms.get(0)
-            imm1 = imms.get(1)
-
-            def fire_steer(inst):
-                entry = inst.wait.pop(op_id, _NO_ENTRY)
-                inst.fired.add(op_id)
-                decider = entry[0] if 0 in entry else imm0
-                value = entry[1] if 1 in entry else imm1
-                if bool(decider) == sense:
-                    inst.env[key0] = value
-                    for d in cons0:
-                        append((inst, d, value))
-                    livebox[0] += n0
-                    if inst.subs:
-                        subs = inst.subs.pop(key0, None)
-                        if subs:
-                            for target, target_key in subs:
-                                forward(target, target_key, value)
-                inst.env[key1] = 0
-                for d in cons1:
-                    append((inst, d, 0))
-                livebox[0] += d1
-                if inst.subs:
-                    subs = inst.subs.pop(key1, None)
-                    if subs:
-                        for target, target_key in subs:
-                            forward(target, target_key, 0)
-            return fire_steer
-
-        if op is Op.LOAD:
-            array = p.attrs["array"]
-            mem_load = self.memory.load
-            latency = self.load_latency
-            metrics = self.metrics
-            delayed = self._delayed
-            imm0 = imms.get(0)
-
-            if self._cache is not None:
-                # Cache mode: the probe decides the delay; the miss
-                # box lets a profiled run split memory stalls into
-                # hit vs. last-level-miss cycles.
-                publish = self._publish
-                cache_load = self._cache.access_load
-                miss_latency = self._cache.miss_latency
-                miss_until = self._miss_until
-
-                def fire_load_cached(inst):
-                    entry = inst.wait.pop(op_id, _NO_ENTRY)
-                    livebox[0] -= n_t
-                    addr = entry[0] if 0 in entry else imm0
-                    value = mem_load(array, addr)
-                    delay = cache_load(array, addr)
-                    if delay <= 1:
-                        publish(inst, key0, value)
-                        publish(inst, key1, 0)
-                    else:
-                        due = metrics.cycles + delay - 1
-                        if (delay >= miss_latency
-                                and due + 1 > miss_until[0]):
-                            miss_until[0] = due + 1
-                        bucket = delayed.get(due)
-                        if bucket is None:
-                            delayed[due] = bucket = []
-                        bucket.append((inst, key0, value))
-                        bucket.append((inst, key1, 0))
-                return fire_load_cached
-
-            if latency <= 1:
-                # Idealized timing: every load publishes immediately
-                # (``load_delay`` is the constant 1), so skip the delay
-                # computation and inline both publishes.
-                def fire_load_fast(inst):
-                    entry = inst.wait.pop(op_id, _NO_ENTRY)
-                    inst.fired.add(op_id)
-                    addr = entry[0] if 0 in entry else imm0
-                    value = mem_load(array, addr)
-                    inst.env[key0] = value
-                    for d in cons0:
-                        append((inst, d, value))
-                    livebox[0] += d0
-                    if inst.subs:
-                        subs = inst.subs.pop(key0, None)
-                        if subs:
-                            for target, target_key in subs:
-                                forward(target, target_key, value)
-                    inst.env[key1] = 0
-                    for d in cons1:
-                        append((inst, d, 0))
-                    livebox[0] += n1
-                    if inst.subs:
-                        subs = inst.subs.pop(key1, None)
-                        if subs:
-                            for target, target_key in subs:
-                                forward(target, target_key, 0)
-                return fire_load_fast
-
-            publish = self._publish
-
-            def fire_load(inst):
-                entry = inst.wait.pop(op_id, _NO_ENTRY)
-                livebox[0] -= n_t
-                addr = entry[0] if 0 in entry else imm0
-                value = mem_load(array, addr)
-                delay = load_delay(latency, array, addr)
-                if delay <= 1:
-                    publish(inst, key0, value)
-                    publish(inst, key1, 0)
-                else:
-                    # Fires only at maturity: ``_publish`` marks
-                    # ``inst.fired`` then, keeping the op pending for
-                    # the retire scan until the value lands.
-                    due = metrics.cycles + delay - 1
-                    bucket = delayed.get(due)
-                    if bucket is None:
-                        delayed[due] = bucket = []
-                    bucket.append((inst, key0, value))
-                    bucket.append((inst, key1, 0))
-            return fire_load
-
-        if op is Op.STORE:
-            array = p.attrs["array"]
-            mem_store = self.memory.store
-            imm0 = imms.get(0)
-            imm1 = imms.get(1)
-            cache_store = (self._cache.access_store
-                           if self._cache is not None else None)
-
-            if cache_store is not None:
-                def fire_store_cached(inst):
-                    entry = inst.wait.pop(op_id, _NO_ENTRY)
-                    inst.fired.add(op_id)
-                    addr = entry[0] if 0 in entry else imm0
-                    value = entry[1] if 1 in entry else imm1
-                    mem_store(array, addr, value)
-                    cache_store(array, addr)
-                    inst.env[key0] = 0
-                    for d in cons0:
-                        append((inst, d, 0))
-                    livebox[0] += d0
-                    if inst.subs:
-                        subs = inst.subs.pop(key0, None)
-                        if subs:
-                            for target, target_key in subs:
-                                forward(target, target_key, 0)
-                return fire_store_cached
-
-            def fire_store(inst):
-                entry = inst.wait.pop(op_id, _NO_ENTRY)
-                inst.fired.add(op_id)
-                addr = entry[0] if 0 in entry else imm0
-                value = entry[1] if 1 in entry else imm1
-                mem_store(array, addr, value)
-                inst.env[key0] = 0
-                for d in cons0:
-                    append((inst, d, 0))
-                livebox[0] += d0
-                if inst.subs:
-                    subs = inst.subs.pop(key0, None)
-                    if subs:
-                        for target, target_key in subs:
-                            forward(target, target_key, 0)
-            return fire_store
-
-        info = OP_INFO[op]
-        if not info.pure:
-            op_name = op.value
-
-            def fire_illegal(inst):
-                raise SimulationError(f"cannot execute {op_name}")
-            return fire_illegal
-
-        # Pure arithmetic/logic: specialize the common shapes, keep a
-        # generic closure for the rest (immediates, 3-ary).
-        ev = info.evaluate
-        n_in = len(p.inputs)
-
-        if not imms and n_in == 2:
-            def fire_pure2(inst):
-                entry = inst.wait.pop(op_id)
-                inst.fired.add(op_id)
-                value = ev(entry[0], entry[1])
-                inst.env[key0] = value
-                for d in cons0:
-                    append((inst, d, value))
-                livebox[0] += d0
-                if inst.subs:
-                    subs = inst.subs.pop(key0, None)
-                    if subs:
-                        for target, target_key in subs:
-                            forward(target, target_key, value)
-            return fire_pure2
-
-        if not imms and n_in == 1:
-            def fire_pure1(inst):
-                entry = inst.wait.pop(op_id)
-                inst.fired.add(op_id)
-                value = ev(entry[0])
-                inst.env[key0] = value
-                for d in cons0:
-                    append((inst, d, value))
-                livebox[0] += d0
-                if inst.subs:
-                    subs = inst.subs.pop(key0, None)
-                    if subs:
-                        for target, target_key in subs:
-                            forward(target, target_key, value)
-            return fire_pure1
-
-        if n_in == 2 and len(imms) == 1:
-            imm_port = 0 if 0 in imms else 1
-            imm = imms[imm_port]
-            token_port = 1 - imm_port
-
-            if imm_port == 0:
-                def fire_pure_limm(inst):
-                    entry = inst.wait.pop(op_id)
-                    inst.fired.add(op_id)
-                    value = ev(imm, entry[token_port])
-                    inst.env[key0] = value
-                    for d in cons0:
-                        append((inst, d, value))
-                    livebox[0] += d0
-                    if inst.subs:
-                        subs = inst.subs.pop(key0, None)
-                        if subs:
-                            for target, target_key in subs:
-                                forward(target, target_key, value)
-                return fire_pure_limm
-
-            def fire_pure_rimm(inst):
-                entry = inst.wait.pop(op_id)
-                inst.fired.add(op_id)
-                value = ev(entry[token_port], imm)
-                inst.env[key0] = value
-                for d in cons0:
-                    append((inst, d, value))
-                livebox[0] += d0
-                if inst.subs:
-                    subs = inst.subs.pop(key0, None)
-                    if subs:
-                        for target, target_key in subs:
-                            forward(target, target_key, value)
-            return fire_pure_rimm
-
-        def fire_pure(inst):
-            entry = inst.wait.pop(op_id, _NO_ENTRY)
+        publish = self._publish
+        if info is not None:
+            publish(inst, key0, info.evaluate(*args))
+        elif term:
+            # The loop term resolves the backedge; it publishes nothing.
             inst.fired.add(op_id)
-            value = ev(*[
-                entry[port] if port in entry else imms[port]
-                for port in range(n_in)
-            ])
-            inst.env[key0] = value
-            for d in cons0:
-                append((inst, d, value))
-            livebox[0] += d0
-            if inst.subs:
-                subs = inst.subs.pop(key0, None)
-                if subs:
-                    for target, target_key in subs:
-                        forward(target, target_key, value)
-        return fire_pure
+            inst.term_fired = True
+            inst.term_decision = args[0]
+        elif op is _MERGE:
+            publish(inst, key0, args[1] if args[0] else args[2])
+        elif op is _STEER:
+            if bool(args[0]) == bool(p.attrs["sense"]):
+                publish(inst, key0, args[1])
+            publish(inst, key1, 0)
+        elif op is _LOAD:
+            array = p.attrs["array"]
+            value = self.memory.load(array, args[0])
+            cache = self._cache
+            if cache is not None:
+                delay = cache.access_load(array, args[0])
+            else:
+                delay = load_delay(self.load_latency, array, args[0])
+            if delay <= 1:
+                publish(inst, key0, value)
+                publish(inst, key1, 0)
+                return
+            # Fires only at maturity: ``_publish`` marks ``inst.fired``
+            # then, keeping the op pending for the retire scan until
+            # the value lands.
+            due = self.metrics.cycles + delay - 1
+            if cache is not None and delay >= cache.miss_latency \
+                    and due + 1 > self._miss_until[0]:
+                self._miss_until[0] = due + 1
+            self._delayed.setdefault(due, []).extend(
+                ((inst, key0, value), (inst, key1, 0)))
+        else:  # STORE
+            array = p.attrs["array"]
+            self.memory.store(array, args[0], args[1])
+            if self._cache is not None:
+                self._cache.access_store(array, args[0])
+            publish(inst, key0, 0)
 
     # ------------------------------------------------------------------
     # Guard resolution

@@ -109,6 +109,30 @@ def test_profile_command_json(capsys):
     assert sum(doc["node_fired"].values()) == doc["instructions"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "tab01", "--timeout", "0"],
+    ["experiment", "tab01", "--timeout", "-1"],
+    ["experiment", "tab01", "--timeout", "nan"],
+    ["experiment", "tab01", "--timeout", "inf"],
+    ["profile", "dmv", "--top", "0"],
+    ["profile", "dmv", "--top", "-1"],
+])
+def test_numbers_that_break_the_run_are_parse_errors(argv, capsys):
+    """A timeout that fails every run or silently disables itself, and
+    a hotspot row count below one, stop at parse time (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {argv[2]}: bad" in capsys.readouterr().err
+
+
+def test_smallest_good_numbers_parse():
+    parser = build_parser()
+    assert parser.parse_args(["experiment", "tab01", "--timeout",
+                              "0.5"]).timeout == 0.5
+    assert parser.parse_args(["profile", "dmv", "--top", "1"]).top == 1
+
+
 def test_bad_workload_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nope"])

@@ -7,7 +7,7 @@ it. These properties pin, on random programs:
 
 * ``cache=None`` leaves the seed semantics bit-identical (the golden
   records pin the real workloads; this pins the long tail);
-* with a cache configured, generated kernels and the closure
+* with a cache configured, generated kernels and the plain
   interpreters agree on every metric *and* on the per-level hit/miss
   counters;
 * profiled cache runs agree with unprofiled ones and keep the stall

@@ -1,7 +1,8 @@
-"""Differential fuzz: generated plan kernels vs closure interpreters.
+"""Differential fuzz: generated plan kernels vs plain interpreters.
 
 The AOT kernels (:mod:`repro.sim.codegen`) restructure every engine's
-hot loop; the closure interpreters remain the reference semantics.
+hot loop; each engine's plain interpreter, one firing rule per
+engine, remains the reference semantics.
 These properties pin bit-identity on random programs across all
 machine models: metrics, traces, memory, results -- and, on the
 machines that can fail, the failure itself (same exception type and
@@ -43,6 +44,9 @@ def _observe(seed: int, machine: str, codegen: bool,
         "ipc": list(res.ipc_trace),
         "live": list(res.live_trace),
         "memory": mem.snapshot(),
+        # The engine's own counters: fetch stalls, tag pools, vector
+        # and scalar loop trips, cache statistics.
+        "extra": {k: v for k, v in res.extra.items() if k != "profile"},
     }
     prof = res.extra.get("profile")
     if prof is not None:

@@ -7,12 +7,13 @@ data, never compiled twice, no program kept alive, profiled variants
 built only when a profiled run needs them), per-rule compile (a run
 compiles only the timing rule it binds), the ``TYR_REPRO_DUMP_KERNELS``
 hook (the only user of the program fingerprint on the kernel path),
-and the rules for when engines fall back to the closure interpreters.
+and the rules for when engines fall back to the plain interpreters.
 """
 
 import gc
 import weakref
 from dataclasses import replace
+from types import FunctionType
 
 import pytest
 
@@ -395,11 +396,14 @@ def test_profiled_engines_bind_kernels(wl):
         gen = make(kernels=plain)
         interp = make()
         if family == "vector":
-            # The vector engine swaps its step tables rather than a
-            # loop: generated tables hold one whole-block function per
-            # block, interpreted tables one closure per op.
-            assert all(len(t) == 1 for t in gen._ticked.values())
-            assert any(len(t) > 1 for t in interp._ticked.values())
+            # The vector engine swaps its block tables rather than a
+            # loop: both hold one function per block, a generated
+            # whole-block kernel or the interpreter's item walk.
+            assert gen._ticked.keys() == interp._ticked.keys()
+            for name, (kernel,) in gen._ticked.items():
+                (walk,) = interp._ticked[name]
+                assert isinstance(kernel, FunctionType)
+                assert walk.func == interp._run_items
         else:
             assert gen._kernels is plain.profiled()
             assert interp._kernels is None

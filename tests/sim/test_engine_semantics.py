@@ -4,22 +4,34 @@ Everything else tests the engines through the compiler; these tests
 construct tiny :class:`TaggedGraph`s by hand to pin down individual
 firing rules: tag matching, steer conditionality, decider-driven
 merges, join barriers, changeTag re-tagging, and allocate/free against
-a gated pool.
+a gated pool. Each runs on both paths: the plain interpreter and
+kernels generated for the graph.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.compiler.graph import TaggedGraph
 from repro.ir.ops import Op
+from repro.sim import codegen
 from repro.sim.memory import Memory
 from repro.sim.tagged import TaggedEngine, TyrPolicy, UnboundedGlobalPolicy
 from repro.sim.tagged.engine import ROOT_TAG
 
+#: ``engine_for``'s ``kernels``: interpret, then bind generated kernels.
+BOTH_PATHS = (False, True)
 
-def engine_for(graph, policy=None, **kwargs):
+
+def engine_for(graph, policy=None, kernels=False, **kwargs):
     graph.blocks = sorted({n.block for n in graph.nodes
                            if n.block != "<root>"}) or ["main"]
     graph.tag_overrides = {b: None for b in graph.blocks}
+    if kernels:
+        kwargs["kernels"] = codegen.compile_kernels(
+            codegen.generate_source("tagged",
+                                    SimpleNamespace(tagged=graph)),
+            "tagged")
     return TaggedEngine(graph, kwargs.pop("memory", Memory()),
                         policy or UnboundedGlobalPolicy(), **kwargs)
 
@@ -40,9 +52,10 @@ def test_add_fires_on_matching_tags_only():
     g.connect(add, 0, res, 0)
     # Two args seeded with the SAME (root) tag: fires.
     g.entry_sources = [[(add.node_id, 0)], [(add.node_id, 1)]]
-    eng = engine_for(g)
-    out = eng.run([4, 5])
-    assert out.results == (9,)
+    for kernels in BOTH_PATHS:
+        eng = engine_for(g, kernels=kernels)
+        out = eng.run([4, 5])
+        assert out.results == (9,)
 
 
 def test_immediate_ports_never_block():
@@ -52,8 +65,9 @@ def test_immediate_ports_never_block():
     (res,) = result_node(g)
     g.connect(add, 0, res, 0)
     g.entry_sources = [[(add.node_id, 0)]]
-    out = engine_for(g).run([7])
-    assert out.results == (107,)
+    for kernels in BOTH_PATHS:
+        out = engine_for(g, kernels=kernels).run([7])
+        assert out.results == (107,)
 
 
 def test_steer_routes_by_sense():
@@ -68,8 +82,9 @@ def test_steer_routes_by_sense():
             [(st_t.node_id, 0), (st_f.node_id, 0)],
             [(st_t.node_id, 1), (st_f.node_id, 1)],
         ]
-        out = engine_for(g).run([decider, 5])
-        assert out.results == expect
+        for kernels in BOTH_PATHS:
+            out = engine_for(g, kernels=kernels).run([decider, 5])
+            assert out.results == expect
 
 
 def test_merge_consumes_only_selected_side():
@@ -86,10 +101,11 @@ def test_merge_consumes_only_selected_side():
         [(st_t.node_id, 1)],
         [(st_f.node_id, 1)],
     ]
-    out = engine_for(g).run([1, 111, 222])
-    assert out.results == (111,)
-    out = engine_for(g).run([0, 111, 222])
-    assert out.results == (222,)
+    for kernels in BOTH_PATHS:
+        out = engine_for(g, kernels=kernels).run([1, 111, 222])
+        assert out.results == (111,)
+        out = engine_for(g, kernels=kernels).run([0, 111, 222])
+        assert out.results == (222,)
 
 
 def test_join_waits_for_all_inputs_and_copies_left():
@@ -100,8 +116,9 @@ def test_join_waits_for_all_inputs_and_copies_left():
     g.entry_sources = [
         [(join.node_id, 0)], [(join.node_id, 1)], [(join.node_id, 2)],
     ]
-    out = engine_for(g).run([42, 1, 2])
-    assert out.results == (42,)  # the left input's data
+    for kernels in BOTH_PATHS:
+        out = engine_for(g, kernels=kernels).run([42, 1, 2])
+        assert out.results == (42,)  # the left input's data
 
 
 def test_change_tag_retags_tokens():
@@ -118,8 +135,9 @@ def test_change_tag_retags_tokens():
     g.connect(consumer, 0, res, 0)
     ct.imms[1] = 55
     g.entry_sources = [[(et.node_id, 0)]]
-    out = engine_for(g).run([1])
-    assert out.results == (55,)
+    for kernels in BOTH_PATHS:
+        out = engine_for(g, kernels=kernels).run([1])
+        assert out.results == (55,)
 
 
 def test_load_store_through_memory():
@@ -132,10 +150,11 @@ def test_load_store_through_memory():
     g.connect(store, 0, load, 1)  # order token: load after store
     g.connect(load, 0, res, 0)
     g.entry_sources = [[(store.node_id, 1)]]
-    mem = Memory({"A": [0, 0, 0]})
-    out = engine_for(g, memory=mem).run([9])
-    assert out.results == (9,)
-    assert mem["A"] == [0, 0, 9]
+    for kernels in BOTH_PATHS:
+        mem = Memory({"A": [0, 0, 0]})
+        out = engine_for(g, memory=mem, kernels=kernels).run([9])
+        assert out.results == (9,)
+        assert mem["A"] == [0, 0, 9]
 
 
 def test_allocate_free_roundtrip_with_gated_pool():
@@ -151,14 +170,13 @@ def test_allocate_free_roundtrip_with_gated_pool():
     g.connect(work, 0, free, 0)
     g.entry_sources = [[(al.node_id, 0), (al.node_id, 1),
                         (ct.node_id, 1)]]
-    g.blocks = ["main", "blk"]
-    g.tag_overrides = {"main": None, "blk": None}
-    eng = TaggedEngine(g, Memory(), TyrPolicy(2))
-    out = eng.run([10])
-    assert out.completed
-    stats = {s.name: s for s in out.extra["pool_stats"]}
-    assert stats["blk"].total_allocations == 1
-    assert out.extra["leftover_tags_in_use"] == 0
+    for kernels in BOTH_PATHS:
+        eng = engine_for(g, TyrPolicy(2), kernels=kernels)
+        out = eng.run([10])
+        assert out.completed
+        stats = {s.name: s for s in out.extra["pool_stats"]}
+        assert stats["blk"].total_allocations == 1
+        assert out.extra["leftover_tags_in_use"] == 0
 
 
 def test_tokens_with_different_tags_do_not_match():
@@ -174,9 +192,10 @@ def test_tokens_with_different_tags_do_not_match():
     g.connect(ct, 0, add, 0)  # arrives tagged 123
     g.connect(add, 0, res, 0)
     g.entry_sources = [[(ct.node_id, 1)], [(add.node_id, 1)]]  # ROOT tag
-    eng = engine_for(g)
-    with pytest.raises(DeadlockError):
-        eng.run([1, 2])
-    # Both tokens sit unmatched under different tags.
-    tags = {tag for store in eng._wait for tag in store}
-    assert tags == {123, ROOT_TAG}
+    for kernels in BOTH_PATHS:
+        eng = engine_for(g, kernels=kernels)
+        with pytest.raises(DeadlockError):
+            eng.run([1, 2])
+        # Both tokens sit unmatched under different tags.
+        tags = {tag for store in eng._wait for tag in store}
+        assert tags == {123, ROOT_TAG}

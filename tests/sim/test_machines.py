@@ -3,7 +3,7 @@ reference interpreter's results and memory on every program shape."""
 
 import pytest
 
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, SimulationError
 from repro.frontend.ast import (
     ArraySpec,
     Assign,
@@ -217,3 +217,19 @@ def test_performance_ordering_matches_paper():
     peak = {m: r.peak_live for m, r in results.items()}
     assert peak["unordered"] > 5 * peak["vn"]
     assert peak["unordered"] > peak["ordered"]
+
+
+@pytest.mark.parametrize("width", [0, -1])
+@pytest.mark.parametrize("machine", [
+    "tyr", "unordered", "unordered-bounded", "kbounded", "ordered",
+    "seqdf", "datapar",
+])
+def test_issue_width_below_one_is_rejected(machine, width):
+    """A machine that may fire nothing per cycle is a configuration
+    error, raised at construction: not a hang until ``max_cycles``, a
+    watchdog deadlock, or a deadlock blamed on Theorem 2."""
+    cw = CompiledWorkload(lower_module(dmv_module()))
+    what = "lanes" if machine == "datapar" else "issue width"
+    with pytest.raises(SimulationError, match=f"^{what} must be >= 1$"):
+        cw.run(machine, Memory(dmv_memory(4)), [4], issue_width=width,
+               max_cycles=10_000)
