@@ -254,17 +254,28 @@ def parse_timeout(text: str) -> float:
     return value
 
 
-def parse_rows(text: str) -> int:
-    """``--top`` rows: an integer >= 1 (a negative count would
-    silently drop rows from the end, zero print an empty table)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"bad row count {text!r}: want an integer >= 1")
-    return value
+def _at_least(minimum: int, what: str):
+    """An argparse type: an integer >= ``minimum``, else a parse
+    error naming ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"bad {what} {text!r}: want an integer >= {minimum}")
+        return value
+    return parse
+
+
+#: ``--top`` rows: a negative count would silently drop rows from the
+#: end, zero print an empty table.
+parse_rows = _at_least(1, "row count")
+#: ``--jobs``: zero or fewer workers would silently run serially.
+parse_jobs = _at_least(1, "worker count")
+#: ``--retries``: a negative count would silently act as zero.
+parse_retries = _at_least(0, "retry count")
 
 
 def _cmd_cache_gc(args) -> int:
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("name",
                        choices=sorted(EXPERIMENTS) + ["all"])
     exp_p.add_argument("--scale", default="default")
-    exp_p.add_argument("--jobs", "-j", type=int, default=1,
+    exp_p.add_argument("--jobs", "-j", type=parse_jobs, default=1,
                        help="fan simulation runs over N worker "
                             "processes")
     exp_p.add_argument("--no-cache", action="store_true",
@@ -334,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-run wall-clock timeout; a run past it "
                             "fails with RunTimeoutError naming its "
                             "spec instead of stalling the sweep")
-    exp_p.add_argument("--retries", type=int, default=1,
+    exp_p.add_argument("--retries", type=parse_retries, default=1,
                        metavar="N",
                        help="redispatches allowed for a run whose "
                             "worker died mid-run (default 1)")

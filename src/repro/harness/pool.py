@@ -212,9 +212,9 @@ def precompile_specs(specs: Sequence[RunSpec]) -> None:
             elif spec.machine == "ordered":
                 compiled.flat  # noqa: B018 -- force the flattening
         # Generated kernels: build them and compile the timing rule the
-        # run binds (its profiled variant for profiled specs) in the
-        # parent, so forked workers inherit the bound tables and the
-        # warm shape memo through copy-on-write.
+        # run binds (datapar's profiled variant for profiled specs) in
+        # the parent, so forked workers inherit the bound tables and
+        # the warm shape memo through copy-on-write.
         config = _config_kwargs(spec)
         family = kernel_family(spec.machine, spec.codegen,
                                config.get("record_trace", False),

@@ -199,7 +199,7 @@ class CompiledWorkload:
 
         ``codegen=True`` (the default) dispatches through the
         generated plan kernels (:mod:`repro.sim.codegen`), profiled
-        runs through their profiled variant; traced and
+        runs too (datapar through its profiled variant); traced and
         occupancy-tracked runs always fall back to the engines'
         plain reference interpreters, which carry those hooks.
         Metrics and profiles are bit-identical either way.

@@ -1,19 +1,21 @@
-"""Ahead-of-time Python codegen for the engine hot loops.
+"""Ahead-of-time Python codegen for the engine firing rules.
 
 For each lowered plan this package emits specialized Python -- one
-flat function per static node's firing rule plus a fused cycle loop
-per engine family -- and lets the engines dispatch through those
-kernels instead of interpreting. Specialization per node shape and
-timing rule lives only here: each engine's interpreter, one plain
-firing rule per opcode, remains the bit-identical reference semantics
-(and the only path for traced and occupancy-tracked runs).
+flat function per static node's firing rule (per block for the vector
+family) -- and the engines fill their fire tables with those kernels
+instead of interpreting. Specialization per node shape and timing
+rule lives only here: each engine's interpreter, one plain firing rule
+per opcode, remains the bit-identical reference semantics (and the
+only path for traced and occupancy-tracked runs). The cycle loop is
+never generated: the tagged, queued and window engines each have one
+hand-written loop that kernel, interpreted and profiled runs share.
 
-Profiled runs use the kernels too. Profiling is a generation-time
-flag: a program's profiled variant books the stall taxonomy in its
-cycle loop (tagged, flat, window; the node rows are the plain ones)
-or in its whole-block shapes (vector). It is generated and compiled
-on the first profiled bind (:meth:`KernelModule.profiled`), so an
-unprofiled run builds nothing for it.
+Profiled runs use the kernels too. The tagged, flat and window rows
+serve them as they are, since the cycle loop books the stall taxonomy.
+The vector family books it in its whole-block shapes: a program's
+profiled variant is generated and compiled on the first profiled bind
+(:meth:`KernelModule.profiled`), so an unprofiled run builds nothing
+for it.
 
 Families and their inputs:
 
@@ -74,13 +76,9 @@ __all__ = [
 
 def generate_source(family: str, compiled) -> KernelSource:
     """The kernel table of one family of ``compiled`` (a
-    :class:`~repro.harness.runner.CompiledWorkload`), with the source
-    of its cycle loop if this process has not compiled it yet.
-
-    The table is a deterministic function of the lowered plan; the
-    source text also depends on which loops this process already
-    compiled (usually all: an empty string).
-    """
+    :class:`~repro.harness.runner.CompiledWorkload`), wrapped for
+    :func:`compile_kernels`. The table is a deterministic function of
+    the lowered plan; the source text is empty."""
     if family == "tagged":
         from repro.sim.codegen.tagged import generate
         table = generate(compiled.tagged)

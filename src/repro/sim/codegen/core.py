@@ -31,36 +31,33 @@ construction as default arguments through :class:`types.FunctionType`,
 so bodies still run on ``LOAD_FAST``. A :class:`KernelModule` compiles
 one timing rule's shapes the first time an engine binds that rule, so
 a program run only with idealized loads never compiles its cache-probe
-or variable-latency shapes. Each family's cycle loop is a shape too,
-one per variant (which firing-rule kinds the plan contains), compiled
-with the module.
+or variable-latency shapes.
 
-Profiling is a generation-time flag: every table can generate its
-program's *profiled* variant (a cycle loop that also books the stall
-taxonomy, or profiled whole-block shapes for the vector family). It is
-generated and compiled on the first profiled bind
+Tables hold firing rules only. The tagged, queued and window engines
+each run one hand-written cycle loop, the same for kernel, interpreted
+and profiled runs, so their rows serve profiled runs too. The vector
+family profiles in its whole-block shapes: its table generates the
+program's *profiled* variant on the first profiled bind
 (:meth:`KernelModule.profiled`), so an unprofiled run never builds
 one.
 
 This module holds what the generators share:
 
-* :class:`Writer` -- tiny indentation-aware source emitter;
-* :class:`Shape` -- one shape being emitted: its runtime refs, its
-  constants, and the ``def kernel(...)`` text;
+* :class:`Shape` -- one shape being emitted, line by line with
+  indentation: its runtime refs, its constants, and the
+  ``def kernel(...)`` text;
 * :class:`Field` / :class:`Recipe` -- a stand-in node's placeholders
   and what one emission over them yields;
 * :func:`pure_expr` -- inline expression templates for the pure
   opcodes whose :func:`~repro.ir.ops.OP_INFO` evaluators are simple
   operators (``DIV``/``MOD`` keep their checked evaluator calls);
 * :func:`kernel_source` / :func:`compile_kernels` /
-  :class:`KernelModule` -- table plus not-yet-compiled loop source,
-  the per-rule compile, and the data-driven binder;
-* :class:`ProfiledLoop` -- the stall-attribution lines a profiled
-  cycle loop adds (tagged, flat and window share them).
+  :class:`KernelModule` -- the table, the per-rule compile, and the
+  data-driven binder.
 
 Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each program's shape
 sources and node table to ``<dir>/<family>-<fingerprint12>.py``
-(``...-profiled.py`` for the profiled variant).
+(``...-profiled.py`` for a profiled vector variant).
 """
 
 from __future__ import annotations
@@ -69,15 +66,12 @@ import builtins
 import os
 from collections import deque
 from operator import itemgetter
-from sys import maxsize
 from types import FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import SimulationError, TokenBoundExceeded
+from repro.errors import SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.sim.latency import load_delay
-from repro.sim.profile import STALL_REASONS
-from repro.sim.watchdog import watchdog_horizon
 
 #: Environment variable naming a directory to dump generated source to.
 DUMP_ENV = "TYR_REPRO_DUMP_KERNELS"
@@ -99,45 +93,16 @@ Ref = object
 EVALUATORS = {op: info.evaluate for op, info in OP_INFO.items()}
 
 #: Globals of every kernel function: what shape bodies name without
-#: binding (exception types, helpers of the cycle loops).
+#: binding.
 GLOBALS: Dict[str, object] = {
     "__builtins__": builtins,
     "SimulationError": SimulationError,
-    "TokenBoundExceeded": TokenBoundExceeded,
-    "watchdog_horizon": watchdog_horizon,
     "deque": deque,
-    "maxsize": maxsize,
 }
 
 #: Shape text -> compiled code object, once per process. Code objects
 #: hold no plan data, so the memo keeps no program alive.
 _SHAPES: Dict[str, object] = {}
-
-
-class Writer:
-    """Indentation-aware source accumulator."""
-
-    def __init__(self, depth: int = 0) -> None:
-        self._lines: List[str] = []
-        self._depth = depth
-        self._pad = "    " * depth
-
-    def w(self, line: str = "") -> None:
-        self._lines.append(self._pad + line if line else "")
-
-    #: Writers are callable: ``w("line")`` == ``w.w("line")``.
-    __call__ = w
-
-    def indent(self) -> None:
-        self._depth += 1
-        self._pad = "    " * self._depth
-
-    def dedent(self) -> None:
-        self._depth -= 1
-        self._pad = "    " * self._depth
-
-    def source(self) -> str:
-        return "\n".join(self._lines) + "\n"
 
 
 class Consts:
@@ -163,23 +128,38 @@ class Consts:
         return name
 
 
-class Shape(Writer):
+class Shape:
     """The body of one kernel plus the parameters it binds.
 
-    ``args`` are the call arguments (``tag``, ``inst``, ``env``);
-    :meth:`ref` names a runtime object resolved from the engine at
-    bind time; :meth:`const` turns one node-varying value into a
-    parameter. The timing variants of one node share its
-    :class:`Consts`; close them with :meth:`variant` only once all are
-    emitted, since every variant takes every constant.
+    A shape is called with one line of its body (``s("line")``) and
+    indents with :meth:`indent` / :meth:`dedent`. ``args`` are the
+    call arguments (``tag``, ``inst``); :meth:`ref` names a runtime
+    object resolved from the engine at bind time; :meth:`const` turns
+    one node-varying value into a parameter. The timing variants of
+    one node share its :class:`Consts`; close them with
+    :meth:`variant` only once all are emitted, since every variant
+    takes every constant.
     """
 
     def __init__(self, args: Sequence[str] = (),
                  consts: Optional[Consts] = None) -> None:
-        super().__init__(depth=1)
+        self._lines: List[str] = []
+        self._depth = 1
+        self._pad = "    "
         self.args = tuple(args)
         self.refs: Dict[str, Ref] = {}
         self.consts = Consts() if consts is None else consts
+
+    def __call__(self, line: str) -> None:
+        self._lines.append(self._pad + line)
+
+    def indent(self) -> None:
+        self._depth += 1
+        self._pad = "    " * self._depth
+
+    def dedent(self) -> None:
+        self._depth -= 1
+        self._pad = "    " * self._depth
 
     def ref(self, name: str, spec: Ref = None) -> str:
         """Parameter ``name`` bound to env ref ``spec`` (default: the
@@ -203,120 +183,7 @@ class Shape(Writer):
         return text, tuple(self.refs.values())
 
 
-def loop_text(w: Writer) -> str:
-    """The text of a cycle-loop shape emitted (indented once) into
-    ``w``: one ``kernel(E)``."""
-    return "def kernel(E):\n" + "\n".join(w._lines) + "\n"
-
-
-class ProfiledLoop:
-    """The stall attribution a profiled cycle loop adds, emitted into
-    ``w``; every method emits nothing unless ``on``.
-
-    It books exactly what the interpreter loop books through
-    :class:`~repro.sim.profile.EngineProfiler` calls, with the reasons
-    in per-reason locals (added to ``stall_cycles`` in the loop's
-    ``finally``, so a raising run leaves the same counts) and each
-    busy cycle split over the keys the loop noted, in the profiler's
-    float order. Batched memory stalls still go through the profiler:
-    they are one call per stall, not per cycle.
-    """
-
-    def __init__(self, w: Writer, on: bool) -> None:
-        self.w = w
-        self.on = on
-
-    def setup(self) -> None:
-        """Bind the profiler's tables (before the loop's ``try``)."""
-        if not self.on:
-            return
-        w = self.w
-        w("prof = E._profiler")
-        w("prof_fired = prof.node_fired")
-        w("prof_fired_get = prof_fired.get")
-        w("prof_cycles = prof.node_cycles")
-        w("prof_cycles_get = prof_cycles.get")
-        w("prof_split = prof.memory_stall_split")
-        w("prof_nodes = []")
-        w("prof_note = prof_nodes.append")
-        w("miss_until = E._miss_until if E._cache is not None else None")
-        for reason in STALL_REASONS:
-            w(f"n_{reason} = 0")
-
-    def note(self, key: str) -> None:
-        """One firing of static node ``key`` this cycle."""
-        if self.on:
-            self.w(f"prof_note({key})")
-
-    def close(self, width_limited: str,
-              *zero_fire: Tuple[Optional[str], str]) -> None:
-        """Close a sampled cycle. One that fired is ``width_limited``
-        (an expression) or ``fired``, and its cycle is split evenly
-        over the noted keys; one that fired nothing takes the reason
-        of the first ``(condition, reason)`` whose condition holds
-        (None: always), in the interpreter's priority order."""
-        if not self.on:
-            return
-        w = self.w
-        w("if fired:")
-        w(f"    if {width_limited}:")
-        w("        n_width_limited += 1")
-        w("    else:")
-        w("        n_fired += 1")
-        w("    prof_share = 1.0 / len(prof_nodes)")
-        w("    for prof_key in prof_nodes:")
-        w("        prof_fired[prof_key] = prof_fired_get(prof_key, 0) + 1")
-        w("        prof_cycles[prof_key] = (prof_cycles_get(prof_key, 0.0)")
-        w("                                 + prof_share)")
-        w("    del prof_nodes[:]")
-        for condition, reason in zero_fire:
-            w("else:" if condition is None else f"elif {condition}:")
-            w.indent()
-            if reason == "memory_stall":
-                self.memory_cycle()
-            else:
-                w(f"n_{reason} += 1")
-            w.dedent()
-
-    def memory_cycle(self) -> None:
-        """Close a zero-fire cycle with loads in flight; in cache mode
-        it is a miss while the miss box covers it, else a hit."""
-        if not self.on:
-            return
-        w = self.w
-        w("n_memory_stall += 1")
-        w("if miss_until is not None:")
-        w("    prof_key = 'miss' if cycles <= miss_until[0] else 'hit'")
-        w("    prof_split[prof_key] = prof_split.get(prof_key, 0) + 1")
-
-    def stall_begin(self) -> None:
-        """Mark the cycle a batched memory stall starts at."""
-        if self.on:
-            self.w("prof_before = cycles")
-
-    def stall_end(self) -> None:
-        """Book the cycles the batched stall skipped, split at the
-        miss box in cache mode."""
-        if not self.on:
-            return
-        w = self.w
-        w("prof_n = cycles - prof_before")
-        w("if miss_until is None:")
-        w("    prof.idle('memory_stall', prof_n)")
-        w("else:")
-        w("    prof_miss = min(cycles, miss_until[0]) - prof_before")
-        w("    prof.idle_memory(prof_n, max(0, min(prof_n, prof_miss)))")
-
-    def commit(self) -> None:
-        """Add the per-reason counts (in the loop's ``finally``)."""
-        if not self.on:
-            return
-        self.w("prof_stalls = prof.stall_cycles")
-        for reason in STALL_REASONS:
-            self.w(f"prof_stalls[{reason!r}] += n_{reason}")
-
-
-def move_miss_box(w: Writer) -> None:
+def move_miss_box(w: Shape) -> None:
     """A cache-probe load's miss-box update, as in every interpreter's
     cached load: a full miss keeps the cycles up to its due cycle
     booked as miss stalls (reads ``delay`` and ``due``)."""
@@ -488,29 +355,28 @@ class KernelTable:
 
     ``rows`` holds one ``(recipe, fields)`` per node (per block for the
     vector family, whose fields are its constants);
-    ``recipe.consts(fields)`` are the row's constants. ``loop`` is the
-    cycle-loop shape text (None for the vector family); ``layout`` is
+    ``recipe.consts(fields)`` are the row's constants. ``layout`` is
     family data the binder needs; ``bind(module, engine)`` is the
     family's binder; ``labels()`` names the rows, for dumps.
-    ``profile`` generates the program's profiled table; it is None on
-    that table itself, which holds no rows when only the cycle loop
-    differs.
+    ``profile`` generates the program's profiled table (vector only:
+    the other families' rows serve profiled runs too);
+    :meth:`KernelModule.profiled` marks that table ``profiled``, which
+    names its dump.
     """
 
-    __slots__ = ("family", "rows", "loop", "layout", "bind", "profile",
-                 "labels", "_added")
+    __slots__ = ("family", "rows", "layout", "bind", "profile",
+                 "profiled", "labels", "_added")
 
-    def __init__(self, family: str, bind: Callable,
-                 loop: Optional[str] = None, layout=None,
+    def __init__(self, family: str, bind: Callable, layout=None,
                  profile: Optional[Callable[[], "KernelTable"]] = None,
                  labels: Optional[Callable[[], List[str]]] = None
                  ) -> None:
         self.family = family
         self.rows: List[tuple] = []
-        self.loop = loop
         self.layout = layout
         self.bind = bind
         self.profile = profile
+        self.profiled = False
         self._added: List[str] = []
         self.labels = labels if labels is not None else self._added.copy
 
@@ -521,32 +387,26 @@ class KernelTable:
 
     def texts(self, rules: Sequence[int] = RULES) -> List[str]:
         """Every distinct shape text of the program under ``rules``,
-        first use first, then the cycle loop."""
+        first use first."""
         seen: Dict[str, None] = {}
         for recipe in _recipes(self.rows):
             for rule in rules:
                 seen[recipe.variants[rule][0]] = None
-        if self.loop is not None:
-            seen[self.loop] = None
         return list(seen)
 
 
 class KernelSource(str):
-    """The source :func:`compile_kernels` hands to ``compile()`` for
-    one program: its cycle-loop shape if this process has not compiled
-    it yet, else empty (node shapes compile per timing rule when an
-    engine binds the module). ``table`` is the program's
-    :class:`KernelTable`."""
+    """What :func:`compile_kernels` takes for one program: ``table``,
+    its :class:`KernelTable`. The text itself is empty, since node
+    shapes compile per timing rule when an engine binds the module;
+    it stays a string so a caller can measure what a call compiles."""
 
     table: KernelTable
 
 
 def kernel_source(table: KernelTable) -> KernelSource:
-    """Wrap ``table`` with the source of its loop if not compiled."""
-    loop = table.loop
-    source = KernelSource(loop + "new(kernel)\n"
-                          if loop is not None and loop not in _SHAPES
-                          else "")
+    """Wrap ``table`` for :func:`compile_kernels`."""
+    source = KernelSource()
     source.table = table
     return source
 
@@ -595,8 +455,7 @@ def dump_kernel_source(table: KernelTable,
              f'repro.sim.codegen; constants c0, c1, ... are bound per '
              f'row."""', ""]
     for i, text in enumerate(texts):
-        kind = "cycle loop" if text == table.loop else "shape"
-        lines += [f"# s{i}: {kind}", text]
+        lines += [f"# s{i}: shape", text]
     lines.append("# node table: label, shape per timing rule "
                  "(cache, fast, var), refs per shape, constants")
     lines.append("TABLE = [")
@@ -610,7 +469,7 @@ def dump_kernel_source(table: KernelTable,
                      f"{recipe.consts(fields)!r}),")
     lines.append("]")
     os.makedirs(directory, exist_ok=True)
-    suffix = "" if table.profile is not None else "-profiled"
+    suffix = "-profiled" if table.profiled else ""
     path = os.path.join(directory,
                         f"{table.family}-{fingerprint[:12]}{suffix}.py")
     with open(path, "w") as fh:
@@ -624,23 +483,18 @@ class KernelModule:
     ``rows`` are the table's ``(recipe, fields)`` rows. Engines call
     :meth:`bind` at construction, which compiles the timing rule the
     engine selects the first time any engine binds it here
-    (:meth:`compile`), and dispatch their cycle loop through
-    :attr:`run_loop`. A profiling engine binds :meth:`profiled`
-    instead.
+    (:meth:`compile`). A profiling vector engine binds
+    :meth:`profiled` instead.
     """
 
-    __slots__ = ("family", "rows", "layout", "run_loop", "_bind",
-                 "_profile", "_profiled", "_fingerprint", "_codes",
-                 "__weakref__")
+    __slots__ = ("family", "rows", "layout", "_bind", "_profile",
+                 "_profiled", "_fingerprint", "_codes", "__weakref__")
 
     def __init__(self, table: KernelTable,
                  fingerprint: Optional[str] = None) -> None:
         self.family = table.family
         self.rows = table.rows
         self.layout = table.layout
-        self.run_loop = (None if table.loop is None else
-                         FunctionType(_SHAPES[table.loop], GLOBALS,
-                                      "run_loop"))
         self._bind = table.bind
         self._profile = table.profile
         self._profiled: Optional[KernelModule] = None
@@ -666,32 +520,28 @@ class KernelModule:
         return self._bind(self, engine)
 
     def profiled(self) -> "KernelModule":
-        """The profiled variant of these kernels (itself if it is
-        one), generated on first use and kept here."""
+        """The profiled variant of these kernels: itself unless its
+        table generates one (vector), which is then generated on first
+        use and kept here."""
         if self._profile is None:
             return self
         if self._profiled is None:
             table = self._profile()
-            mod = compile_kernels(kernel_source(table), table.family,
-                                  self._fingerprint)
-            if not table.rows:
-                # Only the cycle loop differs: bind the same rows.
-                mod.rows, mod.layout = self.rows, self.layout
-            self._profiled = mod
+            table.profiled = True
+            self._profiled = compile_kernels(kernel_source(table),
+                                             table.family,
+                                             self._fingerprint)
         return self._profiled
 
 
 def compile_kernels(source: KernelSource, family: str,
                     fingerprint: Optional[str] = None) -> KernelModule:
-    """The :class:`KernelModule` of ``source``'s table, compiling its
-    cycle loop if ``source`` holds it; node shapes compile per timing
-    rule when an engine binds the module. With dumping on, the table
-    is dumped under ``fingerprint`` (the program's IR hash, computed by
-    the caller only then)."""
+    """The :class:`KernelModule` of ``source``'s table (of ``family``);
+    its node shapes compile per timing rule when an engine binds the
+    module. With dumping on, the table is dumped under ``fingerprint``
+    (the program's IR hash, computed by the caller only then)."""
     table = source.table
     dump_kernel_source(table, fingerprint)
-    if source:
-        _compile([table.loop], family)
     return KernelModule(table, fingerprint)
 
 

@@ -11,15 +11,9 @@ Each structural key (:func:`_key_fields`) is emitted once per process
 over a stand-in node; the FIFOs, producer set and descriptor lists a
 recipe names resolve against each row's own fields at bind time.
 
-The cycle loop (one shape) inlines the ``MetricsRecorder.sample`` body
-into frame locals that are committed back in a ``finally`` (the idiom
-of the window engine's interpreted loop). ``metrics.cycles`` is
-synchronized every cycle when ``load_latency > 1`` because the load
-firing rules and ``_deliver_memory_responses`` read it, and committed
-/ reloaded around ``_stall_for_memory`` (which mutates the recorder).
-Its profiled variant also notes each firing's node id and books every
-cycle to a stall reason, as the interpreter loop does; it binds the
-same node rows.
+The table fills the engine's fire table only: every run, profiled or
+not, goes through the engine's one cycle loop
+(:meth:`QueuedEngine._run_loop`).
 
 Bit-identical to the plain interpreter by construction; the golden
 records and the differential fuzz suite pin it.
@@ -27,7 +21,7 @@ records and the differential fuzz suite pin it.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, islice
 from typing import Dict, List, Tuple
 
@@ -37,12 +31,9 @@ from repro.sim.codegen.core import (
     EVALUATORS,
     Consts,
     KernelTable,
-    ProfiledLoop,
     Recipe,
     Shape,
-    Writer,
     bind_rows,
-    loop_text,
     memory_env,
     move_miss_box,
     one_rule,
@@ -137,9 +128,8 @@ class _Node:
     def avail(self, b: Shape, port: int) -> None:
         """Head-of-FIFO availability check for a token port.
 
-        Same-cycle pushes are subtracted via a dense dirty-tracked
-        counter list instead of the interpreter's dict (same
-        visibility semantics, cheaper indexing).
+        Same-cycle pushes are subtracted via the engine's dense
+        counter list, as in :meth:`QueuedEngine._head`.
         """
         b(f"if len({self.fifo(b, port)}) - fresh[{self.key(port)}]"
           " <= 0:")
@@ -453,13 +443,6 @@ def _emit(nd: FlatNode) -> Recipe:
 
 def bind(module, E) -> list:
     """Per-node try-fire functions for a live QueuedEngine."""
-    # Same-cycle token visibility: a dense counter list (indexed by
-    # the engine's int fresh keys) with an explicit dirty list, reset
-    # by the generated run_loop each cycle. Replaces E._fresh for the
-    # generated path only.
-    fresh_list = [0] * (len(E._fifos) * E._stride)
-    dirty: List[int] = []
-    E._codegen_fresh = (fresh_list, dirty)
     nc = E._next_candidates
     env = memory_env(E)
     env.update({
@@ -467,8 +450,8 @@ def bind(module, E) -> list:
         "dests": E._dests,
         "producers": E._producers,
         "results": E._results,
-        "fresh": fresh_list,
-        "dirty_append": dirty.append,
+        "fresh": E._fresh,
+        "dirty_append": E._fresh_dirty.append,
         "nc_add": nc.add,
         "nc_update": nc.update,
         "livebox": E._livebox,
@@ -481,16 +464,11 @@ def bind(module, E) -> list:
     return bind_rows(module, env, timing_rule(E))
 
 
-def generate(graph: FlatGraph, profiled: bool = False) -> KernelTable:
-    """The kernel table of ``graph``; ``profiled``, just the profiled
-    cycle loop (the node rows are the plain ones)."""
-    if profiled:
-        return KernelTable("flat", bind, run_loop(True))
+def generate(graph: FlatGraph) -> KernelTable:
+    """The kernel table of ``graph``."""
     stride = max((nd.n_inputs for nd in graph.nodes),
                  default=1) or 1
-    table = KernelTable("flat", bind, run_loop(),
-                        profile=partial(generate, graph, True),
-                        labels=partial(_labels, graph))
+    table = KernelTable("flat", bind, labels=partial(_labels, graph))
     memo = _MEMO
     append = table.rows.append
     for nd in graph.nodes:
@@ -504,245 +482,3 @@ def generate(graph: FlatGraph, profiled: bool = False) -> KernelTable:
 
 def _labels(graph: FlatGraph) -> List[str]:
     return [f"node {nd.node_id}: {nd.op.value}" for nd in graph.nodes]
-
-
-@lru_cache(maxsize=None)  # two variants
-def run_loop(profiled: bool = False) -> str:
-    """The cycle-loop shape, profiled or not."""
-    w = Writer()
-    p = ProfiledLoop(w, profiled)
-    w.indent()
-    w('"""The engine cycle loop with MetricsRecorder.sample inlined')
-    w('into frame locals (committed back in the finally)."""')
-    w("metrics = E.metrics")
-    w("nc = E._next_candidates")
-    w("nc_add = nc.add")
-    w("nc_clear = nc.clear")
-    w("fresh_list, dirty = E._codegen_fresh")
-    w("dirty_append = dirty.append")
-    w("dests = E._dests")
-    w("livebox = E._livebox")
-    w("try_fns = tuple(E._try_fire_fns)")
-    w("issue_width = E.issue_width")
-    w("max_cycles = E.max_cycles")
-    w("wd_horizon = watchdog_horizon(max_cycles)")
-    w("idle_streak = 0")
-    w("inflight = E._inflight")
-    w("due_box = E._due_box")
-    w("stall = E._stall_for_memory")
-    w("sync = E.load_latency > 1 or E._cache is not None")
-    w("sample_traces = metrics.sample_traces")
-    # RLETrace.append inlined below; _length for both traces always
-    # equals the cycle count, so it is committed in the finally.
-    w("ipc_vals = metrics.ipc_trace._values")
-    w("ipc_counts = metrics.ipc_trace._counts")
-    w("live_vals = metrics.live_trace._values")
-    w("live_counts = metrics.live_trace._counts")
-    w("cycles = metrics.cycles")
-    w("instructions = metrics.instructions")
-    w("peak_live = metrics._peak_live")
-    w("live_sum = metrics._live_sum")
-    p.setup()
-    w("try:")
-    w.indent()
-    w("while True:")
-    w.indent()
-    w("candidates = sorted(nc)")
-    w("nc_clear()")
-    w("if dirty:")
-    w.indent()
-    w("for k in dirty:")
-    w.indent()
-    w("fresh_list[k] = 0")
-    w.dedent()
-    w("del dirty[:]")
-    w.dedent()
-    # Inline _deliver_memory_responses against the dense fresh list
-    # (``now`` is the local cycle counter; the invariant
-    # metrics.cycles == cycles holds whenever loads can be in flight).
-    # Skipped outright until the earliest queue head matures -- no
-    # head can be due before due_box[0] (head-of-line blocking), so
-    # cycles without a maturing load never scan the in-flight map.
-    w("if inflight and cycles >= due_box[0]:")
-    w.indent()
-    w("done = None")
-    w("for lnid, queue in inflight.items():")
-    w.indent()
-    w("while queue and queue[0][0] <= cycles:")
-    w.indent()
-    w("_, value = queue.popleft()")
-    w("for f, k, d in dests[lnid][0]:")
-    w.indent()
-    w("f.append(value)")
-    w("fresh_list[k] += 1")
-    w("dirty_append(k)")
-    w("nc_add(d)")
-    w.dedent()
-    w("livebox[0] += len(dests[lnid][0])")
-    w("for f, k, d in dests[lnid][1]:")
-    w.indent()
-    w("f.append(0)")
-    w("fresh_list[k] += 1")
-    w("dirty_append(k)")
-    w("nc_add(d)")
-    w.dedent()
-    w("livebox[0] += len(dests[lnid][1])")
-    w.dedent()
-    w("if not queue:")
-    w.indent()
-    w("if done is None:")
-    w.indent()
-    w("done = []")
-    w.dedent()
-    w("done.append(lnid)")
-    w.dedent()
-    w.dedent()
-    w("if done is not None:")
-    w.indent()
-    w("for lnid in done:")
-    w.indent()
-    w("del inflight[lnid]")
-    w.dedent()
-    w.dedent()
-    w("due_box[0] = min((q[0][0] for q in inflight.values()),")
-    w("                 default=maxsize)")
-    w.dedent()
-    w("fired = 0")
-    if profiled:
-        w("width_limited = False")
-    # When the issue width covers every candidate the budget can
-    # never run out mid-scan (it only decrements on fires), so the
-    # common wide-issue case skips the budget bookkeeping entirely.
-    w("if issue_width >= len(candidates):")
-    w.indent()
-    w("for nid in candidates:")
-    w.indent()
-    w("if try_fns[nid]():")
-    w.indent()
-    w("fired += 1")
-    w("nc_add(nid)")
-    p.note("nid")
-    w.dedent()
-    w.dedent()
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("budget = issue_width")
-    w("for nid in candidates:")
-    w.indent()
-    w("if budget == 0:")
-    w.indent()
-    w("nc_add(nid)")
-    if profiled:
-        w("width_limited = True")
-    w.dedent()
-    w("elif try_fns[nid]():")
-    w.indent()
-    w("fired += 1")
-    w("budget -= 1")
-    w("nc_add(nid)")
-    p.note("nid")
-    w.dedent()
-    w.dedent()
-    w.dedent()
-    w("if fired == 0 and not nc:")
-    w.indent()
-    w("if inflight:")
-    w.indent()
-    # _stall_for_memory reads and mutates the recorder: commit the
-    # locals, run it, and reload what it changed -- in an inner
-    # finally so a max_cycles raise inside the stall still leaves
-    # the outer commit writing current values.
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("metrics._peak_live = peak_live")
-    w("metrics._live_sum = live_sum")
-    p.stall_begin()
-    w("try:")
-    w.indent()
-    w("stall()")
-    w.dedent()
-    w("finally:")
-    w.indent()
-    w("cycles = metrics.cycles")
-    w("peak_live = metrics._peak_live")
-    w("live_sum = metrics._live_sum")
-    w.dedent()
-    p.stall_end()
-    w("continue")
-    w.dedent()
-    w("if livebox[0] == 0:")
-    w.indent()
-    w("return True")
-    w.dedent()
-    w("E._raise_deadlock()")
-    w.dedent()
-    w("live = livebox[0]")
-    w("cycles += 1")
-    w("instructions += fired")
-    p.close("width_limited", ("not inflight", "waiting_operands"),
-            (None, "memory_stall"))
-    w("if fired:")
-    w.indent()
-    w("idle_streak = 0")
-    w.dedent()
-    w("elif not inflight:")
-    w.indent()
-    w("idle_streak += 1")
-    w("if idle_streak >= wd_horizon:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("E._raise_deadlock(watchdog=idle_streak)")
-    w.dedent()
-    w.dedent()
-    w("if live > peak_live:")
-    w.indent()
-    w("peak_live = live")
-    w.dedent()
-    w("live_sum += live")
-    w("if sample_traces:")
-    w.indent()
-    w("if ipc_counts and ipc_vals[-1] == fired:")
-    w.indent()
-    w("ipc_counts[-1] += 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("ipc_vals.append(fired)")
-    w("ipc_counts.append(1)")
-    w.dedent()
-    w("if live_counts and live_vals[-1] == live:")
-    w.indent()
-    w("live_counts[-1] += 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("live_vals.append(live)")
-    w("live_counts.append(1)")
-    w.dedent()
-    w.dedent()
-    w("if sync:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w.dedent()
-    w("if cycles >= max_cycles:")
-    w.indent()
-    w("raise SimulationError(f\"exceeded max_cycles={max_cycles}\")")
-    w.dedent()
-    w.dedent()
-    w.dedent()
-    w("finally:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("metrics._peak_live = peak_live")
-    w("metrics._live_sum = live_sum")
-    w("if sample_traces:")
-    w.indent()
-    w("metrics.ipc_trace._length = cycles")
-    w("metrics.live_trace._length = cycles")
-    w.dedent()
-    p.commit()
-    w.dedent()
-    return loop_text(w)

@@ -13,13 +13,9 @@ over a stand-in node; later nodes with the key reuse its recipe, and
 their ``("pops", nid)`` refs resolve against their own fields at bind
 time.
 
-The cycle loop is ``_run_cycle``, ``_apply_pending`` and
-``_drain_pending_fast`` fused into one frame, specialized to the
-firing-rule kinds the graph contains (graphs without allocate/free/
-merge nodes drop those branches): one loop shape per variant. Its
-profiled variant also notes each firing's node id, books every cycle
-to a stall reason in the interpreter's priority order and attributes
-batched memory stalls; it binds the same node rows.
+The table fills the engine's fire table only: every run, profiled or
+not, goes through the engine's one cycle loop
+(:meth:`TaggedEngine._run_loop`).
 
 The generated code must stay *bit-identical* to the plain
 interpreter: every livebox delta, deposit ordering, and exception
@@ -29,7 +25,7 @@ and the differential fuzz suite pin this.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, islice
 from typing import Dict, List, Tuple
 
@@ -39,12 +35,9 @@ from repro.sim.codegen.core import (
     EVALUATORS,
     Consts,
     KernelTable,
-    ProfiledLoop,
     Recipe,
     Shape,
-    Writer,
     bind_rows,
-    loop_text,
     memory_env,
     move_miss_box,
     one_rule,
@@ -118,7 +111,7 @@ def _dests(consts: Consts, edges) -> Dests:
             for dest_id, dest_port in edges]
 
 
-def _emit_edges(w: Writer, dests: Dests, tag: str, data: str,
+def _emit_edges(w: Shape, dests: Dests, tag: str, data: str,
                 fn: str = "append") -> None:
     for dest_id, dest_port in dests:
         w(f"{fn}(({dest_id}, {dest_port}, {tag}, {data}))")
@@ -382,16 +375,9 @@ def bind(module, E) -> list:
     return bind_rows(module, env, timing_rule(E))
 
 
-def generate(graph: TaggedGraph, profiled: bool = False) -> KernelTable:
-    """The kernel table of ``graph``; ``profiled``, just the profiled
-    cycle loop (the node rows are the plain ones)."""
-    ops = {nd.op for nd in graph.nodes}
-    kinds = (Op.ALLOCATE in ops, Op.MERGE in ops, Op.FREE in ops)
-    if profiled:
-        return KernelTable("tagged", bind, run_loop(*kinds, True))
-    table = KernelTable("tagged", bind, run_loop(*kinds),
-                        profile=partial(generate, graph, True),
-                        labels=partial(_labels, graph))
+def generate(graph: TaggedGraph) -> KernelTable:
+    """The kernel table of ``graph``."""
+    table = KernelTable("tagged", bind, labels=partial(_labels, graph))
     memo = _MEMO
     append = table.rows.append
     for nd in graph.nodes:
@@ -406,270 +392,3 @@ def generate(graph: TaggedGraph, profiled: bool = False) -> KernelTable:
 def _labels(graph: TaggedGraph) -> List[str]:
     return [f"node {nd.node_id}: {nd.op.value} @{nd.block}"
             for nd in graph.nodes]
-
-
-@lru_cache(maxsize=None)  # at most sixteen variants
-def run_loop(has_alloc: bool, has_merge: bool, has_free: bool,
-             profiled: bool = False) -> str:
-    """The cycle-loop shape for one combination of firing-rule kinds,
-    profiled or not."""
-    w = Writer()
-    p = ProfiledLoop(w, profiled)
-    w.indent()
-    w('"""The engine cycle loop with _run_cycle, _apply_pending and')
-    w('_drain_pending_fast fused into one frame."""')
-    w("metrics = E.metrics")
-    w("ready = E._ready")
-    w("popleft = ready.popleft")
-    w("ready_append = ready.append")
-    w("livebox = E._livebox")
-    w("pending = E._pending")
-    w("dep = E._dep")
-    w("delayed = E._delayed")
-    w("fire_fns = E._fire_fns")
-    w("token_bound = E._token_bound")
-    w("max_cycles = E.max_cycles")
-    w("wd_horizon = watchdog_horizon(max_cycles)")
-    w("idle_streak = 0")
-    w("issue_width = E.issue_width")
-    if has_alloc:
-        w("fire_alloc_pop = E._fire_alloc_pop")
-        w("fire_alloc_ctl = E._fire_alloc_ctl")
-        w("deposit_alloc = E._deposit_alloc")
-    if has_free:
-        w("dirty = E._dirty_pools")
-        w("wake = E._wake_waiters")
-    # MetricsRecorder.sample is inlined into frame locals, committed
-    # back in the finally. metrics.cycles is synchronized at the end
-    # of every cycle when loads can be delayed (the variable-latency
-    # and cache-probe fire rules read it mid-cycle) and around
-    # _stall_for_memory, which both reads and mutates the recorder.
-    w("sync = E.load_latency > 1 or E._cache is not None")
-    w("sample_traces = metrics.sample_traces")
-    w("ipc_vals = metrics.ipc_trace._values")
-    w("ipc_counts = metrics.ipc_trace._counts")
-    w("live_vals = metrics.live_trace._values")
-    w("live_counts = metrics.live_trace._counts")
-    w("cycles = metrics.cycles")
-    w("instructions = metrics.instructions")
-    w("peak_live = metrics._peak_live")
-    w("live_sum = metrics._live_sum")
-    p.setup()
-    w("try:")
-    w.indent()
-    w("while True:")
-    w.indent()
-    w("if not ready:")
-    w.indent()
-    w("if delayed:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("metrics._peak_live = peak_live")
-    w("metrics._live_sum = live_sum")
-    p.stall_begin()
-    w("try:")
-    w.indent()
-    w("E._stall_for_memory()")
-    w.dedent()
-    w("finally:")
-    w.indent()
-    w("cycles = metrics.cycles")
-    w("peak_live = metrics._peak_live")
-    w("live_sum = metrics._live_sum")
-    w.dedent()
-    p.stall_end()
-    w("continue")
-    w.dedent()
-    w("if E._is_finished():")
-    w.indent()
-    w("return True")
-    w.dedent()
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("E._raise_deadlock()")
-    w.dedent()
-    w("fired = 0")
-    w("budget = issue_width")
-    if profiled:
-        w("tag_blocked = False")
-    w("while ready and budget > 0:")
-    w.indent()
-    w("nid, tag, action = popleft()")
-    if has_alloc:
-        w("if action == 0:")
-        w.indent()
-        w("fire_fns[nid](tag)")
-        w("fired += 1")
-        w("budget -= 1")
-        p.note("nid")
-        w.dedent()
-        w("elif action == 1:")
-        w.indent()
-        w("if fire_alloc_pop(nid, tag):")
-        w.indent()
-        w("fired += 1")
-        w("budget -= 1")
-        p.note("nid")
-        w.dedent()
-        if profiled:
-            w("else:")
-            w("    tag_blocked = True")
-        w.dedent()
-        w("else:")
-        w.indent()
-        w("fire_alloc_ctl(nid, tag)")
-        w("fired += 1")
-        w("budget -= 1")
-        p.note("nid")
-        w.dedent()
-    else:
-        w("fire_fns[nid](tag)")
-        w("fired += 1")
-        w("budget -= 1")
-        p.note("nid")
-    w.dedent()
-    if profiled:
-        # Read before the deposits below refill the ready queue.
-        w("width_limited = budget == 0 and bool(ready)")
-    w("matured = delayed.pop(cycles, None) if delayed else None")
-    w("if matured:")
-    w.indent()
-    w("pending.extend(matured)")
-    w.dedent()
-    w("if pending:")
-    w.indent()
-    w("for nid, port, tag, data in pending:")
-    w.indent()
-    w("kind, store, n_ports, imms = dep[nid]")
-    # Deposit branches only for the firing-rule kinds present.
-    plain_dep = [
-        "entry = store.get(tag)",
-        "if entry is None:",
-        "    store[tag] = {port: data}",
-        "    if n_ports == 1:",
-        "        ready_append((nid, tag, 0))",
-        "else:",
-        "    entry[port] = data",
-        "    if len(entry) == n_ports:",
-        "        ready_append((nid, tag, 0))",
-    ]
-    merge_dep = [
-        "entry = store.get(tag)",
-        "if entry is None:",
-        "    store[tag] = entry = {}",
-        "entry[port] = data",
-        "if 0 in entry:",
-        "    want = 1 if entry[0] else 2",
-        "    if want in entry or want in imms:",
-        "        ready_append((nid, tag, 0))",
-    ]
-    branches = [("kind == 0", plain_dep)]
-    if has_merge:
-        branches.append(("kind == 1", merge_dep))
-    if has_alloc:
-        branches.append((None, ["deposit_alloc(nid, port, tag)"]))
-    if len(branches) == 1:
-        for line in branches[0][1]:
-            w(line)
-    else:
-        for i, (cond, body) in enumerate(branches):
-            if i == 0:
-                w(f"if {cond}:")
-            elif cond is None or i == len(branches) - 1:
-                w("else:")
-            else:
-                w(f"elif {cond}:")
-            w.indent()
-            for line in body:
-                w(line)
-            w.dedent()
-    w.dedent()
-    w("del pending[:]")
-    w.dedent()
-    if has_free:
-        w("if dirty:")
-        w.indent()
-        w("pools = dirty[:]")
-        w("del dirty[:]")
-        w("for pool in pools:")
-        w.indent()
-        w("wake(pool)")
-        w.dedent()
-        w.dedent()
-    w("live = livebox[0]")
-    w("cycles += 1")
-    w("instructions += fired")
-    p.close("width_limited", ("tag_blocked", "tag_starved"),
-            ("live > 0 or pending or delayed", "waiting_operands"),
-            (None, "idle"))
-    w("if fired:")
-    w.indent()
-    w("idle_streak = 0")
-    w.dedent()
-    w("elif not delayed:")
-    w.indent()
-    w("idle_streak += 1")
-    w("if idle_streak >= wd_horizon:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("E._raise_deadlock(watchdog=idle_streak)")
-    w.dedent()
-    w.dedent()
-    w("if live > peak_live:")
-    w.indent()
-    w("peak_live = live")
-    w.dedent()
-    w("live_sum += live")
-    w("if sample_traces:")
-    w.indent()
-    w("if ipc_counts and ipc_vals[-1] == fired:")
-    w.indent()
-    w("ipc_counts[-1] += 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("ipc_vals.append(fired)")
-    w("ipc_counts.append(1)")
-    w.dedent()
-    w("if live_counts and live_vals[-1] == live:")
-    w.indent()
-    w("live_counts[-1] += 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("live_vals.append(live)")
-    w("live_counts.append(1)")
-    w.dedent()
-    w.dedent()
-    w("if sync:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w.dedent()
-    w("if token_bound is not None and live > token_bound:")
-    w.indent()
-    w("raise TokenBoundExceeded(")
-    w("    f\"live tokens {live} exceed Theorem 2 bound \"")
-    w("    f\"{token_bound}\")")
-    w.dedent()
-    w("if cycles >= max_cycles:")
-    w.indent()
-    w("raise SimulationError(f\"exceeded max_cycles={max_cycles}\")")
-    w.dedent()
-    w.dedent()
-    w.dedent()
-    w("finally:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("metrics._peak_live = peak_live")
-    w("metrics._live_sum = live_sum")
-    w("if sample_traces:")
-    w.indent()
-    w("metrics.ipc_trace._length = cycles")
-    w("metrics.live_trace._length = cycles")
-    w.dedent()
-    p.commit()
-    w.dedent()
-    return loop_text(w)

@@ -11,12 +11,9 @@ time). Each structural key (:func:`_key_fields`) is emitted once per
 process over a stand-in op. :func:`bind` cuts the rows back into
 per-block tables.
 
-The cycle loop (one shape) is the engine's already-inlined loop with
-the per-cycle ``RLETrace.append`` bodies additionally inlined (both
-trace ``_length`` fields always equal the cycle count, so they are
-committed in the ``finally``). Its profiled variant also notes each
-firing's ``(block, op_id)`` and books every cycle to a stall reason,
-as the interpreter loop does; it binds the same op rows.
+The tables fill the engine's fire tables only: every run, profiled or
+not, goes through the engine's one cycle loop
+(:meth:`WindowEngine._run_loop`).
 
 Bit-identical to the plain interpreter by construction; the golden
 records and the differential fuzz suite pin it.
@@ -24,7 +21,7 @@ records and the differential fuzz suite pin it.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import islice
 from typing import Dict, List, Tuple
 
@@ -34,12 +31,9 @@ from repro.sim.codegen.core import (
     EVALUATORS,
     Consts,
     KernelTable,
-    ProfiledLoop,
     Recipe,
     Shape,
-    Writer,
     bind_rows,
-    loop_text,
     memory_env,
     move_miss_box,
     one_rule,
@@ -357,18 +351,13 @@ def bind(module, E) -> Dict[str, list]:
     return tables
 
 
-def generate(program: ContextProgram,
-             profiled: bool = False) -> KernelTable:
+def generate(program: ContextProgram) -> KernelTable:
     """The kernel table of ``program``: every block's ops in plan
-    order; ``layout`` lists (block name, op count). ``profiled``, just
-    the profiled cycle loop (the op rows are the plain ones)."""
-    if profiled:
-        return KernelTable("window", bind, run_loop(True))
+    order; ``layout`` lists (block name, op count)."""
     plans = build_plans(program)
-    table = KernelTable("window", bind, run_loop(),
+    table = KernelTable("window", bind,
                         [(name, len(plan.ops))
                          for name, plan in plans.items()],
-                        profile=partial(generate, program, True),
                         labels=partial(_labels, plans))
     memo = _MEMO
     append = table.rows.append
@@ -386,285 +375,3 @@ def _labels(plans: Dict[str, BlockPlan]) -> List[str]:
     return [f"{bplan.name} op {p.op_id}: "
             f"{'term' if p.op_id == bplan.term_id else p.op.value}"
             for bplan in plans.values() for p in bplan.ops]
-
-
-@lru_cache(maxsize=None)  # two variants
-def run_loop(profiled: bool = False) -> str:
-    """The cycle-loop shape, profiled or not."""
-    w = Writer()
-    p = ProfiledLoop(w, profiled)
-    w.indent()
-    w('"""The engine cycle loop with metrics accumulated in locals and')
-    w('RLETrace.append inlined."""')
-    w("completed = False")
-    w("metrics = E.metrics")
-    w("livebox = E._livebox")
-    w("ready = E._ready")
-    w("popleft = ready.popleft")
-    w("ready_append = ready.append")
-    w("pending = E._pending")
-    w("retire = E._retire")
-    w("retire_popleft = retire.popleft")
-    w("delayed = E._delayed")
-    w("fetch = E._fetch")
-    w("publish = E._publish")
-    w("status = E._op_status")
-    w("maybe_release = E._maybe_release")
-    w("issue_width = E.issue_width")
-    w("fetch_width = E.fetch_width")
-    w("max_cycles = E.max_cycles")
-    w("wd_horizon = watchdog_horizon(max_cycles)")
-    w("idle_streak = 0")
-    # Window machines fire about one instruction per cycle (vN exactly
-    # one), so per-cycle call and attribute overhead, not the firing
-    # functions, bounds host speed: metrics live in locals and are
-    # committed in the ``finally``.  Only load rules that schedule a
-    # maturity (variable latency, cache probes) read ``metrics.cycles``
-    # mid-run, so the counter is synced back each cycle in those modes.
-    w("sync_cycles = E.load_latency > 1 or E._cache is not None")
-    w("traces = metrics.sample_traces")
-    w("ipc_vals = metrics.ipc_trace._values")
-    w("ipc_counts = metrics.ipc_trace._counts")
-    w("live_vals = metrics.live_trace._values")
-    w("live_counts = metrics.live_trace._counts")
-    w("cycles = metrics.cycles")
-    w("instructions = metrics.instructions")
-    w("peak_live = metrics._peak_live")
-    w("live_sum = metrics._live_sum")
-    p.setup()
-    w("try:")
-    w.indent()
-    w("while True:")
-    w.indent()
-    w("fired = 0")
-    if profiled:
-        w("width_limited = False")
-    w("if ready:")
-    w.indent()
-    w("budget = issue_width")
-    w("while ready and budget > 0:")
-    w.indent()
-    w("inst, op_id = popleft()")
-    w("inst.fires[op_id](inst)")
-    w("fired += 1")
-    w("budget -= 1")
-    p.note("(inst.plan.name, op_id)")
-    w.dedent()
-    if profiled:
-        # Read before the deposits below refill the ready queue.
-        w("width_limited = budget == 0 and bool(ready)")
-    w.dedent()
-    w("progressed = False")
-    w("while retire:")
-    w.indent()
-    w("entry = retire[0]")
-    w("inst = entry[0]")
-    w("ops = entry[1]")
-    w("pos = entry[2]")
-    w("n = len(ops)")
-    w("fired_set = inst.fired")
-    w("while pos < n:")
-    w.indent()
-    w("oid = ops[pos]")
-    w("if oid in fired_set:")
-    w.indent()
-    w("pos += 1")
-    w("continue")
-    w.dedent()
-    w("if (not inst.plan.guarded[oid]")
-    w("        or status(inst, oid) == 'pending'):")
-    w.indent()
-    w("break")
-    w.dedent()
-    w("pos += 1")
-    w.dedent()
-    w("if pos < n:")
-    w.indent()
-    w("entry[2] = pos")
-    w("break")
-    w.dedent()
-    w("retire_popleft()")
-    w("inst.live_slices -= 1")
-    w("progressed = True")
-    w("maybe_release(inst)")
-    w.dedent()
-    w("fc = fetch_width")
-    w("while fc:")
-    w.indent()
-    w("if not fetch():")
-    w.indent()
-    w("break")
-    w.dedent()
-    w("progressed = True")
-    w("fc -= 1")
-    w.dedent()
-    w("if delayed:")
-    w.indent()
-    w("matured = delayed.pop(cycles, None)")
-    w("if matured:")
-    w.indent()
-    # A matured load is progress: the head slice may retire its
-    # now-fired LOAD next cycle, so this cycle must not read as a
-    # quiesced machine.
-    w("progressed = True")
-    w("for inst, key, value in matured:")
-    w.indent()
-    w("publish(inst, key, value)")
-    w.dedent()
-    w.dedent()
-    w.dedent()
-    w("if pending:")
-    w.indent()
-    w("for inst, c, value in pending:")
-    w.indent()
-    w("op_id = c[0]")
-    w("wait = inst.wait")
-    w("entry = wait.get(op_id)")
-    w("if entry is None:")
-    w.indent()
-    w("wait[op_id] = entry = {c[1]: value}")
-    w("n_have = 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("entry[c[1]] = value")
-    w("n_have = len(entry)")
-    w.dedent()
-    w("if c[2]:")
-    w.indent()
-    w("if 0 not in entry:")
-    w.indent()
-    w("continue")
-    w.dedent()
-    w("want = 1 if entry[0] else 2")
-    w("if want not in entry and not c[5][want - 1]:")
-    w.indent()
-    w("continue")
-    w.dedent()
-    w.dedent()
-    w("elif n_have != c[3]:")
-    w.indent()
-    w("continue")
-    w.dedent()
-    w("if c[4] in inst.fetched:")
-    w.indent()
-    w("ready_append((inst, op_id))")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("inst.armed.add(op_id)")
-    w.dedent()
-    w.dedent()
-    w("del pending[:]")
-    w.dedent()
-    w("if fired == 0 and not progressed and not ready:")
-    w.indent()
-    w("idle_streak += 1")
-    w("if idle_streak >= wd_horizon and (")
-    w("        not delayed or min(delayed) < cycles):")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("E._raise_deadlock(watchdog=idle_streak)")
-    w.dedent()
-    w("if delayed:")
-    w.indent()
-    w("cycles += 1")
-    w("metrics.cycles = cycles")
-    p.memory_cycle()
-    w("live = livebox[0]")
-    w("if live > peak_live:")
-    w.indent()
-    w("peak_live = live")
-    w.dedent()
-    w("live_sum += live")
-    w("if traces:")
-    w.indent()
-    w("if ipc_counts and ipc_vals[-1] == 0:")
-    w.indent()
-    w("ipc_counts[-1] += 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("ipc_vals.append(0)")
-    w("ipc_counts.append(1)")
-    w.dedent()
-    w("if live_counts and live_vals[-1] == live:")
-    w.indent()
-    w("live_counts[-1] += 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("live_vals.append(live)")
-    w("live_counts.append(1)")
-    w.dedent()
-    w.dedent()
-    w("continue")
-    w.dedent()
-    w("if E._is_finished():")
-    w.indent()
-    w("completed = True")
-    w("break")
-    w.dedent()
-    w("E._raise_deadlock()")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("idle_streak = 0")
-    w.dedent()
-    w("cycles += 1")
-    w("if sync_cycles:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w.dedent()
-    w("instructions += fired")
-    w("live = livebox[0]")
-    p.close("width_limited", ("delayed", "memory_stall"),
-            ("live > 0", "waiting_operands"), (None, "idle"))
-    w("if live > peak_live:")
-    w.indent()
-    w("peak_live = live")
-    w.dedent()
-    w("live_sum += live")
-    w("if traces:")
-    w.indent()
-    w("if ipc_counts and ipc_vals[-1] == fired:")
-    w.indent()
-    w("ipc_counts[-1] += 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("ipc_vals.append(fired)")
-    w("ipc_counts.append(1)")
-    w.dedent()
-    w("if live_counts and live_vals[-1] == live:")
-    w.indent()
-    w("live_counts[-1] += 1")
-    w.dedent()
-    w("else:")
-    w.indent()
-    w("live_vals.append(live)")
-    w("live_counts.append(1)")
-    w.dedent()
-    w.dedent()
-    w("if cycles >= max_cycles:")
-    w.indent()
-    w("raise SimulationError(f\"exceeded max_cycles={max_cycles}\")")
-    w.dedent()
-    w.dedent()
-    w.dedent()
-    w("finally:")
-    w.indent()
-    w("metrics.cycles = cycles")
-    w("metrics.instructions = instructions")
-    w("metrics._peak_live = peak_live")
-    w("metrics._live_sum = live_sum")
-    w("if traces:")
-    w.indent()
-    w("metrics.ipc_trace._length = cycles")
-    w("metrics.live_trace._length = cycles")
-    w.dedent()
-    p.commit()
-    w.dedent()
-    w("return completed")
-    return loop_text(w)

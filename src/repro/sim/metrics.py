@@ -389,9 +389,10 @@ class ExecutionResult:
 class MetricsRecorder:
     """Incremental per-cycle sampler used by the engines.
 
-    ``ipc_trace``/``live_trace`` are :class:`RLETrace` buffers; the
-    engines' inlined cycle loops may bind their ``append`` methods
-    directly (they are O(1) like ``list.append``).
+    ``ipc_trace``/``live_trace`` are :class:`RLETrace` buffers. The
+    tagged, queued and window cycle loops keep these counters in
+    locals instead, append to the traces' run arrays inline and
+    commit everything, trace lengths included, when they exit.
     """
 
     def __init__(self, sample_traces: bool = True):

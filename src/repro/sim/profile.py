@@ -40,17 +40,15 @@ The taxonomy, in attribution priority order for zero-fired cycles:
 ``idle``
     Nothing fired and no tokens were live (drain/control-only cycles).
 
-Profiling is strictly opt-in. A profiled run takes the profiled
-variant of the generated kernels (:mod:`repro.sim.codegen`), which
-books the same attribution into this profiler's tables with inline
-counters; profiling is a generation-time flag there, so unprofiled
-kernels carry no hooks at all. Each engine family's interpreter cycle
-loop stays the reference the profiled kernels are checked against: it
-checks for a profiler once per cycle and calls a per-firing hook that
-is ``None`` unless profiling (the vector engine's item walk books
-each ticked op right after its tick instead). The default,
-unprofiled path pays only the ``None`` test in the vector-loop timing
-that datapar kernels share with the interpreter.
+Profiling is strictly opt-in. The tagged, queued and window engines
+each have one cycle loop, shared by kernel and interpreted runs, that
+checks for a profiler at run time: it notes each firing's node, splits
+each busy cycle evenly over the noted nodes, and counts each stall
+reason in a local it adds to :attr:`EngineProfiler.stall_cycles` when
+the loop exits. The vector family profiles in its whole-block shapes:
+its profiled kernels are a generated variant, and the interpreter's
+item walk books each ticked op right after its tick. An unprofiled run
+pays a ``None`` test per firing and per cycle.
 """
 
 from __future__ import annotations
@@ -184,12 +182,14 @@ class RunProfile:
 class EngineProfiler:
     """Per-run recorder the engines drive from their cycle loops.
 
-    The engine calls :meth:`fire` (or :meth:`fire_n`) for each firing
-    inside a cycle, then exactly one :meth:`end_cycle` per sampled
-    cycle; batched memory stalls go through :meth:`idle`. Keys may be
-    any hashable engine-native node identity (int node ids, ``(block,
-    op_id)`` tuples, prebuilt label strings); :meth:`finish` maps them
-    to display labels.
+    The vector engine calls :meth:`fire` (or :meth:`fire_n`) for each
+    firing inside a cycle, then exactly one :meth:`end_cycle` per
+    sampled cycle; the other engines write the tables from their
+    cycle loops directly. Batched memory stalls go through
+    :meth:`idle`, :meth:`idle_memory` or :meth:`memory_stall`. Keys
+    may be any hashable engine-native node identity (int node ids,
+    ``(block, op_id)`` tuples, prebuilt label strings); :meth:`finish`
+    maps them to display labels.
     """
 
     __slots__ = ("stall_cycles", "node_fired", "node_cycles",
@@ -202,8 +202,8 @@ class EngineProfiler:
         self.node_fired: Dict[object, int] = {}
         self.node_cycles: Dict[object, float] = {}
         self._cycle_nodes: List[object] = []
-        #: Populated only by cache-mode runs (see
-        #: :meth:`idle_memory` / :meth:`end_cycle_memory`).
+        #: Populated only by cache-mode runs (see :meth:`idle_memory`;
+        #: the cycle loops book per-cycle stalls here directly).
         self.memory_stall_split: Dict[str, int] = {}
 
     def fire(self, key: object) -> None:
@@ -251,13 +251,17 @@ class EngineProfiler:
             split["hit"] = split.get("hit", 0) + (n_cycles
                                                  - miss_cycles)
 
-    def end_cycle_memory(self, miss: bool) -> None:
-        """Per-cycle memory stall with its hit/miss class (cache
-        mode); otherwise identical to ``end_cycle("memory_stall")``."""
-        self.end_cycle("memory_stall")
-        split = self.memory_stall_split
-        key = "miss" if miss else "hit"
-        split[key] = split.get(key, 0) + 1
+    def memory_stall(self, start: int, stop: int,
+                     miss_until: Optional[List[int]]) -> None:
+        """A batched memory stall over cycles ``[start, stop)``. In
+        cache mode (``miss_until`` set) its cycles before
+        ``miss_until[0]`` are misses, the rest hits."""
+        n_cycles = stop - start
+        if miss_until is None:
+            self.idle("memory_stall", n_cycles)
+        else:
+            miss = min(stop, miss_until[0]) - start
+            self.idle_memory(n_cycles, max(0, min(n_cycles, miss)))
 
     def finish(self, machine: str, cycles: int, instructions: int,
                label_of: Optional[Callable[[object], str]] = None

@@ -13,12 +13,14 @@ backedge value (true) or pop-and-discard it and re-arm for the next
 activation (false).
 
 Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
-same-cycle token visibility is tracked in an int-keyed counter map
-instead of ``(node, port)`` tuples. By default the generated kernels
-of :mod:`repro.sim.codegen` fill the per-node firing table and run the
-cycle loop. Without them the engine interprets with one plain firing
-rule for every node (:meth:`QueuedEngine._try_fire`): the reference
-semantics the kernels are diffed against.
+same-cycle token visibility is tracked in a dense counter list indexed
+by int keys, with a list of the keys written this cycle, instead of
+``(node, port)`` tuples. Every run goes through one hand-written cycle
+loop (:meth:`QueuedEngine._run_loop`); only its fire table differs.
+By default the generated kernels of :mod:`repro.sim.codegen` fill it.
+Without them the engine interprets with one plain firing rule for
+every node (:meth:`QueuedEngine._try_fire`): the reference semantics
+the kernels are diffed against.
 """
 
 from __future__ import annotations
@@ -82,9 +84,7 @@ class QueuedEngine:
         #: mode); bounds a profiled run's hit/miss stall split.
         self._miss_until: List[int] = [0]
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Opt-in stall attribution: booked by the profiled kernel
-        # variant, or by the interpreter loop (one check per cycle, a
-        # firing hook only when set) when it interprets.
+        # Opt-in stall attribution, booked by the cycle loop.
         self._profiler = EngineProfiler() if profile else None
 
         n = len(graph.nodes)
@@ -128,10 +128,14 @@ class QueuedEngine:
         self._due_box: List[int] = [sys.maxsize]
         # Tokens pushed this cycle become visible next cycle
         # (single-cycle latency, matching the tagged engine's timing).
-        # Keyed by node_id * stride + port (ints hash faster than
-        # tuples and are precomputed per edge).
-        self._fresh: Dict[int, int] = {}
+        # ``_fresh`` counts them per input port, indexed by
+        # node_id * stride + port (precomputed per edge), and
+        # ``_fresh_dirty`` lists the indices written this cycle, which
+        # the cycle loop resets. Both are captured by the bound
+        # kernels: mutate in place only.
         self._stride = max(self._n_inputs, default=1) or 1
+        self._fresh: List[int] = [0] * (n * self._stride)
+        self._fresh_dirty: List[int] = []
         #: Destination descriptors per (node, out port):
         #: (dest deque, fresh key, dest node id).
         self._dests: List[List[List[Tuple[Deque, int, int]]]] = [
@@ -142,14 +146,9 @@ class QueuedEngine:
             ]
             for nd in graph.nodes
         ]
-        # Generated plan kernels (repro.sim.codegen) replace both the
-        # interpreter's firing rule and its cycle loop; a profiled run
-        # binds their profiled variant.
-        self._kernels = None
+        # Generated plan kernels (repro.sim.codegen) replace the
+        # interpreter's firing rule in the fire table.
         if kernels is not None:
-            if self._profiler is not None:
-                kernels = kernels.profiled()
-            self._kernels = kernels
             self._try_fire_fns: List[Callable[[], bool]] = kernels.bind(self)
         else:
             self._try_fire_fns = [
@@ -178,10 +177,7 @@ class QueuedEngine:
                 self._livebox[0] += 1
                 self._next_candidates.add(dest_id)
 
-        if self._kernels is not None:
-            completed = self._kernels.run_loop(self)
-        else:
-            completed = self._run_loop()
+        completed = self._run_loop()
 
         results = tuple(
             self._results.get(i) for i in range(self.graph.n_results)
@@ -198,87 +194,205 @@ class QueuedEngine:
         return self.metrics.result("ordered", completed, results, extra)
 
     def _run_loop(self) -> bool:
-        """The interpreter's cycle loop (the reference semantics).
+        """The cycle loop of every run: kernel, interpreted and
+        profiled runs differ only in the fire table.
 
-        Under profiling, ``width_limited`` is an approximation: a
+        Each cycle makes last cycle's pushes visible, delivers matured
+        load responses, then tries each candidate node in ascending id
+        order, up to ``issue_width`` firings, and samples IPC and live
+        tokens. The recorder's counters live in locals, with the RLE
+        trace appends inlined, and are committed in the ``finally``.
+        ``metrics.cycles`` is synced every cycle when loads can be
+        delayed (the load rules read it), and committed and reloaded
+        around :meth:`_stall_for_memory`, which mutates the recorder.
+
+        A profiled run notes each firing's node, splits each busy cycle
+        evenly over the noted nodes, and counts the other cycles per
+        reason. ``width_limited`` is an approximation here: a
         budget-skipped candidate is only re-checked next cycle, so it
         may turn out not to have been fireable.
         """
-        prof = self._profiler
-        prof_fire = None if prof is None else prof.fire
         metrics = self.metrics
-        sample = metrics.sample
         nc = self._next_candidates
         nc_add = nc.add
+        nc_clear = nc.clear
         fresh = self._fresh
+        dirty = self._fresh_dirty
+        dirty_append = dirty.append
+        dests = self._dests
         livebox = self._livebox
-        try_fns = self._try_fire_fns
+        try_fns = tuple(self._try_fire_fns)
         issue_width = self.issue_width
         max_cycles = self.max_cycles
-        due_box = self._due_box
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        miss_until = self._miss_until if self._cache is not None \
-            else None
-        while True:
-            # Deterministic order: ascending node id.
-            candidates = sorted(nc)
-            nc.clear()
-            fresh.clear()
-            if self._inflight and metrics.cycles >= due_box[0]:
-                self._deliver_memory_responses()
-            fired = 0
-            budget = issue_width
-            width_limited = False
-            for nid in candidates:
-                if budget == 0:
-                    nc_add(nid)
-                    width_limited = True
-                elif try_fns[nid]():
-                    fired += 1
-                    budget -= 1
-                    # It may be able to fire again next cycle.
-                    nc_add(nid)
-                    if prof_fire is not None:
-                        prof_fire(nid)
-            if fired == 0 and not nc:
-                if self._inflight:
-                    before = metrics.cycles
-                    self._stall_for_memory()
-                    if prof is not None:
-                        n = metrics.cycles - before
-                        if miss_until is None:
-                            prof.idle("memory_stall", n)
-                        else:
-                            miss = min(metrics.cycles, miss_until[0]) \
-                                - before
-                            prof.idle_memory(n, max(0, min(n, miss)))
-                    continue
-                if livebox[0] == 0:
-                    return True
-                self._raise_deadlock()
-            sample(fired, livebox[0])
-            if prof is not None:
-                if fired:
-                    prof.end_cycle("width_limited" if width_limited
-                                   else "fired")
-                elif not self._inflight:
-                    prof.end_cycle("waiting_operands")
-                elif miss_until is None:
-                    prof.end_cycle("memory_stall")
+        inflight = self._inflight
+        due_box = self._due_box
+        sync = self.load_latency > 1 or self._cache is not None
+        sample_traces = metrics.sample_traces
+        ipc_vals = metrics.ipc_trace._values
+        ipc_counts = metrics.ipc_trace._counts
+        live_vals = metrics.live_trace._values
+        live_counts = metrics.live_trace._counts
+        cycles = metrics.cycles
+        instructions = metrics.instructions
+        peak_live = metrics._peak_live
+        live_sum = metrics._live_sum
+        prof = self._profiler
+        if prof is not None:
+            noted: List[int] = []
+            note = noted.append
+            node_fired = prof.node_fired
+            node_cycles = prof.node_cycles
+            split = prof.memory_stall_split
+            miss_until = self._miss_until if self._cache is not None \
+                else None
+        n_fired = n_width_limited = n_waiting = n_memory = 0
+        try:
+            while True:
+                # Deterministic order: ascending node id.
+                candidates = sorted(nc)
+                nc_clear()
+                # Tokens pushed last cycle become visible.
+                if dirty:
+                    for k in dirty:
+                        fresh[k] = 0
+                    del dirty[:]
+                # Deliver matured load responses. No queue head can
+                # mature before due_box[0] (head-of-line blocking), so
+                # other cycles never scan the in-flight map.
+                if inflight and cycles >= due_box[0]:
+                    done = None
+                    for lnid, queue in inflight.items():
+                        while queue and queue[0][0] <= cycles:
+                            _, value = queue.popleft()
+                            for port, data in ((0, value), (1, 0)):
+                                port_dests = dests[lnid][port]
+                                for f, k, d in port_dests:
+                                    f.append(data)
+                                    fresh[k] += 1
+                                    dirty_append(k)
+                                    nc_add(d)
+                                livebox[0] += len(port_dests)
+                        if not queue:
+                            if done is None:
+                                done = []
+                            done.append(lnid)
+                    if done is not None:
+                        for lnid in done:
+                            del inflight[lnid]
+                    due_box[0] = min((q[0][0] for q in inflight.values()),
+                                     default=sys.maxsize)
+                fired = 0
+                width_limited = False
+                # When the issue width covers every candidate, the
+                # budget cannot run out mid-scan.
+                if issue_width >= len(candidates):
+                    for nid in candidates:
+                        if try_fns[nid]():
+                            fired += 1
+                            # It may be able to fire again next cycle.
+                            nc_add(nid)
+                            if prof is not None:
+                                note(nid)
                 else:
-                    prof.end_cycle_memory(
-                        metrics.cycles <= miss_until[0])
-            if fired:
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak >= wd_horizon and not self._inflight:
-                    self._raise_deadlock(watchdog=idle_streak)
-            if metrics.cycles >= max_cycles:
-                raise SimulationError(
-                    f"exceeded max_cycles={self.max_cycles}"
-                )
+                    budget = issue_width
+                    for nid in candidates:
+                        if budget == 0:
+                            nc_add(nid)
+                            width_limited = True
+                        elif try_fns[nid]():
+                            fired += 1
+                            budget -= 1
+                            nc_add(nid)
+                            if prof is not None:
+                                note(nid)
+                if fired == 0 and not nc:
+                    if inflight:
+                        # Memory in flight: skip to its first due cycle.
+                        metrics.cycles = cycles
+                        metrics.instructions = instructions
+                        metrics._peak_live = peak_live
+                        metrics._live_sum = live_sum
+                        before = cycles
+                        try:
+                            self._stall_for_memory()
+                        finally:
+                            cycles = metrics.cycles
+                            peak_live = metrics._peak_live
+                            live_sum = metrics._live_sum
+                        if prof is not None:
+                            prof.memory_stall(before, cycles, miss_until)
+                        continue
+                    if livebox[0] == 0:
+                        return True
+                    self._raise_deadlock()
+                live = livebox[0]
+                cycles += 1
+                instructions += fired
+                if prof is not None:
+                    if fired:
+                        if width_limited:
+                            n_width_limited += 1
+                        else:
+                            n_fired += 1
+                        share = 1.0 / len(noted)
+                        for key in noted:
+                            node_fired[key] = node_fired.get(key, 0) + 1
+                            node_cycles[key] = (node_cycles.get(key, 0.0)
+                                                + share)
+                        del noted[:]
+                    elif not inflight:
+                        n_waiting += 1
+                    else:
+                        n_memory += 1
+                        if miss_until is not None:
+                            key = "miss" if cycles <= miss_until[0] \
+                                else "hit"
+                            split[key] = split.get(key, 0) + 1
+                if fired:
+                    idle_streak = 0
+                elif not inflight:
+                    # A cycle waiting on memory is not a wedged one.
+                    idle_streak += 1
+                    if idle_streak >= wd_horizon:
+                        metrics.cycles = cycles
+                        metrics.instructions = instructions
+                        self._raise_deadlock(watchdog=idle_streak)
+                if live > peak_live:
+                    peak_live = live
+                live_sum += live
+                if sample_traces:
+                    if ipc_counts and ipc_vals[-1] == fired:
+                        ipc_counts[-1] += 1
+                    else:
+                        ipc_vals.append(fired)
+                        ipc_counts.append(1)
+                    if live_counts and live_vals[-1] == live:
+                        live_counts[-1] += 1
+                    else:
+                        live_vals.append(live)
+                        live_counts.append(1)
+                if sync:
+                    metrics.cycles = cycles
+                if cycles >= max_cycles:
+                    raise SimulationError(
+                        f"exceeded max_cycles={max_cycles}"
+                    )
+        finally:
+            metrics.cycles = cycles
+            metrics.instructions = instructions
+            metrics._peak_live = peak_live
+            metrics._live_sum = live_sum
+            if sample_traces:
+                metrics.ipc_trace._length = cycles
+                metrics.live_trace._length = cycles
+            if prof is not None:
+                stalls = prof.stall_cycles
+                stalls["fired"] += n_fired
+                stalls["width_limited"] += n_width_limited
+                stalls["waiting_operands"] += n_waiting
+                stalls["memory_stall"] += n_memory
 
     def _stall_for_memory(self) -> None:
         """Idle until the earliest in-flight load response matures.
@@ -296,22 +410,6 @@ class QueuedEngine:
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
-
-    def _deliver_memory_responses(self) -> None:
-        now = self.metrics.cycles
-        done = []
-        for nid, queue in self._inflight.items():
-            while queue and queue[0][0] <= now:
-                _, value = queue.popleft()
-                self._emit(nid, 0, value)
-                self._emit(nid, 1, 0)
-            if not queue:
-                done.append(nid)
-        for nid in done:
-            del self._inflight[nid]
-        self._due_box[0] = min(
-            (q[0][0] for q in self._inflight.values()),
-            default=sys.maxsize)
 
     def _raise_deadlock(self, watchdog: "int | None" = None) -> None:
         stuck = []
@@ -333,11 +431,13 @@ class QueuedEngine:
         """Push ``value`` to every destination of ``nid``'s output
         ``port``, invisible to them until next cycle."""
         fresh = self._fresh
+        dirty_append = self._fresh_dirty.append
         nc_add = self._next_candidates.add
         dests = self._dests[nid][port]
         for fifo, key, dest_id in dests:
             fifo.append(value)
-            fresh[key] = fresh.get(key, 0) + 1
+            fresh[key] += 1
+            dirty_append(key)
             nc_add(dest_id)
         self._livebox[0] += len(dests)
 
@@ -352,7 +452,7 @@ class QueuedEngine:
         fifo = self._fifos[nid][port]
         if fifo is None:
             return self._imms[nid][port]
-        if len(fifo) - self._fresh.get(nid * self._stride + port, 0) <= 0:
+        if len(fifo) - self._fresh[nid * self._stride + port] <= 0:
             return _EMPTY
         return fifo[0]
 

@@ -15,9 +15,10 @@ interaction with the tag pools is what differentiates the architectures
 Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
 the wait-match store is *slot-indexed* -- one store per static
 instruction, keyed by tag -- instead of one dict keyed by
-``(nid, tag)`` tuples. By default the generated kernels of
-:mod:`repro.sim.codegen` fill the per-node firing table and run the
-cycle loop. Without them the engine interprets: one plain firing rule
+``(nid, tag)`` tuples. Every run goes through one hand-written cycle
+loop (:meth:`TaggedEngine._run_loop`); only its fire table differs.
+By default the generated kernels of :mod:`repro.sim.codegen` fill
+it. Without them the engine interprets: one plain firing rule
 (:meth:`TaggedEngine._fire_instr`) serves every node, and each pending
 token carries the event id of its producer. The interpreter is the
 reference semantics the kernels are diffed against, and the only path
@@ -110,9 +111,7 @@ class TaggedEngine:
         #: memory_stall attribution into hit/miss at this boundary.
         self._miss_until: List[int] = [0]
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        #: Opt-in stall/hotspot attribution: booked by the profiled
-        #: kernel variant, or by the interpreter loop (one check per
-        #: cycle, a firing hook only when set) when it interprets.
+        #: Opt-in stall/hotspot attribution, booked by the cycle loop.
         self._profiler = EngineProfiler() if profile else None
 
         self.pools: Dict[str, TagPool] = policy.build_pools(
@@ -202,14 +201,12 @@ class TaggedEngine:
                     graph.token_bound(t) + graph.max_inputs * n
                 )
 
-        #: Generated plan kernels (repro.sim.codegen), profiled when
-        #: profiling. Without them the engine interprets; traced and
+        #: Generated plan kernels (repro.sim.codegen) fill the fire
+        #: table. Without them the engine interprets; traced and
         #: occupancy-tracked runs always do, since only the
         #: interpreter carries those hooks.
         if record_trace or track_occupancy:
             kernels = None
-        elif kernels is not None and self._profiler is not None:
-            kernels = kernels.profiled()
         self._kernels = kernels
         if kernels is None:
             # Pending tokens are 5-tuples carrying the producing event
@@ -260,11 +257,7 @@ class TaggedEngine:
                     pending.append((dest_id, port, ROOT_TAG, value))
                 self._livebox[0] += 1
         self._apply_pending()
-
-        if self._kernels is not None:
-            completed = self._kernels.run_loop(self)
-        else:
-            completed = self._run_loop()
+        completed = self._run_loop()
 
         results = tuple(
             self._results.get(i)
@@ -294,71 +287,210 @@ class TaggedEngine:
         return self.metrics.result("tagged", completed, results, extra)
 
     def _run_loop(self) -> bool:
-        """The interpreter's cycle loop (the reference semantics).
+        """The cycle loop of every run: kernel, interpreted and
+        profiled runs differ only in the fire table.
 
-        With a profiler attached, every ``sample`` pairs with exactly
-        one ``end_cycle`` and every ``sample_idle`` batch with one
-        ``idle``, which is what makes the reason counts sum to
-        ``cycles``; the profiler only observes.
+        Each cycle issues up to ``issue_width`` ready events, deposits
+        this cycle's tokens (visible next cycle), wakes allocates
+        waiting on freed pools, then samples IPC and live tokens. The
+        recorder's counters live in locals, with the RLE trace appends
+        inlined, and are committed in the ``finally``, so a raising
+        run leaves the same counts. ``metrics.cycles`` is synced every
+        cycle when a firing reads it: delayed loads schedule their due
+        cycle from it, and traces stamp events with it. It is committed
+        and reloaded around :meth:`_stall_for_memory`, which reads and
+        mutates the recorder.
+
+        A profiled run notes each firing's node, splits each busy cycle
+        evenly over the noted nodes, and counts the other cycles per
+        reason: a cycle that fires nothing popped only failed
+        allocates, so it is ``tag_starved``.
         """
-        prof = self._profiler
         metrics = self.metrics
-        sample = metrics.sample
         ready = self._ready
+        popleft = ready.popleft
+        ready_append = ready.append
         livebox = self._livebox
-        run_cycle = self._run_cycle
+        pending = self._pending
+        dep = self._dep
+        delayed = self._delayed
+        dirty = self._dirty_pools
+        wake = self._wake_waiters
+        fire_fns = self._fire_fns
+        fire_alloc_pop = self._fire_alloc_pop
+        fire_alloc_ctl = self._fire_alloc_ctl
+        deposit_alloc = self._deposit_alloc
+        # The kernels' 4-tuple tokens drain inline below. Interpreted
+        # tokens carry their producer's event id, and their deposits
+        # may count store occupancy: they drain through _drain.
+        drain = self._drain if self._kernels is None else None
+        issue_width = self.issue_width
         token_bound = self._token_bound
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        miss_until = self._miss_until if self._cache is not None \
-            else None
-        while True:
-            if not ready:
-                if self._delayed:
-                    # Memory in flight: burn cycles until it returns.
-                    before = metrics.cycles
-                    self._stall_for_memory()
+        sync = (self.load_latency > 1 or self._cache is not None
+                or self.trace is not None)
+        sample_traces = metrics.sample_traces
+        ipc_vals = metrics.ipc_trace._values
+        ipc_counts = metrics.ipc_trace._counts
+        live_vals = metrics.live_trace._values
+        live_counts = metrics.live_trace._counts
+        cycles = metrics.cycles
+        instructions = metrics.instructions
+        peak_live = metrics._peak_live
+        live_sum = metrics._live_sum
+        prof = self._profiler
+        if prof is not None:
+            noted: List[int] = []
+            note = noted.append
+            node_fired = prof.node_fired
+            node_cycles = prof.node_cycles
+            miss_until = self._miss_until if self._cache is not None \
+                else None
+        n_fired = n_width_limited = n_tag_starved = 0
+        try:
+            while True:
+                if not ready:
+                    if delayed:
+                        # Memory in flight: skip to its first due cycle.
+                        metrics.cycles = cycles
+                        metrics.instructions = instructions
+                        metrics._peak_live = peak_live
+                        metrics._live_sum = live_sum
+                        before = cycles
+                        try:
+                            self._stall_for_memory()
+                        finally:
+                            cycles = metrics.cycles
+                            peak_live = metrics._peak_live
+                            live_sum = metrics._live_sum
+                        if prof is not None:
+                            prof.memory_stall(before, cycles, miss_until)
+                        continue
+                    if self._is_finished():
+                        return True
+                    metrics.cycles = cycles
+                    metrics.instructions = instructions
+                    self._raise_deadlock()
+                fired = 0
+                budget = issue_width
+                while ready and budget > 0:
+                    nid, tag, action = popleft()
+                    if action == _FIRE:
+                        fire_fns[nid](tag)
+                    elif action == _ALLOC_POP:
+                        if not fire_alloc_pop(nid, tag):
+                            continue
+                    else:  # _ALLOC_CTL
+                        fire_alloc_ctl(nid, tag)
+                    fired += 1
+                    budget -= 1
                     if prof is not None:
-                        n = metrics.cycles - before
-                        if miss_until is None:
-                            prof.idle("memory_stall", n)
+                        note(nid)
+                if prof is not None:
+                    # Read before the deposits below refill the queue.
+                    width_limited = budget == 0 and bool(ready)
+                matured = delayed.pop(cycles, None) if delayed else None
+                if matured:
+                    pending.extend(matured)
+                if pending:
+                    if drain is not None:
+                        drain()
+                    else:
+                        for nid, port, tag, data in pending:
+                            kind, store, n_ports, imms = dep[nid]
+                            if kind == _DEP_PLAIN:
+                                entry = store.get(tag)
+                                if entry is None:
+                                    store[tag] = {port: data}
+                                    if n_ports == 1:
+                                        ready_append((nid, tag, _FIRE))
+                                else:
+                                    entry[port] = data
+                                    if len(entry) == n_ports:
+                                        ready_append((nid, tag, _FIRE))
+                            elif kind == _DEP_MERGE:
+                                entry = store.get(tag)
+                                if entry is None:
+                                    store[tag] = entry = {}
+                                entry[port] = data
+                                if 0 in entry:
+                                    want = 1 if entry[0] else 2
+                                    if want in entry or want in imms:
+                                        ready_append((nid, tag, _FIRE))
+                            else:  # _DEP_ALLOC
+                                deposit_alloc(nid, port, tag)
+                        del pending[:]
+                if dirty:
+                    pools = dirty[:]
+                    del dirty[:]
+                    for pool in pools:
+                        wake(pool)
+                live = livebox[0]
+                cycles += 1
+                instructions += fired
+                if prof is not None:
+                    if fired:
+                        if width_limited:
+                            n_width_limited += 1
                         else:
-                            miss = min(metrics.cycles, miss_until[0]) \
-                                - before
-                            prof.idle_memory(n, max(0, min(n, miss)))
-                    continue
-                if self._is_finished():
-                    return True
-                self._raise_deadlock()
-            fired, width_limited, tag_blocked = run_cycle()
-            sample(fired, livebox[0])
-            if prof is not None:
+                            n_fired += 1
+                        share = 1.0 / len(noted)
+                        for key in noted:
+                            node_fired[key] = node_fired.get(key, 0) + 1
+                            node_cycles[key] = (node_cycles.get(key, 0.0)
+                                                + share)
+                        del noted[:]
+                    else:
+                        n_tag_starved += 1
                 if fired:
-                    prof.end_cycle("width_limited" if width_limited
-                                   else "fired")
-                elif tag_blocked:
-                    prof.end_cycle("tag_starved")
-                elif livebox[0] > 0 or self._pending or self._delayed:
-                    prof.end_cycle("waiting_operands")
-                else:
-                    prof.end_cycle("idle")
-            if fired:
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak >= wd_horizon and not self._delayed:
-                    self._raise_deadlock(watchdog=idle_streak)
-            if (token_bound is not None
-                    and livebox[0] > token_bound):
-                raise TokenBoundExceeded(
-                    f"live tokens {livebox[0]} exceed Theorem 2 bound "
-                    f"{token_bound}"
-                )
-            if metrics.cycles >= max_cycles:
-                raise SimulationError(
-                    f"exceeded max_cycles={self.max_cycles}"
-                )
+                    idle_streak = 0
+                elif not delayed:
+                    # A cycle waiting on memory is not a wedged one.
+                    idle_streak += 1
+                    if idle_streak >= wd_horizon:
+                        metrics.cycles = cycles
+                        metrics.instructions = instructions
+                        self._raise_deadlock(watchdog=idle_streak)
+                if live > peak_live:
+                    peak_live = live
+                live_sum += live
+                if sample_traces:
+                    if ipc_counts and ipc_vals[-1] == fired:
+                        ipc_counts[-1] += 1
+                    else:
+                        ipc_vals.append(fired)
+                        ipc_counts.append(1)
+                    if live_counts and live_vals[-1] == live:
+                        live_counts[-1] += 1
+                    else:
+                        live_vals.append(live)
+                        live_counts.append(1)
+                if sync:
+                    metrics.cycles = cycles
+                if token_bound is not None and live > token_bound:
+                    raise TokenBoundExceeded(
+                        f"live tokens {live} exceed Theorem 2 bound "
+                        f"{token_bound}"
+                    )
+                if cycles >= max_cycles:
+                    raise SimulationError(
+                        f"exceeded max_cycles={max_cycles}"
+                    )
+        finally:
+            metrics.cycles = cycles
+            metrics.instructions = instructions
+            metrics._peak_live = peak_live
+            metrics._live_sum = live_sum
+            if sample_traces:
+                metrics.ipc_trace._length = cycles
+                metrics.live_trace._length = cycles
+            if prof is not None:
+                stalls = prof.stall_cycles
+                stalls["fired"] += n_fired
+                stalls["width_limited"] += n_width_limited
+                stalls["tag_starved"] += n_tag_starved
 
     def _stall_for_memory(self) -> None:
         """Idle until the earliest in-flight load response matures.
@@ -400,40 +532,6 @@ class TaggedEngine:
         raise DeadlockError(diagnosis.describe(), diagnosis)
 
     # ------------------------------------------------------------------
-    def _run_cycle(self) -> Tuple[int, bool, bool]:
-        """Issue up to ``issue_width`` ready events, then deposit.
-
-        Returns ``(fired, width_limited, tag_blocked)``:
-        ``width_limited`` when ready work remained after the issue
-        budget ran out, ``tag_blocked`` when an allocate pop failed on
-        an exhausted tag pool this cycle.
-        """
-        prof = self._profiler
-        prof_fire = None if prof is None else prof.fire
-        fired = 0
-        budget = self.issue_width
-        ready = self._ready
-        popleft = ready.popleft
-        fire_fns = self._fire_fns
-        tag_blocked = False
-        while ready and budget > 0:
-            nid, tag, action = popleft()
-            if action == _FIRE:
-                fire_fns[nid](tag)
-            elif action == _ALLOC_POP:
-                if not self._fire_alloc_pop(nid, tag):
-                    tag_blocked = True
-                    continue
-            else:  # _ALLOC_CTL
-                self._fire_alloc_ctl(nid, tag)
-            fired += 1
-            budget -= 1
-            if prof_fire is not None:
-                prof_fire(nid)
-        width_limited = budget == 0 and bool(ready)
-        self._apply_pending()
-        return fired, width_limited, tag_blocked
-
     def _apply_pending(self) -> None:
         matured = self._delayed.pop(self.metrics.cycles, None)
         if matured:
@@ -447,7 +545,8 @@ class TaggedEngine:
                 self._wake_waiters(pool)
 
     def _drain_pending_fast(self) -> None:
-        """Deposit every buffered token (kernels, 4-tuples).
+        """Deposit every buffered token (kernels, 4-tuples); the cycle
+        loop inlines this body.
 
         ``_dep`` packs each node's firing-rule selector, wait-store
         slot, token-port count, and immediates into one tuple so a

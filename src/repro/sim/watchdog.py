@@ -4,11 +4,22 @@ A machine that quiesces (empty ready queue, nothing in flight) with
 live tokens is caught immediately by each engine's quiesce check. The
 watchdog covers the *other* failure shape: a loop that keeps burning
 cycles without retiring an instruction -- stale due-cycle bookkeeping,
-a waiter list that re-queues without progress, a codegen kernel whose
-stall fast-path regresses. Counting consecutive zero-fire cycles is
+a waiter list that re-queues without progress, a cycle loop whose
+stall fast path regresses. Counting consecutive zero-fire cycles is
 O(1) per cycle and perturbs nothing: the counter resets on every
 productive cycle, so a run that completes is bit-identical with or
 without the watchdog.
+
+Which zero-fire cycles count depends on the family's loop:
+
+* tagged and ordered count a cycle only when no load is in flight. A
+  cycle waiting on memory neither resets nor extends the streak;
+* the window machines (vn, ooo, seqdf) count every cycle without
+  firing, retire or fetch progress, and trip once the streak reaches
+  the horizon with no load in flight, or with one whose due cycle has
+  already passed (stale bookkeeping);
+* datapar runs depth-first and cannot spin this way; it trips when one
+  load stall alone would reach the horizon.
 
 The horizon is far beyond any legitimate zero-fire stretch (memory
 stalls are bounded by the worst-case load latency, on the order of

@@ -21,11 +21,12 @@ the wait-match store is per-instance (``inst.wait[op_id]``) instead of
 a global dict keyed by ``(iid, op_id)`` tuples, and the deposit drain
 reads one precomputed descriptor tuple per token
 (:attr:`repro.sim.window.plan.BlockPlan.dep`).  Each static block has
-one firing table, shared by every dynamic instance.  By default the
-generated kernels of :mod:`repro.sim.codegen` fill it and run the
-cycle loop.  Without them the engine interprets with one plain firing
-rule for every op (:meth:`WindowEngine._fire`): the reference
-semantics the kernels are diffed against.
+one firing table, shared by every dynamic instance, and every run goes
+through one hand-written cycle loop (:meth:`WindowEngine._run_loop`).
+By default the generated kernels of :mod:`repro.sim.codegen` fill the
+tables.  Without them the engine interprets with one plain firing rule
+for every op (:meth:`WindowEngine._fire`): the reference semantics the
+kernels are diffed against.
 """
 
 from __future__ import annotations
@@ -139,9 +140,7 @@ class WindowEngine:
             "vn" if window == 1 and issue_width == 1 else "seqdf"
         )
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Opt-in stall attribution: booked by the profiled kernel
-        # variant, or by the interpreter loop (one check per cycle, a
-        # firing hook only when set) when it interprets.
+        # Opt-in stall attribution, booked by the cycle loop.
         self._profiler = EngineProfiler() if profile else None
         self.plans = build_plans(program)
 
@@ -169,13 +168,9 @@ class WindowEngine:
 
         #: block name -> firing function per op (shared by every
         #: dynamic instance of the block).  With generated kernels the
-        #: tables come from the kernel module (its profiled variant
-        #: when profiling); else every entry is the plain rule.
-        self._kernels = None
+        #: tables come from the kernel module; else every entry is the
+        #: plain rule.
         if kernels is not None:
-            if self._profiler is not None:
-                kernels = kernels.profiled()
-            self._kernels = kernels
             self._fire_tables: Dict[str, List[Callable]] = kernels.bind(self)
         else:
             self._fire_tables = {
@@ -209,10 +204,7 @@ class WindowEngine:
         self._register_results(root)
         self._stack.append([root, 0])
 
-        if self._kernels is not None:
-            completed = self._kernels.run_loop(self)
-        else:
-            completed = self._run_loop()
+        completed = self._run_loop()
 
         results = tuple(
             self._program_results.get(i)
@@ -236,16 +228,24 @@ class WindowEngine:
         return f"{p.op.value}@{block}#{op_id}"
 
     def _run_loop(self) -> bool:
-        """The interpreter's cycle loop (the reference semantics):
-        issue, retire, fetch, deposit, then one metrics sample.
+        """The cycle loop of every run: kernel, interpreted and
+        profiled runs differ only in the fire tables.
 
-        Samples through :class:`MetricsRecorder`; the generated kernel
-        keeps its metrics in locals instead, with identical totals.
+        Each cycle issues ready ops up to the shared width, retires
+        completed head-of-window slices, fetches along the block order,
+        deposits matured loads and this cycle's tokens (visible next
+        cycle), then samples IPC and live tokens. Window machines fire
+        about one instruction per cycle (vN exactly one), so per-cycle
+        overhead bounds host speed: the recorder's counters live in
+        locals, with the RLE trace appends inlined, and are committed
+        in the ``finally``. ``metrics.cycles`` is synced every cycle
+        when loads can be delayed (the load rules read it).
+
+        A profiled run notes each firing's ``(block, op_id)``, splits
+        each busy cycle evenly over the noted ops, and counts the
+        other cycles per reason.
         """
-        prof = self._profiler
-        prof_fire = None if prof is None else prof.fire
         metrics = self.metrics
-        sample = metrics.sample
         livebox = self._livebox
         ready = self._ready
         popleft = ready.popleft
@@ -263,147 +263,200 @@ class WindowEngine:
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        miss_until = (self._miss_until if self._cache is not None
-                      else None)
-        while True:
-            # Issue: fire ready ops up to the shared width.
-            fired = 0
-            width_limited = False
-            if ready:
-                budget = issue_width
-                while ready and budget > 0:
-                    inst, op_id = popleft()
-                    inst.fires[op_id](inst)
-                    fired += 1
-                    budget -= 1
-                    if prof_fire is not None:
-                        prof_fire((inst.plan.name, op_id))
-                width_limited = budget == 0 and bool(ready)
-            # Retire completed head-of-window slices, in fetch order.
-            # An op's "not pending" status is monotone (outputs are
-            # write-once and a false guard stays false), so each
-            # in-flight entry ``[inst, slice ops, scan pos]`` re-checks
-            # only from its scan position.
-            progressed = False
-            while retire:
-                entry = retire[0]
-                inst = entry[0]
-                ops = entry[1]
-                pos = entry[2]
-                n = len(ops)
-                fired_set = inst.fired
-                while pos < n:
-                    oid = ops[pos]
-                    if oid in fired_set:
-                        pos += 1
-                        continue
-                    if (not inst.plan.guarded[oid]
-                            or status(inst, oid) == "pending"):
-                        break
-                    pos += 1  # guard resolved untaken
-                if pos < n:
-                    entry[2] = pos
-                    break
-                retire_popleft()
-                inst.live_slices -= 1
-                progressed = True
-                maybe_release(inst)
-            # Fetch along the von Neumann block order.
-            fc = fetch_width
-            while fc:
-                if not fetch():
-                    break
-                progressed = True
-                fc -= 1
-            # Deposit: matured loads, then this cycle's tokens.  The
-            # one-cycle buffer is what keeps values fired at cycle N
-            # invisible until N+1.  Each token carries its consumer
-            # descriptor ``c = (op_id, port, kind, n_ports,
-            # slice_index, merge_lit)``
-            # (:attr:`repro.sim.window.plan.BlockPlan.consumers`).
-            if delayed:
-                matured = delayed.pop(metrics.cycles, None)
-                if matured:
-                    # Progress: the head slice may retire its now-fired
-                    # LOAD next cycle, so this cycle is not a quiesced
-                    # machine.
-                    progressed = True
-                    for inst, key, value in matured:
-                        publish(inst, key, value)
-            if pending:
-                # Deposits never publish, so nothing appends to
-                # ``pending`` while it drains; iterate in place and
-                # clear.
-                for inst, c, value in pending:
-                    op_id = c[0]
-                    wait = inst.wait
-                    entry = wait.get(op_id)
-                    if entry is None:
-                        wait[op_id] = entry = {c[1]: value}
-                        n_have = 1
-                    else:
-                        entry[c[1]] = value
-                        n_have = len(entry)
-                    if c[2]:  # DEP_MERGE
-                        if 0 not in entry:
-                            continue
-                        want = 1 if entry[0] else 2
-                        if want not in entry and not c[5][want - 1]:
-                            continue
-                    elif n_have != c[3]:
-                        continue
-                    if c[4] in inst.fetched:
-                        ready_append((inst, op_id))
-                    else:
-                        inst.armed.add(op_id)
-                del pending[:]
-            if fired == 0 and not progressed and not ready:
-                idle_streak += 1
-                if idle_streak >= wd_horizon and (
-                        not delayed
-                        or min(delayed) < metrics.cycles):
-                    # Either quiesced-but-live for the whole horizon,
-                    # or waiting on a load whose due cycle already
-                    # passed (stale bookkeeping): wedged either way.
-                    self._raise_deadlock(watchdog=idle_streak)
-                if delayed:
-                    # Idle cycle waiting on in-flight loads.  It skips
-                    # the max_cycles check, as the generated kernel
-                    # does, so both raise on the same cycle: the wait
-                    # is bounded by the load's delay and the next
-                    # productive cycle checks the budget.
-                    sample(0, livebox[0])
+        sync = self.load_latency > 1 or self._cache is not None
+        sample_traces = metrics.sample_traces
+        ipc_vals = metrics.ipc_trace._values
+        ipc_counts = metrics.ipc_trace._counts
+        live_vals = metrics.live_trace._values
+        live_counts = metrics.live_trace._counts
+        cycles = metrics.cycles
+        instructions = metrics.instructions
+        peak_live = metrics._peak_live
+        live_sum = metrics._live_sum
+        prof = self._profiler
+        if prof is not None:
+            noted: List[Tuple[str, int]] = []
+            note = noted.append
+            node_fired = prof.node_fired
+            node_cycles = prof.node_cycles
+            split = prof.memory_stall_split
+            miss_until = self._miss_until if self._cache is not None \
+                else None
+        n_fired = n_width_limited = n_memory = n_waiting = n_idle = 0
+        try:
+            while True:
+                # Issue: fire ready ops up to the shared width.
+                fired = 0
+                if ready:
+                    budget = issue_width
+                    while ready and budget > 0:
+                        inst, op_id = popleft()
+                        inst.fires[op_id](inst)
+                        fired += 1
+                        budget -= 1
+                        if prof is not None:
+                            note((inst.plan.name, op_id))
                     if prof is not None:
-                        if miss_until is None:
-                            prof.end_cycle("memory_stall")
+                        # Read before the deposits refill the queue.
+                        width_limited = budget == 0 and bool(ready)
+                # Retire completed head-of-window slices, in fetch
+                # order. An op's "not pending" status is monotone
+                # (outputs are write-once and a false guard stays
+                # false), so each in-flight entry ``[inst, slice ops,
+                # scan pos]`` re-checks only from its scan position.
+                progressed = False
+                while retire:
+                    entry = retire[0]
+                    inst = entry[0]
+                    ops = entry[1]
+                    pos = entry[2]
+                    n = len(ops)
+                    fired_set = inst.fired
+                    while pos < n:
+                        oid = ops[pos]
+                        if oid in fired_set:
+                            pos += 1
+                            continue
+                        if (not inst.plan.guarded[oid]
+                                or status(inst, oid) == "pending"):
+                            break
+                        pos += 1  # guard resolved untaken
+                    if pos < n:
+                        entry[2] = pos
+                        break
+                    retire_popleft()
+                    inst.live_slices -= 1
+                    progressed = True
+                    maybe_release(inst)
+                # Fetch along the von Neumann block order.
+                fc = fetch_width
+                while fc:
+                    if not fetch():
+                        break
+                    progressed = True
+                    fc -= 1
+                # Deposit: matured loads, then this cycle's tokens.
+                # The one-cycle buffer is what keeps values fired at
+                # cycle N invisible until N+1. Each token carries its
+                # consumer descriptor ``c = (op_id, port, kind,
+                # n_ports, slice_index, merge_lit)``
+                # (:attr:`repro.sim.window.plan.BlockPlan.consumers`).
+                if delayed:
+                    matured = delayed.pop(cycles, None)
+                    if matured:
+                        # Progress: the head slice may retire its
+                        # now-fired LOAD next cycle, so this cycle is
+                        # not a quiesced machine.
+                        progressed = True
+                        for inst, key, value in matured:
+                            publish(inst, key, value)
+                if pending:
+                    # Deposits never publish, so nothing appends to
+                    # ``pending`` while it drains.
+                    for inst, c, value in pending:
+                        op_id = c[0]
+                        wait = inst.wait
+                        entry = wait.get(op_id)
+                        if entry is None:
+                            wait[op_id] = entry = {c[1]: value}
+                            n_have = 1
                         else:
-                            prof.end_cycle_memory(
-                                metrics.cycles <= miss_until[0])
-                    continue
-                if self._is_finished():
-                    return True
-                self._raise_deadlock()
-            else:
-                idle_streak = 0
-            sample(fired, livebox[0])
-            if prof is not None:
-                if fired:
-                    prof.end_cycle("width_limited" if width_limited
-                                   else "fired")
-                elif delayed:
-                    if miss_until is None:
-                        prof.end_cycle("memory_stall")
-                    else:
-                        prof.end_cycle_memory(
-                            metrics.cycles <= miss_until[0])
-                elif livebox[0] > 0:
-                    prof.end_cycle("waiting_operands")
+                            entry[c[1]] = value
+                            n_have = len(entry)
+                        if c[2]:  # DEP_MERGE
+                            if 0 not in entry:
+                                continue
+                            want = 1 if entry[0] else 2
+                            if want not in entry and not c[5][want - 1]:
+                                continue
+                        elif n_have != c[3]:
+                            continue
+                        if c[4] in inst.fetched:
+                            ready_append((inst, op_id))
+                        else:
+                            inst.armed.add(op_id)
+                    del pending[:]
+                stalled = fired == 0 and not progressed and not ready
+                if stalled:
+                    idle_streak += 1
+                    if idle_streak >= wd_horizon and (
+                            not delayed or min(delayed) < cycles):
+                        # Quiesced but live for the whole horizon, or
+                        # waiting on a load whose due cycle already
+                        # passed (stale bookkeeping): wedged either way.
+                        metrics.cycles = cycles
+                        metrics.instructions = instructions
+                        self._raise_deadlock(watchdog=idle_streak)
+                    if not delayed:
+                        if self._is_finished():
+                            return True
+                        self._raise_deadlock()
                 else:
-                    prof.end_cycle("idle")
-            if metrics.cycles >= max_cycles:
-                raise SimulationError(
-                    f"exceeded max_cycles={self.max_cycles}"
-                )
+                    idle_streak = 0
+                cycles += 1
+                if sync:
+                    metrics.cycles = cycles
+                instructions += fired
+                live = livebox[0]
+                if prof is not None:
+                    if fired:
+                        if width_limited:
+                            n_width_limited += 1
+                        else:
+                            n_fired += 1
+                        share = 1.0 / len(noted)
+                        for key in noted:
+                            node_fired[key] = node_fired.get(key, 0) + 1
+                            node_cycles[key] = (node_cycles.get(key, 0.0)
+                                                + share)
+                        del noted[:]
+                    elif delayed:
+                        n_memory += 1
+                        if miss_until is not None:
+                            key = "miss" if cycles <= miss_until[0] \
+                                else "hit"
+                            split[key] = split.get(key, 0) + 1
+                    elif live > 0:
+                        n_waiting += 1
+                    else:
+                        n_idle += 1
+                if live > peak_live:
+                    peak_live = live
+                live_sum += live
+                if sample_traces:
+                    if ipc_counts and ipc_vals[-1] == fired:
+                        ipc_counts[-1] += 1
+                    else:
+                        ipc_vals.append(fired)
+                        ipc_counts.append(1)
+                    if live_counts and live_vals[-1] == live:
+                        live_counts[-1] += 1
+                    else:
+                        live_vals.append(live)
+                        live_counts.append(1)
+                # A stalled cycle waits on in-flight loads (delayed
+                # loads imply ``sync``). It skips the budget check: the
+                # wait is bounded by the load's delay, and the next
+                # productive cycle checks.
+                if cycles >= max_cycles and not stalled:
+                    raise SimulationError(
+                        f"exceeded max_cycles={max_cycles}"
+                    )
+        finally:
+            metrics.cycles = cycles
+            metrics.instructions = instructions
+            metrics._peak_live = peak_live
+            metrics._live_sum = live_sum
+            if sample_traces:
+                metrics.ipc_trace._length = cycles
+                metrics.live_trace._length = cycles
+            if prof is not None:
+                stalls = prof.stall_cycles
+                stalls["fired"] += n_fired
+                stalls["width_limited"] += n_width_limited
+                stalls["memory_stall"] += n_memory
+                stalls["waiting_operands"] += n_waiting
+                stalls["idle"] += n_idle
 
     def _is_finished(self) -> bool:
         return (not self._stack and not self._retire
@@ -588,7 +641,7 @@ class WindowEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Retirement (the retire loop itself is inlined in :meth:`_run_loop`)
+    # Retirement (the retire scan itself is inlined in :meth:`_run_loop`)
     # ------------------------------------------------------------------
     def _maybe_release(self, inst: _Instance) -> None:
         # Pending subscriptions keep the object alive through Python

@@ -58,6 +58,37 @@ def dmv_expected(mem, n):
     return [sum(A[i * n + j] * B[j] for j in range(n)) for i in range(n)]
 
 
+def tag_starved_engine(codegen, max_cycles, **kwargs):
+    """A TyrPolicy(4) dmv engine wedged on tag starvation, with kernels
+    in its fire table or interpreting (``codegen``). Its only ready
+    event is an allocate whose stubbed pop fails and marks its pool
+    dirty, and whose stubbed wake re-queues it, so every cycle fires
+    nothing; one token is live. Run it with ``_run_loop()``."""
+    from repro.ir.ops import Op
+    from repro.sim.tagged import TaggedEngine, TyrPolicy
+    from repro.sim.tagged.engine import _ALLOC_POP, ROOT_TAG
+
+    cw = CompiledWorkload(lower_module(dmv_module()))
+    alloc = next(nd.node_id for nd in cw.tagged.nodes
+                 if nd.op is Op.ALLOCATE)
+    eng = TaggedEngine(cw.tagged, Memory(dmv_memory(4)), TyrPolicy(4),
+                       max_cycles=max_cycles,
+                       kernels=cw.kernels("tagged") if codegen else None,
+                       **kwargs)
+    event = (alloc, ROOT_TAG, _ALLOC_POP)
+    pool = eng._alloc_pool[alloc]
+
+    def pop_fails(nid, tag):
+        eng._dirty_pools.append(pool)
+        return False
+
+    eng._fire_alloc_pop = pop_fails
+    eng._wake_waiters = lambda pool: eng._ready.append(event)
+    eng._ready.append(event)
+    eng._livebox[0] = 1
+    return eng
+
+
 def sum_loop_module():
     """sum(range(n)) accumulated through a carried variable."""
     return Module([

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -116,14 +118,21 @@ def test_profile_command_json(capsys):
     ["experiment", "tab01", "--timeout", "inf"],
     ["profile", "dmv", "--top", "0"],
     ["profile", "dmv", "--top", "-1"],
+    ["experiment", "tab01", "--jobs", "0"],
+    ["experiment", "tab01", "--jobs", "-3"],
+    ["experiment", "tab01", "--retries", "-1"],
 ])
 def test_numbers_that_break_the_run_are_parse_errors(argv, capsys):
-    """A timeout that fails every run or silently disables itself, and
-    a hotspot row count below one, stop at parse time (exit 2)."""
+    """A timeout that fails every run or silently disables itself, a
+    hotspot row count below one, a worker count below one (which ran
+    serially) and a negative retry count (which acted as zero) stop at
+    parse time (exit 2)."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"error: argument {argv[2]}: bad" in capsys.readouterr().err
+    # argparse names an option by all its spellings: "--jobs/-j".
+    err = capsys.readouterr().err
+    assert re.search(rf"error: argument {argv[2]}(/-\w)?: bad ", err), err
 
 
 def test_smallest_good_numbers_parse():
@@ -131,6 +140,9 @@ def test_smallest_good_numbers_parse():
     assert parser.parse_args(["experiment", "tab01", "--timeout",
                               "0.5"]).timeout == 0.5
     assert parser.parse_args(["profile", "dmv", "--top", "1"]).top == 1
+    assert parser.parse_args(["experiment", "tab01", "-j", "1"]).jobs == 1
+    assert parser.parse_args(["experiment", "tab01", "--retries",
+                              "0"]).retries == 0
 
 
 def test_bad_workload_rejected():

@@ -3,11 +3,12 @@
 The differential fuzz suite (tests/properties) pins bit-identity on
 random programs; these tests cover the machinery around the generators:
 table determinism, the per-process shape memo (constants bound as
-data, never compiled twice, no program kept alive, profiled variants
-built only when a profiled run needs them), per-rule compile (a run
-compiles only the timing rule it binds), the ``TYR_REPRO_DUMP_KERNELS``
-hook (the only user of the program fingerprint on the kernel path),
-and the rules for when engines fall back to the plain interpreters.
+data, never compiled twice, no program kept alive, profiled vector
+variants built only when a profiled run needs them), per-rule compile
+(a run compiles only the timing rule it binds), the
+``TYR_REPRO_DUMP_KERNELS`` hook (the only user of the program
+fingerprint on the kernel path), and the rules for when engines fall
+back to the plain interpreters.
 """
 
 import gc
@@ -28,7 +29,6 @@ from repro.frontend import (
     lower_module,
     v,
 )
-from repro.errors import SimulationError
 from repro.harness.pool import cache_key, spec_for
 from repro.harness.runner import KERNEL_FAMILY, CompiledWorkload
 from repro.ir import printer
@@ -37,16 +37,12 @@ from repro.sim import codegen
 from repro.sim.codegen import core
 from repro.sim.codegen.core import CACHE, DUMP_ENV, FAMILIES, FAST, VAR
 from repro.sim.memory import Memory
-from repro.sim.profile import STALL_REASONS
 from repro.sim.queued import QueuedEngine
-from repro.sim.tagged import TaggedEngine, TyrPolicy, UnboundedGlobalPolicy
-from repro.sim.tagged.engine import _ALLOC_POP, ROOT_TAG
+from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
 from repro.sim.vector import DataParallelEngine
 from repro.sim.window import WindowEngine
 from repro.workloads import build_workload
 from repro.workloads.randomprog import random_memory, random_module
-
-from tests.conftest import dmv_memory, dmv_module
 
 #: One machine per kernel family.
 FAMILY_MACHINE = {"tagged": "tyr", "flat": "ordered", "window": "seqdf",
@@ -92,18 +88,18 @@ def test_generate_source_deterministic(wl):
         b = codegen.generate_source(family, twin.compiled)
         assert a == b, family
         assert _shape_rows(a.table) == _shape_rows(b.table), family
-        assert a.table.loop == b.table.loop, family
 
 
 def test_source_has_bind_entry_points(wl):
-    """Every family's module binds one function per row, and every
-    family but the vector one carries a cycle loop."""
+    """Every family's module binds one function per row and carries no
+    cycle loop: each engine runs its own hand-written one."""
     cw = CompiledWorkload(wl.compiled.program)
     for family in FAMILIES:
         mod = cw.kernels(family)
         assert callable(mod.bind), family
-        assert (mod.run_loop is None) == (family == "vector"), family
+        assert not hasattr(mod, "run_loop"), family
         source = codegen.generate_source(family, cw)
+        assert source == "" and not hasattr(source.table, "loop"), family
         for text in source.table.texts():
             assert text.startswith("def kernel("), family
     assert len(cw.kernels("tagged").rows) == len(cw.tagged.nodes)
@@ -114,7 +110,9 @@ def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     """A dump holds every shape the program uses and its node table,
     whether or not this process compiled those shapes already. It is
     named after the program's fingerprint, and each row shows its
-    concrete refs and constants, not the recipe's placeholders."""
+    concrete refs and constants, not the recipe's placeholders. Only
+    the vector family writes a ``-profiled`` dump: the others have no
+    profiled variant."""
     monkeypatch.setenv(DUMP_ENV, str(tmp_path))
     source = codegen.generate_source("window", wl.compiled)
     codegen.compile_kernels(source, "window", "dumptest0000")
@@ -126,9 +124,12 @@ def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     cw = CompiledWorkload(wl.compiled.program)
     fingerprint = cw.fingerprint[:12]
     for family in FAMILIES:
-        cw.kernels(family)
+        cw.kernels(family).profiled()
         dumped = (tmp_path / f"{family}-{fingerprint}.py").read_text()
         assert "Field(" not in dumped, family
+        assert "# s0: shape\n" in dumped, family
+    assert sorted(path.name for path in tmp_path.glob("*-profiled.py")) \
+        == [f"vector-{fingerprint}-profiled.py"]
     tagged = (tmp_path / f"tagged-{fingerprint}.py").read_text()
     for nd in cw.tagged.nodes:
         # Allocates fire through the engine's state machine.
@@ -292,8 +293,7 @@ def test_distinct_shapes_stay_bounded():
         cw = CompiledWorkload(lower_module(random_module(seed)))
         for family in FAMILIES:
             table = codegen.generate_source(family, cw).table
-            texts[family].update(t for t in table.texts()
-                                 if t != table.loop)
+            texts[family].update(table.texts())
     counts = {family: len(found) for family, found in texts.items()}
     for family, bound in SHAPE_BOUNDS.items():
         assert counts[family] <= bound, counts
@@ -308,22 +308,22 @@ def _record(profile):
 
 
 def test_profiled_variants_are_built_lazily(wl, monkeypatch):
-    """A plain run generates and compiles no profiled shape. The first
-    profiled run compiles the program's profiled variant for the timing
+    """Only the vector family has profiled shapes (the other families'
+    rows serve profiled runs through their engines' one cycle loop). A
+    plain run generates and compiles none of them. The first profiled
+    datapar run compiles the program's profiled variant for the timing
     rule it binds; a second profiled run of the same program, from a
     fresh workload with nothing memoized on it, calls ``compile()``
-    zero times."""
+    zero times, on every machine."""
     monkeypatch.setattr(core, "_SHAPES", {})
     program = wl.compiled.program
     plain = CompiledWorkload(program)
     for machine in FAMILY_MACHINE.values():
         assert plain.run(machine, wl.fresh_memory(), wl.args).completed
-    profiled_only = set()
-    for family in FAMILIES:
-        table = codegen.generate_source(family, plain).table
-        profiled_only |= (set(table.profile().texts((FAST,)))
-                          - set(table.texts()))
-    assert len(profiled_only) >= len(FAMILIES)
+    table = codegen.generate_source("vector", plain).table
+    profiled_only = (set(table.profile().texts((FAST,)))
+                     - set(table.texts()))
+    assert profiled_only
     assert not profiled_only & set(core._SHAPES)
     for machine in FAMILY_MACHINE.values():
         assert plain.run(machine, wl.fresh_memory(), wl.args,
@@ -375,8 +375,9 @@ def test_traced_runs_never_touch_kernels(wl, monkeypatch):
 
 
 def test_profiled_engines_bind_kernels(wl):
-    """Engines given kernels bind their profiled variant when
-    profiling, and it books what the interpreter books."""
+    """Engines given kernels bind them when profiling too (the vector
+    engine its profiled variant, the others the plain rows), and they
+    book what the interpreter books."""
     cw = wl.compiled
     mem = wl.fresh_memory
     engines = {
@@ -389,61 +390,33 @@ def test_profiled_engines_bind_kernels(wl):
         "vector": lambda **kw: DataParallelEngine(cw.program, mem(),
                                                   profile=True, **kw),
     }
+    # Each engine's fire table, one function per node (per block for
+    # vector): a generated kernel or a partial of the plain rule.
+    tables = {
+        "tagged": lambda eng: eng._fire_fns,
+        "flat": lambda eng: eng._try_fire_fns,
+        "window": lambda eng: [fn for fns in eng._fire_tables.values()
+                               for fn in fns],
+        "vector": lambda eng: [fn for (fn,) in eng._ticked.values()],
+    }
+    rules = {"tagged": "_fire_instr", "flat": "_try_fire",
+             "window": "_fire", "vector": "_run_items"}
     for family, make in engines.items():
         plain = cw.kernels(family)
-        assert plain.profiled() is not plain
-        assert plain.profiled().profiled() is plain.profiled()
+        if family == "vector":
+            assert plain.profiled() is not plain
+            assert plain.profiled().profiled() is plain.profiled()
+        else:
+            assert plain.profiled() is plain
         gen = make(kernels=plain)
         interp = make()
-        if family == "vector":
-            # The vector engine swaps its block tables rather than a
-            # loop: both hold one function per block, a generated
-            # whole-block kernel or the interpreter's item walk.
-            assert gen._ticked.keys() == interp._ticked.keys()
-            for name, (kernel,) in gen._ticked.items():
-                (walk,) = interp._ticked[name]
-                assert isinstance(kernel, FunctionType)
-                assert walk.func == interp._run_items
-        else:
-            assert gen._kernels is plain.profiled()
-            assert interp._kernels is None
+        generated, interpreted = tables[family](gen), tables[family](interp)
+        assert len(generated) == len(interpreted), family
+        assert all(isinstance(fn, FunctionType) for fn in generated), family
+        rule = getattr(interp, rules[family])
+        assert all(fn.func == rule for fn in interpreted), family
         assert _record(gen.run(wl.args).extra["profile"]) == _record(
             interp.run(wl.args).extra["profile"]), family
-
-
-def test_kernel_books_tag_starved_cycles():
-    """No real run reaches ``tag_starved`` (a tagged cycle firing
-    nothing needs a ready queue of failed allocate pops), so build one:
-    the only ready event is an allocate whose stubbed pop fails and
-    marks its pool dirty, and whose stubbed wake re-queues it. The
-    profiled kernel and the interpreter both book all five cycles up
-    to ``max_cycles`` as ``tag_starved``."""
-    cw = CompiledWorkload(lower_module(dmv_module()))
-    alloc = next(nd.node_id for nd in cw.tagged.nodes
-                 if nd.op is Op.ALLOCATE)
-    stalls = {}
-    for kernels in (cw.kernels("tagged"), None):
-        eng = TaggedEngine(cw.tagged, Memory(dmv_memory(4)), TyrPolicy(4),
-                           max_cycles=5, profile=True, kernels=kernels)
-        event = (alloc, ROOT_TAG, _ALLOC_POP)
-        pool = eng._alloc_pool[alloc]
-
-        def pop_fails(nid, tag):
-            eng._dirty_pools.append(pool)
-            return False
-
-        eng._fire_alloc_pop = pop_fails
-        eng._wake_waiters = lambda pool: eng._ready.append(event)
-        eng._ready.append(event)
-        with pytest.raises(SimulationError, match="max_cycles=5"):
-            if kernels is None:
-                eng._run_loop()
-            else:
-                eng._kernels.run_loop(eng)
-        stalls[kernels is None] = dict(eng._profiler.stall_cycles)
-    expected = dict.fromkeys(STALL_REASONS, 0)
-    expected["tag_starved"] = 5
-    assert stalls[False] == stalls[True] == expected
 
 
 def test_codegen_flag_matches_interpreter(wl):

@@ -7,15 +7,11 @@ import pickle
 import pytest
 
 from repro.errors import SimulationError
-from repro.frontend.lower import lower_module
-from repro.harness.runner import MACHINES, CompiledWorkload
-from repro.sim.memory import Memory
+from repro.harness.runner import MACHINES
 from repro.sim.profile import STALL_REASONS, EngineProfiler, RunProfile
-from repro.sim.tagged import TaggedEngine
-from repro.sim.tagged.tagspace import TyrPolicy
 from repro.workloads import build_workload
 
-from tests.conftest import dmv_memory, dmv_module
+from tests.conftest import tag_starved_engine
 
 _WORKLOADS = ("dmv", "smv", "bfs")
 
@@ -128,24 +124,19 @@ def test_profile_pickles_and_serializes(workloads):
     assert len(fields["top_nodes"]) == 3
 
 
-@pytest.mark.parametrize("signals, live, reason", [
-    ((0, False, True), 1, "tag_starved"),
-    ((0, False, False), 1, "waiting_operands"),
-    ((0, False, False), 0, "idle"),
-])
-def test_tagged_zero_fire_cycles_attributed(signals, live, reason):
-    """A real tagged cycle that fires nothing held only failed allocate
-    pops, so no pinned run reaches these branches; a stubbed cycle
-    (``(fired, width_limited, tag_blocked)``) does."""
-    cw = CompiledWorkload(lower_module(dmv_module()))
-    eng = TaggedEngine(cw.tagged, Memory(dmv_memory(4)), TyrPolicy(4),
-                       max_cycles=5, profile=True)
-    eng._ready.append((0, -1, 0))
-    eng._livebox[0] = live
-    eng._run_cycle = lambda: signals
-    with pytest.raises(SimulationError, match="max_cycles"):
+@pytest.mark.parametrize("codegen", [True, False],
+                         ids=["kernels", "interpreter"])
+def test_tagged_zero_fire_cycles_attributed(codegen):
+    """A tagged cycle that fires nothing had a ready queue, so it
+    popped only failed allocates: it is ``tag_starved``. No pinned run
+    reaches one, so build it: a wedged allocate books every cycle up to
+    ``max_cycles`` as ``tag_starved``, with either fire table."""
+    eng = tag_starved_engine(codegen, max_cycles=5, profile=True)
+    with pytest.raises(SimulationError, match="max_cycles=5"):
         eng._run_loop()
-    assert eng._profiler.stall_cycles[reason] == 5
+    expected = dict.fromkeys(STALL_REASONS, 0)
+    expected["tag_starved"] = 5
+    assert eng._profiler.stall_cycles == expected
 
 
 # ----------------------------------------------------------------------

@@ -96,25 +96,26 @@ def test_wrong_arg_count_rejected():
 def test_memory_delivery_skipped_until_a_load_matures():
     """The per-cycle response scan only runs on cycles where the
     earliest in-flight load head can mature: with load_latency=7 the
-    delivery hook fires far less often than once per cycle, and the
-    run is identical to an unwrapped engine."""
+    cycle loop scans the in-flight map far less often than once per
+    cycle, and the run is identical to an unwrapped engine."""
     prog = lower_module(dmv_module())
     g = flatten(prog)
     full = [10] + [0] * (len(g.entry_sources) - 1)
 
+    class CountingScans(dict):
+        scans = 0
+
+        def items(self):
+            CountingScans.scans += 1
+            return super().items()
+
     def run(wrap):
         mem = Memory(dmv_memory(10))
         engine = QueuedEngine(g, mem, load_latency=7)
-        calls = [0]
+        CountingScans.scans = 0
         if wrap:
-            real = engine._deliver_memory_responses
-
-            def counting():
-                calls[0] += 1
-                real()
-
-            engine._deliver_memory_responses = counting
-        return engine.run(full), mem, calls[0]
+            engine._inflight = CountingScans()
+        return engine.run(full), mem, CountingScans.scans
 
     base, base_mem, _ = run(wrap=False)
     res, mem, calls = run(wrap=True)

@@ -4,17 +4,21 @@ Every engine already raises the moment it fully quiesces; the watchdog
 covers the other wedge shape -- a loop that keeps burning cycles with
 zero retirement (stale due-cycle bookkeeping, a regressed stall fast
 path). These tests pin the horizon formula, prove a wedged machine is
-diagnosed in far under ``max_cycles``, and prove the watchdog never
-perturbs a run that completes (the golden-metrics suite enforces the
-same property corpus-wide).
+diagnosed in far under ``max_cycles``, pin which zero-fire cycles count
+toward it, and prove the watchdog never perturbs a run that completes
+(the golden-metrics suite enforces the same property corpus-wide).
 """
+
+from collections import deque
 
 import pytest
 
 from repro.errors import DeadlockError
 from repro.frontend.lower import lower_module
 from repro.harness.runner import CompiledWorkload
+from repro.ir.ops import Op
 from repro.sim.memory import Memory
+from repro.sim.queued import QueuedEngine
 from repro.sim.tagged import TaggedEngine
 from repro.sim.tagged.tagspace import TyrPolicy
 from repro.sim.watchdog import (
@@ -23,7 +27,7 @@ from repro.sim.watchdog import (
     watchdog_horizon,
 )
 
-from tests.conftest import dmv_memory, dmv_module
+from tests.conftest import dmv_memory, dmv_module, tag_starved_engine
 
 
 def test_horizon_formula():
@@ -42,28 +46,69 @@ def test_horizon_is_under_a_tenth_of_default_budget():
             WATCHDOG_FLOOR, budget // 10)
 
 
-def _wedged_engine(max_cycles):
+def test_wedged_tagged_loop_diagnosed_early():
+    # A cycle loop that spins without retiring anything: the ready
+    # queue stays populated but no instruction ever fires (the shape a
+    # bookkeeping bug produces). Kernels and the interpreter share the
+    # loop, so both are diagnosed at the horizon.
+    max_cycles = 100_000
+    for codegen in (True, False):
+        eng = tag_starved_engine(codegen, max_cycles)
+        with pytest.raises(DeadlockError) as err:
+            eng._run_loop()
+        assert eng.metrics.cycles == watchdog_horizon(max_cycles)
+        d = err.value.diagnosis
+        assert d.watchdog_cycles == watchdog_horizon(max_cycles)
+        assert "progress watchdog" in d.describe()
+
+
+def _ordered_engine(codegen, max_cycles):
+    """An ordered dmv engine whose node 0 never fires but stays a
+    candidate, with one load response in flight that is never due and
+    vanishes on node 0's 500th try."""
     cw = CompiledWorkload(lower_module(dmv_module()))
-    eng = TaggedEngine(cw.tagged, Memory(dmv_memory(4)), TyrPolicy(4),
-                       max_cycles=max_cycles)
-    # Simulate a cycle loop that spins without retiring anything: the
-    # ready queue stays populated but no instruction ever fires (the
-    # shape a due-cycle bookkeeping bug produces).
-    eng._ready.append((0, -1, 0))
+    eng = QueuedEngine(cw.flat, Memory(dmv_memory(4)),
+                       max_cycles=max_cycles,
+                       kernels=cw.kernels("flat") if codegen else None)
+    load = next(nd.node_id for nd in cw.flat.nodes if nd.op is Op.LOAD)
+    eng._inflight[load] = deque([(10 ** 9, 0)])
+    tries = [0]
+
+    def never_fires():
+        tries[0] += 1
+        if tries[0] == 500:
+            eng._inflight.clear()
+        eng._next_candidates.add(0)
+        return False
+
+    eng._try_fire_fns[0] = never_fires
+    eng._next_candidates.add(0)
     eng._livebox[0] = 1
-    eng._run_cycle = lambda: (0, False, False)
     return eng
 
 
-def test_wedged_tagged_loop_diagnosed_early():
-    max_cycles = 100_000
-    eng = _wedged_engine(max_cycles)
-    with pytest.raises(DeadlockError) as err:
+def _wedged_tagged_engine(codegen, max_cycles):
+    """The wedged tagged engine with a load bucket due at cycle 500."""
+    eng = tag_starved_engine(codegen, max_cycles)
+    eng._delayed[500] = []
+    return eng
+
+
+@pytest.mark.parametrize("codegen", [True, False],
+                         ids=["kernels", "interpreter"])
+@pytest.mark.parametrize("make, cycles", [
+    (_wedged_tagged_engine, 10_500),
+    (_ordered_engine, 10_499),
+], ids=["tagged", "ordered"])
+def test_cycles_waiting_on_memory_do_not_count(make, cycles, codegen):
+    """Tagged and ordered count a zero-fire cycle toward the horizon
+    only when no load is in flight, with either fire table: the loads
+    above land (or vanish) around cycle 500, so the watchdog trips
+    that much later than the horizon of 10,000 cycles."""
+    eng = make(codegen, 100_000)
+    with pytest.raises(DeadlockError, match="progress watchdog"):
         eng._run_loop()
-    assert eng.metrics.cycles < max_cycles // 10 + 2
-    d = err.value.diagnosis
-    assert d.watchdog_cycles == watchdog_horizon(max_cycles)
-    assert "progress watchdog" in d.describe()
+    assert eng.metrics.cycles == cycles
 
 
 def test_completing_run_is_not_perturbed():

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.frontend import ArraySpec, Function, Module, Return, load, v
 from repro.frontend.lower import lower_module
+from repro.harness.runner import CompiledWorkload
+from repro.sim.latency import load_delay
 from repro.sim.memory import Memory
 from repro.sim.window import WindowEngine
 from repro.sim.window.plan import build_plans
@@ -126,3 +129,24 @@ def test_conditional_spawn_fetch():
     res, _ = run_window(mod, [7], window=4)
     assert res.completed
     assert res.results[0] == sum(i for i in range(7) if i % 2 == 0)
+
+
+@pytest.mark.parametrize("codegen", [True, False],
+                         ids=["kernels", "interpreter"])
+def test_budget_is_checked_when_a_stalled_load_lands(codegen):
+    """A window machine stalled on a load skips the ``max_cycles``
+    check, since the wait is bounded by the load's delay, and raises on
+    the cycle the load lands: a budget cut anywhere into the stall
+    raises at cycle 63 here."""
+    module = Module([Function("main", ["i"], [Return([load("A", v("i"))])])],
+                    arrays=[ArraySpec("A", read_only=True)])
+    latency = 64
+    idx = next(i for i in range(512) if load_delay(latency, "A", i) == 62)
+    cw = CompiledWorkload(lower_module(module))
+    for budget in (7, 62):
+        eng = WindowEngine(cw.program, Memory({"A": list(range(600))}),
+                           load_latency=latency, max_cycles=budget,
+                           kernels=cw.kernels("window") if codegen else None)
+        with pytest.raises(SimulationError, match=f"max_cycles={budget}"):
+            eng.run(cw.entry_args([idx]))
+        assert eng.metrics.cycles == 63
