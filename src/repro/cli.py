@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import List, Optional
@@ -21,6 +22,7 @@ from repro.errors import DeadlockError, ReproError
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import EXPERIMENTS, get_experiment
 from repro.harness.pool import RunOptions
+from repro.harness.runlog import RunLog
 from repro.harness.runner import MACHINES
 from repro.workloads import WORKLOAD_NAMES, build_workload, paper_parameters
 from repro.workloads.registry import EXTRA_WORKLOADS, SCALES
@@ -80,6 +82,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _cannot_write(path: str, err: OSError) -> int:
+    print(f"error: cannot write {path}: {err.strerror or err}",
+          file=sys.stderr)
+    return 1
+
+
 def _cmd_experiment(args) -> int:
     names: List[str]
     if args.name == "all":
@@ -87,16 +95,31 @@ def _cmd_experiment(args) -> int:
     else:
         names = [args.name]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
+    if cache is not None:
+        try:
+            os.makedirs(cache.root, exist_ok=True)
+        except OSError as err:
+            return _cannot_write(cache.root, err)
+    run_log = None
+    if args.run_log is not None:
+        try:
+            run_log = RunLog(args.run_log)
+        except OSError as err:
+            return _cannot_write(args.run_log, err)
     options = RunOptions(timeout=args.timeout, retries=args.retries,
-                         run_log=args.run_log, progress=args.progress,
+                         run_log=run_log, progress=args.progress,
                          codegen=not args.no_codegen)
-    for name in names:
-        start = time.time()
-        report = get_experiment(name)(scale=args.scale,
-                                      jobs=args.jobs, cache=cache,
-                                      options=options)
-        print(report)
-        print(f"[{name} regenerated in {time.time() - start:.1f}s]\n")
+    try:
+        for name in names:
+            start = time.time()
+            report = get_experiment(name)(scale=args.scale,
+                                          jobs=args.jobs, cache=cache,
+                                          options=options)
+            print(report)
+            print(f"[{name} regenerated in {time.time() - start:.1f}s]\n")
+    finally:
+        if run_log is not None:
+            run_log.close()
     if cache is not None:
         print(cache.stats())
     return 0
@@ -114,8 +137,11 @@ def _cmd_inspect(args) -> int:
     for op_name, count in sorted(graph.stats().items()):
         print(f"  {op_name:12s} {count}")
     if args.dot:
-        with open(args.dot, "w") as f:
-            f.write(to_dot(program))
+        try:
+            with open(args.dot, "w") as f:
+                f.write(to_dot(program))
+        except OSError as err:
+            return _cannot_write(args.dot, err)
         print(f"wrote {args.dot}")
     return 0
 
@@ -140,8 +166,11 @@ def _cmd_trace(args) -> int:
           f"peak parallelism {max(profile)}")
     print(f"completed: {result.completed}")
     if args.dot:
-        with open(args.dot, "w") as f:
-            f.write(trace.to_dot(max_events=20_000))
+        try:
+            with open(args.dot, "w") as f:
+                f.write(trace.to_dot(max_events=20_000))
+        except OSError as err:
+            return _cannot_write(args.dot, err)
         print(f"wrote {args.dot} (render: dot -Tsvg {args.dot})")
     return 0
 
@@ -354,9 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(queued/cache-hit/started/finished/"
                             "retried/timed-out) to FILE")
     exp_p.add_argument("--no-codegen", action="store_true",
-                       help="run the reference interpreters instead "
-                            "of the generated plan kernels (identical "
-                            "metrics; slower host speed)")
+                       help="interpret every run with the reference "
+                            "firing rules, never handing off to the "
+                            "generated plan kernels (identical "
+                            "metrics; slower on long runs)")
     exp_p.add_argument("--progress", action="store_true",
                        help="live done/total, cache-hit rate, and ETA "
                             "line on stderr")

@@ -74,9 +74,11 @@ KERNEL_FAMILY = {
 def kernel_family(machine: str, codegen: bool = True,
                   record_trace: bool = False,
                   track_occupancy: bool = False) -> Optional[str]:
-    """The kernel family a run of ``machine`` binds, or None when it
-    interprets: on ``codegen=False``, and for traced and
-    occupancy-tracked runs, whose hooks only the interpreters carry."""
+    """The kernel family a run of ``machine`` is given, or None when it
+    only interprets: on ``codegen=False``, and for traced and
+    occupancy-tracked runs, whose hooks only the interpreters carry.
+    The engine binds the kernels at construction or at a mid-run
+    hand-off (:func:`repro.sim.codegen.core.defer_kernels`)."""
     if not codegen or record_trace or track_occupancy:
         return None
     return KERNEL_FAMILY.get(machine)
@@ -197,12 +199,18 @@ class CompiledWorkload:
         and per-level hit/miss statistics land in
         ``result.extra["cache"]``.
 
-        ``codegen=True`` (the default) dispatches through the
-        generated plan kernels (:mod:`repro.sim.codegen`), profiled
-        runs too (datapar through its profiled variant); traced and
-        occupancy-tracked runs always fall back to the engines'
-        plain reference interpreters, which carry those hooks.
-        Metrics and profiles are bit-identical either way.
+        ``codegen=True`` (the default) gives the engine this
+        program's generated plan kernels (:mod:`repro.sim.codegen`),
+        profiled runs too (datapar their profiled variant). It binds
+        them at construction if their timing rule is compiled already
+        (by ``pool.precompile_specs`` or an earlier run of this
+        workload); else the run starts on the plain reference
+        interpreter and hands off to the kernels at a cycle boundary
+        once it has fired ``HANDOFF_K`` instructions per static node,
+        so a short run never binds or compiles them. Traced and
+        occupancy-tracked runs, and ``codegen=False``, only
+        interpret. Metrics and profiles are bit-identical either
+        way.
 
         ``max_cycles`` bounds *simulated* cycles, which does not help
         against a slow host or an engine bug that stops the cycle

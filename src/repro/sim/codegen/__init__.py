@@ -3,7 +3,9 @@
 For each lowered plan this package emits specialized Python -- one
 flat function per static node's firing rule (per block for the vector
 family) -- and the engines fill their fire tables with those kernels
-instead of interpreting. Specialization per node shape and timing
+instead of interpreting: at construction when the program's module
+has compiled the run's timing rule, else at a mid-run hand-off once
+the run has paid for them (:func:`~repro.sim.codegen.core.defer_kernels`). Specialization per node shape and timing
 rule lives only here: each engine's interpreter, one plain firing rule
 per opcode, remains the bit-identical reference semantics (and the
 only path for traced and occupancy-tracked runs). The cycle loop is

@@ -33,6 +33,12 @@ one timing rule's shapes the first time an engine binds that rule, so
 a program run only with idealized loads never compiles its cache-probe
 or variable-latency shapes.
 
+An engine given a module whose rule is not compiled yet does not bind
+it at construction: it interprets until the run has fired
+:data:`HANDOFF_K` instructions per static node, then binds at a cycle
+boundary and runs on (:func:`defer_kernels`). A short never-seen run
+so never binds or compiles anything.
+
 Tables hold firing rules only. The tagged, queued and window engines
 each run one hand-written cycle loop, the same for kernel, interpreted
 and profiled runs, so their rows serve profiled runs too. The vector
@@ -63,7 +69,9 @@ sources and node table to ``<dir>/<family>-<fingerprint12>.py``
 from __future__ import annotations
 
 import builtins
+import math
 import os
+import sys
 from collections import deque
 from operator import itemgetter
 from types import FunctionType
@@ -481,8 +489,9 @@ class KernelModule:
     """One program's kernels, ready to bind to engines.
 
     ``rows`` are the table's ``(recipe, fields)`` rows. Engines call
-    :meth:`bind` at construction, which compiles the timing rule the
-    engine selects the first time any engine binds it here
+    :meth:`bind` at construction when :meth:`is_compiled` says their
+    timing rule is compiled here, else at a mid-run hand-off
+    (:func:`defer_kernels`); the first bind of a rule compiles it
     (:meth:`compile`). A profiling vector engine binds
     :meth:`profiled` instead.
     """
@@ -515,6 +524,18 @@ class KernelModule:
                                          for text in texts}
         return codes
 
+    def is_compiled(self, rule: int, profiled: bool = False) -> bool:
+        """Whether an engine binding timing rule ``rule`` (of the
+        profiled variant if ``profiled``) finds it compiled here. A
+        profiled variant not generated yet is not, and stays
+        ungenerated."""
+        module = self
+        if profiled and self._profile is not None:
+            module = self._profiled
+            if module is None:
+                return False
+        return module._codes[rule] is not None
+
     def bind(self, engine):
         """Per-node (or per-block) functions for one live engine."""
         return self._bind(self, engine)
@@ -543,6 +564,44 @@ def compile_kernels(source: KernelSource, family: str,
     table = source.table
     dump_kernel_source(table, fingerprint)
     return KernelModule(table, fingerprint)
+
+
+#: Instructions per static node a run interprets before it hands off to
+#: kernels whose timing rule its module has not compiled yet (static
+#: nodes: graph nodes for tagged and flat, plan ops for window, block
+#: ops for vector). Binding, and compiling shapes new to the process,
+#: is most of what kernels cost on a never-seen program; their cycle
+#: loop saved 0.2-0.35 ms per such program (0.04 ms on datapar).
+#: Measured on never-seen randomprog programs (2-vCPU VM, Python
+#: 3.11.7), kernels start winning between 2 and 8 instructions per
+#: node: tyr won 9/34 runs at [1, 2), 8/15 at [2, 4) and 3/4 at
+#: [4, 8); seqdf 4/29, 6/13 and 3/3; ordered 3/17 at [2, 4), 3/6 at
+#: [4, 8) and 2/2 beyond. Cycles would be the wrong unit: tyr dmm/tiny
+#: runs 79 cycles but fires 24 instructions per node, and its kernels
+#: already run it in 7.1 ms against 15.5. Half of seeds 0-999 fire at
+#: most 1.0-1.2 per node; registry workloads at tiny scale fire 15-55.
+#: Tests patch this attribute: 0 binds every run at construction.
+HANDOFF_K = 4
+
+#: The hand-off threshold of a run that binds no kernels mid-run.
+NO_HANDOFF = sys.maxsize
+
+
+def defer_kernels(kernels: Optional[KernelModule], rule: int,
+                  n_static: int, profiled: bool = False) -> tuple:
+    """How an engine takes ``kernels`` (or None): ``(kernels to bind at
+    construction, kernels to bind at the hand-off, the instruction
+    count that triggers it)``. A module that has compiled ``rule``
+    already (for its profiled variant if ``profiled``) -- through
+    ``pool.precompile_specs`` or an earlier run that handed off --
+    binds at construction, as does any module when :data:`HANDOFF_K`
+    is 0; else the run interprets until it has fired ``HANDOFF_K``
+    instructions per static node, rounded up."""
+    if kernels is not None and not kernels.is_compiled(rule, profiled):
+        budget = math.ceil(HANDOFF_K * n_static)
+        if budget:
+            return None, kernels, budget
+    return kernels, None, NO_HANDOFF
 
 
 def rule_for(cache, load_latency: int) -> int:

@@ -33,6 +33,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.compiler.flatten import FlatGraph
 from repro.ir.ops import OP_INFO, Op
+from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
 from repro.sim.latency import load_delay
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
@@ -55,8 +56,8 @@ _EMPTY = object()
 class QueuedEngine:
     """Simulates one execution of a flat graph with FIFO channels.
 
-    Kernels bind ``memory`` and the graph tables at construction;
-    neither may be swapped afterwards.
+    Kernels bind ``memory`` and the graph tables at construction or at
+    the run's hand-off; neither may be swapped afterwards.
     """
 
     def __init__(self, graph: FlatGraph, memory: Memory,
@@ -147,13 +148,16 @@ class QueuedEngine:
             for nd in graph.nodes
         ]
         # Generated plan kernels (repro.sim.codegen) replace the
-        # interpreter's firing rule in the fire table.
+        # interpreter's firing rule in the fire table. Kernels whose
+        # timing rule is not compiled yet bind at a hand-off, once the
+        # run has fired ``_handoff`` instructions (:meth:`_hand_off`).
+        kernels, self._handoff_kernels, self._handoff = defer_kernels(
+            kernels, timing_rule(self), n)
         if kernels is not None:
             self._try_fire_fns: List[Callable[[], bool]] = kernels.bind(self)
         else:
-            self._try_fire_fns = [
-                partial(self._try_fire, nid) for nid in range(n)
-            ]
+            try_fire = self._try_fire  # one bound method for every row
+            self._try_fire_fns = [partial(try_fire, nid) for nid in range(n)]
 
     # ------------------------------------------------------------------
     @property
@@ -211,6 +215,10 @@ class QueuedEngine:
         reason. ``width_limited`` is an approximation here: a
         budget-skipped candidate is only re-checked next cycle, so it
         may turn out not to have been fireable.
+
+        An interpreted run with kernels pending hands off to them at
+        the end of the cycle that brings its instructions to
+        ``_handoff``, and runs on in this loop with the same locals.
         """
         metrics = self.metrics
         nc = self._next_candidates
@@ -222,6 +230,7 @@ class QueuedEngine:
         dests = self._dests
         livebox = self._livebox
         try_fns = tuple(self._try_fire_fns)
+        handoff = self._handoff
         issue_width = self.issue_width
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
@@ -375,10 +384,16 @@ class QueuedEngine:
                         live_counts.append(1)
                 if sync:
                     metrics.cycles = cycles
-                if cycles >= max_cycles:
+                # A run that finished on its last allowed cycle
+                # completes.
+                if cycles >= max_cycles and (livebox[0] or inflight):
                     raise SimulationError(
                         f"exceeded max_cycles={max_cycles}"
                     )
+                if instructions >= handoff:
+                    handoff = NO_HANDOFF
+                    self._hand_off()
+                    try_fns = tuple(self._try_fire_fns)
         finally:
             metrics.cycles = cycles
             metrics.instructions = instructions
@@ -410,6 +425,14 @@ class QueuedEngine:
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
+
+    def _hand_off(self) -> None:
+        """Bind the pending kernels at a cycle boundary, over the same
+        FIFOs, candidate set and metrics."""
+        kernels = self._handoff_kernels
+        self._handoff_kernels = None
+        self._handoff = NO_HANDOFF
+        self._try_fire_fns = kernels.bind(self)
 
     def _raise_deadlock(self, watchdog: "int | None" = None) -> None:
         stuck = []

@@ -34,6 +34,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import DeadlockError, SimulationError, TokenBoundExceeded
 from repro.compiler.graph import TaggedGraph
 from repro.ir.ops import OP_INFO, Op
+from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
 from repro.sim.latency import load_delay
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
@@ -79,8 +80,8 @@ class _AllocState:
 class TaggedEngine:
     """Simulates one execution of an elaborated graph.
 
-    Kernels bind ``memory`` and the graph tables at construction;
-    neither may be swapped afterwards.
+    Kernels bind ``memory`` and the graph tables at construction or at
+    the run's hand-off; neither may be swapped afterwards.
     """
 
     def __init__(self, graph: TaggedGraph, memory: Memory,
@@ -204,17 +205,22 @@ class TaggedEngine:
         #: Generated plan kernels (repro.sim.codegen) fill the fire
         #: table. Without them the engine interprets; traced and
         #: occupancy-tracked runs always do, since only the
-        #: interpreter carries those hooks.
+        #: interpreter carries those hooks. Kernels whose timing rule
+        #: is not compiled yet bind at a hand-off, once the run has
+        #: fired ``_handoff`` instructions (:meth:`_hand_off`).
         if record_trace or track_occupancy:
             kernels = None
+        kernels, self._handoff_kernels, self._handoff = defer_kernels(
+            kernels, timing_rule(self), n)
         self._kernels = kernels
         if kernels is None:
             # Pending tokens are 5-tuples carrying the producing event
             # id; the kernels' 4-tuples leave it out.
             self._drain = self._drain_pending_instr
             self._emit = self._emit_instr
+            fire = self._fire_instr  # one bound method for every row
             self._fire_fns: List[Callable] = [
-                partial(self._fire_instr, nid) for nid in range(n)
+                partial(fire, nid) for nid in range(n)
             ]
         else:
             self._drain = self._drain_pending_fast
@@ -305,6 +311,10 @@ class TaggedEngine:
         evenly over the noted nodes, and counts the other cycles per
         reason: a cycle that fires nothing popped only failed
         allocates, so it is ``tag_starved``.
+
+        An interpreted run with kernels pending hands off to them at
+        the end of the cycle that brings its instructions to
+        ``_handoff``, and runs on in this loop with the same locals.
         """
         metrics = self.metrics
         ready = self._ready
@@ -324,6 +334,7 @@ class TaggedEngine:
         # tokens carry their producer's event id, and their deposits
         # may count store occupancy: they drain through _drain.
         drain = self._drain if self._kernels is None else None
+        handoff = self._handoff
         issue_width = self.issue_width
         token_bound = self._token_bound
         max_cycles = self.max_cycles
@@ -474,10 +485,18 @@ class TaggedEngine:
                         f"live tokens {live} exceed Theorem 2 bound "
                         f"{token_bound}"
                     )
-                if cycles >= max_cycles:
+                # A run that finished on its last allowed cycle
+                # completes.
+                if cycles >= max_cycles and (ready
+                                             or not self._is_finished()):
                     raise SimulationError(
                         f"exceeded max_cycles={max_cycles}"
                     )
+                if instructions >= handoff:
+                    handoff = NO_HANDOFF
+                    self._hand_off()
+                    fire_fns = self._fire_fns
+                    drain = None
         finally:
             metrics.cycles = cycles
             metrics.instructions = instructions
@@ -515,12 +534,28 @@ class TaggedEngine:
                 f"live tokens {live} exceed Theorem 2 bound "
                 f"{self._token_bound}"
             )
-        if metrics.cycles >= self.max_cycles:
+        self._pending.extend(self._delayed.pop(due))
+        self._drain()
+        if metrics.cycles >= self.max_cycles and (
+                self._ready or not self._is_finished()):
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
-        self._pending.extend(self._delayed.pop(due))
-        self._drain()
+
+    def _hand_off(self) -> None:
+        """Bind the pending kernels at a cycle boundary, over the same
+        wait stores, queues and metrics: the fire table and the token
+        helpers switch to the kernels' 4-tuple tokens, and so do the
+        loads in flight. Nothing is pending between cycles."""
+        kernels = self._handoff_kernels
+        self._handoff_kernels = None
+        self._handoff = NO_HANDOFF
+        self._kernels = kernels
+        self._fire_fns = kernels.bind(self)
+        self._emit = self._emit_fast
+        self._drain = self._drain_pending_fast
+        for bucket in self._delayed.values():
+            bucket[:] = [token[:4] for token in bucket]
 
     # ------------------------------------------------------------------
     def _is_finished(self) -> bool:

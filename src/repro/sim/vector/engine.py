@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
+from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
 from repro.sim.latency import load_delay
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
@@ -59,8 +60,8 @@ _LOAD, _STORE, _STEER, _MERGE, _SPAWN = (
 class DataParallelEngine:
     """Vector/SIMT-style executor over the context IR.
 
-    Kernels bind ``memory`` and the compiled plans at construction;
-    neither may be swapped afterwards.
+    Kernels bind ``memory`` and the compiled plans at construction or
+    at the run's hand-off; neither may be swapped afterwards.
     """
 
     def __init__(self, program: ContextProgram, memory: Memory,
@@ -110,11 +111,15 @@ class DataParallelEngine:
         self._silent: Dict[str, Tuple[Callable, ...]] = {}
         # Generated kernels fill both tables with whole-block functions
         # (profiled ones when profiling); else every block walks its
-        # items.
+        # items. Kernels whose timing rule is not compiled yet bind at
+        # a hand-off, once the run has fired ``_handoff`` instructions
+        # (:meth:`_hand_off`).
+        kernels, self._handoff_kernels, self._handoff = defer_kernels(
+            kernels, timing_rule(self),
+            sum(len(block.ops) for block in program.blocks.values()),
+            profiled=profile)
         if kernels is not None:
-            if self._profiler is not None:
-                kernels = kernels.profiled()
-            self._ticked, self._silent = kernels.bind(self)
+            self._bind(kernels)
         else:
             for name, plan in self.plans.items():
                 self._ticked[name] = (
@@ -122,6 +127,24 @@ class DataParallelEngine:
                 if self.vector_info.get(name) is not None:
                     self._silent[name] = (
                         partial(self._run_items, plan.items, None),)
+
+    def _bind(self, kernels) -> None:
+        """Fill both block tables, in place, from ``kernels`` (their
+        profiled variant when profiling)."""
+        if self._profiler is not None:
+            kernels = kernels.profiled()
+        ticked, silent = kernels.bind(self)
+        self._ticked.update(ticked)
+        self._silent.update(silent)
+
+    def _hand_off(self) -> None:
+        """Bind the pending kernels between two block iterations: a
+        block reads its functions again at every iteration while a
+        hand-off is pending."""
+        kernels = self._handoff_kernels
+        self._handoff_kernels = None
+        self._handoff = NO_HANDOFF
+        self._bind(kernels)
 
     # ------------------------------------------------------------------
     def run(self, args: List[object]) -> ExecutionResult:
@@ -209,13 +232,23 @@ class DataParallelEngine:
 
     def _exec_block(self, plan: VecBlockPlan,
                     args: List[object]) -> List[object]:
-        steps = self._ticked[plan.name]
+        name = plan.name
+        ticked = self._ticked
+        steps = ticked[name]
         template = plan.template
         n_params = plan.n_params
         decider = plan.term_decider
         result_slots = plan.term_results
         next_slots = plan.term_next
+        # While a hand-off is pending, here or in a callee, each
+        # iteration reads the block's function again.
+        pending = self._handoff != NO_HANDOFF
         while True:
+            if pending:
+                if self.metrics.instructions >= self._handoff:
+                    self._hand_off()
+                steps = ticked[name]
+                pending = self._handoff != NO_HANDOFF
             env = list(template)
             env[:n_params] = args
             for step in steps:
@@ -325,6 +358,8 @@ class DataParallelEngine:
         """Run all iterations semantically; account cycles in lock-step
         batches of ``lanes`` iterations."""
         self.vectorized_trips += 1
+        if self.metrics.instructions >= self._handoff:
+            self._hand_off()
         steps = self._silent[plan.name]
         template = plan.template
         n_params = plan.n_params

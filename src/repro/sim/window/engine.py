@@ -38,6 +38,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
+from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
 from repro.sim.latency import load_delay
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
@@ -105,8 +106,8 @@ class _Instance:
 class WindowEngine:
     """Simulates vN (window=1,width=1) or sequential dataflow.
 
-    Kernels bind ``memory`` and the program's plans at construction;
-    neither may be swapped afterwards.
+    Kernels bind ``memory`` and the program's plans at construction or
+    at the run's hand-off; neither may be swapped afterwards.
     """
 
     def __init__(self, program: ContextProgram, memory: Memory,
@@ -169,12 +170,18 @@ class WindowEngine:
         #: block name -> firing function per op (shared by every
         #: dynamic instance of the block).  With generated kernels the
         #: tables come from the kernel module; else every entry is the
-        #: plain rule.
+        #: plain rule. Kernels whose timing rule is not compiled yet
+        #: bind at a hand-off, once the run has fired ``_handoff``
+        #: instructions (:meth:`_hand_off`).
+        kernels, self._handoff_kernels, self._handoff = defer_kernels(
+            kernels, timing_rule(self),
+            sum(len(plan.ops) for plan in self.plans.values()))
         if kernels is not None:
             self._fire_tables: Dict[str, List[Callable]] = kernels.bind(self)
         else:
+            fire = self._fire  # one bound method for every row
             self._fire_tables = {
-                name: [partial(self._fire, p) for p in plan.ops]
+                name: [partial(fire, p) for p in plan.ops]
                 for name, plan in self.plans.items()
             }
 
@@ -244,6 +251,10 @@ class WindowEngine:
         A profiled run notes each firing's ``(block, op_id)``, splits
         each busy cycle evenly over the noted ops, and counts the
         other cycles per reason.
+
+        An interpreted run with kernels pending hands off to them at
+        the end of the cycle that brings its instructions to
+        ``_handoff``, and runs on in this loop with the same locals.
         """
         metrics = self.metrics
         livebox = self._livebox
@@ -258,6 +269,7 @@ class WindowEngine:
         publish = self._publish
         status = self._op_status
         maybe_release = self._maybe_release
+        handoff = self._handoff
         issue_width = self.issue_width
         fetch_width = self.fetch_width
         max_cycles = self.max_cycles
@@ -437,11 +449,16 @@ class WindowEngine:
                 # A stalled cycle waits on in-flight loads (delayed
                 # loads imply ``sync``). It skips the budget check: the
                 # wait is bounded by the load's delay, and the next
-                # productive cycle checks.
-                if cycles >= max_cycles and not stalled:
+                # productive cycle checks. A run that finished on its
+                # last allowed cycle completes.
+                if cycles >= max_cycles and not stalled \
+                        and not self._is_finished():
                     raise SimulationError(
                         f"exceeded max_cycles={max_cycles}"
                     )
+                if instructions >= handoff:
+                    handoff = NO_HANDOFF
+                    self._hand_off()
         finally:
             metrics.cycles = cycles
             metrics.instructions = instructions
@@ -462,6 +479,17 @@ class WindowEngine:
         return (not self._stack and not self._retire
                 and not self._pending and not self._delayed
                 and self._livebox[0] == 0)
+
+    def _hand_off(self) -> None:
+        """Bind the pending kernels at a cycle boundary, over the same
+        instances, queues and metrics. Each block's firing table is
+        updated in place, so live instances fire through the kernels
+        from the next cycle on."""
+        kernels = self._handoff_kernels
+        self._handoff_kernels = None
+        self._handoff = NO_HANDOFF
+        for name, fires in kernels.bind(self).items():
+            self._fire_tables[name][:] = fires
 
     def _raise_deadlock(self, watchdog: "int | None" = None) -> None:
         stuck = [(entry[0].plan.name, entry[1])

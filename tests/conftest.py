@@ -1,6 +1,7 @@
 """Shared fixtures: canonical small programs used across the suite."""
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,7 +21,31 @@ from repro.frontend.dsl import c, load, v
 from repro.frontend.lower import lower_module
 from repro.harness.runner import CompiledWorkload
 from repro.ir.interp import ReferenceInterpreter
+from repro.sim.codegen import core as codegen_core
 from repro.sim.memory import Memory
+
+#: ``HANDOFF_K`` values the kernel suites run at: budget 0 binds the
+#: kernels at construction; budget 1 hands off to them after the run's
+#: first cycle that fires (any K below one instruction per static node
+#: rounds up to a budget of one instruction).
+HANDOFF_BUDGETS = {"budget0": 0, "budget1": 1e-9}
+
+
+@pytest.fixture
+def bind_at_construction(monkeypatch):
+    """Engines given kernels bind them at construction, as a test that
+    means to exercise kernels needs: at the default budget a short run
+    never binds them."""
+    monkeypatch.setattr(codegen_core, "HANDOFF_K", 0)
+
+
+@contextmanager
+def handoff_budget(budget):
+    """Engines built inside take their kernels at ``budget``, a key of
+    :data:`HANDOFF_BUDGETS`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codegen_core, "HANDOFF_K", HANDOFF_BUDGETS[budget])
+        yield
 
 
 def dmv_module():
@@ -59,11 +84,12 @@ def dmv_expected(mem, n):
 
 
 def tag_starved_engine(codegen, max_cycles, **kwargs):
-    """A TyrPolicy(4) dmv engine wedged on tag starvation, with kernels
-    in its fire table or interpreting (``codegen``). Its only ready
-    event is an allocate whose stubbed pop fails and marks its pool
-    dirty, and whose stubbed wake re-queues it, so every cycle fires
-    nothing; one token is live. Run it with ``_run_loop()``."""
+    """A TyrPolicy(4) dmv engine wedged on tag starvation, given
+    kernels or interpreting (``codegen``; kernels fill the fire table
+    at budget 0). Its only ready event is an allocate whose stubbed pop
+    fails and marks its pool dirty, and whose stubbed wake re-queues
+    it, so every cycle fires nothing; one token is live. Run it with
+    ``_run_loop()``."""
     from repro.ir.ops import Op
     from repro.sim.tagged import TaggedEngine, TyrPolicy
     from repro.sim.tagged.engine import _ALLOC_POP, ROOT_TAG

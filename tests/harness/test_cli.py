@@ -153,3 +153,24 @@ def test_bad_workload_rejected():
 def test_bad_scale_is_clean_error(capsys):
     assert main(["run", "dmv", "--scale", "galactic"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect", "dmv", "--dot", "{missing}/x.dot"],
+    ["trace", "dmv", "--dot", "{missing}/x.dot"],
+    ["experiment", "fig12", "--scale", "tiny", "--no-cache",
+     "--run-log", "{missing}/run.jsonl"],
+    ["experiment", "fig12", "--scale", "tiny", "--cache-dir",
+     "{file}/c"],
+], ids=["inspect-dot", "trace-dot", "run-log", "cache-dir"])
+def test_unwritable_output_path_is_a_clean_error(argv, capsys, tmp_path):
+    """An output path that cannot be opened (its directory is missing,
+    or is a file) ends the command with one error line naming it and
+    exit 1, not a traceback."""
+    (tmp_path / "file").write_text("")
+    argv = [arg.format(missing=tmp_path / "missing", file=tmp_path / "file")
+            for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: cannot write {re.escape(argv[-1])}: .+\n",
+                        err), err

@@ -13,6 +13,9 @@ it. These properties pin, on random programs:
 * profiled cache runs agree with unprofiled ones and keep the stall
   taxonomy conserved, with ``memory_stall`` split exactly into
   hit/miss attribution.
+
+Kernel runs go twice: binding the kernels at construction (budget 0),
+and handing off to them after the first cycle that fires (budget 1).
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +26,8 @@ from repro.frontend.lower import lower_module
 from repro.harness.runner import MACHINES, CompiledWorkload
 from repro.sim.memory import Memory
 from repro.workloads.randomprog import random_memory, random_module
+
+from tests.conftest import HANDOFF_BUDGETS, handoff_budget
 
 SEEDS = st.integers(min_value=0, max_value=100_000)
 SPECS = st.sampled_from([
@@ -64,20 +69,24 @@ def _observe(seed: int, machine: str, codegen: bool, **kwargs) -> dict:
 @_SETTINGS
 def test_cache_none_is_the_seed_semantics(seed, machine):
     """``cache=None`` must not even perturb the seed model."""
-    base = _observe(seed, machine, codegen=True)
-    explicit = _observe(seed, machine, codegen=True, cache=None)
-    assert explicit == base
-    assert base.get("cache") is None
+    for budget in HANDOFF_BUDGETS:
+        with handoff_budget(budget):
+            base = _observe(seed, machine, codegen=True)
+            explicit = _observe(seed, machine, codegen=True, cache=None)
+        assert explicit == base, budget
+        assert base.get("cache") is None
 
 
 @given(seed=SEEDS, machine=st.sampled_from(MACHINES), spec=SPECS)
 @_SETTINGS
 def test_kernels_match_interpreter_under_cache(seed, machine, spec):
     interp = _observe(seed, machine, codegen=False, cache=spec)
-    gen = _observe(seed, machine, codegen=True, cache=spec)
-    assert gen == interp
-    if "error" not in gen:
-        assert gen["cache"]["spec"].startswith(spec.split(",l")[0])
+    for budget in HANDOFF_BUDGETS:
+        with handoff_budget(budget):
+            gen = _observe(seed, machine, codegen=True, cache=spec)
+        assert gen == interp, budget
+    if "error" not in interp:
+        assert interp["cache"]["spec"].startswith(spec.split(",l")[0])
 
 
 @given(seed=SEEDS,
@@ -85,14 +94,18 @@ def test_kernels_match_interpreter_under_cache(seed, machine, spec):
        spec=SPECS)
 @_SETTINGS
 def test_profiled_cache_runs_agree_and_conserve(seed, machine, spec):
-    plain = _observe(seed, machine, codegen=True, cache=spec)
     prof = _observe(seed, machine, codegen=False, cache=spec,
                     profile=True)
-    if "error" in plain or "error" in prof:
-        assert plain.get("error") == prof.get("error")
+    for budget in HANDOFF_BUDGETS:
+        with handoff_budget(budget):
+            plain = _observe(seed, machine, codegen=True, cache=spec)
+        if "error" in plain or "error" in prof:
+            assert plain.get("error") == prof.get("error"), budget
+        else:
+            assert prof["cycles"] == plain["cycles"], budget
+            assert prof["cache"] == plain["cache"], budget
+    if "error" in prof:
         return
-    assert prof["cycles"] == plain["cycles"]
-    assert prof["cache"] == plain["cache"]
     assert sum(prof["stalls"].values()) == prof["cycles"]
     mem_stall = prof["stalls"].get("memory_stall", 0)
     split = prof["split"]

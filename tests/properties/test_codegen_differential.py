@@ -7,7 +7,9 @@ These properties pin bit-identity on random programs across all
 machine models: metrics, traces, memory, results -- and, on the
 machines that can fail, the failure itself (same exception type and
 message either way). Profiled runs take the kernels' profiled variant,
-and its profile must match the interpreter's table for table.
+and its profile must match the interpreter's table for table. Kernel
+runs go twice: binding the kernels at construction (budget 0), and
+handing off to them after the first cycle that fires (budget 1).
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +20,8 @@ from repro.frontend.lower import lower_module
 from repro.harness.runner import MACHINES, CompiledWorkload
 from repro.sim.memory import Memory
 from repro.workloads.randomprog import random_memory, random_module
+
+from tests.conftest import HANDOFF_BUDGETS, handoff_budget
 
 SEEDS = st.integers(min_value=0, max_value=100_000)
 _SETTINGS = settings(max_examples=25, deadline=None,
@@ -64,8 +68,10 @@ def _observe(seed: int, machine: str, codegen: bool,
 @_SETTINGS
 def test_kernels_match_interpreter(seed, machine):
     interp = _observe(seed, machine, codegen=False)
-    gen = _observe(seed, machine, codegen=True)
-    assert gen == interp
+    for budget in HANDOFF_BUDGETS:
+        with handoff_budget(budget):
+            gen = _observe(seed, machine, codegen=True)
+        assert gen == interp, budget
 
 
 @given(seed=SEEDS, machine=st.sampled_from(MACHINES),
@@ -75,8 +81,11 @@ def test_kernels_match_interpreter_variable_latency(seed, machine,
                                                     latency):
     interp = _observe(seed, machine, codegen=False,
                       load_latency=latency)
-    gen = _observe(seed, machine, codegen=True, load_latency=latency)
-    assert gen == interp
+    for budget in HANDOFF_BUDGETS:
+        with handoff_budget(budget):
+            gen = _observe(seed, machine, codegen=True,
+                           load_latency=latency)
+        assert gen == interp, budget
 
 
 #: Timings the profiled comparison runs under: hash-based variable
@@ -95,14 +104,17 @@ def test_profiled_runs_agree_and_conserve(seed, machine):
     exact attributed cycles, the hit/miss split), and its stall
     reasons sum exactly to its cycles."""
     for timing in PROFILE_TIMINGS:
-        plain = _observe(seed, machine, codegen=True, **timing)
         interp = _observe(seed, machine, codegen=False, profile=True,
                           **timing)
-        gen = _observe(seed, machine, codegen=True, profile=True,
-                       **timing)
-        assert gen == interp, timing
-        profile = interp.pop("profile", None)
-        assert interp == plain, timing
+        unprofiled = {k: v for k, v in interp.items() if k != "profile"}
+        for budget in HANDOFF_BUDGETS:
+            with handoff_budget(budget):
+                plain = _observe(seed, machine, codegen=True, **timing)
+                gen = _observe(seed, machine, codegen=True, profile=True,
+                               **timing)
+            assert gen == interp, (timing, budget)
+            assert plain == unprofiled, (timing, budget)
+        profile = interp.get("profile")
         if profile is not None:
             assert (sum(n for _, n in profile["stalls"])
                     == interp["cycles"])

@@ -8,7 +8,8 @@ variants built only when a profiled run needs them), per-rule compile
 (a run compiles only the timing rule it binds), the
 ``TYR_REPRO_DUMP_KERNELS`` hook (the only user of the program
 fingerprint on the kernel path), and the rules for when engines fall
-back to the plain interpreters.
+back to the plain interpreters. Engines here bind their kernels at
+construction (budget 0); ``test_handoff.py`` covers the hand-off.
 """
 
 import gc
@@ -43,6 +44,8 @@ from repro.sim.vector import DataParallelEngine
 from repro.sim.window import WindowEngine
 from repro.workloads import build_workload
 from repro.workloads.randomprog import random_memory, random_module
+
+pytestmark = pytest.mark.usefixtures("bind_at_construction")
 
 #: One machine per kernel family.
 FAMILY_MACHINE = {"tagged": "tyr", "flat": "ordered", "window": "seqdf",

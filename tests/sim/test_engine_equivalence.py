@@ -8,16 +8,19 @@ queued (ordered) engine, the window machines (vn/ooo/seqdf), and the
 data-parallel machine -- each captured *before* its hot-path rewrite
 (tagged/queued at the seed commit, window/datapar before the PR 2
 overhaul).  These tests replay the same runs and assert bit-identical
-numbers, once through the generated kernels (the default) and once
-through the interpreter (``codegen=False``), the reference semantics
-the kernels are checked against.
+numbers: at the default hand-off budget (each workload's first run
+per kernel family and timing rule interprets, then hands off to its
+kernels mid-run; later runs bind them at construction), with every
+engine binding its kernels at construction (budget 0), and through
+the interpreter (``codegen=False``), the reference semantics the
+kernels are checked against.
 
 ``golden_profile_metrics.json`` pins what profiled runs attribute:
 per-reason stall cycles, the hottest nodes and the cache-mode hit/miss
 split, for every golden machine on every tiny workload under three
 timing settings.  The records were captured from the interpreter's
-attribution hooks; they replay through the profiled kernels (the
-default) and again through the interpreter.
+attribution hooks; they replay through the profiled kernels at the
+default budget and at budget 0, and again through the interpreter.
 
 Also here: regression tests for the stall-loop bugs (both engines'
 memory-stall branches used to skip the ``max_cycles`` check, so a
@@ -34,6 +37,7 @@ from repro.frontend.ast import ArraySpec, Function, Module, Return
 from repro.frontend.dsl import load, v
 from repro.frontend.lower import lower_module
 from repro.harness.runner import run_program
+from repro.sim.codegen import core as codegen_core
 from repro.sim.latency import load_delay
 from repro.sim.memory import Memory
 
@@ -65,6 +69,15 @@ def fresh_metrics():
 
 
 @pytest.fixture(scope="module")
+def bound_metrics():
+    """The same fast golden runs, each binding its kernels at
+    construction (budget 0)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codegen_core, "HANDOFF_K", 0)
+        return capture(include_large=False)
+
+
+@pytest.fixture(scope="module")
 def interpreted_metrics():
     """The same fast golden runs, each forced through the interpreter."""
     return capture(include_large=False, codegen=False)
@@ -74,6 +87,15 @@ def interpreted_metrics():
 def fresh_profiles():
     """One replay of every profiled golden run."""
     return capture_profiles()
+
+
+@pytest.fixture(scope="module")
+def bound_profiles():
+    """The same profiled runs, each binding its kernels at
+    construction (budget 0)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codegen_core, "HANDOFF_K", 0)
+        return capture_profiles()
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +141,11 @@ def test_no_unpinned_runs(fresh_metrics):
 
 
 @pytest.mark.parametrize("key", sorted(set(GOLDEN) - _LARGE))
+def test_bound_kernels_match_golden(key, bound_metrics):
+    assert bound_metrics[key] == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(set(GOLDEN) - _LARGE))
 def test_interpreter_matches_golden(key, interpreted_metrics):
     assert interpreted_metrics[key] == GOLDEN[key]
 
@@ -127,6 +154,11 @@ def test_interpreter_matches_golden(key, interpreted_metrics):
 def test_profile_identical_to_golden(key, fresh_profiles):
     assert key in fresh_profiles, f"profiled run {key} no longer replayed"
     assert fresh_profiles[key] == GOLDEN_PROFILES[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_PROFILES))
+def test_bound_kernel_profile_matches_golden(key, bound_profiles):
+    assert bound_profiles[key] == GOLDEN_PROFILES[key]
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_PROFILES))

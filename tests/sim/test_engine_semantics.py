@@ -4,8 +4,9 @@ Everything else tests the engines through the compiler; these tests
 construct tiny :class:`TaggedGraph`s by hand to pin down individual
 firing rules: tag matching, steer conditionality, decider-driven
 merges, join barriers, changeTag re-tagging, and allocate/free against
-a gated pool. Each runs on both paths: the plain interpreter and
-kernels generated for the graph.
+a gated pool. Each runs on three paths: the plain interpreter, and
+kernels generated for the graph that the engine binds at construction
+(budget 0) or after the first cycle that fires (budget 1).
 """
 
 from types import SimpleNamespace
@@ -19,21 +20,27 @@ from repro.sim.memory import Memory
 from repro.sim.tagged import TaggedEngine, TyrPolicy, UnboundedGlobalPolicy
 from repro.sim.tagged.engine import ROOT_TAG
 
-#: ``engine_for``'s ``kernels``: interpret, then bind generated kernels.
-BOTH_PATHS = (False, True)
+from tests.conftest import HANDOFF_BUDGETS, handoff_budget
+
+#: ``engine_for``'s ``kernels``: interpret, then generated kernels at
+#: each hand-off budget.
+PATHS = (None, *HANDOFF_BUDGETS)
 
 
-def engine_for(graph, policy=None, kernels=False, **kwargs):
+def engine_for(graph, policy=None, kernels=None, **kwargs):
     graph.blocks = sorted({n.block for n in graph.nodes
                            if n.block != "<root>"}) or ["main"]
     graph.tag_overrides = {b: None for b in graph.blocks}
-    if kernels:
-        kwargs["kernels"] = codegen.compile_kernels(
-            codegen.generate_source("tagged",
-                                    SimpleNamespace(tagged=graph)),
-            "tagged")
-    return TaggedEngine(graph, kwargs.pop("memory", Memory()),
-                        policy or UnboundedGlobalPolicy(), **kwargs)
+    memory = kwargs.pop("memory", Memory())
+    policy = policy or UnboundedGlobalPolicy()
+    if kernels is None:
+        return TaggedEngine(graph, memory, policy, **kwargs)
+    module = codegen.compile_kernels(
+        codegen.generate_source("tagged", SimpleNamespace(tagged=graph)),
+        "tagged")
+    with handoff_budget(kernels):
+        return TaggedEngine(graph, memory, policy, kernels=module,
+                            **kwargs)
 
 
 def result_node(g, n_results=1):
@@ -52,7 +59,7 @@ def test_add_fires_on_matching_tags_only():
     g.connect(add, 0, res, 0)
     # Two args seeded with the SAME (root) tag: fires.
     g.entry_sources = [[(add.node_id, 0)], [(add.node_id, 1)]]
-    for kernels in BOTH_PATHS:
+    for kernels in PATHS:
         eng = engine_for(g, kernels=kernels)
         out = eng.run([4, 5])
         assert out.results == (9,)
@@ -65,7 +72,7 @@ def test_immediate_ports_never_block():
     (res,) = result_node(g)
     g.connect(add, 0, res, 0)
     g.entry_sources = [[(add.node_id, 0)]]
-    for kernels in BOTH_PATHS:
+    for kernels in PATHS:
         out = engine_for(g, kernels=kernels).run([7])
         assert out.results == (107,)
 
@@ -82,7 +89,7 @@ def test_steer_routes_by_sense():
             [(st_t.node_id, 0), (st_f.node_id, 0)],
             [(st_t.node_id, 1), (st_f.node_id, 1)],
         ]
-        for kernels in BOTH_PATHS:
+        for kernels in PATHS:
             out = engine_for(g, kernels=kernels).run([decider, 5])
             assert out.results == expect
 
@@ -101,7 +108,7 @@ def test_merge_consumes_only_selected_side():
         [(st_t.node_id, 1)],
         [(st_f.node_id, 1)],
     ]
-    for kernels in BOTH_PATHS:
+    for kernels in PATHS:
         out = engine_for(g, kernels=kernels).run([1, 111, 222])
         assert out.results == (111,)
         out = engine_for(g, kernels=kernels).run([0, 111, 222])
@@ -116,7 +123,7 @@ def test_join_waits_for_all_inputs_and_copies_left():
     g.entry_sources = [
         [(join.node_id, 0)], [(join.node_id, 1)], [(join.node_id, 2)],
     ]
-    for kernels in BOTH_PATHS:
+    for kernels in PATHS:
         out = engine_for(g, kernels=kernels).run([42, 1, 2])
         assert out.results == (42,)  # the left input's data
 
@@ -135,7 +142,7 @@ def test_change_tag_retags_tokens():
     g.connect(consumer, 0, res, 0)
     ct.imms[1] = 55
     g.entry_sources = [[(et.node_id, 0)]]
-    for kernels in BOTH_PATHS:
+    for kernels in PATHS:
         out = engine_for(g, kernels=kernels).run([1])
         assert out.results == (55,)
 
@@ -150,7 +157,7 @@ def test_load_store_through_memory():
     g.connect(store, 0, load, 1)  # order token: load after store
     g.connect(load, 0, res, 0)
     g.entry_sources = [[(store.node_id, 1)]]
-    for kernels in BOTH_PATHS:
+    for kernels in PATHS:
         mem = Memory({"A": [0, 0, 0]})
         out = engine_for(g, memory=mem, kernels=kernels).run([9])
         assert out.results == (9,)
@@ -170,7 +177,7 @@ def test_allocate_free_roundtrip_with_gated_pool():
     g.connect(work, 0, free, 0)
     g.entry_sources = [[(al.node_id, 0), (al.node_id, 1),
                         (ct.node_id, 1)]]
-    for kernels in BOTH_PATHS:
+    for kernels in PATHS:
         eng = engine_for(g, TyrPolicy(2), kernels=kernels)
         out = eng.run([10])
         assert out.completed
@@ -192,7 +199,7 @@ def test_tokens_with_different_tags_do_not_match():
     g.connect(ct, 0, add, 0)  # arrives tagged 123
     g.connect(add, 0, res, 0)
     g.entry_sources = [[(ct.node_id, 1)], [(add.node_id, 1)]]  # ROOT tag
-    for kernels in BOTH_PATHS:
+    for kernels in PATHS:
         eng = engine_for(g, kernels=kernels)
         with pytest.raises(DeadlockError):
             eng.run([1, 2])

@@ -21,6 +21,7 @@ from repro.frontend.dsl import c, load, v
 from repro.frontend.lower import lower_module
 from repro.harness.runner import PAPER_SYSTEMS, CompiledWorkload
 from repro.sim.memory import Memory
+from repro.workloads import build_workload
 
 from tests.conftest import (
     assert_machine_matches_reference,
@@ -233,3 +234,25 @@ def test_issue_width_below_one_is_rejected(machine, width):
     with pytest.raises(SimulationError, match=f"^{what} must be >= 1$"):
         cw.run(machine, Memory(dmv_memory(4)), [4], issue_width=width,
                max_cycles=10_000)
+
+
+@pytest.mark.parametrize("slack", [-1, 0], ids=["N-1", "N"])
+@pytest.mark.parametrize("machine", [
+    "vn", "ooo", "seqdf", "ordered", "unordered", "tyr", "kbounded",
+    "datapar",
+])
+def test_max_cycles_admits_a_run_that_fits(machine, slack):
+    """``max_cycles`` is a budget of simulated cycles: a run needing N
+    completes with ``max_cycles=N``, with the same numbers as an
+    unbounded run, and raises with ``max_cycles=N-1``."""
+    wl = build_workload("dmv", "tiny")
+    free = wl.run_checked(machine)
+    budget = free.cycles + slack
+    if slack < 0:
+        with pytest.raises(SimulationError,
+                           match=f"exceeded max_cycles={budget}$"):
+            wl.run(machine, max_cycles=budget)
+        return
+    res = wl.run_checked(machine, max_cycles=budget)
+    assert (res.cycles, res.instructions, res.peak_live, res.results) == \
+        (free.cycles, free.instructions, free.peak_live, free.results)

@@ -126,7 +126,7 @@ def test_profile_pickles_and_serializes(workloads):
 
 @pytest.mark.parametrize("codegen", [True, False],
                          ids=["kernels", "interpreter"])
-def test_tagged_zero_fire_cycles_attributed(codegen):
+def test_tagged_zero_fire_cycles_attributed(codegen, bind_at_construction):
     """A tagged cycle that fires nothing had a ready queue, so it
     popped only failed allocates: it is ``tag_starved``. No pinned run
     reaches one, so build it: a wedged allocate books every cycle up to

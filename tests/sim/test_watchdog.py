@@ -17,6 +17,7 @@ from repro.errors import DeadlockError
 from repro.frontend.lower import lower_module
 from repro.harness.runner import CompiledWorkload
 from repro.ir.ops import Op
+from repro.sim.codegen.core import NO_HANDOFF
 from repro.sim.memory import Memory
 from repro.sim.queued import QueuedEngine
 from repro.sim.tagged import TaggedEngine
@@ -27,7 +28,12 @@ from repro.sim.watchdog import (
     watchdog_horizon,
 )
 
-from tests.conftest import dmv_memory, dmv_module, tag_starved_engine
+from tests.conftest import (
+    HANDOFF_BUDGETS,
+    dmv_memory,
+    dmv_module,
+    tag_starved_engine,
+)
 
 
 def test_horizon_formula():
@@ -46,7 +52,7 @@ def test_horizon_is_under_a_tenth_of_default_budget():
             WATCHDOG_FLOOR, budget // 10)
 
 
-def test_wedged_tagged_loop_diagnosed_early():
+def test_wedged_tagged_loop_diagnosed_early(bind_at_construction):
     # A cycle loop that spins without retiring anything: the ready
     # queue stays populated but no instruction ever fires (the shape a
     # bookkeeping bug produces). Kernels and the interpreter share the
@@ -62,10 +68,11 @@ def test_wedged_tagged_loop_diagnosed_early():
         assert "progress watchdog" in d.describe()
 
 
-def _ordered_engine(codegen, max_cycles):
-    """An ordered dmv engine whose node 0 never fires but stays a
-    candidate, with one load response in flight that is never due and
-    vanishes on node 0's 500th try."""
+def _ordered_engine(codegen, max_cycles, fire_first=False):
+    """An ordered dmv engine whose node 0 never fires (but on its first
+    try if ``fire_first``) but stays a candidate, with one load
+    response in flight that is never due and vanishes on node 0's
+    500th try."""
     cw = CompiledWorkload(lower_module(dmv_module()))
     eng = QueuedEngine(cw.flat, Memory(dmv_memory(4)),
                        max_cycles=max_cycles,
@@ -79,18 +86,35 @@ def _ordered_engine(codegen, max_cycles):
         if tries[0] == 500:
             eng._inflight.clear()
         eng._next_candidates.add(0)
-        return False
+        return fire_first and tries[0] == 1
 
+    hand_off = eng._hand_off
+
+    def hand_off_keeping_the_stub():
+        hand_off()
+        eng._try_fire_fns[0] = never_fires
+
+    eng._hand_off = hand_off_keeping_the_stub
     eng._try_fire_fns[0] = never_fires
     eng._next_candidates.add(0)
     eng._livebox[0] = 1
     return eng
 
 
-def _wedged_tagged_engine(codegen, max_cycles):
-    """The wedged tagged engine with a load bucket due at cycle 500."""
+def _wedged_tagged_engine(codegen, max_cycles, fire_first=False):
+    """The wedged tagged engine with a load bucket due at cycle 500;
+    with ``fire_first`` its first allocate pop counts as a firing."""
     eng = tag_starved_engine(codegen, max_cycles)
     eng._delayed[500] = []
+    if fire_first:
+        pop_fails = eng._fire_alloc_pop
+        pops = []
+
+        def pop_fires_once(nid, tag):
+            pops.append(nid)
+            return pop_fails(nid, tag) or len(pops) == 1
+
+        eng._fire_alloc_pop = pop_fires_once
     return eng
 
 
@@ -100,7 +124,8 @@ def _wedged_tagged_engine(codegen, max_cycles):
     (_wedged_tagged_engine, 10_500),
     (_ordered_engine, 10_499),
 ], ids=["tagged", "ordered"])
-def test_cycles_waiting_on_memory_do_not_count(make, cycles, codegen):
+def test_cycles_waiting_on_memory_do_not_count(make, cycles, codegen,
+                                               bind_at_construction):
     """Tagged and ordered count a zero-fire cycle toward the horizon
     only when no load is in flight, with either fire table: the loads
     above land (or vanish) around cycle 500, so the watchdog trips
@@ -108,6 +133,27 @@ def test_cycles_waiting_on_memory_do_not_count(make, cycles, codegen):
     eng = make(codegen, 100_000)
     with pytest.raises(DeadlockError, match="progress watchdog"):
         eng._run_loop()
+    assert eng.metrics.cycles == cycles
+
+
+@pytest.mark.parametrize("make, cycles", [
+    (_wedged_tagged_engine, 10_500),
+    (_ordered_engine, 10_499),
+], ids=["tagged", "ordered"])
+def test_watchdog_pins_survive_an_early_handoff(make, cycles, monkeypatch):
+    """At budget 1 the engines above fire once in their first cycle and
+    hand off to their kernels right after it, with the load still in
+    flight; the idle streak carries across the hand-off, so the
+    watchdog trips on the same cycle as without one."""
+    from repro.sim.codegen import core
+
+    monkeypatch.setattr(core, "HANDOFF_K", HANDOFF_BUDGETS["budget1"])
+    eng = make(True, 100_000, fire_first=True)
+    assert eng._handoff == 1
+    with pytest.raises(DeadlockError, match="progress watchdog"):
+        eng._run_loop()
+    assert eng._handoff == NO_HANDOFF and eng._handoff_kernels is None
+    assert eng.metrics.instructions == 1
     assert eng.metrics.cycles == cycles
 
 

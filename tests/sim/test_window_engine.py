@@ -133,7 +133,8 @@ def test_conditional_spawn_fetch():
 
 @pytest.mark.parametrize("codegen", [True, False],
                          ids=["kernels", "interpreter"])
-def test_budget_is_checked_when_a_stalled_load_lands(codegen):
+def test_budget_is_checked_when_a_stalled_load_lands(codegen,
+                                                     bind_at_construction):
     """A window machine stalled on a load skips the ``max_cycles``
     check, since the wait is bounded by the load's delay, and raises on
     the cycle the load lands: a budget cut anywhere into the stall
