@@ -16,9 +16,10 @@ and experiment driver:
   resolves hits and only dispatches misses (successful runs are
   written back; failures are never cached);
 * workers are forked, and the parent **precompiles** every artifact
-  the pending specs need first (:func:`precompile_specs`) -- programs,
-  tagged/flat graphs, generated kernels -- so children inherit them
-  through copy-on-write pages; a per-process memo (:data:`_WL_MEMO`)
+  the pending specs need first (:func:`precompile_specs`) -- machine
+  lowerings (tagged/flat graphs, window and vector plans) and
+  generated kernels -- so children inherit them through copy-on-write
+  pages; a per-process memo (:data:`_WL_MEMO`)
   still covers anything built after the fork;
 * :class:`~repro.errors.DeadlockError` / ``SimulationError`` raised by
   a run are re-raised with the failing workload, machine, and config
@@ -64,7 +65,7 @@ from repro.errors import (
 )
 from repro.harness.cache import ResultCache, result_key
 from repro.harness.runlog import ProgressLine, RunLog
-from repro.harness.runner import _TAGGED_MACHINES, kernel_family
+from repro.harness.runner import KERNEL_FAMILY, kernel_family
 from repro.sim.metrics import ExecutionResult
 from repro.workloads.registry import WorkloadInstance, build_workload
 
@@ -188,33 +189,26 @@ def precompile_specs(specs: Sequence[RunSpec]) -> None:
     """Materialize every compiled artifact the specs need, in the
     parent, before any fork.
 
-    Touching the lazy properties here means forked workers inherit the
-    finished lowerings through copy-on-write pages instead of each
-    recompiling them: ``.program`` (the frontend lowering) for every
-    spec, plus the machine-specific lowering -- the elaborated tagged
-    graph for tagged machines, the flattened graph for ``ordered``.
-    The window and data-parallel engines execute the context program
-    directly, so ``.program`` covers them. Each spec's generated
-    kernels are built too, with the timing rule its engine will bind
+    Building them here means forked workers inherit them through
+    copy-on-write pages instead of each rebuilding them: every spec's
+    machine lowering (``CompiledWorkload.lowering``: the elaborated
+    tagged graph, the flattened graph, the window plans or the vector
+    plans with their loop classification), also for specs that run
+    without kernels, and every spec's kernel table, generated once per
+    workload and family, with the timing rule its engine will bind
     compiled (see :func:`repro.sim.codegen.rule_for`).
     """
     from repro.sim.codegen import rule_for
 
-    seen: set = set()
     for spec in specs:
+        if spec.machine not in KERNEL_FAMILY:
+            continue  # run_one reports the unknown machine
         compiled = workload_for(spec).compiled
-        key = (_memo_key(spec), spec.machine)
-        if key not in seen:
-            seen.add(key)
-            compiled.program  # noqa: B018 -- force the frontend lowering
-            if spec.machine in _TAGGED_MACHINES:
-                compiled.tagged  # noqa: B018 -- force the elaboration
-            elif spec.machine == "ordered":
-                compiled.flat  # noqa: B018 -- force the flattening
-        # Generated kernels: build them and compile the timing rule the
-        # run binds (datapar's profiled variant for profiled specs) in
-        # the parent, so forked workers inherit the bound tables and
-        # the warm shape memo through copy-on-write.
+        compiled.lowering(KERNEL_FAMILY[spec.machine])
+        # Generated kernels: generate the table and compile the timing
+        # rule the run binds (datapar's profiled variant for profiled
+        # specs) in the parent, so forked workers inherit the bound
+        # tables and the warm shape memo through copy-on-write.
         config = _config_kwargs(spec)
         family = kernel_family(spec.machine, spec.codegen,
                                config.get("record_trace", False),

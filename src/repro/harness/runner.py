@@ -1,9 +1,10 @@
 """Uniform runner across all machine models (paper Sec. VI).
 
 ``run_program`` executes one context program on one machine and
-returns an :class:`ExecutionResult`. :class:`CompiledWorkload` caches
-the per-machine compiled artifacts (elaborated tagged graph, flat
-graph) so sweeps do not recompile.
+returns an :class:`ExecutionResult`. :class:`CompiledWorkload` builds
+each machine lowering (elaborated tagged graph, flat graph, window
+plans, vector plans) once, on first use, and every run and kernel
+module of the workload reads it, so sweeps do not recompile.
 
 Machine names:
 
@@ -38,7 +39,9 @@ from repro.sim.tagged import (
     UnboundedGlobalPolicy,
 )
 from repro.sim.vector import DataParallelEngine
+from repro.sim.vector.plan import VecLowering, lower_vector
 from repro.sim.window import WindowEngine
+from repro.sim.window.plan import BlockPlan, build_plans
 
 MACHINES = (
     "vn",
@@ -85,7 +88,11 @@ def kernel_family(machine: str, codegen: bool = True,
 
 
 class CompiledWorkload:
-    """A context program plus lazily compiled machine artifacts.
+    """A context program plus its machine lowerings, each built once
+    on first use (:meth:`lowering`), and its kernel modules.
+
+    Runs only read a lowering, so one serves every run of the
+    workload, its kernels' generation and their profiled variant.
 
     ``optimize=True`` runs the :mod:`repro.compiler.passes` pipeline
     (copy/select folding, algebraic simplification, dead-op
@@ -99,6 +106,8 @@ class CompiledWorkload:
         self.program = program
         self._tagged = None
         self._flat = None
+        self._window_plans: Optional[Dict[str, BlockPlan]] = None
+        self._vector_lowering: Optional[VecLowering] = None
         self._fingerprint: Optional[str] = None
         self._kernels: Dict[str, object] = {}
 
@@ -113,6 +122,32 @@ class CompiledWorkload:
         if self._flat is None:
             self._flat = flatten(self.program)
         return self._flat
+
+    @property
+    def window_plans(self) -> Dict[str, BlockPlan]:
+        if self._window_plans is None:
+            self._window_plans = build_plans(self.program)
+        return self._window_plans
+
+    @property
+    def vector_lowering(self) -> VecLowering:
+        if self._vector_lowering is None:
+            self._vector_lowering = lower_vector(self.program)
+        return self._vector_lowering
+
+    def lowering(self, family: str):
+        """The machine lowering kernel family ``family`` is generated
+        from and its engines run: the tagged graph, the flat graph,
+        the window plans or the vector lowering."""
+        if family == "tagged":
+            return self.tagged
+        if family == "flat":
+            return self.flat
+        if family == "window":
+            return self.window_plans
+        if family == "vector":
+            return self.vector_lowering
+        raise ValueError(f"unknown kernel family {family!r}")
 
     @property
     def fingerprint(self) -> str:
@@ -133,13 +168,19 @@ class CompiledWorkload:
 
     def kernels(self, family: str):
         """The generated-kernel module for one engine family
-        (memoized here; dropped with this workload).
+        (memoized here; dropped with this workload). An unknown family
+        raises ValueError here.
 
-        Node shapes are emitted once per process and shared by every
-        program, so building a module is mostly reading this program's
-        constants; each timing rule's shapes compile when an engine
-        first binds it. Forked sweep workers inherit the modules (and
-        the rules) ``pool.precompile_specs`` built in the parent. The
+        The module holds the family's :meth:`lowering` and generates
+        its kernel table on first use: when a run binds it, at
+        construction or at a mid-run hand-off, or when
+        ``pool.precompile_specs`` compiles it. A run that never gets
+        there generates nothing. Node shapes are emitted once per
+        process and shared by every program, so generating a table is
+        mostly reading this program's constants; each timing rule's
+        shapes compile when an engine first binds it. Forked sweep
+        workers inherit the modules (and the rules)
+        ``pool.precompile_specs`` generated in the parent. The
         fingerprint is computed only to name a dump
         (``TYR_REPRO_DUMP_KERNELS``).
         """
@@ -147,11 +188,9 @@ class CompiledWorkload:
 
         mod = self._kernels.get(family)
         if mod is None:
-            source = codegen.generate_source(family, self)
-            mod = codegen.compile_kernels(
-                source, family,
+            mod = self._kernels[family] = codegen.KernelModule(
+                family, self.lowering(family),
                 self.fingerprint if codegen.dumping() else None)
-            self._kernels[family] = mod
         return mod
 
     def entry_args(self, args: Sequence[object]) -> List[object]:
@@ -199,17 +238,19 @@ class CompiledWorkload:
         and per-level hit/miss statistics land in
         ``result.extra["cache"]``.
 
+        The engine runs this workload's machine lowering
+        (:meth:`lowering`), built on the first run that needs it.
         ``codegen=True`` (the default) gives the engine this
-        program's generated plan kernels (:mod:`repro.sim.codegen`),
-        profiled runs too (datapar their profiled variant). It binds
-        them at construction if their timing rule is compiled already
-        (by ``pool.precompile_specs`` or an earlier run of this
-        workload); else the run starts on the plain reference
-        interpreter and hands off to the kernels at a cycle boundary
-        once it has fired ``HANDOFF_K`` instructions per static node,
-        so a short run never binds or compiles them. Traced and
-        occupancy-tracked runs, and ``codegen=False``, only
-        interpret. Metrics and profiles are bit-identical either
+        program's kernel module (:meth:`kernels`), profiled runs too
+        (datapar their profiled variant). It binds them at
+        construction if their timing rule is compiled already (by
+        ``pool.precompile_specs`` or an earlier run of this workload);
+        else the run starts on the plain reference interpreter and
+        hands off to the kernels at a cycle boundary once it has fired
+        ``HANDOFF_K`` instructions per static node, generating the
+        table there, so a short run never generates, binds or compiles
+        them. Traced and occupancy-tracked runs, and ``codegen=False``,
+        only interpret. Metrics and profiles are bit-identical either
         way.
 
         ``max_cycles`` bounds *simulated* cycles, which does not help
@@ -269,7 +310,7 @@ class CompiledWorkload:
                 sample_traces=sample_traces, load_latency=load_latency,
                 max_cycles=max_cycles, machine_name="vn",
                 profile=profile, kernels=kernels,
-                cache=cache_model,
+                cache=cache_model, plans=self.window_plans,
             )
         elif machine == "ooo":
             # Out-of-order superscalar approximation (paper Fig. 5b):
@@ -281,7 +322,7 @@ class CompiledWorkload:
                 sample_traces=sample_traces, load_latency=load_latency,
                 max_cycles=max_cycles, machine_name="ooo",
                 profile=profile, kernels=kernels,
-                cache=cache_model,
+                cache=cache_model, plans=self.window_plans,
             )
         elif machine == "seqdf":
             engine = WindowEngine(
@@ -290,6 +331,7 @@ class CompiledWorkload:
                 load_latency=load_latency, max_cycles=max_cycles,
                 machine_name="seqdf", profile=profile,
                 kernels=kernels, cache=cache_model,
+                plans=self.window_plans,
             )
         elif machine == "datapar":
             engine = DataParallelEngine(
@@ -297,6 +339,7 @@ class CompiledWorkload:
                 sample_traces=sample_traces, load_latency=load_latency,
                 max_cycles=max_cycles, profile=profile,
                 kernels=kernels, cache=cache_model,
+                lowering=self.vector_lowering,
             )
         else:
             raise SimulationError(f"unknown machine {machine!r}")

@@ -51,19 +51,6 @@ class BlockBuilder:
             )
         return Param(index)
 
-    def add_param(self, name: str) -> Param:
-        """Append a parameter (used for on-demand order-token params)."""
-        self.block.param_names = self.block.param_names + (name,)
-        return Param(self.block.n_params - 1)
-
-    def param_by_name(self, name: str) -> Param:
-        try:
-            return Param(self.block.param_names.index(name))
-        except ValueError:
-            raise IRError(
-                f"block {self.block.name!r} has no param {name!r}"
-            ) from None
-
     def emit(self, op: Op, inputs: Sequence[ValueRef], n_outputs: int = 1,
              **attrs) -> OpDef:
         """Append an op to the current region and return its OpDef."""

@@ -5,7 +5,10 @@ flat function per static node's firing rule (per block for the vector
 family) -- and the engines fill their fire tables with those kernels
 instead of interpreting: at construction when the program's module
 has compiled the run's timing rule, else at a mid-run hand-off once
-the run has paid for them (:func:`~repro.sim.codegen.core.defer_kernels`). Specialization per node shape and timing
+the run has paid for them
+(:func:`~repro.sim.codegen.core.defer_kernels`). A module generates
+its kernel table there, on its first bind, so a run that never hands
+off generates nothing. Specialization per node shape and timing
 rule lives only here: each engine's interpreter, one plain firing rule
 per opcode, remains the bit-identical reference semantics (and the
 only path for traced and occupancy-tracked runs). The cycle loop is
@@ -19,7 +22,9 @@ profiled variant is generated and compiled on the first profiled bind
 (:meth:`KernelModule.profiled`), so an unprofiled run builds nothing
 for it.
 
-Families and their inputs:
+Families and the machine lowerings they are generated from
+(``CompiledWorkload.lowering(family)``, built once per workload and
+read by its engines too):
 
 ========  =============================================  ==============
 family    generated from                                 machines
@@ -30,7 +35,8 @@ tagged    elaborated ``TaggedGraph``                     unordered,
                                                          kbounded
 flat      flattened ``FlatGraph``                        ordered
 window    ``build_plans(program)`` block plans           vn, ooo, seqdf
-vector    ``build_vec_plans(program)`` + loop analysis   datapar
+vector    ``lower_vector(program)``: block plans + loop  datapar
+          classification
 ========  =============================================  ==============
 
 Kernels are shared by *shape* (see :mod:`~repro.sim.codegen.core`):
@@ -38,15 +44,17 @@ the tagged, flat and window generators emit each node shape once per
 process, memoized by the node's structure, so :func:`generate_source`
 mostly reads a program's constants into its kernel table (the vector
 generator, whose whole-block shapes rarely repeat, emits every block).
-:func:`compile_kernels` wraps the table into a :class:`KernelModule`,
-and each timing rule's shapes compile the first time an engine binds
-that rule: a program made of known shapes, or run only under rules
-already compiled, costs no ``compile()`` at all. Nothing is cached on
-disk; ``pool.precompile_specs`` builds kernels and compiles the rules
+:func:`compile_kernels` dumps the table when dumping and wraps it into
+a :class:`KernelModule`. A workload's module calls both on its first
+use, looking them up here at each generation, and each timing rule's
+shapes compile the first time an engine binds that rule: a program
+made of known shapes, or run only under rules already compiled, costs
+no ``compile()`` at all. Nothing is cached on disk;
+``pool.precompile_specs`` generates the tables and compiles the rules
 each spec binds in the sweep parent so forked workers inherit them.
-Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each program's shape
-sources and node table; only then is the program's IR fingerprint
-computed, to name the dump.
+Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each generated table's
+shape sources and node table; only then is the program's IR
+fingerprint computed, to name the dump.
 """
 
 from __future__ import annotations
@@ -76,23 +84,21 @@ __all__ = [
 ]
 
 
-def generate_source(family: str, compiled) -> KernelSource:
-    """The kernel table of one family of ``compiled`` (a
-    :class:`~repro.harness.runner.CompiledWorkload`), wrapped for
-    :func:`compile_kernels`. The table is a deterministic function of
-    the lowered plan; the source text is empty."""
+def generate_source(family: str, lowering) -> KernelSource:
+    """The kernel table of one family, generated from its machine
+    lowering (what ``CompiledWorkload.lowering(family)`` returns: the
+    tagged graph, the flat graph, the window plans or the vector
+    lowering) and wrapped for :func:`compile_kernels`. The table is a
+    deterministic function of the lowering; the source text is
+    empty."""
     if family == "tagged":
         from repro.sim.codegen.tagged import generate
-        table = generate(compiled.tagged)
     elif family == "flat":
         from repro.sim.codegen.queued import generate
-        table = generate(compiled.flat)
     elif family == "window":
         from repro.sim.codegen.window import generate
-        table = generate(compiled.program)
     elif family == "vector":
         from repro.sim.codegen.vector import generate
-        table = generate(compiled.program)
     else:
         raise ValueError(f"unknown kernel family {family!r}")
-    return kernel_source(table)
+    return kernel_source(generate(lowering))

@@ -28,16 +28,17 @@ Shape texts are compiled once per process into :data:`_SHAPES`, keyed
 by text. Constants never enter that key (``1 == True`` and ``0 == 0.0
 == -0.0`` would collide as dict keys); they are bound at engine
 construction as default arguments through :class:`types.FunctionType`,
-so bodies still run on ``LOAD_FAST``. A :class:`KernelModule` compiles
-one timing rule's shapes the first time an engine binds that rule, so
-a program run only with idealized loads never compiles its cache-probe
-or variable-latency shapes.
+so bodies still run on ``LOAD_FAST``. A :class:`KernelModule` holds
+its family's machine lowering and generates its table on first use,
+then compiles one timing rule's shapes the first time an engine binds
+that rule, so a program run only with idealized loads never compiles
+its cache-probe or variable-latency shapes.
 
 An engine given a module whose rule is not compiled yet does not bind
 it at construction: it interprets until the run has fired
 :data:`HANDOFF_K` instructions per static node, then binds at a cycle
 boundary and runs on (:func:`defer_kernels`). A short never-seen run
-so never binds or compiles anything.
+so never generates, binds or compiles anything.
 
 Tables hold firing rules only. The tagged, queued and window engines
 each run one hand-written cycle loop, the same for kernel, interpreted
@@ -58,11 +59,11 @@ This module holds what the generators share:
   opcodes whose :func:`~repro.ir.ops.OP_INFO` evaluators are simple
   operators (``DIV``/``MOD`` keep their checked evaluator calls);
 * :func:`kernel_source` / :func:`compile_kernels` /
-  :class:`KernelModule` -- the table, the per-rule compile, and the
-  data-driven binder.
+  :class:`KernelModule` -- the table, its generation on first use, the
+  per-rule compile, and the data-driven binder.
 
-Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each program's shape
-sources and node table to ``<dir>/<family>-<fingerprint12>.py``
+Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each generated table's
+shape sources and node table to ``<dir>/<family>-<fingerprint12>.py``
 (``...-profiled.py`` for a profiled vector variant).
 """
 
@@ -486,29 +487,50 @@ def dump_kernel_source(table: KernelTable,
 
 
 class KernelModule:
-    """One program's kernels, ready to bind to engines.
+    """One program's kernels of one family, ready to bind to engines.
 
-    ``rows`` are the table's ``(recipe, fields)`` rows. Engines call
-    :meth:`bind` at construction when :meth:`is_compiled` says their
-    timing rule is compiled here, else at a mid-run hand-off
-    (:func:`defer_kernels`); the first bind of a rule compiles it
-    (:meth:`compile`). A profiling vector engine binds
-    :meth:`profiled` instead.
+    A module made from the family's machine lowering
+    (``CompiledWorkload.kernels``) holds that lowering and generates
+    its :attr:`table` on first use: the first :meth:`compile`,
+    :meth:`bind` or :meth:`profiled`. A run that never binds it
+    generates nothing. Engines call :meth:`bind` at construction when
+    :meth:`is_compiled` says their timing rule is compiled here, else
+    at a mid-run hand-off (:func:`defer_kernels`); the first bind of a
+    rule compiles it (:meth:`compile`). A profiling vector engine
+    binds :meth:`profiled` instead.
+
+    The module holds the lowering, never the workload, so it keeps no
+    workload alive: a dropped workload is freed by reference counting
+    alone.
     """
 
-    __slots__ = ("family", "rows", "layout", "_bind", "_profile",
-                 "_profiled", "_fingerprint", "_codes", "__weakref__")
+    __slots__ = ("family", "_lowering", "_table", "_profiled",
+                 "_fingerprint", "_codes", "__weakref__")
 
-    def __init__(self, table: KernelTable,
-                 fingerprint: Optional[str] = None) -> None:
-        self.family = table.family
-        self.rows = table.rows
-        self.layout = table.layout
-        self._bind = table.bind
-        self._profile = table.profile
+    def __init__(self, family: str, lowering=None,
+                 fingerprint: Optional[str] = None,
+                 table: Optional[KernelTable] = None) -> None:
+        self.family = family
+        self._lowering = lowering
+        self._table = table
         self._profiled: Optional[KernelModule] = None
         self._fingerprint = fingerprint
         self._codes: List[Optional[Dict[str, object]]] = [None, None, None]
+
+    @property
+    def table(self) -> KernelTable:
+        """This program's kernel table, generated on first use by the
+        package's ``generate_source`` and ``compile_kernels`` (a dump
+        is written then, when dumping). Both are looked up on the
+        package at each generation, since the host benchmark's tracer
+        wraps them there."""
+        table = self._table
+        if table is None:
+            from repro.sim import codegen
+            source = codegen.generate_source(self.family, self._lowering)
+            table = self._table = codegen.compile_kernels(
+                source, self.family, self._fingerprint).table
+        return table
 
     def compile(self, rule: int) -> Dict[str, object]:
         """The code of this program's shapes of timing rule ``rule``,
@@ -518,7 +540,7 @@ class KernelModule:
         codes = self._codes[rule]
         if codes is None:
             texts = [recipe.variants[rule][0]
-                     for recipe in _recipes(self.rows)]
+                     for recipe in _recipes(self.table.rows)]
             _compile(texts, self.family)
             codes = self._codes[rule] = {text: _SHAPES[text]
                                          for text in texts}
@@ -526,11 +548,12 @@ class KernelModule:
 
     def is_compiled(self, rule: int, profiled: bool = False) -> bool:
         """Whether an engine binding timing rule ``rule`` (of the
-        profiled variant if ``profiled``) finds it compiled here. A
-        profiled variant not generated yet is not, and stays
-        ungenerated."""
+        profiled variant if ``profiled``) finds it compiled here. Asking
+        generates nothing: a table not generated yet has compiled no
+        rule, and neither has a profiled variant not generated yet."""
         module = self
-        if profiled and self._profile is not None:
+        if profiled and self._table is not None \
+                and self._table.profile is not None:
             module = self._profiled
             if module is None:
                 return False
@@ -538,19 +561,20 @@ class KernelModule:
 
     def bind(self, engine):
         """Per-node (or per-block) functions for one live engine."""
-        return self._bind(self, engine)
+        return self.table.bind(self, engine)
 
     def profiled(self) -> "KernelModule":
         """The profiled variant of these kernels: itself unless its
         table generates one (vector), which is then generated on first
         use and kept here."""
-        if self._profile is None:
+        table = self.table
+        if table.profile is None:
             return self
         if self._profiled is None:
-            table = self._profile()
-            table.profiled = True
-            self._profiled = compile_kernels(kernel_source(table),
-                                             table.family,
+            variant = table.profile()
+            variant.profiled = True
+            self._profiled = compile_kernels(kernel_source(variant),
+                                             self.family,
                                              self._fingerprint)
         return self._profiled
 
@@ -563,7 +587,7 @@ def compile_kernels(source: KernelSource, family: str,
     (the program's IR hash, computed by the caller only then)."""
     table = source.table
     dump_kernel_source(table, fingerprint)
-    return KernelModule(table, fingerprint)
+    return KernelModule(family, fingerprint=fingerprint, table=table)
 
 
 #: Instructions per static node a run interprets before it hands off to
@@ -655,7 +679,7 @@ def bind_rows(module: KernelModule, env: Dict[str, object],
     plans: Dict[Recipe, tuple] = {}
     fns = []
     append = fns.append
-    for recipe, fields in module.rows:
+    for recipe, fields in module.table.rows:
         plan = plans.get(recipe)
         if plan is None:
             text, refs = recipe.variants[rule]

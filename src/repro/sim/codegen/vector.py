@@ -18,9 +18,10 @@ the first time an engine binds that rule. Unlike the per-node
 families, blocks are not memoized by structure: a whole-block shape
 rarely repeats between programs, so every row carries its constants;
 variable-latency loads fast-forward their stall through the
-``_stall_scalar_load`` O(1) path.  Spawned loops are classified
-vector-vs-scalar at generation time (``classify_loop`` is a pure
-function of the program).
+``_stall_scalar_load`` O(1) path.  The table is generated from the
+program's :class:`~repro.sim.vector.plan.VecLowering`, the plans and
+loop classification the engine runs, so spawned loops are classified
+vector-vs-scalar at generation time exactly as the engine runs them.
 
 Profiling is a generation-time flag here too: the profiled variant's
 ticked shapes follow each op's tick by booking one ``fired`` cycle to
@@ -36,7 +37,7 @@ from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
-from repro.ir.program import BlockKind, ContextProgram
+from repro.ir.program import BlockKind
 from repro.sim.codegen.core import (
     Consts,
     KernelTable,
@@ -47,8 +48,7 @@ from repro.sim.codegen.core import (
     pure_expr,
     timing_rule,
 )
-from repro.sim.vector.analysis import classify_loop
-from repro.sim.vector.plan import VecIf, VecOp, build_vec_plans
+from repro.sim.vector.plan import VecIf, VecLowering, VecOp
 
 
 class _Block:
@@ -58,10 +58,9 @@ class _Block:
     parameter costs a copy per call). ``profiled`` blocks book each
     ticked op to the profiler."""
 
-    def __init__(self, program: ContextProgram, plans, name: str,
+    def __init__(self, lowering: VecLowering, name: str,
                  profiled: bool = False) -> None:
-        self.program = program
-        self.plans = plans
+        self.lowering = lowering
         self.name = name
         self.profiled = profiled
         self.consts = Consts()
@@ -217,16 +216,16 @@ def _emit_spawn(b: Shape, blk: _Block, item: VecOp, ticked: bool,
         b("raise SimulationError(")
         b("    'cannot execute spawn in a vector body')")
         return
-    program = blk.program
+    plans, vector_info = blk.lowering
     callee = item.attrs["callee"]
-    callee_kind = program.block(callee).kind
+    callee_kind = plans[callee].kind
     is_vec = (callee_kind is BlockKind.LOOP
-              and classify_loop(program.block(callee)) is not None)
+              and vector_info[callee] is not None)
     j = spawns[0]
     spawns[0] += 1
     cp = b.ref(f"cp{j}", ("plans", callee))
     arg_list = ", ".join(blk.slot(s) for s in item.in_slots)
-    n_res = len(blk.plans[callee].term_results)
+    n_res = len(plans[callee].term_results)
     if is_vec:
         vi = b.ref(f"vi{j}", ("vector_info", callee))
         b.ref("exec_vector")
@@ -280,25 +279,24 @@ def bind(module, E) -> Tuple[dict, dict]:
     fns = iter(bind_rows(module, env, timing_rule(E)))
     ticked: Dict[str, tuple] = {}
     silent: Dict[str, tuple] = {}
-    for name, has_silent in module.layout:
+    for name, has_silent in module.table.layout:
         ticked[name] = (next(fns),)
         if has_silent:
             silent[name] = (next(fns),)
     return ticked, silent
 
 
-def generate(program: ContextProgram,
+def generate(lowering: VecLowering,
              profiled: bool = False) -> KernelTable:
-    """The kernel table of ``program`` (its profiled variant if
-    ``profiled``): a ticked row per block, then a silent row for
-    vectorizable loops; ``layout`` lists (block name, has a silent
-    row)."""
-    plans = build_vec_plans(program)
+    """The kernel table of a program's vector ``lowering`` (its
+    profiled variant if ``profiled``): a ticked row per block, then a
+    silent row for vectorizable loops; ``layout`` lists (block name,
+    has a silent row)."""
     table = KernelTable("vector", bind, layout=[],
                         profile=(None if profiled
-                                 else partial(generate, program, True)))
-    for name, plan in plans.items():
-        blk = _Block(program, plans, name, profiled)
+                                 else partial(generate, lowering, True)))
+    for name, plan in lowering.plans.items():
+        blk = _Block(lowering, name, profiled)
         label = f"block {name!r}"
         has_ld = _has_op(plan.items, Op.LOAD)
         if has_ld or _has_op(plan.items, Op.STORE):
@@ -312,10 +310,9 @@ def generate(program: ContextProgram,
             variants = one_rule(_block_fn(blk, plan,
                                           "ticked_fast").variant())
         table.add(variants, blk.consts, label)
-        has_silent = classify_loop(program.block(name)) is not None
+        has_silent = lowering.vector_info[name] is not None
         if has_silent:
-            silent = _block_fn(_Block(program, plans, name), plan,
-                               "silent")
+            silent = _block_fn(_Block(lowering, name), plan, "silent")
             table.add(one_rule(silent.variant()), silent.consts,
                       label + " (vector body)")
         table.layout.append((name, has_silent))

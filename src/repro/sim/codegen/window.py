@@ -1,8 +1,8 @@
 """AOT kernel generator for block-window machines (vn/ooo/seqdf).
 
-Emits, per :class:`~repro.ir.program.ContextProgram`, a kernel table
-with one row per op of every block plan -- the firing rule of
-:meth:`WindowEngine._fire`. Output keys, consumer descriptors and
+Emits, from a program's block plans (the ones its engines run), a
+kernel table with one row per op of every block plan -- the firing
+rule of :meth:`WindowEngine._fire`. Output keys, consumer descriptors and
 immediates are constants bound as default arguments; live-token deltas
 are part of the shape, and the ``X if port in entry else imm`` operand
 probes are resolved at generation time (a port is statically either an
@@ -26,7 +26,6 @@ from itertools import islice
 from typing import Dict, List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
-from repro.ir.program import ContextProgram
 from repro.sim.codegen.core import (
     EVALUATORS,
     Consts,
@@ -41,7 +40,7 @@ from repro.sim.codegen.core import (
     pure_expr,
     timing_rule,
 )
-from repro.sim.window.plan import BlockPlan, OpPlan, build_plans
+from repro.sim.window.plan import BlockPlan, OpPlan
 
 #: Above this fan-out a port's consumer appends stay a loop over the
 #: bound descriptor tuple instead of being unrolled.
@@ -345,16 +344,15 @@ def bind(module, E) -> Dict[str, list]:
     fns = bind_rows(module, env, timing_rule(E))
     tables = {}
     start = 0
-    for name, n_ops in module.layout:
+    for name, n_ops in module.table.layout:
         tables[name] = fns[start:start + n_ops]
         start += n_ops
     return tables
 
 
-def generate(program: ContextProgram) -> KernelTable:
-    """The kernel table of ``program``: every block's ops in plan
-    order; ``layout`` lists (block name, op count)."""
-    plans = build_plans(program)
+def generate(plans: Dict[str, BlockPlan]) -> KernelTable:
+    """The kernel table of a program's block ``plans``: every block's
+    ops in plan order; ``layout`` lists (block name, op count)."""
     table = KernelTable("window", bind,
                         [(name, len(plan.ops))
                          for name, plan in plans.items()],

@@ -16,8 +16,8 @@ footprint -- which is how data-parallel machines "choose as much
 parallelism as they want" while bounding state (paper Sec. II-C).
 
 Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
-each block is compiled once (:mod:`repro.sim.vector.plan`) so every
-value lives in a dense slot of a flat environment list, and a block
+each block is compiled once per workload (:mod:`repro.sim.vector.plan`)
+so every value lives in a dense slot of a flat environment list, and a block
 activation is a ``list(template)`` copy plus an argument splice
 followed by one call per block.  Each block has a *ticked* function
 (scalar execution, one metrics sample per op) and, if it is a
@@ -43,12 +43,13 @@ from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
 from repro.sim.watchdog import watchdog_horizon
-from repro.sim.vector.analysis import VectorInfo, classify_loop
+from repro.sim.vector.analysis import VectorInfo
 from repro.sim.vector.plan import (
     VecBlockPlan,
     VecIf,
+    VecLowering,
     VecOp,
-    build_vec_plans,
+    lower_vector,
 )
 
 # Opcodes the interpreter tests, bound once: looking a member up on
@@ -60,8 +61,12 @@ _LOAD, _STORE, _STEER, _MERGE, _SPAWN = (
 class DataParallelEngine:
     """Vector/SIMT-style executor over the context IR.
 
-    Kernels bind ``memory`` and the compiled plans at construction or
-    at the run's hand-off; neither may be swapped afterwards.
+    ``lowering`` is the program's plans and loop classification
+    (:func:`~repro.sim.vector.plan.lower_vector`), shared read-only by
+    every run of a workload and by its kernels; an engine built
+    without one lowers the program itself. Kernels bind ``memory`` and
+    the plans at construction or at the run's hand-off; neither may be
+    swapped afterwards.
     """
 
     def __init__(self, program: ContextProgram, memory: Memory,
@@ -70,7 +75,8 @@ class DataParallelEngine:
                  max_cycles: int = 500_000_000,
                  profile: bool = False,
                  kernels=None,
-                 cache=None):
+                 cache=None,
+                 lowering: Optional[VecLowering] = None):
         if lanes < 1:
             raise SimulationError("lanes must be >= 1")
         self.program = program
@@ -92,10 +98,11 @@ class DataParallelEngine:
         # Set before the tables below: a profiled run binds the
         # profiled kernel variant.
         self._profiler = EngineProfiler() if profile else None
-        self.vector_info: Dict[str, Optional[VectorInfo]] = {
-            name: classify_loop(block)
-            for name, block in program.blocks.items()
-        }
+        if lowering is None:
+            lowering = lower_vector(program)
+        self.plans: Dict[str, VecBlockPlan] = lowering.plans
+        self.vector_info: Dict[str, Optional[VectorInfo]] = \
+            lowering.vector_info
         #: Idealized scalar working set (a handful of registers), like
         #: the vN model's measured live state.
         self._scalar_live = 12
@@ -103,7 +110,6 @@ class DataParallelEngine:
         self.vectorized_trips = 0
         self.scalar_trips = 0
 
-        self.plans: Dict[str, VecBlockPlan] = build_vec_plans(program)
         #: block name -> (its ticked function,): scalar execution, one
         #: metrics sample per op.
         self._ticked: Dict[str, Tuple[Callable, ...]] = {}

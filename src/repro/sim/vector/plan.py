@@ -24,7 +24,7 @@ straight-line function over the same slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.ir.program import (
@@ -41,6 +41,7 @@ from repro.ir.program import (
     ReturnTerm,
     ValueRef,
 )
+from repro.sim.vector.analysis import VectorInfo, classify_loop
 
 
 @dataclass(frozen=True)
@@ -172,3 +173,21 @@ def build_vec_plans(program: ContextProgram
     """Compile every block of ``program``."""
     return {name: build_vec_plan(block)
             for name, block in program.blocks.items()}
+
+
+class VecLowering(NamedTuple):
+    """A program's data-parallel lowering: every block's plan, and
+    each block's loop classification (its :class:`VectorInfo` if it
+    is a vectorizable loop, else None). The engine and the kernel
+    generator only read it, so one lowering serves every run of a
+    workload."""
+
+    plans: Dict[str, VecBlockPlan]
+    vector_info: Dict[str, Optional[VectorInfo]]
+
+
+def lower_vector(program: ContextProgram) -> VecLowering:
+    """Plan and classify every block of ``program``."""
+    return VecLowering(build_vec_plans(program),
+                       {name: classify_loop(block)
+                        for name, block in program.blocks.items()})

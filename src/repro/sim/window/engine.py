@@ -64,16 +64,14 @@ _MERGE, _STEER, _LOAD, _STORE, _SPAWN = (
 class _Instance:
     """One dynamic context (block activation)."""
 
-    __slots__ = ("iid", "plan", "env", "fetched", "armed", "subs",
+    __slots__ = ("plan", "env", "fetched", "armed", "subs",
                  "term_fired", "term_decision", "parent", "parent_spawn",
-                 "live_slices", "done", "delivered", "wait", "fires",
-                 "dep", "fired")
+                 "delivered", "wait", "fires", "dep", "fired")
 
-    def __init__(self, iid: int, plan: BlockPlan,
+    def __init__(self, plan: BlockPlan,
                  parent: Optional["_Instance"],
                  parent_spawn: Optional[int],
                  fires: List[Callable]):
-        self.iid = iid
         self.plan = plan
         self.env: Dict[Key, object] = {}
         self.fetched: Set[int] = set()
@@ -85,8 +83,6 @@ class _Instance:
         self.term_decision: object = None
         self.parent = parent
         self.parent_spawn = parent_spawn
-        self.live_slices = 0
-        self.done = False
         self.delivered = False
         #: Wait-match store: op id -> {port: value} (slot-indexed per
         #: instance; replaces the engine-global ``(iid, op_id)`` dict).
@@ -106,8 +102,12 @@ class _Instance:
 class WindowEngine:
     """Simulates vN (window=1,width=1) or sequential dataflow.
 
-    Kernels bind ``memory`` and the program's plans at construction or
-    at the run's hand-off; neither may be swapped afterwards.
+    ``plans`` are the program's block plans
+    (:func:`~repro.sim.window.plan.build_plans`), shared read-only by
+    every run of a workload and by its kernels; an engine built
+    without them plans the program itself. Kernels bind ``memory`` and
+    the plans at construction or at the run's hand-off; neither may be
+    swapped afterwards.
     """
 
     def __init__(self, program: ContextProgram, memory: Memory,
@@ -119,7 +119,8 @@ class WindowEngine:
                  machine_name: Optional[str] = None,
                  profile: bool = False,
                  kernels=None,
-                 cache=None):
+                 cache=None,
+                 plans: Optional[Dict[str, BlockPlan]] = None):
         if window < 1:
             raise SimulationError("window must be >= 1")
         if issue_width < 1:
@@ -143,10 +144,8 @@ class WindowEngine:
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
         # Opt-in stall attribution, booked by the cycle loop.
         self._profiler = EngineProfiler() if profile else None
-        self.plans = build_plans(program)
+        self.plans = build_plans(program) if plans is None else plans
 
-        self._next_iid = 0
-        self._instances: Dict[int, _Instance] = {}
         self._ready: Deque[Tuple[_Instance, int]] = deque()
         # The containers below are captured by the bound kernels and
         # MUST stay the same objects for the engine's lifetime (mutate
@@ -268,7 +267,6 @@ class WindowEngine:
         fetch = self._fetch
         publish = self._publish
         status = self._op_status
-        maybe_release = self._maybe_release
         handoff = self._handoff
         issue_width = self.issue_width
         fetch_width = self.fetch_width
@@ -337,9 +335,7 @@ class WindowEngine:
                         entry[2] = pos
                         break
                     retire_popleft()
-                    inst.live_slices -= 1
                     progressed = True
-                    maybe_release(inst)
                 # Fetch along the von Neumann block order.
                 fc = fetch_width
                 while fc:
@@ -507,11 +503,8 @@ class WindowEngine:
     # ------------------------------------------------------------------
     def _make_instance(self, plan: BlockPlan, parent: Optional[_Instance],
                        parent_spawn: Optional[int]) -> _Instance:
-        inst = _Instance(self._next_iid, plan, parent, parent_spawn,
+        return _Instance(plan, parent, parent_spawn,
                          self._fire_tables[plan.name])
-        self._next_iid += 1
-        self._instances[inst.iid] = inst
-        return inst
 
     def _publish(self, inst: _Instance, key: Key, value: object) -> None:
         """Record a value and forward it to consumers and subscribers
@@ -669,16 +662,6 @@ class WindowEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Retirement (the retire scan itself is inlined in :meth:`_run_loop`)
-    # ------------------------------------------------------------------
-    def _maybe_release(self, inst: _Instance) -> None:
-        # Pending subscriptions keep the object alive through Python
-        # references from the producing chain; dropping it here only
-        # bounds the bookkeeping table.
-        if inst.done and inst.live_slices == 0:
-            self._instances.pop(inst.iid, None)
-
-    # ------------------------------------------------------------------
     # Fetch (the von Neumann block order)
     # ------------------------------------------------------------------
     def _fetch(self) -> bool:
@@ -725,7 +708,6 @@ class WindowEngine:
 
     def _fetch_slice(self, inst: _Instance, slice_idx: int) -> None:
         inst.fetched.add(slice_idx)
-        inst.live_slices += 1
         ops = inst.plan.slices[slice_idx]
         # Retire entry: [instance, slice ops, scan position] (the ops
         # list is carried so the retire scan does no plan lookups).
@@ -746,15 +728,12 @@ class WindowEngine:
         plan = inst.plan
         if plan.kind is BlockKind.DAG:
             self._register_results(inst)
-            inst.done = True
             self._stack.pop()
-            self._maybe_release(inst)
             return True
         # Loop: wait for the backedge decider (wave-order stall).
         if not inst.term_fired:
             self._stall_decider += 1
             return False
-        inst.done = True
         if inst.term_decision:
             nxt = self._make_instance(plan, inst.parent, inst.parent_spawn)
             env = inst.env
@@ -769,9 +748,7 @@ class WindowEngine:
                     publish(nxt, pkey, src)
             top[0] = nxt
             top[1] = 0
-            self._maybe_release(inst)
             return True
         self._register_results(inst)
         self._stack.pop()
-        self._maybe_release(inst)
         return True

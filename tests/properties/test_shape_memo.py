@@ -19,12 +19,8 @@ from repro.sim.codegen.core import RowRef
 from repro.workloads import WORKLOAD_NAMES, build_workload
 from repro.workloads.randomprog import random_module
 
-#: Family -> (generator module, the lowering it reads).
-GENERATORS = {
-    "tagged": (tagged, lambda cw: cw.tagged),
-    "flat": (queued, lambda cw: cw.flat),
-    "window": (window, lambda cw: cw.program),
-}
+#: Family -> its generator module, which reads the family's lowering.
+GENERATORS = {"tagged": tagged, "flat": queued, "window": window}
 
 
 class _Forgetful(dict):
@@ -65,13 +61,13 @@ def corpus():
 @pytest.mark.parametrize("family", sorted(GENERATORS))
 def test_warm_memo_builds_the_tables_an_empty_one_does(family, corpus,
                                                        monkeypatch):
-    module, lowered = GENERATORS[family]
+    module = GENERATORS[family]
     monkeypatch.setattr(module, "_MEMO", _Forgetful())
-    cold = [_rows(module.generate(lowered(cw))) for cw in corpus]
+    cold = [_rows(module.generate(cw.lowering(family))) for cw in corpus]
     monkeypatch.setattr(module, "_MEMO", {})
     # Warm the memo with every program, last first, so most of each
     # program's recipes come from other programs' nodes.
     for cw in reversed(corpus):
-        module.generate(lowered(cw))
+        module.generate(cw.lowering(family))
     for cw, rows in zip(corpus, cold):
-        assert _rows(module.generate(lowered(cw))) == rows
+        assert _rows(module.generate(cw.lowering(family))) == rows

@@ -87,8 +87,10 @@ def test_generate_source_deterministic(wl):
     and the same source."""
     twin = build_workload("dmv", "tiny")
     for family in FAMILIES:
-        a = codegen.generate_source(family, wl.compiled)
-        b = codegen.generate_source(family, twin.compiled)
+        a = codegen.generate_source(family,
+                                    wl.compiled.lowering(family))
+        b = codegen.generate_source(family,
+                                    twin.compiled.lowering(family))
         assert a == b, family
         assert _shape_rows(a.table) == _shape_rows(b.table), family
 
@@ -101,23 +103,25 @@ def test_source_has_bind_entry_points(wl):
         mod = cw.kernels(family)
         assert callable(mod.bind), family
         assert not hasattr(mod, "run_loop"), family
-        source = codegen.generate_source(family, cw)
+        source = codegen.generate_source(family, cw.lowering(family))
         assert source == "" and not hasattr(source.table, "loop"), family
         for text in source.table.texts():
             assert text.startswith("def kernel("), family
-    assert len(cw.kernels("tagged").rows) == len(cw.tagged.nodes)
-    assert len(cw.kernels("flat").rows) == len(cw.flat.nodes)
+    assert len(cw.kernels("tagged").table.rows) == len(cw.tagged.nodes)
+    assert len(cw.kernels("flat").table.rows) == len(cw.flat.nodes)
 
 
 def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     """A dump holds every shape the program uses and its node table,
     whether or not this process compiled those shapes already. It is
-    named after the program's fingerprint, and each row shows its
-    concrete refs and constants, not the recipe's placeholders. Only
-    the vector family writes a ``-profiled`` dump: the others have no
-    profiled variant."""
+    named after the program's fingerprint, written when the table is
+    generated (not when ``kernels()`` hands out the module), and each
+    row shows its concrete refs and constants, not the recipe's
+    placeholders. Only the vector family writes a ``-profiled`` dump:
+    the others have no profiled variant."""
     monkeypatch.setenv(DUMP_ENV, str(tmp_path))
-    source = codegen.generate_source("window", wl.compiled)
+    source = codegen.generate_source("window",
+                                     wl.compiled.lowering("window"))
     codegen.compile_kernels(source, "window", "dumptest0000")
     dumped = (tmp_path / "window-dumptest0000.py").read_text()
     for text in source.table.texts():
@@ -126,8 +130,10 @@ def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     assert dumped.count("\n    (") == len(source.table.rows)
     cw = CompiledWorkload(wl.compiled.program)
     fingerprint = cw.fingerprint[:12]
-    for family in FAMILIES:
-        cw.kernels(family).profiled()
+    modules = [cw.kernels(family) for family in FAMILIES]
+    assert list(tmp_path.glob(f"*-{fingerprint}*")) == []
+    for family, module in zip(FAMILIES, modules):
+        module.profiled()
         dumped = (tmp_path / f"{family}-{fingerprint}.py").read_text()
         assert "Field(" not in dumped, family
         assert "# s0: shape\n" in dumped, family
@@ -195,8 +201,8 @@ def test_shared_shapes_bind_their_own_constants():
     one's ``1`` for ``True`` or ``0`` for ``0.0``."""
     programs = [_program(1, 0, False), _program(True, 0.0, True),
                 _program(True, -0.0, False)]
-    first = codegen.generate_source("tagged", programs[0])
-    second = codegen.generate_source("tagged", programs[1])
+    first, second = (codegen.generate_source("tagged", cw.lowering("tagged"))
+                     for cw in programs[:2])
     assert set(first.table.texts()) & set(second.table.texts())
     for machine in FAMILY_MACHINE.values():
         for cw in programs:
@@ -214,7 +220,7 @@ def test_rebinding_known_shapes_compiles_nothing(wl, monkeypatch):
     sources = _compiled_sources(monkeypatch)
     again = CompiledWorkload(wl.compiled.program)
     for family, machine in FAMILY_MACHINE.items():
-        assert codegen.generate_source(family, again) == ""
+        assert codegen.generate_source(family, again.lowering(family)) == ""
         again.kernels(family)
         res = again.run(machine, wl.fresh_memory(), wl.args)
         assert res.completed
@@ -226,7 +232,7 @@ def _rule_texts(cw, rules, profiled=False):
     included, over every family."""
     texts = set()
     for family in FAMILIES:
-        table = codegen.generate_source(family, cw).table
+        table = codegen.generate_source(family, cw.lowering(family)).table
         if profiled:
             table = table.profile()
         texts.update(table.texts(rules))
@@ -271,7 +277,8 @@ def test_profiled_datapar_compiles_only_its_rule(monkeypatch):
     other two."""
     monkeypatch.setattr(core, "_SHAPES", {})
     cw = CompiledWorkload(lower_module(random_module(-3)))
-    table = codegen.generate_source("vector", cw).table.profile()
+    table = codegen.generate_source(
+        "vector", cw.lowering("vector")).table.profile()
     own = set(table.texts((FAST,)))
     others = set(table.texts((CACHE, VAR))) - own
     assert others
@@ -295,7 +302,8 @@ def test_distinct_shapes_stay_bounded():
     for seed in range(200):
         cw = CompiledWorkload(lower_module(random_module(seed)))
         for family in FAMILIES:
-            table = codegen.generate_source(family, cw).table
+            table = codegen.generate_source(family,
+                                            cw.lowering(family)).table
             texts[family].update(table.texts())
     counts = {family: len(found) for family, found in texts.items()}
     for family, bound in SHAPE_BOUNDS.items():
@@ -323,7 +331,8 @@ def test_profiled_variants_are_built_lazily(wl, monkeypatch):
     plain = CompiledWorkload(program)
     for machine in FAMILY_MACHINE.values():
         assert plain.run(machine, wl.fresh_memory(), wl.args).completed
-    table = codegen.generate_source("vector", plain).table
+    table = codegen.generate_source("vector",
+                                    plain.lowering("vector")).table
     profiled_only = (set(table.profile().texts((FAST,)))
                      - set(table.texts()))
     assert profiled_only

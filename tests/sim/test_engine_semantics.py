@@ -9,8 +9,6 @@ kernels generated for the graph that the engine binds at construction
 (budget 0) or after the first cycle that fires (budget 1).
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.compiler.graph import TaggedGraph
@@ -36,7 +34,7 @@ def engine_for(graph, policy=None, kernels=None, **kwargs):
     if kernels is None:
         return TaggedEngine(graph, memory, policy, **kwargs)
     module = codegen.compile_kernels(
-        codegen.generate_source("tagged", SimpleNamespace(tagged=graph)),
+        codegen.generate_source("tagged", graph),
         "tagged")
     with handoff_budget(kernels):
         return TaggedEngine(graph, memory, policy, kernels=module,

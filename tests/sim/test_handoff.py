@@ -1,16 +1,20 @@
-"""When engines bind their generated kernels: at construction, at a
-mid-run hand-off, or never.
+"""When engines generate and bind their kernels: at construction, at
+a mid-run hand-off, or never.
 
 An engine given a kernel module whose timing rule the module has not
 compiled yet interprets until the run has fired ``HANDOFF_K``
 instructions per static node, then binds the kernels at a cycle
 boundary and runs on over the same state. A module that has compiled
 the rule (through ``pool.precompile_specs`` or an earlier run that
-handed off) binds at construction. These tests pin who binds when; the
-differential suites and the golden replays pin that a hand-off changes
-no number.
+handed off) binds at construction. A module generates its kernel table
+on its first bind or compile, so a run that never binds generates
+nothing, and its workload builds each machine lowering once. These
+tests pin who generates and binds when; the differential suites and
+the golden replays pin that a hand-off changes no number.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -24,9 +28,13 @@ from repro.harness.pool import (
     workload_for,
 )
 from repro.harness.runner import KERNEL_FAMILY, CompiledWorkload
+from repro.sim import codegen
 from repro.sim.codegen import core
+from repro.sim.codegen import queued as queued_codegen
+from repro.sim.codegen import tagged as tagged_codegen
 from repro.sim.codegen import vector as vector_codegen
-from repro.sim.codegen.core import FAST, NO_HANDOFF, rule_for
+from repro.sim.codegen import window as window_codegen
+from repro.sim.codegen.core import FAMILIES, FAST, NO_HANDOFF, rule_for
 from repro.sim.memory import Memory
 from repro.sim.queued import QueuedEngine
 from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
@@ -51,14 +59,32 @@ IN_FLIGHT = {
 
 CACHE_SPEC = "line=4,miss=60,l1=4x2x1"
 
+#: Kernel family -> its generator module.
+GENERATORS = {"tagged": tagged_codegen, "flat": queued_codegen,
+              "window": window_codegen, "vector": vector_codegen}
+
+
+def _counting(seen, key, fn):
+    def counted(*args, **kwargs):
+        seen[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
 
 @pytest.fixture
 def events(monkeypatch):
-    """Counts of kernel binds, rule compiles, ``compile()`` calls and
-    hand-offs from here on; ``events.in_flight`` lists the tokens each
-    hand-off found in flight."""
+    """Counts of table generations (``generate_source`` calls, and
+    ``generate.<family>`` calls of each family's generator, profiled
+    variants included), kernel binds, rule compiles, ``compile()``
+    calls and hand-offs from here on; ``events.in_flight`` lists the
+    tokens each hand-off found in flight."""
     seen = Counter()
     seen.in_flight = []
+    monkeypatch.setattr(codegen, "generate_source", _counting(
+        seen, "generate_source", codegen.generate_source))
+    for family, module in GENERATORS.items():
+        monkeypatch.setattr(module, "generate", _counting(
+            seen, f"generate.{family}", module.generate))
     bind = core.KernelModule.bind
     compile_rule = core.KernelModule.compile
 
@@ -103,8 +129,9 @@ def _observe(wl, machine, **kwargs):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_short_never_seen_program_never_binds_or_compiles(seed, events):
     """These programs fire fewer than ``HANDOFF_K`` instructions per
-    static node on every machine: their runs build the kernel tables
-    (generation stays eager) but bind nothing and compile nothing."""
+    static node on every machine and timing rule, plain and profiled:
+    each run is given its module, but generates no kernel table, binds
+    nothing and compiles nothing."""
     program = lower_module(random_module(seed))
     for machine in MACHINES:
         for kwargs in ({}, {"load_latency": 4}, {"cache": CACHE_SPEC},
@@ -127,13 +154,17 @@ def test_long_run_binds_exactly_once(machine, events):
     wl = build_workload("dmv", "tiny")
     interp = _observe(build_workload("dmv", "tiny"), machine,
                       codegen=False)
+    family = KERNEL_FAMILY[machine]
+    generated = {"generate_source": 1, f"generate.{family}": 1}
     assert _observe(wl, machine) == interp
     assert (events["bind"], events["hand_off"]) == (1, 1)
     assert events["compile_rule"] == 1
-    kernels = wl.compiled.kernels(KERNEL_FAMILY[machine])
+    assert {key: events[key] for key in generated} == generated
+    kernels = wl.compiled.kernels(family)
     assert kernels.is_compiled(FAST)
     assert _observe(wl, machine) == interp
     assert (events["bind"], events["hand_off"]) == (2, 1)
+    assert {key: events[key] for key in generated} == generated
 
 
 @pytest.mark.parametrize("config", [{}, {"load_latency": 4},
@@ -142,13 +173,21 @@ def test_long_run_binds_exactly_once(machine, events):
                          ids=["fast", "latency", "cache", "profiled"])
 def test_precompiled_rule_binds_at_construction(config, events,
                                                 monkeypatch):
-    """``pool.precompile_specs`` compiles the rule each spec binds (the
-    profiled variant's for a profiled datapar spec), so every run binds
-    its kernels at construction and none hands off."""
+    """``pool.precompile_specs`` generates each family's table once
+    per workload (tyr and unordered share one) and compiles the rule
+    each spec binds (the profiled variant's for a profiled datapar
+    spec), so every run binds its kernels at construction, none hands
+    off and none generates."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
     wl = build_workload("dmv", "tiny")
     specs = [spec_for(wl, machine, config) for machine in MACHINES]
     precompile_specs(specs)
+    generated = {key: n for key, n in events.items()
+                 if key.startswith("generate")}
+    assert generated == {
+        "generate_source": len(FAMILIES),
+        **{f"generate.{family}": 1 for family in FAMILIES},
+        "generate.vector": 2 if config.get("profile") else 1}
     compiled = workload_for(specs[0]).compiled
     rule = rule_for(config.get("cache"), config.get("load_latency", 1))
     for machine in MACHINES:
@@ -159,6 +198,7 @@ def test_precompiled_rule_binds_at_construction(config, events,
         assert run_one(spec).completed
     assert events["bind"] - before == len(specs)
     assert events["hand_off"] == 0
+    assert {key: events[key] for key in generated} == generated
 
 
 @pytest.mark.parametrize("machine", ["tyr", "ordered", "seqdf"])
@@ -186,21 +226,21 @@ def test_handoff_with_loads_in_flight(machine, timing, events,
 def test_profiled_datapar_handoff_builds_its_variant_once(events,
                                                           monkeypatch):
     """Whether a profiled datapar run may bind at construction is asked
-    of the profiled variant without generating it; the run that hands
-    off generates it, and the next profiled run binds it at
-    construction."""
+    of the profiled variant without generating anything; the run that
+    hands off generates the plain table and its profiled variant, and
+    the next profiled run binds the variant at construction."""
     built = []
     generate = vector_codegen.generate
 
-    def counting_generate(program, profiled=False):
+    def counting_generate(lowering, profiled=False):
         built.append(profiled)
-        return generate(program, profiled)
+        return generate(lowering, profiled)
 
     monkeypatch.setattr(vector_codegen, "generate", counting_generate)
     wl = build_workload("dmv", "tiny")
     kernels = wl.compiled.kernels("vector")
     assert not kernels.is_compiled(FAST, profiled=True)
-    assert built == [False]
+    assert built == []
     first = _observe(wl, "datapar", profile=True)
     assert built == [False, True]
     assert events["hand_off"] == 1
@@ -260,3 +300,72 @@ def test_traced_and_occupancy_runs_never_hand_off(monkeypatch):
         assert eng._handoff == NO_HANDOFF
         assert eng.run(cw.entry_args(wl.args)).completed
         assert eng._kernels is None
+
+
+def test_each_lowering_is_built_once_per_workload(monkeypatch):
+    """The window and vector plans, and the loop classification, are
+    built once per workload and read by every engine, the generators
+    and the profiled vector variant, through runs that interpret, hand
+    off and bind at construction."""
+    from repro.sim.vector import analysis, plan as vector_plan
+    from repro.sim.window import plan as window_plan
+
+    calls = Counter()
+    for name, fn in (("build_plans", window_plan.build_plans),
+                     ("build_vec_plans", vector_plan.build_vec_plans),
+                     ("classify_loop", analysis.classify_loop)):
+        for module in ("repro.harness.runner", "repro.sim.window.plan",
+                       "repro.sim.window.engine", "repro.sim.codegen.window",
+                       "repro.sim.vector.plan", "repro.sim.vector.engine",
+                       "repro.sim.vector.analysis",
+                       "repro.sim.codegen.vector"):
+            monkeypatch.setattr(f"{module}.{name}",
+                                _counting(calls, name, fn), raising=False)
+    wl = build_workload("dmv", "tiny")
+    for machine in ("seqdf", "vn", "ooo", "datapar"):
+        for kwargs in ({}, {"profile": True}, {"load_latency": 4}, {}):
+            assert wl.run(machine, **kwargs)[0].completed
+    assert wl.compiled.kernels("window").is_compiled(FAST)
+    assert wl.compiled.kernels("vector").is_compiled(FAST, profiled=True)
+    blocks = len(wl.compiled.program.blocks)
+    assert calls == {"build_plans": 1, "build_vec_plans": 1,
+                     "classify_loop": blocks}
+
+
+@pytest.mark.parametrize("case", ["never generated", "handed off",
+                                  "profiled datapar"])
+def test_dropped_workload_is_freed_without_the_collector(case):
+    """A kernel module holds its family's lowering, never the
+    workload, so a dropped workload is freed by reference counting
+    alone, whether its kernels were never generated, generated at a
+    hand-off, or generated with their profiled variant."""
+    if case == "never generated":
+        wl = None
+        cw = CompiledWorkload(lower_module(random_module(0)))
+    else:
+        wl = build_workload("dmv", "tiny")
+        cw = CompiledWorkload(wl.compiled.program)
+    gc.collect()
+    gc.disable()
+    try:
+        for machine in MACHINES:
+            if wl is None:
+                cw.run(machine, Memory(random_memory()), [3, 5])
+            else:
+                cw.run(machine, wl.fresh_memory(), wl.args,
+                       profile=case == "profiled datapar")
+        generated = [module._table is not None
+                     for module in cw._kernels.values()]
+        assert generated == [wl is not None] * len(FAMILIES)
+        ref = weakref.ref(cw)
+        del cw
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_kernels_of_an_unknown_family_fail_at_the_call():
+    cw = CompiledWorkload(lower_module(random_module(0)))
+    with pytest.raises(ValueError, match="unknown kernel family 'bogus'"):
+        cw.kernels("bogus")
+    assert cw._kernels == {}
