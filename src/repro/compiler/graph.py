@@ -20,21 +20,27 @@ from repro.ir.ops import Op
 Dest = Tuple[int, int]
 
 
-@dataclass
 class TaggedNode:
-    """One static instruction of the elaborated graph."""
+    """One static instruction of the elaborated graph.
 
-    node_id: int
-    op: Op
-    block: str  # owning concurrent block (defines the tag space)
-    n_inputs: int
-    n_outputs: int
-    #: Immediate operands by input port; these ports never hold tokens.
-    imms: Dict[int, object] = field(default_factory=dict)
-    #: Consumers of each output port. An empty list means the token is
-    #: discarded on emission.
-    out_edges: List[List[Dest]] = field(default_factory=list)
-    attrs: Dict[str, object] = field(default_factory=dict)
+    ``imms`` holds the immediate operands by input port; these ports
+    never hold tokens. ``out_edges`` lists the consumers of each output
+    port; an empty list means the token is discarded on emission.
+    """
+
+    __slots__ = ("node_id", "op", "block", "n_inputs", "n_outputs",
+                 "imms", "out_edges", "attrs")
+
+    def __init__(self, node_id: int, op: Op, block: str, n_inputs: int,
+                 n_outputs: int, attrs: Dict[str, object]) -> None:
+        self.node_id = node_id
+        self.op = op
+        self.block = block  # owning concurrent block (its tag space)
+        self.n_inputs = n_inputs
+        self.n_outputs = n_outputs
+        self.imms: Dict[int, object] = {}
+        self.out_edges: List[List[Dest]] = new_ports(n_outputs)
+        self.attrs = attrs
 
     @property
     def token_ports(self) -> List[int]:
@@ -44,6 +50,16 @@ class TaggedNode:
     def __repr__(self) -> str:
         return (f"<n{self.node_id} {self.op.value} @{self.block} "
                 f"in={self.n_inputs} out={self.n_outputs}>")
+
+
+def new_ports(n_outputs: int) -> List[List[Dest]]:
+    """Empty consumer lists for ``n_outputs`` output ports (literals for
+    the one- and two-port nodes that make up nearly every graph)."""
+    if n_outputs == 1:
+        return [[]]
+    if n_outputs == 2:
+        return [[], []]
+    return [[] for _ in range(n_outputs)]
 
 
 @dataclass
@@ -65,15 +81,8 @@ class TaggedGraph:
 
     def new_node(self, op: Op, block: str, n_inputs: int, n_outputs: int,
                  **attrs) -> TaggedNode:
-        node = TaggedNode(
-            node_id=len(self.nodes),
-            op=op,
-            block=block,
-            n_inputs=n_inputs,
-            n_outputs=n_outputs,
-            out_edges=[[] for _ in range(n_outputs)],
-            attrs=attrs,
-        )
+        node = TaggedNode(len(self.nodes), op, block, n_inputs, n_outputs,
+                          attrs)
         self.nodes.append(node)
         return node
 
@@ -108,20 +117,29 @@ class TaggedGraph:
         return out
 
     def check(self) -> None:
-        """Internal-consistency checks on the finished graph."""
-        for n in self.nodes:
+        """Internal-consistency checks on the finished graph: every
+        node has one consumer list per output port, every edge ends on
+        a token input port of an existing node, and every node but a
+        free has a token input."""
+        nodes = self.nodes
+        n_nodes = len(nodes)
+        free = Op.FREE
+        for n in nodes:
             if len(n.out_edges) != n.n_outputs:
                 raise CompileError(f"{n}: malformed out_edges")
             for port_edges in n.out_edges:
                 for dest_id, dest_port in port_edges:
-                    if not 0 <= dest_id < len(self.nodes):
+                    if not 0 <= dest_id < n_nodes:
                         raise CompileError(f"{n}: edge to bad node")
-                    dest = self.nodes[dest_id]
+                    dest = nodes[dest_id]
                     if dest_port in dest.imms:
                         raise CompileError(
                             f"{n}: edge into immediate port of {dest}"
                         )
                     if not 0 <= dest_port < dest.n_inputs:
                         raise CompileError(f"{n}: edge to bad port")
-            if not n.token_ports and n.op is not Op.FREE:
+            # No token port: every input port holds an immediate.
+            imms = n.imms
+            if (len(imms) >= n.n_inputs and n.op is not free
+                    and all(p in imms for p in range(n.n_inputs))):
                 raise CompileError(f"{n}: no token inputs; can never fire")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
-from repro.ir.ops import OP_INFO, Op, evaluate_pure
+from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import (
     ArrayDecl,
     BlockDef,
@@ -53,7 +53,8 @@ class BlockBuilder:
 
     def emit(self, op: Op, inputs: Sequence[ValueRef], n_outputs: int = 1,
              **attrs) -> OpDef:
-        """Append an op to the current region and return its OpDef."""
+        """Append an op to the current region and return its OpDef.
+        ``attrs`` (a fresh dict per call) becomes the op's attrs."""
         info = OP_INFO[op]
         inputs = tuple(inputs)
         if info.n_inputs is not None and len(inputs) != info.n_inputs:
@@ -65,9 +66,9 @@ class BlockBuilder:
                 f"{op.value} produces {info.n_outputs} outputs, "
                 f"got n_outputs={n_outputs}"
             )
-        op_def = OpDef(op_id=len(self.block.ops), op=op, inputs=inputs,
-                       n_outputs=n_outputs, attrs=dict(attrs))
-        self.block.ops.append(op_def)
+        ops = self.block.ops
+        op_def = OpDef(len(ops), op, inputs, n_outputs, attrs)
+        ops.append(op_def)
         self._region_stack[-1].items.append(op_def.op_id)
         return op_def
 
@@ -76,38 +77,50 @@ class BlockBuilder:
         info = OP_INFO[op]
         if not info.pure:
             raise IRError(f"{op.value} is not pure")
-        if all(isinstance(i, Lit) for i in inputs):
-            return Lit(evaluate_pure(op, *(i.value for i in inputs)))
-        return self.emit(op, inputs).result()
+        for ref in inputs:
+            if ref.__class__ is not Lit:
+                break
+        else:
+            return Lit(info.evaluate(*[ref.value for ref in inputs]))
+        if len(inputs) != info.n_inputs:
+            raise IRError(
+                f"{op.value} expects {info.n_inputs} inputs, got {len(inputs)}"
+            )
+        ops = self.block.ops
+        op_id = len(ops)
+        ops.append(OpDef(op_id, op, inputs, 1, {}))
+        self._region_stack[-1].items.append(op_id)
+        return Res(op_id, 0)
 
     def load(self, array: str, index: ValueRef,
              order: Optional[ValueRef] = None) -> Tuple[ValueRef, ValueRef]:
         """Emit a LOAD; returns (value, order-token) refs."""
         self._program.require_array(array)
         inputs = (index,) if order is None else (index, order)
-        op = self.emit(Op.LOAD, inputs, n_outputs=2, array=array,
-                       has_order_in=order is not None)
-        return op.result(0), op.result(1)
+        op_id = self.emit(Op.LOAD, inputs, n_outputs=2, array=array,
+                          has_order_in=order is not None).op_id
+        return Res(op_id, 0), Res(op_id, 1)
 
     def store(self, array: str, index: ValueRef, value: ValueRef,
               order: Optional[ValueRef] = None) -> ValueRef:
         """Emit a STORE; returns its order-token ref."""
         self._program.require_array(array)
         inputs = (index, value) if order is None else (index, value, order)
-        op = self.emit(Op.STORE, inputs, n_outputs=1, array=array,
-                       has_order_in=order is not None)
-        return op.result(0)
+        op_id = self.emit(Op.STORE, inputs, n_outputs=1, array=array,
+                          has_order_in=order is not None).op_id
+        return Res(op_id, 0)
 
     def steer(self, decider: ValueRef, value: ValueRef,
               sense: bool) -> Tuple[ValueRef, ValueRef]:
         """Emit a STEER; returns (steered value, unconditional ctl)."""
-        op = self.emit(Op.STEER, (decider, value), n_outputs=2, sense=sense)
-        return op.result(0), op.result(1)
+        op_id = self.emit(Op.STEER, (decider, value), n_outputs=2,
+                          sense=sense).op_id
+        return Res(op_id, 0), Res(op_id, 1)
 
     def merge(self, decider: ValueRef, tval: ValueRef,
               fval: ValueRef) -> ValueRef:
         """Emit a decider-driven MERGE of a forward branch."""
-        return self.emit(Op.MERGE, (decider, tval, fval)).result()
+        return Res(self.emit(Op.MERGE, (decider, tval, fval)).op_id, 0)
 
     def spawn(self, callee: str, args: Sequence[ValueRef],
               n_results: int) -> OpDef:
@@ -127,8 +140,7 @@ class BlockBuilder:
             raise IRError(
                 f"{op.value} expects {info.n_inputs} inputs, got {len(inputs)}"
             )
-        op_def = OpDef(op_id=len(self.block.ops), op=op, inputs=inputs,
-                       n_outputs=n_outputs, attrs=dict(attrs))
+        op_def = OpDef(len(self.block.ops), op, inputs, n_outputs, attrs)
         self.block.ops.append(op_def)
         region.items.insert(index, op_def.op_id)
         return op_def

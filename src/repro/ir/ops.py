@@ -80,6 +80,11 @@ class Op(enum.Enum):
     MU = "mu"
     INVARIANT = "invariant"
 
+    # Members compare by identity, so the identity hash agrees with
+    # equality; it is a C slot, where ``Enum.__hash__`` is a Python call
+    # on every ``OP_INFO[op]`` and ``op in CONTEXT_IR_OPS``.
+    __hash__ = object.__hash__
+
 
 class Category(enum.Enum):
     ARITHMETIC = "arithmetic"

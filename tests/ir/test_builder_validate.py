@@ -243,4 +243,4 @@ def test_topo_order_callees_first():
     prog = pb.build()
     order = prog.topo_order()
     assert order.index("leaf") < order.index("main")
-    assert prog.callers_of("leaf") == [("main", 0)]
+    assert prog.call_sites() == {"leaf": [("main", 0)]}

@@ -25,7 +25,10 @@ def test_call_graph_and_callers():
     assert prog.blocks[outer].kind is BlockKind.LOOP
     assert prog.blocks[inner].kind is BlockKind.LOOP
     assert graph[inner] == []
-    assert prog.callers_of(outer) == [("main", entry_spawn_id(prog))]
+    sites = prog.call_sites()
+    assert sites[outer] == [("main", entry_spawn_id(prog))]
+    assert sites[inner] == [(outer, prog.blocks[outer].spawns()[0].op_id)]
+    assert "main" not in sites
 
 
 def entry_spawn_id(prog):
