@@ -20,7 +20,7 @@ serve them as they are, since the cycle loop books the stall taxonomy.
 The vector family books it in its whole-block shapes: a program's
 profiled variant is generated and compiled on the first profiled bind
 (:meth:`KernelModule.profiled`), so an unprofiled run builds nothing
-for it.
+for it, and a profiled run builds nothing else.
 
 Families and the machine lowerings they are generated from
 (``CompiledWorkload.lowering(family)``, built once per workload and
@@ -84,21 +84,27 @@ __all__ = [
 ]
 
 
-def generate_source(family: str, lowering) -> KernelSource:
+def generate_source(family: str, lowering,
+                    profiled: bool = False) -> KernelSource:
     """The kernel table of one family, generated from its machine
     lowering (what ``CompiledWorkload.lowering(family)`` returns: the
     tagged graph, the flat graph, the window plans or the vector
-    lowering) and wrapped for :func:`compile_kernels`. The table is a
+    lowering) and wrapped for :func:`compile_kernels`; with
+    ``profiled``, its profiled variant (vector only). The table is a
     deterministic function of the lowering; the source text is
     empty."""
+    if family == "vector":
+        from repro.sim.codegen.vector import generate
+        return kernel_source(generate(lowering, profiled))
+    if profiled:
+        raise ValueError(f"kernel family {family!r} has no profiled "
+                         f"variant")
     if family == "tagged":
         from repro.sim.codegen.tagged import generate
     elif family == "flat":
         from repro.sim.codegen.queued import generate
     elif family == "window":
         from repro.sim.codegen.window import generate
-    elif family == "vector":
-        from repro.sim.codegen.vector import generate
     else:
         raise ValueError(f"unknown kernel family {family!r}")
     return kernel_source(generate(lowering))

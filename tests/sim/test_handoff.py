@@ -174,10 +174,10 @@ def test_long_run_binds_exactly_once(machine, events):
 def test_precompiled_rule_binds_at_construction(config, events,
                                                 monkeypatch):
     """``pool.precompile_specs`` generates each family's table once
-    per workload (tyr and unordered share one) and compiles the rule
-    each spec binds (the profiled variant's for a profiled datapar
-    spec), so every run binds its kernels at construction, none hands
-    off and none generates."""
+    per workload (tyr and unordered share one; a profiled datapar spec
+    generates only the profiled variant it binds) and compiles the rule
+    each spec binds, so every run binds its kernels at construction,
+    none hands off and none generates."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
     wl = build_workload("dmv", "tiny")
     specs = [spec_for(wl, machine, config) for machine in MACHINES]
@@ -186,8 +186,7 @@ def test_precompiled_rule_binds_at_construction(config, events,
                  if key.startswith("generate")}
     assert generated == {
         "generate_source": len(FAMILIES),
-        **{f"generate.{family}": 1 for family in FAMILIES},
-        "generate.vector": 2 if config.get("profile") else 1}
+        **{f"generate.{family}": 1 for family in FAMILIES}}
     compiled = workload_for(specs[0]).compiled
     rule = rule_for(config.get("cache"), config.get("load_latency", 1))
     for machine in MACHINES:
@@ -227,8 +226,9 @@ def test_profiled_datapar_handoff_builds_its_variant_once(events,
                                                           monkeypatch):
     """Whether a profiled datapar run may bind at construction is asked
     of the profiled variant without generating anything; the run that
-    hands off generates the plain table and its profiled variant, and
-    the next profiled run binds the variant at construction."""
+    hands off generates the profiled variant alone, never the plain
+    table it does not bind, and the next profiled run binds the variant
+    at construction."""
     built = []
     generate = vector_codegen.generate
 
@@ -242,12 +242,12 @@ def test_profiled_datapar_handoff_builds_its_variant_once(events,
     assert not kernels.is_compiled(FAST, profiled=True)
     assert built == []
     first = _observe(wl, "datapar", profile=True)
-    assert built == [False, True]
+    assert built == [True]
     assert events["hand_off"] == 1
     assert kernels.is_compiled(FAST, profiled=True)
     assert not kernels.is_compiled(FAST)
     assert _observe(wl, "datapar", profile=True) == first
-    assert built == [False, True]
+    assert built == [True]
     assert (events["bind"], events["hand_off"]) == (2, 1)
 
 
@@ -354,11 +354,52 @@ def test_dropped_workload_is_freed_without_the_collector(case):
             else:
                 cw.run(machine, wl.fresh_memory(), wl.args,
                        profile=case == "profiled datapar")
+        # A profiled datapar run generates only the profiled variant.
         generated = [module._table is not None
+                     or module._profiled is not None
                      for module in cw._kernels.values()]
         assert generated == [wl is not None] * len(FAMILIES)
         ref = weakref.ref(cw)
         del cw
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("mode", ["interpreted", "budget0", "budget1"])
+def test_finished_engine_is_freed_without_the_collector(family, mode,
+                                                         monkeypatch):
+    """A run's engine, with its memory, metrics and kernels, is freed
+    by reference counting once its result is built, whether it
+    interpreted, bound its kernels at construction (budget 0) or handed
+    off to them mid-run (budget 1): its fire tables hold its own bound
+    methods until then."""
+    if mode != "interpreted":
+        monkeypatch.setattr(core, "HANDOFF_K", HANDOFF_BUDGETS[mode])
+    wl = build_workload("dmv", "tiny")
+    cw = CompiledWorkload(wl.compiled.program)
+    make = {
+        "tagged": lambda **kw: TaggedEngine(
+            cw.tagged, wl.fresh_memory(), UnboundedGlobalPolicy(), **kw),
+        "flat": lambda **kw: QueuedEngine(cw.flat, wl.fresh_memory(),
+                                          **kw),
+        "window": lambda **kw: WindowEngine(cw.program, wl.fresh_memory(),
+                                            **kw),
+        "vector": lambda **kw: DataParallelEngine(
+            cw.program, wl.fresh_memory(), **kw),
+    }[family]
+    kernels = None if mode == "interpreted" else cw.kernels(family)
+    gc.collect()
+    gc.disable()
+    try:
+        eng = make(kernels=kernels)
+        handoff = eng._handoff
+        assert eng.run(cw.entry_args(wl.args)).completed
+        assert handoff == (1 if mode == "budget1" else NO_HANDOFF)
+        assert eng._handoff == NO_HANDOFF
+        ref = weakref.ref(eng)
+        del eng
         assert ref() is None
     finally:
         gc.enable()

@@ -89,6 +89,24 @@ def test_tutorial_profile_api():
     assert len(prof.top_nodes(5)) == 5
 
 
+def test_tutorial_profile_sample_matches_the_command(capsys):
+    """§7's sample output is what ``tyr-repro profile dmv -m vn``
+    prints, from its header line to the last hotspot row."""
+    from pathlib import Path
+
+    from repro.cli import main
+
+    doc = (Path(__file__).resolve().parents[1] / "docs"
+           / "TUTORIAL.md").read_text()
+    command = "$ tyr-repro profile dmv -m vn\n"
+    sample = doc[doc.index(command) + len(command):]
+    sample = sample[:sample.index("```")]
+    assert main(["profile", "dmv", "-m", "vn"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == sample.splitlines()[0]
+    assert out == sample
+
+
 def test_tutorial_cache_snippet():
     """The §9 locality comparison must keep its direction: bounded
     TYR tags beat unbounded global tags on the same cache."""
