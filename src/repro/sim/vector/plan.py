@@ -89,22 +89,24 @@ class _SlotAllocator:
     def __init__(self, block: BlockDef):
         self.block = block
         self.n_params = block.n_params
-        self.res_slots: Dict[Tuple[int, int], int] = {}
+        #: Op id -> the slot of its output port 0; its other ports
+        #: follow it.
+        self.out_base: List[int] = []
         next_slot = block.n_params
         for op in block.ops:
-            for port in range(op.n_outputs):
-                self.res_slots[(op.op_id, port)] = next_slot
-                next_slot += 1
+            self.out_base.append(next_slot)
+            next_slot += op.n_outputs
         self.lit_slots: Dict[Tuple[type, object], int] = {}
         self.lit_values: List[object] = []
         self.first_lit = next_slot
 
     def slot(self, ref: ValueRef) -> int:
-        if isinstance(ref, Param):
+        cls = ref.__class__
+        if cls is Param:
             return ref.index
-        if isinstance(ref, Res):
-            return self.res_slots[(ref.op_id, ref.port)]
-        if isinstance(ref, Lit):
+        if cls is Res:
+            return self.out_base[ref.op_id] + ref.port
+        if cls is Lit:
             key = (type(ref.value), ref.value)
             slot = self.lit_slots.get(key)
             if slot is None:
@@ -118,25 +120,21 @@ class _SlotAllocator:
 def _compile_region(alloc: _SlotAllocator, region: Region
                     ) -> Tuple[VecItem, ...]:
     items: List[VecItem] = []
-    block = alloc.block
+    ops = alloc.block.ops
+    slot = alloc.slot
     for item in region.items:
         if isinstance(item, IfRegion):
             items.append(VecIf(
-                decider_slot=alloc.slot(item.decider),
-                then_items=_compile_region(alloc, item.then_region),
-                else_items=_compile_region(alloc, item.else_region),
+                slot(item.decider),
+                _compile_region(alloc, item.then_region),
+                _compile_region(alloc, item.else_region),
             ))
         else:
-            op = block.ops[item]
+            op = ops[item]
+            base = alloc.out_base[op.op_id]
             items.append(VecOp(
-                op_id=op.op_id,
-                op=op.op,
-                in_slots=tuple(alloc.slot(r) for r in op.inputs),
-                out_slots=tuple(
-                    alloc.res_slots[(op.op_id, port)]
-                    for port in range(op.n_outputs)
-                ),
-                attrs=op.attrs,
+                op.op_id, op.op, tuple([slot(r) for r in op.inputs]),
+                tuple(range(base, base + op.n_outputs)), op.attrs,
             ))
     return tuple(items)
 

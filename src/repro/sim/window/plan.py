@@ -149,31 +149,32 @@ def _plan_block(block: BlockDef) -> BlockPlan:
     ops: List[OpPlan] = []
     slices: List[List[int]] = [[]]
     items: List[Item] = []
+    # Ops of one region share their guard chain: convert each once.
+    keyed: Dict[int, Tuple[Tuple[Optional[Key], bool], ...]] = {}
+    spawn = Op.SPAWN
     for op in block.ops:
-        guard = tuple(
-            (ref_key(d), s) for d, s in guards_raw[op.op_id]
-        )
+        raw = guards_raw[op.op_id]
+        guard = keyed.get(id(raw))
+        if guard is None:
+            guard = keyed[id(raw)] = tuple(
+                (ref_key(d), s) for d, s in raw)
+        token_ports = []
+        imms = {}
+        for port, ref in enumerate(op.inputs):
+            if ref.__class__ is Lit:
+                imms[port] = ref.value
+            else:
+                token_ports.append(port)
+        is_spawn = op.op is spawn
         plan = OpPlan(
-            op_id=op.op_id,
-            op=op.op,
-            inputs=op.inputs,
-            token_ports=tuple(
-                p for p, r in enumerate(op.inputs)
-                if not isinstance(r, Lit)
-            ),
-            guard=guard,
-            slice_index=len(slices) - 1,
-            attrs=op.attrs,
-            is_spawn=op.op is Op.SPAWN,
-            callee=op.attrs.get("callee"),
-            imms={p: r.value for p, r in enumerate(op.inputs)
-                  if isinstance(r, Lit)},
-            bind_specs=(tuple(bind_spec(r, ("p", i))
-                              for i, r in enumerate(op.inputs))
-                        if op.op is Op.SPAWN else ()),
+            op.op_id, op.op, op.inputs, tuple(token_ports), guard,
+            len(slices) - 1, op.attrs, is_spawn, op.attrs.get("callee"),
+            imms,
+            (tuple(bind_spec(r, ("p", i)) for i, r in enumerate(op.inputs))
+             if is_spawn else ()),
         )
         ops.append(plan)
-        if op.op is Op.SPAWN:
+        if is_spawn:
             # Transfer points are fetch items, not instructions.
             items.append(("slice", len(slices) - 1))
             items.append(("spawn", op.op_id))
@@ -216,12 +217,16 @@ def _plan_block(block: BlockDef) -> BlockPlan:
     for plan in ops:
         if plan.is_spawn:
             continue
+        op_dep = dep[plan.op_id]
         for port, ref in enumerate(plan.inputs):
-            key = ref_key(ref)
-            if key is not None:
-                consumers.setdefault(key, []).append(
-                    (plan.op_id, port) + dep[plan.op_id]
-                )
+            cls = ref.__class__
+            if cls is Lit:
+                continue
+            key = ("p", ref.index) if cls is Param else (ref.op_id,
+                                                         ref.port)
+            consumers.setdefault(key, []).append(
+                (plan.op_id, port) + op_dep
+            )
 
     return BlockPlan(
         name=block.name,
