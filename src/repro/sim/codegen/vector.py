@@ -33,7 +33,6 @@ kernels share with the interpreter, and both already profile.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
@@ -292,9 +291,8 @@ def generate(lowering: VecLowering,
     profiled variant if ``profiled``): a ticked row per block, then a
     silent row for vectorizable loops; ``layout`` lists (block name,
     has a silent row)."""
-    table = KernelTable("vector", bind, layout=[],
-                        profile=(None if profiled
-                                 else partial(generate, lowering, True)))
+    table = KernelTable("vector", bind, layout=[])
+    table.profiled = profiled
     for name, plan in lowering.plans.items():
         blk = _Block(lowering, name, profiled)
         label = f"block {name!r}"
