@@ -20,7 +20,7 @@ MACHINE_BLURBS = {
 def main() -> None:
     workload = build_workload("dmv", scale="default")
     print(f"dmv: w = A @ B with n = {workload.params['n']}")
-    print("Every run is checked against a numpy oracle.\n")
+    print("Every run is checked against an oracle.\n")
 
     rows = []
     for machine in PAPER_SYSTEMS:

@@ -17,7 +17,7 @@ implements, in pure Python:
   (WaveScalar/TRIPS-like), ordered dataflow (RipTide-like), unordered
   tagged dataflow, and TYR -- plus deadlock-prone baselines
   (:mod:`repro.sim`);
-* the paper's seven-benchmark suite with numpy oracles
+* the paper's seven-benchmark suite with oracles
   (:mod:`repro.workloads`);
 * experiment drivers regenerating every figure and table
   (:mod:`repro.harness`).

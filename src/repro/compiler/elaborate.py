@@ -47,6 +47,7 @@ from repro.ir.program import (
     Res,
     ReturnTerm,
     ValueRef,
+    callees_first,
 )
 
 #: The pseudo-block owning root-side linkage and result sinks.
@@ -82,8 +83,9 @@ class _Elaborator:
         self.sites = program.call_sites()
 
     def run(self) -> TaggedGraph:
-        live = self._reachable_blocks()
-        for name in self.program.topo_order():
+        graph = self.program.call_graph()
+        live = self._reachable_blocks(graph)
+        for name in callees_first(graph):
             if name not in live:
                 continue  # dead code: never called from the entry
             be = _BlockElab(self, self.program.block(name))
@@ -98,8 +100,7 @@ class _Elaborator:
         self.g.check()
         return self.g
 
-    def _reachable_blocks(self) -> set:
-        graph = self.program.call_graph()
+    def _reachable_blocks(self, graph: Dict[str, List[str]]) -> set:
         live = set()
         frontier = [self.program.entry]
         while frontier:

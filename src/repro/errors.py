@@ -75,9 +75,9 @@ class UnexpectedRunError(ReproError):
     """A non-:class:`ReproError` exception escaped a pooled run.
 
     Wraps the original error (type, message, and formatted traceback)
-    together with the failing spec's context, so e.g. a numpy oracle
-    check failure surfaces in the parent naming the workload, machine,
-    and configuration that triggered it.
+    together with the failing spec's context, so e.g. an exception
+    inside an oracle surfaces in the parent naming the workload,
+    machine, and configuration that triggered it.
     """
 
 

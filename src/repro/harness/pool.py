@@ -82,7 +82,7 @@ class RunSpec:
     machine: str
     #: Canonicalized :meth:`CompiledWorkload.run` keyword arguments.
     config: Tuple[Tuple[str, object], ...]
-    #: Verify memory/results against the numpy oracle after the run.
+    #: Verify memory/results against the oracle after the run.
     check: bool = True
     #: Dispatch through generated plan kernels (repro.sim.codegen).
     #: Deliberately NOT part of :func:`cache_key` (which hashes only
@@ -242,7 +242,7 @@ def _run_guarded(spec: RunSpec) -> Tuple[bool, object]:
     """Worker entry point: never let an exception kill the pool.
 
     Library failures (:class:`ReproError`) come back as-is; anything
-    else -- a numpy oracle check failure, a plain bug -- is wrapped in
+    else -- an exception inside an oracle, a plain bug -- is wrapped in
     :class:`UnexpectedRunError` with the spec context and the original
     traceback, so the parent re-raises it naming the workload,
     machine, and config that triggered it instead of a bare

@@ -340,12 +340,18 @@ class ContextProgram:
         loop self-recursion (general recursion must have been converted
         to tail form, as the paper's Theorem 1 assumes).
         """
-        graph = self.call_graph()
-        state: Dict[str, int] = {}
-        order: List[str] = []
-        for name in self.blocks:
-            _visit_callees(graph, name, (), state, order)
-        return order
+        return callees_first(self.call_graph())
+
+
+def callees_first(graph: Dict[str, List[str]]) -> List[str]:
+    """:meth:`ContextProgram.topo_order` of the program whose
+    :meth:`~ContextProgram.call_graph` is ``graph``, for a caller that
+    already holds the graph."""
+    state: Dict[str, int] = {}
+    order: List[str] = []
+    for name in graph:
+        _visit_callees(graph, name, (), state, order)
+    return order
 
 
 def _visit_callees(graph: Dict[str, List[str]], node: str,

@@ -8,9 +8,9 @@ Seven kernels spanning regular and irregular parallelism:
 * graph: ``tc`` (triangle counting)
 
 Each workload builds a frontend module, input memory, and a
-numpy-backed correctness check. Input sizes are scaled down from the
-paper's (50M-1B dynamic instructions) to fit a pure-Python simulator;
-see DESIGN.md for the substitution rationale.
+correctness check against its oracle. Input sizes are scaled down from
+the paper's (50M-1B dynamic instructions) to fit a pure-Python
+simulator; see DESIGN.md for the substitution rationale.
 """
 
 from repro.workloads.registry import (

@@ -8,7 +8,8 @@ Offline we synthesize structurally similar inputs:
   stiffness matrix; we match the banded-symmetric structure.
 * ``mesh_csr`` -- M6 is a planar triangular mesh; we use a 2-D grid
   with diagonal links (planar, bounded degree).
-* ``small_world_graph`` -- Watts-Strogatz, as in the paper [83].
+* ``small_world_graph`` -- Watts-Strogatz, as in the paper [83], with
+  networkx's random draws.
 
 All values are small integers so results are exact across machines.
 """
@@ -16,9 +17,9 @@ All values are small integers so results are exact across machines.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
-import networkx as nx
+from repro.errors import ReproError
 
 
 def dense_matrix(rows: int, cols: int, seed: int = 0,
@@ -123,12 +124,46 @@ def sparse_vector(n: int, nnz: int, seed: int = 0
 def small_world_graph(n: int, k: int = 8, p: float = 0.1,
                       seed: int = 0) -> Tuple[List[int], List[int]]:
     """Watts-Strogatz navigable small world as CSR adjacency
-    (sorted neighbor lists), like the paper's tc input [83]."""
-    g = nx.watts_strogatz_graph(n, k, p, seed=seed)
+    (sorted neighbor lists), like the paper's tc input [83].
+
+    Makes networkx's ``watts_strogatz_graph`` random draws in the same
+    order, so a seed gives the graph networkx gives it: a ring lattice
+    with ``k // 2`` neighbors per side, then one ``random()`` per
+    lattice edge (distance by distance, node by node) and, for each
+    edge rewired, ``choice`` draws until a non-neighbor turns up or the
+    node has degree ``n - 1``. At ``k == n`` the lattice is already
+    complete and every rewiring bails out, giving the complete graph
+    networkx returns. ``test_small_world_graph_matches_networkx`` in
+    ``tests/workloads/test_data.py`` pins the equality.
+    """
+    if k > n:
+        raise ReproError(f"small world graph needs k <= n, got k={k}, "
+                         f"n={n}")
+    nodes = range(n)
+    adj: List[Set[int]] = [set() for _ in nodes]
+    for j in range(1, k // 2 + 1):
+        for u in nodes:
+            v = (u + j) % n
+            adj[u].add(v)
+            adj[v].add(u)
+    rng = random.Random(seed)
+    for j in range(1, k // 2 + 1):
+        for u in nodes:
+            if rng.random() < p:
+                w = rng.choice(nodes)
+                while w == u or w in adj[u]:
+                    w = rng.choice(nodes)
+                    if len(adj[u]) >= n - 1:
+                        break  # no non-neighbor left: keep the edge
+                else:
+                    v = (u + j) % n
+                    adj[u].remove(v)
+                    adj[v].remove(u)
+                    adj[u].add(w)
+                    adj[w].add(u)
     indptr = [0]
     indices: List[int] = []
-    for u in range(n):
-        for w in sorted(g.neighbors(u)):
-            indices.append(w)
+    for u in nodes:
+        indices.extend(sorted(adj[u]))
         indptr.append(len(indices))
     return indptr, indices

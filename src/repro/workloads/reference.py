@@ -1,38 +1,53 @@
-"""Numpy-backed oracles for every workload.
+"""Oracles for every workload.
 
 Every machine model's final memory and return values are compared
-against these, for every benchmark run in the test suite.
+against these, for every benchmark run in the test suite. They are
+plain integer loops, so the package needs no third-party library at
+run time; ``tests/workloads/test_kernels.py`` checks the dense ones
+against numpy.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence
 
 
 def dmv_ref(A: Sequence[int], B: Sequence[int], n: int) -> List[int]:
-    a = np.asarray(A, dtype=np.int64).reshape(n, n)
-    b = np.asarray(B, dtype=np.int64)
-    return (a @ b).tolist()
+    """Row-major n x n ``A`` times the length-n vector ``B``."""
+    y = []
+    for i in range(n):
+        acc = 0
+        for j in range(n):
+            acc += A[i * n + j] * B[j]
+        y.append(acc)
+    return y
 
 
 def dmm_ref(A: Sequence[int], B: Sequence[int], n: int) -> List[int]:
-    a = np.asarray(A, dtype=np.int64).reshape(n, n)
-    b = np.asarray(B, dtype=np.int64).reshape(n, n)
-    return (a @ b).reshape(-1).tolist()
+    """Row-major n x n ``A`` times ``B``, row-major output."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc += A[i * n + k] * B[k * n + j]
+            out.append(acc)
+    return out
 
 
 def dconv_ref(image: Sequence[int], filt: Sequence[int], h: int, w: int,
               kh: int, kw: int) -> List[int]:
-    img = np.asarray(image, dtype=np.int64).reshape(h, w)
-    f = np.asarray(filt, dtype=np.int64).reshape(kh, kw)
-    oh, ow = h - kh + 1, w - kw + 1
-    out = np.zeros((oh, ow), dtype=np.int64)
-    for y in range(oh):
-        for x in range(ow):
-            out[y, x] = int((img[y:y + kh, x:x + kw] * f).sum())
-    return out.reshape(-1).tolist()
+    """Valid 2-D correlation of an h x w image with a kh x kw filter,
+    row-major (h - kh + 1) x (w - kw + 1) output."""
+    out = []
+    for y in range(h - kh + 1):
+        for x in range(w - kw + 1):
+            acc = 0
+            for dy in range(kh):
+                for dx in range(kw):
+                    acc += image[(y + dy) * w + x + dx] * filt[dy * kw + dx]
+            out.append(acc)
+    return out
 
 
 def smv_ref(indptr: Sequence[int], indices: Sequence[int],

@@ -2,7 +2,7 @@
 
 ``build_workload(name, scale)`` returns a :class:`WorkloadInstance`
 bundling the frontend module, entry arguments, initial memory, and a
-correctness check against the numpy oracle. Scales trade run time for
+correctness check against the oracle. Scales trade run time for
 fidelity; the ``paper`` column records the original input sizes we
 scaled down from (see DESIGN.md).
 """
@@ -73,7 +73,7 @@ class WorkloadInstance:
 
     def check(self, memory: Memory,
               results: Sequence[object]) -> None:
-        """Assert outputs match the numpy oracle."""
+        """Assert outputs match the oracle."""
         for array, want in self.expected_memory.items():
             got = memory[array]
             if list(got) != list(want):

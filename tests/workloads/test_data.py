@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.errors import ReproError
+from repro.workloads import build_workload
 from repro.workloads import data as gen
+from repro.workloads.registry import SCALES
 
 
 def csr_invariants(indptr, indices, data, rows, cols):
@@ -74,3 +77,59 @@ def test_small_world_graph_structure():
             assert u in neigh[w]
     # Average degree close to k.
     assert 2 <= len(indices) / 32 <= 6
+
+
+def networkx_csr(n, k, p, seed):
+    """networkx's Watts-Strogatz graph as sorted CSR adjacency."""
+    nx = pytest.importorskip("networkx")
+    g = nx.watts_strogatz_graph(n, k, p, seed=seed)
+    indptr, indices = [0], []
+    for u in range(n):
+        indices.extend(sorted(g.neighbors(u)))
+        indptr.append(len(indices))
+    return indptr, indices
+
+
+@pytest.mark.parametrize("name,scale", [
+    (name, scale) for name in ("tc", "bfs") for scale in SCALES[name]])
+def test_small_world_graph_matches_networkx(name, scale, monkeypatch):
+    # The workload's input graph, built with the arguments its builder
+    # passes, is networkx's graph for those arguments.
+    calls = []
+    make = gen.small_world_graph
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(gen, "small_world_graph", recording)
+    for seed in range(10):
+        del calls[:]
+        wl = build_workload(name, scale, seed=seed)
+        [(args, kwargs)] = calls
+        want = networkx_csr(*args, **kwargs)
+        assert (wl.initial_memory["ptr"], wl.initial_memory["idx"]) == want
+
+
+@pytest.mark.parametrize("p", [0, 0.1, 1])
+def test_small_world_graph_matches_networkx_on_small_graphs(p):
+    # Odd and even k up to n; p = 1 on a lattice of degree n - 1
+    # reaches the bail-out that leaves an edge in place.
+    for n in range(1, 17):
+        for k in range(n + 1):
+            for seed in range(3):
+                got = gen.small_world_graph(n, k, p, seed)
+                assert got == networkx_csr(n, k, p, seed), (n, k, seed)
+
+
+def test_small_world_graph_k_equal_n_is_complete():
+    indptr, indices = gen.small_world_graph(6, k=6, p=0.5, seed=1)
+    assert indptr == [0, 5, 10, 15, 20, 25, 30]
+    for u in range(6):
+        assert indices[indptr[u]:indptr[u + 1]] == [
+            w for w in range(6) if w != u]
+
+
+def test_small_world_graph_rejects_k_above_n():
+    with pytest.raises(ReproError, match="k <= n"):
+        gen.small_world_graph(4, k=5)

@@ -1,4 +1,6 @@
-"""Every Table II workload, on every machine, matches the numpy oracle."""
+"""Every Table II workload, on every machine, matches the oracle."""
+
+import random
 
 import pytest
 
@@ -6,7 +8,8 @@ from repro.errors import ReproError
 from repro.harness.runner import PAPER_SYSTEMS
 from repro.ir.interp import ReferenceInterpreter
 from repro.workloads import WORKLOAD_NAMES, build_workload
-from repro.workloads.registry import EXTRA_WORKLOADS
+from repro.workloads.reference import dconv_ref, dmm_ref, dmv_ref
+from repro.workloads.registry import EXTRA_WORKLOADS, SCALES
 
 ALL_NAMES = WORKLOAD_NAMES + EXTRA_WORKLOADS
 
@@ -93,3 +96,63 @@ def test_dconv_reference_identity_filter():
     filt = [0, 0, 0, 0, 1, 0, 0, 0, 0]
     out = dconv_ref(image, filt, 4, 4, 3, 3)
     assert out == [5, 6, 9, 10]
+
+
+def numpy_dmv(A, B, n):
+    np = pytest.importorskip("numpy")
+    a = np.asarray(A, dtype=np.int64).reshape(n, n)
+    return (a @ np.asarray(B, dtype=np.int64)).tolist()
+
+
+def numpy_dmm(A, B, n):
+    np = pytest.importorskip("numpy")
+    a = np.asarray(A, dtype=np.int64).reshape(n, n)
+    b = np.asarray(B, dtype=np.int64).reshape(n, n)
+    return (a @ b).reshape(-1).tolist()
+
+
+def numpy_dconv(image, filt, h, w, kh, kw):
+    np = pytest.importorskip("numpy")
+    img = np.asarray(image, dtype=np.int64).reshape(h, w)
+    f = np.asarray(filt, dtype=np.int64).reshape(kh, kw)
+    oh, ow = h - kh + 1, w - kw + 1
+    out = np.zeros((oh, ow), dtype=np.int64)
+    for y in range(oh):
+        for x in range(ow):
+            out[y, x] = int((img[y:y + kh, x:x + kw] * f).sum())
+    return out.reshape(-1).tolist()
+
+
+def test_dense_oracles_match_numpy_on_random_signed_inputs():
+    rng = random.Random(0)
+
+    def values(count):
+        return [rng.randint(-10**6, 10**6) for _ in range(count)]
+
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        A, B = values(n * n), values(n)
+        assert dmv_ref(A, B, n) == numpy_dmv(A, B, n)
+        B = values(n * n)
+        assert dmm_ref(A, B, n) == numpy_dmm(A, B, n)
+        h, w = rng.randint(1, 9), rng.randint(1, 9)
+        kh, kw = rng.randint(1, h), rng.randint(1, w)
+        image, filt = values(h * w), values(kh * kw)
+        assert (dconv_ref(image, filt, h, w, kh, kw)
+                == numpy_dconv(image, filt, h, w, kh, kw))
+
+
+@pytest.mark.parametrize("name,scale", [
+    (name, scale) for name in ("dmv", "dmm", "dconv")
+    for scale in SCALES[name]])
+def test_dense_oracles_match_numpy_at_registry_scales(name, scale):
+    wl = build_workload(name, scale)
+    mem, p = wl.initial_memory, wl.params
+    if name == "dmv":
+        want = {"w": numpy_dmv(mem["A"], mem["B"], p["n"])}
+    elif name == "dmm":
+        want = {"C": numpy_dmm(mem["A"], mem["B"], p["n"])}
+    else:
+        want = {"O": numpy_dconv(mem["I"], mem["F"], p["h"], p["w"],
+                                 p["kh"], p["kw"])}
+    assert wl.expected_memory == want
