@@ -21,7 +21,7 @@ the same instruction -- the red edges of the paper's Fig. 5d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.compiler.graph import new_ports
 from repro.errors import CompileError
@@ -32,7 +32,6 @@ from repro.ir.program import (
     ContextProgram,
     Lit,
     LoopTerm,
-    OpDef,
     Param,
     Res,
     ReturnTerm,
@@ -59,10 +58,6 @@ class FlatNode:
         self.out_edges: List[List[Dest]] = new_ports(n_outputs)
         self.attrs = attrs
 
-    @property
-    def token_ports(self) -> List[int]:
-        return [p for p in range(self.n_inputs) if p not in self.imms]
-
     def __repr__(self) -> str:
         return f"<f{self.node_id} {self.op.value}>"
 
@@ -81,16 +76,6 @@ class FlatGraph:
         node = FlatNode(len(self.nodes), op, n_inputs, n_outputs, attrs)
         self.nodes.append(node)
         return node
-
-    @property
-    def static_instructions(self) -> int:
-        return len(self.nodes)
-
-    def stats(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for n in self.nodes:
-            out[n.op.value] = out.get(n.op.value, 0) + 1
-        return out
 
     def check(self) -> None:
         for n in self.nodes:

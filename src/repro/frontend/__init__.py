@@ -26,15 +26,12 @@ from repro.frontend.ast import (
     UnOp,
     While,
 )
-from repro.frontend.desugar import Break, Continue
 from repro.frontend.dsl import c, load, v
 from repro.frontend.lower import lower_module
 
 __all__ = [
     "ArraySpec",
     "Assign",
-    "Break",
-    "Continue",
     "BinOp",
     "Call",
     "Cond",

@@ -22,7 +22,7 @@ path, Sec. IV-C). It:
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ProgramError
 from repro.frontend import analysis as an
@@ -67,9 +67,8 @@ Env = Dict[str, object]  # name -> ValueRef | _COND_UNDEF
 
 def lower_module(module: Module) -> ContextProgram:
     """Compile a structured module into a validated context program."""
-    from repro.frontend.desugar import expand_break_continue
     try:
-        return _ModuleLowerer(expand_break_continue(module)).lower()
+        return _ModuleLowerer(module).lower()
     except RecursionError:
         raise ProgramError(
             "statements are nested too deeply to lower (Python's "

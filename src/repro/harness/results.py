@@ -111,8 +111,8 @@ def histogram_quantile(histogram: Dict[int, int], index: int) -> int:
 
 def histogram_cdf(histogram: Dict[int, int]
                   ) -> List[Tuple[float, float]]:
-    """CDF points of a histogram, matching :func:`ipc_cdf` on the
-    concatenated trace."""
+    """(value, fraction of samples <= value) points of the CDF of the
+    concatenated trace (paper Fig. 13's per-cycle IPC CDF)."""
     total = sum(histogram.values())
     if not total:
         return []
@@ -121,25 +121,6 @@ def histogram_cdf(histogram: Dict[int, int]
     for value, count in sorted(histogram.items()):
         seen += count
         points.append((float(value), seen / total))
-    return points
-
-
-def ipc_cdf(trace: Sequence[int]) -> List[Tuple[float, float]]:
-    """(ipc, fraction of cycles with IPC <= ipc) points of a CDF.
-
-    RLE traces aggregate from their run histogram without
-    materializing per-cycle values.
-    """
-    if isinstance(trace, RLETrace):
-        return trace.cdf()
-    if not trace:
-        return []
-    values = sorted(trace)
-    n = len(values)
-    points: List[Tuple[float, float]] = []
-    for i, value in enumerate(values):
-        if i == n - 1 or values[i + 1] != value:
-            points.append((float(value), (i + 1) / n))
     return points
 
 

@@ -93,16 +93,9 @@ class CompiledWorkload:
 
     Runs only read a lowering, so one serves every run of the
     workload, its kernels' generation and their profiled variant.
-
-    ``optimize=True`` runs the :mod:`repro.compiler.passes` pipeline
-    (copy/select folding, algebraic simplification, dead-op
-    elimination) before any machine lowering.
     """
 
-    def __init__(self, program: ContextProgram, optimize: bool = False):
-        if optimize:
-            from repro.compiler.passes import optimize_program
-            optimize_program(program)
+    def __init__(self, program: ContextProgram):
         self.program = program
         self._tagged = None
         self._flat = None

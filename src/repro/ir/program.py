@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import IRError
 from repro.ir.ops import Op
@@ -151,17 +151,6 @@ class Region:
     kind: str
     items: List[Union[int, "IfRegion"]] = field(default_factory=list)
 
-    def all_op_ids(self) -> List[int]:
-        """All op ids in this region and its descendants, program order."""
-        out: List[int] = []
-        for item in self.items:
-            if isinstance(item, IfRegion):
-                out.extend(item.then_region.all_op_ids())
-                out.extend(item.else_region.all_op_ids())
-            else:
-                out.append(item)
-        return out
-
 
 @dataclass
 class IfRegion:
@@ -231,13 +220,6 @@ class BlockDef:
         """All SPAWN ops in this block, program order."""
         return [o for o in self.ops if o.op is Op.SPAWN]
 
-    def region_of(self) -> Dict[int, Tuple["IfRegion", ...]]:
-        """Map op id -> chain of enclosing IfRegions (outermost first)."""
-        out: Dict[int, Tuple[IfRegion, ...]] = {}
-        _walk_regions(self.region, (), out,
-                      lambda item, sense: (item,))
-        return out
-
     def guard_chain(self) -> Dict[int, Tuple[Tuple[ValueRef, bool], ...]]:
         """Map op id -> ((decider, sense), ...) guarding its execution.
 
@@ -245,22 +227,21 @@ class BlockDef:
         an empty chain.
         """
         out: Dict[int, Tuple[Tuple[ValueRef, bool], ...]] = {}
-        _walk_regions(self.region, (), out,
-                      lambda item, sense: ((item.decider, sense),))
+        _walk_regions(self.region, (), out)
         return out
 
 
-def _walk_regions(region: Region, chain: tuple, out: Dict[int, tuple],
-                  link) -> None:
-    """Map each op id under ``region`` to ``chain`` extended by
-    ``link(if_region, sense)`` for every enclosing branch side. (A
-    module-level recursion: a nested one would be a reference cycle.)"""
+def _walk_regions(region: Region, chain: tuple,
+                  out: Dict[int, tuple]) -> None:
+    """Map each op id under ``region`` to ``chain`` extended by one
+    ``(decider, sense)`` per enclosing branch side. (A module-level
+    recursion: a nested one would be a reference cycle.)"""
     for item in region.items:
         if isinstance(item, IfRegion):
-            _walk_regions(item.then_region, chain + link(item, True), out,
-                          link)
-            _walk_regions(item.else_region, chain + link(item, False), out,
-                          link)
+            _walk_regions(item.then_region,
+                          chain + ((item.decider, True),), out)
+            _walk_regions(item.else_region,
+                          chain + ((item.decider, False),), out)
         else:
             out[item] = chain
 
@@ -297,18 +278,6 @@ class ContextProgram:
 
     def entry_block(self) -> BlockDef:
         return self.block(self.entry)
-
-    def static_instruction_count(self) -> int:
-        """Total static ops across all blocks (paper Theorem 2's N)."""
-        return sum(len(b.ops) for b in self.blocks.values())
-
-    def max_op_inputs(self) -> int:
-        """Largest input arity across all ops (paper Theorem 2's M)."""
-        best = 1
-        for b in self.blocks.values():
-            for o in b.ops:
-                best = max(best, len(o.inputs))
-        return best
 
     def call_graph(self) -> Dict[str, List[str]]:
         """Adjacency: block name -> callee names (via SPAWN), no self."""

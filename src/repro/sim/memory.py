@@ -70,9 +70,6 @@ class Memory:
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
 
-    def array_names(self) -> List[str]:
-        return sorted(self._arrays)
-
     def snapshot(self) -> Dict[str, List]:
         """Deep copy of all arrays (for oracle comparison)."""
         return {name: list(data) for name, data in self._arrays.items()}

@@ -23,9 +23,9 @@ The contract consumers rely on:
   the old lists, but nothing is materialized until asked for;
 * streaming aggregations (:meth:`RLETrace.peak`,
   :meth:`RLETrace.total`, :meth:`RLETrace.histogram`,
-  :meth:`RLETrace.cdf`, :meth:`RLETrace.downsample`) answer the
-  Fig. 13/14/16-style questions straight from the runs, so those
-  consumers never materialize a trace at all.
+  :meth:`RLETrace.downsample`) answer the Fig. 13/14/16-style
+  questions straight from the runs, so those consumers never
+  materialize a trace at all.
 """
 
 from __future__ import annotations
@@ -203,19 +203,9 @@ class RLETrace(_SequenceABC):
                 f"runs={len(self._values)})")
 
     # -- streaming aggregation -----------------------------------------
-    def runs(self) -> Iterator[Tuple[int, int]]:
-        """(value, count) pairs in trace order."""
-        return zip(self._values, self._counts)
-
     @property
     def n_runs(self) -> int:
         return len(self._values)
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate storage footprint of the encoded runs."""
-        return (self._values.itemsize * len(self._values)
-                + self._counts.itemsize * len(self._counts))
 
     def peak(self, default: int = 0) -> int:
         return max(self._values) if self._values else default
@@ -223,39 +213,12 @@ class RLETrace(_SequenceABC):
     def total(self) -> int:
         return sum(v * c for v, c in zip(self._values, self._counts))
 
-    def mean(self) -> float:
-        return self.total() / self._length if self._length else 0.0
-
     def histogram(self) -> Dict[int, int]:
         """value -> number of cycles with that sample."""
         hist: Dict[int, int] = {}
         for value, count in zip(self._values, self._counts):
             hist[value] = hist.get(value, 0) + count
         return hist
-
-    def cdf(self) -> List[Tuple[float, float]]:
-        """(value, fraction of samples <= value) CDF points."""
-        if not self._length:
-            return []
-        hist = self.histogram()
-        points: List[Tuple[float, float]] = []
-        seen = 0
-        for value in sorted(hist):
-            seen += hist[value]
-            points.append((float(value), seen / self._length))
-        return points
-
-    def sorted_value_at(self, index: int) -> int:
-        """The sample at position ``index`` of the sorted trace
-        (i.e. ``sorted(trace)[index]`` without materializing)."""
-        if not 0 <= index < self._length:
-            raise IndexError("trace index out of range")
-        seen = 0
-        for value, count in sorted(self.histogram().items()):
-            seen += count
-            if index < seen:
-                return value
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def downsample(self, n_points: int = 100) -> List[int]:
         """Bucket-max downsampling (keeps peaks visible); identical
@@ -282,9 +245,6 @@ class RLETrace(_SequenceABC):
                     best = values[r]
             out.append(best)
         return out
-
-    def to_list(self) -> List[int]:
-        return self._materialize_range(0, self._length)
 
     # -- pickling (compact: narrowed + compressed run arrays) ----------
     def __reduce__(self):

@@ -78,8 +78,9 @@ class ExecutionTrace:
         consumed at cycle *c* still crosses the cut at *c* (it is live
         until its consumer fires).
 
-        Figure drivers sweep this over every cycle, so the edge
-        endpoints are pre-sorted once per trace: each query is two
+        The tests' independent reference for the tagged engine's
+        live-token count: they query it at every cycle, so the edge
+        endpoints are pre-sorted once per trace and each query is two
         bisections, O(log E), instead of a full edge rescan.
         """
         index = self._cut_index

@@ -6,8 +6,8 @@ Offline we synthesize structurally similar inputs:
 
 * ``banded_symmetric_csr`` -- trdheim is a banded symmetric FEM
   stiffness matrix; we match the banded-symmetric structure.
-* ``mesh_csr`` -- M6 is a planar triangular mesh; we use a 2-D grid
-  with diagonal links (planar, bounded degree).
+* ``random_csr`` -- stands in for M6 (a planar mesh) in spmspv, and
+  for spmspm's random sparse operands.
 * ``small_world_graph`` -- Watts-Strogatz, as in the paper [83], with
   networkx's random draws.
 
@@ -74,39 +74,6 @@ def banded_symmetric_csr(n: int, bandwidth: int, fill: float = 0.6,
         for j in sorted(row):
             indices.append(j)
             data.append(row[j])
-        indptr.append(len(indices))
-    return indptr, indices, data
-
-
-def mesh_csr(side: int, seed: int = 0) -> CSR:
-    """Adjacency-like sparse matrix of a triangulated grid
-    (DIMACS10/M6-like planar mesh)."""
-    rng = random.Random(seed)
-    n = side * side
-    neighbors: Dict[int, set] = {i: set() for i in range(n)}
-
-    def node(r, col):
-        return r * side + col
-
-    for r in range(side):
-        for col in range(side):
-            u = node(r, col)
-            if col + 1 < side:
-                neighbors[u].add(node(r, col + 1))
-                neighbors[node(r, col + 1)].add(u)
-            if r + 1 < side:
-                neighbors[u].add(node(r + 1, col))
-                neighbors[node(r + 1, col)].add(u)
-            if col + 1 < side and r + 1 < side:
-                neighbors[u].add(node(r + 1, col + 1))
-                neighbors[node(r + 1, col + 1)].add(u)
-    indptr = [0]
-    indices: List[int] = []
-    data: List[int] = []
-    for u in range(n):
-        for w in sorted(neighbors[u]):
-            indices.append(w)
-            data.append(rng.randint(1, 9))
         indptr.append(len(indices))
     return indptr, indices, data
 

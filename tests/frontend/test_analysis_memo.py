@@ -34,7 +34,6 @@ from repro.frontend.ast import (
     UnOp,
     While,
 )
-from repro.frontend.desugar import expand_break_continue
 from repro.frontend.dsl import c, v
 from repro.frontend.lower import _ModuleLowerer, lower_module
 from repro.workloads.randomprog import random_module
@@ -231,7 +230,7 @@ def _facts(ud):
 
 def _lowered(module):
     """(lowerer after lowering, module it lowered)."""
-    ml = _ModuleLowerer(expand_break_continue(module))
+    ml = _ModuleLowerer(module)
     ml.lower()
     return ml, ml.module
 

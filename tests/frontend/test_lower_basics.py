@@ -8,6 +8,7 @@ from repro.frontend.ast import (
     Assign,
     Call,
     Cond,
+    For,
     Function,
     If,
     Module,
@@ -16,7 +17,6 @@ from repro.frontend.ast import (
 )
 from repro.frontend.dsl import c, load, v
 from repro.frontend.lower import lower_module
-from repro.ir.program import BlockKind
 
 
 def test_arithmetic_chain(run):
@@ -151,6 +151,21 @@ def test_nested_return_rejected():
         ]),
     ])
     with pytest.raises(ProgramError, match="last"):
+        lower_module(mod)
+
+
+class _NotAStatement:
+    """An object the frontend has no statement rule for."""
+
+
+@pytest.mark.parametrize("place", ["top", "for", "if"])
+def test_unknown_statement_rejected(place):
+    stray = _NotAStatement()
+    body = {"top": [stray],
+            "for": [For("i", 0, v("x"), [stray])],
+            "if": [If(v("x") > 0, [stray])]}[place]
+    mod = Module([Function("main", ["x"], body + [Return([c(0)])])])
+    with pytest.raises(ProgramError, match="unknown statement node"):
         lower_module(mod)
 
 

@@ -42,7 +42,7 @@ def test_state_reduction_vs():
 
 
 def test_ipc_cdf_monotone():
-    points = agg.ipc_cdf([1, 1, 2, 4, 4, 4])
+    points = agg.histogram_cdf(agg.trace_histogram([1, 1, 2, 4, 4, 4]))
     xs = [p[0] for p in points]
     fracs = [p[1] for p in points]
     assert xs == sorted(xs)

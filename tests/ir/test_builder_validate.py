@@ -12,7 +12,6 @@ from repro.ir import (
     validate_program,
 )
 from repro.ir.ops import Op
-from repro.ir.program import LoopTerm, ReturnTerm
 
 
 def simple_program():
@@ -29,7 +28,7 @@ def test_simple_program_builds_and_validates():
     prog = simple_program()
     validate_program(prog)
     assert prog.entry_block().n_params == 1
-    assert prog.static_instruction_count() == 1
+    assert len(prog.entry_block().ops) == 1
 
 
 def test_constant_folding_in_pure():

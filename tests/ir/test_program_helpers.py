@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.compiler.elaborate import elaborate
 from repro.errors import IRError
 from repro.frontend.lower import lower_module
 from repro.ir.ops import Op
-from repro.ir.program import BlockKind, Res
+from repro.ir.program import BlockKind, IfRegion, Res
+from repro.workloads.randomprog import random_module
 
 from tests.conftest import dmv_module, sum_loop_module
 
@@ -36,23 +38,36 @@ def entry_spawn_id(prog):
 
 
 def test_static_counts():
+    # Theorem 2's N and M are counted on the elaborated graph, which
+    # adds the linkage nodes to the program's ops.
     prog = lower_module(sum_loop_module())
-    assert prog.static_instruction_count() == sum(
+    graph = elaborate(prog)
+    assert graph.static_instructions == len(graph.nodes) > sum(
         len(b.ops) for b in prog.blocks.values()
     )
-    assert prog.max_op_inputs() >= 2
+    assert graph.max_inputs >= 2
+    assert graph.token_bound(4) == (
+        4 * graph.static_instructions * graph.max_inputs)
 
 
-def test_region_of_and_guard_chain_consistent():
-    prog = lower_module(dmv_module())
-    for block in prog.blocks.values():
-        regions = block.region_of()
-        guards = block.guard_chain()
-        assert set(regions) == set(guards) == set(
-            range(len(block.ops))
-        )
-        for op_id, chain in regions.items():
-            assert len(chain) == len(guards[op_id])
+def _branch_depths(region, depth, out):
+    for item in region.items:
+        if isinstance(item, IfRegion):
+            _branch_depths(item.then_region, depth + 1, out)
+            _branch_depths(item.else_region, depth + 1, out)
+        else:
+            out[item] = depth
+    return out
+
+
+def test_guard_chain_covers_every_op():
+    # random programs 1 and 4 nest branches; dmv has none.
+    for module in (dmv_module(), random_module(1), random_module(4)):
+        for block in lower_module(module).blocks.values():
+            guards = block.guard_chain()
+            assert set(guards) == set(range(len(block.ops)))
+            depths = {op_id: len(chain) for op_id, chain in guards.items()}
+            assert depths == _branch_depths(block.region, 0, {})
 
 
 def test_block_lookup_errors():

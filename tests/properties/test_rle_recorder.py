@@ -13,6 +13,7 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness.results import histogram_cdf, histogram_quantile
 from repro.sim.metrics import MetricsRecorder, RLETrace
 
 #: One recorder event: a busy cycle (fired, live) or an idle
@@ -118,10 +119,10 @@ def test_derived_statistics_match_reference(events):
     for value in sorted(hist):
         seen += hist[value]
         cdf.append((float(value), seen / n))
-    assert rle.ipc_trace.cdf() == cdf
+    assert histogram_cdf(rle.ipc_trace.histogram()) == cdf
     s = sorted(ref.live_trace)
     for i in range(0, len(s), 11):
-        assert rle.live_trace.sorted_value_at(i) == s[i]
+        assert histogram_quantile(rle.live_trace.histogram(), i) == s[i]
 
 
 @given(events=_EVENTS)

@@ -44,15 +44,6 @@ def test_banded_symmetric_csr_is_symmetric():
         assert entries.get((j, i)) == val
 
 
-def test_mesh_csr_is_planar_graph_like():
-    indptr, indices, data = gen.mesh_csr(5, seed=0)
-    csr_invariants(indptr, indices, data, 25, 25)
-    # Bounded degree (grid + diagonals: at most 8 neighbors).
-    degrees = [indptr[i + 1] - indptr[i] for i in range(25)]
-    assert max(degrees) <= 8
-    assert min(degrees) >= 2
-
-
 def test_sparse_vector_sorted_unique():
     idx, vals = gen.sparse_vector(100, 12, seed=4)
     assert idx == sorted(idx)
