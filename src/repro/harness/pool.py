@@ -206,19 +206,15 @@ def precompile_specs(specs: Sequence[RunSpec]) -> None:
         compiled = workload_for(spec).compiled
         compiled.lowering(KERNEL_FAMILY[spec.machine])
         # Generated kernels: generate the table and compile the timing
-        # rule the run binds (datapar's profiled variant for profiled
-        # specs) in the parent, so forked workers inherit the bound
-        # tables and the warm shape memo through copy-on-write.
+        # rule the run binds in the parent, so forked workers inherit
+        # the bound tables and the warm shape memo through copy-on-write.
         config = _config_kwargs(spec)
         family = kernel_family(spec.machine, spec.codegen,
                                config.get("record_trace", False),
                                config.get("track_occupancy", False))
         if family is not None:
-            kernels = compiled.kernels(family)
-            if config.get("profile"):
-                kernels = kernels.profiled()
-            kernels.compile(rule_for(config.get("cache"),
-                                     config.get("load_latency", 1)))
+            compiled.kernels(family).compile(rule_for(
+                config.get("cache"), config.get("load_latency", 1)))
 
 
 def run_one(spec: RunSpec) -> ExecutionResult:

@@ -92,7 +92,7 @@ class CompiledWorkload:
     on first use (:meth:`lowering`), and its kernel modules.
 
     Runs only read a lowering, so one serves every run of the
-    workload, its kernels' generation and their profiled variant.
+    workload and its kernels' generation.
     """
 
     def __init__(self, program: ContextProgram):
@@ -168,7 +168,8 @@ class CompiledWorkload:
         its kernel table on first use: when a run binds it, at
         construction or at a mid-run hand-off, or when
         ``pool.precompile_specs`` compiles it. A run that never gets
-        there generates nothing. Node shapes are emitted once per
+        there generates nothing, and a profiled datapar run, which
+        interprets, never gets there. Node shapes are emitted once per
         process and shared by every program, so generating a table is
         mostly reading this program's constants; each timing rule's
         shapes compile when an engine first binds it. Forked sweep
@@ -234,17 +235,17 @@ class CompiledWorkload:
         The engine runs this workload's machine lowering
         (:meth:`lowering`), built on the first run that needs it.
         ``codegen=True`` (the default) gives the engine this
-        program's kernel module (:meth:`kernels`), profiled runs too
-        (datapar their profiled variant). It binds them at
-        construction if their timing rule is compiled already (by
-        ``pool.precompile_specs`` or an earlier run of this workload);
-        else the run starts on the plain reference interpreter and
-        hands off to the kernels at a cycle boundary once it has fired
-        ``HANDOFF_K`` instructions per static node, generating the
-        table there, so a short run never generates, binds or compiles
-        them. Traced and occupancy-tracked runs, and ``codegen=False``,
-        only interpret. Metrics and profiles are bit-identical either
-        way.
+        program's kernel module (:meth:`kernels`), profiled runs too;
+        a profiled datapar engine drops it and interprets. An engine
+        binds the module at construction if its timing rule is
+        compiled already (by ``pool.precompile_specs`` or an earlier
+        run of this workload); else the run starts on the plain
+        reference interpreter and hands off to the kernels at a cycle
+        boundary once it has fired ``HANDOFF_K`` instructions per
+        static node, generating the table there, so a short run never
+        generates, binds or compiles them. Traced and
+        occupancy-tracked runs, and ``codegen=False``, only interpret.
+        Metrics and profiles are bit-identical either way.
 
         ``max_cycles`` bounds *simulated* cycles, which does not help
         against a slow host or an engine bug that stops the cycle

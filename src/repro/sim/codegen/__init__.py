@@ -11,16 +11,16 @@ its kernel table there, on its first bind, so a run that never hands
 off generates nothing. Specialization per node shape and timing
 rule lives only here: each engine's interpreter, one plain firing rule
 per opcode, remains the bit-identical reference semantics (and the
-only path for traced and occupancy-tracked runs). The cycle loop is
-never generated: the tagged, queued and window engines each have one
-hand-written loop that kernel, interpreted and profiled runs share.
+only path for traced, occupancy-tracked and profiled datapar runs).
+The cycle loop is never generated: the tagged, queued and window
+engines each have one hand-written loop that kernel, interpreted and
+profiled runs share.
 
-Profiled runs use the kernels too. The tagged, flat and window rows
-serve them as they are, since the cycle loop books the stall taxonomy.
-The vector family books it in its whole-block shapes: a program's
-profiled variant is generated and compiled on the first profiled bind
-(:meth:`KernelModule.profiled`), so an unprofiled run builds nothing
-for it, and a profiled run builds nothing else.
+Each family has one kernel table per program, generated from its
+lowering. Profiled tagged, flat and window runs use it as it is, since
+the cycle loop books the stall taxonomy whichever fire table it runs.
+The vector family has no cycle loop, so a profiled datapar run
+interprets, and its item walk books the taxonomy.
 
 Families and the machine lowerings they are generated from
 (``CompiledWorkload.lowering(family)``, built once per workload and
@@ -44,8 +44,8 @@ the tagged, flat and window generators emit each node shape once per
 process, memoized by the node's structure, so :func:`generate_source`
 mostly reads a program's constants into its kernel table (the vector
 generator, whose whole-block shapes rarely repeat, emits every block).
-:func:`compile_kernels` dumps the table when dumping and wraps it into
-a :class:`KernelModule`. A workload's module calls both on its first
+:func:`compile_kernels` dumps the table when dumping and returns it to
+its :class:`KernelModule`. A workload's module calls both on its first
 use, looking them up here at each generation, and each timing rule's
 shapes compile the first time an engine binds that rule: a program
 made of known shapes, or run only under rules already compiled, costs
@@ -84,27 +84,21 @@ __all__ = [
 ]
 
 
-def generate_source(family: str, lowering,
-                    profiled: bool = False) -> KernelSource:
+def generate_source(family: str, lowering) -> KernelSource:
     """The kernel table of one family, generated from its machine
     lowering (what ``CompiledWorkload.lowering(family)`` returns: the
     tagged graph, the flat graph, the window plans or the vector
-    lowering) and wrapped for :func:`compile_kernels`; with
-    ``profiled``, its profiled variant (vector only). The table is a
+    lowering) and wrapped for :func:`compile_kernels`. The table is a
     deterministic function of the lowering; the source text is
     empty."""
-    if family == "vector":
-        from repro.sim.codegen.vector import generate
-        return kernel_source(generate(lowering, profiled))
-    if profiled:
-        raise ValueError(f"kernel family {family!r} has no profiled "
-                         f"variant")
     if family == "tagged":
         from repro.sim.codegen.tagged import generate
     elif family == "flat":
         from repro.sim.codegen.queued import generate
     elif family == "window":
         from repro.sim.codegen.window import generate
+    elif family == "vector":
+        from repro.sim.codegen.vector import generate
     else:
         raise ValueError(f"unknown kernel family {family!r}")
     return kernel_source(generate(lowering))

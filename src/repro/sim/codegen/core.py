@@ -40,13 +40,12 @@ it at construction: it interprets until the run has fired
 boundary and runs on (:func:`defer_kernels`). A short never-seen run
 so never generates, binds or compiles anything.
 
-Tables hold firing rules only. The tagged, queued and window engines
-each run one hand-written cycle loop, the same for kernel, interpreted
-and profiled runs, so their rows serve profiled runs too. The vector
-family profiles in its whole-block shapes: its table generates the
-program's *profiled* variant on the first profiled bind
-(:meth:`KernelModule.profiled`), so an unprofiled run never builds
-one.
+Tables hold firing rules only, one table per program and family. The
+tagged, queued and window engines each run one hand-written cycle
+loop, the same for kernel, interpreted and profiled runs, so their
+rows serve profiled runs too. A profiled datapar run interprets: the
+vector family has no cycle loop to book the stall taxonomy in, and
+its engine drops its kernels when profiling.
 
 This module holds what the generators share:
 
@@ -63,8 +62,7 @@ This module holds what the generators share:
   per-rule compile, and the data-driven binder.
 
 Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each generated table's
-shape sources and node table to ``<dir>/<family>-<fingerprint12>.py``
-(``...-profiled.py`` for a profiled vector variant).
+shape sources and node table to ``<dir>/<family>-<fingerprint12>.py``.
 """
 
 from __future__ import annotations
@@ -87,11 +85,6 @@ DUMP_ENV = "TYR_REPRO_DUMP_KERNELS"
 
 #: Kernel families.
 FAMILIES = ("tagged", "flat", "window", "vector")
-
-#: The families whose profiled runs bind a variant table of their own
-#: (vector books the stall taxonomy in its whole-block shapes); the
-#: other families' rows serve profiled runs as they are.
-VARIANT_FAMILIES = ("vector",)
 
 #: Timing rules, in the order of every row's variants: cache-probe
 #: loads, idealized single-cycle loads, hash-based variable latency.
@@ -372,12 +365,9 @@ class KernelTable:
     ``recipe.consts(fields)`` are the row's constants. ``layout`` is
     family data the binder needs; ``bind(module, engine)`` is the
     family's binder; ``labels()`` names the rows, for dumps.
-    ``profiled`` marks a profiled variant's table (vector only:
-    :meth:`KernelModule.profiled`), which names its dump.
     """
 
-    __slots__ = ("family", "rows", "layout", "bind", "profiled", "labels",
-                 "_added")
+    __slots__ = ("family", "rows", "layout", "bind", "labels", "_added")
 
     def __init__(self, family: str, bind: Callable, layout=None,
                  labels: Optional[Callable[[], List[str]]] = None
@@ -386,7 +376,6 @@ class KernelTable:
         self.rows: List[tuple] = []
         self.layout = layout
         self.bind = bind
-        self.profiled = False
         self._added: List[str] = []
         self.labels = labels if labels is not None else self._added.copy
 
@@ -483,9 +472,7 @@ def dump_kernel_source(table: KernelTable,
                      f"{recipe.consts(fields)!r}),")
     lines.append("]")
     os.makedirs(directory, exist_ok=True)
-    suffix = "-profiled" if table.profiled else ""
-    path = os.path.join(directory,
-                        f"{table.family}-{fingerprint[:12]}{suffix}.py")
+    path = os.path.join(directory, f"{table.family}-{fingerprint[:12]}.py")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -494,31 +481,27 @@ def dump_kernel_source(table: KernelTable,
 class KernelModule:
     """One program's kernels of one family, ready to bind to engines.
 
-    A module made from the family's machine lowering
-    (``CompiledWorkload.kernels``) holds that lowering and generates
-    its :attr:`table` on first use: the first :meth:`compile`,
-    :meth:`bind` or :meth:`profiled`. A run that never binds it
-    generates nothing. Engines call :meth:`bind` at construction when
-    :meth:`is_compiled` says their timing rule is compiled here, else
-    at a mid-run hand-off (:func:`defer_kernels`); the first bind of a
-    rule compiles it (:meth:`compile`). A profiling vector engine
-    binds :meth:`profiled` instead.
+    The module holds the family's machine lowering
+    (``CompiledWorkload.kernels``) and generates its :attr:`table` on
+    first use: the first :meth:`compile` or :meth:`bind`. A run that
+    never binds it generates nothing. Engines call :meth:`bind` at
+    construction when :meth:`is_compiled` says their timing rule is
+    compiled here, else at a mid-run hand-off (:func:`defer_kernels`);
+    the first bind of a rule compiles it (:meth:`compile`).
 
     The module holds the lowering, never the workload, so it keeps no
     workload alive: a dropped workload is freed by reference counting
     alone.
     """
 
-    __slots__ = ("family", "_lowering", "_table", "_profiled",
-                 "_fingerprint", "_codes", "__weakref__")
+    __slots__ = ("family", "_lowering", "_table", "_fingerprint", "_codes",
+                 "__weakref__")
 
-    def __init__(self, family: str, lowering=None,
-                 fingerprint: Optional[str] = None,
-                 table: Optional[KernelTable] = None) -> None:
+    def __init__(self, family: str, lowering,
+                 fingerprint: Optional[str] = None) -> None:
         self.family = family
         self._lowering = lowering
-        self._table = table
-        self._profiled: Optional[KernelModule] = None
+        self._table: Optional[KernelTable] = None
         self._fingerprint = fingerprint
         self._codes: List[Optional[Dict[str, object]]] = [None, None, None]
 
@@ -534,7 +517,7 @@ class KernelModule:
             from repro.sim import codegen
             source = codegen.generate_source(self.family, self._lowering)
             table = self._table = codegen.compile_kernels(
-                source, self.family, self._fingerprint).table
+                source, self.family, self._fingerprint)
         return table
 
     def compile(self, rule: int) -> Dict[str, object]:
@@ -551,55 +534,26 @@ class KernelModule:
                                          for text in texts}
         return codes
 
-    def is_compiled(self, rule: int, profiled: bool = False) -> bool:
-        """Whether an engine binding timing rule ``rule`` (of the
-        profiled variant if ``profiled``) finds it compiled here. Asking
-        generates nothing: a table not generated yet has compiled no
-        rule, and neither has a profiled variant not generated yet."""
-        module = self
-        if profiled and self._has_variant():
-            module = self._profiled
-            if module is None:
-                return False
-        return module._codes[rule] is not None
+    def is_compiled(self, rule: int) -> bool:
+        """Whether an engine binding timing rule ``rule`` finds it
+        compiled here. Asking generates nothing: a table not generated
+        yet has compiled no rule."""
+        return self._codes[rule] is not None
 
     def bind(self, engine):
         """Per-node (or per-block) functions for one live engine."""
         return self.table.bind(self, engine)
 
-    def _has_variant(self) -> bool:
-        """Whether profiled runs bind a variant of these kernels: a
-        module of a :data:`VARIANT_FAMILIES` family that is not that
-        variant itself."""
-        return self.family in VARIANT_FAMILIES and not (
-            self._table is not None and self._table.profiled)
-
-    def profiled(self) -> "KernelModule":
-        """The profiled variant of these kernels: itself unless its
-        family has one (vector), which is then generated from the
-        lowering on first use, through ``generate_source``, and kept
-        here. This module's own table is not generated for it: a
-        profiled run never binds that."""
-        if not self._has_variant():
-            return self
-        if self._profiled is None:
-            from repro.sim import codegen
-            source = codegen.generate_source(self.family, self._lowering,
-                                             profiled=True)
-            self._profiled = compile_kernels(source, self.family,
-                                             self._fingerprint)
-        return self._profiled
-
 
 def compile_kernels(source: KernelSource, family: str,
-                    fingerprint: Optional[str] = None) -> KernelModule:
-    """The :class:`KernelModule` of ``source``'s table (of ``family``);
-    its node shapes compile per timing rule when an engine binds the
-    module. With dumping on, the table is dumped under ``fingerprint``
-    (the program's IR hash, computed by the caller only then)."""
-    table = source.table
-    dump_kernel_source(table, fingerprint)
-    return KernelModule(family, fingerprint=fingerprint, table=table)
+                    fingerprint: Optional[str] = None) -> KernelTable:
+    """``source``'s table (of ``family``), which a
+    :class:`KernelModule` keeps; its node shapes compile per timing
+    rule when an engine binds the module. With dumping on, the table is
+    dumped under ``fingerprint`` (the program's IR hash, computed by
+    the caller only then)."""
+    dump_kernel_source(source.table, fingerprint)
+    return source.table
 
 
 #: Instructions per static node a run interprets before it hands off to
@@ -624,16 +578,15 @@ NO_HANDOFF = sys.maxsize
 
 
 def defer_kernels(kernels: Optional[KernelModule], rule: int,
-                  n_static: int, profiled: bool = False) -> tuple:
+                  n_static: int) -> tuple:
     """How an engine takes ``kernels`` (or None): ``(kernels to bind at
     construction, kernels to bind at the hand-off, the instruction
     count that triggers it)``. A module that has compiled ``rule``
-    already (for its profiled variant if ``profiled``) -- through
-    ``pool.precompile_specs`` or an earlier run that handed off --
-    binds at construction, as does any module when :data:`HANDOFF_K`
-    is 0; else the run interprets until it has fired ``HANDOFF_K``
-    instructions per static node, rounded up."""
-    if kernels is not None and not kernels.is_compiled(rule, profiled):
+    already -- through ``pool.precompile_specs`` or an earlier run that
+    handed off -- binds at construction, as does any module when
+    :data:`HANDOFF_K` is 0; else the run interprets until it has fired
+    ``HANDOFF_K`` instructions per static node, rounded up."""
+    if kernels is not None and not kernels.is_compiled(rule):
         budget = math.ceil(HANDOFF_K * n_static)
         if budget:
             return None, kernels, budget

@@ -22,13 +22,8 @@ variable-latency loads fast-forward their stall through the
 program's :class:`~repro.sim.vector.plan.VecLowering`, the plans and
 loop classification the engine runs, so spawned loops are classified
 vector-vs-scalar at generation time exactly as the engine runs them.
-
-Profiling is a generation-time flag here too: the profiled variant's
-ticked shapes follow each op's tick by booking one ``fired`` cycle to
-that op under the interpreter's label ``op@block#id``, straight into
-the profiler's tables. Silent shapes are the same in both variants;
-vector-loop timing and the scalar-load stall are engine methods the
-kernels share with the interpreter, and both already profile.
+A profiled datapar run never binds these kernels: its engine
+interprets.
 """
 
 from __future__ import annotations
@@ -54,14 +49,10 @@ class _Block:
     """One block's constants, shared by its timing variants: each
     (item, role) is named once, whichever variant names it first, and
     each env slot once (a block names a slot many times, and every
-    parameter costs a copy per call). ``profiled`` blocks book each
-    ticked op to the profiler."""
+    parameter costs a copy per call)."""
 
-    def __init__(self, lowering: VecLowering, name: str,
-                 profiled: bool = False) -> None:
+    def __init__(self, lowering: VecLowering) -> None:
         self.lowering = lowering
-        self.name = name
-        self.profiled = profiled
         self.consts = Consts()
 
     def const(self, item, role: object, value: object) -> str:
@@ -123,7 +114,7 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             b.ref("mem_load")
             if mode in ("ticked_var", "ticked_cache"):
                 b.ref("stall")
-                _tick(b, blk, item)
+                b("tick(1, live)")
                 b(f"index = {ins(0)}")
                 b(f"{outs(0)} = mem_load({arr}, index)")
                 b(f"{outs(1)} = 0")
@@ -143,7 +134,7 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
                 b.dedent()
             else:
                 if ticked:
-                    _tick(b, blk, item)
+                    b("tick(1, live)")
                 b(f"{outs(0)} = mem_load({arr}, {ins(0)})")
                 b(f"{outs(1)} = 0")
             continue
@@ -152,7 +143,7 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             arr = blk.const(item, "array", item.attrs["array"])
             b.ref("mem_store")
             if ticked:
-                _tick(b, blk, item)
+                b("tick(1, live)")
             b(f"mem_store({arr}, {ins(0)}, {ins(1)})")
             if mode == "ticked_cache":
                 b.ref("cache_store")
@@ -164,14 +155,14 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             # Pass-through of the value operand (control is resolved
             # by the region tree).
             if ticked:
-                _tick(b, blk, item)
+                b("tick(1, live)")
             b(f"{outs(0)} = {ins(1)}")
             b(f"{outs(1)} = 0")
             continue
 
         if op is Op.MERGE:
             if ticked:
-                _tick(b, blk, item)
+                b("tick(1, live)")
             b(f"{outs(0)} = ({ins(1)} if {ins(0)} else {ins(2)})")
             continue
 
@@ -188,24 +179,8 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             ev = blk.const(item, "ev", info.evaluate)
             expr = f"{ev}({', '.join(args)})"
         if ticked:
-            _tick(b, blk, item)
+            b("tick(1, live)")
         b(f"{outs(0)} = {expr}")
-
-
-def _tick(b: Shape, blk: _Block, item: VecOp) -> None:
-    """One ticked cycle of ``item``; in a profiled block also one
-    ``fired`` cycle booked to the op, as the interpreter's profiled
-    tick does."""
-    b("tick(1, live)")
-    if not blk.profiled:
-        return
-    key = blk.const(item, "key",
-                    f"{item.op.value}@{blk.name}#{item.op_id}")
-    for name in ("node_fired", "node_cycles", "stall_cycles"):
-        b.ref(name)
-    b(f"node_fired[{key}] = node_fired.get({key}, 0) + 1")
-    b(f"node_cycles[{key}] = node_cycles.get({key}, 0.0) + 1.0")
-    b("stall_cycles['fired'] += 1")
 
 
 def _emit_spawn(b: Shape, blk: _Block, item: VecOp, ticked: bool,
@@ -268,13 +243,6 @@ def bind(module, E) -> Tuple[dict, dict]:
         "exec_vector": E._exec_vector_loop,
         "E": E,
     })
-    prof = E._profiler
-    if prof is not None:
-        env.update({
-            "node_fired": prof.node_fired,
-            "node_cycles": prof.node_cycles,
-            "stall_cycles": prof.stall_cycles,
-        })
     fns = iter(bind_rows(module, env, timing_rule(E)))
     ticked: Dict[str, tuple] = {}
     silent: Dict[str, tuple] = {}
@@ -285,16 +253,13 @@ def bind(module, E) -> Tuple[dict, dict]:
     return ticked, silent
 
 
-def generate(lowering: VecLowering,
-             profiled: bool = False) -> KernelTable:
-    """The kernel table of a program's vector ``lowering`` (its
-    profiled variant if ``profiled``): a ticked row per block, then a
-    silent row for vectorizable loops; ``layout`` lists (block name,
-    has a silent row)."""
+def generate(lowering: VecLowering) -> KernelTable:
+    """The kernel table of a program's vector ``lowering``: a ticked
+    row per block, then a silent row for vectorizable loops; ``layout``
+    lists (block name, has a silent row)."""
     table = KernelTable("vector", bind, layout=[])
-    table.profiled = profiled
     for name, plan in lowering.plans.items():
-        blk = _Block(lowering, name, profiled)
+        blk = _Block(lowering)
         label = f"block {name!r}"
         has_ld = _has_op(plan.items, Op.LOAD)
         if has_ld or _has_op(plan.items, Op.STORE):
@@ -310,7 +275,7 @@ def generate(lowering: VecLowering,
         table.add(variants, blk.consts, label)
         has_silent = lowering.vector_info[name] is not None
         if has_silent:
-            silent = _block_fn(_Block(lowering, name), plan, "silent")
+            silent = _block_fn(_Block(lowering), plan, "silent")
             table.add(one_rule(silent.variant()), silent.consts,
                       label + " (vector body)")
         table.layout.append((name, has_silent))

@@ -45,10 +45,10 @@ each have one cycle loop, shared by kernel and interpreted runs, that
 checks for a profiler at run time: it notes each firing's node, splits
 each busy cycle evenly over the noted nodes, and counts each stall
 reason in a local it adds to :attr:`EngineProfiler.stall_cycles` when
-the loop exits. The vector family profiles in its whole-block shapes:
-its profiled kernels are a generated variant, and the interpreter's
-item walk books each ticked op right after its tick. An unprofiled run
-pays a ``None`` test per firing and per cycle.
+the loop exits. The vector family has no cycle loop: a profiled
+datapar run interprets, and its item walk books each ticked op right
+after its tick. An unprofiled run pays a ``None`` test per firing and
+per cycle.
 """
 
 from __future__ import annotations

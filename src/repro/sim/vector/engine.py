@@ -23,9 +23,10 @@ followed by one call per block.  Each block has a *ticked* function
 (scalar execution, one metrics sample per op) and, if it is a
 vectorizable loop, a *silent* one (vector-body evaluation, timed in
 lock-step batches by the caller).  By default they are generated
-kernels (:mod:`repro.sim.codegen`); without them both are the one
-plain item walk :meth:`DataParallelEngine._run_items`, the reference
-semantics the kernels are diffed against.
+kernels (:mod:`repro.sim.codegen`); without them, and in every
+profiled run, both are the one plain item walk
+:meth:`DataParallelEngine._run_items`, the reference semantics the
+kernels are diffed against.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ class DataParallelEngine:
         self.load_latency = load_latency
         self.max_cycles = max_cycles
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Set before the tables below: a profiled run binds the
-        # profiled kernel variant.
         self._profiler = EngineProfiler() if profile else None
         if lowering is None:
             lowering = lower_vector(program)
@@ -115,15 +114,19 @@ class DataParallelEngine:
         self._ticked: Dict[str, Tuple[Callable, ...]] = {}
         #: block name -> (its silent function,): vector bodies only.
         self._silent: Dict[str, Tuple[Callable, ...]] = {}
-        # Generated kernels fill both tables with whole-block functions
-        # (profiled ones when profiling); else every block walks its
-        # items. Kernels whose timing rule is not compiled yet bind at
-        # a hand-off, once the run has fired ``_handoff`` instructions
-        # (:meth:`_hand_off`).
+        # Generated kernels fill both tables with whole-block functions;
+        # else every block walks its items. Profiled runs always walk
+        # them: with no cycle loop to book the stall taxonomy, only the
+        # item walk books each op's cycle, and a generated profiled
+        # variant saved less than the host benchmark's run-to-run
+        # spread (docs/ARCHITECTURE.md section 9). Kernels whose timing
+        # rule is not compiled yet bind at a hand-off, once the run has
+        # fired ``_handoff`` instructions (:meth:`_hand_off`).
+        if profile:
+            kernels = None
         kernels, self._handoff_kernels, self._handoff = defer_kernels(
             kernels, timing_rule(self),
-            sum(len(block.ops) for block in program.blocks.values()),
-            profiled=profile)
+            sum(len(block.ops) for block in program.blocks.values()))
         if kernels is not None:
             self._bind(kernels)
         else:
@@ -135,10 +138,7 @@ class DataParallelEngine:
                         partial(self._run_items, plan.items, None),)
 
     def _bind(self, kernels) -> None:
-        """Fill both block tables, in place, from ``kernels`` (their
-        profiled variant when profiling)."""
-        if self._profiler is not None:
-            kernels = kernels.profiled()
+        """Fill both block tables, in place, from ``kernels``."""
         ticked, silent = kernels.bind(self)
         self._ticked.update(ticked)
         self._silent.update(silent)

@@ -112,7 +112,6 @@ class WindowEngine:
 
     def __init__(self, program: ContextProgram, memory: Memory,
                  window: int = 8, issue_width: int = 128,
-                 fetch_width: Optional[int] = None,
                  sample_traces: bool = True,
                  load_latency: int = 1,
                  max_cycles: int = 500_000_000,
@@ -129,7 +128,6 @@ class WindowEngine:
         self.memory = memory
         self.window = window
         self.issue_width = issue_width
-        self.fetch_width = fetch_width if fetch_width else window
         self.load_latency = load_latency
         self.max_cycles = max_cycles
         #: Optional stateful cache model (repro.sim.cache.CacheModel):
@@ -218,7 +216,6 @@ class WindowEngine:
                 for i in range(self._n_program_results)
             )
             extra = {"window": self.window, "issue_width": self.issue_width,
-                     "fetch_width": self.fetch_width,
                      "fetch_stall_decider_cycles": self._stall_decider,
                      "fetch_stall_window_cycles": self._stall_window}
             if self._profiler is not None:
@@ -274,7 +271,7 @@ class WindowEngine:
         status = self._op_status
         handoff = self._handoff
         issue_width = self.issue_width
-        fetch_width = self.fetch_width
+        window = self.window
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
@@ -341,8 +338,9 @@ class WindowEngine:
                         break
                     retire_popleft()
                     progressed = True
-                # Fetch along the von Neumann block order.
-                fc = fetch_width
+                # Fetch along the von Neumann block order, at most a
+                # window's worth of slices per cycle.
+                fc = window
                 while fc:
                     if not fetch():
                         break

@@ -136,8 +136,9 @@ def test_precompile_materializes_machine_artifacts():
 
 
 def test_precompile_builds_profiled_kernels(monkeypatch):
-    """Profiled specs get their profiled kernels compiled in the sweep
-    parent too, so a forked worker's profiled run compiles nothing."""
+    """Profiled specs get their kernels compiled in the sweep parent
+    too, so a forked worker's profiled run compiles nothing (a profiled
+    datapar run interprets, so it compiles nothing either way)."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
     monkeypatch.setattr(core, "_SHAPES", {})
     wl = build_workload("dmv", "tiny")

@@ -6,10 +6,11 @@ engine, remains the reference semantics.
 These properties pin bit-identity on random programs across all
 machine models: metrics, traces, memory, results -- and, on the
 machines that can fail, the failure itself (same exception type and
-message either way). Profiled runs take the kernels' profiled variant,
-and its profile must match the interpreter's table for table. Kernel
-runs go twice: binding the kernels at construction (budget 0), and
-handing off to them after the first cycle that fires (budget 1).
+message either way). Profiled runs bind the same kernels (datapar's
+interpret), and their profile must match the interpreter's table for
+table. Kernel runs go twice: binding the kernels at construction
+(budget 0), and handing off to them after the first cycle that fires
+(budget 1).
 """
 
 from hypothesis import HealthCheck, given, settings

@@ -3,8 +3,7 @@
 The differential fuzz suite (tests/properties) pins bit-identity on
 random programs; these tests cover the machinery around the generators:
 table determinism, the per-process shape memo (constants bound as
-data, never compiled twice, no program kept alive, profiled vector
-variants built only when a profiled run needs them), per-rule compile
+data, never compiled twice, no program kept alive), per-rule compile
 (a run compiles only the timing rule it binds), the
 ``TYR_REPRO_DUMP_KERNELS`` hook (the only user of the program
 fingerprint on the kernel path), and the rules for when engines fall
@@ -117,8 +116,8 @@ def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     named after the program's fingerprint, written when the table is
     generated (not when ``kernels()`` hands out the module), and each
     row shows its concrete refs and constants, not the recipe's
-    placeholders. Only the vector family writes a ``-profiled`` dump:
-    the others have no profiled variant."""
+    placeholders. Each family dumps one table per program, whether or
+    not a profiled run asked for it."""
     monkeypatch.setenv(DUMP_ENV, str(tmp_path))
     source = codegen.generate_source("window",
                                      wl.compiled.lowering("window"))
@@ -133,14 +132,12 @@ def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     modules = [cw.kernels(family) for family in FAMILIES]
     assert list(tmp_path.glob(f"*-{fingerprint}*")) == []
     for family, module in zip(FAMILIES, modules):
-        module.profiled()
-        module.table  # noqa: B018 -- vector's profiled() generates only
-        # its variant; this generates (and dumps) the plain table
+        module.table  # noqa: B018 -- generates (and dumps) the table
         dumped = (tmp_path / f"{family}-{fingerprint}.py").read_text()
         assert "Field(" not in dumped, family
         assert "# s0: shape\n" in dumped, family
-    assert sorted(path.name for path in tmp_path.glob("*-profiled.py")) \
-        == [f"vector-{fingerprint}-profiled.py"]
+    assert sorted(path.name for path in tmp_path.glob(f"*-{fingerprint}*")) \
+        == sorted(f"{family}-{fingerprint}.py" for family in FAMILIES)
     tagged = (tmp_path / f"tagged-{fingerprint}.py").read_text()
     for nd in cw.tagged.nodes:
         # Allocates fire through the engine's state machine.
@@ -271,24 +268,6 @@ def test_runs_compile_only_their_timing_rule(monkeypatch):
     assert len(sources) == before
 
 
-def test_profiled_datapar_compiles_only_its_rule(monkeypatch):
-    """A profiled datapar run of a never-seen program compiles its
-    profiled whole-block shapes for the rule it binds, not the
-    other two."""
-    monkeypatch.setattr(core, "_SHAPES", {})
-    cw = CompiledWorkload(lower_module(random_module(-3)))
-    table = codegen.generate_source(
-        "vector", cw.lowering("vector"), profiled=True).table
-    own = set(table.texts((FAST,)))
-    others = set(table.texts((CACHE, VAR))) - own
-    assert others
-    sources = _compiled_sources(monkeypatch)
-    res = cw.run("datapar", Memory(random_memory()), [3, 5], profile=True)
-    assert res.extra["profile"].cycles == res.cycles
-    assert own <= set(core._SHAPES)
-    assert not any(text in "".join(sources) for text in others)
-
-
 #: Distinct shapes over randomprog seeds 0..199 (about 25k tagged,
 #: 13k flat and 13k window node rows, 1k vector block rows). Per-node
 #: families stay near 3% of their rows; a vector shape is a whole
@@ -316,41 +295,6 @@ def _record(profile):
             *(list(table.items()) for table in (
                 profile.stall_cycles, profile.node_fired,
                 profile.node_cycles, profile.memory_stall_split)))
-
-
-def test_profiled_variants_are_built_lazily(wl, monkeypatch):
-    """Only the vector family has profiled shapes (the other families'
-    rows serve profiled runs through their engines' one cycle loop). A
-    plain run generates and compiles none of them. The first profiled
-    datapar run compiles the program's profiled variant for the timing
-    rule it binds; a second profiled run of the same program, from a
-    fresh workload with nothing memoized on it, calls ``compile()``
-    zero times, on every machine."""
-    monkeypatch.setattr(core, "_SHAPES", {})
-    program = wl.compiled.program
-    plain = CompiledWorkload(program)
-    for machine in FAMILY_MACHINE.values():
-        assert plain.run(machine, wl.fresh_memory(), wl.args).completed
-    lowering = plain.lowering("vector")
-    table = codegen.generate_source("vector", lowering).table
-    variant = codegen.generate_source("vector", lowering,
-                                      profiled=True).table
-    profiled_only = set(variant.texts((FAST,))) - set(table.texts())
-    assert profiled_only
-    assert not profiled_only & set(core._SHAPES)
-    for machine in FAMILY_MACHINE.values():
-        assert plain.run(machine, wl.fresh_memory(), wl.args,
-                         profile=True).completed
-    assert profiled_only <= set(core._SHAPES)
-    sources = _compiled_sources(monkeypatch)
-    again = CompiledWorkload(program)
-    for machine in FAMILY_MACHINE.values():
-        res = again.run(machine, wl.fresh_memory(), wl.args, profile=True)
-        ref = again.run(machine, wl.fresh_memory(), wl.args, profile=True,
-                        codegen=False)
-        assert _record(res.extra["profile"]) == _record(
-            ref.extra["profile"]), machine
-    assert sources == []
 
 
 def test_dropped_workload_kernels_are_collected(wl):
@@ -388,9 +332,10 @@ def test_traced_runs_never_touch_kernels(wl, monkeypatch):
 
 
 def test_profiled_engines_bind_kernels(wl):
-    """Engines given kernels bind them when profiling too (the vector
-    engine its profiled variant, the others the plain rows), and they
-    book what the interpreter books."""
+    """The tagged, queued and window engines given kernels bind them
+    when profiling too, and book what the interpreter books. A
+    profiling vector engine drops its kernels and interprets: the
+    vector family has no cycle loop to book the stall taxonomy in."""
     cw = wl.compiled
     mem = wl.fresh_memory
     engines = {
@@ -415,17 +360,16 @@ def test_profiled_engines_bind_kernels(wl):
     rules = {"tagged": "_fire_instr", "flat": "_try_fire",
              "window": "_fire", "vector": "_run_items"}
     for family, make in engines.items():
-        plain = cw.kernels(family)
-        if family == "vector":
-            assert plain.profiled() is not plain
-            assert plain.profiled().profiled() is plain.profiled()
-        else:
-            assert plain.profiled() is plain
-        gen = make(kernels=plain)
+        gen = make(kernels=cw.kernels(family))
         interp = make()
         generated, interpreted = tables[family](gen), tables[family](interp)
         assert len(generated) == len(interpreted), family
-        assert all(isinstance(fn, FunctionType) for fn in generated), family
+        if family == "vector":
+            rule = getattr(gen, rules[family])
+            assert all(fn.func == rule for fn in generated), family
+        else:
+            assert all(isinstance(fn, FunctionType)
+                       for fn in generated), family
         rule = getattr(interp, rules[family])
         assert all(fn.func == rule for fn in interpreted), family
         assert _record(gen.run(wl.args).extra["profile"]) == _record(

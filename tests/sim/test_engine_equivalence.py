@@ -19,8 +19,9 @@ kernels are checked against.
 per-reason stall cycles, the hottest nodes and the cache-mode hit/miss
 split, for every golden machine on every tiny workload under three
 timing settings.  The records were captured from the interpreter's
-attribution hooks; they replay through the profiled kernels at the
-default budget and at budget 0, and again through the interpreter.
+attribution hooks; they replay through the profiled kernels (a
+profiled datapar run interprets) at the default budget and at budget
+0, and again through the interpreter.
 
 Also here: regression tests for the stall-loop bugs (both engines'
 memory-stall branches used to skip the ``max_cycles`` check, so a

@@ -13,7 +13,7 @@ import pytest
 
 from repro.compiler.graph import TaggedGraph
 from repro.ir.ops import Op
-from repro.sim import codegen
+from repro.sim.codegen import KernelModule
 from repro.sim.memory import Memory
 from repro.sim.tagged import TaggedEngine, TyrPolicy, UnboundedGlobalPolicy
 from repro.sim.tagged.engine import ROOT_TAG
@@ -33,11 +33,9 @@ def engine_for(graph, policy=None, kernels=None, **kwargs):
     policy = policy or UnboundedGlobalPolicy()
     if kernels is None:
         return TaggedEngine(graph, memory, policy, **kwargs)
-    module = codegen.compile_kernels(
-        codegen.generate_source("tagged", graph),
-        "tagged")
     with handoff_budget(kernels):
-        return TaggedEngine(graph, memory, policy, kernels=module,
+        return TaggedEngine(graph, memory, policy,
+                            kernels=KernelModule("tagged", graph),
                             **kwargs)
 
 

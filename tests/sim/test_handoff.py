@@ -74,10 +74,10 @@ def _counting(seen, key, fn):
 @pytest.fixture
 def events(monkeypatch):
     """Counts of table generations (``generate_source`` calls, and
-    ``generate.<family>`` calls of each family's generator, profiled
-    variants included), kernel binds, rule compiles, ``compile()``
-    calls and hand-offs from here on; ``events.in_flight`` lists the
-    tokens each hand-off found in flight."""
+    ``generate.<family>`` calls of each family's generator), kernel
+    binds, rule compiles, ``compile()`` calls and hand-offs from here
+    on; ``events.in_flight`` lists the tokens each hand-off found in
+    flight."""
     seen = Counter()
     seen.in_flight = []
     monkeypatch.setattr(codegen, "generate_source", _counting(
@@ -174,10 +174,10 @@ def test_long_run_binds_exactly_once(machine, events):
 def test_precompiled_rule_binds_at_construction(config, events,
                                                 monkeypatch):
     """``pool.precompile_specs`` generates each family's table once
-    per workload (tyr and unordered share one; a profiled datapar spec
-    generates only the profiled variant it binds) and compiles the rule
+    per workload (tyr and unordered share one) and compiles the rule
     each spec binds, so every run binds its kernels at construction,
-    none hands off and none generates."""
+    none hands off and none generates; a profiled datapar run binds
+    nothing, since it interprets."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
     wl = build_workload("dmv", "tiny")
     specs = [spec_for(wl, machine, config) for machine in MACHINES]
@@ -190,12 +190,12 @@ def test_precompiled_rule_binds_at_construction(config, events,
     compiled = workload_for(specs[0]).compiled
     rule = rule_for(config.get("cache"), config.get("load_latency", 1))
     for machine in MACHINES:
-        assert compiled.kernels(KERNEL_FAMILY[machine]).is_compiled(
-            rule, profiled=bool(config.get("profile")))
+        assert compiled.kernels(KERNEL_FAMILY[machine]).is_compiled(rule)
     before = events["bind"]
     for spec in specs:
         assert run_one(spec).completed
-    assert events["bind"] - before == len(specs)
+    interpreting = 1 if config.get("profile") else 0
+    assert events["bind"] - before == len(specs) - interpreting
     assert events["hand_off"] == 0
     assert {key: events[key] for key in generated} == generated
 
@@ -222,33 +222,20 @@ def test_handoff_with_loads_in_flight(machine, timing, events,
         assert events.in_flight[-1] > 0
 
 
-def test_profiled_datapar_handoff_builds_its_variant_once(events,
-                                                          monkeypatch):
-    """Whether a profiled datapar run may bind at construction is asked
-    of the profiled variant without generating anything; the run that
-    hands off generates the profiled variant alone, never the plain
-    table it does not bind, and the next profiled run binds the variant
-    at construction."""
-    built = []
-    generate = vector_codegen.generate
-
-    def counting_generate(lowering, profiled=False):
-        built.append(profiled)
-        return generate(lowering, profiled)
-
-    monkeypatch.setattr(vector_codegen, "generate", counting_generate)
+@pytest.mark.parametrize("budget", ["budget0", "default"])
+def test_profiled_datapar_run_interprets(budget, events, monkeypatch):
+    """A profiled datapar run is given its kernel module like any run,
+    but interprets: at budget 0 and at the default budget it generates
+    no table, binds nothing and calls ``compile()`` zero times, and its
+    profile, key order included, is the ``codegen=False`` run's."""
+    if budget in HANDOFF_BUDGETS:
+        monkeypatch.setattr(core, "HANDOFF_K", HANDOFF_BUDGETS[budget])
     wl = build_workload("dmv", "tiny")
-    kernels = wl.compiled.kernels("vector")
-    assert not kernels.is_compiled(FAST, profiled=True)
-    assert built == []
-    first = _observe(wl, "datapar", profile=True)
-    assert built == [True]
-    assert events["hand_off"] == 1
-    assert kernels.is_compiled(FAST, profiled=True)
-    assert not kernels.is_compiled(FAST)
-    assert _observe(wl, "datapar", profile=True) == first
-    assert built == [True]
-    assert (events["bind"], events["hand_off"]) == (2, 1)
+    gen = _observe(wl, "datapar", profile=True, cache=CACHE_SPEC)
+    assert "vector" in wl.compiled._kernels
+    assert events == {}
+    assert gen == _observe(wl, "datapar", profile=True, cache=CACHE_SPEC,
+                           codegen=False)
 
 
 @pytest.mark.parametrize("budget", sorted(HANDOFF_BUDGETS))
@@ -304,9 +291,9 @@ def test_traced_and_occupancy_runs_never_hand_off(monkeypatch):
 
 def test_each_lowering_is_built_once_per_workload(monkeypatch):
     """The window and vector plans, and the loop classification, are
-    built once per workload and read by every engine, the generators
-    and the profiled vector variant, through runs that interpret, hand
-    off and bind at construction."""
+    built once per workload and read by every engine and the
+    generators, through runs that interpret, hand off and bind at
+    construction."""
     from repro.sim.vector import analysis, plan as vector_plan
     from repro.sim.window import plan as window_plan
 
@@ -326,7 +313,7 @@ def test_each_lowering_is_built_once_per_workload(monkeypatch):
         for kwargs in ({}, {"profile": True}, {"load_latency": 4}, {}):
             assert wl.run(machine, **kwargs)[0].completed
     assert wl.compiled.kernels("window").is_compiled(FAST)
-    assert wl.compiled.kernels("vector").is_compiled(FAST, profiled=True)
+    assert wl.compiled.kernels("vector").is_compiled(FAST)
     blocks = len(wl.compiled.program.blocks)
     assert calls == {"build_plans": 1, "build_vec_plans": 1,
                      "classify_loop": blocks}
@@ -337,8 +324,9 @@ def test_each_lowering_is_built_once_per_workload(monkeypatch):
 def test_dropped_workload_is_freed_without_the_collector(case):
     """A kernel module holds its family's lowering, never the
     workload, so a dropped workload is freed by reference counting
-    alone, whether its kernels were never generated, generated at a
-    hand-off, or generated with their profiled variant."""
+    alone, whether its kernels were never generated or generated at a
+    hand-off, and whether its runs were profiled, when datapar's
+    interpret."""
     if case == "never generated":
         wl = None
         cw = CompiledWorkload(lower_module(random_module(0)))
@@ -354,11 +342,13 @@ def test_dropped_workload_is_freed_without_the_collector(case):
             else:
                 cw.run(machine, wl.fresh_memory(), wl.args,
                        profile=case == "profiled datapar")
-        # A profiled datapar run generates only the profiled variant.
-        generated = [module._table is not None
-                     or module._profiled is not None
-                     for module in cw._kernels.values()]
-        assert generated == [wl is not None] * len(FAMILIES)
+        # A profiled datapar run generates nothing: it interprets.
+        generated = {family: module._table is not None
+                     for family, module in cw._kernels.items()}
+        assert generated == {
+            family: wl is not None and not (
+                family == "vector" and case == "profiled datapar")
+            for family in FAMILIES}
         ref = weakref.ref(cw)
         del cw
         assert ref() is None

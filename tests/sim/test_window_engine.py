@@ -86,14 +86,6 @@ def test_plans_split_slices_at_spawns():
     assert outer.ops[outer.term_id].inputs  # consumes the decider
 
 
-def test_fetch_width_controls_progress():
-    res_narrow, _ = run_window(dmv_module(), [8], dmv_memory(8),
-                               window=8, fetch_width=1)
-    res_wide, _ = run_window(dmv_module(), [8], dmv_memory(8),
-                             window=8, fetch_width=8)
-    assert res_wide.cycles <= res_narrow.cycles
-
-
 def test_fetch_stall_accounting():
     """Sequential dataflow's bottleneck is control resolution (the
     paper's 'wait for your turn in the global block-order'); vN's is
