@@ -194,7 +194,8 @@ def precompile_specs(specs: Sequence[RunSpec]) -> None:
     machine lowering (``CompiledWorkload.lowering``: the elaborated
     tagged graph, the flattened graph, the window plans or the vector
     plans with their loop classification), also for specs that run
-    without kernels, and every spec's kernel table, generated once per
+    without kernels, and the kernel table of every spec given one
+    (:func:`~repro.harness.runner.kernel_family`), generated once per
     workload and family, with the timing rule its engine will bind
     compiled (see :func:`repro.sim.codegen.rule_for`).
     """
@@ -211,7 +212,8 @@ def precompile_specs(specs: Sequence[RunSpec]) -> None:
         config = _config_kwargs(spec)
         family = kernel_family(spec.machine, spec.codegen,
                                config.get("record_trace", False),
-                               config.get("track_occupancy", False))
+                               config.get("track_occupancy", False),
+                               config.get("profile", False))
         if family is not None:
             compiled.kernels(family).compile(rule_for(
                 config.get("cache"), config.get("load_latency", 1)))

@@ -76,15 +76,20 @@ KERNEL_FAMILY = {
 
 def kernel_family(machine: str, codegen: bool = True,
                   record_trace: bool = False,
-                  track_occupancy: bool = False) -> Optional[str]:
+                  track_occupancy: bool = False,
+                  profile: bool = False) -> Optional[str]:
     """The kernel family a run of ``machine`` is given, or None when it
-    only interprets: on ``codegen=False``, and for traced and
-    occupancy-tracked runs, whose hooks only the interpreters carry.
-    The engine binds the kernels at construction or at a mid-run
-    hand-off (:func:`repro.sim.codegen.core.defer_kernels`)."""
-    if not codegen or record_trace or track_occupancy:
+    only interprets: on ``codegen=False``; for traced and
+    occupancy-tracked runs, whose hooks only the interpreters carry;
+    and for profiled datapar runs, since the vector family has no
+    cycle loop to book the stall taxonomy in. The engine binds the
+    kernels at construction or at a mid-run hand-off
+    (:func:`repro.sim.codegen.core.defer_kernels`)."""
+    family = KERNEL_FAMILY.get(machine)
+    if not codegen or record_trace or track_occupancy or (
+            profile and family == "vector"):
         return None
-    return KERNEL_FAMILY.get(machine)
+    return family
 
 
 class CompiledWorkload:
@@ -168,8 +173,8 @@ class CompiledWorkload:
         its kernel table on first use: when a run binds it, at
         construction or at a mid-run hand-off, or when
         ``pool.precompile_specs`` compiles it. A run that never gets
-        there generates nothing, and a profiled datapar run, which
-        interprets, never gets there. Node shapes are emitted once per
+        there generates nothing, and a profiled datapar run is given no
+        module (:func:`kernel_family`). Node shapes are emitted once per
         process and shared by every program, so generating a table is
         mostly reading this program's constants; each timing rule's
         shapes compile when an engine first binds it. Forked sweep
@@ -235,8 +240,8 @@ class CompiledWorkload:
         The engine runs this workload's machine lowering
         (:meth:`lowering`), built on the first run that needs it.
         ``codegen=True`` (the default) gives the engine this
-        program's kernel module (:meth:`kernels`), profiled runs too;
-        a profiled datapar engine drops it and interprets. An engine
+        program's kernel module (:meth:`kernels`), profiled runs too,
+        but for datapar, whose profiled runs interpret. An engine
         binds the module at construction if its timing rule is
         compiled already (by ``pool.precompile_specs`` or an earlier
         run of this workload); else the run starts on the plain
@@ -267,7 +272,7 @@ class CompiledWorkload:
                 )
             cache_model = CacheModel(CacheConfig.coerce(cache), memory)
         family = kernel_family(machine, codegen, record_trace,
-                               track_occupancy)
+                               track_occupancy, profile)
         kernels = None if family is None else self.kernels(family)
         if machine in _TAGGED_MACHINES:
             if machine == "unordered":

@@ -16,9 +16,11 @@ models memory behaviour as first-class simulator state instead:
   engine's load (and store) path when ``cache=`` is configured.
 
 ``access_load`` returns the access latency in cycles, which feeds the
-exact same delayed-delivery machinery the engines already use for
+exact same delayed-delivery machinery the engines use for
 ``load_latency`` (delay <= 1 takes the immediate path, larger delays
-the in-flight buckets/queues), so the cache mode adds no new stall
+the in-flight buckets/queues): the model is the engine's timing
+object, in the place :class:`~repro.sim.latency.LoadLatency` (the
+same interface) takes without it, so the cache mode adds no new stall
 semantics -- only state. Stores probe and update the directories (write
 allocate) for hit/miss accounting but stay single-cycle, modelling an
 ideal store buffer.

@@ -32,7 +32,14 @@ so bodies still run on ``LOAD_FAST``. A :class:`KernelModule` holds
 its family's machine lowering and generates its table on first use,
 then compiles one timing rule's shapes the first time an engine binds
 that rule, so a program run only with idealized loads never compiles
-its cache-probe or variable-latency shapes.
+its timed shapes.
+
+There are two timing rules. ``FAST`` runs loads in one cycle and
+stores without a probe. ``TIMED`` asks the engine's one timing object
+for each load's delay and probes it on each store: the cache model
+(:class:`~repro.sim.cache.CacheModel`) or the hash latency model
+(:class:`~repro.sim.latency.LoadLatency`), which share an interface,
+so one timed body serves both.
 
 An engine given a module whose rule is not compiled yet does not bind
 it at construction: it interprets until the run has fired
@@ -78,7 +85,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.ir.ops import OP_INFO, Op
-from repro.sim.latency import load_delay
 
 #: Environment variable naming a directory to dump generated source to.
 DUMP_ENV = "TYR_REPRO_DUMP_KERNELS"
@@ -86,9 +92,9 @@ DUMP_ENV = "TYR_REPRO_DUMP_KERNELS"
 #: Kernel families.
 FAMILIES = ("tagged", "flat", "window", "vector")
 
-#: Timing rules, in the order of every row's variants: cache-probe
-#: loads, idealized single-cycle loads, hash-based variable latency.
-CACHE, FAST, VAR = range(3)
+#: Timing rules, in the order of every row's variants: idealized
+#: single-cycle loads, and loads timed by the engine's timing object.
+FAST, TIMED = range(2)
 
 #: A runtime-object ref: an engine-environment name, or a name plus
 #: the keys that index into that object (``("pops", 3)`` is
@@ -191,9 +197,10 @@ class Shape:
 
 
 def move_miss_box(w: Shape) -> None:
-    """A cache-probe load's miss-box update, as in every interpreter's
-    cached load: a full miss keeps the cycles up to its due cycle
-    booked as miss stalls (reads ``delay`` and ``due``)."""
+    """A timed load's miss-box update, as in every interpreter's load:
+    a full miss keeps the cycles up to its due cycle booked as miss
+    stalls (reads ``delay`` and ``due``). No hash-latency load is a
+    miss."""
     w("if delay >= miss_latency and due + 1 > miss_until[0]:")
     w("    miss_until[0] = due + 1")
 
@@ -242,12 +249,12 @@ def pure_expr(op: Op, args: List[str]) -> Optional[str]:
 Variant = Tuple[str, Tuple[Ref, ...]]
 
 #: Every timing rule, in row-variant order.
-RULES = (CACHE, FAST, VAR)
+RULES = (FAST, TIMED)
 
 
-def one_rule(variant: Variant) -> Tuple[Variant, Variant, Variant]:
+def one_rule(variant: Variant) -> Tuple[Variant, Variant]:
     """The variants of a row whose kernel ignores the timing rule."""
-    return (variant, variant, variant)
+    return (variant, variant)
 
 
 class Field:
@@ -342,7 +349,7 @@ class Recipe:
                  consts: Callable[[tuple], tuple]) -> None:
         self.variants = tuple(variants)
         self.consts = consts
-        self.binders: List[Optional[tuple]] = [None, None, None]
+        self.binders: List[Optional[tuple]] = [None, None]
 
     @classmethod
     def emitted(cls, variants: Sequence[Variant],
@@ -460,7 +467,7 @@ def dump_kernel_source(table: KernelTable,
     for i, text in enumerate(texts):
         lines += [f"# s{i}: shape", text]
     lines.append("# node table: label, shape per timing rule "
-                 "(cache, fast, var), refs per shape, constants")
+                 "(fast, timed), refs per shape, constants")
     lines.append("TABLE = [")
     for (recipe, fields), label in zip(table.rows, table.labels()):
         shapes = tuple(f"s{index[text]}" for text, _ in recipe.variants)
@@ -503,7 +510,7 @@ class KernelModule:
         self._lowering = lowering
         self._table: Optional[KernelTable] = None
         self._fingerprint = fingerprint
-        self._codes: List[Optional[Dict[str, object]]] = [None, None, None]
+        self._codes: List[Optional[Dict[str, object]]] = [None, None]
 
     @property
     def table(self) -> KernelTable:
@@ -597,9 +604,7 @@ def rule_for(cache, load_latency: int) -> int:
     """The timing rule of a run with cache model (or spec) ``cache``
     and ``load_latency``: what engines bind, and what
     ``pool.precompile_specs`` compiles for a spec."""
-    if cache is not None:
-        return CACHE
-    return FAST if load_latency <= 1 else VAR
+    return FAST if cache is None and load_latency <= 1 else TIMED
 
 
 def timing_rule(engine) -> int:
@@ -608,17 +613,16 @@ def timing_rule(engine) -> int:
 
 
 def memory_env(engine) -> Dict[str, object]:
-    """The env entries every family's memory rules bind."""
-    cache = engine._cache
+    """The env entries every family's memory rules bind: memory, and
+    the engine's timing object for the timed rule."""
+    timing = engine._timing
     return {
         "mem_load": engine.memory.load,
         "mem_store": engine.memory.store,
         "metrics": engine.metrics,
-        "latency": engine.load_latency,
-        "load_delay": load_delay,
-        "cache_load": cache.access_load if cache is not None else None,
-        "cache_store": cache.access_store if cache is not None else None,
-        "miss_latency": cache.miss_latency if cache is not None else 0,
+        "access_load": timing.access_load,
+        "access_store": timing.access_store,
+        "miss_latency": timing.miss_latency,
     }
 
 

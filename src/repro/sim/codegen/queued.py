@@ -315,7 +315,7 @@ def _emit(nd: FlatNode) -> Recipe:
             node.pops(b, list(range(n_in)))
             b(f"value = mem_load({arr}, a0)")
 
-        # Latency is a run parameter: emit every firing rule, the
+        # Latency is a run parameter: emit both firing rules, the
         # binder picks one. Under unit latency nothing ever enters the
         # in-flight map, so the fast rule drops those checks.
         fast = node.shape()
@@ -323,52 +323,40 @@ def _emit(nd: FlatNode) -> Recipe:
         node.push(fast, 0, "value")
         node.push(fast, 1, "0")
         fast("return True")
-
-        def delayed(b: Shape, delay: str, miss_box: bool) -> None:
-            issue(b)
-            lid = node.node_id()
-            b(f"delay = {delay}")
-            b(f"if delay <= 1 and {lid} not in inflight:")
-            b.indent()
-            node.push(b, 0, "value")
-            node.push(b, 1, "0")
-            if not (node.dests(0) or node.dests(1)):
-                b("pass")
-            b.dedent()
-            b("else:")
-            b.indent()
-            b("due = metrics.cycles + delay - 1")
-            if miss_box:
-                move_miss_box(b)
-            b(f"queue = inflight.get({lid})")
-            b("if queue is None:")
-            b.indent()
-            b(f"inflight[{lid}] = queue = deque()")
-            # A new queue's head may mature before every other head;
-            # an append behind an existing head never can (head-of-
-            # line blocking), so only this arm can lower the delivery
-            # bound.
-            b("if due < due_box[0]:")
-            b.indent()
-            b("due_box[0] = due")
-            b.dedent()
-            b.dedent()
-            b("queue.append((due, value))")
-            b.dedent()
-            b("return True")
-
-        var = node.shape()
-        delayed(var, f"load_delay(latency, {arr}, a0)", False)
-        # Cache mode: the probe decides the delay and moves the miss
-        # box; the in-flight plumbing is the variable-latency rule's.
-        cached = node.shape()
-        delayed(cached, f"cache_load({arr}, a0)", True)
-        return done(node.finish(cached, "mem_load", "inflight", "metrics",
-                                "cache_load", "due_box", "miss_latency",
-                                "miss_until"),
-                    node.finish(fast, "mem_load"),
-                    node.finish(var, "mem_load", "inflight", "metrics",
-                                "latency", "load_delay", "due_box"))
+        timed = node.shape()
+        issue(timed)
+        lid = node.node_id()
+        timed(f"delay = access_load({arr}, a0)")
+        timed(f"if delay <= 1 and {lid} not in inflight:")
+        timed.indent()
+        node.push(timed, 0, "value")
+        node.push(timed, 1, "0")
+        if not (node.dests(0) or node.dests(1)):
+            timed("pass")
+        timed.dedent()
+        timed("else:")
+        timed.indent()
+        timed("due = metrics.cycles + delay - 1")
+        move_miss_box(timed)
+        timed(f"queue = inflight.get({lid})")
+        timed("if queue is None:")
+        timed.indent()
+        timed(f"inflight[{lid}] = queue = deque()")
+        # A new queue's head may mature before every other head; an
+        # append behind an existing head never can (head-of-line
+        # blocking), so only this arm can lower the delivery bound.
+        timed("if due < due_box[0]:")
+        timed.indent()
+        timed("due_box[0] = due")
+        timed.dedent()
+        timed.dedent()
+        timed("queue.append((due, value))")
+        timed.dedent()
+        timed("return True")
+        return done(node.finish(fast, "mem_load"),
+                    node.finish(timed, "mem_load", "inflight", "metrics",
+                                "access_load", "due_box", "miss_latency",
+                                "miss_until"))
 
     if op is Op.STORE:
         arr = node.consts.named("array", node.array)
@@ -380,20 +368,19 @@ def _emit(nd: FlatNode) -> Recipe:
             node.pops(b, list(range(n_in)))
             b(f"mem_store({arr}, a0, a1)")
 
-        plain = node.shape()
-        store(plain)
-        node.push(plain, 0, "0")
-        plain("return True")
-        # Stores probe the cache model too (write-allocate) but stay
-        # single-cycle; the binder picks the body like LOAD's.
-        cached = node.shape()
-        store(cached)
-        cached(f"cache_store({arr}, a0)")
-        node.push(cached, 0, "0")
-        cached("return True")
-        plain_v = node.finish(plain, "mem_store")
-        return done(node.finish(cached, "mem_store", "cache_store"),
-                    plain_v, plain_v)
+        fast = node.shape()
+        store(fast)
+        node.push(fast, 0, "0")
+        fast("return True")
+        # A timed store probes the timing object too (the cache model
+        # write-allocates) but stays single-cycle.
+        timed = node.shape()
+        store(timed)
+        timed(f"access_store({arr}, a0)")
+        node.push(timed, 0, "0")
+        timed("return True")
+        return done(node.finish(fast, "mem_store"),
+                    node.finish(timed, "mem_store", "access_store"))
 
     info = OP_INFO[op]
     if not info.pure:

@@ -181,78 +181,67 @@ def _emit(node: TaggedNode) -> Recipe:
         return add(s)
 
     if op is Op.LOAD:
-        # Timing is a run parameter, not part of the plan: emit all
-        # three firing rules (cache probe, idealized single-cycle,
-        # hash-based variable latency); the binder picks one.
+        # Timing is a run parameter, not part of the plan: emit both
+        # firing rules (idealized single-cycle, timed by the engine's
+        # timing object); the binder picks one.
         arr = consts.add(nd.array)
         addr = _operand(consts, 0, imms)
         d0, d1 = _dests(consts, edges[0]), _dests(consts, edges[1])
         n = len(d0) + len(d1)
-
-        def delayed(s: Shape, delay: str, miss_box: bool) -> None:
-            consume(s)
-            s(f"addr = {addr}")
-            s(f"value = mem_load({arr}, addr)")
-            s(f"delay = {delay}")
-            s("if delay <= 1:")
-            s.indent()
-            _emit_edges(s, d0, "tag", "value")
-            _emit_edges(s, d1, "tag", "0")
-            if not n:
-                s("pass")
-            s.dedent()
-            s("else:")
-            s.indent()
-            s("due = metrics.cycles + delay - 1")
-            if miss_box:
-                move_miss_box(s)
-            s("bucket = delayed.get(due)")
-            s("if bucket is None:")
-            s.indent()
-            s("delayed[due] = bucket = []")
-            s.dedent()
-            _emit_edges(s, d0, "tag", "value", "bucket.append")
-            _emit_edges(s, d1, "tag", "0", "bucket.append")
-            s.dedent()
-            credit(s, n)
-
-        # A cache probe also moves the miss box, as the interpreter's
-        # cached load does.
-        cached = shape("mem_load", "metrics", "delayed", "cache_load",
-                       "miss_latency", "miss_until")
-        delayed(cached, f"cache_load({arr}, addr)", True)
         fast = shape("mem_load")
         consume(fast)
         fast(f"value = mem_load({arr}, {addr})")
         _emit_edges(fast, d0, "tag", "value")
         _emit_edges(fast, d1, "tag", "0")
         credit(fast, n)
-        var = shape("mem_load", "metrics", "delayed", "latency",
-                    "load_delay")
-        delayed(var, f"load_delay(latency, {arr}, addr)", False)
-        return done(cached.variant(), fast.variant(), var.variant())
+        timed = shape("mem_load", "metrics", "delayed", "access_load",
+                      "miss_latency", "miss_until")
+        consume(timed)
+        timed(f"addr = {addr}")
+        timed(f"value = mem_load({arr}, addr)")
+        timed(f"delay = access_load({arr}, addr)")
+        timed("if delay <= 1:")
+        timed.indent()
+        _emit_edges(timed, d0, "tag", "value")
+        _emit_edges(timed, d1, "tag", "0")
+        if not n:
+            timed("pass")
+        timed.dedent()
+        timed("else:")
+        timed.indent()
+        timed("due = metrics.cycles + delay - 1")
+        move_miss_box(timed)
+        timed("bucket = delayed.get(due)")
+        timed("if bucket is None:")
+        timed.indent()
+        timed("delayed[due] = bucket = []")
+        timed.dedent()
+        _emit_edges(timed, d0, "tag", "value", "bucket.append")
+        _emit_edges(timed, d1, "tag", "0", "bucket.append")
+        timed.dedent()
+        credit(timed, n)
+        return done(fast.variant(), timed.variant())
 
     if op is Op.STORE:
-        # Stores probe the cache model too (write-allocate) but stay
-        # single-cycle; the binder picks the body like LOAD's.
+        # A timed store probes the timing object too (the cache model
+        # write-allocates) but stays single-cycle.
         arr = consts.add(nd.array)
         addr = _operand(consts, 0, imms)
         value = _operand(consts, 1, imms)
         d0 = _dests(consts, edges[0])
-        cached = shape("mem_store", "cache_store")
-        consume(cached)
-        cached(f"addr = {addr}")
-        cached(f"mem_store({arr}, addr, {value})")
-        cached(f"cache_store({arr}, addr)")
-        _emit_edges(cached, d0, "tag", "0")
-        credit(cached, len(d0))
-        plain = shape("mem_store")
-        consume(plain)
-        plain(f"mem_store({arr}, {addr}, {value})")
-        _emit_edges(plain, d0, "tag", "0")
-        credit(plain, len(d0))
-        plain_v = plain.variant()
-        return done(cached.variant(), plain_v, plain_v)
+        fast = shape("mem_store")
+        consume(fast)
+        fast(f"mem_store({arr}, {addr}, {value})")
+        _emit_edges(fast, d0, "tag", "0")
+        credit(fast, len(d0))
+        timed = shape("mem_store", "access_store")
+        consume(timed)
+        timed(f"addr = {addr}")
+        timed(f"mem_store({arr}, addr, {value})")
+        timed(f"access_store({arr}, addr)")
+        _emit_edges(timed, d0, "tag", "0")
+        credit(timed, len(d0))
+        return done(fast.variant(), timed.variant())
 
     if op is Op.JOIN:
         s = shape()

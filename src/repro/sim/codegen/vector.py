@@ -12,13 +12,13 @@ arguments, so blocks with the same op structure share one shape.
 stores as ``_ticked``/``_silent``; each block maps to a 1-tuple, which
 keeps :meth:`DataParallelEngine._exec_block` and
 :meth:`~DataParallelEngine._exec_vector_loop` unchanged.  Blocks
-containing loads have a shape per timing rule (cache probe, idealized,
-variable latency), selected by the engine at bind time and compiled
-the first time an engine binds that rule. Unlike the per-node
-families, blocks are not memoized by structure: a whole-block shape
-rarely repeats between programs, so every row carries its constants;
-variable-latency loads fast-forward their stall through the
-``_stall_scalar_load`` O(1) path.  The table is generated from the
+containing loads or stores have a shape per timing rule (idealized,
+and timed by the engine's timing object), selected by the engine at
+bind time and compiled the first time an engine binds that rule.
+Unlike the per-node families, blocks are not memoized by structure: a
+whole-block shape rarely repeats between programs, so every row
+carries its constants; timed loads fast-forward their stall through
+the ``_stall_scalar_load`` O(1) path.  The table is generated from the
 program's :class:`~repro.sim.vector.plan.VecLowering`, the plans and
 loop classification the engine runs, so spawned loops are classified
 vector-vs-scalar at generation time exactly as the engine runs them.
@@ -66,10 +66,10 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
                 spawns: List[int]) -> None:
     """Emit the body for a tuple of region items.
 
-    ``mode`` is ``ticked_fast`` (idealized loads), ``ticked_var``
-    (variable-latency loads), ``ticked_cache`` (cache-probe loads and
-    stores) or ``silent`` (vector body, no ticks; vector-body memory
-    bypasses the cache model like the interpreter's silent walk).
+    ``mode`` is ``ticked_fast`` (idealized loads), ``ticked_timed``
+    (loads and stores timed by the engine's timing object) or
+    ``silent`` (vector body, no ticks; vector-body memory bypasses the
+    timing object like the interpreter's silent walk).
     """
     ticked = mode != "silent"
     for item in items:
@@ -112,25 +112,18 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
         if op is Op.LOAD:
             arr = blk.const(item, "array", item.attrs["array"])
             b.ref("mem_load")
-            if mode in ("ticked_var", "ticked_cache"):
+            if mode == "ticked_timed":
                 b.ref("stall")
+                b.ref("access_load")
+                b.ref("miss_latency")
                 b("tick(1, live)")
                 b(f"index = {ins(0)}")
                 b(f"{outs(0)} = mem_load({arr}, index)")
                 b(f"{outs(1)} = 0")
-                if mode == "ticked_var":
-                    b.ref("latency")
-                    b.ref("load_delay")
-                    b(f"delay = load_delay(latency, {arr}, index)")
-                    stall = "stall(delay - 1, live)"
-                else:
-                    b.ref("cache_load")
-                    b.ref("miss_latency")
-                    b(f"delay = cache_load({arr}, index)")
-                    stall = "stall(delay - 1, live, delay >= miss_latency)"
+                b(f"delay = access_load({arr}, index)")
                 b("if delay > 1:")
                 b.indent()
-                b(stall)
+                b("stall(delay - 1, live, delay >= miss_latency)")
                 b.dedent()
             else:
                 if ticked:
@@ -145,9 +138,9 @@ def _emit_items(b: Shape, blk: _Block, items, mode: str,
             if ticked:
                 b("tick(1, live)")
             b(f"mem_store({arr}, {ins(0)}, {ins(1)})")
-            if mode == "ticked_cache":
-                b.ref("cache_store")
-                b(f"cache_store({arr}, {ins(0)})")
+            if mode == "ticked_timed":
+                b.ref("access_store")
+                b(f"access_store({arr}, {ins(0)})")
             b(f"{outs(0)} = 0")
             continue
 
@@ -261,14 +254,12 @@ def generate(lowering: VecLowering) -> KernelTable:
     for name, plan in lowering.plans.items():
         blk = _Block(lowering)
         label = f"block {name!r}"
-        has_ld = _has_op(plan.items, Op.LOAD)
-        if has_ld or _has_op(plan.items, Op.STORE):
-            # Every variant is emitted before any is closed: a
+        if _has_op(plan.items, Op.LOAD) or _has_op(plan.items, Op.STORE):
+            # Both variants are emitted before either is closed: a
             # variant's parameters are all of the block's constants.
-            cached = _block_fn(blk, plan, "ticked_cache")
+            timed = _block_fn(blk, plan, "ticked_timed")
             fast = _block_fn(blk, plan, "ticked_fast")
-            var = _block_fn(blk, plan, "ticked_var") if has_ld else fast
-            variants = (cached.variant(), fast.variant(), var.variant())
+            variants = (fast.variant(), timed.variant())
         else:
             variants = one_rule(_block_fn(blk, plan,
                                           "ticked_fast").variant())

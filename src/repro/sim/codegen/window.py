@@ -237,7 +237,7 @@ def _emit(bplan: BlockPlan, p: OpPlan) -> Recipe:
 
     if op is Op.LOAD:
         arr = fn.consts.named("array", fn.array)
-        # Latency is a run parameter: emit every timing rule, the
+        # Latency is a run parameter: emit both timing rules, the
         # binder picks the one the run's timing selects.
         fast = fn.shape()
         fn.take(fast)
@@ -246,46 +246,34 @@ def _emit(bplan: BlockPlan, p: OpPlan) -> Recipe:
         fast(f"value = mem_load({arr}, addr)")
         fn.out(fast, 0, "value", d0)
         fn.out(fast, 1, "0", n1)
-
-        def delayed(b: Shape, delay: str, miss_box: bool) -> None:
-            # The delayed-bucket plumbing is identical for cache
-            # probes and the variable-latency hash; a probe also
-            # moves the miss box.
-            fn.take(b)
-            if n_t:
-                b(f"livebox[0] -= {n_t}")
-            b(f"addr = {fn.operand(0)}")
-            b(f"value = mem_load({arr}, addr)")
-            b(f"delay = {delay}")
-            b("if delay <= 1:")
-            b.indent()
-            b(f"publish(inst, {fn.key(0)}, value)")
-            b(f"publish(inst, {fn.key(1)}, 0)")
-            b.dedent()
-            b("else:")
-            b.indent()
-            b("due = metrics.cycles + delay - 1")
-            if miss_box:
-                move_miss_box(b)
-            b("bucket = delayed.get(due)")
-            b("if bucket is None:")
-            b.indent()
-            b("delayed[due] = bucket = []")
-            b.dedent()
-            b(f"bucket.append((inst, {fn.key(0)}, value))")
-            b(f"bucket.append((inst, {fn.key(1)}, 0))")
-            b.dedent()
-
-        cached = fn.shape()
-        delayed(cached, f"cache_load({arr}, addr)", True)
-        var = fn.shape()
-        delayed(var, f"load_delay(latency, {arr}, addr)", False)
-        return done(fn.finish(cached, "mem_load", "publish", "metrics",
-                              "delayed", "cache_load", "miss_latency",
-                              "miss_until"),
-                    fn.finish(fast, "mem_load"),
-                    fn.finish(var, "mem_load", "publish", "metrics",
-                              "delayed", "latency", "load_delay"))
+        timed = fn.shape()
+        fn.take(timed)
+        if n_t:
+            timed(f"livebox[0] -= {n_t}")
+        timed(f"addr = {fn.operand(0)}")
+        timed(f"value = mem_load({arr}, addr)")
+        timed(f"delay = access_load({arr}, addr)")
+        timed("if delay <= 1:")
+        timed.indent()
+        timed(f"publish(inst, {fn.key(0)}, value)")
+        timed(f"publish(inst, {fn.key(1)}, 0)")
+        timed.dedent()
+        timed("else:")
+        timed.indent()
+        timed("due = metrics.cycles + delay - 1")
+        move_miss_box(timed)
+        timed("bucket = delayed.get(due)")
+        timed("if bucket is None:")
+        timed.indent()
+        timed("delayed[due] = bucket = []")
+        timed.dedent()
+        timed(f"bucket.append((inst, {fn.key(0)}, value))")
+        timed(f"bucket.append((inst, {fn.key(1)}, 0))")
+        timed.dedent()
+        return done(fn.finish(fast, "mem_load"),
+                    fn.finish(timed, "mem_load", "publish", "metrics",
+                              "delayed", "access_load", "miss_latency",
+                              "miss_until"))
 
     if op is Op.STORE:
         arr = fn.consts.named("array", fn.array)
@@ -297,18 +285,17 @@ def _emit(bplan: BlockPlan, p: OpPlan) -> Recipe:
             b(f"value = {fn.operand(1)}")
             b(f"mem_store({arr}, addr, value)")
 
-        plain = fn.shape()
-        store(plain)
-        fn.out(plain, 0, "0", d0)
-        # Stores probe the cache model too (write-allocate) but stay
-        # single-cycle; the binder picks the body like LOAD's.
-        cached = fn.shape()
-        store(cached)
-        cached(f"cache_store({arr}, addr)")
-        fn.out(cached, 0, "0", d0)
-        plain_v = fn.finish(plain, "mem_store")
-        return done(fn.finish(cached, "mem_store", "cache_store"),
-                    plain_v, plain_v)
+        fast = fn.shape()
+        store(fast)
+        fn.out(fast, 0, "0", d0)
+        # A timed store probes the timing object too (the cache model
+        # write-allocates) but stays single-cycle.
+        timed = fn.shape()
+        store(timed)
+        timed(f"access_store({arr}, addr)")
+        fn.out(timed, 0, "0", d0)
+        return done(fn.finish(fast, "mem_store"),
+                    fn.finish(timed, "mem_store", "access_store"))
 
     # Pure arithmetic/logic: statically resolving the ports covers
     # every operand layout.

@@ -8,11 +8,17 @@ idealized timing; L > 1 gives every load a deterministic
 pseudo-random latency in [1, L] (a cache-hit/miss mix keyed by the
 accessed address), letting the harness measure how each token-
 synchronization scheme tolerates memory variance.
+
+:class:`LoadLatency` puts the hash behind the interface of the cache
+model (:class:`~repro.sim.cache.CacheModel`), so every engine and its
+timed kernels time a load one way, whichever model the run uses.
 """
 
 from __future__ import annotations
 
+import sys
 import zlib
+from functools import partial
 
 #: Array name -> stable 32-bit hash. Python's ``hash(str)`` is
 #: randomized per process (PYTHONHASHSEED), which made latency>1 runs
@@ -55,3 +61,21 @@ def load_delay(load_latency: int, array: str, index: int) -> int:
     if h & 1:
         return 1  # hit
     return 2 + (h >> 8) % (load_latency - 1)
+
+
+class LoadLatency:
+    """:func:`load_delay` at one ``load_latency``, with the cache
+    model's interface: ``access_load`` is the hash, ``access_store``
+    probes nothing (stores stay single-cycle), and no load is a miss,
+    so ``miss_latency`` is above every delay and no load moves the
+    miss box."""
+
+    __slots__ = ("access_load",)
+
+    miss_latency = sys.maxsize
+
+    def __init__(self, load_latency: int) -> None:
+        self.access_load = partial(load_delay, load_latency)
+
+    def access_store(self, array: str, index: int) -> None:
+        pass

@@ -34,7 +34,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.compiler.flatten import FlatGraph
 from repro.ir.ops import OP_INFO, Op
 from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
-from repro.sim.latency import load_delay
+from repro.sim.latency import LoadLatency
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
@@ -78,9 +78,11 @@ class QueuedEngine:
         self.issue_width = issue_width
         self.load_latency = load_latency
         self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel):
-        #: load delays come from cache probes, stores probe it too.
+        #: Optional stateful cache model (repro.sim.cache.CacheModel).
         self._cache = cache
+        #: What times every load and probes every store: the cache
+        #: model when set, else the hash latency model.
+        self._timing = LoadLatency(load_latency) if cache is None else cache
         #: First cycle index past the latest last-level miss (cache
         #: mode); bounds a profiled run's hit/miss stall split.
         self._miss_until: List[int] = [0]
@@ -158,15 +160,6 @@ class QueuedEngine:
         else:
             try_fire = self._try_fire  # one bound method for every row
             self._try_fire_fns = [partial(try_fire, nid) for nid in range(n)]
-
-    # ------------------------------------------------------------------
-    @property
-    def _live(self) -> int:
-        return self._livebox[0]
-
-    @_live.setter
-    def _live(self, value: int) -> None:
-        self._livebox[0] = value
 
     # ------------------------------------------------------------------
     def run(self, args: List[object]) -> ExecutionResult:
@@ -562,19 +555,15 @@ class QueuedEngine:
         else:  # STORE
             array = self._attrs[nid]["array"]
             self.memory.store(array, args[0], args[1])
-            if self._cache is not None:
-                self._cache.access_store(array, args[0])
+            self._timing.access_store(array, args[0])
             self._emit(nid, 0, 0)
         return True
 
     def _issue_load(self, nid: int, addr: object) -> None:
         array = self._attrs[nid]["array"]
         value = self.memory.load(array, addr)
-        cache = self._cache
-        if cache is not None:
-            delay = cache.access_load(array, addr)
-        else:
-            delay = load_delay(self.load_latency, array, addr)
+        timing = self._timing
+        delay = timing.access_load(array, addr)
         if delay <= 1 and nid not in self._inflight:
             self._emit(nid, 0, value)
             self._emit(nid, 1, 0)
@@ -582,8 +571,7 @@ class QueuedEngine:
         # Keep responses in issue order behind any slower predecessor
         # from the same static load.
         due = self.metrics.cycles + delay - 1
-        if cache is not None and delay >= cache.miss_latency \
-                and due + 1 > self._miss_until[0]:
+        if delay >= timing.miss_latency and due + 1 > self._miss_until[0]:
             self._miss_until[0] = due + 1
         queue = self._inflight.get(nid)
         if queue is None:

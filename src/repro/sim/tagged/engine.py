@@ -35,7 +35,7 @@ from repro.errors import DeadlockError, SimulationError, TokenBoundExceeded
 from repro.compiler.graph import TaggedGraph
 from repro.ir.ops import OP_INFO, Op
 from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
-from repro.sim.latency import load_delay
+from repro.sim.latency import LoadLatency
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
@@ -103,10 +103,11 @@ class TaggedEngine:
         self.issue_width = issue_width
         self.load_latency = load_latency
         self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel);
-        #: when set, load delays come from cache probes instead of the
-        #: load_delay hash and stores probe it too.
+        #: Optional stateful cache model (repro.sim.cache.CacheModel).
         self._cache = cache
+        #: What times every load and probes every store: the cache
+        #: model when set, else the hash latency model.
+        self._timing = LoadLatency(load_latency) if cache is None else cache
         #: First cycle index no longer stalled by the latest last-level
         #: miss (cache mode only); a profiled run splits its
         #: memory_stall attribution into hit/miss at this boundary.
@@ -235,17 +236,6 @@ class TaggedEngine:
              self._wait[nid], self._n_token_ports[nid], self._imms[nid])
             for nid, op in enumerate(self._op)
         ]
-
-    # ------------------------------------------------------------------
-    # ``_live`` stays addressable for diagnostics/tests while the
-    # kernels mutate the underlying one-slot box directly.
-    @property
-    def _live(self) -> int:
-        return self._livebox[0]
-
-    @_live.setter
-    def _live(self, value: int) -> None:
-        self._livebox[0] = value
 
     # ------------------------------------------------------------------
     def run(self, args: List[object]) -> ExecutionResult:
@@ -803,16 +793,12 @@ class TaggedEngine:
         if op is _LOAD:
             attrs = self._attrs[nid]
             value = self.memory.load(attrs["array"], inputs[0])
-            if self._cache is not None:
-                delay = self._cache.access_load(attrs["array"],
-                                                inputs[0])
-                if delay >= self._cache.miss_latency:
-                    due_end = self.metrics.cycles + delay
-                    if due_end > self._miss_until[0]:
-                        self._miss_until[0] = due_end
-            else:
-                delay = load_delay(self.load_latency, attrs["array"],
-                                   inputs[0])
+            timing = self._timing
+            delay = timing.access_load(attrs["array"], inputs[0])
+            if delay >= timing.miss_latency:
+                due_end = self.metrics.cycles + delay
+                if due_end > self._miss_until[0]:
+                    self._miss_until[0] = due_end
             if delay <= 1:
                 self._emit(nid, 0, tag, value)
                 self._emit(nid, 1, tag, 0)
@@ -828,8 +814,7 @@ class TaggedEngine:
         elif op is _STORE:
             attrs = self._attrs[nid]
             self.memory.store(attrs["array"], inputs[0], inputs[1])
-            if self._cache is not None:
-                self._cache.access_store(attrs["array"], inputs[0])
+            self._timing.access_store(attrs["array"], inputs[0])
             self._emit(nid, 0, tag, 0)
         elif op is _JOIN:
             self._emit(nid, 0, tag, inputs[0])

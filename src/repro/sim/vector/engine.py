@@ -39,7 +39,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
 from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
-from repro.sim.latency import load_delay
+from repro.sim.latency import LoadLatency
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
@@ -84,16 +84,14 @@ class DataParallelEngine:
         self.memory = memory
         self.lanes = lanes
         #: Optional stateful cache model (repro.sim.cache.CacheModel).
-        #: Scalar (ticked) loads take their delay from cache probes
-        #: and ticked stores probe it too; vector-body accesses bypass
-        #: the model entirely -- classic vector machines stream memory
-        #: through pipelined ports, which is the same idealization the
-        #: silent steps already make for latency.
         self._cache = cache
-        #: Scalar loads stall the pipeline for their latency; vector
-        #: sections assume pipelined (overlapped) memory, as classic
-        #: vector machines do.
         self.load_latency = load_latency
+        #: What times every scalar (ticked) load and probes every
+        #: ticked store: the cache model when set, else the hash
+        #: latency model. Scalar loads stall the pipeline for their
+        #: latency; vector-body accesses bypass it entirely -- classic
+        #: vector machines stream memory through pipelined ports.
+        self._timing = LoadLatency(load_latency) if cache is None else cache
         self.max_cycles = max_cycles
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
         self._profiler = EngineProfiler() if profile else None
@@ -193,7 +191,7 @@ class DataParallelEngine:
             )
 
     def _stall_scalar_load(self, n_cycles: int, live: int,
-                           miss: bool = False) -> None:
+                           miss: bool) -> None:
         """Fast-forward ``n_cycles`` of scalar-load latency in O(1).
 
         Exactly equivalent to ``n_cycles`` calls of ``_tick(0, live)``
@@ -322,20 +320,16 @@ class DataParallelEngine:
                 env[outs[1]] = 0
                 if block is None:
                     continue
-                cache = self._cache
-                if cache is not None:
-                    delay = cache.access_load(array, index)
-                    miss = delay >= cache.miss_latency
-                else:
-                    delay = load_delay(self.load_latency, array, index)
-                    miss = False
+                timing = self._timing
+                delay = timing.access_load(array, index)
                 if delay > 1:
-                    self._stall_scalar_load(delay - 1, live, miss)
+                    self._stall_scalar_load(delay - 1, live,
+                                            delay >= timing.miss_latency)
             elif op is _STORE:
                 array = item.attrs["array"]
                 memory.store(array, env[ins[0]], env[ins[1]])
-                if block is not None and self._cache is not None:
-                    self._cache.access_store(array, env[ins[0]])
+                if block is not None:
+                    self._timing.access_store(array, env[ins[0]])
                 env[outs[0]] = 0
             elif op is _STEER:
                 # Depth-first execution resolves control through the

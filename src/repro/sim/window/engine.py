@@ -39,7 +39,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
 from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
-from repro.sim.latency import load_delay
+from repro.sim.latency import LoadLatency
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
@@ -130,9 +130,11 @@ class WindowEngine:
         self.issue_width = issue_width
         self.load_latency = load_latency
         self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel):
-        #: load delays come from cache probes, stores probe it too.
+        #: Optional stateful cache model (repro.sim.cache.CacheModel).
         self._cache = cache
+        #: What times every load and probes every store: the cache
+        #: model when set, else the hash latency model.
+        self._timing = LoadLatency(load_latency) if cache is None else cache
         #: First cycle index past the latest last-level miss (cache
         #: mode); bounds a profiled run's hit/miss stall split.
         self._miss_until: List[int] = [0]
@@ -181,17 +183,6 @@ class WindowEngine:
                 name: [partial(fire, p) for p in plan.ops]
                 for name, plan in self.plans.items()
             }
-
-    # ------------------------------------------------------------------
-    # ``_live`` stays addressable for diagnostics/tests while the
-    # kernels mutate the underlying one-slot box directly.
-    @property
-    def _live(self) -> int:
-        return self._livebox[0]
-
-    @_live.setter
-    def _live(self, value: int) -> None:
-        self._livebox[0] = value
 
     # ------------------------------------------------------------------
     def run(self, args: List[object]) -> ExecutionResult:
@@ -615,11 +606,8 @@ class WindowEngine:
         elif op is _LOAD:
             array = p.attrs["array"]
             value = self.memory.load(array, args[0])
-            cache = self._cache
-            if cache is not None:
-                delay = cache.access_load(array, args[0])
-            else:
-                delay = load_delay(self.load_latency, array, args[0])
+            timing = self._timing
+            delay = timing.access_load(array, args[0])
             if delay <= 1:
                 publish(inst, key0, value)
                 publish(inst, key1, 0)
@@ -628,16 +616,14 @@ class WindowEngine:
             # then, keeping the op pending for the retire scan until
             # the value lands.
             due = self.metrics.cycles + delay - 1
-            if cache is not None and delay >= cache.miss_latency \
-                    and due + 1 > self._miss_until[0]:
+            if delay >= timing.miss_latency and due + 1 > self._miss_until[0]:
                 self._miss_until[0] = due + 1
             self._delayed.setdefault(due, []).extend(
                 ((inst, key0, value), (inst, key1, 0)))
         else:  # STORE
             array = p.attrs["array"]
             self.memory.store(array, args[0], args[1])
-            if self._cache is not None:
-                self._cache.access_store(array, args[0])
+            self._timing.access_store(array, args[0])
             publish(inst, key0, 0)
 
     # ------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_precompile_materializes_machine_artifacts():
 def test_precompile_builds_profiled_kernels(monkeypatch):
     """Profiled specs get their kernels compiled in the sweep parent
     too, so a forked worker's profiled run compiles nothing (a profiled
-    datapar run interprets, so it compiles nothing either way)."""
+    datapar run interprets, so it is given no kernels)."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
     monkeypatch.setattr(core, "_SHAPES", {})
     wl = build_workload("dmv", "tiny")
@@ -156,8 +156,9 @@ def test_precompile_builds_profiled_kernels(monkeypatch):
 
 def test_precompile_compiles_the_bound_rules(monkeypatch):
     """precompile_specs compiles the timing rule each spec's engine
-    binds -- idealized, cache probe, variable latency -- so no forked
-    worker's run calls ``compile()``."""
+    binds -- idealized, or timed for the cache-model and
+    variable-latency specs alike -- so no forked worker's run calls
+    ``compile()``."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
     monkeypatch.setattr(core, "_SHAPES", {})
     wl = build_workload("dmv", "tiny")

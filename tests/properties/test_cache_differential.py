@@ -28,8 +28,8 @@ from repro.sim.memory import Memory
 from repro.workloads.randomprog import random_memory, random_module
 
 from tests.conftest import HANDOFF_BUDGETS, handoff_budget
+from tests.properties.seeds import SEEDS
 
-SEEDS = st.integers(min_value=0, max_value=100_000)
 SPECS = st.sampled_from([
     "line=2,miss=30,l1=4x2x1",
     "line=4,miss=60,l1=8x2x1",

@@ -23,8 +23,8 @@ from repro.sim.memory import Memory
 from repro.workloads.randomprog import random_memory, random_module
 
 from tests.conftest import HANDOFF_BUDGETS, handoff_budget
+from tests.properties.seeds import SEEDS
 
-SEEDS = st.integers(min_value=0, max_value=100_000)
 _SETTINGS = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 

@@ -9,7 +9,8 @@ from repro.harness.runner import CompiledWorkload, PAPER_SYSTEMS
 from repro.sim.memory import Memory
 from repro.workloads.randomprog import random_memory, random_module
 
-SEEDS = st.integers(min_value=0, max_value=100_000)
+from tests.properties.seeds import SEEDS
+
 _SETTINGS = settings(max_examples=40, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 

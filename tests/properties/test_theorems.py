@@ -24,7 +24,8 @@ from repro.ir.interp import ReferenceInterpreter
 from repro.sim.memory import Memory
 from repro.workloads.randomprog import random_memory, random_module
 
-SEEDS = st.integers(min_value=0, max_value=100_000)
+from tests.properties.seeds import SEEDS
+
 # CI's deadlock-smoke job raises the search budget well past the
 # local default; see .github/workflows/ci.yml.
 _SETTINGS = settings(

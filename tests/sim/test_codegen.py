@@ -35,7 +35,7 @@ from repro.ir import printer
 from repro.ir.ops import Op
 from repro.sim import codegen
 from repro.sim.codegen import core
-from repro.sim.codegen.core import CACHE, DUMP_ENV, FAMILIES, FAST, VAR
+from repro.sim.codegen.core import DUMP_ENV, FAMILIES, FAST, TIMED
 from repro.sim.memory import Memory
 from repro.sim.queued import QueuedEngine
 from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
@@ -237,16 +237,16 @@ def _rule_texts(cw, rules):
 
 
 def test_runs_compile_only_their_timing_rule(monkeypatch):
-    """A plain run of a never-seen program compiles no cache-rule or
-    var-rule text. A later ``cache=`` run of the same program compiles
-    its cache-rule texts, in at most one ``compile()`` call per
-    family; a third run compiles nothing."""
+    """A plain run of a never-seen program compiles no timed-rule
+    text. A later ``cache=`` run of the same program compiles its
+    timed texts, in at most one ``compile()`` call per family; then a
+    ``load_latency`` run, which binds the same timed texts, another
+    ``cache=`` run and a plain run compile nothing."""
     monkeypatch.setattr(core, "_SHAPES", {})
     cw = CompiledWorkload(lower_module(random_module(-3)))
     fast = _rule_texts(cw, (FAST,))
-    cache_only = _rule_texts(cw, (CACHE,)) - fast
-    var_only = _rule_texts(cw, (VAR,)) - fast
-    assert cache_only and var_only
+    timed_only = _rule_texts(cw, (TIMED,)) - fast
+    assert timed_only
     sources = _compiled_sources(monkeypatch)
 
     def runs(**kwargs):
@@ -256,13 +256,13 @@ def test_runs_compile_only_their_timing_rule(monkeypatch):
     runs()
     compiled = "".join(sources)
     assert fast <= set(core._SHAPES)
-    assert not any(text in compiled for text in cache_only | var_only)
+    assert not any(text in compiled for text in timed_only)
     before = len(sources)
     runs(cache=CACHE_SPEC)
     assert 0 < len(sources) - before <= len(FAMILIES)
-    assert cache_only <= set(core._SHAPES)
-    assert not any(text in "".join(sources) for text in var_only)
+    assert timed_only <= set(core._SHAPES)
     before = len(sources)
+    runs(load_latency=4)
     runs(cache=CACHE_SPEC)
     runs()
     assert len(sources) == before
@@ -271,7 +271,7 @@ def test_runs_compile_only_their_timing_rule(monkeypatch):
 #: Distinct shapes over randomprog seeds 0..199 (about 25k tagged,
 #: 13k flat and 13k window node rows, 1k vector block rows). Per-node
 #: families stay near 3% of their rows; a vector shape is a whole
-#: block in up to three timing variants, so it is rarely shared.
+#: block in up to two timing variants, so it is rarely shared.
 SHAPE_BOUNDS = {"tagged": 600, "flat": 600, "window": 550,
                 "vector": 2000}
 

@@ -130,8 +130,8 @@ def _observe(wl, machine, **kwargs):
 def test_short_never_seen_program_never_binds_or_compiles(seed, events):
     """These programs fire fewer than ``HANDOFF_K`` instructions per
     static node on every machine and timing rule, plain and profiled:
-    each run is given its module, but generates no kernel table, binds
-    nothing and compiles nothing."""
+    each run but a profiled datapar one is given its module, but
+    generates no kernel table, binds nothing and compiles nothing."""
     program = lower_module(random_module(seed))
     for machine in MACHINES:
         for kwargs in ({}, {"load_latency": 4}, {"cache": CACHE_SPEC},
@@ -140,7 +140,8 @@ def test_short_never_seen_program_never_binds_or_compiles(seed, events):
             res = cw.run(machine, Memory(random_memory()), [3, 5],
                          **kwargs)
             assert res.completed, machine
-            assert KERNEL_FAMILY[machine] in cw._kernels
+            assert (KERNEL_FAMILY[machine] in cw._kernels) is not (
+                machine == "datapar" and "profile" in kwargs)
     assert events == {}
 
 
@@ -176,21 +177,23 @@ def test_precompiled_rule_binds_at_construction(config, events,
     """``pool.precompile_specs`` generates each family's table once
     per workload (tyr and unordered share one) and compiles the rule
     each spec binds, so every run binds its kernels at construction,
-    none hands off and none generates; a profiled datapar run binds
-    nothing, since it interprets."""
+    none hands off and none generates; a profiled datapar run, which
+    interprets, gets no vector table generated and binds nothing."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
     wl = build_workload("dmv", "tiny")
     specs = [spec_for(wl, machine, config) for machine in MACHINES]
     precompile_specs(specs)
     generated = {key: n for key, n in events.items()
                  if key.startswith("generate")}
+    families = [family for family in FAMILIES
+                if not (family == "vector" and config.get("profile"))]
     assert generated == {
-        "generate_source": len(FAMILIES),
-        **{f"generate.{family}": 1 for family in FAMILIES}}
+        "generate_source": len(families),
+        **{f"generate.{family}": 1 for family in families}}
     compiled = workload_for(specs[0]).compiled
     rule = rule_for(config.get("cache"), config.get("load_latency", 1))
-    for machine in MACHINES:
-        assert compiled.kernels(KERNEL_FAMILY[machine]).is_compiled(rule)
+    for family in families:
+        assert compiled.kernels(family).is_compiled(rule)
     before = events["bind"]
     for spec in specs:
         assert run_one(spec).completed
@@ -198,6 +201,25 @@ def test_precompiled_rule_binds_at_construction(config, events,
     assert events["bind"] - before == len(specs) - interpreting
     assert events["hand_off"] == 0
     assert {key: events[key] for key in generated} == generated
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_latency_run_binds_the_rule_a_cache_run_compiled(machine, events):
+    """The cache model and the hash latency model share one timed
+    rule: once a ``cache=`` run of a workload has handed off to its
+    kernels, a ``load_latency`` run of it binds them at construction,
+    hands off nothing, calls ``compile()`` zero times and equals the
+    interpreter."""
+    wl = build_workload("dmv", "tiny")
+    _observe(wl, machine, cache=CACHE_SPEC)
+    assert events["hand_off"] == 1
+    binds, compiles = events["bind"], events["compile"]
+    interp = _observe(build_workload("dmv", "tiny"), machine,
+                      load_latency=4, codegen=False)
+    assert _observe(wl, machine, load_latency=4) == interp
+    assert events["hand_off"] == 1
+    assert events["bind"] == binds + 1
+    assert events["compile"] == compiles
 
 
 @pytest.mark.parametrize("machine", ["tyr", "ordered", "seqdf"])
@@ -224,15 +246,15 @@ def test_handoff_with_loads_in_flight(machine, timing, events,
 
 @pytest.mark.parametrize("budget", ["budget0", "default"])
 def test_profiled_datapar_run_interprets(budget, events, monkeypatch):
-    """A profiled datapar run is given its kernel module like any run,
-    but interprets: at budget 0 and at the default budget it generates
-    no table, binds nothing and calls ``compile()`` zero times, and its
-    profile, key order included, is the ``codegen=False`` run's."""
+    """A profiled datapar run interprets: at budget 0 and at the
+    default budget it is given no kernel module, generates no table,
+    binds nothing and calls ``compile()`` zero times, and its profile,
+    key order included, is the ``codegen=False`` run's."""
     if budget in HANDOFF_BUDGETS:
         monkeypatch.setattr(core, "HANDOFF_K", HANDOFF_BUDGETS[budget])
     wl = build_workload("dmv", "tiny")
     gen = _observe(wl, "datapar", profile=True, cache=CACHE_SPEC)
-    assert "vector" in wl.compiled._kernels
+    assert "vector" not in wl.compiled._kernels
     assert events == {}
     assert gen == _observe(wl, "datapar", profile=True, cache=CACHE_SPEC,
                            codegen=False)
@@ -342,13 +364,12 @@ def test_dropped_workload_is_freed_without_the_collector(case):
             else:
                 cw.run(machine, wl.fresh_memory(), wl.args,
                        profile=case == "profiled datapar")
-        # A profiled datapar run generates nothing: it interprets.
+        # A profiled datapar run is given no module: it interprets.
         generated = {family: module._table is not None
                      for family, module in cw._kernels.items()}
         assert generated == {
-            family: wl is not None and not (
-                family == "vector" and case == "profiled datapar")
-            for family in FAMILIES}
+            family: wl is not None for family in FAMILIES
+            if not (family == "vector" and case == "profiled datapar")}
         ref = weakref.ref(cw)
         del cw
         assert ref() is None
