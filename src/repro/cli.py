@@ -55,9 +55,9 @@ def _render_deadlock(err: DeadlockError, full: bool = False) -> str:
     return text
 
 
-def _cmd_run(args) -> int:
-    wl = build_workload(args.workload, args.scale)
-    print(f"{args.workload} ({args.scale}): params {wl.params}")
+def _run_kwargs(args) -> dict:
+    """The run kwargs of the options :func:`_add_run_options`
+    declares."""
     kwargs = dict(
         tags=args.tags,
         issue_width=args.issue_width,
@@ -67,6 +67,13 @@ def _cmd_run(args) -> int:
     )
     if args.cache:
         kwargs["cache"] = args.cache
+    return kwargs
+
+
+def _cmd_run(args) -> int:
+    wl = build_workload(args.workload, args.scale)
+    print(f"{args.workload} ({args.scale}): params {wl.params}")
+    kwargs = _run_kwargs(args)
     for machine in args.machine:
         start = time.time()
         try:
@@ -181,17 +188,7 @@ def _cmd_profile(args) -> int:
     from repro.harness.ascii_plots import bar_chart, table
 
     wl = build_workload(args.workload, args.scale)
-    kwargs = dict(
-        profile=True,
-        tags=args.tags,
-        issue_width=args.issue_width,
-        queue_depth=args.queue_depth,
-        window=args.window,
-        total_tags=args.total_tags,
-    )
-    if args.cache:
-        kwargs["cache"] = args.cache
-    res = wl.run_checked(args.machine, **kwargs)
+    res = wl.run_checked(args.machine, profile=True, **_run_kwargs(args))
     prof = res.extra["profile"]
     if args.json:
         doc = prof.to_json_dict()
@@ -323,6 +320,24 @@ def _cmd_cache_gc(args) -> int:
     return 0
 
 
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The machine options ``run`` and ``profile`` share."""
+    parser.add_argument("--tags", type=int, default=64,
+                        help="tags per local tag space (TYR/k-bounded)")
+    parser.add_argument("--total-tags", type=int, default=64,
+                        help="global pool size (unordered-bounded)")
+    parser.add_argument("--issue-width", type=int, default=128)
+    parser.add_argument("--queue-depth", type=int, default=4)
+    parser.add_argument("--window", type=int, default=8)
+    parser.add_argument("--cache", default=None, metavar="SPEC",
+                        help="simulate a cache hierarchy, e.g. "
+                             "'line=8,miss=100,l1=64x4x1[,l2=...]'; "
+                             "run shows hit rates in its summary "
+                             "lines, profile splits memory stalls "
+                             "into hit/miss cycles and prints "
+                             "per-level hit rates")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tyr-repro",
@@ -339,17 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--machine", "-m", action="append",
                        choices=MACHINES, default=None)
     run_p.add_argument("--scale", default="default")
-    run_p.add_argument("--tags", type=int, default=64,
-                       help="tags per local tag space (TYR/k-bounded)")
-    run_p.add_argument("--total-tags", type=int, default=64,
-                       help="global pool size (unordered-bounded)")
-    run_p.add_argument("--issue-width", type=int, default=128)
-    run_p.add_argument("--queue-depth", type=int, default=4)
-    run_p.add_argument("--window", type=int, default=8)
-    run_p.add_argument("--cache", default=None, metavar="SPEC",
-                       help="simulate a cache hierarchy, e.g. "
-                            "'line=8,miss=100,l1=64x4x1[,l2=...]'; "
-                            "hit rates land in the summary line")
+    _add_run_options(run_p)
     run_p.add_argument("--explain", action="store_true",
                        help="on deadlock, also dump the full "
                             "wait-for graph (every edge), not just "
@@ -443,17 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--machine", "-m", default="tyr",
                         choices=MACHINES)
     prof_p.add_argument("--scale", default="tiny")
-    prof_p.add_argument("--tags", type=int, default=64,
-                        help="tags per local tag space (TYR/k-bounded)")
-    prof_p.add_argument("--total-tags", type=int, default=64,
-                        help="global pool size (unordered-bounded)")
-    prof_p.add_argument("--issue-width", type=int, default=128)
-    prof_p.add_argument("--queue-depth", type=int, default=4)
-    prof_p.add_argument("--window", type=int, default=8)
-    prof_p.add_argument("--cache", default=None, metavar="SPEC",
-                        help="simulate a cache hierarchy (splits "
-                             "memory stalls into hit/miss components "
-                             "and prints per-level hit rates)")
+    _add_run_options(prof_p)
     prof_p.add_argument("--top", type=parse_rows, default=10,
                         help="rows in the hotspot table (default 10)")
     prof_p.add_argument("--json", action="store_true",

@@ -22,6 +22,7 @@ from repro.frontend.dsl import c, v
 from repro.frontend.lower import lower_module
 from repro.harness.ascii_plots import table
 from repro.harness.experiments.base import ExperimentReport, register
+from repro.harness.pool import run_batch
 from repro.harness.runner import CompiledWorkload
 from repro.harness.sweep import min_global_tags_to_complete, run_machines
 from repro.sim.memory import Memory
@@ -69,21 +70,23 @@ def run(scale: str = "small", workload: str = "dmv", total_tags: int = 8,
         sizes=(8, 16, 32, 48), jobs: int = 1, cache=None,
         options=None, **kwargs) -> ExperimentReport:
     wl = build_workload(workload, scale)
-    # Run directly (not via the pool) so the deadlock diagnosis object
-    # survives -- it does not cross process boundaries.
-    try:
-        res, _ = wl.run("unordered-bounded", total_tags=total_tags)
+    [res] = run_batch(
+        [(wl, "unordered-bounded", {"total_tags": total_tags}, False)],
+        jobs=jobs, cache=cache, tolerate=(DeadlockError,),
+        options=options)
+    if isinstance(res, DeadlockError):
+        deadlocked = True
+        diagnosis_text = res.diagnosis.explain()
+        pending = len(res.diagnosis.pending_allocations)
+    else:
         deadlocked = not res.completed
         diagnosis_text = "completed unexpectedly"
         pending = 0
-    except DeadlockError as err:
-        deadlocked = True
-        diagnosis_text = err.diagnosis.explain()
-        pending = len(err.diagnosis.pending_allocations)
 
     # Ablations: dropping the spare rule wedges dmv's nested loops;
     # dropping ready gating wedges the Lemma-1 call chain. The
-    # analyzer must name the dropped rule as the cause.
+    # analyzer must name the dropped rule as the cause. They run
+    # directly: an ablated policy is no machine a spec can name.
     ablations = {
         "spare": _run_ablation("spare", wl),
         "ready": _run_ablation("ready"),

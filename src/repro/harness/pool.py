@@ -15,12 +15,12 @@ and experiment driver:
 * with a :class:`~repro.harness.cache.ResultCache`, the parent first
   resolves hits and only dispatches misses (successful runs are
   written back; failures are never cached);
-* workers are forked, and the parent **precompiles** every artifact
-  the pending specs need first (:func:`precompile_specs`) -- machine
-  lowerings (tagged/flat graphs, window and vector plans) and
-  generated kernels -- so children inherit them through copy-on-write
-  pages; a per-process memo (:data:`_WL_MEMO`)
-  still covers anything built after the fork;
+* workers are forked, and the parent first builds the machine
+  lowering (tagged/flat graph, window or vector plans) every pending
+  spec runs (:func:`precompile_specs`), so children inherit them
+  through copy-on-write pages; a per-process memo (:data:`_WL_MEMO`)
+  still covers anything built after the fork, and each worker's runs
+  generate their kernels at their hand-offs;
 * :class:`~repro.errors.DeadlockError` / ``SimulationError`` raised by
   a run are re-raised with the failing workload, machine, and config
   appended to the message -- essential once failures surface from pool
@@ -65,7 +65,7 @@ from repro.errors import (
 )
 from repro.harness.cache import ResultCache, result_key
 from repro.harness.runlog import ProgressLine, RunLog
-from repro.harness.runner import KERNEL_FAMILY, kernel_family
+from repro.harness.runner import KERNEL_FAMILY
 from repro.sim.metrics import ExecutionResult
 from repro.workloads.registry import WorkloadInstance, build_workload
 
@@ -186,37 +186,21 @@ def cache_key(spec: RunSpec) -> str:
 
 
 def precompile_specs(specs: Sequence[RunSpec]) -> None:
-    """Materialize every compiled artifact the specs need, in the
-    parent, before any fork.
+    """Build every spec's machine lowering (``CompiledWorkload.lowering``:
+    the elaborated tagged graph, the flattened graph, the window plans
+    or the vector plans with their loop classification) in the parent,
+    before any fork, so forked workers inherit them through
+    copy-on-write pages instead of each rebuilding them.
 
-    Building them here means forked workers inherit them through
-    copy-on-write pages instead of each rebuilding them: every spec's
-    machine lowering (``CompiledWorkload.lowering``: the elaborated
-    tagged graph, the flattened graph, the window plans or the vector
-    plans with their loop classification), also for specs that run
-    without kernels, and the kernel table of every spec given one
-    (:func:`~repro.harness.runner.kernel_family`), generated once per
-    workload and family, with the timing rule its engine will bind
-    compiled (see :func:`repro.sim.codegen.rule_for`).
+    Kernels are left to the runs: each engine generates and compiles
+    its table at its hand-off. Generating and compiling the sweep
+    benchmark's tables here cost the parent 80-110 ms and measured no
+    faster over a cold sweep (docs/ARCHITECTURE.md section 6).
     """
-    from repro.sim.codegen import rule_for
-
     for spec in specs:
-        if spec.machine not in KERNEL_FAMILY:
-            continue  # run_one reports the unknown machine
-        compiled = workload_for(spec).compiled
-        compiled.lowering(KERNEL_FAMILY[spec.machine])
-        # Generated kernels: generate the table and compile the timing
-        # rule the run binds in the parent, so forked workers inherit
-        # the bound tables and the warm shape memo through copy-on-write.
-        config = _config_kwargs(spec)
-        family = kernel_family(spec.machine, spec.codegen,
-                               config.get("record_trace", False),
-                               config.get("track_occupancy", False),
-                               config.get("profile", False))
-        if family is not None:
-            compiled.kernels(family).compile(rule_for(
-                config.get("cache"), config.get("load_latency", 1)))
+        family = KERNEL_FAMILY.get(spec.machine)
+        if family is not None:  # run_one reports an unknown machine
+            workload_for(spec).compiled.lowering(family)
 
 
 def run_one(spec: RunSpec) -> ExecutionResult:
@@ -523,10 +507,10 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     per-run wall-clock timeout, bounded crash retry, a JSON-lines run
     log, and a live progress line; see :class:`RunOptions`.
 
-    Before forking workers, the parent precompiles every artifact the
-    pending specs need (:func:`precompile_specs`) so children inherit
-    them copy-on-write instead of recompiling per worker. A serial run
-    builds each artifact on first use instead.
+    Before forking workers, the parent builds the machine lowering of
+    every pending spec (:func:`precompile_specs`) so children inherit
+    them copy-on-write instead of rebuilding them per worker. A serial
+    run builds each lowering on first use instead.
     """
     specs = list(specs)
     opts = options or RunOptions()

@@ -28,6 +28,7 @@ from repro.errors import SimulationError
 from repro.compiler.elaborate import elaborate
 from repro.compiler.flatten import flatten
 from repro.ir.program import ContextProgram
+from repro.sim.engine import MAX_CYCLES
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult
 from repro.sim.queued import QueuedEngine
@@ -72,24 +73,6 @@ KERNEL_FAMILY = {
     "kbounded": "tagged",
     "datapar": "vector",
 }
-
-
-def kernel_family(machine: str, codegen: bool = True,
-                  record_trace: bool = False,
-                  track_occupancy: bool = False,
-                  profile: bool = False) -> Optional[str]:
-    """The kernel family a run of ``machine`` is given, or None when it
-    only interprets: on ``codegen=False``; for traced and
-    occupancy-tracked runs, whose hooks only the interpreters carry;
-    and for profiled datapar runs, since the vector family has no
-    cycle loop to book the stall taxonomy in. The engine binds the
-    kernels at construction or at a mid-run hand-off
-    (:func:`repro.sim.codegen.core.defer_kernels`)."""
-    family = KERNEL_FAMILY.get(machine)
-    if not codegen or record_trace or track_occupancy or (
-            profile and family == "vector"):
-        return None
-    return family
 
 
 class CompiledWorkload:
@@ -170,18 +153,15 @@ class CompiledWorkload:
         raises ValueError here.
 
         The module holds the family's :meth:`lowering` and generates
-        its kernel table on first use: when a run binds it, at
-        construction or at a mid-run hand-off, or when
-        ``pool.precompile_specs`` compiles it. A run that never gets
-        there generates nothing, and a profiled datapar run is given no
-        module (:func:`kernel_family`). Node shapes are emitted once per
+        its kernel table on first use, when a run binds it, at
+        construction or at a mid-run hand-off. A run that never gets
+        there generates nothing: a short run, and every run whose
+        engine drops the module (traced, occupancy-tracked and
+        profiled datapar runs). Node shapes are emitted once per
         process and shared by every program, so generating a table is
         mostly reading this program's constants; each timing rule's
-        shapes compile when an engine first binds it. Forked sweep
-        workers inherit the modules (and the rules)
-        ``pool.precompile_specs`` generated in the parent. The
-        fingerprint is computed only to name a dump
-        (``TYR_REPRO_DUMP_KERNELS``).
+        shapes compile when an engine first binds it. The fingerprint
+        is computed only to name a dump (``TYR_REPRO_DUMP_KERNELS``).
         """
         from repro.sim import codegen
 
@@ -219,7 +199,7 @@ class CompiledWorkload:
             track_occupancy: bool = False,
             record_trace: bool = False,
             load_latency: int = 1,
-            max_cycles: int = 50_000_000,
+            max_cycles: int = MAX_CYCLES,
             profile: bool = False,
             codegen: bool = True,
             cache=None) -> ExecutionResult:
@@ -240,16 +220,15 @@ class CompiledWorkload:
         The engine runs this workload's machine lowering
         (:meth:`lowering`), built on the first run that needs it.
         ``codegen=True`` (the default) gives the engine this
-        program's kernel module (:meth:`kernels`), profiled runs too,
-        but for datapar, whose profiled runs interpret. An engine
-        binds the module at construction if its timing rule is
-        compiled already (by ``pool.precompile_specs`` or an earlier
-        run of this workload); else the run starts on the plain
-        reference interpreter and hands off to the kernels at a cycle
-        boundary once it has fired ``HANDOFF_K`` instructions per
-        static node, generating the table there, so a short run never
-        generates, binds or compiles them. Traced and
-        occupancy-tracked runs, and ``codegen=False``, only interpret.
+        program's kernel module (:meth:`kernels`), and the engine
+        decides when to bind it (:class:`repro.sim.engine.Engine`): at
+        construction if an earlier run of this workload compiled its
+        timing rule; else the run starts on the plain reference
+        interpreter and hands off to the kernels at a cycle boundary
+        once it has fired ``HANDOFF_K`` instructions per static node,
+        generating the table there, so a short run never generates,
+        binds or compiles them. Traced and occupancy-tracked runs,
+        profiled datapar runs and ``codegen=False`` only interpret.
         Metrics and profiles are bit-identical either way.
 
         ``max_cycles`` bounds *simulated* cycles, which does not help
@@ -271,9 +250,8 @@ class CompiledWorkload:
                     "hash-based load-delay model"
                 )
             cache_model = CacheModel(CacheConfig.coerce(cache), memory)
-        family = kernel_family(machine, codegen, record_trace,
-                               track_occupancy, profile)
-        kernels = None if family is None else self.kernels(family)
+        kernels = (self.kernels(KERNEL_FAMILY[machine])
+                   if codegen and machine in KERNEL_FAMILY else None)
         if machine in _TAGGED_MACHINES:
             if machine == "unordered":
                 policy = UnboundedGlobalPolicy()

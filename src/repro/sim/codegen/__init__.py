@@ -5,13 +5,13 @@ flat function per static node's firing rule (per block for the vector
 family) -- and the engines fill their fire tables with those kernels
 instead of interpreting: at construction when the program's module
 has compiled the run's timing rule, else at a mid-run hand-off once
-the run has paid for them
-(:func:`~repro.sim.codegen.core.defer_kernels`). A module generates
-its kernel table there, on its first bind, so a run that never hands
-off generates nothing. Specialization per node shape and timing
-rule lives only here: each engine's interpreter, one plain firing rule
-per opcode, remains the bit-identical reference semantics (and the
-only path for traced, occupancy-tracked and profiled datapar runs).
+the run has paid for them (both in :class:`repro.sim.engine.Engine`).
+A module generates its kernel table there, on its first bind, so a
+run that never hands off generates nothing. Specialization per node
+shape and timing rule lives only here: each engine's interpreter, one
+plain firing rule per opcode, remains the bit-identical reference
+semantics (and the only path for traced, occupancy-tracked and
+profiled datapar runs, whose engines drop the module they are given).
 The cycle loop is never generated: the tagged, queued and window
 engines each have one hand-written loop that kernel, interpreted and
 profiled runs share.
@@ -49,9 +49,10 @@ its :class:`KernelModule`. A workload's module calls both on its first
 use, looking them up here at each generation, and each timing rule's
 shapes compile the first time an engine binds that rule: a program
 made of known shapes, or run only under rules already compiled, costs
-no ``compile()`` at all. Nothing is cached on disk;
-``pool.precompile_specs`` generates the tables and compiles the rules
-each spec binds in the sweep parent so forked workers inherit them.
+no ``compile()`` at all. Nothing is cached on disk, and nothing is
+generated ahead of the runs: ``pool.precompile_specs`` builds only
+the lowerings in a sweep's parent, and each forked worker's runs
+generate and compile their tables at their hand-offs.
 Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each generated table's
 shape sources and node table; only then is the program's IR
 fingerprint computed, to name the dump.
@@ -68,7 +69,6 @@ from repro.sim.codegen.core import (
     dump_kernel_source,
     dumping,
     kernel_source,
-    rule_for,
 )
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "dump_kernel_source",
     "dumping",
     "generate_source",
-    "rule_for",
 ]
 
 

@@ -44,8 +44,9 @@ so one timed body serves both.
 An engine given a module whose rule is not compiled yet does not bind
 it at construction: it interprets until the run has fired
 :data:`HANDOFF_K` instructions per static node, then binds at a cycle
-boundary and runs on (:func:`defer_kernels`). A short never-seen run
-so never generates, binds or compiles anything.
+boundary and runs on (``Engine._take_kernels`` and
+``Engine._hand_off`` in :mod:`repro.sim.engine`). A short never-seen
+run so never generates, binds or compiles anything.
 
 Tables hold firing rules only, one table per program and family. The
 tagged, queued and window engines each run one hand-written cycle
@@ -75,7 +76,6 @@ shape sources and node table to ``<dir>/<family>-<fingerprint12>.py``.
 from __future__ import annotations
 
 import builtins
-import math
 import os
 import sys
 from collections import deque
@@ -493,8 +493,9 @@ class KernelModule:
     first use: the first :meth:`compile` or :meth:`bind`. A run that
     never binds it generates nothing. Engines call :meth:`bind` at
     construction when :meth:`is_compiled` says their timing rule is
-    compiled here, else at a mid-run hand-off (:func:`defer_kernels`);
-    the first bind of a rule compiles it (:meth:`compile`).
+    compiled here, else at a mid-run hand-off
+    (``repro.sim.engine.Engine``); the first bind of a rule compiles
+    it (:meth:`compile`).
 
     The module holds the lowering, never the workload, so it keeps no
     workload alive: a dropped workload is freed by reference counting
@@ -582,34 +583,6 @@ HANDOFF_K = 4
 
 #: The hand-off threshold of a run that binds no kernels mid-run.
 NO_HANDOFF = sys.maxsize
-
-
-def defer_kernels(kernels: Optional[KernelModule], rule: int,
-                  n_static: int) -> tuple:
-    """How an engine takes ``kernels`` (or None): ``(kernels to bind at
-    construction, kernels to bind at the hand-off, the instruction
-    count that triggers it)``. A module that has compiled ``rule``
-    already -- through ``pool.precompile_specs`` or an earlier run that
-    handed off -- binds at construction, as does any module when
-    :data:`HANDOFF_K` is 0; else the run interprets until it has fired
-    ``HANDOFF_K`` instructions per static node, rounded up."""
-    if kernels is not None and not kernels.is_compiled(rule):
-        budget = math.ceil(HANDOFF_K * n_static)
-        if budget:
-            return None, kernels, budget
-    return kernels, None, NO_HANDOFF
-
-
-def rule_for(cache, load_latency: int) -> int:
-    """The timing rule of a run with cache model (or spec) ``cache``
-    and ``load_latency``: what engines bind, and what
-    ``pool.precompile_specs`` compiles for a spec."""
-    return FAST if cache is None and load_latency <= 1 else TIMED
-
-
-def timing_rule(engine) -> int:
-    """The row variant an engine's load timing selects."""
-    return rule_for(engine._cache, engine.load_latency)
 
 
 def memory_env(engine) -> Dict[str, object]:

@@ -39,7 +39,6 @@ from repro.sim.codegen.core import (
     one_rule,
     placeholders,
     pure_expr,
-    timing_rule,
 )
 
 #: Above this fan-out a destination port's pushes stay a loop over the
@@ -448,7 +447,7 @@ def bind(module, E) -> list:
         "mu": E._mu_state,
         "miss_until": E._miss_until,
     })
-    return bind_rows(module, env, timing_rule(E))
+    return bind_rows(module, env, E._rule)
 
 
 def generate(graph: FlatGraph) -> KernelTable:

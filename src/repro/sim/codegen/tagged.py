@@ -43,7 +43,6 @@ from repro.sim.codegen.core import (
     one_rule,
     placeholders,
     pure_expr,
-    timing_rule,
 )
 
 Dests = List[Tuple[str, str]]
@@ -361,7 +360,7 @@ def bind(module, E) -> list:
         "free_pool": E._free_pool,
         "miss_until": E._miss_until,
     })
-    return bind_rows(module, env, timing_rule(E))
+    return bind_rows(module, env, E._rule)
 
 
 def generate(graph: TaggedGraph) -> KernelTable:

@@ -9,16 +9,15 @@ at all.  Operand slots and array names are constants bound as default
 arguments, so blocks with the same op structure share one shape.
 
 :func:`bind` returns the ``(ticked, silent)`` table dicts the engine
-stores as ``_ticked``/``_silent``; each block maps to a 1-tuple, which
-keeps :meth:`DataParallelEngine._exec_block` and
-:meth:`~DataParallelEngine._exec_vector_loop` unchanged.  Blocks
-containing loads or stores have a shape per timing rule (idealized,
-and timed by the engine's timing object), selected by the engine at
-bind time and compiled the first time an engine binds that rule.
-Unlike the per-node families, blocks are not memoized by structure: a
-whole-block shape rarely repeats between programs, so every row
-carries its constants; timed loads fast-forward their stall through
-the ``_stall_scalar_load`` O(1) path.  The table is generated from the
+stores as ``_ticked``/``_silent``, each mapping a block to its
+function.  Blocks containing loads or stores have a shape per timing
+rule (idealized, and timed by the engine's timing object), selected
+by the engine's rule at bind time and compiled the first time an
+engine binds that rule.  Unlike the per-node families, blocks are not
+memoized by structure: a whole-block shape rarely repeats between
+programs, so every row carries its constants; timed loads
+fast-forward their stall through the ``_stall_scalar_load`` O(1)
+path.  The table is generated from the
 program's :class:`~repro.sim.vector.plan.VecLowering`, the plans and
 loop classification the engine runs, so spawned loops are classified
 vector-vs-scalar at generation time exactly as the engine runs them.
@@ -28,7 +27,7 @@ interprets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind
@@ -40,7 +39,6 @@ from repro.sim.codegen.core import (
     memory_env,
     one_rule,
     pure_expr,
-    timing_rule,
 )
 from repro.sim.vector.plan import VecIf, VecLowering, VecOp
 
@@ -236,13 +234,13 @@ def bind(module, E) -> Tuple[dict, dict]:
         "exec_vector": E._exec_vector_loop,
         "E": E,
     })
-    fns = iter(bind_rows(module, env, timing_rule(E)))
-    ticked: Dict[str, tuple] = {}
-    silent: Dict[str, tuple] = {}
+    fns = iter(bind_rows(module, env, E._rule))
+    ticked: Dict[str, Callable] = {}
+    silent: Dict[str, Callable] = {}
     for name, has_silent in module.table.layout:
-        ticked[name] = (next(fns),)
+        ticked[name] = next(fns)
         if has_silent:
-            silent[name] = (next(fns),)
+            silent[name] = next(fns)
     return ticked, silent
 
 

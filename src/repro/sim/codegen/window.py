@@ -38,7 +38,6 @@ from repro.sim.codegen.core import (
     one_rule,
     placeholders,
     pure_expr,
-    timing_rule,
 )
 from repro.sim.window.plan import BlockPlan, OpPlan
 
@@ -328,7 +327,7 @@ def bind(module, E) -> Dict[str, list]:
         "delayed": E._delayed,
         "miss_until": E._miss_until,
     })
-    fns = bind_rows(module, env, timing_rule(E))
+    fns = bind_rows(module, env, E._rule)
     tables = {}
     start = 0
     for name, n_ops in module.table.layout:

@@ -33,12 +33,10 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.compiler.flatten import FlatGraph
 from repro.ir.ops import OP_INFO, Op
-from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
-from repro.sim.latency import LoadLatency
+from repro.sim.codegen.core import NO_HANDOFF, TIMED
+from repro.sim.engine import MAX_CYCLES, Engine
 from repro.sim.memory import Memory
-from repro.sim.metrics import ExecutionResult, MetricsRecorder
-from repro.sim.profile import EngineProfiler
-from repro.sim.watchdog import watchdog_horizon
+from repro.sim.watchdog import watchdog_horizon, watchdog_note
 
 #: Mu gate states.
 _MU_INIT = 0  # waiting for an initial value
@@ -53,42 +51,27 @@ _MU, _MERGE, _STEER, _LOAD, _STORE = (
 _EMPTY = object()
 
 
-class QueuedEngine:
-    """Simulates one execution of a flat graph with FIFO channels.
+class QueuedEngine(Engine):
+    """Simulates one execution of a flat graph with FIFO channels."""
 
-    Kernels bind ``memory`` and the graph tables at construction or at
-    the run's hand-off; neither may be swapped afterwards.
-    """
+    machine_name = "ordered"
+    _TABLES = ("_try_fire_fns",)
 
     def __init__(self, graph: FlatGraph, memory: Memory,
                  queue_depth: int = 4, issue_width: int = 128,
                  sample_traces: bool = True,
                  load_latency: int = 1,
-                 max_cycles: int = 200_000_000,
+                 max_cycles: int = MAX_CYCLES,
                  profile: bool = False,
                  kernels=None,
                  cache=None):
         if queue_depth < 1:
             raise SimulationError("queue depth must be >= 1")
-        if issue_width < 1:
-            raise SimulationError("issue width must be >= 1")
+        super().__init__(memory, issue_width, sample_traces, load_latency,
+                         max_cycles, profile, cache)
         self.graph = graph
-        self.memory = memory
         self.queue_depth = queue_depth
-        self.issue_width = issue_width
-        self.load_latency = load_latency
-        self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel).
-        self._cache = cache
-        #: What times every load and probes every store: the cache
-        #: model when set, else the hash latency model.
-        self._timing = LoadLatency(load_latency) if cache is None else cache
-        #: First cycle index past the latest last-level miss (cache
-        #: mode); bounds a profiled run's hit/miss stall split.
-        self._miss_until: List[int] = [0]
-        self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Opt-in stall attribution, booked by the cycle loop.
-        self._profiler = EngineProfiler() if profile else None
+        self._n_params = len(graph.entry_sources)
 
         n = len(graph.nodes)
         self._op = [nd.op for nd in graph.nodes]
@@ -149,51 +132,35 @@ class QueuedEngine:
             ]
             for nd in graph.nodes
         ]
-        # Generated plan kernels (repro.sim.codegen) replace the
-        # interpreter's firing rule in the fire table. Kernels whose
-        # timing rule is not compiled yet bind at a hand-off, once the
-        # run has fired ``_handoff`` instructions (:meth:`_hand_off`).
-        kernels, self._handoff_kernels, self._handoff = defer_kernels(
-            kernels, timing_rule(self), n)
-        if kernels is not None:
-            self._try_fire_fns: List[Callable[[], bool]] = kernels.bind(self)
-        else:
-            try_fire = self._try_fire  # one bound method for every row
-            self._try_fire_fns = [partial(try_fire, nid) for nid in range(n)]
+        self._take_kernels(kernels, n)
+
+    def _interpret(self) -> None:
+        try_fire = self._try_fire  # one bound method for every row
+        self._try_fire_fns: List[Callable[[], bool]] = [
+            partial(try_fire, nid) for nid in range(len(self._op))]
+
+    def _bind(self, kernels) -> None:
+        self._try_fire_fns = kernels.bind(self)
 
     # ------------------------------------------------------------------
-    def run(self, args: List[object]) -> ExecutionResult:
-        try:
-            if len(args) != len(self.graph.entry_sources):
-                raise SimulationError(
-                    f"entry takes {len(self.graph.entry_sources)} args, "
-                    f"got {len(args)}"
-                )
-            for value, dests in zip(args, self.graph.entry_sources):
-                for dest_id, port in dests:
-                    self._fifos[dest_id][port].append(value)
-                    self._livebox[0] += 1
-                    self._next_candidates.add(dest_id)
+    def _execute(self, args: List[object]) -> tuple:
+        for value, dests in zip(args, self.graph.entry_sources):
+            for dest_id, port in dests:
+                self._fifos[dest_id][port].append(value)
+                self._livebox[0] += 1
+                self._next_candidates.add(dest_id)
 
-            completed = self._run_loop()
+        completed = self._run_loop()
 
-            results = tuple(
-                self._results.get(i) for i in range(self.graph.n_results)
-            )
-            extra = {"queue_depth": self.queue_depth,
-                     "issue_width": self.issue_width}
-            if self._profiler is not None:
-                ops = self._op
-                extra["profile"] = self._profiler.finish(
-                    "ordered", self.metrics.cycles,
-                    self.metrics.instructions,
-                    lambda nid: f"{ops[nid].value}#{nid}",
-                )
-            return self.metrics.result("ordered", completed, results, extra)
-        finally:
-            # The fire table holds the engine's own bound methods: drop it,
-            # so a finished engine frees by reference counting.
-            self._try_fire_fns = None
+        results = tuple(
+            self._results.get(i) for i in range(self.graph.n_results)
+        )
+        extra = {"queue_depth": self.queue_depth,
+                 "issue_width": self.issue_width}
+        return completed, results, extra
+
+    def _node_label(self, nid: int) -> str:
+        return f"{self._op[nid].value}#{nid}"
 
     def _run_loop(self) -> bool:
         """The cycle loop of every run: kernel, interpreted and
@@ -235,7 +202,7 @@ class QueuedEngine:
         idle_streak = 0
         inflight = self._inflight
         due_box = self._due_box
-        sync = self.load_latency > 1 or self._cache is not None
+        sync = self._rule == TIMED
         sample_traces = metrics.sample_traces
         ipc_vals = metrics.ipc_trace._values
         ipc_counts = metrics.ipc_trace._counts
@@ -424,26 +391,16 @@ class QueuedEngine:
                 f"exceeded max_cycles={self.max_cycles}"
             )
 
-    def _hand_off(self) -> None:
-        """Bind the pending kernels at a cycle boundary, over the same
-        FIFOs, candidate set and metrics."""
-        kernels = self._handoff_kernels
-        self._handoff_kernels = None
-        self._handoff = NO_HANDOFF
-        self._try_fire_fns = kernels.bind(self)
-
     def _raise_deadlock(self, watchdog: "int | None" = None) -> None:
         stuck = []
         for nid, fifos in enumerate(self._fifos):
             held = sum(len(f) for f in fifos if f is not None)
             if held:
                 stuck.append((nid, self._op[nid].value, held))
-        via = ("" if watchdog is None else
-               f" (progress watchdog: {watchdog} consecutive cycles "
-               f"without progress)")
         raise DeadlockError(
             f"ordered dataflow stalled with {self._livebox[0]} queued "
-            f"tokens{via}; first stuck nodes: {stuck[:8]}",
+            f"tokens{watchdog_note(watchdog)}; first stuck nodes: "
+            f"{stuck[:8]}",
             stuck,
         )
 

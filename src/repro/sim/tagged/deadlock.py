@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.watchdog import watchdog_note
+
 #: Machine-readable verdicts for :attr:`DeadlockDiagnosis.violated_rule`.
 RULE_READY = "ready"    # Lemma 1 (ready gating) was disabled
 RULE_SPARE = "spare"    # Lemma 2 (spare-tag reserve) was disabled
@@ -155,13 +157,8 @@ class DeadlockDiagnosis:
         lines = [
             f"deadlock at cycle {self.cycle}: {self.live_tokens} live "
             f"tokens, {len(self.pending_allocations)} pending tag "
-            f"allocations"
+            f"allocations{watchdog_note(self.watchdog_cycles)}"
         ]
-        if self.watchdog_cycles is not None:
-            lines[0] += (
-                f" (progress watchdog: {self.watchdog_cycles} "
-                f"consecutive cycles without progress)"
-            )
         for name, (used, cap) in sorted(self.pool_occupancy.items()):
             cap_s = "unbounded" if cap is None else str(cap)
             lines.append(f"  pool {name}: {used}/{cap_s} tags in use")

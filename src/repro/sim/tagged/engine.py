@@ -34,11 +34,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import DeadlockError, SimulationError, TokenBoundExceeded
 from repro.compiler.graph import TaggedGraph
 from repro.ir.ops import OP_INFO, Op
-from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
-from repro.sim.latency import LoadLatency
+from repro.sim.codegen.core import NO_HANDOFF, TIMED
+from repro.sim.engine import MAX_CYCLES, Engine
 from repro.sim.memory import Memory
-from repro.sim.metrics import ExecutionResult, MetricsRecorder
-from repro.sim.profile import EngineProfiler
 from repro.sim.tagged.deadlock import analyze_deadlock
 from repro.sim.tagged.trace import ExecutionTrace
 from repro.sim.tagged.tagspace import PoolStats, TagPolicy, TagPool
@@ -77,12 +75,12 @@ class _AllocState:
         self.waiting = False
 
 
-class TaggedEngine:
-    """Simulates one execution of an elaborated graph.
+class TaggedEngine(Engine):
+    """Simulates one execution of an elaborated graph."""
 
-    Kernels bind ``memory`` and the graph tables at construction or at
-    the run's hand-off; neither may be swapped afterwards.
-    """
+    machine_name = "tagged"
+    # The token helpers hold the engine's own bound methods too.
+    _TABLES = ("_fire_fns", "_drain", "_emit")
 
     def __init__(self, graph: TaggedGraph, memory: Memory,
                  policy: TagPolicy, issue_width: int = 128,
@@ -91,30 +89,15 @@ class TaggedEngine:
                  track_occupancy: bool = False,
                  record_trace: bool = False,
                  load_latency: int = 1,
-                 max_cycles: int = 50_000_000,
+                 max_cycles: int = MAX_CYCLES,
                  profile: bool = False,
                  kernels=None,
                  cache=None):
-        if issue_width < 1:
-            raise SimulationError("issue width must be >= 1")
+        super().__init__(memory, issue_width, sample_traces, load_latency,
+                         max_cycles, profile, cache)
         self.graph = graph
-        self.memory = memory
         self.policy = policy
-        self.issue_width = issue_width
-        self.load_latency = load_latency
-        self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel).
-        self._cache = cache
-        #: What times every load and probes every store: the cache
-        #: model when set, else the hash latency model.
-        self._timing = LoadLatency(load_latency) if cache is None else cache
-        #: First cycle index no longer stalled by the latest last-level
-        #: miss (cache mode only); a profiled run splits its
-        #: memory_stall attribution into hit/miss at this boundary.
-        self._miss_until: List[int] = [0]
-        self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        #: Opt-in stall/hotspot attribution, booked by the cycle loop.
-        self._profiler = EngineProfiler() if profile else None
+        self._n_params = len(graph.entry_sources)
 
         self.pools: Dict[str, TagPool] = policy.build_pools(
             graph.blocks, graph.tag_overrides
@@ -203,30 +186,6 @@ class TaggedEngine:
                     graph.token_bound(t) + graph.max_inputs * n
                 )
 
-        #: Generated plan kernels (repro.sim.codegen) fill the fire
-        #: table. Without them the engine interprets; traced and
-        #: occupancy-tracked runs always do, since only the
-        #: interpreter carries those hooks. Kernels whose timing rule
-        #: is not compiled yet bind at a hand-off, once the run has
-        #: fired ``_handoff`` instructions (:meth:`_hand_off`).
-        if record_trace or track_occupancy:
-            kernels = None
-        kernels, self._handoff_kernels, self._handoff = defer_kernels(
-            kernels, timing_rule(self), n)
-        self._kernels = kernels
-        if kernels is None:
-            # Pending tokens are 5-tuples carrying the producing event
-            # id; the kernels' 4-tuples leave it out.
-            self._drain = self._drain_pending_instr
-            self._emit = self._emit_instr
-            fire = self._fire_instr  # one bound method for every row
-            self._fire_fns: List[Callable] = [
-                partial(fire, nid) for nid in range(n)
-            ]
-        else:
-            self._drain = self._drain_pending_fast
-            self._emit = self._emit_fast
-            self._fire_fns = kernels.bind(self)
         #: Per-node deposit table: (firing rule kind, wait store,
         #: #token ports, imms) in one slot, so a deposit does one
         #: fetch per token.
@@ -236,57 +195,68 @@ class TaggedEngine:
              self._wait[nid], self._n_token_ports[nid], self._imms[nid])
             for nid, op in enumerate(self._op)
         ]
+        # Traced and occupancy-tracked runs interpret: only the
+        # interpreter carries those hooks.
+        self._take_kernels(
+            None if record_trace or track_occupancy else kernels, n)
+
+    def _interpret(self) -> None:
+        # Pending tokens are 5-tuples carrying the producing event id;
+        # the kernels' 4-tuples leave it out.
+        self._drain = self._drain_pending_instr
+        self._emit = self._emit_instr
+        fire = self._fire_instr  # one bound method for every row
+        self._fire_fns: List[Callable] = [
+            partial(fire, nid) for nid in range(len(self._op))
+        ]
+
+    def _bind(self, kernels) -> None:
+        self._drain = self._drain_pending_fast
+        self._emit = self._emit_fast
+        self._fire_fns = kernels.bind(self)
+
+    def _hand_off(self) -> None:
+        """Bind the pending kernels, and rewrite the loads in flight
+        as the kernels' 4-tuple tokens. Nothing else is pending
+        between cycles."""
+        super()._hand_off()
+        for bucket in self._delayed.values():
+            bucket[:] = [token[:4] for token in bucket]
 
     # ------------------------------------------------------------------
-    def run(self, args: List[object]) -> ExecutionResult:
-        try:
-            if len(args) != len(self.graph.entry_sources):
-                raise SimulationError(
-                    f"entry takes {len(self.graph.entry_sources)} args, "
-                    f"got {len(args)}"
-                )
-            pending = self._pending
-            for value, dests in zip(args, self.graph.entry_sources):
-                for dest_id, port in dests:
-                    if self._kernels is None:
-                        pending.append((dest_id, port, ROOT_TAG, value, -1))
-                    else:
-                        pending.append((dest_id, port, ROOT_TAG, value))
-                    self._livebox[0] += 1
-            self._apply_pending()
-            completed = self._run_loop()
+    def _execute(self, args: List[object]) -> tuple:
+        pending = self._pending
+        for value, dests in zip(args, self.graph.entry_sources):
+            for dest_id, port in dests:
+                if self._kernels is None:
+                    pending.append((dest_id, port, ROOT_TAG, value, -1))
+                else:
+                    pending.append((dest_id, port, ROOT_TAG, value))
+                self._livebox[0] += 1
+        self._apply_pending()
+        completed = self._run_loop()
 
-            results = tuple(
-                self._results.get(i)
-                for i in range(len(self.graph.result_nodes))
-            )
-            extra = {
-                "policy": self.policy.describe(),
-                "issue_width": self.issue_width,
-                "peak_store_occupancy": dict(self._peak_occupancy),
-                "pool_stats": [
-                    PoolStats(p.name, p.capacity, p.peak_in_use,
-                              p.total_allocations)
-                    for p in self._unique_pools
-                ],
-                "leftover_tags_in_use": sum(
-                    p.in_use for p in self._unique_pools
-                ),
-            }
-            if self._profiler is not None:
-                op = self._op
-                block = self._block
-                extra["profile"] = self._profiler.finish(
-                    "tagged", self.metrics.cycles,
-                    self.metrics.instructions,
-                    lambda nid: f"{op[nid].value}@{block[nid]}#{nid}",
-                )
-            return self.metrics.result("tagged", completed, results, extra)
-        finally:
-            # The fire table and the token helpers hold the engine's own bound
-            # methods: drop them, so a finished engine frees by reference
-            # counting.
-            self._fire_fns = self._drain = self._emit = None
+        results = tuple(
+            self._results.get(i)
+            for i in range(len(self.graph.result_nodes))
+        )
+        extra = {
+            "policy": self.policy.describe(),
+            "issue_width": self.issue_width,
+            "peak_store_occupancy": dict(self._peak_occupancy),
+            "pool_stats": [
+                PoolStats(p.name, p.capacity, p.peak_in_use,
+                          p.total_allocations)
+                for p in self._unique_pools
+            ],
+            "leftover_tags_in_use": sum(
+                p.in_use for p in self._unique_pools
+            ),
+        }
+        return completed, results, extra
+
+    def _node_label(self, nid: int) -> str:
+        return f"{self._op[nid].value}@{self._block[nid]}#{nid}"
 
     def _run_loop(self) -> bool:
         """The cycle loop of every run: kernel, interpreted and
@@ -336,8 +306,7 @@ class TaggedEngine:
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        sync = (self.load_latency > 1 or self._cache is not None
-                or self.trace is not None)
+        sync = self._rule == TIMED or self.trace is not None
         sample_traces = metrics.sample_traces
         ipc_vals = metrics.ipc_trace._values
         ipc_counts = metrics.ipc_trace._counts
@@ -537,21 +506,6 @@ class TaggedEngine:
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
-
-    def _hand_off(self) -> None:
-        """Bind the pending kernels at a cycle boundary, over the same
-        wait stores, queues and metrics: the fire table and the token
-        helpers switch to the kernels' 4-tuple tokens, and so do the
-        loads in flight. Nothing is pending between cycles."""
-        kernels = self._handoff_kernels
-        self._handoff_kernels = None
-        self._handoff = NO_HANDOFF
-        self._kernels = kernels
-        self._fire_fns = kernels.bind(self)
-        self._emit = self._emit_fast
-        self._drain = self._drain_pending_fast
-        for bucket in self._delayed.values():
-            bucket[:] = [token[:4] for token in bucket]
 
     # ------------------------------------------------------------------
     def _is_finished(self) -> bool:

@@ -38,11 +38,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
-from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
-from repro.sim.latency import LoadLatency
+from repro.sim.codegen.core import NO_HANDOFF
+from repro.sim.engine import MAX_CYCLES, Engine
 from repro.sim.memory import Memory
-from repro.sim.metrics import ExecutionResult, MetricsRecorder
-from repro.sim.profile import EngineProfiler
 from repro.sim.watchdog import watchdog_horizon
 from repro.sim.vector.analysis import VectorInfo
 from repro.sim.vector.plan import (
@@ -59,47 +57,43 @@ _LOAD, _STORE, _STEER, _MERGE, _SPAWN = (
     Op.LOAD, Op.STORE, Op.STEER, Op.MERGE, Op.SPAWN)
 
 
-class DataParallelEngine:
+class DataParallelEngine(Engine):
     """Vector/SIMT-style executor over the context IR.
 
     ``lowering`` is the program's plans and loop classification
     (:func:`~repro.sim.vector.plan.lower_vector`), shared read-only by
     every run of a workload and by its kernels; an engine built
-    without one lowers the program itself. Kernels bind ``memory`` and
-    the plans at construction or at the run's hand-off; neither may be
-    swapped afterwards.
+    without one lowers the program itself.
+
+    Only scalar (ticked) loads and stores go through the timing
+    object: scalar loads stall the pipeline for their latency, and
+    vector-body accesses bypass it entirely -- classic vector machines
+    stream memory through pipelined ports.
     """
+
+    machine_name = "datapar"
+    _TABLES = ("_ticked", "_silent")
 
     def __init__(self, program: ContextProgram, memory: Memory,
                  lanes: int = 128, sample_traces: bool = True,
                  load_latency: int = 1,
-                 max_cycles: int = 500_000_000,
+                 max_cycles: int = MAX_CYCLES,
                  profile: bool = False,
                  kernels=None,
                  cache=None,
                  lowering: Optional[VecLowering] = None):
         if lanes < 1:
             raise SimulationError("lanes must be >= 1")
+        super().__init__(memory, lanes, sample_traces, load_latency,
+                         max_cycles, profile, cache)
         self.program = program
-        self.memory = memory
         self.lanes = lanes
-        #: Optional stateful cache model (repro.sim.cache.CacheModel).
-        self._cache = cache
-        self.load_latency = load_latency
-        #: What times every scalar (ticked) load and probes every
-        #: ticked store: the cache model when set, else the hash
-        #: latency model. Scalar loads stall the pipeline for their
-        #: latency; vector-body accesses bypass it entirely -- classic
-        #: vector machines stream memory through pipelined ports.
-        self._timing = LoadLatency(load_latency) if cache is None else cache
-        self.max_cycles = max_cycles
-        self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        self._profiler = EngineProfiler() if profile else None
         if lowering is None:
             lowering = lower_vector(program)
         self.plans: Dict[str, VecBlockPlan] = lowering.plans
         self.vector_info: Dict[str, Optional[VectorInfo]] = \
             lowering.vector_info
+        self._n_params = self.plans[program.entry].n_params
         #: Idealized scalar working set (a handful of registers), like
         #: the vN model's measured live state.
         self._scalar_live = 12
@@ -107,78 +101,49 @@ class DataParallelEngine:
         self.vectorized_trips = 0
         self.scalar_trips = 0
 
-        #: block name -> (its ticked function,): scalar execution, one
+        #: block name -> its ticked function: scalar execution, one
         #: metrics sample per op.
-        self._ticked: Dict[str, Tuple[Callable, ...]] = {}
-        #: block name -> (its silent function,): vector bodies only.
-        self._silent: Dict[str, Tuple[Callable, ...]] = {}
+        self._ticked: Dict[str, Callable] = {}
+        #: block name -> its silent function: vector bodies only.
+        self._silent: Dict[str, Callable] = {}
         # Generated kernels fill both tables with whole-block functions;
         # else every block walks its items. Profiled runs always walk
         # them: with no cycle loop to book the stall taxonomy, only the
         # item walk books each op's cycle, and a generated profiled
         # variant saved less than the host benchmark's run-to-run
-        # spread (docs/ARCHITECTURE.md section 9). Kernels whose timing
-        # rule is not compiled yet bind at a hand-off, once the run has
-        # fired ``_handoff`` instructions (:meth:`_hand_off`).
-        if profile:
-            kernels = None
-        kernels, self._handoff_kernels, self._handoff = defer_kernels(
-            kernels, timing_rule(self),
+        # spread (docs/ARCHITECTURE.md section 9). A block reads its
+        # function again at every iteration while a hand-off is
+        # pending (:meth:`_exec_block`).
+        self._take_kernels(
+            None if profile else kernels,
             sum(len(block.ops) for block in program.blocks.values()))
-        if kernels is not None:
-            self._bind(kernels)
-        else:
-            for name, plan in self.plans.items():
-                self._ticked[name] = (
-                    partial(self._run_items, plan.items, name),)
-                if self.vector_info.get(name) is not None:
-                    self._silent[name] = (
-                        partial(self._run_items, plan.items, None),)
+
+    def _interpret(self) -> None:
+        run_items = self._run_items
+        for name, plan in self.plans.items():
+            self._ticked[name] = partial(run_items, plan.items, name)
+            if self.vector_info.get(name) is not None:
+                self._silent[name] = partial(run_items, plan.items, None)
 
     def _bind(self, kernels) -> None:
-        """Fill both block tables, in place, from ``kernels``."""
         ticked, silent = kernels.bind(self)
         self._ticked.update(ticked)
         self._silent.update(silent)
 
-    def _hand_off(self) -> None:
-        """Bind the pending kernels between two block iterations: a
-        block reads its functions again at every iteration while a
-        hand-off is pending."""
-        kernels = self._handoff_kernels
-        self._handoff_kernels = None
-        self._handoff = NO_HANDOFF
-        self._bind(kernels)
-
     # ------------------------------------------------------------------
-    def run(self, args: List[object]) -> ExecutionResult:
-        try:
-            entry = self.plans[self.program.entry]
-            if len(args) != entry.n_params:
-                raise SimulationError(
-                    f"entry takes {entry.n_params} args, got {len(args)}"
-                )
-            results = self._exec_block(entry, list(args))
-            extra = {
-                "lanes": self.lanes,
-                "vectorized_trips": self.vectorized_trips,
-                "scalar_trips": self.scalar_trips,
-                "vectorizable_loops": sorted(
-                    name for name, info in self.vector_info.items()
-                    if info is not None
-                ),
-            }
-            if self._profiler is not None:
-                extra["profile"] = self._profiler.finish(
-                    "datapar", self.metrics.cycles,
-                    self.metrics.instructions,
-                )
-            return self.metrics.result("datapar", True, tuple(results),
-                                       extra)
-        finally:
-            # The fire tables hold the engine's own bound methods: drop them,
-            # so a finished engine frees by reference counting.
-            self._ticked = self._silent = None
+    def _execute(self, args: List[object]) -> tuple:
+        results = self._exec_block(self.plans[self.program.entry],
+                                   list(args))
+        extra = {
+            "lanes": self.lanes,
+            "vectorized_trips": self.vectorized_trips,
+            "scalar_trips": self.scalar_trips,
+            "vectorizable_loops": sorted(
+                name for name, info in self.vector_info.items()
+                if info is not None
+            ),
+        }
+        return True, tuple(results), extra
 
     # ------------------------------------------------------------------
     # Sequential (scalar) execution with per-op cycle accounting
@@ -243,7 +208,7 @@ class DataParallelEngine:
                     args: List[object]) -> List[object]:
         name = plan.name
         ticked = self._ticked
-        steps = ticked[name]
+        step = ticked[name]
         template = plan.template
         n_params = plan.n_params
         decider = plan.term_decider
@@ -256,12 +221,11 @@ class DataParallelEngine:
             if pending:
                 if self.metrics.instructions >= self._handoff:
                     self._hand_off()
-                steps = ticked[name]
+                step = ticked[name]
                 pending = self._handoff != NO_HANDOFF
             env = list(template)
             env[:n_params] = args
-            for step in steps:
-                step(env)
+            step(env)
             if decider is None or not env[decider]:
                 return [env[s] for s in result_slots]
             args = [env[s] for s in next_slots]
@@ -365,7 +329,7 @@ class DataParallelEngine:
         self.vectorized_trips += 1
         if self.metrics.instructions >= self._handoff:
             self._hand_off()
-        steps = self._silent[plan.name]
+        step = self._silent[plan.name]
         template = plan.template
         n_params = plan.n_params
         decider = plan.term_decider
@@ -376,8 +340,7 @@ class DataParallelEngine:
         while True:
             env = list(template)
             env[:n_params] = cur
-            for step in steps:
-                step(env)
+            step(env)
             iterations += 1
             if env[decider]:
                 cur = [env[s] for s in next_slots]

@@ -31,6 +31,8 @@ default 50M-cycle budget the horizon is 100k cycles, under
 
 from __future__ import annotations
 
+from typing import Optional
+
 #: Never wait longer than this many zero-progress cycles.
 WATCHDOG_CAP = 100_000
 #: Never trip before this many, so tiny ``max_cycles`` test budgets
@@ -45,3 +47,12 @@ def watchdog_horizon(max_cycles: int) -> int:
     cycle budget for small runs, capped for large ones.
     """
     return min(WATCHDOG_CAP, max(WATCHDOG_FLOOR, max_cycles // 10))
+
+
+def watchdog_note(cycles: Optional[int]) -> str:
+    """What a deadlock message adds when the watchdog, not the quiesce
+    check, tripped after ``cycles`` zero-progress cycles."""
+    if cycles is None:
+        return ""
+    return (f" (progress watchdog: {cycles} consecutive cycles without "
+            f"progress)")

@@ -38,12 +38,10 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
-from repro.sim.codegen.core import NO_HANDOFF, defer_kernels, timing_rule
-from repro.sim.latency import LoadLatency
+from repro.sim.codegen.core import NO_HANDOFF, TIMED
+from repro.sim.engine import MAX_CYCLES, Engine
 from repro.sim.memory import Memory
-from repro.sim.metrics import ExecutionResult, MetricsRecorder
-from repro.sim.profile import EngineProfiler
-from repro.sim.watchdog import watchdog_horizon
+from repro.sim.watchdog import watchdog_horizon, watchdog_note
 from repro.sim.window.plan import (
     BlockPlan,
     Key,
@@ -99,22 +97,22 @@ class _Instance:
         self.fired: Set[int] = set()
 
 
-class WindowEngine:
+class WindowEngine(Engine):
     """Simulates vN (window=1,width=1) or sequential dataflow.
 
     ``plans`` are the program's block plans
     (:func:`~repro.sim.window.plan.build_plans`), shared read-only by
     every run of a workload and by its kernels; an engine built
-    without them plans the program itself. Kernels bind ``memory`` and
-    the plans at construction or at the run's hand-off; neither may be
-    swapped afterwards.
+    without them plans the program itself.
     """
+
+    _TABLES = ("_fire_tables",)
 
     def __init__(self, program: ContextProgram, memory: Memory,
                  window: int = 8, issue_width: int = 128,
                  sample_traces: bool = True,
                  load_latency: int = 1,
-                 max_cycles: int = 500_000_000,
+                 max_cycles: int = MAX_CYCLES,
                  machine_name: Optional[str] = None,
                  profile: bool = False,
                  kernels=None,
@@ -122,29 +120,15 @@ class WindowEngine:
                  plans: Optional[Dict[str, BlockPlan]] = None):
         if window < 1:
             raise SimulationError("window must be >= 1")
-        if issue_width < 1:
-            raise SimulationError("issue width must be >= 1")
+        super().__init__(memory, issue_width, sample_traces, load_latency,
+                         max_cycles, profile, cache)
         self.program = program
-        self.memory = memory
         self.window = window
-        self.issue_width = issue_width
-        self.load_latency = load_latency
-        self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel).
-        self._cache = cache
-        #: What times every load and probes every store: the cache
-        #: model when set, else the hash latency model.
-        self._timing = LoadLatency(load_latency) if cache is None else cache
-        #: First cycle index past the latest last-level miss (cache
-        #: mode); bounds a profiled run's hit/miss stall split.
-        self._miss_until: List[int] = [0]
         self.machine_name = machine_name or (
             "vn" if window == 1 and issue_width == 1 else "seqdf"
         )
-        self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Opt-in stall attribution, booked by the cycle loop.
-        self._profiler = EngineProfiler() if profile else None
         self.plans = build_plans(program) if plans is None else plans
+        self._n_params = self.plans[program.entry].n_params
 
         self._ready: Deque[Tuple[_Instance, int]] = deque()
         # The containers below are captured by the bound kernels and
@@ -166,60 +150,45 @@ class WindowEngine:
         self._stall_decider = 0
         self._stall_window = 0
 
-        #: block name -> firing function per op (shared by every
-        #: dynamic instance of the block).  With generated kernels the
-        #: tables come from the kernel module; else every entry is the
-        #: plain rule. Kernels whose timing rule is not compiled yet
-        #: bind at a hand-off, once the run has fired ``_handoff``
-        #: instructions (:meth:`_hand_off`).
-        kernels, self._handoff_kernels, self._handoff = defer_kernels(
-            kernels, timing_rule(self),
-            sum(len(plan.ops) for plan in self.plans.values()))
-        if kernels is not None:
-            self._fire_tables: Dict[str, List[Callable]] = kernels.bind(self)
-        else:
-            fire = self._fire  # one bound method for every row
-            self._fire_tables = {
-                name: [partial(fire, p) for p in plan.ops]
-                for name, plan in self.plans.items()
-            }
+        #: block name -> firing function per op, shared by every
+        #: dynamic instance of the block and filled in place: kernels
+        #: bound at a hand-off fire in live instances from the next
+        #: cycle on.
+        self._fire_tables: Dict[str, List[Callable]] = {
+            name: [] for name in self.plans}
+        self._take_kernels(
+            kernels, sum(len(plan.ops) for plan in self.plans.values()))
+
+    def _interpret(self) -> None:
+        fire = self._fire  # one bound method for every row
+        for name, plan in self.plans.items():
+            self._fire_tables[name][:] = [partial(fire, p) for p in plan.ops]
+
+    def _bind(self, kernels) -> None:
+        for name, fires in kernels.bind(self).items():
+            self._fire_tables[name][:] = fires
 
     # ------------------------------------------------------------------
-    def run(self, args: List[object]) -> ExecutionResult:
-        try:
-            entry_plan = self.plans[self.program.entry]
-            if len(args) != entry_plan.n_params:
-                raise SimulationError(
-                    f"entry takes {entry_plan.n_params} args, got {len(args)}"
-                )
-            self._n_program_results = len(entry_plan.result_refs)
-            root = self._make_instance(entry_plan, None, None)
-            for i, value in enumerate(args):
-                self._publish(root, ("p", i), value)
-            # Root result delivery: straight to the program-result table.
-            self._register_results(root)
-            self._stack.append([root, 0])
+    def _execute(self, args: List[object]) -> tuple:
+        entry_plan = self.plans[self.program.entry]
+        self._n_program_results = len(entry_plan.result_refs)
+        root = self._make_instance(entry_plan, None, None)
+        for i, value in enumerate(args):
+            self._publish(root, ("p", i), value)
+        # Root result delivery: straight to the program-result table.
+        self._register_results(root)
+        self._stack.append([root, 0])
 
-            completed = self._run_loop()
+        completed = self._run_loop()
 
-            results = tuple(
-                self._program_results.get(i)
-                for i in range(self._n_program_results)
-            )
-            extra = {"window": self.window, "issue_width": self.issue_width,
-                     "fetch_stall_decider_cycles": self._stall_decider,
-                     "fetch_stall_window_cycles": self._stall_window}
-            if self._profiler is not None:
-                extra["profile"] = self._profiler.finish(
-                    self.machine_name, self.metrics.cycles,
-                    self.metrics.instructions, self._node_label,
-                )
-            return self.metrics.result(self.machine_name, completed, results,
-                                       extra)
-        finally:
-            # The fire tables hold the engine's own bound methods: drop them,
-            # so a finished engine frees by reference counting.
-            self._fire_tables = None
+        results = tuple(
+            self._program_results.get(i)
+            for i in range(self._n_program_results)
+        )
+        extra = {"window": self.window, "issue_width": self.issue_width,
+                 "fetch_stall_decider_cycles": self._stall_decider,
+                 "fetch_stall_window_cycles": self._stall_window}
+        return completed, results, extra
 
     def _node_label(self, key: Tuple[str, int]) -> str:
         block, op_id = key
@@ -266,7 +235,7 @@ class WindowEngine:
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        sync = self.load_latency > 1 or self._cache is not None
+        sync = self._rule == TIMED
         sample_traces = metrics.sample_traces
         ipc_vals = metrics.ipc_trace._values
         ipc_counts = metrics.ipc_trace._counts
@@ -470,25 +439,12 @@ class WindowEngine:
                 and not self._pending and not self._delayed
                 and self._livebox[0] == 0)
 
-    def _hand_off(self) -> None:
-        """Bind the pending kernels at a cycle boundary, over the same
-        instances, queues and metrics. Each block's firing table is
-        updated in place, so live instances fire through the kernels
-        from the next cycle on."""
-        kernels = self._handoff_kernels
-        self._handoff_kernels = None
-        self._handoff = NO_HANDOFF
-        for name, fires in kernels.bind(self).items():
-            self._fire_tables[name][:] = fires
-
     def _raise_deadlock(self, watchdog: "int | None" = None) -> None:
         stuck = [(entry[0].plan.name, entry[1])
                  for entry in self._stack[-4:]]
-        via = ("" if watchdog is None else
-               f" (progress watchdog: {watchdog} consecutive cycles "
-               f"without progress)")
         raise DeadlockError(
-            f"window machine stalled{via}: live={self._livebox[0]}, "
+            f"window machine stalled{watchdog_note(watchdog)}: "
+            f"live={self._livebox[0]}, "
             f"in-flight slices={len(self._retire)}, stack tail={stuck}"
         )
 

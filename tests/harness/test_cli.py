@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.errors import ReproError
 
 
 def test_list_command(capsys):
@@ -143,6 +145,39 @@ def test_smallest_good_numbers_parse():
     assert parser.parse_args(["experiment", "tab01", "-j", "1"]).jobs == 1
     assert parser.parse_args(["experiment", "tab01", "--retries",
                               "0"]).retries == 0
+
+
+@pytest.mark.parametrize("options, kwargs", [
+    ([], {}),
+    (["--tags", "4", "--total-tags", "16", "--issue-width", "8",
+      "--queue-depth", "2", "--window", "3", "--cache",
+      "line=4,miss=60,l1=4x2x1"],
+     {"tags": 4, "total_tags": 16, "issue_width": 8, "queue_depth": 2,
+      "window": 3, "cache": "line=4,miss=60,l1=4x2x1"}),
+], ids=["defaults", "every-option"])
+def test_run_and_profile_take_the_same_run_options(options, kwargs,
+                                                   monkeypatch):
+    """``run`` and ``profile`` accept each run option and pass the
+    same run kwargs; ``profile`` adds ``profile=True``."""
+    seen = {}
+
+    class Stop(ReproError):
+        pass
+
+    class Workload:
+        params = {}
+
+        def run_checked(self, machine, **run_kwargs):
+            seen[run_kwargs.pop("profile", False)] = run_kwargs
+            raise Stop("stop")
+
+    monkeypatch.setattr(cli, "build_workload", lambda *a: Workload())
+    for command in ("run", "profile"):
+        assert main([command, "dmv", "-m", "tyr", *options]) == 1
+    defaults = {"tags": 64, "total_tags": 64, "issue_width": 128,
+                "queue_depth": 4, "window": 8}
+    assert seen == {False: dict(defaults, **kwargs),
+                    True: dict(defaults, **kwargs)}
 
 
 def test_bad_workload_rejected():

@@ -1,6 +1,9 @@
 """Every experiment driver regenerates its figure/table at tiny scale
 and reports well-formed data."""
 
+import io
+import json
+
 import pytest
 
 from repro.errors import ReproError
@@ -9,6 +12,7 @@ from repro.harness.experiments import (
     ExperimentReport,
     get_experiment,
 )
+from repro.harness.pool import RunOptions
 
 # Scales small enough for unit testing; shape assertions live in
 # benchmarks/ where the default scales run.
@@ -94,3 +98,18 @@ def test_fig11_reports_deadlock_at_tiny_scale():
     assert report.data["ablation_verdicts"] == {"spare": "spare",
                                                 "ready": "ready"}
     assert "violated rule" in report.text
+
+
+def test_fig11_logs_its_bounded_global_deadlock():
+    """fig11's bounded-global run goes through the pool, so at its
+    default scale a run log records the analyzer's verdict on
+    ``unordered-bounded`` dmv/small, not only the size sweep's."""
+    log = io.StringIO()
+    report = get_experiment("fig11")(sizes=(4,),
+                                     options=RunOptions(run_log=log))
+    assert report.data["deadlocked"] is True
+    events = [json.loads(line) for line in log.getvalue().splitlines()]
+    specs = [ev["spec"] for ev in events if ev["event"] == "deadlock"]
+    assert any(spec.startswith("workload=dmv/small "
+                               "machine=unordered-bounded ")
+               for spec in specs), specs

@@ -1,6 +1,7 @@
 """Unit tests for the parallel job runner and the result cache."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.harness.pool import (
     workload_for,
 )
 from repro.harness.sweep import sweep_tags
-from repro.sim.codegen import core
+from repro.sim import codegen
 from repro.sim.metrics import ExecutionResult
 from repro.workloads import build_workload
 
@@ -135,45 +136,29 @@ def test_precompile_materializes_machine_artifacts():
     assert compiled._flat is not None
 
 
-def test_precompile_builds_profiled_kernels(monkeypatch):
-    """Profiled specs get their kernels compiled in the sweep parent
-    too, so a forked worker's profiled run compiles nothing (a profiled
-    datapar run interprets, so it is given no kernels)."""
+def test_precompile_builds_lowerings_only(monkeypatch):
+    """precompile_specs builds the machine lowering each spec runs --
+    kernel, interpreted, profiled and cache-model specs alike -- and
+    generates no kernel table: each run generates its own at its
+    hand-off."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
-    monkeypatch.setattr(core, "_SHAPES", {})
-    wl = build_workload("dmv", "tiny")
-    specs = [spec_for(wl, machine, {"profile": True})
-             for machine in ("tyr", "ordered", "seqdf", "datapar")]
-    precompile_specs(specs)
-    calls = []
-    monkeypatch.setattr(core, "compile",
-                        lambda *a: calls.append(a) or compile(*a),
-                        raising=False)
-    for spec in specs:
-        assert run_one(spec).extra["profile"].cycles > 0
-    assert calls == []
-
-
-def test_precompile_compiles_the_bound_rules(monkeypatch):
-    """precompile_specs compiles the timing rule each spec's engine
-    binds -- idealized, or timed for the cache-model and
-    variable-latency specs alike -- so no forked worker's run calls
-    ``compile()``."""
-    monkeypatch.setattr(pool, "_WL_MEMO", {})
-    monkeypatch.setattr(core, "_SHAPES", {})
+    generated = []
+    generate_source = codegen.generate_source
+    monkeypatch.setattr(codegen, "generate_source",
+                        lambda *a: generated.append(a[0])
+                        or generate_source(*a))
     wl = build_workload("dmv", "tiny")
     specs = [spec_for(wl, machine, config)
              for machine in ("tyr", "ordered", "seqdf", "datapar")
-             for config in ({}, {"cache": "line=4,miss=60,l1=4x2x1"},
-                            {"load_latency": 4})]
-    precompile_specs(specs)
-    calls = []
-    monkeypatch.setattr(core, "compile",
-                        lambda *a: calls.append(a) or compile(*a),
-                        raising=False)
-    for spec in specs:
-        assert run_one(spec).completed
-    assert calls == []
+             for config in ({}, {"profile": True},
+                            {"cache": "line=4,miss=60,l1=4x2x1"})]
+    precompile_specs(specs + [replace(spec, codegen=False)
+                              for spec in specs])
+    compiled = workload_for(specs[0]).compiled
+    assert None not in (compiled._tagged, compiled._flat,
+                        compiled._window_plans, compiled._vector_lowering)
+    assert compiled._kernels == {}
+    assert generated == []
 
 
 def test_result_cache_holds_only_results(tmp_path):

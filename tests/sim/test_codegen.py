@@ -313,22 +313,30 @@ def test_dropped_workload_kernels_are_collected(wl):
 
 
 def test_traced_runs_never_touch_kernels(wl, monkeypatch):
-    """Traced and occupancy-tracked runs carry hooks the kernels omit,
-    and ``codegen=False`` asks for the interpreter: the runner must not
-    even request kernels for them. A profiled run does."""
+    """Traced and occupancy-tracked runs carry hooks the kernels omit:
+    the runner hands them their module as it does every run, and the
+    engine drops it, so even at budget 0 they generate no table and
+    bind nothing. ``codegen=False`` asks for the interpreter: the
+    runner requests no module. A profiled run binds its kernels."""
     cw = CompiledWorkload(wl.compiled.program)
-    requested = []
+    requested, bound = [], []
     build = cw.kernels
     monkeypatch.setattr(
         cw, "kernels", lambda family: requested.append(family)
         or build(family))
-    for kwargs in ({"record_trace": True}, {"track_occupancy": True},
-                   {"codegen": False}):
+    bind = core.KernelModule.bind
+    monkeypatch.setattr(
+        core.KernelModule, "bind",
+        lambda self, engine: bound.append(self.family) or bind(self, engine))
+    res = cw.run("tyr", wl.fresh_memory(), wl.args, codegen=False)
+    assert res.completed and requested == []
+    for kwargs in ({"record_trace": True}, {"track_occupancy": True}):
         res = cw.run("tyr", wl.fresh_memory(), wl.args, **kwargs)
         assert res.completed
-    assert requested == []
+    assert requested == ["tagged", "tagged"]
+    assert bound == [] and cw._kernels["tagged"]._table is None
     res = cw.run("tyr", wl.fresh_memory(), wl.args, profile=True)
-    assert res.completed and requested == ["tagged"]
+    assert res.completed and bound == ["tagged"]
 
 
 def test_profiled_engines_bind_kernels(wl):
@@ -355,7 +363,7 @@ def test_profiled_engines_bind_kernels(wl):
         "flat": lambda eng: eng._try_fire_fns,
         "window": lambda eng: [fn for fns in eng._fire_tables.values()
                                for fn in fns],
-        "vector": lambda eng: [fn for (fn,) in eng._ticked.values()],
+        "vector": lambda eng: list(eng._ticked.values()),
     }
     rules = {"tagged": "_fire_instr", "flat": "_try_fire",
              "window": "_fire", "vector": "_run_items"}

@@ -5,12 +5,12 @@ An engine given a kernel module whose timing rule the module has not
 compiled yet interprets until the run has fired ``HANDOFF_K``
 instructions per static node, then binds the kernels at a cycle
 boundary and runs on over the same state. A module that has compiled
-the rule (through ``pool.precompile_specs`` or an earlier run that
-handed off) binds at construction. A module generates its kernel table
-on its first bind or compile, so a run that never binds generates
-nothing, and its workload builds each machine lowering once. These
-tests pin who generates and binds when; the differential suites and
-the golden replays pin that a hand-off changes no number.
+the rule (through an earlier run that handed off) binds at
+construction. A module generates its kernel table on its first bind,
+so a run that never binds generates nothing, and its workload builds
+each machine lowering once. These tests pin who generates and binds
+when; the differential suites and the golden replays pin that a
+hand-off changes no number.
 """
 
 import gc
@@ -34,7 +34,7 @@ from repro.sim.codegen import queued as queued_codegen
 from repro.sim.codegen import tagged as tagged_codegen
 from repro.sim.codegen import vector as vector_codegen
 from repro.sim.codegen import window as window_codegen
-from repro.sim.codegen.core import FAMILIES, FAST, NO_HANDOFF, rule_for
+from repro.sim.codegen.core import FAMILIES, FAST, NO_HANDOFF, TIMED
 from repro.sim.memory import Memory
 from repro.sim.queued import QueuedEngine
 from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
@@ -130,8 +130,8 @@ def _observe(wl, machine, **kwargs):
 def test_short_never_seen_program_never_binds_or_compiles(seed, events):
     """These programs fire fewer than ``HANDOFF_K`` instructions per
     static node on every machine and timing rule, plain and profiled:
-    each run but a profiled datapar one is given its module, but
-    generates no kernel table, binds nothing and compiles nothing."""
+    each run is given its module, but generates no kernel table, binds
+    nothing and compiles nothing."""
     program = lower_module(random_module(seed))
     for machine in MACHINES:
         for kwargs in ({}, {"load_latency": 4}, {"cache": CACHE_SPEC},
@@ -140,8 +140,7 @@ def test_short_never_seen_program_never_binds_or_compiles(seed, events):
             res = cw.run(machine, Memory(random_memory()), [3, 5],
                          **kwargs)
             assert res.completed, machine
-            assert (KERNEL_FAMILY[machine] in cw._kernels) is not (
-                machine == "datapar" and "profile" in kwargs)
+            assert list(cw._kernels) == [KERNEL_FAMILY[machine]]
     assert events == {}
 
 
@@ -174,32 +173,41 @@ def test_long_run_binds_exactly_once(machine, events):
                          ids=["fast", "latency", "cache", "profiled"])
 def test_precompiled_rule_binds_at_construction(config, events,
                                                 monkeypatch):
-    """``pool.precompile_specs`` generates each family's table once
-    per workload (tyr and unordered share one) and compiles the rule
-    each spec binds, so every run binds its kernels at construction,
-    none hands off and none generates; a profiled datapar run, which
-    interprets, gets no vector table generated and binds nothing."""
+    """A sweep's specs of one workload, as a pool worker runs them
+    after ``pool.precompile_specs``: the first run of each family
+    hands off, generating the family's table once per workload (tyr
+    and unordered share one) and compiling the rule the spec binds, so
+    unordered binds at construction. A second pass binds every run at
+    construction, hands off nothing, generates nothing and calls
+    ``compile()`` zero times. A profiled datapar run, which interprets,
+    generates no vector table and binds nothing."""
     monkeypatch.setattr(pool, "_WL_MEMO", {})
     wl = build_workload("dmv", "tiny")
     specs = [spec_for(wl, machine, config) for machine in MACHINES]
     precompile_specs(specs)
-    generated = {key: n for key, n in events.items()
-                 if key.startswith("generate")}
+    assert events == {}
     families = [family for family in FAMILIES
                 if not (family == "vector" and config.get("profile"))]
+    interpreting = len(FAMILIES) - len(families)
+    for spec in specs:
+        assert run_one(spec).completed
+    generated = {key: n for key, n in events.items()
+                 if key.startswith("generate")}
     assert generated == {
         "generate_source": len(families),
         **{f"generate.{family}": 1 for family in families}}
+    assert events["hand_off"] == len(families)
+    assert events["bind"] == len(specs) - interpreting
     compiled = workload_for(specs[0]).compiled
-    rule = rule_for(config.get("cache"), config.get("load_latency", 1))
+    rule = FAST if config in ({}, {"profile": True}) else TIMED
     for family in families:
         assert compiled.kernels(family).is_compiled(rule)
-    before = events["bind"]
+    compiles = events["compile"]
     for spec in specs:
         assert run_one(spec).completed
-    interpreting = 1 if config.get("profile") else 0
-    assert events["bind"] - before == len(specs) - interpreting
-    assert events["hand_off"] == 0
+    assert events["bind"] == 2 * (len(specs) - interpreting)
+    assert events["hand_off"] == len(families)
+    assert events["compile"] == compiles
     assert {key: events[key] for key in generated} == generated
 
 
@@ -247,14 +255,15 @@ def test_handoff_with_loads_in_flight(machine, timing, events,
 @pytest.mark.parametrize("budget", ["budget0", "default"])
 def test_profiled_datapar_run_interprets(budget, events, monkeypatch):
     """A profiled datapar run interprets: at budget 0 and at the
-    default budget it is given no kernel module, generates no table,
-    binds nothing and calls ``compile()`` zero times, and its profile,
-    key order included, is the ``codegen=False`` run's."""
+    default budget, the engine drops the module the runner gives it,
+    so its run generates no table, binds nothing and calls
+    ``compile()`` zero times, and its profile, key order included, is
+    the ``codegen=False`` run's."""
     if budget in HANDOFF_BUDGETS:
         monkeypatch.setattr(core, "HANDOFF_K", HANDOFF_BUDGETS[budget])
     wl = build_workload("dmv", "tiny")
     gen = _observe(wl, "datapar", profile=True, cache=CACHE_SPEC)
-    assert "vector" not in wl.compiled._kernels
+    assert list(wl.compiled._kernels) == ["vector"]
     assert events == {}
     assert gen == _observe(wl, "datapar", profile=True, cache=CACHE_SPEC,
                            codegen=False)
@@ -348,7 +357,7 @@ def test_dropped_workload_is_freed_without_the_collector(case):
     workload, so a dropped workload is freed by reference counting
     alone, whether its kernels were never generated or generated at a
     hand-off, and whether its runs were profiled, when datapar's
-    interpret."""
+    engine drops its module and interprets."""
     if case == "never generated":
         wl = None
         cw = CompiledWorkload(lower_module(random_module(0)))
@@ -364,12 +373,13 @@ def test_dropped_workload_is_freed_without_the_collector(case):
             else:
                 cw.run(machine, wl.fresh_memory(), wl.args,
                        profile=case == "profiled datapar")
-        # A profiled datapar run is given no module: it interprets.
+        # A profiled datapar run generates nothing: it interprets.
         generated = {family: module._table is not None
                      for family, module in cw._kernels.items()}
         assert generated == {
-            family: wl is not None for family in FAMILIES
-            if not (family == "vector" and case == "profiled datapar")}
+            family: wl is not None and not (
+                family == "vector" and case == "profiled datapar")
+            for family in FAMILIES}
         ref = weakref.ref(cw)
         del cw
         assert ref() is None

@@ -1,6 +1,10 @@
 """Cross-machine correctness: every machine model must reproduce the
 reference interpreter's results and memory on every program shape."""
 
+import gc
+import inspect
+import weakref
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -21,6 +25,10 @@ from repro.frontend.dsl import c, load, v
 from repro.frontend.lower import lower_module
 from repro.harness.runner import PAPER_SYSTEMS, CompiledWorkload
 from repro.sim.memory import Memory
+from repro.sim.queued import QueuedEngine
+from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
+from repro.sim.vector import DataParallelEngine
+from repro.sim.window import WindowEngine
 from repro.workloads import build_workload
 
 from tests.conftest import (
@@ -234,6 +242,48 @@ def test_issue_width_below_one_is_rejected(machine, width):
     with pytest.raises(SimulationError, match=f"^{what} must be >= 1$"):
         cw.run(machine, Memory(dmv_memory(4)), [4], issue_width=width,
                max_cycles=10_000)
+
+
+@pytest.mark.parametrize("engine", [TaggedEngine, QueuedEngine,
+                                    WindowEngine, DataParallelEngine],
+                         ids=lambda cls: cls.__name__)
+def test_engine_default_max_cycles_is_the_runner_s(engine):
+    """An engine built directly -- by a test, ``tyr-repro trace`` or
+    fig11's ablations -- gets the simulated-cycle budget a
+    ``CompiledWorkload.run`` gets."""
+    def default(fn):
+        return inspect.signature(fn).parameters["max_cycles"].default
+
+    assert default(engine.__init__) == default(CompiledWorkload.run)
+
+
+@pytest.mark.parametrize("engine", ["tagged", "queued", "window",
+                                    "datapar"])
+def test_engine_rejects_a_wrong_argument_count(engine):
+    """Every engine's run checks the argument count against the
+    program's entry, and a run that fails the check still drops its
+    fire tables, so the engine frees by reference counting."""
+    cw = CompiledWorkload(lower_module(dmv_module()))
+    memory = Memory(dmv_memory(4))
+    eng = {
+        "tagged": lambda: TaggedEngine(cw.tagged, memory,
+                                       UnboundedGlobalPolicy()),
+        "queued": lambda: QueuedEngine(cw.flat, memory),
+        "window": lambda: WindowEngine(cw.program, memory),
+        "datapar": lambda: DataParallelEngine(cw.program, memory),
+    }[engine]()
+    n = cw.program.entry_block().n_params
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(SimulationError,
+                           match=f"^entry takes {n} args, got {n + 1}$"):
+            eng.run([4] * (n + 1))
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("slack", [-1, 0], ids=["N-1", "N"])
