@@ -16,13 +16,15 @@ Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
 the wait-match store is *slot-indexed* -- one store per static
 instruction, keyed by tag -- instead of one dict keyed by
 ``(nid, tag)`` tuples. Every run goes through one hand-written cycle
-loop (:meth:`TaggedEngine._run_loop`); only its fire table differs.
+loop (:meth:`TaggedEngine._run_loop`), and every token is a
+``(node, port, tag, data)`` tuple that the loop deposits through its
+one inlined deposit rule; only the fire table differs between runs.
 By default the generated kernels of :mod:`repro.sim.codegen` fill
 it. Without them the engine interprets: one plain firing rule
-(:meth:`TaggedEngine._fire_instr`) serves every node, and each pending
-token carries the event id of its producer. The interpreter is the
-reference semantics the kernels are diffed against, and the only path
-that records traces and store occupancy.
+(:meth:`TaggedEngine._fire_instr`) serves every node. The interpreter
+is the reference semantics the kernels are diffed against, and the
+only path that records traces (each token's producer is noted when it
+is sent) and store occupancy.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ class TaggedEngine(Engine):
     """Simulates one execution of an elaborated graph."""
 
     machine_name = "tagged"
-    # The token helpers hold the engine's own bound methods too.
-    _TABLES = ("_fire_fns", "_drain", "_emit")
+    _TABLES = ("_fire_fns",)
 
     def __init__(self, graph: TaggedGraph, memory: Memory,
                  policy: TagPolicy, issue_width: int = 128,
@@ -162,7 +163,8 @@ class TaggedEngine(Engine):
         # every firing becomes an event; token flows become edges.
         self.trace = ExecutionTrace() if record_trace else None
         self._cur_event = -1  # event id of the instruction now firing
-        #: (nid, tag) -> {port: producing event id} (tracing only).
+        #: (nid, tag) -> {port: producing event id} of the tokens sent
+        #: there and not yet consumed (tracing only).
         self._wait_src: Dict[Tuple[int, object], Dict[int, int]] = {}
 
         # Optional per-tag-space wait-match store occupancy tracking
@@ -201,39 +203,22 @@ class TaggedEngine(Engine):
             None if record_trace or track_occupancy else kernels, n)
 
     def _interpret(self) -> None:
-        # Pending tokens are 5-tuples carrying the producing event id;
-        # the kernels' 4-tuples leave it out.
-        self._drain = self._drain_pending_instr
-        self._emit = self._emit_instr
         fire = self._fire_instr  # one bound method for every row
         self._fire_fns: List[Callable] = [
             partial(fire, nid) for nid in range(len(self._op))
         ]
 
     def _bind(self, kernels) -> None:
-        self._drain = self._drain_pending_fast
-        self._emit = self._emit_fast
         self._fire_fns = kernels.bind(self)
-
-    def _hand_off(self) -> None:
-        """Bind the pending kernels, and rewrite the loads in flight
-        as the kernels' 4-tuple tokens. Nothing else is pending
-        between cycles."""
-        super()._hand_off()
-        for bucket in self._delayed.values():
-            bucket[:] = [token[:4] for token in bucket]
 
     # ------------------------------------------------------------------
     def _execute(self, args: List[object]) -> tuple:
+        # The entry tokens deposit at the top of the first cycle.
         pending = self._pending
         for value, dests in zip(args, self.graph.entry_sources):
             for dest_id, port in dests:
-                if self._kernels is None:
-                    pending.append((dest_id, port, ROOT_TAG, value, -1))
-                else:
-                    pending.append((dest_id, port, ROOT_TAG, value))
-                self._livebox[0] += 1
-        self._apply_pending()
+                pending.append((dest_id, port, ROOT_TAG, value))
+            self._livebox[0] += len(dests)
         completed = self._run_loop()
 
         results = tuple(
@@ -259,19 +244,28 @@ class TaggedEngine(Engine):
         return f"{self._op[nid].value}@{self._block[nid]}#{nid}"
 
     def _run_loop(self) -> bool:
-        """The cycle loop of every run: kernel, interpreted and
-        profiled runs differ only in the fire table.
+        """The cycle loop of every run: kernel, interpreted, traced
+        and profiled runs differ only in the fire table.
 
-        Each cycle issues up to ``issue_width`` ready events, deposits
-        this cycle's tokens (visible next cycle), wakes allocates
-        waiting on freed pools, then samples IPC and live tokens. The
-        recorder's counters live in locals, with the RLE trace appends
-        inlined, and are committed in the ``finally``, so a raising
-        run leaves the same counts. ``metrics.cycles`` is synced every
-        cycle when a firing reads it: delayed loads schedule their due
-        cycle from it, and traces stamp events with it. It is committed
-        and reloaded around :meth:`_stall_for_memory`, which reads and
-        mutates the recorder.
+        Each cycle first deposits the tokens sent in the cycle before
+        (on the first cycle the entry tokens, after a memory stall
+        its matured loads) through the one deposit rule, inlined
+        here, and wakes the allocates waiting on pools freed in the
+        cycle before. It then issues up to ``issue_width`` ready
+        events, whose tokens wait in ``_pending`` for the next
+        cycle's deposits, moves the loads due this cycle there too,
+        and samples IPC and live tokens. The recorder's counters live
+        in locals, with the RLE trace appends inlined, and are
+        committed in the ``finally``, so a raising run leaves the same
+        counts. ``metrics.cycles`` is synced every cycle when a firing
+        reads it: delayed loads schedule their due cycle from it, and
+        traces stamp events with it. It is committed and reloaded
+        around :meth:`_stall_for_memory`, which reads and mutates the
+        recorder.
+
+        An occupancy-tracked run counts the pending tokens into their
+        blocks' store occupancy before they deposit
+        (:meth:`_count_stores`).
 
         A profiled run notes each firing's node, splits each busy cycle
         evenly over the noted nodes, and counts the other cycles per
@@ -280,7 +274,8 @@ class TaggedEngine(Engine):
 
         An interpreted run with kernels pending hands off to them at
         the end of the cycle that brings its instructions to
-        ``_handoff``, and runs on in this loop with the same locals.
+        ``_handoff``, and runs on in this loop with the same locals and
+        the same pending tokens.
         """
         metrics = self.metrics
         ready = self._ready
@@ -296,10 +291,8 @@ class TaggedEngine(Engine):
         fire_alloc_pop = self._fire_alloc_pop
         fire_alloc_ctl = self._fire_alloc_ctl
         deposit_alloc = self._deposit_alloc
-        # The kernels' 4-tuple tokens drain inline below. Interpreted
-        # tokens carry their producer's event id, and their deposits
-        # may count store occupancy: they drain through _drain.
-        drain = self._drain if self._kernels is None else None
+        count_stores = self._count_stores if self._track_occupancy \
+            else None
         handoff = self._handoff
         issue_width = self.issue_width
         token_bound = self._token_bound
@@ -327,6 +320,38 @@ class TaggedEngine(Engine):
         n_fired = n_width_limited = n_tag_starved = 0
         try:
             while True:
+                if pending:
+                    if count_stores is not None:
+                        count_stores()
+                    for nid, port, tag, data in pending:
+                        kind, store, n_ports, imms = dep[nid]
+                        if kind == _DEP_PLAIN:
+                            entry = store.get(tag)
+                            if entry is None:
+                                store[tag] = {port: data}
+                                if n_ports == 1:
+                                    ready_append((nid, tag, _FIRE))
+                            else:
+                                entry[port] = data
+                                if len(entry) == n_ports:
+                                    ready_append((nid, tag, _FIRE))
+                        elif kind == _DEP_MERGE:
+                            entry = store.get(tag)
+                            if entry is None:
+                                store[tag] = entry = {}
+                            entry[port] = data
+                            if 0 in entry:
+                                want = 1 if entry[0] else 2
+                                if want in entry or want in imms:
+                                    ready_append((nid, tag, _FIRE))
+                        else:  # _DEP_ALLOC
+                            deposit_alloc(nid, port, tag)
+                    del pending[:]
+                if dirty:
+                    pools = dirty[:]
+                    del dirty[:]
+                    for pool in pools:
+                        wake(pool)
                 if not ready:
                     if delayed:
                         # Memory in flight: skip to its first due cycle.
@@ -364,51 +389,17 @@ class TaggedEngine(Engine):
                     budget -= 1
                     if prof is not None:
                         note(nid)
-                if prof is not None:
-                    # Read before the deposits below refill the queue.
-                    width_limited = budget == 0 and bool(ready)
                 matured = delayed.pop(cycles, None) if delayed else None
                 if matured:
                     pending.extend(matured)
-                if pending:
-                    if drain is not None:
-                        drain()
-                    else:
-                        for nid, port, tag, data in pending:
-                            kind, store, n_ports, imms = dep[nid]
-                            if kind == _DEP_PLAIN:
-                                entry = store.get(tag)
-                                if entry is None:
-                                    store[tag] = {port: data}
-                                    if n_ports == 1:
-                                        ready_append((nid, tag, _FIRE))
-                                else:
-                                    entry[port] = data
-                                    if len(entry) == n_ports:
-                                        ready_append((nid, tag, _FIRE))
-                            elif kind == _DEP_MERGE:
-                                entry = store.get(tag)
-                                if entry is None:
-                                    store[tag] = entry = {}
-                                entry[port] = data
-                                if 0 in entry:
-                                    want = 1 if entry[0] else 2
-                                    if want in entry or want in imms:
-                                        ready_append((nid, tag, _FIRE))
-                            else:  # _DEP_ALLOC
-                                deposit_alloc(nid, port, tag)
-                        del pending[:]
-                if dirty:
-                    pools = dirty[:]
-                    del dirty[:]
-                    for pool in pools:
-                        wake(pool)
                 live = livebox[0]
                 cycles += 1
                 instructions += fired
                 if prof is not None:
                     if fired:
-                        if width_limited:
+                        # Firing adds nothing to the queue: what is
+                        # left is what the width held back.
+                        if budget == 0 and ready:
                             n_width_limited += 1
                         else:
                             n_fired += 1
@@ -451,8 +442,8 @@ class TaggedEngine(Engine):
                         f"{token_bound}"
                     )
                 # A run that finished on its last allowed cycle
-                # completes.
-                if cycles >= max_cycles and (ready
+                # completes; tokens not yet deposited are work left.
+                if cycles >= max_cycles and (ready or pending
                                              or not self._is_finished()):
                     raise SimulationError(
                         f"exceeded max_cycles={max_cycles}"
@@ -461,7 +452,6 @@ class TaggedEngine(Engine):
                     handoff = NO_HANDOFF
                     self._hand_off()
                     fire_fns = self._fire_fns
-                    drain = None
         finally:
             metrics.cycles = cycles
             metrics.instructions = instructions
@@ -477,13 +467,13 @@ class TaggedEngine(Engine):
                 stalls["tag_starved"] += n_tag_starved
 
     def _stall_for_memory(self) -> None:
-        """Idle until the earliest in-flight load response matures.
+        """Idle until the earliest in-flight load response matures,
+        and move it into ``_pending``: the loop deposits it.
 
         Equivalent to sampling ``(0, live)`` once per stalled cycle,
-        but batched; unlike the original per-cycle loop it enforces
+        but batched; like the per-cycle loop it enforces
         ``max_cycles`` and the Theorem-2 token bound, so a simulation
-        can no longer spin past its cycle budget inside a memory
-        stall.
+        cannot spin past its cycle budget inside a memory stall.
         """
         metrics = self.metrics
         due = min(self._delayed)
@@ -500,9 +490,7 @@ class TaggedEngine(Engine):
                 f"{self._token_bound}"
             )
         self._pending.extend(self._delayed.pop(due))
-        self._drain()
-        if metrics.cycles >= self.max_cycles and (
-                self._ready or not self._is_finished()):
+        if metrics.cycles >= self.max_cycles and not self._is_finished():
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
@@ -517,65 +505,10 @@ class TaggedEngine(Engine):
         raise DeadlockError(diagnosis.describe(), diagnosis)
 
     # ------------------------------------------------------------------
-    def _apply_pending(self) -> None:
-        matured = self._delayed.pop(self.metrics.cycles, None)
-        if matured:
-            self._pending.extend(matured)
-        if self._pending:
-            self._drain()
-        if self._dirty_pools:
-            dirty = self._dirty_pools[:]
-            del self._dirty_pools[:]
-            for pool in dirty:
-                self._wake_waiters(pool)
-
-    def _drain_pending_fast(self) -> None:
-        """Deposit every buffered token (kernels, 4-tuples); the cycle
-        loop inlines this body.
-
-        ``_dep`` packs each node's firing-rule selector, wait-store
-        slot, token-port count, and immediates into one tuple so a
-        deposit costs a single table fetch.
-        """
-        pending = self._pending
-        dep = self._dep
-        ready_append = self._ready.append
-        for nid, port, tag, data in pending:
-            kind, store, n_ports, imms = dep[nid]
-            if kind == _DEP_PLAIN:
-                entry = store.get(tag)
-                if entry is None:
-                    store[tag] = {port: data}
-                    if n_ports == 1:
-                        ready_append((nid, tag, _FIRE))
-                else:
-                    entry[port] = data
-                    if len(entry) == n_ports:
-                        ready_append((nid, tag, _FIRE))
-            elif kind == _DEP_MERGE:
-                entry = store.get(tag)
-                if entry is None:
-                    store[tag] = entry = {}
-                entry[port] = data
-                if 0 in entry:
-                    want = 1 if entry[0] else 2
-                    if want in entry or want in imms:
-                        ready_append((nid, tag, _FIRE))
-            else:  # _DEP_ALLOC
-                self._deposit_alloc(nid, port, tag)
-        del pending[:]
-
-    def _drain_pending_instr(self) -> None:
-        """Deposit every buffered token (interpreter, 5-tuples)."""
-        pending = self._pending[:]
-        del self._pending[:]
-        deposit = self._deposit_instr
-        for nid, port, tag, data, src in pending:
-            deposit(nid, port, tag, data, src)
-
-    # ------------------------------------------------------------------
-    def _emit_fast(self, nid: int, port: int, tag: object,
-                   data: object) -> None:
+    def _emit(self, nid: int, port: int, tag: object,
+              data: object) -> None:
+        """Send ``data`` at ``tag`` along every edge of ``nid``'s
+        output ``port``; it deposits next cycle."""
         edges = self._edges[nid][port]
         if not edges:
             return  # token discarded (no consumers)
@@ -583,44 +516,40 @@ class TaggedEngine(Engine):
         for dest_id, dest_port in edges:
             append((dest_id, dest_port, tag, data))
         self._livebox[0] += len(edges)
+        if self.trace is not None:
+            self._note_producer(edges, tag)
 
-    def _emit_instr(self, nid: int, port: int, tag: object,
-                    data: object) -> None:
-        edges = self._edges[nid][port]
-        if not edges:
-            return
-        append = self._pending.append
+    def _note_producer(self, dests, tag: object) -> None:
+        """Trace: the event now firing sent a token at ``tag`` to each
+        of ``dests``. The consumer's event takes the note when it
+        fires."""
         src = self._cur_event
-        for dest_id, dest_port in edges:
-            append((dest_id, dest_port, tag, data, src))
-        self._livebox[0] += len(edges)
+        notes = self._wait_src
+        for dest_id, dest_port in dests:
+            notes.setdefault((dest_id, tag), {})[dest_port] = src
 
-    def _deposit_instr(self, nid: int, port: int, tag: object,
-                       data: object, src: int = -1) -> None:
-        if self.trace is not None and src >= 0:
-            self._wait_src.setdefault((nid, tag), {})[port] = src
-        kind, store, n_ports, imms = self._dep[nid]
-        if kind == _DEP_ALLOC:
-            self._deposit_alloc(nid, port, tag)
-            return
-        entry = store.get(tag)
-        if entry is None:
-            entry = {}
-            store[tag] = entry
-        entry[port] = data
-        if self._track_occupancy:
-            block = self._block[nid]
-            occ = self._occupancy[block] + 1
-            self._occupancy[block] = occ
-            if occ > self._peak_occupancy[block]:
-                self._peak_occupancy[block] = occ
-        if kind == _DEP_MERGE:
-            if 0 in entry:
-                want = 1 if entry[0] else 2
-                if want in entry or want in imms:
-                    self._ready.append((nid, tag, _FIRE))
-        elif len(entry) == n_ports:
-            self._ready.append((nid, tag, _FIRE))
+    def _record(self, nid: int, tag: object, op: str,
+                sources: Dict[int, int]) -> None:
+        """Trace: record ``nid``'s firing at ``tag``, fed by the events
+        in ``sources``, as the event now firing."""
+        self._cur_event = self.trace.record(
+            self.metrics.cycles, nid, self._block[nid], op, tag, sources)
+
+    def _count_stores(self) -> None:
+        """Occupancy tracking: count the pending tokens into their
+        blocks' wait-store occupancy before they deposit (an allocate
+        stores nothing), and keep each block's peak."""
+        occupancy = self._occupancy
+        peak = self._peak_occupancy
+        block = self._block
+        dep = self._dep
+        for token in self._pending:
+            nid = token[0]
+            if dep[nid][0] != _DEP_ALLOC:
+                name = block[nid]
+                count = occupancy[name] = occupancy[name] + 1
+                if count > peak[name]:
+                    peak[name] = count
 
     # ------------------------------------------------------------------
     # Allocate state machine (paper Sec. IV-A firing rule)
@@ -664,11 +593,12 @@ class TaggedEngine(Engine):
                 self._waiters[id(pool)].append(key)
             return False
         if self.trace is not None:
-            self._cur_event = self.trace.record(
-                self.metrics.cycles, nid, self._block[nid],
-                "allocate", tag,
-                self._wait_src.pop((nid, tag), {}),
-            )
+            sources = self._wait_src.pop(key, {})
+            if not st.ready and 1 in sources:
+                # The ready token is sent but not deposited: the
+                # control firing that consumes it takes its note.
+                self._wait_src[key] = {1: sources.pop(1)}
+            self._record(nid, tag, "allocate", sources)
         new_tag = pool.pop()
         if pool.capacity is not None:
             pool.holders[new_tag] = (nid, tag)
@@ -684,6 +614,9 @@ class TaggedEngine(Engine):
 
     def _fire_alloc_ctl(self, nid: int, tag: object) -> None:
         key = (nid, tag)
+        if self.trace is not None:
+            self._record(nid, tag, "allocate",
+                         self._wait_src.pop(key, {}))
         self._livebox[0] -= 1  # consume the late ready token
         self._emit(nid, 1, tag, 0)
         del self._alloc_state[key]
@@ -713,11 +646,8 @@ class TaggedEngine(Engine):
     def _fire_instr(self, nid: int, tag: object) -> None:
         op = self._op[nid]
         if self.trace is not None:
-            self._cur_event = self.trace.record(
-                self.metrics.cycles, nid, self._block[nid],
-                op.value, tag,
-                self._wait_src.pop((nid, tag), {}),
-            )
+            self._record(nid, tag, op.value,
+                         self._wait_src.pop((nid, tag), {}))
         entry = self._wait[nid].pop(tag)
         self._livebox[0] -= len(entry)
         if self._track_occupancy:
@@ -759,12 +689,13 @@ class TaggedEngine(Engine):
             else:
                 due = self.metrics.cycles + delay - 1
                 bucket = self._delayed.setdefault(due, [])
-                src = self._cur_event
                 for port, data in ((0, value), (1, 0)):
-                    for dest_id, dest_port in self._edges[nid][port]:
-                        bucket.append((dest_id, dest_port, tag, data,
-                                       src))
-                        self._livebox[0] += 1
+                    edges = self._edges[nid][port]
+                    for dest_id, dest_port in edges:
+                        bucket.append((dest_id, dest_port, tag, data))
+                    self._livebox[0] += len(edges)
+                    if self.trace is not None:
+                        self._note_producer(edges, tag)
         elif op is _STORE:
             attrs = self._attrs[nid]
             self.memory.store(attrs["array"], inputs[0], inputs[1])
@@ -781,11 +712,12 @@ class TaggedEngine(Engine):
                 dests = table.get(inputs[2], ())
                 if dests:
                     append = self._pending.append
-                    src = self._cur_event
                     for dest_id, dest_port in dests:
                         append((dest_id, dest_port, inputs[0],
-                                inputs[1], src))
+                                inputs[1]))
                     self._livebox[0] += len(dests)
+                    if self.trace is not None:
+                        self._note_producer(dests, inputs[0])
             self._emit(nid, 1, tag, 0)
         elif op is _EXTRACT_TAG:
             self._emit(nid, 0, tag, tag)

@@ -165,28 +165,42 @@ class TagPolicy:
         return self.name
 
 
-def _resolve_pool_size(policy_name: str, block: str,
-                       user_overrides: Dict[str, Optional[int]],
-                       graph_overrides: Dict[str, Optional[int]],
-                       default: int) -> int:
-    """Pick a block's tag-pool size: user > program > policy default.
+class _PerBlockPolicy(TagPolicy):
+    """One pool per block, with the flags a subclass names.
 
-    Every per-block policy routes through here so the precedence and
-    validation cannot drift apart.  The checks are explicit ``None``
-    comparisons -- a falsy override (0) is an error to report, not a
-    request for the default.
+    Its one :meth:`build_pools` sizes every per-block policy's pools,
+    so their precedence and validation cannot drift apart.
     """
-    size = user_overrides.get(block)
-    if size is None:
-        size = graph_overrides.get(block)
-    if size is None:
-        size = default
-    if size < 2:
-        raise SimulationError(
-            f"{policy_name} needs >= 2 tags per block; "
-            f"{block!r} has {size}"
-        )
-    return size
+
+    #: Every pool's gate flags: :class:`TagPool`'s keyword arguments.
+    _pool_flags: Dict[str, bool]
+
+    def __init__(self, tags_per_block: int,
+                 overrides: Optional[Dict[str, int]]):
+        self.tags_per_block = tags_per_block
+        self.user_overrides = dict(overrides or {})
+
+    def build_pools(self, blocks, overrides):
+        """Size each block's pool: user > program > policy default.
+
+        The checks are explicit ``None`` comparisons -- a falsy
+        override (0) is an error to report, not a request for the
+        default.
+        """
+        pools = {}
+        for b in blocks:
+            size = self.user_overrides.get(b)
+            if size is None:
+                size = overrides.get(b)
+            if size is None:
+                size = self.tags_per_block
+            if size < 2:
+                raise SimulationError(
+                    f"{self.name} needs >= 2 tags per block; "
+                    f"{b!r} has {size}"
+                )
+            pools[b] = TagPool(b, size, **self._pool_flags)
+        return pools
 
 
 class UnboundedGlobalPolicy(TagPolicy):
@@ -220,7 +234,7 @@ class BoundedGlobalPolicy(TagPolicy):
         return f"{self.name}(T={self.total_tags})"
 
 
-class TyrPolicy(TagPolicy):
+class TyrPolicy(_PerBlockPolicy):
     """TYR: one gated local tag space per concurrent block.
 
     ``tags_per_block`` is the default size; per-block overrides come
@@ -229,6 +243,7 @@ class TyrPolicy(TagPolicy):
     """
 
     name = "tyr"
+    _pool_flags = {"gated": True}
 
     def __init__(self, tags_per_block: int = 64,
                  overrides: Optional[Dict[str, int]] = None):
@@ -237,18 +252,7 @@ class TyrPolicy(TagPolicy):
                 "TYR needs at least two tags per concurrent block "
                 "(paper Sec. III)"
             )
-        self.tags_per_block = tags_per_block
-        self.user_overrides = dict(overrides or {})
-
-    def build_pools(self, blocks, overrides):
-        pools = {}
-        for b in blocks:
-            size = _resolve_pool_size(
-                self.name, b, self.user_overrides, overrides,
-                self.tags_per_block,
-            )
-            pools[b] = TagPool(b, size, gated=True)
-        return pools
+        super().__init__(tags_per_block, overrides)
 
     def describe(self) -> str:
         return f"{self.name}(t={self.tags_per_block})"
@@ -271,26 +275,12 @@ class AblatedTyrPolicy(TyrPolicy):
             raise SimulationError("drop must be 'ready' or 'spare'")
         self.drop = drop
         self.name = f"tyr-no{drop}"
-
-    def build_pools(self, blocks, overrides):
-        pools = {}
-        for b in blocks:
-            size = _resolve_pool_size(
-                self.name, b, self.user_overrides, overrides,
-                self.tags_per_block,
-            )
-            pools[b] = TagPool(
-                b, size, gated=True,
-                honor_ready=self.drop != "ready",
-                honor_spare=self.drop != "spare",
-            )
-        return pools
-
-    def describe(self) -> str:
-        return f"{self.name}(t={self.tags_per_block})"
+        self._pool_flags = {"gated": True,
+                            "honor_ready": drop != "ready",
+                            "honor_spare": drop != "spare"}
 
 
-class KBoundedPolicy(TagPolicy):
+class KBoundedPolicy(_PerBlockPolicy):
     """TTDA-style k-bounding: per-block pools, *greedy* allocation.
 
     Effective for simple (affine innermost) loops but deadlock-prone on
@@ -298,6 +288,7 @@ class KBoundedPolicy(TagPolicy):
     """
 
     name = "kbounded"
+    _pool_flags = {"gated": False}
 
     def __init__(self, tags_per_block: int = 64,
                  overrides: Optional[Dict[str, int]] = None):
@@ -305,18 +296,7 @@ class KBoundedPolicy(TagPolicy):
             raise SimulationError(
                 "k-bounding needs at least two tags per block"
             )
-        self.tags_per_block = tags_per_block
-        self.user_overrides = dict(overrides or {})
-
-    def build_pools(self, blocks, overrides):
-        pools = {}
-        for b in blocks:
-            size = _resolve_pool_size(
-                self.name, b, self.user_overrides, overrides,
-                self.tags_per_block,
-            )
-            pools[b] = TagPool(b, size, gated=False)
-        return pools
+        super().__init__(tags_per_block, overrides)
 
     def describe(self) -> str:
         return f"{self.name}(k={self.tags_per_block})"

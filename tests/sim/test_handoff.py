@@ -238,8 +238,8 @@ def test_handoff_with_loads_in_flight(machine, timing, events,
                                       monkeypatch):
     """smv hands off at ``HANDOFF_K = 4`` with load responses in flight
     on each of these machines, under either timing, plain and
-    profiled. The loads land after the hand-off (tagged rewrites its
-    in-flight 5-tuples as the kernels' 4-tuples), and the run equals
+    profiled. The loads land after the hand-off (the kernels deposit
+    the tokens the interpreter sent, as they are), and the run equals
     the interpreter's, traces and profile included."""
     monkeypatch.setattr(core, "HANDOFF_K", 4)
     for kwargs in (timing, dict(timing, profile=True)):

@@ -9,6 +9,7 @@ from repro.harness.runner import CompiledWorkload
 from repro.sim.memory import Memory
 from repro.sim.tagged import TaggedEngine, TyrPolicy, UnboundedGlobalPolicy
 from repro.sim.tagged.tagspace import PoolStats
+from repro.workloads import WORKLOAD_NAMES, build_workload
 
 from tests.conftest import (
     dmv_expected,
@@ -132,3 +133,42 @@ def test_tag_values_stay_within_pool_range():
     # Far more dynamic allocations than tags => heavy reuse.
     assert any(s.total_allocations > 3 * s.capacity
                for s in loop_pools)
+
+
+#: The instrumented variants of a run: each carries a hook only the
+#: interpreter has, so it never binds kernels.
+INSTRUMENTED = {"traced": {"record_trace": True},
+                "occupancy": {"track_occupancy": True},
+                "both": {"record_trace": True, "track_occupancy": True}}
+
+
+def _observe_run(wl, machine, **kwargs):
+    memory = wl.fresh_memory()
+    res = wl.compiled.run(machine, memory, wl.args, **kwargs)
+    return ((res.cycles, res.instructions, res.peak_live, res.mean_live,
+             list(res.ipc_trace), list(res.live_trace), res.results,
+             res.extra["pool_stats"], memory.snapshot()),
+            res.extra["peak_store_occupancy"])
+
+
+@pytest.mark.parametrize("load_latency", [1, 4])
+@pytest.mark.parametrize("machine", ["tyr", "unordered", "kbounded"])
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_tracing_and_occupancy_do_not_perturb_the_run(name, machine,
+                                                      load_latency):
+    """Traced, occupancy-tracked and both-at-once runs of the Table II
+    workloads equal the plain run (kernels at the default hand-off
+    budget) in cycles, instructions, live state, both sampled traces,
+    results, pool stats and final memory, and the run with both hooks
+    counts the occupancy-tracked run's store peaks: the hooks only
+    observe."""
+    wl = build_workload(name, "tiny")
+    plain, _ = _observe_run(wl, machine, load_latency=load_latency)
+    peaks = {}
+    for variant, kwargs in INSTRUMENTED.items():
+        observed, peaks[variant] = _observe_run(
+            wl, machine, load_latency=load_latency, **kwargs)
+        assert observed == plain, variant
+    assert peaks["both"] == peaks["occupancy"]
+    assert peaks["occupancy"]
+    assert peaks["traced"] == {}

@@ -6,6 +6,8 @@ from repro.frontend.lower import lower_module
 from repro.harness.runner import CompiledWorkload
 from repro.sim.memory import Memory
 from repro.sim.tagged import TaggedEngine, TyrPolicy, UnboundedGlobalPolicy
+from repro.workloads import WORKLOAD_NAMES, build_workload
+from repro.workloads.registry import EXTRA_WORKLOADS
 
 from tests.conftest import dmv_memory, dmv_module, sum_loop_module
 
@@ -19,12 +21,65 @@ def traced_run(module, args, policy, memory=None, **kwargs):
 
 
 def test_event_count_close_to_instruction_count():
-    # Allocate control emissions (late-ready) fire without a separate
-    # trace event, so the trace slightly under-counts instructions.
     res, trace = traced_run(sum_loop_module(), [5], TyrPolicy(4))
-    assert len(trace.events) <= res.instructions
-    assert len(trace.events) >= res.instructions * 0.8
+    assert len(trace.events) == res.instructions
     assert trace.duration <= res.cycles
+
+
+POLICIES = {"tyr64": lambda: TyrPolicy(64), "tyr4": lambda: TyrPolicy(4),
+            "unordered": UnboundedGlobalPolicy}
+
+#: (workload at tiny scale, policy, load latency) of each traced run
+#: the invariants are checked on.
+INVARIANT_CASES = [
+    (name, policy, 1)
+    for name in WORKLOAD_NAMES + EXTRA_WORKLOADS for policy in POLICIES
+] + [("tc", "tyr4", 4)]
+
+
+def _feeds(graph):
+    """Node id -> the ids of the nodes it can send a token to: its out
+    edges and its route-table entries."""
+    feeds = {}
+    for nd in graph.nodes:
+        dests = {dest for port_edges in nd.out_edges
+                 for dest, _ in port_edges}
+        table = nd.attrs.get("route_table")
+        if table:
+            dests.update(dest for entries in table.values()
+                         for dest, _ in entries)
+        feeds[nd.node_id] = dests
+    return feeds
+
+
+@pytest.mark.parametrize("name,policy,load_latency", INVARIANT_CASES,
+                         ids=[f"{n}-{p}-lat{lat}"
+                              for n, p, lat in INVARIANT_CASES])
+def test_trace_invariants(name, policy, load_latency):
+    """A completed traced run records one event per instruction, an
+    allocate's late control firing included; every edge runs forward
+    in time along a graph edge (an out edge or a route-table entry);
+    and every producer note was taken by its consumer's event. An
+    allocate's pop must take only the notes of the tokens it consumes:
+    a ready token sent but not yet deposited belongs to the control
+    firing that consumes it, not to the next allocation at that node
+    and tag."""
+    wl = build_workload(name, "tiny")
+    engine = TaggedEngine(wl.compiled.tagged, wl.fresh_memory(),
+                          POLICIES[policy](), record_trace=True,
+                          load_latency=load_latency)
+    result = engine.run(wl.compiled.entry_args(wl.args))
+    assert result.completed
+    trace = engine.trace
+    events = trace.events
+    assert len(events) == result.instructions
+    feeds = _feeds(wl.compiled.tagged)
+    for src, dst in trace.edges:
+        producer, consumer = events[src], events[dst]
+        assert producer.cycle < consumer.cycle, (producer, consumer)
+        assert consumer.node_id in feeds[producer.node_id], (
+            producer, consumer)
+    assert engine._wait_src == {}
 
 
 def test_edges_are_causal():
@@ -57,8 +112,8 @@ def test_trace_height_reflects_architecture():
 def test_live_cut_tracks_live_trace():
     """The number of edges crossing a cycle cut approximates the
     engine's live-token count at that cycle (the paper's definition).
-    It is a slight under-approximation: discarded tokens and allocate
-    request/ready tokens do not become trace edges. The cut includes
+    It is a slight under-approximation: the entry tokens have no
+    producer event, so they do not become trace edges. The cut includes
     tokens consumed *at* the cycle (still crossing), which the
     engine's end-of-cycle live count no longer holds; subtract them
     before comparing."""
