@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from repro.harness.ascii_plots import line_chart, table
 from repro.harness.experiments.base import ExperimentReport, register
-from repro.harness.results import downsample
-from repro.sim.metrics import trace_peak
 from repro.harness.runner import PAPER_SYSTEMS
 from repro.harness.sweep import run_machines
 from repro.workloads import build_workload
@@ -33,7 +31,7 @@ def run(scale: str = "default", workload: str = "spmspm",
         summary_rows.append([machine, res.cycles, res.peak_live,
                              round(res.mean_live, 1)])
     chart = line_chart(
-        {m: downsample(t, 72) for m, t in traces.items()},
+        {m: t.downsample(72) for m, t in traces.items()},
         title=f"Live tokens over time: {workload} ({scale})",
         ylabel="live tokens", xlabel="cycles (per-series normalized)",
         logy=True,
@@ -42,8 +40,8 @@ def run(scale: str = "default", workload: str = "spmspm",
                 summary_rows)
     data = {
         "cycles": {m: len(t) for m, t in traces.items()},
-        "peak": {m: trace_peak(t) for m, t in traces.items()},
-        "traces": {m: downsample(t, 100) for m, t in traces.items()},
+        "peak": {m: t.peak() for m, t in traces.items()},
+        "traces": {m: t.downsample(100) for m, t in traces.items()},
     }
     return ExperimentReport(
         name="fig02",

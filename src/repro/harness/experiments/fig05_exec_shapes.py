@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from repro.harness.ascii_plots import line_chart, table
 from repro.harness.experiments.base import ExperimentReport, register
-from repro.harness.results import downsample
-from repro.sim.metrics import trace_peak
 from repro.harness.runner import PAPER_SYSTEMS
 from repro.harness.sweep import run_machines
 from repro.workloads import build_workload
@@ -37,11 +35,11 @@ def run(scale: str = "small", workload: str = "dmv",
         rows.append([
             machine,
             res.cycles,  # trace width (time)
-            trace_peak(res.ipc_trace),  # trace height (parallelism)
+            res.ipc_trace.peak(),  # trace height (parallelism)
             round(res.mean_ipc, 2),
         ])
     chart = line_chart(
-        {m: downsample(t, 72) for m, t in profiles.items()},
+        {m: t.downsample(72) for m, t in profiles.items()},
         title=f"Issue profile (parallelism over time): {workload}",
         ylabel="instructions issued", xlabel="cycles (normalized)",
         logy=True,

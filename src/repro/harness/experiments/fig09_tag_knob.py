@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.harness.ascii_plots import line_chart, table
 from repro.harness.experiments.base import ExperimentReport, register
 from repro.harness.pool import run_batch
-from repro.harness.results import downsample
 from repro.workloads import build_workload
 
 
@@ -32,7 +31,7 @@ def run(scale: str = "default", workload: str = "dmv",
             for t, r in swept.items()]
     rows.append(["unordered", unordered.cycles, unordered.peak_live])
     chart = line_chart(
-        {k: downsample(t, 72) for k, t in traces.items()},
+        {k: t.downsample(72) for k, t in traces.items()},
         title=f"Live tokens vs time across tag counts: {workload}",
         ylabel="live tokens", xlabel="cycles (normalized)",
     )

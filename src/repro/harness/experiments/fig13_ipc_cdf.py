@@ -20,7 +20,6 @@ from repro.harness.results import (
     histogram_cdf,
     histogram_quantile,
     merge_histograms,
-    trace_histogram,
 )
 from repro.harness.runner import PAPER_SYSTEMS
 from repro.workloads import WORKLOAD_NAMES, build_workload
@@ -40,7 +39,7 @@ def run(scale: str = "default", tags: int = 64, apps=WORKLOAD_NAMES,
     for app in apps:
         for machine in PAPER_SYSTEMS:
             combined[machine].append(
-                trace_histogram(next(flat).ipc_trace))
+                next(flat).ipc_trace.histogram())
     merged = {m: merge_histograms(hists)
               for m, hists in combined.items()}
     cdfs = {m: histogram_cdf(hist) for m, hist in merged.items()}

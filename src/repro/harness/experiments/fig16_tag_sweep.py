@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.harness.ascii_plots import line_chart, table
 from repro.harness.experiments.base import ExperimentReport, register
-from repro.harness.results import downsample
 from repro.harness.sweep import sweep_tags
 from repro.workloads import build_workload
 
@@ -24,7 +23,7 @@ def run(scale: str = "default", workload: str = "spmspm",
                        jobs=jobs, cache=cache,
                        options=options)
     chart = line_chart(
-        {f"t={t}": downsample(r.live_trace, 72)
+        {f"t={t}": r.live_trace.downsample(72)
          for t, r in swept.items()},
         title=f"Live tokens vs time across tag widths: {workload} "
               f"({scale}, width {issue_width})",

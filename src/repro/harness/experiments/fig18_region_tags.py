@@ -13,7 +13,6 @@ from typing import List
 from repro.harness.ascii_plots import line_chart, table
 from repro.harness.experiments.base import ExperimentReport, register
 from repro.harness.pool import run_batch
-from repro.harness.results import downsample
 from repro.ir.program import BlockKind, ContextProgram
 from repro.workloads import build_workload
 
@@ -59,10 +58,10 @@ def _run(scale: str, workload: str, base_tags: int, outer_tags: int,
     slowdown = tuned.cycles / max(baseline.cycles, 1)
     chart = line_chart(
         {
-            f"all blocks t={base_tags}": downsample(
-                baseline.live_trace, 72),
-            f"outer loop t={outer_tags}": downsample(
-                tuned.live_trace, 72),
+            f"all blocks t={base_tags}":
+                baseline.live_trace.downsample(72),
+            f"outer loop t={outer_tags}":
+                tuned.live_trace.downsample(72),
         },
         title=f"Live tokens vs time: region-selective tags on "
               f"{workload} ({scale})",

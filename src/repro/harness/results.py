@@ -8,9 +8,9 @@ the paper's Fig. 12/14 headline numbers.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.sim.metrics import ExecutionResult, RLETrace
+from repro.sim.metrics import ExecutionResult
 
 
 def gmean(values: Iterable[float]) -> float:
@@ -63,16 +63,6 @@ def state_reduction_vs(results: Dict[str, Dict[str, ExecutionResult]],
     return out
 
 
-def trace_histogram(trace: Sequence[int]) -> Dict[int, int]:
-    """value -> cycle count for a trace (O(runs) for RLE traces)."""
-    if isinstance(trace, RLETrace):
-        return trace.histogram()
-    out: Dict[int, int] = {}
-    for value in trace:
-        out[value] = out.get(value, 0) + 1
-    return out
-
-
 def merge_histograms(histograms: Iterable[Dict[int, int]]
                      ) -> Dict[int, int]:
     """Pointwise sum of value->count histograms.
@@ -122,25 +112,3 @@ def histogram_cdf(histogram: Dict[int, int]
         seen += count
         points.append((float(value), seen / total))
     return points
-
-
-def downsample(trace: Sequence[float], n_points: int = 100) -> List[float]:
-    """Bucket-max downsampling for long traces (keeps peaks visible).
-
-    RLE traces walk their runs instead of slicing per-cycle values.
-    ``n_points`` must be positive (a non-positive count used to die
-    with a bare ``ZeroDivisionError`` mid-bucketing).
-    """
-    if n_points <= 0:
-        raise ValueError(f"n_points must be positive, got {n_points}")
-    if isinstance(trace, RLETrace):
-        return trace.downsample(n_points)
-    if len(trace) <= n_points:
-        return list(trace)
-    out = []
-    step = len(trace) / n_points
-    for i in range(n_points):
-        lo = int(i * step)
-        hi = max(lo + 1, int((i + 1) * step))
-        out.append(max(trace[lo:hi]))
-    return out

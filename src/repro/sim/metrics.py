@@ -17,10 +17,11 @@ multi-million-cycle trace by orders of magnitude, which is what makes
 The contract consumers rely on:
 
 * ``MetricsRecorder.sample``/``sample_idle`` are O(1) appends to the
-  compact arrays;
+  compact arrays, and the cycle loops append to the same arrays
+  inline (``MetricsRecorder.counters``/``commit``);
 * ``ExecutionResult.ipc_trace``/``live_trace`` are *lazy sequences*:
   indexing, slicing, iteration, ``len`` and equality all behave like
-  the old lists, but nothing is materialized until asked for;
+  a list's, but nothing is materialized until asked for;
 * streaming aggregations (:meth:`RLETrace.peak`,
   :meth:`RLETrace.total`, :meth:`RLETrace.histogram`,
   :meth:`RLETrace.downsample`) answer the Fig. 13/14/16-style
@@ -41,7 +42,7 @@ from repro.errors import MetricsUnavailable
 
 
 def _rebuild_rle(values: array, counts: array) -> "RLETrace":
-    """Pickle helper (module-level so old pickles stay loadable)."""
+    """The trace over the run arrays ``values`` and ``counts``."""
     trace = RLETrace.__new__(RLETrace)
     trace._values = values
     trace._counts = counts
@@ -221,9 +222,9 @@ class RLETrace(_SequenceABC):
         return hist
 
     def downsample(self, n_points: int = 100) -> List[int]:
-        """Bucket-max downsampling (keeps peaks visible); identical
-        output to :func:`repro.harness.results.downsample` on the
-        materialized trace."""
+        """Bucket-max downsampling to ``n_points`` samples (keeps
+        peaks visible); a trace of at most ``n_points`` samples comes
+        back whole."""
         if n_points <= 0:
             raise ValueError(
                 f"n_points must be positive, got {n_points}")
@@ -252,29 +253,13 @@ class RLETrace(_SequenceABC):
                 _pack_array(self._values) + _pack_array(self._counts))
 
 
-def trace_peak(trace: Sequence[int], default: int = 0) -> int:
-    """Peak of a trace, streaming when it is run-length encoded."""
-    if isinstance(trace, RLETrace):
-        return trace.peak(default)
-    return max(trace, default=default)
-
-
-def trace_total(trace: Sequence[int]) -> int:
-    """Sum of a trace, streaming when it is run-length encoded."""
-    if isinstance(trace, RLETrace):
-        return trace.total()
-    return sum(trace)
-
-
 @dataclass
 class ExecutionResult:
     """Outcome and metrics of one simulated execution.
 
-    ``ipc_trace``/``live_trace`` are lazy sequences (normally
-    :class:`RLETrace`); indexing, slicing, iteration and equality
-    behave like lists, and nothing is materialized until asked for.
-    Plain lists are still accepted for hand-built results (and old
-    pickled cache entries).
+    ``ipc_trace``/``live_trace`` are :class:`RLETrace` lazy sequences:
+    indexing, slicing, iteration and equality behave like lists, and
+    nothing is materialized until asked for.
     """
 
     machine: str
@@ -282,8 +267,8 @@ class ExecutionResult:
     cycles: int
     instructions: int
     results: Tuple[object, ...]
-    ipc_trace: Sequence[int]
-    live_trace: Sequence[int]
+    ipc_trace: RLETrace
+    live_trace: RLETrace
     extra: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -298,7 +283,7 @@ class ExecutionResult:
                     "sample_traces=True or record the aggregate"
                 )
             return 0
-        return trace_peak(self.live_trace)
+        return self.live_trace.peak()
 
     @property
     def mean_live(self) -> float:
@@ -312,7 +297,7 @@ class ExecutionResult:
                     "sample_traces=True or record the aggregate"
                 )
             return 0.0
-        return trace_total(self.live_trace) / len(self.live_trace)
+        return self.live_trace.total() / len(self.live_trace)
 
     @property
     def mean_ipc(self) -> float:
@@ -350,9 +335,12 @@ class MetricsRecorder:
     """Incremental per-cycle sampler used by the engines.
 
     ``ipc_trace``/``live_trace`` are :class:`RLETrace` buffers. The
-    tagged, queued and window cycle loops keep these counters in
-    locals instead, append to the traces' run arrays inline and
-    commit everything, trace lengths included, when they exit.
+    datapar engine samples through :meth:`sample` and
+    :meth:`sample_idle`. The tagged, queued and window cycle loops
+    hand off instead: they take the counters and the traces' run
+    arrays into locals (:meth:`counters`), append to the run arrays
+    inline, and write the counters back (:meth:`commit`) before a
+    batched stall, before a deadlock diagnosis and when they exit.
     """
 
     def __init__(self, sample_traces: bool = True):
@@ -391,6 +379,30 @@ class MetricsRecorder:
         if self.sample_traces:
             self.ipc_trace.append_run(0, n_cycles)
             self.live_trace.append_run(live, n_cycles)
+
+    def counters(self) -> Tuple[int, int, int, int,
+                                array, array, array, array]:
+        """A cycle loop's locals: ``(cycles, instructions, peak_live,
+        live_sum, ipc_values, ipc_counts, live_values, live_counts)``.
+        The four arrays are the traces' own runs: the loop appends
+        to them in place, without touching the traces' lengths."""
+        ipc, live = self.ipc_trace, self.live_trace
+        return (self.cycles, self.instructions, self._peak_live,
+                self._live_sum, ipc._values, ipc._counts,
+                live._values, live._counts)
+
+    def commit(self, cycles: int, instructions: int, peak_live: int,
+               live_sum: int) -> None:
+        """Write a cycle loop's counters back. A sampled cycle adds
+        one sample to each trace, so both traces are ``cycles``
+        long."""
+        self.cycles = cycles
+        self.instructions = instructions
+        self._peak_live = peak_live
+        self._live_sum = live_sum
+        if self.sample_traces:
+            self.ipc_trace._length = cycles
+            self.live_trace._length = cycles
 
     def result(self, machine: str, completed: bool,
                results: Tuple[object, ...],

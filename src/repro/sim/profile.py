@@ -42,13 +42,14 @@ The taxonomy, in attribution priority order for zero-fired cycles:
 
 Profiling is strictly opt-in. The tagged, queued and window engines
 each have one cycle loop, shared by kernel and interpreted runs, that
-checks for a profiler at run time: it notes each firing's node, splits
-each busy cycle evenly over the noted nodes, and counts each stall
-reason in a local it adds to :attr:`EngineProfiler.stall_cycles` when
-the loop exits. The vector family has no cycle loop: a profiled
-datapar run interprets, and its item walk books each ticked op right
-after its tick. An unprofiled run pays a ``None`` test per firing and
-per cycle.
+checks for a profiler at run time: it notes each firing's node in
+:attr:`EngineProfiler.noted` and closes each cycle through one of the
+profiler's booking rules. The vector family has no cycle loop: a
+profiled datapar run interprets, and its item walk and lane batches
+close each ticked cycle right after the tick. Batched memory stalls,
+whichever family takes them, book through
+:meth:`EngineProfiler.memory_stall`. An unprofiled run pays a
+``None`` test per firing and per cycle.
 """
 
 from __future__ import annotations
@@ -180,20 +181,23 @@ class RunProfile:
 
 
 class EngineProfiler:
-    """Per-run recorder the engines drive from their cycle loops.
+    """Per-run recorder the engines drive, through one booking rule
+    per kind of cycle:
 
-    The vector engine calls :meth:`fire` (or :meth:`fire_n`) for each
-    firing inside a cycle, then exactly one :meth:`end_cycle` per
-    sampled cycle; the other engines write the tables from their
-    cycle loops directly. Batched memory stalls go through
-    :meth:`idle`, :meth:`idle_memory` or :meth:`memory_stall`. Keys
-    may be any hashable engine-native node identity (int node ids,
-    ``(block, op_id)`` tuples, prebuilt label strings); :meth:`finish`
-    maps them to display labels.
+    * :meth:`end_cycle` closes one cycle with the keys in
+      :attr:`noted`, the firings an engine appended there during it;
+    * :meth:`memory_cycle` books one zero-fire cycle with loads in
+      flight (the queued and window loops);
+    * :meth:`memory_stall` books a batched memory stall (tagged,
+      queued and datapar).
+
+    Keys may be any hashable engine-native node identity (int node
+    ids, ``(block, op_id)`` tuples, prebuilt label strings);
+    :meth:`finish` maps them to display labels.
     """
 
-    __slots__ = ("stall_cycles", "node_fired", "node_cycles",
-                 "_cycle_nodes", "memory_stall_split")
+    __slots__ = ("stall_cycles", "node_fired", "node_cycles", "noted",
+                 "memory_stall_split")
 
     def __init__(self):
         self.stall_cycles: Dict[str, int] = {
@@ -201,67 +205,55 @@ class EngineProfiler:
         }
         self.node_fired: Dict[object, int] = {}
         self.node_cycles: Dict[object, float] = {}
-        self._cycle_nodes: List[object] = []
-        #: Populated only by cache-mode runs (see :meth:`idle_memory`;
-        #: the cycle loops book per-cycle stalls here directly).
+        #: The keys fired in the open cycle, in firing order; engines
+        #: append to it and :meth:`end_cycle` empties it.
+        self.noted: List[object] = []
+        #: Populated only by cache-mode runs.
         self.memory_stall_split: Dict[str, int] = {}
 
-    def fire(self, key: object) -> None:
-        """Record one firing of static node ``key`` this cycle."""
-        self._cycle_nodes.append(key)
-        fired = self.node_fired
-        fired[key] = fired.get(key, 0) + 1
-
-    def fire_n(self, key: object, n: int) -> None:
-        """Record ``n`` co-issued firings of one static node (vector
-        lanes issuing the same body op across iterations)."""
-        self._cycle_nodes.append(key)
-        fired = self.node_fired
-        fired[key] = fired.get(key, 0) + n
-
-    def end_cycle(self, reason: str) -> None:
-        """Close one sampled cycle, attributing it to ``reason``; the
-        cycle is split evenly across the nodes that fired in it."""
+    def end_cycle(self, reason: str, weight: int = 1) -> None:
+        """Close one cycle, attributing it to ``reason``. Each noted
+        key counts ``weight`` firings (a vector batch: its active
+        lanes), and the cycle is split evenly over the noted keys, in
+        order."""
         self.stall_cycles[reason] += 1
-        nodes = self._cycle_nodes
-        if nodes:
-            share = 1.0 / len(nodes)
+        noted = self.noted
+        if noted:
+            share = 1.0 / len(noted)
+            fired = self.node_fired
             cycles = self.node_cycles
-            for key in nodes:
+            for key in noted:
+                fired[key] = fired.get(key, 0) + weight
                 cycles[key] = cycles.get(key, 0.0) + share
-            del nodes[:]
+            del noted[:]
 
-    def idle(self, reason: str, n_cycles: int) -> None:
-        """Record ``n_cycles`` batched zero-fired cycles (the
-        ``sample_idle`` fast-forward path)."""
-        if n_cycles > 0:
-            self.stall_cycles[reason] += n_cycles
-
-    def idle_memory(self, n_cycles: int, miss_cycles: int) -> None:
-        """Batched memory stall with its hit/miss split (cache mode).
-
-        ``miss_cycles`` of the window are attributed to a last-level
-        miss in flight, the rest to slower-level hits; engines clamp
-        ``miss_cycles`` into ``[0, n_cycles]`` before calling.
-        """
-        if n_cycles > 0:
-            self.stall_cycles["memory_stall"] += n_cycles
+    def memory_cycle(self, cycle: int,
+                     miss_until: Optional[List[int]]) -> None:
+        """One zero-fire cycle with loads in flight, the one that
+        brings the run to ``cycle`` cycles. In cache mode
+        (``miss_until`` set) it is a miss while ``cycle`` is at most
+        ``miss_until[0]``, else a hit; only that key is booked."""
+        self.stall_cycles["memory_stall"] += 1
+        if miss_until is not None:
+            key = "miss" if cycle <= miss_until[0] else "hit"
             split = self.memory_stall_split
-            split["miss"] = split.get("miss", 0) + miss_cycles
-            split["hit"] = split.get("hit", 0) + (n_cycles
-                                                 - miss_cycles)
+            split[key] = split.get(key, 0) + 1
 
     def memory_stall(self, start: int, stop: int,
                      miss_until: Optional[List[int]]) -> None:
         """A batched memory stall over cycles ``[start, stop)``. In
         cache mode (``miss_until`` set) its cycles before
-        ``miss_until[0]`` are misses, the rest hits."""
+        ``miss_until[0]`` are misses and the rest hits; both keys are
+        booked, zeros included."""
         n_cycles = stop - start
-        if miss_until is None:
-            self.idle("memory_stall", n_cycles)
-        else:
-            miss = min(stop, miss_until[0]) - start
-            self.idle_memory(n_cycles, max(0, min(n_cycles, miss)))
+        if n_cycles <= 0:
+            return
+        self.stall_cycles["memory_stall"] += n_cycles
+        if miss_until is not None:
+            miss = max(0, min(stop, miss_until[0]) - start)
+            split = self.memory_stall_split
+            split["miss"] = split.get("miss", 0) + miss
+            split["hit"] = split.get("hit", 0) + (n_cycles - miss)
 
     def finish(self, machine: str, cycles: int, instructions: int,
                label_of: Optional[Callable[[object], str]] = None

@@ -169,17 +169,23 @@ class QueuedEngine(Engine):
         Each cycle makes last cycle's pushes visible, delivers matured
         load responses, then tries each candidate node in ascending id
         order, up to ``issue_width`` firings, and samples IPC and live
-        tokens. The recorder's counters live in locals, with the RLE
-        trace appends inlined, and are committed in the ``finally``.
-        ``metrics.cycles`` is synced every cycle when loads can be
-        delayed (the load rules read it), and committed and reloaded
-        around :meth:`_stall_for_memory`, which mutates the recorder.
+        tokens. The recorder's counters live in locals
+        (:meth:`MetricsRecorder.counters`), with the RLE trace appends
+        inlined, and are committed in the ``finally``, so a raising
+        run leaves the same counts. ``metrics.cycles`` is synced every
+        cycle when loads can be delayed (the load rules read it). The
+        counters are committed before :meth:`_stall_for_memory`,
+        which samples the stall through the recorder, and reloaded
+        after it.
 
-        A profiled run notes each firing's node, splits each busy cycle
-        evenly over the noted nodes, and counts the other cycles per
-        reason. ``width_limited`` is an approximation here: a
-        budget-skipped candidate is only re-checked next cycle, so it
-        may turn out not to have been fireable.
+        A profiled run notes each firing's node and closes each cycle
+        through one of the profiler's booking rules: a zero-fire cycle
+        with loads in flight through
+        :meth:`EngineProfiler.memory_cycle`, any other through
+        :meth:`EngineProfiler.end_cycle`. ``width_limited`` is an
+        approximation here: a budget-skipped candidate is only
+        re-checked next cycle, so it may turn out not to have been
+        fireable.
 
         An interpreted run with kernels pending hands off to them at
         the end of the cycle that brings its instructions to
@@ -204,24 +210,16 @@ class QueuedEngine(Engine):
         due_box = self._due_box
         sync = self._rule == TIMED
         sample_traces = metrics.sample_traces
-        ipc_vals = metrics.ipc_trace._values
-        ipc_counts = metrics.ipc_trace._counts
-        live_vals = metrics.live_trace._values
-        live_counts = metrics.live_trace._counts
-        cycles = metrics.cycles
-        instructions = metrics.instructions
-        peak_live = metrics._peak_live
-        live_sum = metrics._live_sum
+        commit = metrics.commit
+        (cycles, instructions, peak_live, live_sum,
+         ipc_vals, ipc_counts, live_vals, live_counts) = metrics.counters()
         prof = self._profiler
         if prof is not None:
-            noted: List[int] = []
-            note = noted.append
-            node_fired = prof.node_fired
-            node_cycles = prof.node_cycles
-            split = prof.memory_stall_split
+            note = prof.noted.append
+            end_cycle = prof.end_cycle
+            memory_cycle = prof.memory_cycle
             miss_until = self._miss_until if self._cache is not None \
                 else None
-        n_fired = n_width_limited = n_waiting = n_memory = 0
         try:
             while True:
                 # Deterministic order: ascending node id.
@@ -284,19 +282,12 @@ class QueuedEngine(Engine):
                 if fired == 0 and not nc:
                     if inflight:
                         # Memory in flight: skip to its first due cycle.
-                        metrics.cycles = cycles
-                        metrics.instructions = instructions
-                        metrics._peak_live = peak_live
-                        metrics._live_sum = live_sum
-                        before = cycles
+                        commit(cycles, instructions, peak_live, live_sum)
                         try:
                             self._stall_for_memory()
                         finally:
-                            cycles = metrics.cycles
-                            peak_live = metrics._peak_live
-                            live_sum = metrics._live_sum
-                        if prof is not None:
-                            prof.memory_stall(before, cycles, miss_until)
+                            (cycles, instructions, peak_live,
+                             live_sum) = metrics.counters()[:4]
                         continue
                     if livebox[0] == 0:
                         return True
@@ -306,32 +297,18 @@ class QueuedEngine(Engine):
                 instructions += fired
                 if prof is not None:
                     if fired:
-                        if width_limited:
-                            n_width_limited += 1
-                        else:
-                            n_fired += 1
-                        share = 1.0 / len(noted)
-                        for key in noted:
-                            node_fired[key] = node_fired.get(key, 0) + 1
-                            node_cycles[key] = (node_cycles.get(key, 0.0)
-                                                + share)
-                        del noted[:]
+                        end_cycle("width_limited" if width_limited
+                                  else "fired")
                     elif not inflight:
-                        n_waiting += 1
+                        end_cycle("waiting_operands")
                     else:
-                        n_memory += 1
-                        if miss_until is not None:
-                            key = "miss" if cycles <= miss_until[0] \
-                                else "hit"
-                            split[key] = split.get(key, 0) + 1
+                        memory_cycle(cycles, miss_until)
                 if fired:
                     idle_streak = 0
                 elif not inflight:
                     # A cycle waiting on memory is not a wedged one.
                     idle_streak += 1
                     if idle_streak >= wd_horizon:
-                        metrics.cycles = cycles
-                        metrics.instructions = instructions
                         self._raise_deadlock(watchdog=idle_streak)
                 if live > peak_live:
                     peak_live = live
@@ -360,19 +337,7 @@ class QueuedEngine(Engine):
                     self._hand_off()
                     try_fns = tuple(self._try_fire_fns)
         finally:
-            metrics.cycles = cycles
-            metrics.instructions = instructions
-            metrics._peak_live = peak_live
-            metrics._live_sum = live_sum
-            if sample_traces:
-                metrics.ipc_trace._length = cycles
-                metrics.live_trace._length = cycles
-            if prof is not None:
-                stalls = prof.stall_cycles
-                stalls["fired"] += n_fired
-                stalls["width_limited"] += n_width_limited
-                stalls["waiting_operands"] += n_waiting
-                stalls["memory_stall"] += n_memory
+            commit(cycles, instructions, peak_live, live_sum)
 
     def _stall_for_memory(self) -> None:
         """Idle until the earliest in-flight load response matures.
@@ -380,16 +345,21 @@ class QueuedEngine(Engine):
         Equivalent to sampling ``(0, live)`` once per stalled cycle,
         but batched; unlike the original per-cycle loop it enforces
         ``max_cycles``, so a simulation can no longer spin past its
-        cycle budget inside a memory stall.
+        cycle budget inside a memory stall. A profiled stall that
+        returns books itself (:meth:`EngineProfiler.memory_stall`).
         """
         metrics = self.metrics
-        due = self._due_box[0]
-        stop = min(due, self.max_cycles)
-        metrics.sample_idle(self._livebox[0], stop - metrics.cycles)
+        start = metrics.cycles
+        stop = min(self._due_box[0], self.max_cycles)
+        metrics.sample_idle(self._livebox[0], stop - start)
         if metrics.cycles >= self.max_cycles:
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
+        if self._profiler is not None:
+            self._profiler.memory_stall(
+                start, metrics.cycles,
+                self._miss_until if self._cache is not None else None)
 
     def _raise_deadlock(self, watchdog: "int | None" = None) -> None:
         stuck = []

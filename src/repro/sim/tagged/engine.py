@@ -255,22 +255,23 @@ class TaggedEngine(Engine):
         events, whose tokens wait in ``_pending`` for the next
         cycle's deposits, moves the loads due this cycle there too,
         and samples IPC and live tokens. The recorder's counters live
-        in locals, with the RLE trace appends inlined, and are
-        committed in the ``finally``, so a raising run leaves the same
-        counts. ``metrics.cycles`` is synced every cycle when a firing
-        reads it: delayed loads schedule their due cycle from it, and
-        traces stamp events with it. It is committed and reloaded
-        around :meth:`_stall_for_memory`, which reads and mutates the
-        recorder.
+        in locals (:meth:`MetricsRecorder.counters`), with the RLE
+        trace appends inlined, and are committed before a memory stall,
+        before a deadlock diagnosis and in the ``finally``, so a
+        raising run leaves the same counts. ``metrics.cycles`` is
+        synced every cycle when a firing reads it: delayed loads
+        schedule their due cycle from it, and traces stamp events with
+        it. The counters are reloaded after :meth:`_stall_for_memory`,
+        which samples the stall through the recorder.
 
         An occupancy-tracked run counts the pending tokens into their
         blocks' store occupancy before they deposit
         (:meth:`_count_stores`).
 
-        A profiled run notes each firing's node, splits each busy cycle
-        evenly over the noted nodes, and counts the other cycles per
-        reason: a cycle that fires nothing popped only failed
-        allocates, so it is ``tag_starved``.
+        A profiled run notes each firing's node and closes each cycle
+        through :meth:`EngineProfiler.end_cycle`: a cycle that fires
+        nothing popped only failed allocates, so it is
+        ``tag_starved``.
 
         An interpreted run with kernels pending hands off to them at
         the end of the cycle that brings its instructions to
@@ -301,23 +302,13 @@ class TaggedEngine(Engine):
         idle_streak = 0
         sync = self._rule == TIMED or self.trace is not None
         sample_traces = metrics.sample_traces
-        ipc_vals = metrics.ipc_trace._values
-        ipc_counts = metrics.ipc_trace._counts
-        live_vals = metrics.live_trace._values
-        live_counts = metrics.live_trace._counts
-        cycles = metrics.cycles
-        instructions = metrics.instructions
-        peak_live = metrics._peak_live
-        live_sum = metrics._live_sum
+        commit = metrics.commit
+        (cycles, instructions, peak_live, live_sum,
+         ipc_vals, ipc_counts, live_vals, live_counts) = metrics.counters()
         prof = self._profiler
         if prof is not None:
-            noted: List[int] = []
-            note = noted.append
-            node_fired = prof.node_fired
-            node_cycles = prof.node_cycles
-            miss_until = self._miss_until if self._cache is not None \
-                else None
-        n_fired = n_width_limited = n_tag_starved = 0
+            note = prof.noted.append
+            end_cycle = prof.end_cycle
         try:
             while True:
                 if pending:
@@ -355,24 +346,16 @@ class TaggedEngine(Engine):
                 if not ready:
                     if delayed:
                         # Memory in flight: skip to its first due cycle.
-                        metrics.cycles = cycles
-                        metrics.instructions = instructions
-                        metrics._peak_live = peak_live
-                        metrics._live_sum = live_sum
-                        before = cycles
+                        commit(cycles, instructions, peak_live, live_sum)
                         try:
                             self._stall_for_memory()
                         finally:
-                            cycles = metrics.cycles
-                            peak_live = metrics._peak_live
-                            live_sum = metrics._live_sum
-                        if prof is not None:
-                            prof.memory_stall(before, cycles, miss_until)
+                            (cycles, instructions, peak_live,
+                             live_sum) = metrics.counters()[:4]
                         continue
                     if self._is_finished():
                         return True
-                    metrics.cycles = cycles
-                    metrics.instructions = instructions
+                    commit(cycles, instructions, peak_live, live_sum)
                     self._raise_deadlock()
                 fired = 0
                 budget = issue_width
@@ -396,29 +379,21 @@ class TaggedEngine(Engine):
                 cycles += 1
                 instructions += fired
                 if prof is not None:
-                    if fired:
+                    if not fired:
+                        end_cycle("tag_starved")
+                    elif budget == 0 and ready:
                         # Firing adds nothing to the queue: what is
                         # left is what the width held back.
-                        if budget == 0 and ready:
-                            n_width_limited += 1
-                        else:
-                            n_fired += 1
-                        share = 1.0 / len(noted)
-                        for key in noted:
-                            node_fired[key] = node_fired.get(key, 0) + 1
-                            node_cycles[key] = (node_cycles.get(key, 0.0)
-                                                + share)
-                        del noted[:]
+                        end_cycle("width_limited")
                     else:
-                        n_tag_starved += 1
+                        end_cycle("fired")
                 if fired:
                     idle_streak = 0
                 elif not delayed:
                     # A cycle waiting on memory is not a wedged one.
                     idle_streak += 1
                     if idle_streak >= wd_horizon:
-                        metrics.cycles = cycles
-                        metrics.instructions = instructions
+                        commit(cycles, instructions, peak_live, live_sum)
                         self._raise_deadlock(watchdog=idle_streak)
                 if live > peak_live:
                     peak_live = live
@@ -453,18 +428,7 @@ class TaggedEngine(Engine):
                     self._hand_off()
                     fire_fns = self._fire_fns
         finally:
-            metrics.cycles = cycles
-            metrics.instructions = instructions
-            metrics._peak_live = peak_live
-            metrics._live_sum = live_sum
-            if sample_traces:
-                metrics.ipc_trace._length = cycles
-                metrics.live_trace._length = cycles
-            if prof is not None:
-                stalls = prof.stall_cycles
-                stalls["fired"] += n_fired
-                stalls["width_limited"] += n_width_limited
-                stalls["tag_starved"] += n_tag_starved
+            commit(cycles, instructions, peak_live, live_sum)
 
     def _stall_for_memory(self) -> None:
         """Idle until the earliest in-flight load response matures,
@@ -473,9 +437,12 @@ class TaggedEngine(Engine):
         Equivalent to sampling ``(0, live)`` once per stalled cycle,
         but batched; like the per-cycle loop it enforces
         ``max_cycles`` and the Theorem-2 token bound, so a simulation
-        cannot spin past its cycle budget inside a memory stall.
+        cannot spin past its cycle budget inside a memory stall. A
+        profiled stall that returns books itself
+        (:meth:`EngineProfiler.memory_stall`).
         """
         metrics = self.metrics
+        start = metrics.cycles
         due = min(self._delayed)
         live = self._livebox[0]
         if self.max_cycles <= due:
@@ -494,6 +461,10 @@ class TaggedEngine(Engine):
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
+        if self._profiler is not None:
+            self._profiler.memory_stall(
+                start, metrics.cycles,
+                self._miss_until if self._cache is not None else None)
 
     # ------------------------------------------------------------------
     def _is_finished(self) -> bool:

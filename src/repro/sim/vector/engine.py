@@ -35,13 +35,12 @@ import math
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
 from repro.sim.codegen.core import NO_HANDOFF
 from repro.sim.engine import MAX_CYCLES, Engine
 from repro.sim.memory import Memory
-from repro.sim.watchdog import watchdog_horizon
 from repro.sim.vector.analysis import VectorInfo
 from repro.sim.vector.plan import (
     VecBlockPlan,
@@ -159,50 +158,35 @@ class DataParallelEngine(Engine):
                            miss: bool) -> None:
         """Fast-forward ``n_cycles`` of scalar-load latency in O(1).
 
-        Exactly equivalent to ``n_cycles`` calls of ``_tick(0, live)``
-        (the old per-cycle spin), including where the ``max_cycles``
-        overflow raises mid-stall: the spin raised after sampling the
-        ``max_cycles + 1``-th cycle, with that final cycle sampled but
-        not yet attributed by the profiled tick.
+        Exactly equivalent to ``n_cycles`` calls of ``_tick(0, live)``,
+        including where the ``max_cycles`` overflow raises mid-stall:
+        after sampling cycle ``max_cycles + 1``, which a profiled run
+        leaves unbooked, as a profiled tick does.
 
-        ``miss`` classifies the stall for the cache-mode profiler
-        split (the vector machine stalls synchronously, so the whole
-        window belongs to the one probe that caused it).
+        ``miss`` says a last-level miss caused the stall. The vector
+        machine stalls synchronously, so the whole stall belongs to
+        the one probe that caused it: a miss moves the miss box to the
+        stall's end, and the cache-mode profiler books the stall all
+        miss or all hit.
         """
         if n_cycles <= 0:
             return
-        if n_cycles >= watchdog_horizon(self.max_cycles):
-            # The data-parallel machine executes depth-first, so it
-            # cannot quiesce with live work the way the token machines
-            # can; the one wedge shape left is a nonsensical stall
-            # request (corrupted due-cycle bookkeeping). Real stall
-            # lengths are bounded by the configured worst-case load
-            # latency, orders of magnitude under the horizon.
-            raise DeadlockError(
-                f"datapar machine stalled (progress watchdog: one "
-                f"load stall of {n_cycles} cycles exceeds the "
-                f"{watchdog_horizon(self.max_cycles)}-cycle horizon)"
-            )
         metrics = self.metrics
+        start = metrics.cycles
+        stop = min(start + n_cycles, self.max_cycles + 1)
+        metrics.sample_idle(live, stop - start)
+        overflow = stop > self.max_cycles
         prof = self._profiler
-        allowed = self.max_cycles + 1 - metrics.cycles
-        if n_cycles >= allowed:
-            metrics.sample_idle(live, allowed)
-            if prof is not None:
-                if self._cache is None:
-                    prof.idle("memory_stall", allowed - 1)
-                else:
-                    prof.idle_memory(allowed - 1,
-                                     allowed - 1 if miss else 0)
+        if prof is not None:
+            if miss:
+                self._miss_until[0] = stop
+            prof.memory_stall(
+                start, stop - 1 if overflow else stop,
+                self._miss_until if self._cache is not None else None)
+        if overflow:
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
-        metrics.sample_idle(live, n_cycles)
-        if prof is not None:
-            if self._cache is None:
-                prof.idle("memory_stall", n_cycles)
-            else:
-                prof.idle_memory(n_cycles, n_cycles if miss else 0)
 
     def _exec_block(self, plan: VecBlockPlan,
                     args: List[object]) -> List[object]:
@@ -273,7 +257,7 @@ class DataParallelEngine(Engine):
             if block is not None:
                 self._tick(1, live)
                 if prof is not None:
-                    prof.fire(f"{op.value}@{block}#{item.op_id}")
+                    prof.noted.append(f"{op.value}@{block}#{item.op_id}")
                     prof.end_cycle("fired")
             if info is not None:
                 env[outs[0]] = info.evaluate(*[env[s] for s in ins])
@@ -366,8 +350,8 @@ class DataParallelEngine(Engine):
             for _ in range(body):
                 tick(active, live)
                 if prof is not None:
-                    prof.fire_n(key, active)
-                    prof.end_cycle(reason)
+                    prof.noted.append(key)
+                    prof.end_cycle(reason, active)
             remaining -= active
         # Reduction tree across lanes per reduction carry.
         n_reductions = sum(1 for r in info.roles
@@ -380,6 +364,6 @@ class DataParallelEngine(Engine):
             for _ in range(depth * n_reductions):
                 tick(fired, width)
                 if prof is not None:
-                    prof.fire_n(key, fired)
-                    prof.end_cycle("fired")
+                    prof.noted.append(key)
+                    prof.end_cycle("fired", fired)
         return results

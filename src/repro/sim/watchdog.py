@@ -18,8 +18,10 @@ Which zero-fire cycles count depends on the family's loop:
   firing, retire or fetch progress, and trip once the streak reaches
   the horizon with no load in flight, or with one whose due cycle has
   already passed (stale bookkeeping);
-* datapar runs depth-first and cannot spin this way; it trips when one
-  load stall alone would reach the horizon.
+* datapar runs depth-first and cannot spin this way, so it has no
+  watchdog. A load stall lasts the timing model's delay minus one
+  cycle, and ``max_cycles`` bounds it, as it bounds tagged and
+  ordered, which never count a cycle waiting on memory either.
 
 The horizon is far beyond any legitimate zero-fire stretch (memory
 stalls are bounded by the worst-case load latency, on the order of

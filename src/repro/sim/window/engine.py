@@ -205,13 +205,16 @@ class WindowEngine(Engine):
         cycle), then samples IPC and live tokens. Window machines fire
         about one instruction per cycle (vN exactly one), so per-cycle
         overhead bounds host speed: the recorder's counters live in
-        locals, with the RLE trace appends inlined, and are committed
-        in the ``finally``. ``metrics.cycles`` is synced every cycle
-        when loads can be delayed (the load rules read it).
+        locals (:meth:`MetricsRecorder.counters`), with the RLE trace
+        appends inlined, and are committed in the ``finally``.
+        ``metrics.cycles`` is synced every cycle when loads can be
+        delayed (the load rules read it).
 
-        A profiled run notes each firing's ``(block, op_id)``, splits
-        each busy cycle evenly over the noted ops, and counts the
-        other cycles per reason.
+        A profiled run notes each firing's ``(block, op_id)`` and
+        closes each cycle through one of the profiler's booking rules:
+        a zero-fire cycle with loads in flight through
+        :meth:`EngineProfiler.memory_cycle` (one stalled cycle at a
+        time), any other through :meth:`EngineProfiler.end_cycle`.
 
         An interpreted run with kernels pending hands off to them at
         the end of the cycle that brings its instructions to
@@ -237,24 +240,15 @@ class WindowEngine(Engine):
         idle_streak = 0
         sync = self._rule == TIMED
         sample_traces = metrics.sample_traces
-        ipc_vals = metrics.ipc_trace._values
-        ipc_counts = metrics.ipc_trace._counts
-        live_vals = metrics.live_trace._values
-        live_counts = metrics.live_trace._counts
-        cycles = metrics.cycles
-        instructions = metrics.instructions
-        peak_live = metrics._peak_live
-        live_sum = metrics._live_sum
+        (cycles, instructions, peak_live, live_sum,
+         ipc_vals, ipc_counts, live_vals, live_counts) = metrics.counters()
         prof = self._profiler
         if prof is not None:
-            noted: List[Tuple[str, int]] = []
-            note = noted.append
-            node_fired = prof.node_fired
-            node_cycles = prof.node_cycles
-            split = prof.memory_stall_split
+            note = prof.noted.append
+            end_cycle = prof.end_cycle
+            memory_cycle = prof.memory_cycle
             miss_until = self._miss_until if self._cache is not None \
                 else None
-        n_fired = n_width_limited = n_memory = n_waiting = n_idle = 0
         try:
             while True:
                 # Issue: fire ready ops up to the shared width.
@@ -355,8 +349,6 @@ class WindowEngine(Engine):
                         # Quiesced but live for the whole horizon, or
                         # waiting on a load whose due cycle already
                         # passed (stale bookkeeping): wedged either way.
-                        metrics.cycles = cycles
-                        metrics.instructions = instructions
                         self._raise_deadlock(watchdog=idle_streak)
                     if not delayed:
                         if self._is_finished():
@@ -371,26 +363,14 @@ class WindowEngine(Engine):
                 live = livebox[0]
                 if prof is not None:
                     if fired:
-                        if width_limited:
-                            n_width_limited += 1
-                        else:
-                            n_fired += 1
-                        share = 1.0 / len(noted)
-                        for key in noted:
-                            node_fired[key] = node_fired.get(key, 0) + 1
-                            node_cycles[key] = (node_cycles.get(key, 0.0)
-                                                + share)
-                        del noted[:]
+                        end_cycle("width_limited" if width_limited
+                                  else "fired")
                     elif delayed:
-                        n_memory += 1
-                        if miss_until is not None:
-                            key = "miss" if cycles <= miss_until[0] \
-                                else "hit"
-                            split[key] = split.get(key, 0) + 1
+                        memory_cycle(cycles, miss_until)
                     elif live > 0:
-                        n_waiting += 1
+                        end_cycle("waiting_operands")
                     else:
-                        n_idle += 1
+                        end_cycle("idle")
                 if live > peak_live:
                     peak_live = live
                 live_sum += live
@@ -419,20 +399,7 @@ class WindowEngine(Engine):
                     handoff = NO_HANDOFF
                     self._hand_off()
         finally:
-            metrics.cycles = cycles
-            metrics.instructions = instructions
-            metrics._peak_live = peak_live
-            metrics._live_sum = live_sum
-            if sample_traces:
-                metrics.ipc_trace._length = cycles
-                metrics.live_trace._length = cycles
-            if prof is not None:
-                stalls = prof.stall_cycles
-                stalls["fired"] += n_fired
-                stalls["width_limited"] += n_width_limited
-                stalls["memory_stall"] += n_memory
-                stalls["waiting_operands"] += n_waiting
-                stalls["idle"] += n_idle
+            metrics.commit(cycles, instructions, peak_live, live_sum)
 
     def _is_finished(self) -> bool:
         return (not self._stack and not self._retire

@@ -6,12 +6,12 @@ import pytest
 
 from repro.harness import ascii_plots as plots
 from repro.harness import results as agg
-from repro.sim.metrics import ExecutionResult
+from repro.sim.metrics import ExecutionResult, RLETrace
 
 
 def make_result(cycles, peak):
-    return ExecutionResult("m", True, cycles, cycles, (), [1] * cycles,
-                           [peak] * cycles)
+    return ExecutionResult("m", True, cycles, cycles, (),
+                           RLETrace([1] * cycles), RLETrace([peak] * cycles))
 
 
 def test_gmean():
@@ -42,7 +42,7 @@ def test_state_reduction_vs():
 
 
 def test_ipc_cdf_monotone():
-    points = agg.histogram_cdf(agg.trace_histogram([1, 1, 2, 4, 4, 4]))
+    points = agg.histogram_cdf(RLETrace([1, 1, 2, 4, 4, 4]).histogram())
     xs = [p[0] for p in points]
     fracs = [p[1] for p in points]
     assert xs == sorted(xs)
@@ -54,20 +54,16 @@ def test_ipc_cdf_monotone():
 def test_downsample_preserves_peaks():
     trace = [0] * 1000
     trace[513] = 99
-    ds = agg.downsample(trace, 50)
+    ds = RLETrace(trace).downsample(50)
     assert len(ds) == 50
     assert max(ds) == 99
-    assert agg.downsample([1, 2], 50) == [1, 2]
+    assert RLETrace([1, 2]).downsample(50) == [1, 2]
 
 
 def test_downsample_rejects_nonpositive_points():
-    from repro.sim.metrics import RLETrace
-
     for n_points in (0, -3):
         with pytest.raises(ValueError, match="n_points"):
-            agg.downsample([1, 2, 3], n_points)
-        with pytest.raises(ValueError, match="n_points"):
-            agg.downsample(RLETrace([1] * 500), n_points)
+            RLETrace([1] * 500).downsample(n_points)
         with pytest.raises(ValueError, match="n_points"):
             RLETrace([1, 2, 3]).downsample(n_points)
 

@@ -39,6 +39,7 @@ from repro.frontend.dsl import load, v
 from repro.frontend.lower import lower_module
 from repro.harness.runner import run_program
 from repro.sim.codegen import core as codegen_core
+from repro.sim.engine import Engine
 from repro.sim.latency import load_delay
 from repro.sim.memory import Memory
 
@@ -207,8 +208,8 @@ def _slow_index(latency, array="A", min_delay=50):
     pytest.fail("no slow index found; latency model changed?")
 
 
-@pytest.mark.parametrize("machine", ["tyr", "ordered"])
-def test_stalled_load_respects_max_cycles(machine):
+@pytest.mark.parametrize("machine", ["tyr", "ordered", "datapar"])
+def test_stalled_load_respects_max_cycles(machine, monkeypatch):
     latency = 64
     idx, delay = _slow_index(latency)
     program = lower_module(_one_load_module())
@@ -224,9 +225,24 @@ def test_stalled_load_respects_max_cycles(machine):
     # must raise -- the seed engines would silently run to completion.
     budget = fast.cycles + 5
     assert budget < fast.cycles + delay - 1
+    engines = []
+    run = Engine.run
+
+    def spy(engine, args):
+        engines.append(engine)
+        return run(engine, args)
+
+    monkeypatch.setattr(Engine, "run", spy)
     with pytest.raises(SimulationError, match="max_cycles"):
         run_program(program, machine, Memory({"A": list(values)}),
                     [idx], load_latency=latency, max_cycles=budget)
+    # The run raised inside the stall with the stall's cycles sampled
+    # and committed (datapar, like its per-op tick, samples cycle
+    # max_cycles + 1 first): both traces are as long as the run.
+    metrics = engines[-1].metrics
+    assert metrics.cycles == budget + (machine == "datapar")
+    assert len(metrics.ipc_trace) == len(metrics.live_trace) \
+        == metrics.cycles
 
     # Sanity: the same run with enough budget completes, and really
     # did need more cycles than the cut-off budget above.

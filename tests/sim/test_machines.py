@@ -286,23 +286,35 @@ def test_engine_rejects_a_wrong_argument_count(engine):
         gc.enable()
 
 
-@pytest.mark.parametrize("slack", [-1, 0], ids=["N-1", "N"])
+#: A cache whose misses stall a load for 299 cycles, longer than the
+#: watchdog's 256-cycle floor at the budgets below.
+_SLOW_MISSES = "line=4,miss=300,l1=4x2x1"
+
+
+@pytest.mark.parametrize("slack, workload, cache", [
+    pytest.param(-1, "dmv", None, id="N-1"),
+    pytest.param(0, "dmv", None, id="N"),
+    pytest.param(-1, "smv", _SLOW_MISSES, id="N-1-smv-miss300"),
+    pytest.param(0, "smv", _SLOW_MISSES, id="N-smv-miss300"),
+])
 @pytest.mark.parametrize("machine", [
     "vn", "ooo", "seqdf", "ordered", "unordered", "tyr", "kbounded",
     "datapar",
 ])
-def test_max_cycles_admits_a_run_that_fits(machine, slack):
+def test_max_cycles_admits_a_run_that_fits(machine, slack, workload,
+                                           cache):
     """``max_cycles`` is a budget of simulated cycles: a run needing N
     completes with ``max_cycles=N``, with the same numbers as an
-    unbounded run, and raises with ``max_cycles=N-1``."""
-    wl = build_workload("dmv", "tiny")
-    free = wl.run_checked(machine)
+    unbounded run, and raises with ``max_cycles=N-1``. A long load
+    stall is not a deadlock at a small budget either (smv's misses)."""
+    wl = build_workload(workload, "tiny")
+    free = wl.run_checked(machine, cache=cache)
     budget = free.cycles + slack
     if slack < 0:
         with pytest.raises(SimulationError,
                            match=f"exceeded max_cycles={budget}$"):
-            wl.run(machine, max_cycles=budget)
+            wl.run(machine, max_cycles=budget, cache=cache)
         return
-    res = wl.run_checked(machine, max_cycles=budget)
+    res = wl.run_checked(machine, max_cycles=budget, cache=cache)
     assert (res.cycles, res.instructions, res.peak_live, res.results) == \
         (free.cycles, free.instructions, free.peak_live, free.results)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MemoryError_, MetricsUnavailable
 from repro.sim.memory import Memory
-from repro.sim.metrics import ExecutionResult, MetricsRecorder
+from repro.sim.metrics import ExecutionResult, MetricsRecorder, RLETrace
 
 
 def test_memory_bind_load_store():
@@ -71,7 +71,7 @@ def test_recorder_without_traces_keeps_aggregates():
 
 
 def test_empty_result_defaults():
-    res = ExecutionResult("m", False, 0, 0, (), [], [])
+    res = ExecutionResult("m", False, 0, 0, (), RLETrace(), RLETrace())
     assert res.peak_live == 0
     assert res.mean_live == 0.0
     assert res.mean_ipc == 0.0
@@ -81,7 +81,7 @@ def test_empty_result_defaults():
 def test_unsampled_live_metrics_raise():
     """A hand-built result with cycles but neither traces nor extra
     fallbacks must refuse to report live state, not claim zero."""
-    res = ExecutionResult("m", True, 10, 10, (), [], [])
+    res = ExecutionResult("m", True, 10, 10, (), RLETrace(), RLETrace())
     with pytest.raises(MetricsUnavailable):
         res.peak_live
     with pytest.raises(MetricsUnavailable):

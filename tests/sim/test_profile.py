@@ -144,16 +144,15 @@ def test_tagged_zero_fire_cycles_attributed(codegen, bind_at_construction):
 # ----------------------------------------------------------------------
 def test_engine_profiler_attribution():
     prof = EngineProfiler()
-    prof.fire("a")
-    prof.fire("b")
+    prof.noted += ["a", "b"]
     prof.end_cycle("fired")           # split 0.5/0.5
-    prof.fire("a")
+    prof.noted.append("a")
     prof.end_cycle("width_limited")   # a += 1.0
     prof.end_cycle("tag_starved")     # zero-fired cycle
-    prof.idle("memory_stall", 3)
-    prof.idle("memory_stall", 0)      # no-op
-    prof.fire_n("v", 8)
-    prof.end_cycle("fired")
+    prof.memory_stall(0, 3, None)     # a batched stall of 3 cycles
+    prof.memory_stall(3, 3, None)     # no-op
+    prof.noted.append("v")
+    prof.end_cycle("fired", 8)        # 8 lanes co-issue one op
     run = prof.finish("test", cycles=7, instructions=11)
     assert run.stall_cycles == {
         "fired": 2, "waiting_operands": 0, "tag_starved": 1,
@@ -165,18 +164,79 @@ def test_engine_profiler_attribution():
     assert run.node_cycles["v"] == pytest.approx(1.0)
     assert run.busy_cycles == 3
     assert run.stall_breakdown()[0] == ("fired", 2)
+    assert run.memory_stall_split == {}
 
 
 def test_engine_profiler_label_merging():
     prof = EngineProfiler()
-    prof.fire(1)
+    prof.noted.append(1)
     prof.end_cycle("fired")
-    prof.fire(2)
+    prof.noted.append(2)
     prof.end_cycle("fired")
     run = prof.finish("test", cycles=2, instructions=2,
                       label_of=lambda nid: "same")
     assert run.node_fired == {"same": 2}
     assert run.node_cycles["same"] == pytest.approx(2.0)
+
+
+def test_memory_cycle_books_only_its_own_key():
+    """One zero-fire cycle with loads in flight (the queued and window
+    loops) books only the hit/miss key it lands on, which is why the
+    window family's golden cache records hold no ``hit`` key."""
+    prof = EngineProfiler()
+    miss_until = [2]
+    prof.memory_cycle(1, miss_until)
+    prof.memory_cycle(2, miss_until)  # the last cycle the miss covers
+    assert prof.memory_stall_split == {"miss": 2}
+    prof.memory_cycle(3, miss_until)
+    assert prof.memory_stall_split == {"miss": 2, "hit": 1}
+    assert prof.stall_cycles["memory_stall"] == 3
+
+    no_cache = EngineProfiler()
+    no_cache.memory_cycle(1, None)
+    assert no_cache.stall_cycles["memory_stall"] == 1
+    assert no_cache.memory_stall_split == {}
+
+
+def test_memory_stall_books_both_keys():
+    """A batched stall (tagged, queued, datapar) books both hit/miss
+    keys, zeros included, in ``miss``, ``hit`` order; an empty stall
+    books nothing."""
+    prof = EngineProfiler()
+    prof.memory_stall(10, 14, [0])    # past the miss box: all hits
+    assert prof.memory_stall_split == {"miss": 0, "hit": 4}
+    prof.memory_stall(20, 25, [23])   # cycles 20-22 miss, 23-24 hit
+    assert prof.memory_stall_split == {"miss": 3, "hit": 6}
+    prof.memory_stall(30, 32, [40])   # all misses
+    prof.memory_stall(40, 40, [50])   # empty
+    assert prof.memory_stall_split == {"miss": 5, "hit": 6}
+    assert list(prof.memory_stall_split) == ["miss", "hit"]
+    assert prof.stall_cycles["memory_stall"] == 11
+
+    misses_only = EngineProfiler()
+    misses_only.memory_stall(0, 3, [10])
+    assert misses_only.memory_stall_split == {"miss": 3, "hit": 0}
+
+    no_cache = EngineProfiler()
+    no_cache.memory_stall(0, 5, None)
+    assert no_cache.stall_cycles["memory_stall"] == 5
+    assert no_cache.memory_stall_split == {}
+
+
+@pytest.mark.parametrize("miss_until", [0, 3, 4, 6, 8, 9])
+def test_memory_rules_split_cycles_alike(miss_until):
+    """Booked a cycle at a time or as one batch, the same stalled
+    cycles split the same way; the rules differ only in the zero keys
+    they insert."""
+    batched = EngineProfiler()
+    batched.memory_stall(3, 8, [miss_until])
+    per_cycle = EngineProfiler()
+    for cycle in range(4, 9):  # the cycles that bring the run to 4..8
+        per_cycle.memory_cycle(cycle, [miss_until])
+    assert batched.stall_cycles == per_cycle.stall_cycles
+    for key in ("miss", "hit"):
+        assert (batched.memory_stall_split[key]
+                == per_cycle.memory_stall_split.get(key, 0))
 
 
 def test_validate_rejects_lost_cycles():
