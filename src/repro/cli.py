@@ -23,7 +23,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.experiments import EXPERIMENTS, get_experiment
 from repro.harness.pool import RunOptions
 from repro.harness.runlog import RunLog
-from repro.harness.runner import MACHINES
+from repro.harness.runner import MACHINES, PAPER_SYSTEMS
 from repro.workloads import WORKLOAD_NAMES, build_workload, paper_parameters
 from repro.workloads.registry import EXTRA_WORKLOADS, SCALES
 
@@ -460,7 +460,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run" and not args.machine:
-        args.machine = ["vn", "seqdf", "ordered", "unordered", "tyr"]
+        args.machine = list(PAPER_SYSTEMS)
     try:
         if args.command == "list":
             return _cmd_list(args)

@@ -1,5 +1,6 @@
-"""Experiment harness: runners, sweeps, aggregation, and one driver per
-paper figure/table (see DESIGN.md's experiment index)."""
+"""Experiment harness: runners, the run pool and result cache,
+aggregation, and one driver per paper figure/table (see DESIGN.md's
+experiment index)."""
 
 from repro.harness.runner import CompiledWorkload, MACHINES, run_program
 

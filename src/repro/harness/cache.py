@@ -8,10 +8,10 @@ keyed by everything that determines it:
   so an unrelated edit that leaves the lowered program unchanged still
   hits;
 * the initial memory image and padded entry arguments;
-* the machine name and the canonicalized run configuration (tags,
-  issue width, load latency, ... -- see
-  :func:`repro.harness.pool.canonical_config`), including whether the
-  run was oracle-checked;
+* the machine name and the run's keyword arguments (tags, issue
+  width, load latency, ...) in the order-insensitive form
+  :func:`repro.harness.pool.canonical_config` gives them, and whether
+  the run was oracle-checked;
 * a ``CACHE_VERSION`` that must be bumped whenever engines change
   simulated behavior (golden-metrics changes) or the result format.
 

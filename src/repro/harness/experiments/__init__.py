@@ -1,7 +1,8 @@
 """One driver per paper figure/table (see DESIGN.md experiment index).
 
-Every driver exposes ``run(scale=..., **opts) -> ExperimentReport``
-with machine-readable ``data`` (asserted on by tests and benchmarks)
+Every driver exposes ``run(scale=..., ...) -> ExperimentReport`` (the
+contract is in :mod:`repro.harness.experiments.base`) with
+machine-readable ``data`` (asserted on by tests and benchmarks)
 and a rendered ``text`` (the regenerated figure/table).
 """
 

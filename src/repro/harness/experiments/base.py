@@ -1,9 +1,15 @@
 """Shared infrastructure for experiment drivers.
 
-Every registered driver is a callable ``run(scale=..., **kwargs)``
-returning an :class:`ExperimentReport`. Drivers that simulate accept
-the uniform harness kwargs and thread them into
-:func:`repro.harness.pool.run_batch` / the sweep helpers:
+Every registered driver is a callable ``run(scale=..., <knobs>,
+jobs=1, cache=None, options=None)`` returning an
+:class:`ExperimentReport`. Besides ``scale`` and its own knobs
+(workload, tag counts, issue widths, ...) it takes the uniform harness
+arguments below, which the CLI passes to every driver (tab01 and
+tab02 take and ignore them); an unknown keyword raises ``TypeError``.
+Drivers that simulate submit their runs through
+:func:`repro.harness.pool.run_batch` (only fig11's ablated policies,
+which no machine name selects, run directly), threading these into
+it:
 
 ``jobs``
     worker-pool fan-out (results stay order-stable and byte-identical

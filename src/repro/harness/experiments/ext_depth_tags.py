@@ -54,8 +54,7 @@ def depth_overrides(program: ContextProgram,
 
 @register("ext-depth")
 def run(scale: str = "default", workload: str = "dconv",
-        jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        jobs: int = 1, cache=None, options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
     program = wl.compiled.program
     depths = loop_depths(program)

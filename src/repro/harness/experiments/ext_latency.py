@@ -21,7 +21,7 @@ from repro.workloads import build_workload
 @register("ext-latency")
 def run(scale: str = "default", workload: str = "tc",
         latencies=(1, 4, 16, 32), jobs: int = 1, cache=None,
-        options=None, **kwargs) -> ExperimentReport:
+        options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
     flat = iter(run_batch(
         [(wl, machine, {"load_latency": latency,

@@ -45,8 +45,8 @@ MACHINES = ("tyr", "unordered")
 @register("ext-locality")
 def run(scale: str = "default", workloads=IRREGULAR_WORKLOADS,
         l1_sets=(4, 8, 16, 32), ways: int = 2, line: int = 4,
-        miss: int = 60, jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        miss: int = 60, jobs: int = 1, cache=None,
+        options=None) -> ExperimentReport:
     workloads = tuple(workloads)
     l1_sets = tuple(l1_sets)
     specs = [f"line={line},miss={miss},l1={sets}x{ways}x1"

@@ -30,7 +30,7 @@ def _static_store_bound(graph, block: str, tags: int) -> int:
 @register("ext-store")
 def run(scale: str = "default", workload: str = "dconv",
         tags: int = 64, jobs: int = 1, cache=None,
-        options=None, **kwargs) -> ExperimentReport:
+        options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
     unordered, tyr = run_batch(
         [

@@ -10,23 +10,22 @@ from __future__ import annotations
 
 from repro.harness.ascii_plots import line_chart, table
 from repro.harness.experiments.base import ExperimentReport, register
+from repro.harness.pool import run_batch
 from repro.harness.runner import PAPER_SYSTEMS
-from repro.harness.sweep import run_machines
 from repro.workloads import build_workload
 
 
 @register("fig02")
 def run(scale: str = "default", workload: str = "spmspm",
         tags: int = 64, jobs: int = 1, cache=None,
-        options=None, **kwargs) -> ExperimentReport:
+        options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
-    results = run_machines(wl, PAPER_SYSTEMS, tags=tags,
-                           jobs=jobs, cache=cache,
-                           options=options)
+    results = run_batch(
+        [(wl, machine, {"tags": tags}) for machine in PAPER_SYSTEMS],
+        jobs=jobs, cache=cache, options=options)
     traces = {}
     summary_rows = []
-    for machine in PAPER_SYSTEMS:
-        res = results[machine]
+    for machine, res in zip(PAPER_SYSTEMS, results):
         traces[machine] = res.live_trace
         summary_rows.append([machine, res.cycles, res.peak_live,
                              round(res.mean_live, 1)])

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.harness.ascii_plots import line_chart, table
 from repro.harness.experiments.base import ExperimentReport, register
+from repro.harness.pool import run_batch
 from repro.harness.runner import PAPER_SYSTEMS
-from repro.harness.sweep import run_machines
 from repro.workloads import build_workload
 
 
@@ -22,15 +22,13 @@ MACHINES = tuple(PAPER_SYSTEMS) + ("datapar",)
 
 @register("fig05")
 def run(scale: str = "small", workload: str = "dmv",
-        jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        jobs: int = 1, cache=None, options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
-    results = run_machines(wl, MACHINES, jobs=jobs, cache=cache,
-                           options=options)
+    results = run_batch([(wl, machine) for machine in MACHINES],
+                        jobs=jobs, cache=cache, options=options)
     profiles = {}
     rows = []
-    for machine in MACHINES:
-        res = results[machine]
+    for machine, res in zip(MACHINES, results):
         profiles[machine] = res.ipc_trace
         rows.append([
             machine,

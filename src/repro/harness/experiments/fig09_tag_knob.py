@@ -16,7 +16,7 @@ from repro.workloads import build_workload
 @register("fig09")
 def run(scale: str = "default", workload: str = "dmv",
         tag_counts=(2, 8, 64), jobs: int = 1, cache=None,
-        options=None, **kwargs) -> ExperimentReport:
+        options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
     results = run_batch(
         [(wl, "tyr", {"tags": tags}) for tags in tag_counts]

@@ -24,11 +24,14 @@ from repro.harness.ascii_plots import table
 from repro.harness.experiments.base import ExperimentReport, register
 from repro.harness.pool import run_batch
 from repro.harness.runner import CompiledWorkload
-from repro.harness.sweep import min_global_tags_to_complete, run_machines
 from repro.sim.memory import Memory
+from repro.sim.metrics import ExecutionResult
 from repro.sim.tagged import TaggedEngine
 from repro.sim.tagged.tagspace import AblatedTyrPolicy
 from repro.workloads import build_workload
+
+#: Bounded global tag-pool sizes tried per input size, ascending.
+GLOBAL_TAGS = (4, 8, 16, 24, 32, 48, 64, 96, 128, 256, 512)
 
 
 def _lemma1_module() -> Module:
@@ -68,10 +71,15 @@ def _run_ablation(drop: str, wl=None):
 @register("fig11")
 def run(scale: str = "small", workload: str = "dmv", total_tags: int = 8,
         sizes=(8, 16, 32, 48), jobs: int = 1, cache=None,
-        options=None, **kwargs) -> ExperimentReport:
+        options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
-    [res] = run_batch(
-        [(wl, "unordered-bounded", {"total_tags": total_tags}, False)],
+    # The bounded global pool on this input, then the pool sizes that
+    # decide how many global tags each input size needs.
+    smalls = [build_workload(workload, "tiny", n=n) for n in sizes]
+    res, *outcomes = run_batch(
+        [(wl, "unordered-bounded", {"total_tags": total_tags}, False)]
+        + [(small, "unordered-bounded", {"total_tags": total}, False)
+           for small in smalls for total in GLOBAL_TAGS],
         jobs=jobs, cache=cache, tolerate=(DeadlockError,),
         options=options)
     if isinstance(res, DeadlockError):
@@ -105,20 +113,16 @@ def run(scale: str = "small", workload: str = "dmv", total_tags: int = 8,
                                  for line in diag.explain().splitlines())
 
     # TYR with the same per-block budget completes.
-    tyr = run_machines(wl, ("tyr",), tags=total_tags,
-                       cache=cache, options=options)["tyr"]
+    [tyr] = run_batch([(wl, "tyr", {"tags": total_tags})],
+                      jobs=jobs, cache=cache, options=options)
 
     # How many global tags dmv needs as input size grows.
+    flat = iter(outcomes)
     growth_rows = []
     for n in sizes:
-        small = build_workload(workload, "tiny", n=n)
-        outcome = min_global_tags_to_complete(
-            small, [4, 8, 16, 24, 32, 48, 64, 96, 128, 256, 512],
-            jobs=jobs, cache=cache, options=options,
-        )
-        needed = next((t for t, ok in sorted(outcome.items()) if ok),
-                      None)
-        growth_rows.append([n, needed if needed else ">512"])
+        ok = [total for total, out in zip(GLOBAL_TAGS, flat)
+              if isinstance(out, ExecutionResult) and out.completed]
+        growth_rows.append([n, ok[0] if ok else ">512"])
 
     text = "\n".join([
         f"unordered dataflow, global pool of {total_tags} tags on "

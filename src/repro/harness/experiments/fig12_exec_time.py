@@ -37,8 +37,7 @@ def collect(scale: str, tags: int = 64, sample_traces: bool = True,
 @register("fig12")
 def run(scale: str = "default", tags: int = 64,
         results: Dict[str, Dict[str, ExecutionResult]] = None,
-        jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        jobs: int = 1, cache=None, options=None) -> ExperimentReport:
     results = results or collect(scale, tags, sample_traces=False,
                                  jobs=jobs, cache=cache,
                                  options=options)

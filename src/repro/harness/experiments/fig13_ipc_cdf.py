@@ -27,8 +27,7 @@ from repro.workloads import WORKLOAD_NAMES, build_workload
 
 @register("fig13")
 def run(scale: str = "default", tags: int = 64, apps=WORKLOAD_NAMES,
-        jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        jobs: int = 1, cache=None, options=None) -> ExperimentReport:
     combined = {m: [] for m in PAPER_SYSTEMS}
     workloads = {app: build_workload(app, scale) for app in apps}
     flat = iter(run_batch(

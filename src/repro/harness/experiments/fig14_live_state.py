@@ -21,8 +21,7 @@ from repro.sim.metrics import ExecutionResult
 @register("fig14")
 def run(scale: str = "default", tags: int = 64,
         results: Dict[str, Dict[str, ExecutionResult]] = None,
-        jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        jobs: int = 1, cache=None, options=None) -> ExperimentReport:
     results = results or collect(scale, tags, jobs=jobs, cache=cache,
                                  options=options)
     peak = {app: {m: r.peak_live for m, r in per.items()}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.harness.ascii_plots import table
 from repro.harness.experiments.base import ExperimentReport, register
-from repro.harness.sweep import sweep_issue_width
+from repro.harness.pool import run_batch
 from repro.workloads import build_workload
 
 MACHINES = ("seqdf", "ordered", "unordered", "tyr")
@@ -19,12 +19,16 @@ MACHINES = ("seqdf", "ordered", "unordered", "tyr")
 @register("fig15")
 def run(scale: str = "default", workload: str = "dmv",
         widths=(16, 32, 64, 128, 256, 512), tags: int = 64,
-        jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        jobs: int = 1, cache=None, options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
-    swept = sweep_issue_width(wl, widths, MACHINES, tags=tags,
-                              sample_traces=False, jobs=jobs,
-                              cache=cache, options=options)
+    flat = iter(run_batch(
+        [(wl, machine, {"tags": tags, "sample_traces": False,
+                        "issue_width": width})
+         for machine in MACHINES for width in widths],
+        jobs=jobs, cache=cache, options=options,
+    ))
+    swept = {machine: {width: next(flat) for width in widths}
+             for machine in MACHINES}
     cycle_rows = []
     state_rows = []
     for width in widths:

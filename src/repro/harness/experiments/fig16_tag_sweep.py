@@ -9,19 +9,20 @@ from __future__ import annotations
 
 from repro.harness.ascii_plots import line_chart, table
 from repro.harness.experiments.base import ExperimentReport, register
-from repro.harness.sweep import sweep_tags
+from repro.harness.pool import run_batch
 from repro.workloads import build_workload
 
 
 @register("fig16")
 def run(scale: str = "default", workload: str = "spmspm",
         tag_counts=(2, 8, 32, 64, 128, 512), issue_width: int = 128,
-        jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        jobs: int = 1, cache=None, options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
-    swept = sweep_tags(wl, tag_counts, issue_width=issue_width,
-                       jobs=jobs, cache=cache,
-                       options=options)
+    swept = dict(zip(tag_counts, run_batch(
+        [(wl, "tyr", {"issue_width": issue_width, "tags": tags})
+         for tags in tag_counts],
+        jobs=jobs, cache=cache, options=options,
+    )))
     chart = line_chart(
         {f"t={t}": r.live_trace.downsample(72)
          for t, r in swept.items()},

@@ -12,19 +12,24 @@ from __future__ import annotations
 from repro.harness.ascii_plots import table
 from repro.harness.experiments.base import ExperimentReport, register
 from repro.harness.pool import run_batch
-from repro.harness.sweep import sweep_width_x_tags
 from repro.workloads import build_workload
 
 
 @register("fig17")
 def run(scale: str = "small", workload: str = "spmspv",
         widths=(8, 16, 32, 64, 128), tag_counts=(2, 4, 8, 16, 32, 64),
-        jobs: int = 1, cache=None, options=None,
-        **kwargs) -> ExperimentReport:
+        jobs: int = 1, cache=None, options=None) -> ExperimentReport:
     wl = build_workload(workload, scale)
-    grid = sweep_width_x_tags(wl, widths, tag_counts,
-                              sample_traces=False, jobs=jobs,
-                              cache=cache, options=options)
+    points = [(width, tags) for width in widths for tags in tag_counts]
+    # The tags = width/2 scaling line (paper Fig. 17c).
+    points += [(width, max(2, width // 2)) for width in widths
+               if (width, max(2, width // 2)) not in points]
+    grid = dict(zip(points, run_batch(
+        [(wl, "tyr", {"issue_width": width, "tags": tags,
+                      "sample_traces": False})
+         for width, tags in points],
+        jobs=jobs, cache=cache, options=options,
+    )))
     ipc_rows = []
     peak_rows = []
     for width in widths:
@@ -35,16 +40,6 @@ def run(scale: str = "small", workload: str = "spmspv",
         peak_rows.append(
             [width] + [grid[(width, t)].peak_live for t in tag_counts]
         )
-    # The tags = width/2 scaling line (paper Fig. 17c).
-    missing = [(width, max(2, width // 2)) for width in widths
-               if (width, max(2, width // 2)) not in grid]
-    extra = run_batch(
-        [(wl, "tyr", {"issue_width": width, "tags": tags,
-                      "sample_traces": False})
-         for width, tags in missing],
-        jobs=jobs, cache=cache, options=options,
-    )
-    grid.update(zip(missing, extra))
     line_rows = []
     for width in widths:
         tags = max(2, width // 2)

@@ -8,7 +8,10 @@ from repro.ir.ops import OP_INFO, Category
 
 
 @register("tab01")
-def run(**kwargs) -> ExperimentReport:
+def run(scale: str = "default", jobs: int = 1, cache=None,
+        options=None) -> ExperimentReport:
+    """``scale``, ``jobs``, ``cache`` and ``options`` are unused:
+    every driver takes them."""
     by_cat = {}
     for op, info in OP_INFO.items():
         by_cat.setdefault(info.category, []).append(op.value)

@@ -9,7 +9,10 @@ from repro.workloads import WORKLOAD_NAMES, build_workload, paper_parameters
 
 
 @register("tab02")
-def run(scale: str = "default", **kwargs) -> ExperimentReport:
+def run(scale: str = "default", jobs: int = 1, cache=None,
+        options=None) -> ExperimentReport:
+    """``jobs``, ``cache`` and ``options`` are unused: every driver
+    takes them."""
     rows = []
     dyn = {}
     for name in WORKLOAD_NAMES:

@@ -1,13 +1,14 @@
 """Parallel job runner for sweeps and experiments.
 
 A *job* is one simulated run, described declaratively by a
-:class:`RunSpec` (workload identity + machine + canonicalized
-configuration) so it can be pickled to a ``multiprocessing`` worker,
-replayed to rebuild the exact same :class:`WorkloadInstance`, and
-hashed into a content-addressed cache key.
+:class:`RunSpec` (workload identity + machine + the run's keyword
+arguments) so it can be pickled to a ``multiprocessing`` worker and
+replayed to rebuild the exact same :class:`WorkloadInstance`;
+:func:`cache_key` canonicalizes the kwargs into the run's
+content-addressed result-cache key.
 
-:func:`run_specs` is the single execution path for every sweep helper
-and experiment driver:
+:func:`run_specs` is the single execution path for every experiment
+driver, which submits its runs through :func:`run_batch`:
 
 * results come back **in spec order** regardless of ``jobs``, so
   serial (``jobs=1``) and parallel runs produce byte-identical
@@ -72,7 +73,7 @@ from repro.workloads.registry import WorkloadInstance, build_workload
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One simulated run, in pickle- and hash-friendly form."""
+    """One simulated run, in picklable form."""
 
     workload: str
     scale: str
@@ -80,8 +81,8 @@ class RunSpec:
     #: Full builder parameters (scale defaults + overrides), sorted.
     params: Tuple[Tuple[str, object], ...]
     machine: str
-    #: Canonicalized :meth:`CompiledWorkload.run` keyword arguments.
-    config: Tuple[Tuple[str, object], ...]
+    #: The :meth:`CompiledWorkload.run` keyword arguments, as given.
+    config: Dict[str, object]
     #: Verify memory/results against the oracle after the run.
     check: bool = True
     #: Dispatch through generated plan kernels (repro.sim.codegen).
@@ -91,14 +92,16 @@ class RunSpec:
     codegen: bool = True
 
     def describe(self) -> str:
-        cfg = ", ".join(f"{k}={v}" for k, v in self.config)
+        cfg = ", ".join(f"{k}={v}"
+                        for k, v in canonical_config(self.config))
         return (f"workload={self.workload}/{self.scale} "
                 f"machine={self.machine} config=[{cfg}]")
 
 
 def canonical_config(kwargs: Dict[str, object]
                      ) -> Tuple[Tuple[str, object], ...]:
-    """Sorted, hashable form of run kwargs (dicts become item tuples)."""
+    """Sorted, hashable form of run kwargs (dicts become item tuples):
+    what :func:`cache_key` hashes and :meth:`RunSpec.describe` prints."""
     items: List[Tuple[str, object]] = []
     for key in sorted(kwargs):
         value = kwargs[key]
@@ -106,32 +109,6 @@ def canonical_config(kwargs: Dict[str, object]
             value = tuple(sorted(value.items()))
         items.append((key, value))
     return tuple(items)
-
-
-def _is_canonical_dict(value: object) -> bool:
-    """Whether ``value`` is the item-tuple form a dict canonicalizes
-    to: a tuple of ``(str, value)`` pairs (including the empty tuple,
-    which is indistinguishable from a canonicalized ``{}``)."""
-    return (isinstance(value, tuple)
-            and all(isinstance(item, tuple) and len(item) == 2
-                    and isinstance(item[0], str) for item in value))
-
-
-def _config_kwargs(spec: RunSpec) -> Dict[str, object]:
-    """Invert :func:`canonical_config` back into run kwargs.
-
-    *Every* canonicalized dict is rebuilt, not just ``tag_overrides``:
-    any dict-valued run kwarg round-trips. The canonical form itself is
-    lossy for values that already *were* tuples of string-keyed pairs
-    (they collide with the dict encoding, in the cache key too), so
-    those are rebuilt as dicts as well -- no run kwarg has that shape.
-    """
-    kwargs: Dict[str, object] = {}
-    for key, value in spec.config:
-        if _is_canonical_dict(value):
-            value = dict(value)
-        kwargs[key] = value
-    return kwargs
 
 
 #: Per-process workload memo: forked workers inherit the parent's
@@ -165,7 +142,7 @@ def spec_for(workload: WorkloadInstance, machine: str,
         seed=workload.seed,
         params=tuple(sorted(workload.params.items())),
         machine=machine,
-        config=canonical_config(config or {}),
+        config=dict(config or {}),
         check=check,
     )
     _WL_MEMO.setdefault(_memo_key(spec), workload)
@@ -180,7 +157,7 @@ def cache_key(spec: RunSpec) -> str:
         initial_memory=wl.initial_memory,
         entry_args=wl.compiled.entry_args(wl.args),
         machine=spec.machine,
-        config=spec.config,
+        config=canonical_config(spec.config),
         check=spec.check,
     )
 
@@ -206,7 +183,7 @@ def precompile_specs(specs: Sequence[RunSpec]) -> None:
 def run_one(spec: RunSpec) -> ExecutionResult:
     """Execute one spec; simulation failures carry the spec context."""
     wl = workload_for(spec)
-    kwargs = _config_kwargs(spec)
+    kwargs = dict(spec.config)  # serial runs share the logged spec
     kwargs.setdefault("codegen", spec.codegen)
     try:
         if spec.check:

@@ -166,8 +166,8 @@ class CacheConfig:
 
         Accepts ``None``, an existing :class:`CacheConfig`, a spec
         string, or the dict form ``{"line": 8, "miss": 100,
-        "l1": "64x4x1", ...}`` (how a spec survives
-        :func:`repro.harness.pool.canonical_config` round-trips).
+        "l1": "64x4x1", ...}`` (levels nearest first, as in a spec
+        string).
         """
         if value is None:
             return None

@@ -1,6 +1,7 @@
 """Every experiment driver regenerates its figure/table at tiny scale
 and reports well-formed data."""
 
+import inspect
 import io
 import json
 
@@ -52,6 +53,17 @@ def test_experiment_runs_and_reports(name):
     assert report.text.strip()
     assert report.paper_expectation
     assert name in str(report)
+
+
+@pytest.mark.parametrize("name", sorted(FAST_KWARGS))
+def test_driver_rejects_unknown_keywords(name):
+    """Every driver takes what the CLI passes to all of them, and a
+    misspelt knob is an error instead of a silent default run."""
+    driver = get_experiment(name)
+    inspect.signature(driver).bind(scale="tiny", jobs=1, cache=None,
+                                   options=None)
+    with pytest.raises(TypeError):
+        driver(scale="tiny", no_such_knob=(2,))
 
 
 def test_unknown_experiment_rejected():

@@ -19,7 +19,6 @@ from repro.harness.pool import (
     spec_for,
     workload_for,
 )
-from repro.harness.sweep import sweep_tags
 from repro.sim import codegen
 from repro.sim.metrics import ExecutionResult
 from repro.workloads import build_workload
@@ -47,23 +46,24 @@ def test_spec_roundtrips_workload_identity():
     spec = spec_for(wl, "tyr", {"tags": 4})
     assert spec == RunSpec(
         workload="dmv", scale="tiny", seed=0, params=(("n", 8),),
-        machine="tyr", config=(("tags", 4),), check=True,
+        machine="tyr", config={"tags": 4}, check=True,
     )
 
 
 def test_run_one_matches_direct_run():
     wl = build_workload("dmv", "tiny")
     direct = wl.run_checked("tyr", tags=4)
-    pooled = run_one(spec_for(wl, "tyr", {"tags": 4}))
+    spec = spec_for(wl, "tyr", {"tags": 4})
+    pooled = run_one(spec)
     assert _same_result(direct, pooled)
+    assert spec.config == {"tags": 4}  # codegen went into a copy
 
 
 def test_parallel_matches_serial():
     wl = build_workload("dmv", "tiny")
-    serial = sweep_tags(wl, (2, 4, 8))
-    parallel = sweep_tags(wl, (2, 4, 8), jobs=4)
-    for tags in (2, 4, 8):
-        assert _same_result(serial[tags], parallel[tags])
+    runs = [(wl, "tyr", {"tags": tags}) for tags in (2, 4, 8)]
+    for serial, parallel in zip(run_batch(runs), run_batch(runs, jobs=4)):
+        assert _same_result(serial, parallel)
 
 
 def test_cache_key_sensitivity():

@@ -1,21 +1,16 @@
-"""Unit tests for the runner and sweep helpers."""
+"""Unit tests for the runner and for sweeps submitted through
+:func:`repro.harness.pool.run_batch`."""
 
 import pytest
 
-from repro.errors import ReproError, SimulationError
+from repro.errors import DeadlockError, ReproError, SimulationError
 from repro.frontend.lower import lower_module
+from repro.harness.pool import run_batch
 from repro.harness.runner import (
     MACHINES,
     PAPER_SYSTEMS,
     CompiledWorkload,
     run_program,
-)
-from repro.harness.sweep import (
-    min_global_tags_to_complete,
-    run_machines,
-    sweep_issue_width,
-    sweep_tags,
-    sweep_width_x_tags,
 )
 from repro.sim.memory import Memory
 from repro.workloads import build_workload
@@ -90,33 +85,47 @@ def test_result_machine_renamed():
 
 
 def test_run_machines_checked():
+    """Oracle-checked runs come back in the order they were given."""
     wl = build_workload("dmv", "tiny")
-    out = run_machines(wl, ("vn", "tyr"))
-    assert set(out) == {"vn", "tyr"}
-    assert out["vn"].cycles > out["tyr"].cycles
+    vn, tyr = run_batch([(wl, "vn"), (wl, "tyr")])
+    assert (vn.machine, tyr.machine) == ("vn", "tyr")
+    assert vn.cycles > tyr.cycles
 
 
 def test_sweep_tags_ordering():
     wl = build_workload("dmv", "tiny")
-    swept = sweep_tags(wl, (2, 16))
-    assert swept[2].cycles >= swept[16].cycles
-    assert swept[2].peak_live <= swept[16].peak_live
+    few, many = run_batch([(wl, "tyr", {"tags": tags})
+                           for tags in (2, 16)])
+    assert few.cycles >= many.cycles
+    assert few.peak_live <= many.peak_live
 
 
 def test_sweep_issue_width():
     wl = build_workload("dmv", "tiny")
-    swept = sweep_issue_width(wl, (8, 64), ("tyr",))
-    assert swept["tyr"][8].cycles >= swept["tyr"][64].cycles
+    narrow, wide = run_batch([(wl, "tyr", {"issue_width": width})
+                              for width in (8, 64)])
+    assert narrow.cycles >= wide.cycles
 
 
 def test_sweep_width_x_tags_grid():
     wl = build_workload("dmv", "tiny")
-    grid = sweep_width_x_tags(wl, (8, 32), (2, 8))
-    assert set(grid) == {(8, 2), (8, 8), (32, 2), (32, 8)}
+    points = [(width, tags) for width in (8, 32) for tags in (2, 8)]
+    grid = dict(zip(points, run_batch(
+        [(wl, "tyr", {"issue_width": width, "tags": tags})
+         for width, tags in points])))
+    for (width, tags), res in grid.items():
+        assert res.extra["issue_width"] == width
+        assert res.cycles <= grid[(8, tags)].cycles
+        assert res.cycles <= grid[(width, 2)].cycles
 
 
 def test_min_global_tags_scan():
+    """A bounded global tag pool deadlocks dmv at 4 tags and completes
+    at 256; the deadlock comes back in its slot when tolerated."""
     wl = build_workload("dmv", "tiny")
-    outcome = min_global_tags_to_complete(wl, (4, 256))
-    assert outcome[4] is False  # deadlocks
-    assert outcome[256] is True
+    starved, ample = run_batch(
+        [(wl, "unordered-bounded", {"total_tags": total}, False)
+         for total in (4, 256)],
+        tolerate=(DeadlockError,))
+    assert isinstance(starved, DeadlockError)
+    assert ample.completed

@@ -1,17 +1,24 @@
-"""``canonical_config`` / ``_config_kwargs`` must be inverses.
+"""A run's kwargs reach its engine as the driver gave them.
 
-The canonical form flattens dict-valued run kwargs into sorted item
-tuples so a :class:`RunSpec` is hashable and picklable; the worker
-inverts it back before calling ``CompiledWorkload.run``. The seed
-only inverted the ``tag_overrides`` key, so any *other* dict-valued
-kwarg silently round-tripped as a tuple of items -- these properties
-pin the general inversion.
+A :class:`RunSpec` carries the kwargs dict itself; only the result
+cache's key and the run log's spec string use the canonical form
+(sorted items, dicts flattened into sorted item tuples).
 """
+
+import io
+import json
+import os
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.harness.pool import RunSpec, _config_kwargs, canonical_config
+from repro.harness.pool import (
+    RunOptions,
+    canonical_config,
+    run_batch,
+    spec_for,
+)
+from repro.workloads import build_workload
 
 #: Scalar values that actually appear in run kwargs (ints, bools,
 #: floats, strings, None).
@@ -36,16 +43,6 @@ _CONFIGS = st.dictionaries(
 )
 
 
-def _spec_with(config):
-    return RunSpec(workload="dmv", scale="tiny", seed=0, params=(),
-                   machine="tyr", config=canonical_config(config))
-
-
-@given(_CONFIGS)
-def test_config_roundtrip(config):
-    assert _config_kwargs(_spec_with(config)) == config
-
-
 @given(_CONFIGS)
 def test_canonical_config_is_order_insensitive_and_hashable(config):
     canonical = canonical_config(config)
@@ -54,15 +51,29 @@ def test_canonical_config_is_order_insensitive_and_hashable(config):
     hash(canonical)  # must be usable inside a cache key
 
 
-def test_every_dict_valued_kwarg_roundtrips():
-    """The seed bug, pinned directly: a dict under any key (not just
-    ``tag_overrides``) must come back as a dict."""
-    config = {"tag_overrides": {"b": 2, "a": 4},
-              "other_overrides": {"x": 1},
-              "tags": 8}
-    assert _config_kwargs(_spec_with(config)) == config
-
-
-def test_empty_dict_roundtrips_as_dict():
-    assert _config_kwargs(_spec_with({"tag_overrides": {}})) == {
-        "tag_overrides": {}}
+def test_dict_valued_kwargs_reach_a_forked_run():
+    """A tag-space override and a dict-form cache spec both reach the
+    engine in a forked pool worker: the overridden pool has the
+    override's capacity and the cache model runs the given spec."""
+    wl = build_workload("dmv", "tiny")
+    cache = {"line": 4, "miss": 60, "l1": "4x2x1"}
+    overrides = (2, 3)
+    runs = [(wl, "tyr", {"tags": 4, "tag_overrides": {"main.rows1": n},
+                         "cache": cache})
+            for n in overrides]
+    log = io.StringIO()
+    results = run_batch(runs, jobs=2, options=RunOptions(run_log=log))
+    workers = {event["worker"]
+               for event in map(json.loads, log.getvalue().splitlines())
+               if event["event"] == "started"}
+    assert workers and os.getpid() not in workers
+    for n, res in zip(overrides, results):
+        assert res.extra["cache"]["spec"] == "line=4,miss=60,l1=4x2x1"
+        capacity = {pool.name: pool.capacity
+                    for pool in res.extra["pool_stats"]}
+        assert capacity["main.rows1"] == n
+        assert capacity["main.for_j2"] == 4
+    assert spec_for(*runs[0]).describe() == (
+        "workload=dmv/tiny machine=tyr config=[cache=(('l1', '4x2x1'), "
+        "('line', 4), ('miss', 60)), tag_overrides=(('main.rows1', 2),), "
+        "tags=4]")
