@@ -1,19 +1,24 @@
-"""Content-addressed on-disk cache for simulation results.
+"""On-disk cache for simulation results.
 
-A cache entry is one :class:`~repro.sim.metrics.ExecutionResult`,
-keyed by everything that determines it:
+A cache entry is one :class:`~repro.sim.metrics.ExecutionResult`
+under the key :func:`repro.harness.pool.cache_key` gives its run, a
+SHA-256 over:
 
-* the *content* of the compiled program (a SHA-256 of its printed IR,
-  :func:`repro.ir.printer.format_program`) -- not the workload name,
-  so an unrelated edit that leaves the lowered program unchanged still
-  hits;
-* the initial memory image and padded entry arguments;
-* the machine name and the run's keyword arguments (tags, issue
-  width, load latency, ...) in the order-insensitive form
-  :func:`repro.harness.pool.canonical_config` gives them, and whether
-  the run was oracle-checked;
-* a ``CACHE_VERSION`` that must be bumped whenever engines change
-  simulated behavior (golden-metrics changes) or the result format.
+* the ``repro`` package's source (every ``.py`` file's relative path
+  and bytes, :func:`repro.harness.pool.source_digest`);
+* the workload's name, scale, seed and builder parameters -- not its
+  printed program or memory image: a builder is a deterministic
+  function of those and of the hashed source;
+* the machine name and whether the run was oracle-checked;
+* the effective run kwargs: ``CompiledWorkload.run``'s defaults
+  overlaid by the given ones, in
+  :func:`~repro.harness.pool.canonical_config` form, with the
+  ``cache`` spec canonical and ``codegen`` dropped (both fire tables
+  give bit-identical results).
+
+Nothing is bumped by hand: a source edit addresses fresh keys, so no
+result outlives the code that produced it, and the older entries are
+never read again (``tyr-repro cache gc --max-age`` prunes them).
 
 Entries are pickled to ``<root>/<key[:2]>/<key>.pkl`` and written
 atomically (temp file + :func:`os.replace`), so concurrent pool
@@ -29,51 +34,22 @@ milliseconds per process, about what reading them back would.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import tempfile
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Dict, Optional
 
 from repro.sim.metrics import ExecutionResult
-
-#: Bump when a change legitimately alters simulated metrics (i.e. the
-#: golden-metrics file is regenerated) or the pickled entry format.
-#: v2: traces are run-length encoded (PR 3).
-#: v3: results may carry stall-attribution profiles in ``extra``.
-#: v4: results may carry cache-hierarchy statistics in ``extra`` and
-#: profiles a memory_stall hit/miss split.
-#: v5: gated allocation leaves two free tags on speculative pops
-#: (multi-sibling starvation fix), shifting tyr schedules/metrics.
-CACHE_VERSION = 5
 
 DEFAULT_ROOT = ".repro-cache"
 
 
-def result_key(fingerprint: str,
-               initial_memory: Dict[str, Sequence],
-               entry_args: Sequence[object],
-               machine: str,
-               config: Tuple[Tuple[str, object], ...],
-               check: bool) -> str:
-    """SHA-256 cache key over everything that determines a result."""
-    text = repr((
-        CACHE_VERSION,
-        fingerprint,
-        sorted((name, tuple(values))
-               for name, values in initial_memory.items()),
-        tuple(entry_args),
-        machine,
-        config,
-        check,
-    ))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 class ResultCache:
-    """Content-addressed store of pickled :class:`ExecutionResult`,
-    sharded by key prefix and written atomically."""
+    """Store of pickled :class:`ExecutionResult` by key, sharded by
+    key prefix and written atomically."""
 
     def __init__(self, root: Optional[str] = None):
         self.root = (root or os.environ.get("REPRO_CACHE_DIR")
@@ -126,13 +102,15 @@ class ResultCache:
         """Prune entries, LRU by mtime (:meth:`get` touches on hit).
 
         ``max_age`` (seconds) first removes every entry older than
-        that; ``max_size`` (bytes) then deletes oldest-first until the
-        surviving entries fit the budget. Walks every ``*.pkl`` under
-        the root recursively, so the ``plans/`` tree that earlier
-        versions stored lowered programs in (nothing reads it now)
-        ages out by the same command. Entries that vanish mid-walk (a
-        concurrent sweep or gc) are skipped, never an error. Returns
-        ``{"kept", "removed", "kept_bytes", "removed_bytes"}``.
+        that; ``max_size`` (bytes) then keeps the newest entries that
+        fit the budget together and deletes the first that does not
+        and every older one, so no entry outlives a newer one. Walks
+        every ``*.pkl`` under the root recursively, so the ``plans/``
+        tree that earlier versions stored lowered programs in
+        (nothing reads it now) ages out by the same command. Entries
+        that vanish mid-walk (a concurrent sweep or gc) are skipped,
+        never an error. Returns ``{"kept", "removed", "kept_bytes",
+        "removed_bytes"}``.
         """
         entries = []  # (mtime, size, path)
         for dirpath, _, filenames in os.walk(self.root):
@@ -153,15 +131,10 @@ class ResultCache:
             entries = [e for e in entries if e[0] >= cutoff]
         if max_size is not None:
             entries.sort(reverse=True)  # newest first
-            budget = int(max_size)
-            kept = []
-            for entry in entries:
-                if budget - entry[1] >= 0:
-                    budget -= entry[1]
-                    kept.append(entry)
-                else:
-                    doomed.append(entry)
-            entries = kept
+            fits = bisect_right(list(accumulate(e[1] for e in entries)),
+                                int(max_size))
+            doomed.extend(entries[fits:])
+            entries = entries[:fits]
 
         removed = removed_bytes = 0
         for _, size, path in doomed:

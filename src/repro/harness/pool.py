@@ -3,9 +3,9 @@
 A *job* is one simulated run, described declaratively by a
 :class:`RunSpec` (workload identity + machine + the run's keyword
 arguments) so it can be pickled to a ``multiprocessing`` worker and
-replayed to rebuild the exact same :class:`WorkloadInstance`;
-:func:`cache_key` canonicalizes the kwargs into the run's
-content-addressed result-cache key.
+replayed to rebuild the exact same :class:`WorkloadInstance`.
+:func:`cache_key` alone decides what a cached result depends on (the
+list is in :mod:`repro.harness.cache`).
 
 :func:`run_specs` is the single execution path for every experiment
 driver, which submits its runs through :func:`run_batch`:
@@ -44,6 +44,8 @@ driver, which submits its runs through :func:`run_batch`:
 
 from __future__ import annotations
 
+import hashlib
+import inspect
 import multiprocessing
 import os
 import pickle
@@ -54,6 +56,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import (
@@ -64,11 +67,11 @@ from repro.errors import (
     UnexpectedRunError,
     WorkerCrashError,
 )
-from repro.harness.cache import ResultCache, result_key
+from repro.harness.cache import ResultCache
 from repro.harness.runlog import ProgressLine, RunLog
-from repro.harness.runner import KERNEL_FAMILY
+from repro.harness.runner import KERNEL_FAMILY, CompiledWorkload
 from repro.sim.metrics import ExecutionResult
-from repro.workloads.registry import WorkloadInstance, build_workload
+from repro.workloads.registry import SCALES, WorkloadInstance, build_workload
 
 
 @dataclass(frozen=True)
@@ -85,16 +88,18 @@ class RunSpec:
     config: Dict[str, object]
     #: Verify memory/results against the oracle after the run.
     check: bool = True
-    #: Dispatch through generated plan kernels (repro.sim.codegen).
-    #: Deliberately NOT part of :func:`cache_key` (which hashes only
-    #: the config): codegen is bit-identical to the interpreter, so a
-    #: cached result is valid for either setting.
-    codegen: bool = True
 
     def describe(self) -> str:
+        """The run as logs and errors name it: params that differ from
+        the scale's and a nonzero seed follow it (``dmv/tiny[n=16]``)."""
+        scaled = SCALES.get(self.workload, {}).get(self.scale, {})
+        named = [f"{k}={v}" for k, v in self.params if scaled.get(k) != v]
+        if self.seed:
+            named.append(f"seed={self.seed}")
+        where = f"[{', '.join(named)}]" if named else ""
         cfg = ", ".join(f"{k}={v}"
                         for k, v in canonical_config(self.config))
-        return (f"workload={self.workload}/{self.scale} "
+        return (f"workload={self.workload}/{self.scale}{where} "
                 f"machine={self.machine} config=[{cfg}]")
 
 
@@ -149,17 +154,41 @@ def spec_for(workload: WorkloadInstance, machine: str,
     return spec
 
 
+#: :meth:`CompiledWorkload.run`'s keyword arguments and defaults.
+_RUN_DEFAULTS = {name: p.default for name, p in inspect.signature(
+    CompiledWorkload.run).parameters.items() if p.kind is p.KEYWORD_ONLY}
+
+
+@lru_cache(maxsize=None)
+def source_digest(root: str = os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))) -> str:
+    """SHA-256 over every ``.py`` file under ``root`` (the ``repro``
+    package by default): relative paths and bytes, in path order.
+    Memoized, so a process reads its package once, on its first key."""
+    digest = hashlib.sha256()
+    for path in sorted(os.path.relpath(os.path.join(dirpath, name), root)
+                       for dirpath, _, names in os.walk(root)
+                       for name in names if name.endswith(".py")):
+        with open(os.path.join(root, path), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{path}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def cache_key(spec: RunSpec) -> str:
-    """Content-addressed key for a spec (compiles the program once)."""
-    wl = workload_for(spec)
-    return result_key(
-        fingerprint=wl.compiled.fingerprint,
-        initial_memory=wl.initial_memory,
-        entry_args=wl.compiled.entry_args(wl.args),
-        machine=spec.machine,
-        config=canonical_config(spec.config),
-        check=spec.check,
-    )
+    """The spec's result-cache key (see :mod:`repro.harness.cache`);
+    it builds and lowers nothing."""
+    config = {**_RUN_DEFAULTS, **spec.config}
+    del config["codegen"]  # both fire tables give the same result
+    if config["cache"] is not None:
+        from repro.sim.cache import CacheConfig
+        try:  # a bad spec fails in the run, with the spec's context
+            config["cache"] = CacheConfig.coerce(config["cache"]).spec()
+        except SimulationError:
+            pass
+    text = repr((source_digest(), _memo_key(spec), spec.machine,
+                 spec.check, canonical_config(config)))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def precompile_specs(specs: Sequence[RunSpec]) -> None:
@@ -183,12 +212,10 @@ def precompile_specs(specs: Sequence[RunSpec]) -> None:
 def run_one(spec: RunSpec) -> ExecutionResult:
     """Execute one spec; simulation failures carry the spec context."""
     wl = workload_for(spec)
-    kwargs = dict(spec.config)  # serial runs share the logged spec
-    kwargs.setdefault("codegen", spec.codegen)
     try:
         if spec.check:
-            return wl.run_checked(spec.machine, **kwargs)
-        res, _ = wl.run(spec.machine, **kwargs)
+            return wl.run_checked(spec.machine, **spec.config)
+        res, _ = wl.run(spec.machine, **spec.config)
         return res
     except DeadlockError as err:
         raise DeadlockError(f"{err} [{spec.describe()}]",
@@ -241,10 +268,9 @@ class RunOptions:
         Render a live ``done/total | cache-hit rate | ETA`` line on
         stderr.
     ``codegen``
-        ``False`` forces every spec through the engines' plain
-        reference interpreters (``--no-codegen``); metrics are
-        identical, only host speed
-        differs, so cached results are shared across both settings.
+        ``False`` writes ``codegen=False`` into each spec's config, so
+        the engines interpret (``--no-codegen``); results are
+        bit-identical, so :func:`cache_key` drops it.
     """
 
     timeout: Optional[float] = None
@@ -492,7 +518,7 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     specs = list(specs)
     opts = options or RunOptions()
     if not opts.codegen:
-        specs = [replace(spec, codegen=False) if spec.codegen else spec
+        specs = [replace(spec, config={**spec.config, "codegen": False})
                  for spec in specs]
 
     log: Optional[RunLog] = None

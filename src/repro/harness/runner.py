@@ -132,7 +132,7 @@ class CompiledWorkload:
 
     @property
     def fingerprint(self) -> str:
-        """SHA-256 of the printed IR -- the program's cache identity.
+        """SHA-256 of the printed IR, which names kernel dumps.
 
         Machine lowerings (tagged/flat graphs and engine plans) are
         deterministic functions of the context program, so hashing the

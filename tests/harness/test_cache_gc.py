@@ -53,6 +53,21 @@ def test_gc_by_size_keeps_newest_within_budget(tmp_path):
     assert cache.get(keys[2]) is not None
     assert cache.get(keys[3]) is not None
 
+    # Mixed sizes, newest to oldest 6 KB, 6 KB, 3 KB: once an entry
+    # misses the budget, it goes with every older entry, even one
+    # small enough to fit what is left.
+    mixed = ResultCache(str(tmp_path / "mixed"))
+    keys = _fill(mixed, 3, size=6000)
+    mixed.put(keys[0], b"x" * 3000)
+    for i, key in enumerate(keys):
+        _backdate(mixed, key, (len(keys) - i) * 100)
+    sizes = [os.path.getsize(mixed._path(key)) for key in keys]
+    stats = mixed.gc(max_size=sizes[2] + sizes[0] + 10)
+    assert stats["removed"] == 2
+    assert stats["kept_bytes"] == sizes[2]
+    assert [mixed.get(key) is not None for key in keys] == [
+        False, False, True]
+
 
 def test_get_bumps_mtime_so_hits_survive_lru(tmp_path):
     cache = ResultCache(str(tmp_path))

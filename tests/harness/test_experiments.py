@@ -13,7 +13,8 @@ from repro.harness.experiments import (
     ExperimentReport,
     get_experiment,
 )
-from repro.harness.pool import RunOptions
+from repro.harness import pool
+from repro.harness.pool import RunOptions, cache_key
 
 # Scales small enough for unit testing; shape assertions live in
 # benchmarks/ where the default scales run.
@@ -125,3 +126,24 @@ def test_fig11_logs_its_bounded_global_deadlock():
     assert any(spec.startswith("workload=dmv/small "
                                "machine=unordered-bounded ")
                for spec in specs), specs
+
+
+def test_fig11_spec_strings_name_distinct_runs(monkeypatch):
+    """fig11 builds dmv at one scale with several ``n``: each run's
+    spec string names its params, so the run log tells apart every
+    two requests the result cache keys apart."""
+    specs = []
+    run_specs = pool.run_specs
+    monkeypatch.setattr(pool, "run_specs", lambda batch, **kw:
+                        specs.extend(batch) or run_specs(batch, **kw))
+    log = io.StringIO()
+    get_experiment("fig11")(**FAST_KWARGS["fig11"],
+                            options=RunOptions(run_log=log))
+    queued = [event["spec"]
+              for event in map(json.loads, log.getvalue().splitlines())
+              if event["event"] == "queued"]
+    assert queued == [spec.describe() for spec in specs]
+    keys = {}
+    for spec in specs:
+        keys.setdefault(spec.describe(), set()).add(cache_key(spec))
+    assert all(len(shared) == 1 for shared in keys.values()), keys

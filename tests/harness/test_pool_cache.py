@@ -1,6 +1,9 @@
 """Unit tests for the parallel job runner and the result cache."""
 
+import io
+import json
 import os
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -9,6 +12,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.harness import pool
 from repro.harness.cache import ResultCache
 from repro.harness.pool import (
+    RunOptions,
     RunSpec,
     cache_key,
     canonical_config,
@@ -16,6 +20,7 @@ from repro.harness.pool import (
     run_batch,
     run_one,
     run_specs,
+    source_digest,
     spec_for,
     workload_for,
 )
@@ -56,7 +61,7 @@ def test_run_one_matches_direct_run():
     spec = spec_for(wl, "tyr", {"tags": 4})
     pooled = run_one(spec)
     assert _same_result(direct, pooled)
-    assert spec.config == {"tags": 4}  # codegen went into a copy
+    assert spec.config == {"tags": 4}  # run_one adds nothing to it
 
 
 def test_parallel_matches_serial():
@@ -76,6 +81,82 @@ def test_cache_key_sensitivity():
                                       check=False))
     other = build_workload("dmv", "tiny", n=6)
     assert base != cache_key(spec_for(other, "tyr", {"tags": 4}))
+    reseeded = build_workload("dmv", "tiny", seed=1)
+    assert base != cache_key(spec_for(reseeded, "tyr", {"tags": 4}))
+    small = build_workload("dmv", "small")
+    assert base != cache_key(spec_for(small, "tyr", {"tags": 4}))
+
+
+def test_cache_key_reads_one_cache_hierarchy_once():
+    """Three spellings of one hierarchy are one run."""
+    wl = build_workload("dmv", "tiny")
+    spellings = ("line=4,miss=60,l1=4x2x1", "l1=4x2x1,line=4,miss=60",
+                 {"line": 4, "miss": 60, "l1": "4x2x1"})
+    keys = {cache_key(spec_for(wl, "tyr", {"cache": cache}))
+            for cache in spellings}
+    assert len(keys) == 1
+
+
+def test_cache_key_fills_in_the_run_defaults():
+    """A kwarg given at its default, and ``codegen``, key the run the
+    kwargs leave out: fig13's ``{"tags": 64}`` and fig14's
+    ``{"tags": 64, "sample_traces": True}`` are the same simulation."""
+    wl = build_workload("dmv", "tiny")
+    configs = ({}, {"tags": 64}, {"tags": 64, "sample_traces": True},
+               {"codegen": False})
+    keys = {cache_key(spec_for(wl, "tyr", config)) for config in configs}
+    assert len(keys) == 1
+    assert cache_key(spec_for(wl, "tyr", {"sample_traces": False})) \
+        not in keys
+
+
+def test_cache_key_lowers_nothing(monkeypatch):
+    monkeypatch.setattr(pool, "_WL_MEMO", {})
+    wl = build_workload("dmv", "tiny", n=5)
+    cache_key(spec_for(wl, "tyr", {"tags": 4}))
+    assert wl._compiled is None
+
+
+def test_source_digest_sees_a_one_byte_edit(tmp_path):
+    """A copy of the package digests as the package does, wherever it
+    lies; one byte more in one engine file gives another digest."""
+    package = os.path.dirname(os.path.dirname(pool.__file__))
+    copy = str(tmp_path / "repro")
+    shutil.copytree(package, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert source_digest(copy) == source_digest()
+    edited = str(tmp_path / "edited")
+    shutil.copytree(copy, edited)
+    with open(os.path.join(edited, "sim", "engine.py"), "a") as fh:
+        fh.write("#")
+    assert source_digest(edited) != source_digest()
+
+
+def test_no_codegen_option_reaches_the_run(bind_at_construction,
+                                           monkeypatch):
+    """``RunOptions(codegen=False)`` writes ``codegen=False`` into the
+    config of the specs it runs (the run log names it) and leaves the
+    caller's specs alone; the run interprets."""
+    monkeypatch.setattr(pool, "_WL_MEMO", {})
+    generated = []
+    generate_source = codegen.generate_source
+    monkeypatch.setattr(codegen, "generate_source",
+                        lambda *a: generated.append(a[0])
+                        or generate_source(*a))
+    wl = build_workload("dmv", "tiny")
+    spec = spec_for(wl, "tyr", {"tags": 4})
+    log = io.StringIO()
+    [res] = run_specs([spec], options=RunOptions(codegen=False,
+                                                 run_log=log))
+    assert generated == []
+    assert spec.config == {"tags": 4}
+    assert _same_result(res, run_one(spec))
+    assert generated  # the caller's spec runs on the kernels
+    started = [event["spec"]
+               for event in map(json.loads, log.getvalue().splitlines())
+               if event["event"] == "started"]
+    assert started == [spec.describe().replace(
+        "config=[tags=4]", "config=[codegen=False, tags=4]")]
 
 
 def test_cache_round_trip(tmp_path):
@@ -152,8 +233,9 @@ def test_precompile_builds_lowerings_only(monkeypatch):
              for machine in ("tyr", "ordered", "seqdf", "datapar")
              for config in ({}, {"profile": True},
                             {"cache": "line=4,miss=60,l1=4x2x1"})]
-    precompile_specs(specs + [replace(spec, codegen=False)
-                              for spec in specs])
+    precompile_specs(specs + [
+        replace(spec, config={**spec.config, "codegen": False})
+        for spec in specs])
     compiled = workload_for(specs[0]).compiled
     assert None not in (compiled._tagged, compiled._flat,
                         compiled._window_plans, compiled._vector_lowering)
